@@ -150,6 +150,10 @@ let cold_tier () =
   let n = List.nth sizes (List.length sizes - 1) in
   let dir = build ~style:populate_installs ~compacted:true n in
   let j = Journal.open_ ~dir Standard_schemas.odyssey in
+  (* a reopened checkpoint starts with every payload cold: read them
+     all back first, so eviction has resident payloads to release *)
+  let store = (Journal.context j).Engine.store in
+  List.iter (fun iid -> ignore (Store.payload store iid)) (Store.all_instances store);
   Gc.full_major ();
   let before = (Gc.stat ()).Gc.live_words in
   let evicted = Journal.evict_cold j in

@@ -22,7 +22,13 @@
    disagrees with the segment, it is rebuilt by one sequential scan.
    Only the newest segment can have a torn tail (older ones were
    complete when the next was created), so open scans that one segment
-   fully and truncates it back to the last good frame. *)
+   fully and truncates it back to the last good frame; an older
+   segment is scanned only when its index is stale.
+
+   Open also reads every index once into an in-memory put map (iid ->
+   seqno and frame offset of the newest put that installed it), which
+   [fold] extends and [clear] empties: a cold payload load is one map
+   lookup and one positioned read, never an index scan. *)
 
 module Metrics = Ddf_obs.Metrics
 module Obs = Ddf_obs.Obs
@@ -120,8 +126,6 @@ type segment = {
   s_idx : string;                     (* .idx *)
   s_bytes : int;
   s_idx_base : int;                   (* byte length of the idx header *)
-  s_min_put : int;                    (* smallest/largest put iid, 0/0 if none *)
-  s_max_put : int;
   mutable s_fd : Unix.file_descr option;      (* cached .ddf descriptor *)
   mutable s_idx_fd : Unix.file_descr option;  (* cached .idx descriptor *)
 }
@@ -130,6 +134,7 @@ type t = {
   c_dir : string;
   c_m : Mutex.t;
   mutable c_segments : segment array;  (* ascending, contiguous *)
+  c_puts : (int, int * int) Hashtbl.t;  (* iid -> (seqno, frame offset) *)
   c_truncated : int;
 }
 
@@ -215,38 +220,34 @@ let write_idx ~dir ~first ~last frames =
   Sys.rename tmp path;
   String.length header
 
-let put_bounds frames =
-  List.fold_left
-    (fun (mn, mx) (_, payload) ->
-      match classify payload with
-      | 'p', id when id > 0 ->
-        ((if mn = 0 then id else min mn id), max mx id)
-      | _ -> (mn, mx))
-    (0, 0) frames
+(* Whether the idx for window [first..last] is present and holds
+   [count] entries. *)
+let idx_valid ~dir ~first ~last count =
+  let path = idx_path dir first last in
+  Sys.file_exists path
+  &&
+  let expect = idx_header first last count in
+  let ic = open_in_bin path in
+  let header = (try input_line ic with End_of_file -> "") ^ "\n" in
+  let len = in_channel_length ic in
+  close_in ic;
+  header = expect && len = String.length expect + (count * idx_line_len)
 
 (* Validate the idx against the segment scan; rebuild when stale.
-   Returns (idx_base, min_put, max_put). *)
+   Returns the idx header length. *)
 let ensure_idx ~dir ~first ~last frames =
-  let path = idx_path dir first last in
-  let count = List.length frames in
-  let expect = idx_header first last count in
-  let stale =
-    if not (Sys.file_exists path) then true
-    else begin
-      let ic = open_in_bin path in
-      let header = (try input_line ic with End_of_file -> "") ^ "\n" in
-      let len = in_channel_length ic in
-      close_in ic;
-      header <> expect
-      || len <> String.length expect + (count * idx_line_len)
-    end
-  in
-  let base =
-    if stale then write_idx ~dir ~first ~last frames
-    else String.length expect
-  in
-  let mn, mx = put_bounds frames in
-  (base, mn, mx)
+  if idx_valid ~dir ~first ~last (List.length frames) then
+    String.length (idx_header first last (List.length frames))
+  else write_idx ~dir ~first ~last frames
+
+(* Record the segment's put frames in the put map, ascending, so the
+   newest put of an iid wins. *)
+let index_puts puts seg body =
+  for k = 0 to seg.s_last - seg.s_first do
+    let line = String.sub body (k * idx_line_len) (idx_line_len - 1) in
+    let off, kind, id = parse_idx_entry line in
+    if kind = 'p' then Hashtbl.replace puts id (seg.s_first + k, off)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Open                                                                *)
@@ -257,6 +258,102 @@ let refresh_gauges t =
   Metrics.set g_bytes
     (float_of_int
        (Array.fold_left (fun acc s -> acc + s.s_bytes) 0 t.c_segments))
+
+(* The idx body of [seg]: one fixed-width line per frame. *)
+let idx_body seg =
+  let ic = open_in_bin seg.s_idx in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  seek_in ic seg.s_idx_base;
+  really_input_string ic ((seg.s_last - seg.s_first + 1) * idx_line_len)
+
+let drop_files ~dir ~first ~last path =
+  (try Sys.remove path with Sys_error _ -> ());
+  try Sys.remove (idx_path dir first last) with Sys_error _ -> ()
+
+let make_segment ~dir ~first ~last ~path ~bytes ~idx_base =
+  { s_first = first; s_last = last; s_path = path;
+    s_idx = idx_path dir first last; s_bytes = bytes; s_idx_base = idx_base;
+    s_fd = None; s_idx_fd = None }
+
+(* Open one segment file.  An older segment with a valid index is
+   trusted as is (it was complete when the next one was created); the
+   newest one, or one whose index is stale, is scanned frame by frame.
+   Returns [None] when nothing of a damaged newest segment survives;
+   adds dropped torn bytes to [truncated]. *)
+let open_segment ~dir ~newest ~truncated (first, last) =
+  let path = seg_path dir first last in
+  let want = last - first + 1 in
+  if (not newest) && idx_valid ~dir ~first ~last want then
+    Some
+      (make_segment ~dir ~first ~last ~path
+         ~bytes:(Unix.stat path).Unix.st_size
+         ~idx_base:(String.length (idx_header first last want)))
+  else
+    match scan_segment path with
+    | `Bad_header ->
+      if newest then begin
+        (* a damaged newest segment cannot be trusted at all *)
+        truncated := !truncated + (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0);
+        drop_files ~dir ~first ~last path;
+        None
+      end
+      else cement_errorf "cement segment %s: bad header" path
+    | `Seg (hfirst, hlast, frames, good_end, size) ->
+      if hfirst <> first || hlast <> last then
+        cement_errorf "cement segment %s: header names %d-%d" path hfirst
+          hlast;
+      let have = List.length frames in
+      if have > want then
+        cement_errorf "cement segment %s: %d frames for window %d-%d" path
+          have first last;
+      if have < want && not newest then
+        cement_errorf "cement segment %s: torn mid-store (%d/%d frames)"
+          path have want;
+      if have = 0 then begin
+        (* nothing survived: drop the segment *)
+        truncated := !truncated + size;
+        drop_files ~dir ~first ~last path;
+        None
+      end
+      else if have = want then
+        Some
+          (make_segment ~dir ~first ~last ~path ~bytes:size
+             ~idx_base:(ensure_idx ~dir ~first ~last frames))
+      else begin
+        (* torn tail on the newest segment: truncate to the good prefix
+           and rename to the window that survived *)
+        truncated := !truncated + (size - good_end);
+        let last' = first + have - 1 in
+        let path' = seg_path dir first last' in
+        let ic = open_in_bin path in
+        let good = really_input_string ic good_end in
+        close_in ic;
+        (* rewrite with the corrected header, atomically *)
+        let body =
+          let nl = String.index good '\n' in
+          String.sub good (nl + 1) (String.length good - nl - 1)
+        in
+        let tmp = path' ^ ".tmp" in
+        let oc = open_out_bin tmp in
+        let hdr = Printf.sprintf "C1 %d %d\n" first last' in
+        output_string oc hdr;
+        output_string oc body;
+        fsync_oc oc;
+        close_out oc;
+        Sys.rename tmp path';
+        if path' <> path then (try Sys.remove path with Sys_error _ -> ());
+        (try Sys.remove (idx_path dir first last) with Sys_error _ -> ());
+        (* offsets shift by the header-length delta: re-scan *)
+        let frames =
+          match scan_segment path' with
+          | `Seg (_, _, frames, _, _) -> frames
+          | `Bad_header -> cement_errorf "cement segment %s: rewrite failed" path'
+        in
+        Some
+          (make_segment ~dir ~first ~last:last' ~path:path'
+             ~bytes:(String.length hdr + String.length body)
+             ~idx_base:(ensure_idx ~dir ~first ~last:last' frames))
+      end
 
 let open_ ~dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -277,85 +374,8 @@ let open_ ~dir =
   let n_names = List.length names in
   let segments =
     List.mapi
-      (fun i (first, last) ->
-        let path = seg_path dir first last in
-        let newest = i = n_names - 1 in
-        match scan_segment path with
-        | `Bad_header ->
-          if newest then begin
-            (* a damaged newest segment cannot be trusted at all *)
-            truncated := !truncated + (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0);
-            (try Sys.remove path with Sys_error _ -> ());
-            (try Sys.remove (idx_path dir first last) with Sys_error _ -> ());
-            None
-          end
-          else cement_errorf "cement segment %s: bad header" path
-        | `Seg (hfirst, hlast, frames, good_end, size) ->
-          if hfirst <> first || hlast <> last then
-            cement_errorf "cement segment %s: header names %d-%d" path hfirst
-              hlast;
-          let have = List.length frames in
-          let want = last - first + 1 in
-          if have > want then
-            cement_errorf "cement segment %s: %d frames for window %d-%d" path
-              have first last;
-          if have < want && not newest then
-            cement_errorf "cement segment %s: torn mid-store (%d/%d frames)"
-              path have want;
-          if have = 0 then begin
-            (* nothing survived: drop the segment *)
-            truncated := !truncated + size;
-            (try Sys.remove path with Sys_error _ -> ());
-            (try Sys.remove (idx_path dir first last) with Sys_error _ -> ());
-            None
-          end
-          else begin
-            let last, path, size =
-              if have = want then (last, path, size)
-              else begin
-                (* torn tail on the newest segment: truncate to the
-                   good prefix and rename to the window that survived *)
-                truncated := !truncated + (size - good_end);
-                let last' = first + have - 1 in
-                let path' = seg_path dir first last' in
-                let ic = open_in_bin path in
-                let good = really_input_string ic good_end in
-                close_in ic;
-                (* rewrite with the corrected header, atomically *)
-                let body =
-                  let nl = String.index good '\n' in
-                  String.sub good (nl + 1) (String.length good - nl - 1)
-                in
-                let tmp = path' ^ ".tmp" in
-                let oc = open_out_bin tmp in
-                let hdr = Printf.sprintf "C1 %d %d\n" first last' in
-                output_string oc hdr;
-                output_string oc body;
-                fsync_oc oc;
-                close_out oc;
-                Sys.rename tmp path';
-                if path' <> path then
-                  (try Sys.remove path with Sys_error _ -> ());
-                (try Sys.remove (idx_path dir first last) with Sys_error _ -> ());
-                (* offsets shift by the header-length delta *)
-                (last', path', String.length hdr + String.length body)
-              end
-            in
-            (* re-scan offsets if we rewrote; cheap relative to open *)
-            let frames =
-              if last = hlast then frames
-              else
-                match scan_segment path with
-                | `Seg (_, _, frames, _, _) -> frames
-                | `Bad_header -> cement_errorf "cement segment %s: rewrite failed" path
-            in
-            let idx_base, mn, mx = ensure_idx ~dir ~first ~last frames in
-            Some
-              { s_first = first; s_last = last; s_path = path;
-                s_idx = idx_path dir first last; s_bytes = size;
-                s_idx_base = idx_base; s_min_put = mn; s_max_put = mx;
-                s_fd = None; s_idx_fd = None }
-          end)
+      (fun i window ->
+        open_segment ~dir ~newest:(i = n_names - 1) ~truncated window)
       names
     |> List.filter_map Fun.id
   in
@@ -370,9 +390,12 @@ let open_ ~dir =
     | _ -> ()
   in
   check segments;
+  let puts = Hashtbl.create 1024 in
+  List.iter (fun seg -> index_puts puts seg (idx_body seg)) segments;
   let t =
     { c_dir = dir; c_m = Mutex.create ();
-      c_segments = Array.of_list segments; c_truncated = !truncated }
+      c_segments = Array.of_list segments; c_puts = puts;
+      c_truncated = !truncated }
   in
   refresh_gauges t;
   t
@@ -447,14 +470,16 @@ let fold t ~first frames =
         let offsets = List.rev !offsets in
         let idx_base = write_idx ~dir:t.c_dir ~first ~last offsets in
         fsync_dir t.c_dir;
-        let mn, mx = put_bounds offsets in
-        let size = (Unix.stat path).Unix.st_size in
         let seg =
-          { s_first = first; s_last = last; s_path = path;
-            s_idx = idx_path t.c_dir first last; s_bytes = size;
-            s_idx_base = idx_base; s_min_put = mn; s_max_put = mx;
-            s_fd = None; s_idx_fd = None }
+          make_segment ~dir:t.c_dir ~first ~last ~path
+            ~bytes:(Unix.stat path).Unix.st_size ~idx_base
         in
+        List.iteri
+          (fun k (off, payload) ->
+            match classify payload with
+            | 'p', iid -> Hashtbl.replace t.c_puts iid (first + k, off)
+            | _ -> ())
+          offsets;
         t.c_segments <- Array.append t.c_segments [| seg |];
         Metrics.incr m_folds;
         refresh_gauges t);
@@ -596,59 +621,26 @@ let iter_range t ~from ~upto f =
   let lo = max from (first_seq t) in
   if lo > 0 then go lo
 
-(* Scan one segment's index sequentially, newest first, for the put
-   frame of [iid]. *)
+(* The put map answers both: no index file is read after open. *)
+let put_seq t ~iid =
+  locked t @@ fun () -> Option.map fst (Hashtbl.find_opt t.c_puts iid)
+
 let find_put t ~iid =
   locked t @@ fun () ->
-  let segs = t.c_segments in
-  let rec search i =
-    if i < 0 then None
-    else
-      let seg = segs.(i) in
-      if seg.s_min_put = 0 || iid < seg.s_min_put || iid > seg.s_max_put then
-        search (i - 1)
-      else begin
-        let count = seg.s_last - seg.s_first + 1 in
-        let fd = seg_idx_fd seg in
-        let body = pread fd ~off:seg.s_idx_base ~len:(count * idx_line_len) in
-        let rec scan k =
-          if k >= count then None
-          else
-            let line = String.sub body (k * idx_line_len) (idx_line_len - 1) in
-            let off, kind, id = parse_idx_entry line in
-            if kind = 'p' && id = iid then begin
-              Metrics.incr m_reads;
-              Some (frame_at seg off)
-            end
-            else scan (k + 1)
-        in
-        match scan 0 with Some p -> Some p | None -> search (i - 1)
-      end
-  in
-  search (Array.length segs - 1)
+  match Hashtbl.find_opt t.c_puts iid with
+  | None -> None
+  | Some (seq, off) -> (
+    match find_segment t seq with
+    | None -> None
+    | Some seg ->
+      Metrics.incr m_reads;
+      Some (frame_at seg off))
 
 let iter_puts t f =
   let ids =
-    locked t @@ fun () ->
-    let out = ref [] in
-    Array.iter
-      (fun seg ->
-        if seg.s_min_put > 0 then begin
-          let count = seg.s_last - seg.s_first + 1 in
-          let body =
-            pread (seg_idx_fd seg) ~off:seg.s_idx_base
-              ~len:(count * idx_line_len)
-          in
-          for k = 0 to count - 1 do
-            let line = String.sub body (k * idx_line_len) (idx_line_len - 1) in
-            let _, kind, id = parse_idx_entry line in
-            if kind = 'p' then out := id :: !out
-          done
-        end)
-      t.c_segments;
-    List.rev !out
+    locked t @@ fun () -> Hashtbl.fold (fun iid _ acc -> iid :: acc) t.c_puts []
   in
-  List.iter f ids
+  List.iter f (List.sort compare ids)
 
 let clear t =
   locked t @@ fun () ->
@@ -664,6 +656,7 @@ let clear t =
       try Sys.remove seg.s_idx with Sys_error _ -> ())
     t.c_segments;
   t.c_segments <- [||];
+  Hashtbl.reset t.c_puts;
   fsync_dir t.c_dir;
   refresh_gauges t
 

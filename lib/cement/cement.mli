@@ -21,7 +21,10 @@
     maps a seqno to its byte offset in O(1) (one fixed-width line per
     entry), so lookups are served by pread-style positioned reads, not
     replay.  The index is derived data: a missing or inconsistent
-    [.idx] is rebuilt from its segment on open.
+    [.idx] is rebuilt from its segment on open.  Open also reads every
+    index once into an in-memory put map (iid → seqno and offset of the
+    put frame that installed it), which {!fold} extends and {!clear}
+    empties, so put lookups never scan an index.
 
     Crash safety: segments are written to a temp file, fsynced and
     renamed into place (the directory is fsynced after the rename); a
@@ -37,8 +40,9 @@ type t
 
 val open_ : dir:string -> t
 (** Open (creating the directory if needed) the cement store rooted at
-    [dir].  Scans segment files, validates contiguity, truncates a
-    torn newest segment and rebuilds stale indexes.
+    [dir].  Scans the newest segment file (and any segment whose index
+    is stale), validates contiguity, truncates a torn newest segment,
+    rebuilds stale indexes and loads the put map.
     @raise Ddf_core.Error.Ddf_error on unrecoverable corruption (a
     seqno gap between surviving segments). *)
 
@@ -82,12 +86,20 @@ val iter_range : t -> from:int -> upto:int -> (int -> string -> unit) -> unit
 
 val find_put : t -> iid:int -> string option
 (** The cemented [put] frame payload that installed instance [iid], if
-    any — the store's cold-load path for evicted payloads.  Served by
-    an index scan (the index records each frame's kind and id). *)
+    any — the store's cold-load path for evicted payloads.  One put-map
+    lookup and one checksum-verified positioned read.
+    @raise Ddf_core.Error.Ddf_error when the frame fails its
+    checksum. *)
+
+val put_seq : t -> iid:int -> int option
+(** The seqno of the cemented [put] frame that installed [iid], if any
+    (a put-map lookup, no I/O) — what a checkpoint references instead
+    of the payload. *)
 
 val iter_puts : t -> (int -> unit) -> unit
-(** Iterate the iids of every cemented [put] frame (index scan, no
-    frame reads) — the eviction planner's view of what is reloadable. *)
+(** Iterate the iids of every cemented [put] frame, ascending (put-map
+    walk, no I/O) — the eviction planner's view of what is
+    reloadable. *)
 
 val clear : t -> unit
 (** Drop every segment — used when the journal's history is replaced

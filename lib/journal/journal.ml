@@ -2,9 +2,13 @@
 
    Layout of a database directory:
 
-     snapshot.ddf   full workspace (Workspace_file format), optional
+     snapshot.ddf   the checkpoint (Workspace_file format v2): instance
+                    meta-data, history, clock and flows; each payload
+                    is a reference to its cemented put frame, inline
+                    only when cement lacks that put.  Optional.
      wal.ddf        framed log entries appended since the snapshot
      base.ddf       sequence number folded into the snapshot
+     cemented/      the cement store: every compacted wal frame
 
    Each log frame is
 
@@ -95,8 +99,7 @@ type t = {
   compact_every : int;
   mutable j_sync_mode : sync_mode;
   mutable j_pending : int;           (* entries since the last durability point *)
-  j_cement_enabled : bool;
-  mutable j_cement : Cement.t option;  (* opened lazily on first fold *)
+  j_cement : Cement.t;
 }
 
 let context j = j.j_ctx
@@ -555,62 +558,47 @@ let replay_wal ctx path =
 (* Tiered cold storage (the cement store)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The cement handle, opened lazily: a database that never compacts
-   never creates [cemented/].  Once it exists it is reopened eagerly
-   by [open_] so cold reads work before the first fold. *)
-let cement_store j =
-  match j.j_cement with
-  | Some c -> c
-  | None ->
-    let c = Cement.open_ ~dir:(cemented_dir j.j_dir) in
-    j.j_cement <- Some c;
-    c
-
 let cement_stats j =
-  match j.j_cement with
-  | None -> None
-  | Some c ->
+  let c = j.j_cement in
+  if Cement.segment_count c = 0 then None
+  else
     Some
       (Cement.segment_count c, Cement.total_bytes c, Cement.first_seq c,
        Cement.last_seq c)
 
 (* A cemented frame payload by seqno — the cold half of the log. *)
-let cold_frame j seqno =
-  match j.j_cement with None -> None | Some c -> Cement.read c seqno
+let cold_frame j seqno = Cement.read j.j_cement seqno
 
-(* The store's cold-load path: re-read an evicted payload from the
-   cemented put frame that installed it.  The frame checksum was
-   verified by [Cement]; the content hash is re-verified here exactly
-   like live replay does. *)
-let cold_put_value j iid =
-  match j.j_cement with
+(* The store's cold-load path: re-read a payload that is not resident
+   (evicted, or restored from a checkpoint reference) from the cemented
+   put frame that installed it.  The frame checksum was verified by
+   [Cement] (a mismatch raises); the content hash is re-verified here,
+   against the frame and against the instance, exactly like live
+   replay does. *)
+let cold_put_value c store iid =
+  match Cement.find_put c ~iid with
   | None -> None
-  | Some c -> (
-    match Cement.find_put c ~iid with
-    | None -> None
-    | Some payload -> (
-      let sexp =
-        try S.of_string payload
-        with S.Sexp_error m -> journal_errorf "cemented entry: %s" m
+  | Some payload -> (
+    let sexp =
+      try S.of_string payload
+      with S.Sexp_error m -> journal_errorf "cemented entry: %s" m
+    in
+    match S.as_list sexp with
+    | S.Atom "put" :: fields ->
+      let stored_hash = S.as_atom (S.one "hash" (S.find_field fields "hash")) in
+      let value =
+        try Codec.value_of_sexp (S.one "value" (S.find_field fields "value"))
+        with Codec.Codec_error m ->
+          journal_errorf "cemented entry for #%d: %s" iid m
       in
-      match S.as_list sexp with
-      | S.Atom "put" :: fields ->
-        let stored_hash =
-          S.as_atom (S.one "hash" (S.find_field fields "hash"))
-        in
-        let value =
-          try Codec.value_of_sexp (S.one "value" (S.find_field fields "value"))
-          with Codec.Codec_error m ->
-            journal_errorf "cemented entry for #%d: %s" iid m
-        in
-        if Ddf_data.hash value <> stored_hash then
-          journal_errorf "cemented instance %d: content hash mismatch" iid;
-        Some value
-      | _ -> None))
+      if
+        Ddf_data.hash value <> stored_hash
+        || stored_hash <> Store.hash_of store iid
+      then journal_errorf "cemented instance %d: content hash mismatch" iid;
+      Some value
+    | _ -> None)
 
-let install_cold_loader j =
-  if j.j_cement_enabled then
-    Store.set_cold_loader j.j_ctx.Ddf_exec.Engine.store (cold_put_value j)
+let install_cold_loader c store = Store.set_cold_loader store (cold_put_value c store)
 
 (* Evict resident payloads whose every owning instance can be cold-
    loaded back from cement.  Payloads are shared by content hash, so a
@@ -618,44 +606,48 @@ let install_cold_loader j =
    cemented; one [Store.evict] per hash drops it for every owner.
    Returns the number of payloads evicted. *)
 let evict_cold j =
-  match j.j_cement with
-  | None -> 0
-  | Some c ->
-    let store = j.j_ctx.Ddf_exec.Engine.store in
-    let cold = Hashtbl.create 256 in
-    Cement.iter_puts c (fun iid -> Hashtbl.replace cold iid ());
-    let owners = Hashtbl.create 256 in
-    (* hash -> (droppable so far, representative iid) *)
-    List.iter
-      (fun iid ->
-        let h = Store.hash_of store iid in
-        let ok = Hashtbl.mem cold iid in
-        match Hashtbl.find_opt owners h with
-        | None -> Hashtbl.replace owners h (ok, iid)
-        | Some (all_ok, rep) -> Hashtbl.replace owners h (all_ok && ok, rep))
-      (Store.all_instances store);
-    let n = ref 0 in
-    Hashtbl.iter
-      (fun _h (all_ok, rep) ->
-        if all_ok && Store.payload_resident store rep && Store.evict store rep
-        then incr n)
-      owners;
-    !n
+  let store = j.j_ctx.Ddf_exec.Engine.store in
+  let cold = Hashtbl.create 256 in
+  Cement.iter_puts j.j_cement (fun iid -> Hashtbl.replace cold iid ());
+  let owners = Hashtbl.create 256 in
+  (* hash -> (droppable so far, representative iid) *)
+  List.iter
+    (fun iid ->
+      let h = Store.hash_of store iid in
+      let ok = Hashtbl.mem cold iid in
+      match Hashtbl.find_opt owners h with
+      | None -> Hashtbl.replace owners h (ok, iid)
+      | Some (all_ok, rep) -> Hashtbl.replace owners h (all_ok && ok, rep))
+    (Store.all_instances store);
+  let n = ref 0 in
+  Hashtbl.iter
+    (fun _h (all_ok, rep) ->
+      if all_ok && Store.payload_resident store rep && Store.evict store rep
+      then incr n)
+    owners;
+  !n
 
-let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group)
-    ?(cement = true) ~dir schema =
+let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
   if compact_every < 1 then journal_errorf "compact_every must be positive";
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   if not (Sys.is_directory dir) then journal_errorf "%s is not a directory" dir;
+  (* cement first (torn-tail recovery on its newest segment happens
+     here): the checkpoint's payload references are checked against
+     its put map as the checkpoint loads *)
+  let cement = Cement.open_ ~dir:(cemented_dir dir) in
   let ctx =
     if Sys.file_exists (snapshot_path dir) then
       let session =
-        try W.load_file ?registry schema (snapshot_path dir)
+        try
+          W.load_file ?registry
+            ~cemented:(fun iid -> Cement.put_seq cement ~iid)
+            schema (snapshot_path dir)
         with W.Persist_error m -> journal_errorf "snapshot: %s" m
       in
       Ddf_session.Session.context session
     else Ddf_exec.Engine.create_context ?registry schema
   in
+  install_cold_loader cement ctx.Ddf_exec.Engine.store;
   let entries, torn, applied = replay_wal ctx (wal_path dir) in
   (* counters were restored by dense re-insertion; assert the ticks
      agree with the contents before trusting the database *)
@@ -676,13 +668,8 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group)
       j_entries = entries; j_base = base; j_seq = base + entries;
       j_truncated = torn; j_closed = false; j_failed = None;
       j_frame_obs = None; compact_every;
-      j_sync_mode = sync_mode; j_pending = 0;
-      j_cement_enabled = cement; j_cement = None }
+      j_sync_mode = sync_mode; j_pending = 0; j_cement = cement }
   in
-  (* reopen an existing cement store eagerly so cold reads (and torn-
-     tail recovery on its newest segment) happen now, not mid-query *)
-  if cement && Sys.file_exists (cemented_dir dir) then
-    ignore (cement_store j);
   (* Crash between compact's base write and its wal truncation: replay
      proved the wal fully redundant (nothing applied) while the cement
      watermark sits exactly at the new base — so these frames are the
@@ -691,18 +678,16 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group)
      them into the seqno line.  (The other crash window — snapshot
      renamed, base still old — is left alone: there the cement
      watermark equals base + entries, not base.) *)
-  if applied = 0 && entries > 0 then
-    (match j.j_cement with
-    | Some c when Cement.last_seq c = base && base > 0 ->
-      close_out j.j_oc;
-      j.j_oc <-
-        open_out_gen
-          [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-          0o644 (wal_path dir);
-      j.j_entries <- 0;
-      j.j_seq <- base
-    | _ -> ());
-  install_cold_loader j;
+  if applied = 0 && entries > 0 && base > 0 && Cement.last_seq cement = base
+  then begin
+    close_out j.j_oc;
+    j.j_oc <-
+      open_out_gen
+        [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
+        0o644 (wal_path dir);
+    j.j_entries <- 0;
+    j.j_seq <- base
+  end;
   attach j;
   j
 
@@ -734,42 +719,67 @@ let wal_tail j since =
     List.rev !frames
   end
 
-let compact j =
-  if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
-  check_writable j;
-  Ddf_obs.Metrics.incr m_compactions;
-  let t0 = Unix.gettimeofday () in
-  (* Cement first: the wal frames about to be folded into the snapshot
-     move to cold storage instead of vanishing.  [Cement.fold] is
-     durable on return and skips already-cemented seqnos, so a crash
-     anywhere in compact leaves fold idempotent on retry. *)
-  (if j.j_cement_enabled && j.j_entries > 0 then begin
-     let c = cement_store j in
-     (* a cold store that stops short of the current base (cement was
-        disabled for a while, or the directory was copied from another
-        line) cannot be extended contiguously: start over *)
-     if Cement.last_seq c <> 0 && Cement.last_seq c < j.j_base then
-       Cement.clear c;
-     Cement.fold c ~first:(j.j_base + 1) (wal_tail j j.j_base)
-   end);
-  let tmp = snapshot_path j.j_dir ^ ".tmp" in
+(* Write [text] as the new checkpoint: temp file, fsync, rename.  The
+   rename is pinned by the caller's directory fsync. *)
+let write_checkpoint dir text =
+  let tmp = snapshot_path dir ^ ".tmp" in
   let oc = open_out tmp in
   (try
-     output_string oc
-       (W.save (Ddf_session.Session.of_context j.j_ctx));
+     output_string oc text;
      fsync_oc oc;
      close_out oc
    with e ->
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
-  Sys.rename tmp (snapshot_path j.j_dir);
+  Sys.rename tmp (snapshot_path dir)
+
+(* Fold the wal into cement and a fresh checkpoint, then truncate it.
+
+   Order: cement fold (durable on return) -> checkpoint rename -> base
+   write -> one directory fsync -> wal truncation.  The checkpoint
+   references only puts [Cement.fold] made durable before its rename,
+   so it never has to read a payload; a crash at any point leaves
+   either the old checkpoint (whose references are older frames,
+   untouched) or the new one, and open-time replay repairs the rest.
+   The [journal.compact] fault point fires after the fold, after the
+   checkpoint rename and after the base write (no fold hit when cement
+   is restarted: there the fold follows the rename). *)
+let compact j =
+  if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
+  check_writable j;
+  Ddf_obs.Metrics.incr m_compactions;
+  let t0 = Unix.gettimeofday () in
+  let c = j.j_cement in
+  let frames = if j.j_entries > 0 then wal_tail j j.j_base else [] in
+  let session = Ddf_session.Session.of_context j.j_ctx in
+  if Cement.last_seq c <> 0 && Cement.last_seq c < j.j_base then begin
+    (* A cold store that stops short of the base (a torn segment
+       dropped on open, or a directory copied from another line) cannot
+       be extended contiguously: start it over.  The current checkpoint
+       may reference frames the clear deletes, so it is first replaced
+       by a self-contained one — every payload read back while cement
+       still holds it — and that rename is pinned before anything is
+       deleted. *)
+    write_checkpoint j.j_dir (W.save session);
+    fsync_dir j.j_dir;
+    Cement.clear c;
+    Cement.fold c ~first:(j.j_base + 1) frames
+  end
+  else begin
+    Cement.fold c ~first:(j.j_base + 1) frames;
+    Fault.fire "journal.compact";
+    write_checkpoint j.j_dir
+      (W.save ~cemented:(fun iid -> Cement.put_seq c ~iid) session)
+  end;
+  Fault.fire "journal.compact";
   write_base j.j_dir j.j_seq;
+  Fault.fire "journal.compact";
   (* one directory fsync pins BOTH renames (snapshot.ddf and base.ddf):
      without it a power cut can resurrect the old directory entries
      even though both files were themselves fsynced *)
   fsync_dir j.j_dir;
-  (* the log's contents are folded into the snapshot: restart it *)
+  (* the log's contents are folded into the checkpoint: restart it *)
   close_out j.j_oc;
   j.j_oc <-
     open_out_gen
@@ -777,8 +787,8 @@ let compact j =
       0o644 (wal_path j.j_dir);
   j.j_entries <- 0;
   j.j_base <- j.j_seq;
-  (* every journaled entry is folded into the fsynced snapshot: this is
-     a durability point even for entries not yet fsynced in the wal *)
+  (* every journaled entry is folded into the fsynced checkpoint: this
+     is a durability point even for entries not yet fsynced in the wal *)
   j.j_pending <- 0;
   Ddf_obs.Metrics.observe h_compact (Unix.gettimeofday () -. t0)
 
@@ -803,7 +813,7 @@ let close j =
     | () -> ()
     | exception _ -> j.j_failed <- Some "fsync failed during close");
     close_out_noerr j.j_oc;
-    (match j.j_cement with Some c -> Cement.close c | None -> ());
+    Cement.close j.j_cement;
     j.j_closed <- true
   end
 
@@ -870,10 +880,9 @@ let rec frames j ~after ~limit =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   if limit < 0 then journal_errorf ~code:`Invalid "negative frame limit";
   if after < j.j_base then begin
+    let c = j.j_cement in
     let served_cold =
-      match j.j_cement with
-      | Some c
-        when Cement.first_seq c <> 0 && after + 1 >= Cement.first_seq c ->
+      if Cement.first_seq c <> 0 && after + 1 >= Cement.first_seq c then begin
         let out = ref [] in
         let taken = ref 0 in
         Cement.iter_range c ~from:(after + 1)
@@ -884,7 +893,8 @@ let rec frames j ~after ~limit =
               out := (seqno, frame_digest payload, payload) :: !out
             end);
         Some (List.rev !out)
-      | Some _ | None -> None
+      end
+      else None
     in
     match served_cold with
     | None ->
@@ -1031,11 +1041,13 @@ let finish_reset j ~seq fresh =
   j.j_seq <- seq;
   j.j_pending <- 0;
   (* the resync rebased the seqno line: the cemented history belongs
-     to the pre-reset database and can never be extended contiguously *)
-  (match j.j_cement with Some c -> Cement.clear c | None -> ());
+     to the pre-reset database and can never be extended contiguously.
+     The new checkpoint is self-contained, so clearing after its
+     rename is safe. *)
+  Cement.clear j.j_cement;
   (* the fresh store needs the cold loader re-wired (it replaced the
      one the loader was installed on) *)
-  install_cold_loader j;
+  install_cold_loader j.j_cement fresh.Ddf_exec.Engine.store;
   attach j
 
 let reset_to_snapshot j ~seq data =

@@ -13,9 +13,11 @@
     Crash safety: frames are self-delimiting with an MD5 checksum, so
     a torn tail (power cut mid-append) is detected and truncated on
     open; everything up to the last complete frame replays.  Periodic
-    {!compact} folds the log into a full workspace snapshot
-    ([snapshot.ddf], the {!Ddf_persist.Workspace_file} format) and
-    truncates the log. *)
+    {!compact} moves the log's frames into the cement store
+    ([cemented/]), writes a checkpoint ([snapshot.ddf], the
+    {!Ddf_persist.Workspace_file} v2 format: meta-data, history, clock
+    and flows, with each payload a reference to its cemented put frame)
+    and truncates the log. *)
 
 exception Journal_error of Ddf_core.Error.t
 (** Deprecated alias of {!Ddf_core.Error.Ddf_error}: corruption and
@@ -44,19 +46,18 @@ val open_ :
   ?registry:Ddf_tools.Encapsulation.registry ->
   ?compact_every:int ->
   ?sync_mode:sync_mode ->
-  ?cement:bool ->
   dir:string -> Ddf_schema.Schema.t -> t
-(** Open a database directory (created when missing): load
-    [snapshot.ddf] if present, replay [wal.ddf] (truncating a torn
-    tail), then attach write observers to the rebuilt context so
-    subsequent mutations are journaled.  [compact_every] (default
-    10_000) is the log-entry threshold {!maybe_compact} acts on.
-    [sync_mode] (default {!Group}) sets when entries become durable.
-    [cement] (default [true]) keeps compacted history in the tiered
-    cold store (see the {!section-cement} section); [false] restores
-    the old discard-on-compact behaviour.
+(** Open a database directory (created when missing): open the cement
+    store, load [snapshot.ddf] if present — instances whose payload it
+    references come back cold, filled from cement on first read — then
+    replay [wal.ddf] (truncating a torn tail) and attach write
+    observers to the rebuilt context so subsequent mutations are
+    journaled.  [compact_every] (default 10_000) is the log-entry
+    threshold {!maybe_compact} acts on.  [sync_mode] (default {!Group})
+    sets when entries become durable.
     @raise Journal_error on corruption before the tail (iid/rid or
-    content-hash mismatches). *)
+    content-hash mismatches), or when the checkpoint references a put
+    the cement store does not hold (the message names the iid). *)
 
 val sync_mode : t -> sync_mode
 val set_sync_mode : t -> sync_mode -> unit
@@ -90,12 +91,17 @@ val sync : t -> unit
     pending. *)
 
 val compact : t -> unit
-(** Write a fresh snapshot (atomically, via rename) and truncate the
-    log.  With cement enabled the truncated frames are first folded
-    into the cold store, so the full history stays addressable by
-    seqno.  The snapshot and base renames are pinned by a directory
-    fsync (crash point [journal.dir_fsync]); the whole operation is
-    timed into the [journal.compact_seconds] histogram. *)
+(** Fold the log's frames into the cement store (durable on return),
+    write a fresh checkpoint (atomically, via rename) and truncate the
+    log.  The checkpoint references only puts that fold made durable
+    before its rename, so compaction never reads or re-encodes a
+    payload; the full history stays addressable by seqno.  The
+    checkpoint and base renames are pinned by a directory fsync (crash
+    point [journal.dir_fsync]; [journal.compact] fires after the fold,
+    the checkpoint rename and the base write); the whole operation is
+    timed into the [journal.compact_seconds] histogram.  A cement store
+    that stops short of the base is restarted, behind a self-contained
+    checkpoint. *)
 
 val maybe_compact : t -> bool
 (** {!compact} when the log has reached [compact_every] entries;
@@ -138,8 +144,9 @@ val entries_since : t -> int -> tail
     it from its single-writer loop). *)
 
 val snapshot_state : t -> int * string
-(** The full current state as a replication seed: [(seq, workspace
-    save)].  Call with writers excluded. *)
+(** The full current state as a replication seed or export: [(seq,
+    workspace save)], self-contained (every payload inline, cold ones
+    read back from cement).  Call with writers excluded. *)
 
 (** {1 Anti-entropy sync support}
 
@@ -194,24 +201,25 @@ val reset_to_snapshot_file : t -> seq:int -> string -> unit
     @raise Journal_error when the file does not parse. *)
 
 val snapshot_file : t -> string
-(** Path of [snapshot.ddf] in this database directory — the file a
-    primary streams to bootstrap a follower.  Exists whenever
+(** Path of [snapshot.ddf] in this database directory — the
+    checkpoint, which references cemented payloads and so only loads
+    beside this database's cement store.  Exists whenever
     [base_seq t > 0]. *)
 
 (** {1:cement Tiered cold storage}
 
-    With cement enabled (the {!open_} default), {!compact} folds the
-    wal frames it is about to truncate into an append-only, indexed
-    cold store under [cemented/] (see {!Ddf_cement.Cement}).  The full
-    journaled history 1..seq then stays addressable: seqnos at or
-    below [base_seq] resolve by positioned reads against cement,
-    seqnos above it live in the wal.  The store's heavy payloads can
-    be evicted from memory and reloaded on demand from their cemented
-    put frames. *)
+    {!compact} folds the wal frames it is about to truncate into an
+    append-only, indexed cold store under [cemented/] (see
+    {!Ddf_cement.Cement}).  The full journaled history 1..seq then
+    stays addressable: seqnos at or below [base_seq] resolve by
+    positioned reads against cement, seqnos above it live in the wal.
+    The store's heavy payloads can be evicted from memory and reloaded
+    on demand from their cemented put frames; after a restart every
+    payload the checkpoint references starts out cold. *)
 
 val cement_stats : t -> (int * int * int * int) option
 (** [(segments, bytes, first_seq, last_seq)] of the cement store, or
-    [None] when nothing has been cemented (or cement is disabled). *)
+    [None] when nothing has been cemented. *)
 
 val cold_frame : t -> int -> string option
 (** The cemented frame payload for a seqno — one index lookup and one

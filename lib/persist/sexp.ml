@@ -38,23 +38,32 @@ let escape s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
+(* The pretty layout: an item of a list opened at [depth] that is
+   itself a list starts a new line indented [depth + 1] (long lists
+   break across lines for readable diffs); any other item follows a
+   space; the first follows the paren.  [depth] < 0 prints flat. *)
+let separator buf ~depth ~first ~list =
+  if not first then
+    if list && depth >= 0 then begin
+      Buffer.add_char buf '\n';
+      for _ = 0 to depth do Buffer.add_char buf ' ' done
+    end
+    else Buffer.add_char buf ' '
+
 let rec to_buffer buf indent = function
   | Atom s -> Buffer.add_string buf (if must_quote s then escape s else s)
   | List items ->
     Buffer.add_char buf '(';
-    List.iteri
-      (fun i item ->
-        if i > 0 then begin
-          (* long lists break across lines for readable diffs *)
-          match item with
-          | List _ when indent >= 0 ->
-            Buffer.add_char buf '\n';
-            Buffer.add_string buf (String.make (indent + 1) ' ')
-          | List _ | Atom _ -> Buffer.add_char buf ' '
-        end;
-        to_buffer buf (if indent >= 0 then indent + 1 else indent) item)
-      items;
+    List.iteri (fun i item -> add_item buf ~depth:indent ~first:(i = 0) item) items;
     Buffer.add_char buf ')'
+
+and add_item buf ~depth ~first item =
+  separator buf ~depth ~first ~list:(match item with List _ -> true | Atom _ -> false);
+  to_buffer buf (if depth >= 0 then depth + 1 else depth) item
+
+let open_item buf ~depth ~first =
+  separator buf ~depth ~first ~list:true;
+  Buffer.add_char buf '('
 
 let to_string ?(pretty = true) sexp =
   let buf = Buffer.create 1024 in

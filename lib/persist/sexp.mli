@@ -13,6 +13,20 @@ val to_string : ?pretty:bool -> t -> string
 val of_string : string -> t
 (** @raise Sexp_error on malformed input or trailing text. *)
 
+(** {1 Streaming printer}
+
+    Pretty-print a long list item by item into a buffer, byte-identical
+    to {!to_string} of the whole tree, without ever building the tree.
+    [depth] is the nesting depth of the open list that receives the
+    item: 0 for the outermost list, whose ['('] and [')'] the caller
+    writes. *)
+
+val add_item : Buffer.t -> depth:int -> first:bool -> t -> unit
+
+val open_item : Buffer.t -> depth:int -> first:bool -> unit
+(** Start an item that is itself a list: fill it with items at
+    [depth + 1] and close it with [')']. *)
+
 (** {1 Construction helpers} *)
 
 val atom : string -> t

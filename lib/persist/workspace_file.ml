@@ -5,8 +5,20 @@
 
    Instance and record identifiers are dense and allocated in order by
    the store and the history, so loading re-inserts them in id order
-   and asserts the ids come back unchanged; every payload's content
-   hash is recomputed on load and checked against the stored one. *)
+   and asserts the ids come back unchanged; every inline payload's
+   content hash is recomputed on load and checked against the stored
+   one.
+
+   Format version 2 tags each instance's payload slot:
+
+     (value V)        the payload inline (a self-contained save)
+     (cemented SEQ)   a reference to the cemented put frame SEQ that
+                      installed the instance (a journal checkpoint)
+
+   A referenced instance loads without a resident payload; the journal
+   checks every reference against its cement store and wires the cold
+   loader that fills the payload on first read.  Version 1 files (a
+   bare value in the slot) still load. *)
 
 open Ddf_store
 open Ddf_history
@@ -16,7 +28,7 @@ exception Persist_error of string
 
 let persist_errorf fmt = Format.kasprintf (fun s -> raise (Persist_error s)) fmt
 
-let format_version = 1
+let format_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Saving                                                              *)
@@ -36,13 +48,18 @@ let meta_of_sexp sexp =
       ~created_at:(S.as_int created_at) ()
   | _ -> persist_errorf "malformed meta"
 
-let instance_to_sexp store iid =
+let instance_to_sexp ~cemented store iid =
+  let slot =
+    match cemented iid with
+    | Some seq -> S.field "cemented" [ S.int seq ]
+    | None -> S.field "value" [ Codec.value_to_sexp (Store.payload store iid) ]
+  in
   S.list
     [ S.int iid;
       S.atom (Store.entity_of store iid);
       meta_to_sexp (Store.meta_of store iid);
       S.atom (Store.hash_of store iid);
-      Codec.value_to_sexp (Store.payload store iid) ]
+      slot ]
 
 let record_to_sexp (r : History.record) =
   S.list
@@ -99,36 +116,44 @@ let record_of_sexp sexp =
       rp_outputs = List.map pair (S.as_list outputs); rp_at = S.as_int at }
   | _ -> persist_errorf "malformed record"
 
-let save session =
+(* The workspace is one list, printed item by item so its tree is never
+   built whole: the instance and record sections stream one element at
+   a time (each element's small tree dies young), byte-identical to
+   printing the whole tree. *)
+let save ?(cemented = fun _ -> None) session =
   let ctx = Ddf_session.Session.context session in
   let store = ctx.Ddf_exec.Engine.store in
-  let sexp =
-    S.list
-      ([ S.atom "ddf_workspace";
-         S.field "version" [ S.int format_version ];
-         S.field "user" [ S.atom ctx.Ddf_exec.Engine.user ];
-         S.field "clock" [ S.int ctx.Ddf_exec.Engine.clock ];
-         S.field "instances"
-           (List.map (instance_to_sexp store) (Store.all_instances store));
-         S.field "records"
-           (List.map record_to_sexp (History.records ctx.Ddf_exec.Engine.history)) ]
-      (* omitted when empty, so files without sync conflicts keep the
-         exact pre-sync shape *)
-      @ (match History.all_conflicts ctx.Ddf_exec.Engine.history with
-        | [] -> []
-        | cs -> [ S.field "conflicts" (List.map conflict_to_sexp cs) ])
-      @ [ S.field "flows"
-            (List.filter_map
-               (fun name ->
-                 Option.map
-                   (fun g ->
-                     S.list
-                       [ S.atom name;
-                         S.atom (Ddf_graph.Sexp_form.to_string g) ])
-                   (Ddf_session.Session.catalog_flow session name))
-               (Ddf_session.Session.flow_catalog session)) ])
+  let history = ctx.Ddf_exec.Engine.history in
+  let buf = Buffer.create 65536 in
+  let item sexp = S.add_item buf ~depth:0 ~first:false sexp in
+  let section name to_sexp elements =
+    S.open_item buf ~depth:0 ~first:false;
+    S.add_item buf ~depth:1 ~first:true (S.atom name);
+    List.iter (fun e -> S.add_item buf ~depth:1 ~first:false (to_sexp e)) elements;
+    Buffer.add_char buf ')'
   in
-  S.to_string sexp ^ "\n"
+  Buffer.add_char buf '(';
+  S.add_item buf ~depth:0 ~first:true (S.atom "ddf_workspace");
+  item (S.field "version" [ S.int format_version ]);
+  item (S.field "user" [ S.atom ctx.Ddf_exec.Engine.user ]);
+  item (S.field "clock" [ S.int ctx.Ddf_exec.Engine.clock ]);
+  section "instances" (instance_to_sexp ~cemented store) (Store.all_instances store);
+  section "records" record_to_sexp (History.records history);
+  (* omitted when empty, so files without sync conflicts keep the
+     exact pre-sync shape *)
+  (match History.all_conflicts history with
+  | [] -> ()
+  | cs -> section "conflicts" conflict_to_sexp cs);
+  section "flows" Fun.id
+    (List.filter_map
+       (fun name ->
+         Option.map
+           (fun g ->
+             S.list [ S.atom name; S.atom (Ddf_graph.Sexp_form.to_string g) ])
+           (Ddf_session.Session.catalog_flow session name))
+       (Ddf_session.Session.flow_catalog session));
+  Buffer.add_string buf ")\n";
+  Buffer.contents buf
 
 let save_file session path =
   let oc = open_out path in
@@ -142,7 +167,7 @@ let save_file session path =
 (* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let load ?registry schema text =
+let load ?registry ?(cemented = fun _ -> None) schema text =
   let sexp =
     try S.of_string text
     with S.Sexp_error m -> persist_errorf "syntax: %s" m
@@ -153,7 +178,7 @@ let load ?registry schema text =
     | _ -> persist_errorf "not a ddf workspace file"
   in
   let version = S.as_int (S.one "version" (S.find_field fields "version")) in
-  if version <> format_version then
+  if version < 1 || version > format_version then
     persist_errorf "unsupported format version %d" version;
   let user = S.as_atom (S.one "user" (S.find_field fields "user")) in
   let ctx = Ddf_exec.Engine.create_context ~user ?registry schema in
@@ -168,17 +193,33 @@ let load ?registry schema text =
            | _ -> persist_errorf "malformed instance")
     |> List.sort compare
   in
+  let store = ctx.Ddf_exec.Engine.store in
+  let put_inline iid ~entity ~meta stored_hash value_sexp =
+    let value =
+      try Codec.value_of_sexp value_sexp
+      with Codec.Codec_error m -> persist_errorf "instance %d: %s" iid m
+    in
+    let hash = Ddf_data.hash value in
+    if hash <> stored_hash then
+      persist_errorf "instance %d: content hash mismatch (file corrupt?)" iid;
+    Store.put store ~entity ~hash ~meta value
+  in
   List.iter
-    (fun (iid, entity, meta, stored_hash, value_sexp) ->
-      let value =
-        try Codec.value_of_sexp value_sexp
-        with Codec.Codec_error m ->
-          persist_errorf "instance %d: %s" iid m
+    (fun (iid, entity, meta, hash, slot) ->
+      let got =
+        match slot with
+        | _ when version = 1 -> put_inline iid ~entity ~meta hash slot
+        | S.List [ S.Atom "value"; v ] -> put_inline iid ~entity ~meta hash v
+        | S.List [ S.Atom "cemented"; seq ] ->
+          let seq = S.as_int seq in
+          if cemented iid <> Some seq then
+            persist_errorf
+              "instance %d: its payload is cemented put %d, which the cement \
+               store does not hold"
+              iid seq;
+          Store.put_cold store ~entity ~hash ~meta
+        | _ -> persist_errorf "instance %d: malformed payload slot" iid
       in
-      let hash = Ddf_data.hash value in
-      if hash <> stored_hash then
-        persist_errorf "instance %d: content hash mismatch (file corrupt?)" iid;
-      let got = Store.put ctx.Ddf_exec.Engine.store ~entity ~hash ~meta value in
       if got <> iid then
         persist_errorf "instance ids are not dense (%d loaded as %d)" iid got)
     instances;
@@ -232,9 +273,9 @@ let load ?registry schema text =
     (S.find_field fields "flows");
   session
 
-let load_file ?registry schema path =
+let load_file ?registry ?cemented schema path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let text = really_input_string ic n in
   close_in ic;
-  load ?registry schema text
+  load ?registry ?cemented schema text

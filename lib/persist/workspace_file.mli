@@ -6,24 +6,42 @@
     exactly (asserted by dense-id checks and recomputed content hashes;
     the save of a reloaded session is byte-identical, a tested
     fixpoint).  Compiled simulators persist their full
-    instruction program. *)
+    instruction program.
+
+    Format version 2 lets a journal checkpoint carry, in place of an
+    instance's payload, a reference to the cemented put frame that
+    installed it; version 1 files still load. *)
 
 exception Persist_error of string
 
 val format_version : int
 
-val save : Ddf_session.Session.t -> string
+val save :
+  ?cemented:(Ddf_store.Store.iid -> int option) ->
+  Ddf_session.Session.t -> string
+(** The workspace as text.  Without [cemented] the save is
+    self-contained: every payload inline.  With it, an instance for
+    which [cemented iid] is [Some seq] gets a reference to cemented put
+    [seq] instead of its payload, which is then never read. *)
+
 val save_file : Ddf_session.Session.t -> string -> unit
+(** A self-contained {!save} written to a file. *)
 
 val load :
-  ?registry:Ddf_tools.Encapsulation.registry -> Ddf_schema.Schema.t ->
-  string -> Ddf_session.Session.t
-(** @raise Persist_error on syntax errors, version mismatch, non-dense
-    ids or content-hash mismatches (tampering/corruption). *)
+  ?registry:Ddf_tools.Encapsulation.registry ->
+  ?cemented:(Ddf_store.Store.iid -> int option) ->
+  Ddf_schema.Schema.t -> string -> Ddf_session.Session.t
+(** Referenced instances are restored cold ({!Ddf_store.Store.put_cold}):
+    each reference must name the put seqno [cemented iid] reports;
+    without [cemented], any reference is an error.
+    @raise Persist_error on syntax errors, version mismatch, non-dense
+    ids, content-hash mismatches (tampering/corruption) or a reference
+    the cement store does not hold (the message names the iid). *)
 
 val load_file :
-  ?registry:Ddf_tools.Encapsulation.registry -> Ddf_schema.Schema.t ->
-  string -> Ddf_session.Session.t
+  ?registry:Ddf_tools.Encapsulation.registry ->
+  ?cemented:(Ddf_store.Store.iid -> int option) ->
+  Ddf_schema.Schema.t -> string -> Ddf_session.Session.t
 
 (** {1 Shared codecs}
 

@@ -95,13 +95,11 @@ module Outbox : sig
       the frame header so the follower's apply span joins the
       producing write's trace. *)
 
-  val push_snapshot_file : t -> seq:int -> string -> unit
-  (** Enqueue the snapshot file at this path to be streamed as
-      begin/chunk/end frames ({!stream_snapshot}).  The descriptor is
-      opened here — call with the writer excluded and [seq] equal to
-      the journal's base, so the pinned bytes are exactly the state at
-      [seq].  Kills the outbox when the file cannot be opened.
-      @raise Replica_error in that open-failure case. *)
+  val push_snapshot_fd : t -> seq:int -> Unix.file_descr -> unit
+  (** Enqueue a snapshot descriptor, holding exactly the state at
+      [seq], to be streamed as begin/chunk/end frames
+      ({!stream_snapshot}).  The outbox takes ownership of [fd]: it is
+      closed after streaming, or at once when the outbox is dead. *)
 
   val note_ack : t -> int -> unit
   val sent : t -> int    (** highest seqno enqueued *)

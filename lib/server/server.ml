@@ -459,7 +459,7 @@ let writer_loop t =
       (* one fsync covers every frame the batch appended; only after it
          succeeds are the jobs acknowledged.  If the disk fails here,
          nobody gets an Ok for an entry of unknown durability. *)
-      let results =
+      let synced, results =
         match
           (* the batch shares one fsync; parent the sync span to the
              first traced job so the group commit shows in its trace *)
@@ -469,19 +469,20 @@ let writer_loop t =
             "journal.sync_batch"
             (fun () -> Journal.sync t.journal)
         with
-        | () -> results
+        | () -> (true, results)
         | exception e ->
           let err = error_response e in
-          List.map (fun (job, _) -> (job, err)) results
+          (false, List.map (fun (job, _) -> (job, err)) results)
       in
       (* Publication ordering: AFTER the batch's fsync, BEFORE any job
          is acknowledged.  A reader can never observe state whose
          durability is still pending, and a client that got its Ok is
          guaranteed to see its own write in the next view it pins.
-         (On an fsync failure the jobs error but the state mutations
-         already happened — there is no rollback — so the view is
-         published regardless; the journal is the wounded party.) *)
-      publish t;
+         When the sync failed, or the journal is fail-stopped from an
+         earlier batch, the live state holds mutations that can never
+         become durable (there is no rollback): readers keep the last
+         durable view instead. *)
+      if synced && Journal.failed t.journal = None then publish t;
       List.iter (fun (job, result) -> finish job result) results;
       next ()
   in
@@ -789,13 +790,35 @@ let remove_conn t conn_id =
   t.conns <- List.filter (fun (id, _) -> id <> conn_id) t.conns;
   Mutex.unlock t.m
 
-(* [Snapshot_export] (wire v7): compact, then stream the on-disk
-   snapshot back as begin/chunk/end frames.  The compaction and the
-   descriptor open run as one writer job, so the pinned descriptor is
-   exactly the state at the captured seqno; the streaming itself runs
-   on the connection thread, outside the writer — a slow reader never
-   blocks writes.  A later compaction renames a fresh snapshot into
-   place but cannot disturb the pinned inode. *)
+(* A self-contained save of the current state (every payload inline),
+   spooled to an unlinked file in the database directory: the returned
+   descriptor is the only reference to it, so the bytes are exactly
+   the state at the returned seqno whatever the writer does next.  The
+   on-disk checkpoint is no use here — it references this database's
+   cement store.  Call from a writer job. *)
+let spool_export t =
+  let seq, data = Journal.snapshot_state t.journal in
+  let path =
+    Filename.temp_file ~temp_dir:(Journal.dir t.journal) "export-" ".tmp"
+  in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Unix.unlink path;
+  (try
+     let len = String.length data in
+     let rec go off =
+       if off < len then go (off + Unix.write_substring fd data off (len - off))
+     in
+     go 0
+   with e ->
+     Unix.close fd;
+     raise e);
+  (seq, fd)
+
+(* [Snapshot_export] (wire v7): stream a self-contained save back as
+   begin/chunk/end frames.  The save is spooled by one writer job, so
+   it is exactly the state at the captured seqno; the streaming itself
+   runs on the connection thread, outside the writer — a slow reader
+   never blocks writes. *)
 let snapshot_export_stream t fd ~user ~version =
   let codec = Wire.codec_for_version version in
   let send resp =
@@ -810,12 +833,7 @@ let snapshot_export_stream t fd ~user ~version =
     let pinned = ref None in
     let resp =
       submit t ~user (fun () ->
-          Journal.compact t.journal;
-          let seq = Journal.base_seq t.journal in
-          let sfd =
-            Unix.openfile (Journal.snapshot_file t.journal) [ Unix.O_RDONLY ] 0
-          in
-          pinned := Some (seq, sfd);
+          pinned := Some (spool_export t);
           Wire.Ok_unit)
     in
     match (resp, !pinned) with
@@ -896,16 +914,11 @@ and replication_loop t fd ~user ~version since =
         (match Journal.entries_since t.journal since with
         | Journal.Snapshot_needed when version >= 7 ->
           (* the journal was compacted past [since]: reseed.  A v7
-             subscriber gets the on-disk snapshot (state at base_seq)
-             streamed in chunks — the descriptor pinned here, under
-             the writer — plus the wal tail above it; neither side
-             ever holds the state as one string. *)
-          let base = Journal.base_seq t.journal in
-          Replica.Outbox.push_snapshot_file outbox ~seq:base
-            (Journal.snapshot_file t.journal);
-          (match Journal.entries_since t.journal base with
-          | Journal.Frames frames -> push_frames frames
-          | Journal.Snapshot_needed -> assert false)
+             subscriber gets a self-contained save of the state at
+             [seq], spooled here under the writer and streamed in
+             chunks by the outbox's sender; live frames follow it. *)
+          let seq, fd = spool_export t in
+          Replica.Outbox.push_snapshot_fd outbox ~seq fd
         | Journal.Snapshot_needed ->
           (* a v6-or-below subscriber: one monolithic snapshot *)
           let seq, data = Journal.snapshot_state t.journal in

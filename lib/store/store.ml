@@ -38,6 +38,11 @@ type 'a event =
   | Put of 'a instance * 'a
   | Annotated of 'a instance
 
+(* A physical datum is resident, or cold: known by its hash but held
+   only in cold storage (evicted, or restored from a checkpoint that
+   references it).  Either way it counts for dedup and [physical_count]. *)
+type 'a slot = Resident of 'a | Cold
+
 (* The immutable hot state: everything a read needs, in persistent
    maps.  [Int_map] iterates in ascending iid order, which is exactly
    the store's installation order (iids are dense and ascending), so
@@ -45,7 +50,7 @@ type 'a event =
 type 'a state = {
   st_next_iid : int;
   st_instances : 'a instance Int_map.t;
-  st_payloads : 'a String_map.t;   (* content-addressed physical data *)
+  st_payloads : 'a slot String_map.t;   (* content-addressed physical data *)
   st_by_entity : iid list String_map.t;   (* newest first *)
   st_phys : int;                   (* cardinal of st_payloads, O(1) *)
 }
@@ -126,17 +131,22 @@ let meta ?(user = "designer") ?(label = "") ?(comment = "") ?(keywords = [])
     ~created_at () =
   { user; created_at; label; comment; keywords }
 
-let put store ~entity ~hash ~meta payload =
+(* Install an instance over [slot], counting the put and any dedup
+   hit (its hash already known, resident or cold). *)
+let install store ~entity ~hash ~meta slot =
   let inst, dedup =
     update store (fun st ->
         let iid = st.st_next_iid in
         let inst = { iid; entity; data_hash = hash; meta } in
-        let dedup = String_map.mem hash st.st_payloads in
+        let known = String_map.find_opt hash st.st_payloads in
+        let dedup = known <> None in
         let st_payloads =
           (* content-hash sharing: a second instance over the same
-             datum keeps the first payload *)
-          if dedup then st.st_payloads
-          else String_map.add hash payload st.st_payloads
+             datum keeps the first payload (a resident one replaces a
+             cold one: it is in hand) *)
+          match (known, slot) with
+          | Some (Resident _), _ | Some Cold, Cold -> st.st_payloads
+          | (Some Cold | None), _ -> String_map.add hash slot st.st_payloads
         in
         let bucket =
           match String_map.find_opt entity st.st_by_entity with
@@ -154,8 +164,15 @@ let put store ~entity ~hash ~meta payload =
   in
   Ddf_obs.Metrics.incr m_puts;
   if dedup then Ddf_obs.Metrics.incr m_dedup;
+  inst
+
+let put store ~entity ~hash ~meta payload =
+  let inst = install store ~entity ~hash ~meta (Resident payload) in
   notify store (Put (inst, payload));
   inst.iid
+
+let put_cold store ~entity ~hash ~meta =
+  (install store ~entity ~hash ~meta Cold).iid
 
 let annotate store iid ?label ?comment ?keywords () =
   let inst =
@@ -186,15 +203,13 @@ let evict store iid =
     update store (fun st ->
         match Int_map.find_opt iid st.st_instances with
         | None -> (st, false)
-        | Some inst ->
-          if String_map.mem inst.data_hash st.st_payloads then
-            ( {
-                st with
-                st_payloads = String_map.remove inst.data_hash st.st_payloads;
-                st_phys = st.st_phys - 1;
-              },
+        | Some inst -> (
+          match String_map.find_opt inst.data_hash st.st_payloads with
+          | Some (Resident _) ->
+            ( { st with
+                st_payloads = String_map.add inst.data_hash Cold st.st_payloads },
               true )
-          else (st, false))
+          | Some Cold | None -> (st, false)))
   in
   if dropped then Ddf_obs.Metrics.incr m_evictions;
   dropped
@@ -204,13 +219,11 @@ let evict store iid =
    reader domain: a plain CAS loop against the owning handle. *)
 let promote store hash payload =
   update store (fun st ->
-      if String_map.mem hash st.st_payloads then (st, ())
-      else
-        ( {
-            st with
-            st_payloads = String_map.add hash payload st.st_payloads;
-            st_phys = st.st_phys + 1;
-          },
+      match String_map.find_opt hash st.st_payloads with
+      | Some (Resident _) -> (st, ())
+      | Some Cold | None ->
+        ( { st with
+            st_payloads = String_map.add hash (Resident payload) st.st_payloads },
           () ))
 
 (* ------------------------------------------------------------------ *)
@@ -273,7 +286,9 @@ module Snapshot = struct
   let mem snap iid = Int_map.mem iid snap.snap_state.st_instances
 
   let payload_resident snap iid =
-    String_map.mem (find snap iid).data_hash snap.snap_state.st_payloads
+    match String_map.find_opt (find snap iid).data_hash snap.snap_state.st_payloads with
+    | Some (Resident _) -> true
+    | Some Cold | None -> false
 
   (* Hot path first: a resident payload is one map lookup.  On a miss,
      fall through to cold storage (if wired) and promote the reloaded
@@ -283,8 +298,8 @@ module Snapshot = struct
   let payload snap iid =
     let inst = find snap iid in
     match String_map.find_opt inst.data_hash snap.snap_state.st_payloads with
-    | Some v -> v
-    | None -> (
+    | Some (Resident v) -> v
+    | Some Cold | None -> (
       match snap.snap_source.cold_loader with
       | None ->
         store_errorf ~code:`Not_found
@@ -306,7 +321,8 @@ module Snapshot = struct
   let instance_count snap = Int_map.cardinal snap.snap_state.st_instances
 
   let physical_count snap = snap.snap_state.st_phys
-  (* instance_count - physical_count = storage saved by sharing *)
+  (* instance_count - physical_count = storage saved by sharing; cold
+     data counts too *)
 
   let instances_of_entity snap entity =
     match String_map.find_opt entity snap.snap_state.st_by_entity with

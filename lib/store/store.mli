@@ -122,7 +122,16 @@ val evict : 'a t -> iid -> bool
 (** Drop the resident payload behind [iid] (shared-hash siblings lose
     residency too — callers must check every owner is cold-loadable
     first).  Returns [false] when already evicted or the instance is
-    unknown.  Counts [store.evictions]. *)
+    unknown.  Counts [store.evictions].  The hash stays known: it
+    still counts for dedup and {!physical_count}. *)
+
+val put_cold : 'a t -> entity:string -> hash:string -> meta:meta -> iid
+(** Restore an instance whose payload lives only in cold storage — a
+    checkpoint that references a cemented put instead of carrying the
+    value.  Like {!put} (same iid allocation, dedup and
+    {!physical_count}), but nothing becomes resident and the write
+    observer is not called: the first {!payload} read goes through the
+    cold loader. *)
 
 (** {1 Write observation (the journal's attachment point)} *)
 
@@ -139,8 +148,8 @@ val clear_observer : 'a t -> unit
 val instance_count : 'a t -> int
 
 val physical_count : 'a t -> int
-(** Distinct payloads: [instance_count - physical_count] is the storage
-    saved by sharing. *)
+(** Distinct payloads, resident or cold: [instance_count -
+    physical_count] is the storage saved by sharing. *)
 
 val instances_of_entity : 'a t -> string -> iid list
 (** In installation order. *)

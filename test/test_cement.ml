@@ -295,20 +295,16 @@ let bootstrap =
            (Client.stat c).Wire.st_seq;
          Alcotest.(check int) "byte count verified" bytes
            (Unix.stat out).Unix.st_size;
-         (* the exported bytes are exactly the primary's snapshot *)
-         let slurp path =
-           let ic = open_in_bin path in
-           let s = really_input_string ic (in_channel_length ic) in
-           close_in ic;
-           s
-         in
-         Alcotest.(check string) "snapshot bytes"
-           (slurp (Filename.concat pdir "snapshot.ddf"))
-           (slurp out);
-         (* the file is a loadable workspace on its own *)
+         (* the export is a standalone workspace: it loads with no
+            cement store beside it, holds the primary's canonical
+            state, and carries the payloads the on-disk checkpoint
+            only references *)
          let session = Persist.load_file Standard_schemas.odyssey out in
-         Alcotest.(check bool) "export parses" true
-           (Store.instance_count (Session.context session).Engine.store > 0));
+         let _, _, _, fingerprint, _, _ = Client.sync_digest c in
+         Alcotest.(check string) "export fingerprint" fingerprint
+           (Sync.fingerprint (Session.context session));
+         Alcotest.(check bool) "export larger than the checkpoint" true
+           (bytes > (Unix.stat (Filename.concat pdir "snapshot.ddf")).Unix.st_size));
         (* a pre-v7 negotiation is refused with a typed error *)
         let c6 = Client.connect ~version:6 ~socket:psock () in
         Fun.protect ~finally:(fun () -> try Client.close c6 with _ -> ())
@@ -320,9 +316,206 @@ let bootstrap =
             (Util.contains (Error.message e) "v7"));
   ]
 
+(* The segment files of a cement directory, oldest first. *)
+let segment_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ddf")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+(* The put-map oracle: a linear scan of every cemented frame, parsing
+   each put's iid — the newest put of an iid wins. *)
+let scanned_puts c =
+  let tbl = Hashtbl.create 16 in
+  if Cement.first_seq c > 0 then
+    Cement.iter_range c ~from:(Cement.first_seq c) ~upto:(Cement.last_seq c)
+      (fun _ payload ->
+        match Ddf_persist.Sexp.of_string payload with
+        | Ddf_persist.Sexp.List
+            (Ddf_persist.Sexp.Atom "put"
+            :: Ddf_persist.Sexp.List [ Ddf_persist.Sexp.Atom "iid"; iid ] :: _) ->
+          Hashtbl.replace tbl (Ddf_persist.Sexp.as_int iid) payload
+        | _ -> ());
+  tbl
+
+let put_map_agrees c =
+  let oracle = scanned_puts c in
+  let listed = ref [] in
+  Cement.iter_puts c (fun iid -> listed := iid :: !listed);
+  List.sort compare !listed
+  = List.sort compare (Hashtbl.fold (fun iid _ acc -> iid :: acc) oracle [])
+  && List.for_all
+       (fun iid ->
+         Cement.find_put c ~iid = Hashtbl.find_opt oracle iid
+         && (Cement.put_seq c ~iid <> None) = Hashtbl.mem oracle iid)
+       (List.init 14 Fun.id)
+
+(* Random segments of put/note/record frames over a small iid range (so
+   iids repeat across segments), then a torn-tail reopen and a clear. *)
+let put_map_prop =
+  let frame_gen =
+    QCheck2.Gen.(
+      pair (int_range 0 2) (int_range 1 12) >|= fun (kind, iid) ->
+      match kind with
+      | 0 -> Printf.sprintf "(put (iid %d) (value v%d))" iid iid
+      | 1 -> Printf.sprintf "(note (iid %d) (meta m))" iid
+      | _ -> "(record (clock 1) r)")
+  in
+  let gen =
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 1 5) (list_size (int_range 1 6) frame_gen))
+        (int_range 1 40)
+        (list_size (int_range 0 6) frame_gen))
+  in
+  Util.qcheck ~count:40 "the put map agrees with a linear scan" gen
+    (fun (batches, cut, after_clear) ->
+      with_dir @@ fun dir ->
+      let fold c frames =
+        let first = Cement.last_seq c + 1 in
+        if frames <> [] then
+          Cement.fold c ~first (List.mapi (fun i p -> (first + i, p)) frames)
+      in
+      let c = Cement.open_ ~dir in
+      List.iter (fold c) batches;
+      let live = put_map_agrees c in
+      Cement.close c;
+      let reopened = Cement.open_ ~dir in
+      let after_reopen = put_map_agrees reopened in
+      Cement.close reopened;
+      (* tear the newest segment's tail *)
+      let path = List.hd (List.rev (segment_files dir)) in
+      let size = (Unix.stat path).Unix.st_size in
+      Unix.truncate path (max 0 (size - cut));
+      let torn = Cement.open_ ~dir in
+      let after_torn = put_map_agrees torn in
+      Cement.clear torn;
+      let cleared = put_map_agrees torn in
+      fold torn after_clear;
+      let refolded = put_map_agrees torn in
+      Cement.close torn;
+      live && after_reopen && after_torn && cleared && refolded)
+
+(* Flip one byte of the file at [path], at offset [off]. *)
+let flip_byte path off =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  let b = Bytes.create 1 in
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (if Bytes.get b 0 = 'a' then 'b' else 'a');
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd
+
+let integrity =
+  [
+    put_map_prop;
+    Alcotest.test_case "a flipped byte in a cemented put is a typed error"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        ignore (Test_journal.activity (Journal.context j) 2);
+        Journal.compact j;
+        (* a second segment, so the damaged one is not the newest and
+           open trusts its index instead of scanning it *)
+        ignore (Test_journal.activity ~seed:5 (Journal.context j) 1);
+        Journal.compact j;
+        Journal.close j;
+        let path = List.hd (segment_files (Filename.concat dir "cemented")) in
+        (* inside the payload of the segment's last put frame *)
+        let text =
+          let ic = open_in_bin path in
+          let s = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          s
+        in
+        let rec last_put i =
+          if String.sub text i 4 = "(put" then i else last_put (i - 1)
+        in
+        flip_byte path (last_put (String.length text - 4) + 20);
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let store = (Journal.context j).Engine.store in
+        let damaged = ref 0 in
+        List.iter
+          (fun iid ->
+            match Store.payload store iid with
+            | v ->
+              Alcotest.(check string) "an undamaged payload is intact"
+                (Store.hash_of store iid) (Value.hash v)
+            | exception Error.Ddf_error _ -> incr damaged)
+          (Store.all_instances store);
+        Journal.close j;
+        Alcotest.(check bool) "the damaged put refuses to load" true
+          (!damaged >= 1));
+    Alcotest.test_case "restarting a cement store that stops short of the base"
+      `Quick (fun () ->
+        Fun.protect ~finally:Fault.reset @@ fun () ->
+        (* a database whose cement lost its newest segment's tail: a
+           second compaction cemented annotations only, then that
+           segment was torn.  Its puts (all in the first segment) are
+           intact, so it opens — with the cement watermark below the
+           base, which the next compaction must restart from *)
+        let stale_db dir =
+          let j = Journal.open_ ~dir Standard_schemas.odyssey in
+          let ctx = Journal.context j in
+          ignore (Test_journal.activity ctx 2);
+          Journal.compact j;
+          List.iter
+            (fun iid ->
+              Store.annotate ctx.Engine.store iid ~label:"stale" ())
+            [ 1; 2; 3; 4 ];
+          Journal.compact j;
+          Journal.close j;
+          let path =
+            List.hd (List.rev (segment_files (Filename.concat dir "cemented")))
+          in
+          Unix.truncate path ((Unix.stat path).Unix.st_size - 5);
+          let j = Journal.open_ ~dir Standard_schemas.odyssey in
+          (match Journal.cement_stats j with
+          | Some (_, _, _, last) ->
+            Alcotest.(check bool) "cement stops short of the base" true
+              (last < Journal.base_seq j)
+          | None -> Alcotest.fail "cement lost entirely");
+          Store.annotate (Journal.context j).Engine.store 5 ~label:"more" ();
+          Journal.sync j;
+          j
+        in
+        let check_reopen dir fp =
+          let j = Journal.open_ ~dir Standard_schemas.odyssey in
+          let ctx = Journal.context j in
+          Alcotest.(check string) "fingerprint" fp (Sync.fingerprint ctx);
+          Test_journal.payloads_verified ctx;
+          Journal.close j
+        in
+        (* every crash point of the restarting compaction, and none *)
+        List.iter
+          (fun crash ->
+            with_dir @@ fun dir ->
+            let j = stale_db dir in
+            let fp = Sync.fingerprint (Journal.context j) in
+            (match crash with
+            | Some (point, after) -> (
+              Fault.arm ~after point Fault.Fail;
+              match Journal.compact j with
+              | () -> Alcotest.fail "expected the injected crash"
+              | exception Fault.Injected _ -> Fault.reset ())
+            | None ->
+              Journal.compact j;
+              (match Journal.cement_stats j with
+              | Some (_, _, first, last) ->
+                Alcotest.(check bool) "cement restarted past the old base"
+                  true (first > 1 && last = Journal.base_seq j)
+              | None -> Alcotest.fail "nothing cemented"));
+            Journal.close j;
+            check_reopen dir fp)
+          [ Some ("journal.dir_fsync", 0); Some ("journal.compact", 0);
+            Some ("journal.compact", 1); Some ("journal.dir_fsync", 1); None ]);
+  ]
+
 let suite =
   [
     ("cement.segments", segments);
+    ("cement.integrity", integrity);
     ("cement.journal", journal);
     ("cement.bootstrap", bootstrap);
   ]

@@ -129,6 +129,36 @@ let journal_faults =
           (Engine.install (Journal.context j2) ~entity:E.stimuli
              ~label:"again" stim_value);
         Journal.close j2);
+    Alcotest.test_case "readers never see a write the journal refused" `Quick
+      (fun () ->
+        with_faults @@ fun () ->
+        Test_server.with_server @@ fun _t ~dir:_ ~socket ->
+        Client.with_client ~user:"writer" ~socket @@ fun w ->
+        Client.with_client ~user:"reader" ~socket @@ fun r ->
+        let stat0 = Client.stat r in
+        let rows0 = Client.browse r Test_server.no_filter in
+        let unchanged what =
+          let st = Client.stat r in
+          Alcotest.(check int) (what ^ ": stat instances")
+            stat0.Wire.st_instances st.Wire.st_instances;
+          Alcotest.(check int) (what ^ ": stat seq") stat0.Wire.st_seq
+            st.Wire.st_seq;
+          Alcotest.(check int) (what ^ ": browse rows") (List.length rows0)
+            (List.length (Client.browse r Test_server.no_filter));
+          Alcotest.(check int) (what ^ ": no refused stimuli") 0
+            (List.length (Client.browse r (only E.stimuli)))
+        in
+        Fault.arm "journal.fsync" Fault.Fail;
+        (match Client.install w ~entity:E.stimuli ~label:"refused" stim_sexp with
+        | _ -> Alcotest.fail "expected the failed fsync to refuse the write"
+        | exception Client.Client_error _ -> ());
+        unchanged "after the failed sync";
+        (* the journal is fail-stopped: later writes are refused too,
+           and their state is never published either *)
+        (match Client.install w ~entity:E.stimuli ~label:"later" stim_sexp with
+        | _ -> Alcotest.fail "expected a fail-stop refusal"
+        | exception Client.Client_error _ -> ());
+        unchanged "on a fail-stopped journal");
   ]
 
 (* ------------------------------------------------------------------ *)

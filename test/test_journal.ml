@@ -268,15 +268,15 @@ let compaction =
             (match List.rev fs with (s, _, _) :: _ -> s | [] -> 0)
         | [] -> Alcotest.fail "cemented frames must be served");
         Journal.close j;
-        (* with cement disabled, the old contract holds: a typed
-           `Conflict marks the compacted-away boundary *)
+        (* a snapshot resync clears cement: below its base a typed
+           `Conflict marks the boundary of what is gone *)
         with_dir @@ fun dir2 ->
-        let j2 =
-          Journal.open_ ~cement:false ~dir:dir2 Standard_schemas.odyssey
-        in
+        let j2 = Journal.open_ ~dir:dir2 Standard_schemas.odyssey in
         ignore (activity (Journal.context j2) 2);
-        Journal.compact j2;
+        let seq, data = Journal.snapshot_state j2 in
+        Journal.reset_to_snapshot j2 ~seq data;
         let base2 = Journal.base_seq j2 in
+        Alcotest.(check int) "resync base" seq base2;
         (match Journal.frames j2 ~after:(base2 - 1) ~limit:10 with
         | _ -> Alcotest.fail "compacted frames must not be served"
         | exception Error.Ddf_error e ->
@@ -285,4 +285,195 @@ let compaction =
         Journal.close j2);
   ]
 
-let suite = [ ("journal", basics @ torn_tail @ compaction) ]
+(* Every payload reads back (cold ones through cement) and hashes to
+   the instance's recorded content hash. *)
+let payloads_verified ctx =
+  let store = ctx.Engine.store in
+  List.iter
+    (fun iid ->
+      Alcotest.(check string)
+        (Printf.sprintf "payload hash of #%d" iid)
+        (Store.hash_of store iid)
+        (Value.hash (Store.payload store iid)))
+    (Store.all_instances store)
+
+let cold_count ctx =
+  let store = ctx.Engine.store in
+  List.length
+    (List.filter
+       (fun iid -> not (Store.payload_resident store iid))
+       (Store.all_instances store))
+
+(* A database with one checkpoint (its payloads referenced in cement)
+   and a wal of further work on top. *)
+let checkpointed_db dir =
+  let j = Journal.open_ ~dir Standard_schemas.odyssey in
+  ignore (activity (Journal.context j) 3);
+  Journal.compact j;
+  ignore (activity ~seed:21 (Journal.context j) 2);
+  Store.annotate (Journal.context j).Engine.store 2 ~label:"late" ();
+  j
+
+let checkpoint =
+  [
+    Alcotest.test_case "a restart serves checkpointed payloads from cement"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j = checkpointed_db dir in
+        Journal.compact j;
+        let ctx = Journal.context j in
+        let fp = Sync.fingerprint ctx and before = state ctx in
+        let n = Store.instance_count ctx.Engine.store in
+        let phys = Store.physical_count ctx.Engine.store in
+        Journal.close j;
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let ctx = Journal.context j in
+        (* nothing is resident until read; sharing is still counted *)
+        Alcotest.(check int) "every payload cold" n (cold_count ctx);
+        Alcotest.(check int) "physical count" phys
+          (Store.physical_count ctx.Engine.store);
+        Alcotest.(check string) "fingerprint" fp (Sync.fingerprint ctx);
+        payloads_verified ctx;
+        Alcotest.(check int) "promoted on read" 0 (cold_count ctx);
+        Alcotest.(check string) "state" before (state ctx);
+        Journal.close j);
+    Alcotest.test_case "every compaction crash point reopens to the same state"
+      `Quick (fun () ->
+        Fun.protect ~finally:Fault.reset @@ fun () ->
+        let crash_points =
+          [ ("after the fold", "journal.compact", 0);
+            ("after the checkpoint rename", "journal.compact", 1);
+            ("after the base write", "journal.compact", 2);
+            ("at the directory fsync", "journal.dir_fsync", 0) ]
+        in
+        List.iter
+          (fun (what, point, after) ->
+            with_dir @@ fun dir ->
+            let j = checkpointed_db dir in
+            Journal.sync j;
+            let ctx = Journal.context j in
+            let fp = Sync.fingerprint ctx and seq = Journal.seq j in
+            Fault.arm ~after point Fault.Fail;
+            (match Journal.compact j with
+            | () -> Alcotest.failf "%s: expected the injected crash" what
+            | exception Fault.Injected _ -> ());
+            Fault.reset ();
+            Journal.close j;
+            let j = Journal.open_ ~dir Standard_schemas.odyssey in
+            let ctx = Journal.context j in
+            Alcotest.(check string) (what ^ ": fingerprint") fp
+              (Sync.fingerprint ctx);
+            Alcotest.(check int) (what ^ ": seqno line") seq (Journal.seq j);
+            payloads_verified ctx;
+            (* the recovered database keeps compacting and reopening *)
+            ignore (activity ~seed:31 ctx 1);
+            Journal.compact j;
+            let after = state ctx in
+            Journal.close j;
+            reopened_equals dir after)
+          crash_points);
+    Alcotest.test_case "a checkpoint reference cement lacks fails open, typed"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j = checkpointed_db dir in
+        Journal.compact j;
+        Journal.close j;
+        rm_rf (Filename.concat dir "cemented");
+        match Journal.open_ ~dir Standard_schemas.odyssey with
+        | j ->
+          Journal.close j;
+          Alcotest.fail "expected open to refuse the dangling reference"
+        | exception Error.Ddf_error e ->
+          Alcotest.(check bool) "names the iid" true
+            (Util.contains (Error.message e) "instance 1:"));
+    Alcotest.test_case "a version-1 workspace file still loads" `Quick
+      (fun () ->
+        let w = Workspace.create () in
+        ignore (Workspace.install_netlist w (Eda.Circuits.c17 ()));
+        let v2 = Persist.save (Workspace.session w) in
+        (* the version-1 layout: the bare value in the payload slot *)
+        let module S = Ddf_persist.Sexp in
+        let downgrade = function
+          | S.List [ S.Atom "version"; _ ] -> S.List [ S.Atom "version"; S.Atom "1" ]
+          | S.List (S.Atom "instances" :: insts) ->
+            S.List
+              (S.Atom "instances"
+              :: List.map
+                   (function
+                     | S.List [ iid; e; m; h; S.List [ S.Atom "value"; v ] ] ->
+                       S.List [ iid; e; m; h; v ]
+                     | _ -> Alcotest.fail "unexpected instance shape")
+                   insts)
+          | x -> x
+        in
+        let v1 =
+          match S.of_string v2 with
+          | S.List fields -> S.to_string (S.List (List.map downgrade fields))
+          | S.Atom _ -> Alcotest.fail "not a workspace"
+        in
+        let s = Persist.load Standard_schemas.odyssey v1 in
+        Alcotest.(check string) "same workspace" v2 (Persist.save s));
+  ]
+
+(* The journaled database against an in-memory oracle: the same random
+   installs, edit flows and annotations applied to a plain context,
+   with compactions, payload evictions and reopens only on the
+   journaled side. *)
+type op = Install of int | Flow | Annotate of int * int | Compact | Evict | Reopen
+
+let op_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (4, int_range 0 5 >|= fun k -> Install k);
+        (3, pure Flow);
+        (3, pair (int_range 0 40) (int_range 0 3) >|= fun (i, k) -> Annotate (i, k));
+        (2, pure Compact);
+        (1, pure Evict);
+        (2, pure Reopen) ])
+
+let apply_op ctx = function
+  | Install k ->
+    (* few distinct values, so content sharing is exercised *)
+    ignore
+      (Engine.install ctx ~entity:E.stimuli ~label:(Printf.sprintf "s%d" k)
+         (Value.Stimuli (Eda.Stimuli.exhaustive [ Printf.sprintf "n%d" (k mod 3) ])))
+  | Flow -> ignore (activity ~seed:3 ctx 1)
+  | Annotate (i, k) ->
+    let store = ctx.Engine.store in
+    let n = Store.instance_count store in
+    if n > 0 then
+      Store.annotate store ((i mod n) + 1) ~label:(Printf.sprintf "a%d" k) ()
+  | Compact | Evict | Reopen -> ()
+
+let oracle_prop =
+  Util.qcheck ~count:20 "random work with compactions and reopens matches an oracle"
+    QCheck2.Gen.(list_size (int_range 1 25) op_gen)
+    (fun ops ->
+      with_dir @@ fun dir ->
+      let oracle = Engine.create_context Standard_schemas.odyssey in
+      let j = ref (Journal.open_ ~compact_every:1_000_000 ~dir Standard_schemas.odyssey) in
+      List.iter
+        (fun op ->
+          apply_op oracle op;
+          apply_op (Journal.context !j) op;
+          match op with
+          | Compact -> Journal.compact !j
+          | Evict -> ignore (Journal.evict_cold !j)
+          | Reopen ->
+            Journal.close !j;
+            j := Journal.open_ ~compact_every:1_000_000 ~dir Standard_schemas.odyssey
+          | Install _ | Flow | Annotate _ -> ())
+        ops;
+      let got = state (Journal.context !j) in
+      Journal.close !j;
+      let reopened =
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let s = state (Journal.context j) in
+        Journal.close j;
+        s
+      in
+      let want = state oracle in
+      got = want && reopened = want)
+
+let suite =
+  [ ("journal", basics @ torn_tail @ compaction @ checkpoint @ [ oracle_prop ]) ]

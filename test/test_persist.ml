@@ -170,6 +170,12 @@ let suite_cases =
         let w, _, _ = rich_session () in
         let s = Workspace.session w in
         check Alcotest.string "same bytes" (Persist.save s) (Persist.save s));
+    t "the streamed save prints exactly the whole tree" (fun () ->
+        let w, _, _ = rich_session () in
+        let text = Persist.save (Workspace.session w) in
+        let module S = Ddf_persist.Sexp in
+        check Alcotest.string "layout" (S.to_string (S.of_string text) ^ "\n")
+          text);
     t "a second save/load cycle is a fixpoint" (fun () ->
         let w, _, _ = rich_session () in
         let text1 = Persist.save (Workspace.session w) in
