@@ -437,12 +437,9 @@ let history_cmd =
         Printf.printf "instances derived from #%d: %s\n" iid
           (String.concat ", " (List.map (fun i -> "#" ^ string_of_int i) derived))
       | Some iid ->
-        let g, _, binding =
-          History.trace (Workspace.history w) (Workspace.store w)
-            (Workspace.schema w) iid
-        in
-        print_string (Task_graph.to_ascii g);
-        Printf.printf "(%d instances in the derivation)\n" (List.length binding));
+        print_string
+          (History.trace_text (Workspace.history w) (Workspace.store w)
+             (Workspace.schema w) iid));
       ignore ctx
   in
   Cmd.v

@@ -36,6 +36,7 @@ exception Graph_error of string
 exception Needs_specialization of string * string list
 
 let graph_errorf fmt = Format.kasprintf (fun s -> raise (Graph_error s)) fmt
+let cycle = Graph_error "task graph contains a cycle"
 
 (* ------------------------------------------------------------------ *)
 (* Basics                                                              *)
@@ -135,9 +136,7 @@ let topological_order g =
       drain ready (nid :: acc)
   in
   let order = drain ready [] in
-  if List.length order <> size g then
-    graph_errorf "task graph contains a cycle"
-  else order
+  if List.length order <> size g then raise cycle else order
 
 (* ------------------------------------------------------------------ *)
 (* Construction operations                                             *)
@@ -149,16 +148,34 @@ let rule_of g nid =
   | Schema.Abstract subs -> raise (Needs_specialization (entity, subs))
   | (Schema.Constructed _ | Schema.Source) as r -> r
 
-let find_role g nid role =
-  match rule_of g nid with
-  | Schema.Abstract _ -> assert false (* rule_of raised *)
+(* The declaration of [role] in the construction rule of [entity].
+   This and the checks below are what every edge passes in [of_parts]
+   and [connect]; the history's one-walk trace renderer applies them
+   too, so both reject the same records with the same errors. *)
+let declared_dep ~entity rule role =
+  match (rule : Schema.rule) with
+  | Schema.Abstract subs -> raise (Needs_specialization (entity, subs))
   | Schema.Source ->
-    graph_errorf "entity %s is a source and has no dependencies" (entity_of g nid)
+    graph_errorf "entity %s is a source and has no dependencies" entity
   | Schema.Constructed deps -> (
     match List.find_opt (fun (d : Schema.dep) -> d.role = role) deps with
     | Some d -> d
-    | None ->
-      graph_errorf "entity %s has no dependency role %S" (entity_of g nid) role)
+    | None -> graph_errorf "entity %s has no dependency role %S" entity role)
+
+let dep_fits schema (decl : Schema.dep) ~dep_entity =
+  Schema.is_subtype schema ~sub:dep_entity ~super:decl.target
+
+let ill_typed ~user_entity (decl : Schema.dep) ~dep_entity =
+  Graph_error
+    (Printf.sprintf "role %S of %s requires %s, not %s" decl.role user_entity
+       decl.target dep_entity)
+
+let filled_twice role nid =
+  Graph_error (Printf.sprintf "role %S of node %d is already filled" role nid)
+
+let find_role g nid role =
+  let entity = entity_of g nid in
+  declared_dep ~entity (Schema.construction_rule g.schema entity) role
 
 (* Bulk construction: all nodes and edges at once, validated with a
    single topological pass instead of per-edge reachability checks, so
@@ -183,12 +200,9 @@ let of_parts schema node_list edge_list =
         if not (mem g dep) then graph_errorf "edge to missing node %d" dep;
         let decl = find_role g user role in
         let dep_entity = entity_of g dep in
-        if not (Schema.is_subtype g.schema ~sub:dep_entity ~super:decl.target)
-        then
-          graph_errorf "role %S of %s requires %s, not %s" role
-            (entity_of g user) decl.target dep_entity;
-        if dep_of g user role <> None then
-          graph_errorf "role %S of node %d is already filled" role user;
+        if not (dep_fits g.schema decl ~dep_entity) then
+          raise (ill_typed ~user_entity:(entity_of g user) decl ~dep_entity);
+        if dep_of g user role <> None then raise (filled_twice role user);
         let edge = { role; dep_kind = decl.dep_kind; dst = dep } in
         let outs = match Int_map.find_opt user g.out_edges with
           | Some es -> es | None -> [] in
@@ -205,11 +219,9 @@ let of_parts schema node_list edge_list =
 let connect g ~user ~role ~dep =
   let decl = find_role g user role in
   let dep_entity = entity_of g dep in
-  if not (Schema.is_subtype g.schema ~sub:dep_entity ~super:decl.target) then
-    graph_errorf "role %S of %s requires %s, not %s" role (entity_of g user)
-      decl.target dep_entity;
-  if dep_of g user role <> None then
-    graph_errorf "role %S of node %d is already filled" role user;
+  if not (dep_fits g.schema decl ~dep_entity) then
+    raise (ill_typed ~user_entity:(entity_of g user) decl ~dep_entity);
+  if dep_of g user role <> None then raise (filled_twice role user);
   if Int_set.mem user (reachable g dep) then
     graph_errorf "connecting %d -%s-> %d would create a cycle" user role dep;
   let edge = { role; dep_kind = decl.dep_kind; dst = dep } in
@@ -498,36 +510,56 @@ let validate g =
 
 let pp_node ppf n = Fmt.pf ppf "[%d:%s]" n.nid n.entity
 
+let spaces = String.make 256 ' '
+
+(* One line of the Fig. 3(b) tree: two spaces per level, then the edge
+   tag ([f/] functional, [d/] data, [d?/] optional data, and the role)
+   when the node hangs below another, then [entity#nid], marked
+   [(shared)] when the node was printed in full further up.  The only
+   line renderer: [to_ascii] and the history's trace text both write
+   through it. *)
+let add_ascii_line buf ~depth ~via ~entity ~nid ~shared =
+  let rec indent n =
+    if n > 0 then begin
+      let k = min n (String.length spaces) in
+      Buffer.add_substring buf spaces 0 k;
+      indent (n - k)
+    end
+  in
+  indent (2 * depth);
+  (match via with
+  | None -> ()
+  | Some (dep_kind, role) ->
+    Buffer.add_string buf
+      (match dep_kind with
+      | Schema.Functional -> "f/"
+      | Schema.Data_dep { optional = true } -> "d?/"
+      | Schema.Data_dep { optional = false } -> "d/");
+    Buffer.add_string buf role;
+    Buffer.add_string buf ": ");
+  Buffer.add_string buf entity;
+  Buffer.add_char buf '#';
+  Buffer.add_string buf (string_of_int nid);
+  if shared then Buffer.add_string buf " (shared)";
+  Buffer.add_char buf '\n'
+
 (* Task-graph rendering in the style of Fig. 3(b): an indented tree
    from each root, with shared nodes printed once and referenced by id
    afterwards. *)
 let to_ascii g =
   let buf = Buffer.create 256 in
   let printed = Hashtbl.create 16 in
-  let rec render indent role_label nid =
-    let n = find g nid in
-    let label =
-      if role_label = "" then Printf.sprintf "%s#%d" n.entity n.nid
-      else Printf.sprintf "%s: %s#%d" role_label n.entity n.nid
-    in
-    if Hashtbl.mem printed nid then
-      Buffer.add_string buf (Printf.sprintf "%s%s (shared)\n" indent label)
-    else begin
+  let rec render depth via nid =
+    let shared = Hashtbl.mem printed nid in
+    add_ascii_line buf ~depth ~via ~entity:(find g nid).entity ~nid ~shared;
+    if not shared then begin
       Hashtbl.add printed nid ();
-      Buffer.add_string buf (Printf.sprintf "%s%s\n" indent label);
       List.iter
-        (fun (e : edge) ->
-          let tag =
-            match e.dep_kind with
-            | Schema.Functional -> "f/" ^ e.role
-            | Schema.Data_dep { optional = true } -> "d?/" ^ e.role
-            | Schema.Data_dep { optional = false } -> "d/" ^ e.role
-          in
-          render (indent ^ "  ") tag e.dst)
+        (fun (e : edge) -> render (depth + 1) (Some (e.dep_kind, e.role)) e.dst)
         (out_edges g nid)
     end
   in
-  List.iter (render "" "") (roots g);
+  List.iter (render 0 None) (roots g);
   Buffer.contents buf
 
 let to_dot g =

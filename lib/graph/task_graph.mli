@@ -131,9 +131,47 @@ val disjoint_branches : t -> int -> (int list * Int_set.t) list
 val validate : t -> unit
 (** Recheck every invariant. @raise Graph_error when violated. *)
 
+(** {1 Edge checks}
+
+    The checks {!of_parts} and {!connect} apply to every edge, exposed
+    for builders that walk a derivation without assembling a graph
+    (the history's trace text): they reject the same records with the
+    same errors. *)
+
+val declared_dep : entity:string -> Schema.rule -> string -> Schema.dep
+(** [declared_dep ~entity rule role] is the declaration of [role] in
+    [entity]'s construction [rule].
+    @raise Graph_error when [rule] is a source's or lacks the role.
+    @raise Needs_specialization when [rule] is abstract. *)
+
+val dep_fits : Schema.t -> Schema.dep -> dep_entity:string -> bool
+(** Whether [dep_entity] is a subtype of the declaration's target. *)
+
+val ill_typed : user_entity:string -> Schema.dep -> dep_entity:string -> exn
+(** The error for a role of [user_entity] filled with an entity that
+    does not fit its declaration. *)
+
+val filled_twice : string -> int -> exn
+(** The error for a role filled twice on a node. *)
+
+val cycle : exn
+(** The error for a cyclic graph. *)
+
 (** {1 Printing} *)
 
 val pp_node : Format.formatter -> node -> unit
+
+val add_ascii_line :
+  Buffer.t -> depth:int -> via:(Schema.dep_kind * string) option ->
+  entity:string -> nid:int -> shared:bool -> unit
+(** One line of the {!to_ascii} tree: indentation for [depth], the tag
+    of the edge [via] by which the node hangs below its user (none for a
+    root), [entity#nid], and a [(shared)] mark for a node already
+    printed in full. *)
+
 val to_ascii : t -> string
+(** The Fig. 3(b) indented tree from each root, every line written by
+    {!add_ascii_line}. *)
+
 val to_dot : t -> string
 val pp : Format.formatter -> t -> unit

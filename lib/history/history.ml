@@ -18,6 +18,7 @@
 open Ddf_schema
 open Ddf_store
 module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
 
 type record = {
   rid : int;
@@ -296,29 +297,39 @@ let st_backward_closure st iid =
   Ddf_obs.Metrics.observe h_backward (float_of_int (Hashtbl.length seen_records));
   List.rev !acc
 
-(* Forward chaining: every record that transitively depends on an
-   instance -- e.g. all the performances derived from a netlist. *)
-let st_forward_closure st iid =
+(* Forward chaining as a fold: [f] sees every record that transitively
+   depends on an instance once, in preorder, oldest use first. *)
+let st_fold_forward st iid f init =
   let seen_records = Hashtbl.create 16 in
-  let acc = ref [] in
-  let rec go iid =
-    List.iter
-      (fun r ->
-        if not (Hashtbl.mem seen_records r.rid) then begin
-          Hashtbl.add seen_records r.rid ();
-          acc := r :: !acc;
-          List.iter (fun (_, out) -> go out) r.outputs
-        end)
-      (st_uses_of st iid)
+  let rec go acc iid =
+    match Int_map.find_opt iid st.hs_used_by with
+    | None -> acc
+    | Some rids ->
+      List.fold_left
+        (fun acc rid ->
+          if Hashtbl.mem seen_records rid then acc
+          else begin
+            Hashtbl.add seen_records rid ();
+            let r = st_find st rid in
+            List.fold_left (fun acc (_, out) -> go acc out) (f acc r) r.outputs
+          end)
+        acc (List.rev rids)
   in
-  go iid;
+  let acc = go init iid in
   Ddf_obs.Metrics.observe h_forward (float_of_int (Hashtbl.length seen_records));
-  List.rev !acc
+  acc
+
+(* Every record that transitively depends on an instance -- e.g. all
+   the performances derived from a netlist. *)
+let st_forward_closure st iid =
+  List.rev (st_fold_forward st iid (fun acc r -> r :: acc) [])
 
 let st_derived_instances st iid =
-  st_forward_closure st iid
-  |> List.concat_map (fun r -> List.map snd r.outputs)
-  |> List.sort_uniq compare
+  st_fold_forward st iid
+    (fun acc r ->
+      List.fold_left (fun acc (_, out) -> Int_set.add out acc) acc r.outputs)
+    Int_set.empty
+  |> Int_set.elements
 
 let st_ancestor_instances st iid =
   st_backward_closure st iid
@@ -368,6 +379,118 @@ let st_trace st store schema iid =
   in
   let pairs = Hashtbl.fold (fun iid nid acc -> (nid, iid) :: acc) binding [] in
   (g, root, pairs)
+
+(* A node of the trace-text walk: its preorder number, its entity, and
+   the on-path mark (the walk is still below it). *)
+type text_node = {
+  tn_nid : int;
+  tn_entity : string;
+  mutable tn_open : bool;
+}
+
+(* The text [Wire.Trace] answers: [Task_graph.to_ascii] of
+   [st_trace]'s graph and a line counting its instances, written into
+   one buffer by one walk over the records, without assembling the
+   graph.  The walk visits, numbers and orders nodes
+   as [st_trace] does (tool first, then inputs in record order; node
+   ids in preorder), so the text is the same byte for byte.  It also
+   applies every check [of_parts] applies, to the same edges in the
+   same order: a violation is noted where [of_parts] meets it and
+   raised after the walk -- node errors before edge errors before a
+   cycle, as [of_parts] orders them -- so a history [st_trace] rejects
+   fails here with the same exception.  A cycle is an edge back to a
+   node the walk is still below. *)
+let st_trace_text st store schema iid =
+  let buf = Buffer.create 4096 in
+  let binding = Hashtbl.create 64 in  (* iid -> node *)
+  (* construction rule and functional dependency, once per entity *)
+  let rules = Hashtbl.create 16 in
+  let rule_of entity =
+    match Hashtbl.find_opt rules entity with
+    | Some rf -> rf
+    | None ->
+      let rule = Schema.construction_rule schema entity in
+      let functional =
+        match rule with
+        | Schema.Constructed deps ->
+          List.find_opt
+            (fun (d : Schema.dep) -> d.dep_kind = Schema.Functional)
+            deps
+        | Schema.Abstract _ | Schema.Source -> None
+      in
+      Hashtbl.add rules entity (rule, functional);
+      (rule, functional)
+  in
+  let node_error = ref None and edge_error = ref None and cyclic = ref false in
+  let note slot e = match !slot with None -> slot := Some e | Some _ -> () in
+  let count = ref 0 in
+  let rec visit depth via iid =
+    match Hashtbl.find_opt binding iid with
+    | Some n ->
+      if n.tn_open then cyclic := true;
+      Ddf_graph.Task_graph.add_ascii_line buf ~depth ~via ~entity:n.tn_entity
+        ~nid:n.tn_nid ~shared:true;
+      n
+    | None ->
+      let entity = Store.Snapshot.entity_of store iid in
+      let n = { tn_nid = !count; tn_entity = entity; tn_open = true } in
+      incr count;
+      Hashtbl.add binding iid n;
+      Ddf_graph.Task_graph.add_ascii_line buf ~depth ~via ~entity ~nid:n.tn_nid
+        ~shared:false;
+      (match st_derivation_of st iid with
+      | None -> (
+        match Schema.find schema entity with
+        | _ -> ()
+        | exception e -> note node_error e)
+      | Some r ->
+        (* raises now for an unknown entity, as [st_trace] does *)
+        let rule, functional = rule_of entity in
+        let filled = ref [] in
+        let edge role dep =
+          let decl =
+            match Ddf_graph.Task_graph.declared_dep ~entity rule role with
+            | d -> Ok d
+            | exception e -> Error e
+          in
+          (* on an error the text is dropped, so any tag will do *)
+          let kind =
+            match decl with
+            | Ok d -> d.Schema.dep_kind
+            | Error _ -> Schema.Functional
+          in
+          let d = visit (depth + 1) (Some (kind, role)) dep in
+          (match decl with
+          | Error e -> note edge_error e
+          | Ok decl -> (
+            let dep_entity = d.tn_entity in
+            match Ddf_graph.Task_graph.dep_fits schema decl ~dep_entity with
+            | true ->
+              if List.mem role !filled then
+                note edge_error
+                  (Ddf_graph.Task_graph.filled_twice role n.tn_nid)
+            | false ->
+              note edge_error
+                (Ddf_graph.Task_graph.ill_typed ~user_entity:entity decl
+                   ~dep_entity)
+            | exception e -> note edge_error e));
+          filled := role :: !filled
+        in
+        (match (r.tool, functional) with
+        | Some tool, Some d -> edge d.Schema.role tool
+        | Some _, None | None, Some _ | None, None -> ());
+        List.iter (fun (role, input) -> edge role input) r.inputs);
+      n.tn_open <- false;
+      n
+  in
+  ignore (visit 0 None iid);
+  (match (!node_error, !edge_error) with
+  | Some e, _ | None, Some e -> raise e
+  | None, None -> if !cyclic then raise Ddf_graph.Task_graph.cycle);
+  Buffer.add_char buf '(';
+  Buffer.add_string buf (string_of_int !count);
+  Buffer.add_string buf " instances in the derivation)\n";
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Query by template (section 4.2)                                     *)
@@ -673,6 +796,9 @@ module Snapshot = struct
 
   let trace snap store schema iid = st_trace snap.hsnap_state store schema iid
 
+  let trace_text snap store schema iid =
+    st_trace_text snap.hsnap_state store schema iid
+
   let query_template snap store g ~bound =
     st_query_template snap.hsnap_state store g ~bound
 
@@ -721,6 +847,10 @@ let ancestor_instances h iid = st_ancestor_instances (Atomic.get h.state) iid
 let trace h store schema iid =
   let st = Atomic.get h.state in
   st_trace st (Store.snapshot store) schema iid
+
+let trace_text h store schema iid =
+  let st = Atomic.get h.state in
+  st_trace_text st (Store.snapshot store) schema iid
 
 let query_template h store g ~bound =
   let st = Atomic.get h.state in

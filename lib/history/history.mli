@@ -156,6 +156,13 @@ val trace :
     binding: [(graph, root node, node -> instance)].  The same form is
     used for queries and for re-execution. *)
 
+val trace_text : t -> 'a Store.t -> Schema.t -> Store.iid -> string
+(** [Task_graph.to_ascii] of the {!trace} graph followed by the line
+    ["(N instances in the derivation)"], rendered in one walk over the
+    records without assembling the graph.  Every check the graph's
+    construction applies is applied, and a history {!trace} rejects
+    fails with the same exception. *)
+
 (** {1 Query by template (section 4.2)} *)
 
 val query_template :
@@ -249,6 +256,8 @@ module Snapshot : sig
   val trace :
     t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid ->
     Ddf_graph.Task_graph.t * int * (int * Store.iid) list
+
+  val trace_text : t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> string
 
   val query_template :
     t -> 'a Store.Snapshot.t -> Ddf_graph.Task_graph.t ->

@@ -667,11 +667,7 @@ let rec eval t session ~pin req =
   | Wire.Render -> Wire.Ok_text (Session.render_task_window session)
   | Wire.Recall iid -> Wire.Ok_int (Session.recall session iid)
   | Wire.Trace iid ->
-    let g, _, binding = Session.history_of ~view:(pin ()) session iid in
-    Wire.Ok_text
-      (Printf.sprintf "%s(%d instances in the derivation)\n"
-         (Ddf_graph.Task_graph.to_ascii g)
-         (List.length binding))
+    Wire.Ok_text (Session.trace_text ~view:(pin ()) session iid)
   | Wire.Uses iid -> Wire.Ok_ints (Session.uses_of ~view:(pin ()) session iid)
   | Wire.Refresh iid ->
     let r = Ddf_exec.Consistency.refresh ctx iid in

@@ -253,6 +253,11 @@ let history_of ?view s iid =
   Ddf_history.History.Snapshot.trace v.Ddf_exec.Engine.v_history
     v.Ddf_exec.Engine.v_store s.ctx.Ddf_exec.Engine.schema iid
 
+let trace_text ?view s iid =
+  let v = resolve_view s view in
+  Ddf_history.History.Snapshot.trace_text v.Ddf_exec.Engine.v_history
+    v.Ddf_exec.Engine.v_store s.ctx.Ddf_exec.Engine.schema iid
+
 (* "Use dependencies" browsing: what was derived from this instance. *)
 let uses_of ?view s iid =
   let v = resolve_view s view in

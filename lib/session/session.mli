@@ -113,6 +113,11 @@ val history_of :
   Task_graph.t * int * (int * Store.iid) list
 (** The History pop-up (Fig. 10): the instance's derivation trace. *)
 
+val trace_text : ?view:Ddf_exec.Engine.view -> t -> Store.iid -> string
+(** The same trace as text: its {!Task_graph.to_ascii} tree and a line
+    counting its instances, rendered in one walk over the history
+    ({!Ddf_history.History.Snapshot.trace_text}). *)
+
 val uses_of : ?view:Ddf_exec.Engine.view -> t -> Store.iid -> Store.iid list
 (** "Use dependencies" browsing: instances derived from this one. *)
 

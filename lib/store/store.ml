@@ -51,7 +51,9 @@ type 'a state = {
   st_next_iid : int;
   st_instances : 'a instance Int_map.t;
   st_payloads : 'a slot String_map.t;   (* content-addressed physical data *)
-  st_by_entity : iid list String_map.t;   (* newest first *)
+  st_by_entity : 'a instance Int_map.t String_map.t;
+  (* each entity's instances: [st_instances] split by entity, kept in
+     step by [install] and [annotate] *)
   st_phys : int;                   (* cardinal of st_payloads, O(1) *)
 }
 
@@ -150,8 +152,8 @@ let install store ~entity ~hash ~meta slot =
         in
         let bucket =
           match String_map.find_opt entity st.st_by_entity with
-          | Some l -> iid :: l
-          | None -> [ iid ]
+          | Some m -> Int_map.add iid inst m
+          | None -> Int_map.singleton iid inst
         in
         ( {
             st_next_iid = iid + 1;
@@ -190,7 +192,12 @@ let annotate store iid ?label ?comment ?keywords () =
             }
           in
           let inst = { inst with meta = m } in
-          ( { st with st_instances = Int_map.add iid inst st.st_instances },
+          ( { st with
+              st_instances = Int_map.add iid inst st.st_instances;
+              st_by_entity =
+                String_map.update inst.entity
+                  (Option.map (Int_map.add iid inst))
+                  st.st_by_entity },
             inst ))
   in
   notify store (Annotated inst)
@@ -243,28 +250,35 @@ let any_filter =
   { f_entities = None; f_user = None; f_from = None; f_to = None;
     f_keywords = []; f_text = None }
 
-(* Compile a filter into a predicate over instances: the text needle
-   is lowercased once here, not once per instance scanned. *)
-let compile filter =
-  let needle = Option.map String.lowercase_ascii filter.f_text in
-  let contains_lower hay ln =
-    let lh = String.lowercase_ascii hay in
-    let n = String.length ln and h = String.length lh in
-    let rec at i = i + n <= h && (String.sub lh i n = ln || at (i + 1)) in
-    n = 0 || at 0
+(* Does [hay] contain [needle] (already lowercase), ignoring ASCII
+   case?  Compares in place: no lowercased copy, no substring. *)
+let contains_ci hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec match_at i j =
+    j = n
+    || Char.lowercase_ascii hay.[i + j] = needle.[j] && match_at i (j + 1)
   in
-  fun inst ->
-    let m = inst.meta in
-    (match filter.f_entities with
-    | None -> true
-    | Some es -> List.mem inst.entity es)
-    && (match filter.f_user with None -> true | Some u -> m.user = u)
+  let rec from i = i + n <= h && (match_at i 0 || from (i + 1)) in
+  from 0
+
+(* Compile a filter's meta-data tests into a predicate: the text
+   needle is lowercased once here, not once per instance scanned. *)
+let compile_meta filter =
+  let needle = Option.map String.lowercase_ascii filter.f_text in
+  fun m ->
+    (match filter.f_user with None -> true | Some u -> m.user = u)
     && (match filter.f_from with None -> true | Some t -> m.created_at >= t)
     && (match filter.f_to with None -> true | Some t -> m.created_at <= t)
     && List.for_all (fun k -> List.mem k m.keywords) filter.f_keywords
     && (match needle with
        | None -> true
-       | Some ln -> contains_lower m.label ln || contains_lower m.comment ln)
+       | Some ln -> contains_ci m.label ln || contains_ci m.comment ln)
+
+let compile filter =
+  let meta_ok = compile_meta filter in
+  match filter.f_entities with
+  | None -> fun inst -> meta_ok inst.meta
+  | Some es -> fun inst -> List.mem inst.entity es && meta_ok inst.meta
 
 (* ------------------------------------------------------------------ *)
 (* The snapshot read API — every read below sees one frozen state.     *)
@@ -326,7 +340,7 @@ module Snapshot = struct
 
   let instances_of_entity snap entity =
     match String_map.find_opt entity snap.snap_state.st_by_entity with
-    | Some l -> List.rev l
+    | Some m -> List.rev (Int_map.fold (fun iid _ acc -> iid :: acc) m [])
     | None -> []
 
   (* Ascending-iid fold over the instance map IS installation order:
@@ -339,13 +353,30 @@ module Snapshot = struct
 
   let matches snap filter iid = compile filter (find snap iid)
 
+  (* With an entity filter only those entities' instance maps are
+     folded, not the whole instance map.  Entities partition the
+     instances, so the per-entity results are disjoint and merging
+     them keeps ascending iid order. *)
   let browse snap filter =
     Ddf_obs.Metrics.incr m_browses;
-    let accept = compile filter in
-    Seq.fold_left
-      (fun acc (iid, inst) -> if accept inst then iid :: acc else acc)
-      []
-      (Int_map.to_rev_seq snap.snap_state.st_instances)
+    let st = snap.snap_state in
+    let meta_ok = compile_meta filter in
+    let matching instances =
+      List.rev
+        (Int_map.fold
+           (fun iid inst acc -> if meta_ok inst.meta then iid :: acc else acc)
+           instances [])
+    in
+    match filter.f_entities with
+    | None -> matching st.st_instances
+    | Some es ->
+      List.fold_left
+        (fun acc entity ->
+          match String_map.find_opt entity st.st_by_entity with
+          | None -> acc
+          | Some instances -> List.merge Int.compare (matching instances) acc)
+        []
+        (List.sort_uniq String.compare es)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -291,4 +291,68 @@ let bulk_tests =
         Canonical.equal g (Task_graph.of_parts schema nodes edges));
   ]
 
-let suite = suite @ [ ("graph.bulk", bulk_tests) ]
+(* The renderer before lines, indentation and tags moved into
+   [add_ascii_line]: the reference its output must equal byte for
+   byte. *)
+let reference_ascii g =
+  let buf = Buffer.create 256 in
+  let printed = Hashtbl.create 16 in
+  let rec render indent role_label nid =
+    let n = Task_graph.find g nid in
+    let label =
+      if role_label = "" then Printf.sprintf "%s#%d" n.Task_graph.entity nid
+      else Printf.sprintf "%s: %s#%d" role_label n.Task_graph.entity nid
+    in
+    if Hashtbl.mem printed nid then
+      Buffer.add_string buf (Printf.sprintf "%s%s (shared)\n" indent label)
+    else begin
+      Hashtbl.add printed nid ();
+      Buffer.add_string buf (Printf.sprintf "%s%s\n" indent label);
+      List.iter
+        (fun (e : Task_graph.edge) ->
+          let tag =
+            match e.Task_graph.dep_kind with
+            | Schema.Functional -> "f/" ^ e.Task_graph.role
+            | Schema.Data_dep { optional = true } -> "d?/" ^ e.Task_graph.role
+            | Schema.Data_dep { optional = false } -> "d/" ^ e.Task_graph.role
+          in
+          render (indent ^ "  ") tag e.Task_graph.dst)
+        (Task_graph.out_edges g nid)
+    end
+  in
+  List.iter (render "" "") (Task_graph.roots g);
+  Buffer.contents buf
+
+(* The figure flows the E3-E8 experiments print, against their text
+   as committed. *)
+let figure_golden name g =
+  t (name ^ " renders as committed") (fun () ->
+      check Alcotest.string name
+        (Util.golden (name ^ ".txt"))
+        (Task_graph.to_ascii g))
+
+let render_tests =
+  [
+    figure_golden "fig2" (Standard_flows.fig2 ()).Standard_flows.f2_graph;
+    figure_golden "fig3b" (Standard_flows.fig3 ()).Standard_flows.f3_graph;
+    figure_golden "fig4a" (Standard_flows.fig4a ()).Standard_flows.f3_graph;
+    figure_golden "fig4b" (Standard_flows.fig4b ()).Standard_flows.f3_graph;
+    figure_golden "fig5" (Standard_flows.fig5 ()).Standard_flows.f5_graph;
+    figure_golden "fig6" (Standard_flows.fig6 ()).Standard_flows.f6_graph;
+    figure_golden "fig8a" (Standard_flows.fig8a ()).Standard_flows.f8a_graph;
+    figure_golden "fig8b" (Standard_flows.fig8b ()).Standard_flows.f8b_graph;
+    figure_golden "edit_chain_3" (fst (Standard_flows.edit_chain 3));
+    figure_golden "wide_flow_2" (fst (Standard_flows.wide_flow 2));
+    t "indentation past the spaces string stays two per level" (fun () ->
+        let g, _ = Standard_flows.edit_chain 200 in
+        check Alcotest.string "deep chain" (reference_ascii g)
+          (Task_graph.to_ascii g));
+    Util.qcheck ~count:200 "to_ascii equals the reference renderer"
+      QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 15))
+      (fun (seed, steps) ->
+        let g = Flow_gen.random_flow seed steps in
+        Task_graph.to_ascii g = reference_ascii g);
+  ]
+
+let suite =
+  suite @ [ ("graph.bulk", bulk_tests); ("graph.render", render_tests) ]

@@ -374,8 +374,97 @@ let batching =
                  (Client.browse c no_filter))));
   ]
 
+(* Derive a new version of [iid] with the given editor instance — the
+   client calls of [hercules remote edit]. *)
+let remote_edit c editor iid =
+  let root = Client.start_goal c E.edited_netlist in
+  let fresh = Client.expand c root in
+  let node entity = fst (List.find (fun (_, e) -> e = entity) fresh) in
+  Client.select c (node E.netlist_editor) [ editor ];
+  Client.select c (node E.netlist) [ iid ];
+  List.hd (Client.run c root)
+
+(* Records the graph build rejects, journaled with the seed: an
+   undeclared role, and an ill-typed input (device models where a
+   netlist belongs).  Returns the seed and the faulty outputs. *)
+let seed_faulty_records () =
+  let outputs = ref [] in
+  let seed ctx =
+    seed ctx;
+    let nl () =
+      Engine.install ctx ~entity:E.edited_netlist
+        (Value.Netlist (Eda.Circuits.c17 ()))
+    in
+    let models =
+      List.hd (Store.instances_of_entity ctx.Engine.store E.device_models)
+    in
+    let record inputs =
+      let out = nl () in
+      ignore
+        (History.add ctx.Engine.history ~task_entity:E.edited_netlist
+           ~tool:None ~inputs ~outputs:[ (E.edited_netlist, out) ]
+           ~at:ctx.Engine.clock);
+      outputs := out :: !outputs
+    in
+    record [ ("colour", nl ()) ];
+    record [ ("netlist", models) ]
+  in
+  (seed, outputs)
+
+let trace_tests =
+  [
+    (* what [hercules remote trace] prints is [Client.trace]'s text *)
+    Alcotest.test_case "remote trace output is unchanged (golden)" `Quick
+      (fun () ->
+        with_server @@ fun _ ~dir:_ ~socket ->
+        Client.with_client ~user:"golden" ~socket @@ fun c ->
+        let nl, results = perf_run c (Eda.Circuits.c17 ()) "c17" in
+        (* two edits through one editor: a shared tool, an optional
+           role, a version chain *)
+        let editor =
+          Client.install c ~entity:E.netlist_editor ~label:"rename"
+            (Codec.value_to_sexp
+               (Value.Tool
+                  (Value.Scripted_netlist_editor
+                     (Eda.Edit_script.create ~name:"r"
+                        [ Eda.Edit_script.Rename "r" ]))))
+        in
+        let v3 = remote_edit c editor (remote_edit c editor nl) in
+        Alcotest.(check string) "performance"
+          (Util.golden "remote_trace_perf.txt")
+          (Client.trace c (List.hd results));
+        Alcotest.(check string) "edit chain"
+          (Util.golden "remote_trace_edits.txt")
+          (Client.trace c v3));
+    Alcotest.test_case "a rejected trace keeps its typed error code" `Quick
+      (fun () ->
+        Test_journal.with_dir @@ fun dir ->
+        let socket = Filename.concat dir "s.sock" in
+        let seed, outputs = seed_faulty_records () in
+        let t =
+          Server.start ~seed ~db:dir ~socket Standard_schemas.odyssey
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Server.stop t;
+            Server.wait t)
+        @@ fun () ->
+        Client.with_client ~user:"golden" ~socket @@ fun c ->
+        Alcotest.(check int) "both records seeded" 2 (List.length !outputs);
+        List.iter
+          (fun iid ->
+            match Client.trace_r c iid with
+            | Ok _ -> Alcotest.failf "trace of #%d accepted" iid
+            | Error err ->
+              (* Graph_error, classified as it always was *)
+              Alcotest.(check string) "code" "invalid"
+                (Ddf.Error.code_to_string err.Ddf.Error.code))
+          !outputs);
+  ]
+
 let suite =
   [
+    ("server.trace", trace_tests);
     ("server.surface", surface);
     ("server.concurrency", concurrency);
     ("server.limits", limits);

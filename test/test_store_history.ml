@@ -255,5 +255,92 @@ let history_tests =
           ~outputs:[ ("x", 1) ] ~at:2);
   ]
 
+(* The browse before it read entity buckets: a scan of every instance
+   through a predicate that lowercases label and comment and compares
+   a substring at each offset.  The oracle for [Store.browse]. *)
+let linear_browse store (f : Store.filter) =
+  let needle = Option.map String.lowercase_ascii f.Store.f_text in
+  let contains_lower hay ln =
+    let lh = String.lowercase_ascii hay in
+    let n = String.length ln and h = String.length lh in
+    let rec at i = i + n <= h && (String.sub lh i n = ln || at (i + 1)) in
+    n = 0 || at 0
+  in
+  List.filter
+    (fun iid ->
+      let m = Store.meta_of store iid in
+      (match f.Store.f_entities with
+      | None -> true
+      | Some es -> List.mem (Store.entity_of store iid) es)
+      && (match f.Store.f_user with None -> true | Some u -> m.Store.user = u)
+      && (match f.Store.f_from with
+         | None -> true
+         | Some t -> m.Store.created_at >= t)
+      && (match f.Store.f_to with None -> true | Some t -> m.Store.created_at <= t)
+      && List.for_all (fun k -> List.mem k m.Store.keywords) f.Store.f_keywords
+      &&
+      match needle with
+      | None -> true
+      | Some ln ->
+        contains_lower m.Store.label ln || contains_lower m.Store.comment ln)
+    (Store.all_instances store)
+
+(* Random stores (with annotations) and filters over every field:
+   entity lists with duplicates, unknown entities and the empty list;
+   mixed-case text, including the empty needle and needles longer
+   than any label. *)
+let browse_case =
+  let open QCheck2.Gen in
+  let entity = oneofl [ "netlist"; "layout"; "stimuli"; "plot" ] in
+  let word =
+    string_size ~gen:(oneofl [ 'a'; 'A'; 'b'; 'B'; ' ' ]) (int_range 0 6)
+  in
+  let keywords = list_size (int_bound 2) (oneofl [ "k1"; "k2"; "k3" ]) in
+  let user = oneofl [ "ann"; "bob" ] in
+  let instance =
+    let+ entity = entity
+    and+ user = user
+    and+ label = word
+    and+ comment = word
+    and+ keywords = keywords
+    and+ at = int_bound 20 in
+    (entity, Store.meta ~user ~label ~comment ~keywords ~created_at:at ())
+  in
+  let annotation =
+    let+ iid = int_range 1 40 and+ label = opt word and+ keywords = opt keywords in
+    (iid, label, keywords)
+  in
+  let filter =
+    let+ f_entities = opt (list_size (int_bound 4) (oneof [ entity; pure "ghost" ]))
+    and+ f_user = opt user
+    and+ f_from = opt (int_bound 20)
+    and+ f_to = opt (int_bound 20)
+    and+ f_keywords = keywords
+    and+ f_text = opt word in
+    { Store.f_entities; f_user; f_from; f_to; f_keywords; f_text }
+  in
+  triple (list_size (int_bound 40) instance) (list_size (int_bound 5) annotation)
+    (list_size (int_range 1 5) filter)
+
+let browse_tests =
+  [
+    Util.qcheck ~count:300 "browse equals a linear scan on every filter field"
+      browse_case (fun (instances, annotations, filters) ->
+        let store = Store.create () in
+        List.iteri
+          (fun i (entity, meta) ->
+            ignore (Store.put store ~entity ~hash:(string_of_int i) ~meta ()))
+          instances;
+        List.iter
+          (fun (iid, label, keywords) ->
+            if Store.mem store iid then
+              Store.annotate store iid ?label ?keywords ())
+          annotations;
+        List.for_all
+          (fun f -> Store.browse store f = linear_browse store f)
+          filters);
+  ]
+
 let suite =
-  [ ("store", store_tests); ("history", history_tests) ]
+  [ ("store", store_tests); ("store.browse", browse_tests);
+    ("history", history_tests) ]

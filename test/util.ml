@@ -5,6 +5,10 @@ let contains hay needle =
   let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
   n = 0 || at 0
 
+(* A golden file's text; tests run in the build copy of [test/]. *)
+let golden name =
+  In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all
+
 (* Run [f] and expect it to raise an exception satisfying [pred]. *)
 let expect_exn name pred f =
   Alcotest.test_case name `Quick (fun () ->
