@@ -9,9 +9,8 @@
        addressable by seqno);
      - the cold tier itself: how much resident memory payload eviction
        releases, and what a positioned cold read costs;
-     - follower bootstrap: wall time and peak-heap growth of a v7
-       streamed snapshot (bounded 256 KiB chunks spooled to disk)
-       vs the v6 monolithic resync (the whole state as one string).
+     - follower bootstrap: wall time and peak-heap growth of a
+       streamed snapshot (bounded 256 KiB chunks spooled to disk).
 
    Everything is exported as gauges for --json. *)
 
@@ -183,18 +182,16 @@ let cold_tier () =
   Metrics.set (Metrics.gauge "cement.bench.cold_read_us") read_us
 
 (* Follower bootstrap: one deep, compacted primary; subscribe from
-   seqno 0 at v7 (streamed) and v6 (monolithic).  The streamed pass
-   runs FIRST so the monotone top-of-heap checkpoint attributes any
-   growth to the pass that actually caused it. *)
+   seqno 0 and stream the snapshot. *)
 let bootstrap () =
   let n = 400 in
   (* heavyweight payloads (256-vector stimuli, ~20 KiB each) so the
-     snapshot is a few MiB and the two paths' peak memory diverges *)
+     snapshot is a few MiB: a resident copy would show in the heap *)
   let big_stim i =
     Eda.Stimuli.exhaustive (List.init 8 (fun k -> Printf.sprintf "b%d_%d" i k))
   in
   Bench_util.section
-    (Printf.sprintf "follower bootstrap: %d-install snapshot, streamed vs monolithic" n);
+    (Printf.sprintf "follower bootstrap: %d-install streamed snapshot" n);
   let root = fresh_dir () in
   Unix.mkdir root 0o755;
   let psock = Filename.concat root "p.sock" in
@@ -212,13 +209,13 @@ let bootstrap () =
              (Codec.value_to_sexp (Value.Stimuli (big_stim i))))
       done;
       Client.compact cp);
-  (* Each bootstrap runs in a forked child so its heap growth is the
+  (* The bootstrap runs in a forked child so its heap growth is the
      follower's alone — in-process the server's chunk encoding would
      drown the number being measured.  The child compacts its
      inherited heap first, so any later growth is caused by the
      bootstrap itself. *)
-  let bootstrap_once version =
-    let result = Filename.concat root (Printf.sprintf "boot-%d.out" version) in
+  let bootstrap_once () =
+    let result = Filename.concat root "boot.out" in
     match Unix.fork () with
     | 0 ->
       let status =
@@ -226,15 +223,14 @@ let bootstrap () =
           Gc.compact ();
           let base = (Gc.stat ()).Gc.live_words in
           (* live words at the handoff point — the follower's resident
-             requirement when it owns the complete snapshot.  Streamed,
-             the state is a spool file on disk (and mid-flight at most
-             one chunk is in memory by construction); monolithic, the
-             whole snapshot string must be live at once. *)
+             requirement when it owns the complete snapshot: the state
+             is a spool file on disk, and mid-flight at most one chunk
+             is in memory by construction *)
           let peak = ref base in
           let sample () = peak := max !peak (Gc.stat ()).Gc.live_words in
           let t0 = Unix.gettimeofday () in
           let feed =
-            Replica.Feed.connect ~version ~spool:root ~socket:psock ~since:0 ()
+            Replica.Feed.connect ~spool:root ~socket:psock ~since:0 ()
           in
           let bytes =
             match Replica.Feed.next feed with
@@ -244,10 +240,6 @@ let bootstrap () =
               let b = (Unix.stat path).Unix.st_size in
               Sys.remove path;
               b
-            | Replica.Feed.Snapshot { data; _ } ->
-              Gc.full_major ();
-              sample ();
-              String.length (Sys.opaque_identity data)
             | Replica.Feed.Frame _ -> failwith "expected a snapshot event"
           in
           Replica.Feed.close feed;
@@ -270,8 +262,7 @@ let bootstrap () =
       Scanf.sscanf line "%d %f %d" (fun bytes wall_ms grew ->
           (bytes, wall_ms, grew))
   in
-  let s_bytes, s_ms, s_grew = bootstrap_once Wire.protocol_version in
-  let m_bytes, m_ms, m_grew = bootstrap_once 6 in
+  let s_bytes, s_ms, s_grew = bootstrap_once () in
   Server.stop p;
   Server.wait p;
   rm_rf root;
@@ -280,18 +271,12 @@ let bootstrap () =
     (float_of_int s_bytes /. 1024.0)
     (Wire.snapshot_chunk_bytes / 1024);
   Printf.printf
-    "  streamed (v7):   %.1f ms, peak live growth %.2f MiB (spooled to disk)\n"
+    "  streamed: %.1f ms, peak live growth %.2f MiB (spooled to disk)\n"
     s_ms (mib s_grew);
-  Printf.printf
-    "  monolithic (v6): %.1f ms, peak live growth %.2f MiB (one resident string)\n"
-    m_ms (mib m_grew);
-  ignore m_bytes;
   Metrics.set (Metrics.gauge "cement.bench.snapshot_bytes")
     (float_of_int s_bytes);
   Metrics.set (Metrics.gauge "cement.bench.stream_ms") s_ms;
-  Metrics.set (Metrics.gauge "cement.bench.stream_heap_mib") (mib s_grew);
-  Metrics.set (Metrics.gauge "cement.bench.mono_ms") m_ms;
-  Metrics.set (Metrics.gauge "cement.bench.mono_heap_mib") (mib m_grew)
+  Metrics.set (Metrics.gauge "cement.bench.stream_heap_mib") (mib s_grew)
 
 (* Bootstrap first: the top-of-heap checkpoints it takes are monotone,
    so it must run before the other phases warm the heap up. *)

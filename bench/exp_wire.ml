@@ -1,13 +1,12 @@
-(* Experiment W: the v8 binary wire codec against the sexp codec.
+(* Experiment W: the binary wire codec.
 
    Three layers: (1) codec microbenchmarks — encode and decode ns per
-   frame and bytes per frame over representative requests/responses,
-   with the median binary-vs-sexp speedup as the headline number;
+   frame and bytes per frame over representative requests/responses;
    (2) framed transport throughput for large payload bodies over a
    socketpair (the zero-copy slice path); (3) an end-to-end mini rerun
-   of experiment S's shape: one server, a v8 (binary) client vs a v7
-   (sexp) client driving the same install/browse workload, singly and
-   as pipelined batches.  Exported as gauges for --json. *)
+   of experiment S's shape: one server and one client driving an
+   install/browse workload, singly and as pipelined batches.  Exported
+   as gauges for --json. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -91,53 +90,33 @@ let median xs =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* One row per sample frame: sizes, encode/decode ns for each codec,
-   and the two speedups. *)
+(* One row per sample frame: size and encode/decode ns. *)
 let codec_rows () =
-  let row name ~enc_bin ~dec_bin ~enc_sexp ~dec_sexp ~bin_bytes ~sexp_bytes =
-    [ name;
-      string_of_int bin_bytes; string_of_int sexp_bytes;
-      Printf.sprintf "%.0f" enc_bin; Printf.sprintf "%.0f" enc_sexp;
-      Printf.sprintf "%.0f" dec_bin; Printf.sprintf "%.0f" dec_sexp;
-      Printf.sprintf "%.1fx" (enc_sexp /. enc_bin);
-      Printf.sprintf "%.1fx" (dec_sexp /. dec_bin) ]
+  let bench name to_bin of_bin =
+    let bin = to_bin () in
+    let enc = ns_per to_bin and dec = ns_per (fun () -> of_bin bin) in
+    (enc, dec,
+     [ name; string_of_int (String.length bin); Printf.sprintf "%.0f" enc;
+       Printf.sprintf "%.0f" dec ])
   in
-  let speedups = ref [] in
-  let bench name to_bin of_bin to_sexp of_sexp =
-    let bin = to_bin () and sx = to_sexp () in
-    let enc_bin = ns_per to_bin and enc_sexp = ns_per to_sexp in
-    let dec_bin = ns_per (fun () -> of_bin bin)
-    and dec_sexp = ns_per (fun () -> of_sexp sx) in
-    speedups :=
-      (enc_sexp /. enc_bin, dec_sexp /. dec_bin, sx, bin) :: !speedups;
-    row name ~enc_bin ~dec_bin ~enc_sexp ~dec_sexp
-      ~bin_bytes:(String.length bin) ~sexp_bytes:(String.length sx)
-  in
-  let rows =
-    List.map
+  List.map
+    (fun (name, r) ->
+      bench name
+        (fun () -> Wire.request_to_binary_string r)
+        Wire.request_of_binary_string)
+    sample_requests
+  @ List.map
       (fun (name, r) ->
         bench name
-          (fun () -> Wire.request_to_binary_string r)
-          Wire.request_of_binary_string
-          (fun () -> Sexp.to_string ~pretty:false (Wire.request_to_sexp r))
-          (fun s -> Wire.request_of_sexp (Sexp.of_string s)))
-      sample_requests
-    @ List.map
-        (fun (name, r) ->
-          bench name
-            (fun () -> Wire.response_to_binary_string r)
-            Wire.response_of_binary_string
-            (fun () -> Sexp.to_string ~pretty:false (Wire.response_to_sexp r))
-            (fun s -> Wire.response_of_sexp (Sexp.of_string s)))
-        sample_responses
-  in
-  (rows, !speedups)
+          (fun () -> Wire.response_to_binary_string r)
+          Wire.response_of_binary_string)
+      sample_responses
 
 (* ------------------------------------------------------------------ *)
 (* Framed transport throughput                                         *)
 (* ------------------------------------------------------------------ *)
 
-let stream_throughput codec ~frames ~bytes_per =
+let stream_throughput ~frames ~bytes_per =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let resp =
     Wire.Ok_frame
@@ -149,7 +128,7 @@ let stream_throughput codec ~frames ~bytes_per =
     Thread.create
       (fun () ->
         for _ = 1 to frames do
-          Wire.send_response codec a resp
+          Wire.send_response a resp
         done;
         Unix.close a)
       ()
@@ -173,7 +152,7 @@ let stream_throughput codec ~frames ~bytes_per =
   (mb /. wall, !received)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: one server, one client per codec                        *)
+(* End-to-end: one server, one client                                  *)
 (* ------------------------------------------------------------------ *)
 
 let seed ctx = ignore (Workspace.of_session (Session.of_context ctx))
@@ -181,14 +160,14 @@ let seed ctx = ignore (Workspace.of_session (Session.of_context ctx))
 let e2e_rounds = 120
 
 (* install + annotate + browse + stat per round, like experiment S. *)
-let e2e_workload socket version =
-  Client.with_client ~user:(Printf.sprintf "wire-v%d" version) ~version ~socket
+let e2e_workload socket =
+  Client.with_client ~user:"wire" ~socket
     (fun c ->
       let t0 = Unix.gettimeofday () in
       for j = 1 to e2e_rounds do
         let iid =
           Client.install c ~entity:E.stimuli
-            ~label:(Printf.sprintf "w%d-%d" version j)
+            ~label:(Printf.sprintf "w%d" j)
             (Codec.value_to_sexp
                (Value.Stimuli (Eda.Stimuli.exhaustive [ "a"; "b" ])))
         in
@@ -204,9 +183,8 @@ let e2e_workload socket version =
    way per batch. *)
 let batch_rounds = 60
 
-let batch_workload socket version =
-  Client.with_client ~user:(Printf.sprintf "batch-v%d" version) ~version
-    ~socket (fun c ->
+let batch_workload socket =
+  Client.with_client ~user:"batch" ~socket (fun c ->
       let reqs = List.init 32 (fun _ -> Wire.Stat) in
       let t0 = Unix.gettimeofday () in
       for _ = 1 to batch_rounds do
@@ -218,44 +196,24 @@ let batch_workload socket version =
 let run () =
   (* --- codec micro --- *)
   Bench_util.section "codec: encode/decode ns per frame, bytes per frame";
-  let rows, speedups = codec_rows () in
-  Bench_util.print_table
-    [ "frame"; "B bin"; "B sexp"; "enc bin"; "enc sexp"; "dec bin";
-      "dec sexp"; "enc x"; "dec x" ]
-    rows;
-  let enc_x = median (List.map (fun (e, _, _, _) -> e) speedups) in
-  let dec_x = median (List.map (fun (_, d, _, _) -> d) speedups) in
-  let size_ratio =
-    median
-      (List.map
-         (fun (_, _, sx, bin) ->
-           float_of_int (String.length sx) /. float_of_int (String.length bin))
-         speedups)
-  in
-  Printf.printf
-    "  median speedup: encode %.1fx, decode %.1fx; sexp/binary bytes %.2fx\n"
-    enc_x dec_x size_ratio;
-  Metrics.set (Metrics.gauge "wire.bench.encode_speedup_median") enc_x;
-  Metrics.set (Metrics.gauge "wire.bench.decode_speedup_median") dec_x;
-  Metrics.set (Metrics.gauge "wire.bench.sexp_to_binary_bytes") size_ratio;
+  let rows = codec_rows () in
+  Bench_util.print_table [ "frame"; "bytes"; "enc ns"; "dec ns" ]
+    (List.map (fun (_, _, row) -> row) rows);
+  let enc = median (List.map (fun (e, _, _) -> e) rows) in
+  let dec = median (List.map (fun (_, d, _) -> d) rows) in
+  Printf.printf "  median: encode %.0f ns, decode %.0f ns\n" enc dec;
+  Metrics.set (Metrics.gauge "wire.bench.encode_ns_median") enc;
+  Metrics.set (Metrics.gauge "wire.bench.decode_ns_median") dec;
 
   (* --- transport throughput --- *)
   Bench_util.section "transport: 64 x 1 MiB payload frames over a socketpair";
-  let mbps_bin, got_b =
-    stream_throughput Wire.Binary ~frames:64 ~bytes_per:(1 lsl 20)
-  in
-  let mbps_sexp, got_s =
-    stream_throughput Wire.Sexp ~frames:64 ~bytes_per:(1 lsl 20)
-  in
-  Printf.printf "  binary  %8.0f MB/s  (%d frames)\n" mbps_bin got_b;
-  Printf.printf "  sexp    %8.0f MB/s  (%d frames)\n" mbps_sexp got_s;
-  Metrics.set (Metrics.gauge "wire.bench.stream_mbps_binary") mbps_bin;
-  Metrics.set (Metrics.gauge "wire.bench.stream_mbps_sexp") mbps_sexp;
+  let mbps, got = stream_throughput ~frames:64 ~bytes_per:(1 lsl 20) in
+  Printf.printf "  %8.0f MB/s  (%d frames)\n" mbps got;
+  Metrics.set (Metrics.gauge "wire.bench.stream_mbps_binary") mbps;
 
   (* --- end to end --- *)
   Bench_util.section
-    (Printf.sprintf
-       "end to end: %d install/annotate/browse/stat rounds per codec"
+    (Printf.sprintf "end to end: %d install/annotate/browse/stat rounds"
        e2e_rounds);
   let dir = fresh_dir () in
   rm_rf dir;
@@ -267,15 +225,9 @@ let run () =
       Server.wait t;
       rm_rf dir)
     (fun () ->
-      let rps8 = e2e_workload socket Wire.protocol_version in
-      let rps7 = e2e_workload socket 7 in
-      let bat8 = batch_workload socket Wire.protocol_version in
-      let bat7 = batch_workload socket 7 in
-      Printf.printf "  singles: v8 binary %8.0f req/s   v7 sexp %8.0f req/s\n"
-        rps8 rps7;
-      Printf.printf "  batches: v8 binary %8.0f req/s   v7 sexp %8.0f req/s\n"
-        bat8 bat7;
-      Metrics.set (Metrics.gauge "wire.bench.rps_binary") rps8;
-      Metrics.set (Metrics.gauge "wire.bench.rps_sexp") rps7;
-      Metrics.set (Metrics.gauge "wire.bench.batch_rps_binary") bat8;
-      Metrics.set (Metrics.gauge "wire.bench.batch_rps_sexp") bat7)
+      let rps = e2e_workload socket in
+      let bat = batch_workload socket in
+      Printf.printf "  singles: %8.0f req/s\n" rps;
+      Printf.printf "  batches: %8.0f req/s\n" bat;
+      Metrics.set (Metrics.gauge "wire.bench.rps_binary") rps;
+      Metrics.set (Metrics.gauge "wire.bench.batch_rps_binary") bat)

@@ -32,7 +32,7 @@ let experiments =
      Exp_sync.run);
     ("C", "tiered storage: cemented replay, cold reads, streamed bootstrap",
      Exp_cement.run);
-    ("W", "wire codec: binary vs sexp encode/decode, framed throughput",
+    ("W", "wire codec: encode/decode, framed throughput",
      Exp_wire.run);
     ("M", "MVCC: domain-pool read scaling with the writer loop active",
      Exp_mvcc.run);

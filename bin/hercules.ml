@@ -766,20 +766,7 @@ let serve_cmd =
              writers share one disk flush; $(b,none) never fsyncs (for \
              replay-only followers and benchmarks).")
   in
-  let wire =
-    Arg.(
-      value
-      & opt (enum [ ("binary", Wire.protocol_version); ("sexp", 7) ])
-          Wire.protocol_version
-      & info [ "wire" ] ~docv:"CODEC"
-          ~doc:
-            "Codec of the $(b,--follow) replication feed: $(b,binary) \
-             (protocol v8, the default) or $(b,sexp), which subscribes at \
-             protocol v7 so the upstream link stays on the s-expression \
-             codec for debugging.  Client connections always negotiate \
-             their own codec per connection.")
-  in
-  let run db socket follow wire sync_mode compact_every request_timeout
+  let run db socket follow sync_mode compact_every request_timeout
       max_clients max_queue read_domains default_deadline slow_request
       replay_only obs =
     let socket =
@@ -806,7 +793,7 @@ let serve_cmd =
         Printf.printf "hercules: serving %s on %s (following %s)\n%!" db
           socket primary);
       match
-        Server.run ~seed:seed_database ?follow ~feed_version:wire ~sync_mode
+        Server.run ~seed:seed_database ?follow ~sync_mode
           ~max_clients ~request_timeout ~max_queue ~read_domains
           ?default_deadline
           ?slow_log:slow_request ~compact_every ~db ~socket
@@ -828,7 +815,7 @@ let serve_cmd =
           concurrent $(b,hercules remote) clients — as the primary, or as a \
           read-scaling replication follower ($(b,--follow)).")
     Term.(
-      const run $ db_arg $ socket $ follow $ wire $ sync_mode $ compact_every
+      const run $ db_arg $ socket $ follow $ sync_mode $ compact_every
       $ request_timeout $ max_clients $ max_queue $ read_domains
       $ default_deadline
       $ slow_request $ replay_only $ obs_term)
@@ -851,30 +838,18 @@ let remote_user_arg =
         ~doc:"Identity stamped on instances this session creates (default \
               \\$USER).")
 
-let remote_wire_arg =
-  Arg.(
-    value
-    & opt (enum [ ("binary", Wire.protocol_version); ("sexp", 7) ])
-        Wire.protocol_version
-    & info [ "wire" ] ~docv:"CODEC"
-        ~doc:
-          "On-wire codec: $(b,binary) (protocol v8, the default) or \
-           $(b,sexp), which negotiates protocol v7 so the whole \
-           connection stays on the human-readable framed s-expression \
-           codec -- the debugging fallback.")
-
 (* Remote verbs ride out a daemon restart or failover: a few redials
    with backoff, and a per-request timeout so a wedged server fails
    the verb instead of hanging it. *)
-let with_remote ~version socket user f =
+let with_remote socket user f =
   let user =
     match user with
     | Some u -> u
     | None -> Sys.getenv_opt "USER" |> Option.value ~default:"anonymous"
   in
-  match Client.with_client ~user ~version ~retries:4 ~timeout:30.0 ~socket f with
+  match Client.with_client ~user ~retries:4 ~timeout:30.0 ~socket f with
   | v -> v
-  | exception Client.Client_error err ->
+  | exception Error.Ddf_error err ->
     Printf.eprintf "error: %s\n" (Error.to_string err);
     exit 1
 
@@ -892,19 +867,19 @@ let first_instance c entity =
     exit 1
 
 let remote_ping_cmd =
-  let run socket user wire =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user =
+    with_remote socket user @@ fun c ->
     let t0 = Unix.gettimeofday () in
     Client.ping c;
     Printf.printf "pong (%.2f ms)\n" ((Unix.gettimeofday () -. t0) *. 1e3)
   in
   Cmd.v
     (Cmd.info "ping" ~doc:"Round-trip to the server.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg)
 
 let remote_stat_cmd =
-  let run socket user wire =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user =
+    with_remote socket user @@ fun c ->
     let s = Client.stat c in
     Printf.printf "role         %s\nseq          %d\n" s.Wire.st_role
       s.Wire.st_seq;
@@ -915,11 +890,11 @@ let remote_stat_cmd =
   in
   Cmd.v
     (Cmd.info "stat" ~doc:"Server store/history/clock statistics.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg)
 
 let remote_lag_cmd =
-  let run socket user wire =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user =
+    with_remote socket user @@ fun c ->
     let primary_seq, rows = Client.lag c in
     Printf.printf "journal seq %d, %d follower(s)\n" primary_seq
       (List.length rows);
@@ -934,11 +909,11 @@ let remote_lag_cmd =
     (Cmd.info "lag"
        ~doc:"Replication lag: the journal seqno and each follower's \
              acked/sent watermarks.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg)
 
 let remote_compact_cmd =
-  let run socket user wire =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user =
+    with_remote socket user @@ fun c ->
     Client.compact c;
     let s = Client.stat c in
     Printf.printf "compacted at seq %d\n" s.Wire.st_seq
@@ -946,7 +921,7 @@ let remote_compact_cmd =
   Cmd.v
     (Cmd.info "compact"
        ~doc:"Fold the server's journal into a fresh snapshot now.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg)
 
 let remote_export_cmd =
   let out =
@@ -956,8 +931,8 @@ let remote_export_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Write the snapshot here (atomically, via $(docv).tmp).")
   in
-  let run socket user wire out =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user out =
+    with_remote socket user @@ fun c ->
     let seq, bytes = Client.snapshot_export c ~out in
     Printf.printf "exported snapshot at seq %d (%d bytes) to %s\n" seq bytes
       out
@@ -965,9 +940,9 @@ let remote_export_cmd =
   Cmd.v
     (Cmd.info "snapshot-export"
        ~doc:"Compact the server and stream its snapshot to a local file in \
-             bounded chunks (wire v7) — a consistent online backup that \
+             bounded chunks — a consistent online backup that \
              never holds the state in memory on either side.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ out)
+    Term.(const run $ remote_socket_arg $ remote_user_arg $ out)
 
 let remote_catalog_cmd =
   let which =
@@ -980,13 +955,13 @@ let remote_catalog_cmd =
           Wire.Entities
       & info [] ~docv:"WHICH" ~doc:"entities, tools or flows.")
   in
-  let run socket user wire which =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user which =
+    with_remote socket user @@ fun c ->
     List.iter print_endline (Client.catalog c which)
   in
   Cmd.v
     (Cmd.info "catalog" ~doc:"List the entity, tool or flow catalog.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ which)
+    Term.(const run $ remote_socket_arg $ remote_user_arg $ which)
 
 let remote_browse_cmd =
   let entity =
@@ -1003,8 +978,8 @@ let remote_browse_cmd =
   let text =
     Arg.(value & opt (some string) None & info [ "text" ] ~doc:"Text search.")
   in
-  let run socket user wire entity by_user keyword text =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user entity by_user keyword text =
+    with_remote socket user @@ fun c ->
     let filter =
       { no_filter with
         Store.f_entities = (if entity = [] then None else Some entity);
@@ -1021,12 +996,12 @@ let remote_browse_cmd =
   Cmd.v
     (Cmd.info "browse" ~doc:"Browse the server's store (Fig. 9, remotely).")
     Term.(
-      const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ entity $ by_user
+      const run $ remote_socket_arg $ remote_user_arg $ entity $ by_user
       $ keyword $ text)
 
 let remote_demo_cmd =
-  let run socket user wire =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user =
+    with_remote socket user @@ fun c ->
     let nl = Eda.Circuits.c17 () in
     let nl_iid =
       Client.install c ~entity:E.edited_netlist ~label:"c17"
@@ -1064,7 +1039,7 @@ let remote_demo_cmd =
   Cmd.v
     (Cmd.info "demo"
        ~doc:"Run the section 4.1 walkthrough against a design server.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg)
 
 let remote_run_cmd =
   let vectors =
@@ -1072,7 +1047,7 @@ let remote_run_cmd =
       value & opt int 16
       & info [ "vectors" ] ~doc:"Random stimulus vectors to simulate.")
   in
-  let run socket user wire circuit blif goal vectors obs =
+  let run socket user circuit blif goal vectors obs =
     let cname, circuit = load_circuit circuit blif in
     (* one root span for the whole command, so every client call — and
        through the frame headers every server/follower span they cause
@@ -1082,7 +1057,7 @@ let remote_run_cmd =
       ~attrs:[ ("circuit", Obs.Str cname) ]
       "cli.remote_run"
     @@ fun () ->
-    with_remote ~version:wire socket user @@ fun c ->
+    with_remote socket user @@ fun c ->
     let schema = Standard_schemas.odyssey in
     let nl_iid =
       Client.install c ~entity:E.edited_netlist ~label:cname
@@ -1145,7 +1120,7 @@ let remote_run_cmd =
     (Cmd.info "run"
        ~doc:"Build and run a goal-based flow on the design server.")
     Term.(
-      const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ circuit_arg $ blif_arg
+      const run $ remote_socket_arg $ remote_user_arg $ circuit_arg $ blif_arg
       $ goal_arg $ vectors $ obs_term)
 
 let remote_iid_arg =
@@ -1155,16 +1130,16 @@ let remote_iid_arg =
     & info [ "i"; "instance" ] ~docv:"IID" ~doc:"Instance id.")
 
 let remote_trace_cmd =
-  let run socket user wire iid =
-    with_remote ~version:wire socket user @@ fun c -> print_string (Client.trace c iid)
+  let run socket user iid =
+    with_remote socket user @@ fun c -> print_string (Client.trace c iid)
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Show an instance's derivation trace.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ remote_iid_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_iid_arg)
 
 let remote_refresh_cmd =
-  let run socket user wire iid =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user iid =
+    with_remote socket user @@ fun c ->
     let fresh, reran, reused = Client.refresh c iid in
     Printf.printf "fresh #%d (%d task(s) re-run, %d reused)\n" fresh reran
       reused
@@ -1172,7 +1147,7 @@ let remote_refresh_cmd =
   Cmd.v
     (Cmd.info "refresh"
        ~doc:"Bring an instance up to date (consistency maintenance).")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ remote_iid_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_iid_arg)
 
 let remote_edit_cmd =
   let rename =
@@ -1182,8 +1157,8 @@ let remote_edit_cmd =
       & info [ "rename" ] ~docv:"NAME"
           ~doc:"Rename the netlist to $(docv) — the smallest scripted edit.")
   in
-  let run socket user wire iid rename =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user iid rename =
+    with_remote socket user @@ fun c ->
     let es =
       Client.install c ~entity:E.netlist_editor ~label:("edit " ^ rename)
         (Codec.value_to_sexp
@@ -1215,21 +1190,21 @@ let remote_edit_cmd =
           Two workspaces editing the same version and then syncing get \
           both results as alternatives plus a surfaced conflict.")
     Term.(
-      const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ remote_iid_arg
+      const run $ remote_socket_arg $ remote_user_arg $ remote_iid_arg
       $ rename)
 
 let remote_shutdown_cmd =
-  let run socket user wire =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user =
+    with_remote socket user @@ fun c ->
     Client.shutdown c;
     print_endline "server shutting down"
   in
   Cmd.v
     (Cmd.info "shutdown" ~doc:"Ask the server to shut down gracefully.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg)
 
 let remote_batch_cmd =
-  let run socket user wire =
+  let run socket user =
     (* One request s-expression per non-empty stdin line; the whole
        list travels as a single pipelined frame and the responses come
        back positionally, one line each. *)
@@ -1250,7 +1225,7 @@ let remote_batch_cmd =
       Printf.eprintf "no requests on stdin\n";
       exit 1
     end;
-    with_remote ~version:wire socket user @@ fun c ->
+    with_remote socket user @@ fun c ->
     let resps = Client.batch c reqs in
     List.iter
       (fun r -> print_endline (Sexp.to_string (Wire.response_to_sexp r)))
@@ -1265,7 +1240,7 @@ let remote_batch_cmd =
           s-expressions from stdin (one per line), send them as a single \
           $(b,batch) frame, and print the responses in order.  Exits \
           non-zero when any response is an error.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg)
 
 let remote_metrics_cmd =
   let prometheus =
@@ -1277,8 +1252,8 @@ let remote_metrics_cmd =
              histograms as summaries with p50/p90/p99 quantiles) instead \
              of the human-readable table.")
   in
-  let run socket user wire prometheus =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user prometheus =
+    with_remote socket user @@ fun c ->
     let ms = Client.metrics c in
     if prometheus then print_string (Metrics.prometheus_of_metrics ms)
     else Format.printf "%a" Metrics.pp_metrics ms
@@ -1288,11 +1263,11 @@ let remote_metrics_cmd =
        ~doc:
          "Fetch the server's metrics registry: counters, gauges and \
           latency histograms with p50/p90/p99 quantiles.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ prometheus)
+    Term.(const run $ remote_socket_arg $ remote_user_arg $ prometheus)
 
 let remote_digest_cmd =
-  let run socket user wire =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user =
+    with_remote socket user @@ fun c ->
     let wsid, base, seq, fp, cursors, _entries = Client.sync_digest c in
     Printf.printf "wsid        %s\nbase        %d\nseq         %d\n" wsid base
       seq;
@@ -1307,7 +1282,7 @@ let remote_digest_cmd =
          "The server's anti-entropy digest: workspace id, journal window \
           and the canonical state fingerprint (equal fingerprints mean \
           equal design state, whatever the local instance ids).")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg)
+    Term.(const run $ remote_socket_arg $ remote_user_arg)
 
 let remote_conflicts_cmd =
   let all =
@@ -1315,8 +1290,8 @@ let remote_conflicts_cmd =
       value & flag
       & info [ "all" ] ~doc:"Include conflicts that are already resolved.")
   in
-  let run socket user wire all =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user all =
+    with_remote socket user @@ fun c ->
     let rows = Client.conflicts c in
     let rows =
       if all then rows else List.filter (fun r -> r.Wire.cf_winner = None) rows
@@ -1344,7 +1319,7 @@ let remote_conflicts_cmd =
          "Divergences surfaced by anti-entropy sync: both workspaces \
           derived a version of the same design object; each row names the \
           branch point and the two alternatives.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ all)
+    Term.(const run $ remote_socket_arg $ remote_user_arg $ all)
 
 let remote_resolve_cmd =
   let conflict =
@@ -1360,8 +1335,8 @@ let remote_resolve_cmd =
       & info [] ~docv:"WINNER"
           ~doc:"Winning instance: the conflict's base, ours or theirs.")
   in
-  let run socket user wire conflict winner =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user conflict winner =
+    with_remote socket user @@ fun c ->
     Client.resolve c ~conflict ~winner;
     Printf.printf "conflict %d resolved: winner #%d\n" conflict winner
   in
@@ -1371,7 +1346,7 @@ let remote_resolve_cmd =
          "Pick the winning version of a surfaced sync conflict.  The losing \
           alternative stays in the store and the version tree; the \
           resolution itself is journaled and syncs onward.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ conflict $ winner)
+    Term.(const run $ remote_socket_arg $ remote_user_arg $ conflict $ winner)
 
 let remote_cmd =
   Cmd.group
@@ -1457,9 +1432,9 @@ let sync_cmd =
       value & opt int 64
       & info [ "batch" ] ~docv:"N" ~doc:"Frames per sync round.")
   in
-  let run socket user wire peer dry_run batch =
-    with_remote ~version:wire socket user @@ fun local ->
-    with_remote ~version:wire peer (Some (Client.user local)) @@ fun remote ->
+  let run socket user peer dry_run batch =
+    with_remote socket user @@ fun local ->
+    with_remote peer (Some (Client.user local)) @@ fun remote ->
     let report =
       Sync.run ~dry_run ~batch ~a:(Sync.of_client local)
         ~b:(Sync.of_client remote) ()
@@ -1486,7 +1461,7 @@ let sync_cmd =
           conflicting derivations as alternative versions (see $(b,remote \
           conflicts)).")
     Term.(
-      const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ peer $ dry_run $ batch)
+      const run $ remote_socket_arg $ remote_user_arg $ peer $ dry_run $ batch)
 
 (* ------------------------------------------------------------------ *)
 (* hercules top                                                        *)
@@ -1507,8 +1482,8 @@ let top_cmd =
             "Stop after $(docv) refreshes (default: run until \
              interrupted).")
   in
-  let run socket user wire interval count =
-    with_remote ~version:wire socket user @@ fun c ->
+  let run socket user interval count =
+    with_remote socket user @@ fun c ->
     let clear = Unix.isatty Unix.stdout in
     let rec loop i prev =
       let s = Client.stat c in
@@ -1585,7 +1560,7 @@ let top_cmd =
          "Live server statistics: poll the metrics registry every \
           $(b,--interval) seconds and render latency quantiles, counters \
           (with rates) and gauges.")
-    Term.(const run $ remote_socket_arg $ remote_user_arg $ remote_wire_arg $ interval $ count)
+    Term.(const run $ remote_socket_arg $ remote_user_arg $ interval $ count)
 
 (* ------------------------------------------------------------------ *)
 (* hercules trace-merge                                                *)

@@ -1,5 +1,5 @@
 (* Typed client: one socket, blocking request/response.  All the
-   interesting protocol work (framing, codecs) lives in Ddf_wire; this
+   interesting protocol work (framing, the codec) lives in Ddf_wire; this
    module is the thin typed veneer the CLI and tests use.
 
    Resilience is driven by the error taxonomy rather than blind
@@ -32,9 +32,6 @@ module E = Ddf_core.Error
 module Metrics = Ddf_obs.Metrics
 module Obs = Ddf_obs.Obs
 
-exception Client_error = E.Ddf_error
-(* Deprecated alias: the client raises the shared typed error now. *)
-
 let client_errorf ?(code = `Internal) fmt = E.errorf code fmt
 
 let m_retries = Metrics.counter "client.retries"
@@ -43,16 +40,10 @@ let m_ambiguous = Metrics.counter "client.ambiguous_commits"
 type t = {
   socket : string;
   c_user : string;
-  c_version : int;
   c_timeout : float option;
   c_retries : int;
   c_deadline : float option;          (* per-call budget, seconds *)
   mutable fd : Unix.file_descr option;
-  (* the codec the CURRENT connection negotiated.  Never carried over:
-     [drop] resets it to [Sexp], and only a completed hello on a fresh
-     dial upgrades it — a redial after a mid-frame disconnect
-     re-negotiates from scratch. *)
-  mutable c_codec : Wire.codec;
   mutable closed : bool;
 }
 
@@ -62,7 +53,6 @@ let backoff_initial = 0.05
 let backoff_max = 1.0
 
 let drop t =
-  t.c_codec <- Wire.Sexp;
   match t.fd with
   | None -> ()
   | Some fd ->
@@ -90,18 +80,12 @@ let dial t =
     try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
     with Unix.Unix_error _ | Invalid_argument _ -> ())
   | None -> ());
-  (* the hello itself always travels as sexp — the server's dialect is
-     unknown until it answers.  An accepting v8 server switches the
-     connection immediately, so the hello reply already arrives binary
-     (recv_response sniffs the frame's first byte either way). *)
   (match
-     Wire.send_request Wire.Sexp fd
-       (Wire.Hello { user = t.c_user; version = t.c_version });
+     Wire.send_request fd (Wire.hello t.c_user);
      Wire.recv_response fd
    with
-  | Some (Wire.Ok_unit, _, _) ->
-    t.c_codec <- Wire.codec_for_version t.c_version
-  | Some (Wire.Error err, _, _) ->
+  | Some (Wire.Ok_unit, _) -> ()
+  | Some (Wire.Error err, _) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise (E.Ddf_error err)
   | Some _ -> fail ~code:`Internal "unexpected response to hello"
@@ -194,8 +178,7 @@ let call t req =
         "client.attempt"
         (fun () ->
           match
-            Wire.send_request ?deadline_ms ?trace:(Obs.current_span ())
-              t.c_codec fd req;
+            Wire.send_request ?deadline_ms ?trace:(Obs.current_span ()) fd req;
             sent := true;
             Wire.recv_response fd
           with
@@ -203,7 +186,7 @@ let call t req =
           | exception e -> Error e)
     in
     match outcome with
-    | Ok (Some (resp, _, _)) -> (
+    | Ok (Some (resp, _)) -> (
       match resp with
       | Wire.Error err when err.E.retryable && retries > 0 ->
         (* the server asserts the request was NOT executed (shed,
@@ -271,7 +254,7 @@ let unexpected req resp =
     | Wire.Ok_ints _ -> "ints" | Wire.Ok_atoms _ -> "atoms"
     | Wire.Ok_text _ -> "text" | Wire.Ok_nodes _ -> "nodes"
     | Wire.Ok_rows _ -> "rows" | Wire.Ok_stat _ -> "stat"
-    | Wire.Ok_refresh _ -> "refresh" | Wire.Ok_snapshot _ -> "snapshot"
+    | Wire.Ok_refresh _ -> "refresh"
     | Wire.Ok_snapshot_begin _ -> "snapshot-begin"
     | Wire.Ok_snapshot_chunk _ -> "snapshot-chunk"
     | Wire.Ok_snapshot_end _ -> "snapshot-end"
@@ -307,12 +290,11 @@ let ok_rows t req =
 (* Connection lifecycle                                                *)
 (* ------------------------------------------------------------------ *)
 
-let connect ?(user = "anonymous") ?(version = Wire.protocol_version) ?timeout
-    ?(retries = 0) ?deadline ~socket () =
+let connect ?(user = "anonymous") ?timeout ?(retries = 0) ?deadline ~socket
+    () =
   let t =
-    { socket; c_user = user; c_version = version; c_timeout = timeout;
-      c_retries = retries; c_deadline = deadline; fd = None;
-      c_codec = Wire.Sexp; closed = false }
+    { socket; c_user = user; c_timeout = timeout; c_retries = retries;
+      c_deadline = deadline; fd = None; closed = false }
   in
   dial_retrying t retries backoff_initial;
   t
@@ -325,8 +307,8 @@ let close t =
 
 let closed t = t.closed
 
-let with_client ?user ?version ?timeout ?retries ?deadline ~socket f =
-  let t = connect ?user ?version ?timeout ?retries ?deadline ~socket () in
+let with_client ?user ?timeout ?retries ?deadline ~socket f =
+  let t = connect ?user ?timeout ?retries ?deadline ~socket () in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 (* ------------------------------------------------------------------ *)
@@ -399,7 +381,7 @@ let shutdown t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The anti-entropy sync surface (wire v6)                             *)
+(* The anti-entropy sync surface                                       *)
 (* ------------------------------------------------------------------ *)
 
 let sync_digest t =
@@ -429,7 +411,7 @@ let resolve t ~conflict ~winner =
   ok_unit t (Wire.Resolve { conflict; winner })
 
 (* ------------------------------------------------------------------ *)
-(* Streaming snapshot export (wire v7)                                 *)
+(* Streaming snapshot export                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* One request, many response frames — this cannot ride [call]'s
@@ -451,12 +433,12 @@ let snapshot_export t ~out =
   in
   let recv () =
     match Wire.recv_response fd with
-    | Some (resp, _, _) -> resp
+    | Some (resp, _) -> resp
     | None -> fail "server closed the connection mid-export"
     | exception Wire.Wire_error m -> fail "%s" m
     | exception Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e)
   in
-  (match Wire.send_request t.c_codec fd Wire.Snapshot_export with
+  (match Wire.send_request fd Wire.Snapshot_export with
   | () -> ()
   | exception Wire.Wire_error m -> fail "%s" m
   | exception Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e));
@@ -574,13 +556,13 @@ module Pool = struct
           ?deadline:pool.p_deadline ~socket:m.ep ()
       with
       | c -> m.conn <- Some c
-      | exception Client_error _ -> ()));
+      | exception E.Ddf_error _ -> ()));
     (match m.conn with
     | None -> m.role <- "down"
     | Some c -> (
       match stat c with
       | s -> m.role <- s.Wire.st_role
-      | exception Client_error _ ->
+      | exception E.Ddf_error _ ->
         close c;
         m.conn <- None;
         m.role <- "down"));
@@ -675,7 +657,7 @@ module Pool = struct
     List.iter
       (fun m ->
         (match m.conn with
-        | Some c -> ( try close c with Client_error _ -> ())
+        | Some c -> ( try close c with E.Ddf_error _ -> ())
         | None -> ());
         m.conn <- None;
         m.role <- "down")

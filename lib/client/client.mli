@@ -25,29 +25,25 @@
     exchange; the attempt's span context rides the frame header, so
     the server's dispatch (and its queue/fsync/follower child spans)
     join this client's trace.  Retries appear as [client.retry]
-    instants between attempts. *)
+    instants between attempts.
 
-exception Client_error of Ddf_core.Error.t
-(** Deprecated alias of {!Ddf_core.Error.Ddf_error}: server-side
-    errors, protocol violations and transport failures all raise the
-    shared typed error.  Existing handlers keep catching; use
-    {!Ddf_core.Error.message} for the text and the [code] for routing. *)
+    Server-side errors, protocol violations and transport failures all
+    raise {!Ddf_core.Error.Ddf_error}; use {!Ddf_core.Error.message}
+    for the text and the [code] for routing. *)
 
 type t
 
 val connect :
-  ?user:string -> ?version:int -> ?timeout:float -> ?retries:int ->
-  ?deadline:float -> socket:string -> unit -> t
+  ?user:string -> ?timeout:float -> ?retries:int -> ?deadline:float ->
+  socket:string -> unit -> t
 (** Connect to the daemon listening on [socket] and introduce
     ourselves as [user] (default ["anonymous"]); the server stamps
     that identity on every instance and history record this
-    connection creates.
+    connection creates; a server of another protocol version refuses
+    the handshake with a final typed error.
 
-    [version] (default {!Ddf_wire.Wire.protocol_version}) is the
-    protocol dialect announced in the handshake — a mismatch is
-    refused by the server with a final typed error.  [timeout] bounds
-    each attempt's wait for a response (seconds); on expiry the
-    connection is dropped, to be redialed on the next call.
+    [timeout] bounds each attempt's wait for a response (seconds); on
+    expiry the connection is dropped, to be redialed on the next call.
     [retries] (default 0: fail fast) bounds classified resends with
     exponential backoff (50ms doubling to 1s).  [deadline] gives
     every call a total budget in seconds: the remaining budget is
@@ -60,8 +56,8 @@ val close : t -> unit
 val closed : t -> bool
 
 val with_client :
-  ?user:string -> ?version:int -> ?timeout:float -> ?retries:int ->
-  ?deadline:float -> socket:string -> (t -> 'a) -> 'a
+  ?user:string -> ?timeout:float -> ?retries:int -> ?deadline:float ->
+  socket:string -> (t -> 'a) -> 'a
 (** [connect], run, [close] — also on exception. *)
 
 val user : t -> string
@@ -207,13 +203,13 @@ val metrics : t -> Ddf_obs.Metrics.metric list
 
 val snapshot_export : t -> out:string -> int * int
 (** Ask the daemon to compact and stream its snapshot back in bounded
-    chunks (wire v7).  The stream is spooled to [out ^ ".tmp"],
+    chunks.  The stream is spooled to [out ^ ".tmp"],
     verified against its digest and byte count, and renamed to [out];
     at no point does the snapshot exist as one in-memory string.
     Returns [(seq, bytes)] — the seqno the snapshot covers and its
     size.  Never retried (the server compacts first, a mutation).
-    @raise Client_error on refusal (a pre-v7 negotiation) or a
-    corrupt/short stream. *)
+    @raise Ddf_core.Error.Ddf_error on refusal or a corrupt/short
+    stream. *)
 
 val batch : t -> Ddf_wire.Wire.request list -> Ddf_wire.Wire.response list
 (** Pipeline: send the requests as one [Batch] frame and return their
@@ -222,14 +218,14 @@ val batch : t -> Ddf_wire.Wire.request list -> Ddf_wire.Wire.response list
     its position and execution continues — effects of earlier members
     are not rolled back.  A batch containing a mutation runs as one
     writer job, so its writes share one group commit (and one fsync).
-    @raise Client_error on a top-level refusal (e.g. a read-only
+    @raise Ddf_core.Error.Ddf_error on a top-level refusal (e.g. a read-only
     follower rejecting a mutating batch) or a length mismatch. *)
 
 val shutdown : t -> unit
 (** Ask the daemon to shut down gracefully, then close this
     connection (idempotent: a no-op on a closed client). *)
 
-(** {1 Anti-entropy sync (wire v6)}
+(** {1 Anti-entropy sync}
 
     The raw verbs {!Ddf_sync.Sync} drives: a digest handshake, frame
     pulls, and frame pushes.  Useful directly for diagnostics
@@ -270,7 +266,7 @@ val resolve : t -> conflict:int -> winner:Ddf_store.Store.iid -> unit
 val call : t -> Ddf_wire.Wire.request -> Ddf_wire.Wire.response
 (** Raw request/response; [Error] responses are returned, not raised
     (though retryable ones are resent first when [retries > 0]).
-    @raise Client_error on a dropped connection. *)
+    @raise Ddf_core.Error.Ddf_error on a dropped connection. *)
 
 (** {1 Read/write splitting over a replica set}
 
@@ -308,12 +304,12 @@ module Pool : sig
       primary when no follower is up.  A member that stops answering
       is marked down and the read moves on; a server error from a
       live member is raised as the answer.
-      @raise Client_error when no endpoint can serve. *)
+      @raise Ddf_core.Error.Ddf_error when no endpoint can serve. *)
 
   val write : pool -> (t -> 'a) -> 'a
   (** Run a write on the primary; on [`Unavailable] — and only then —
       re-probe everything once to find a promoted follower and retry.
-      @raise Client_error when no writable endpoint exists
+      @raise Ddf_core.Error.Ddf_error when no writable endpoint exists
       ([`Unavailable], and the pool is marked degraded). *)
 
   val batch :

@@ -490,7 +490,7 @@ let fsync_oc oc =
 
 (* Directory fsync: a rename is only durable once the directory entry
    itself reaches disk — without this, a power cut after [compact] or
-   [reset_to_snapshot] can resurrect the pre-rename snapshot/base.
+   [reset_to_snapshot_file] can resurrect the pre-rename snapshot/base.
    Real I/O errors are swallowed (the fsync is belt-and-braces on
    filesystems that journal renames anyway), but the
    [journal.dir_fsync] crash point fires through so the fault sweep
@@ -1050,29 +1050,6 @@ let finish_reset j ~seq fresh =
   install_cold_loader j.j_cement fresh.Ddf_exec.Engine.store;
   attach j
 
-let reset_to_snapshot j ~seq data =
-  if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
-  Ddf_obs.Metrics.incr m_resyncs;
-  let session =
-    try W.load ?registry:j.j_registry j.j_ctx.Ddf_exec.Engine.schema data
-    with W.Persist_error m -> journal_errorf "replication snapshot: %s" m
-  in
-  let fresh = Ddf_session.Session.context session in
-  detach j;
-  let tmp = snapshot_path j.j_dir ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc data;
-     fsync_oc oc;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     attach j;
-     raise e);
-  Sys.rename tmp (snapshot_path j.j_dir);
-  finish_reset j ~seq fresh
-
 let m_stream_resyncs = Ddf_obs.Metrics.counter "journal.snapshot_stream_resyncs"
 
 (* Move [src] over [dst] — rename when the spool shares the
@@ -1104,11 +1081,11 @@ let rename_or_copy src dst =
     Sys.rename tmp dst;
     try Sys.remove src with Sys_error _ -> ()
 
-(* The streaming flavour of [reset_to_snapshot]: [path] holds a
-   workspace save spooled to disk in bounded chunks (a streamed
-   bootstrap), so the snapshot bytes never exist as one in-memory
-   string here.  The file is parsed FIRST — a malformed stream must
-   not clobber the database — then fsynced and renamed into place. *)
+(* Follower-side resync: [path] holds a workspace save spooled to disk
+   in bounded chunks (a streamed bootstrap), so the snapshot bytes
+   never exist as one in-memory string here.  The file is parsed FIRST
+   — a malformed stream must not clobber the database — then fsynced
+   and renamed into place. *)
 let reset_to_snapshot_file j ~seq path =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   Ddf_obs.Metrics.incr m_resyncs;

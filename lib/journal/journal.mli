@@ -183,19 +183,15 @@ val apply : t -> seq:int -> string -> unit
     @raise Journal_error on a sequence gap ([seq] must be [seq t + 1]),
     content-hash mismatch or out-of-order ids. *)
 
-val reset_to_snapshot : t -> seq:int -> string -> unit
-(** Follower-side resync: replace the whole database (disk and the
-    live context, in place) with a primary snapshot taken at [seq].
-    Clears the cement store — its history belongs to the pre-reset
-    seqno line.
-    @raise Journal_error when the snapshot does not parse. *)
-
 val reset_to_snapshot_file : t -> seq:int -> string -> unit
-(** Like {!reset_to_snapshot} but the snapshot was spooled to the
-    given file path in bounded chunks (a streamed bootstrap), so the
-    state never exists as one in-memory string.  The file is parsed
-    first — a malformed stream leaves the database untouched — then
-    fsynced and renamed (or copied across filesystems) into place.
+(** Follower-side resync: replace the whole database (disk and the
+    live context, in place) with a primary snapshot taken at [seq],
+    spooled to the given file path in bounded chunks (a streamed
+    bootstrap), so the state never exists as one in-memory string.
+    Clears the cement store — its history belongs to the pre-reset
+    seqno line.  The file is parsed first — a malformed stream leaves
+    the database untouched — then fsynced and renamed (or copied
+    across filesystems) into place.
     Counts [journal.snapshot_stream_resyncs] on top of
     [journal.snapshot_resyncs].
     @raise Journal_error when the file does not parse. *)

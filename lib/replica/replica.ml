@@ -4,7 +4,7 @@
    The protocol rides on Ddf_wire.  A follower connects to the primary
    like any client, says Hello, then sends [Subscribe since]; from
    that point the connection is a replication stream: the primary
-   pushes an optional [Ok_snapshot] followed by [Ok_frame]s forever,
+   pushes an optional streamed snapshot followed by [Ok_frame]s forever,
    and the follower answers only with [Repl_ack]s.  Frames carry the
    journal's global seqnos and md5 digests, so a follower detects both
    gaps and corruption before anything touches its database.
@@ -15,7 +15,7 @@
    more than [cap] frames behind is evicted and must reconnect, which
    lands it on the catch-up path.  A [Follower] owns one background
    thread that keeps a Feed alive with bounded exponential backoff and
-   pumps every event into the caller's [apply]/[reset] hooks. *)
+   pumps every event into the caller's [apply]/[reset_file] hooks. *)
 
 module Wire = Ddf_wire.Wire
 module Metrics = Ddf_obs.Metrics
@@ -26,7 +26,6 @@ exception Replica_error of string
 let replica_errorf fmt = Printf.ksprintf (fun s -> raise (Replica_error s)) fmt
 
 let m_frames_sent = Metrics.counter "replica.frames_sent"
-let m_snapshots_sent = Metrics.counter "replica.snapshots_sent"
 let m_snapshots_streamed = Metrics.counter "replica.snapshots_streamed"
 let m_evicted = Metrics.counter "replica.followers_evicted"
 let m_reconnects = Metrics.counter "replica.follower_reconnects"
@@ -66,19 +65,17 @@ let stream_snapshot ~send ~seq fd =
 
 module Feed = struct
   type event =
-    | Snapshot of { seq : int; data : string }
     | Snapshot_file of { seq : int; path : string }
     | Frame of { seq : int; payload : string; trace : Obs.span_ctx option }
 
   type t = {
     fd : Unix.file_descr;
     spool : string;
-    codec : Wire.codec;
     mutable closed : bool;
   }
 
-  let connect ?(user = "follower") ?(version = Wire.protocol_version)
-      ?(spool = Filename.get_temp_dir_name ()) ~socket ~since () =
+  let connect ?(user = "follower") ?(spool = Filename.get_temp_dir_name ())
+      ~socket ~since () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     let fail fmt =
       Printf.ksprintf
@@ -91,25 +88,20 @@ module Feed = struct
     | () -> ()
     | exception Unix.Unix_error (e, _, _) ->
       fail "cannot connect to primary %s: %s" socket (Unix.error_message e));
-    (* the hello always travels as sexp — the server's version is
-       unknown until it answers; the reply already arrives in the
-       negotiated codec (recv_response sniffs per frame) *)
-    let hello = Wire.Hello { user; version } in
     (match
-       Wire.send_request Wire.Sexp fd hello;
+       Wire.send_request fd (Wire.hello user);
        Wire.recv_response fd
      with
-    | Some (Wire.Ok_unit, _, _) -> ()
-    | Some (Wire.Error err, _, _) ->
+    | Some (Wire.Ok_unit, _) -> ()
+    | Some (Wire.Error err, _) ->
       fail "primary refused hello: %s" (Ddf_core.Error.to_string err)
     | Some _ -> fail "unexpected response to hello"
     | None -> fail "primary closed the connection during hello"
     | exception Wire.Wire_error m -> fail "%s" m);
-    let codec = Wire.codec_for_version version in
-    (match Wire.send_request codec fd (Wire.Subscribe since) with
+    (match Wire.send_request fd (Wire.Subscribe since) with
     | () -> ()
     | exception Wire.Wire_error m -> fail "%s" m);
-    { fd; spool; codec; closed = false }
+    { fd; spool; closed = false }
 
   (* Reassemble a streamed snapshot into a spool file: after
      [Ok_snapshot_begin] only chunk frames may arrive until
@@ -135,7 +127,7 @@ module Feed = struct
       | exception Wire.Wire_error m -> fail "%s" m
       | exception Unix.Unix_error (e, _, _) ->
         fail "snapshot stream: %s" (Unix.error_message e)
-      | Some (resp, _, _) -> (
+      | Some (resp, _) -> (
         match resp with
         | Wire.Ok_snapshot_chunk { data } ->
           output_string oc data;
@@ -161,9 +153,8 @@ module Feed = struct
     | exception Wire.Wire_error m -> replica_errorf "%s" m
     | exception Unix.Unix_error (e, _, _) ->
       replica_errorf "replication stream: %s" (Unix.error_message e)
-    | Some (resp, meta, _) -> (
+    | Some (resp, meta) -> (
       match resp with
-      | Wire.Ok_snapshot { seq; data } -> Snapshot { seq; data }
       | Wire.Ok_snapshot_begin { seq; bytes } -> spool_snapshot t ~seq ~bytes
       | Wire.Ok_frame { seq; payload; digest } ->
         if not (String.equal (digest_hex payload) digest) then
@@ -175,7 +166,7 @@ module Feed = struct
 
   let ack t seq =
     if not t.closed then
-      match Wire.send_request t.codec t.fd (Wire.Repl_ack seq) with
+      match Wire.send_request t.fd (Wire.Repl_ack seq) with
       | () -> ()
       | exception Wire.Wire_error _ -> ()
       | exception Unix.Unix_error _ -> ()
@@ -207,7 +198,6 @@ module Outbox = struct
   type t = {
     ob_name : string;
     ob_fd : Unix.file_descr;
-    ob_codec : Wire.codec;  (* negotiated by the subscriber's hello *)
     ob_cap : int;
     ob_m : Mutex.t;
     ob_c : Condition.t;
@@ -267,7 +257,7 @@ module Outbox = struct
       | Some [ (Stream_snapshot { sf_seq; sf_fd }, _) ] ->
         (match
            stream_snapshot ~seq:sf_seq sf_fd
-             ~send:(fun r -> Wire.send_response t.ob_codec t.ob_fd r)
+             ~send:(Wire.send_response t.ob_fd)
          with
         | () -> next ()
         | exception Wire.Wire_error _ | exception Unix.Unix_error _
@@ -283,7 +273,7 @@ module Outbox = struct
               | Stream_snapshot _, _ -> None)
             batch
         in
-        (match Wire.send_response_batch t.ob_codec t.ob_fd items with
+        (match Wire.send_response_batch t.ob_fd items with
         | () -> next ()
         | exception Wire.Wire_error _ | exception Unix.Unix_error _ ->
           Mutex.lock t.ob_m;
@@ -292,9 +282,9 @@ module Outbox = struct
     in
     next ()
 
-  let create ?(cap = 65536) ?(codec = Wire.Sexp) ~name fd =
+  let create ?(cap = 65536) ~name fd =
     let t =
-      { ob_name = name; ob_fd = fd; ob_codec = codec; ob_cap = cap;
+      { ob_name = name; ob_fd = fd; ob_cap = cap;
         ob_m = Mutex.create ();
         ob_c = Condition.create (); ob_q = Queue.create (); ob_dead = false;
         ob_sent = 0; ob_acked = 0; ob_sender = None }
@@ -317,10 +307,6 @@ module Outbox = struct
         | Wire.Ok_frame { seq; _ } ->
           t.ob_sent <- max t.ob_sent seq;
           Metrics.incr m_frames_sent
-        | Wire.Ok_snapshot { seq; _ } ->
-          t.ob_sent <- max t.ob_sent seq;
-          t.ob_acked <- max t.ob_acked seq;
-          Metrics.incr m_snapshots_sent
         | _ -> ());
         Queue.push (Resp resp, trace) t.ob_q;
         Condition.signal t.ob_c
@@ -409,29 +395,16 @@ module Follower = struct
     in
     go d
 
-  let drive t ~name ?version ?spool ~current_seq ~apply ~reset ?reset_file
-      ~on_error () =
-    (* Without a file hook a streamed snapshot degrades to the
-       monolithic path: read the spool back and hand it to [reset]. *)
+  let drive t ~name ?spool ~current_seq ~apply ~reset_file ~on_error () =
     let reset_spooled ~seq path =
-      match reset_file with
-      | Some f ->
-        f ~seq path;
-        (* the hook usually renames the spool into place; clean up if not *)
-        if Sys.file_exists path then
-          (try Sys.remove path with Sys_error _ -> ())
-      | None ->
-        let data =
-          let ic = open_in_bin path in
-          Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-          really_input_string ic (in_channel_length ic)
-        in
-        (try Sys.remove path with Sys_error _ -> ());
-        reset ~seq data
+      reset_file ~seq path;
+      (* the hook usually renames the spool into place; clean up if not *)
+      if Sys.file_exists path then
+        (try Sys.remove path with Sys_error _ -> ())
     in
     let rec attempt backoff =
       if not (stopped t) then begin
-        match Feed.connect ~user:name ?version ?spool ~socket:t.f_primary
+        match Feed.connect ~user:name ?spool ~socket:t.f_primary
                 ~since:(current_seq ()) ()
         with
         | exception Replica_error m ->
@@ -451,7 +424,6 @@ module Follower = struct
             (match
                let rec pump () =
                  (match Feed.next feed with
-                 | Feed.Snapshot { seq; data } -> reset ~seq data
                  | Feed.Snapshot_file { seq; path } -> reset_spooled ~seq path
                  | Feed.Frame { seq; payload; trace } ->
                    apply ~trace ~seq payload);
@@ -475,8 +447,8 @@ module Follower = struct
     in
     attempt backoff_initial
 
-  let start ?(name = "follower") ?version ?spool ~primary ~current_seq ~apply
-      ~reset ?reset_file ?(on_error = fun _ -> ()) () =
+  let start ?(name = "follower") ?spool ~primary ~current_seq ~apply
+      ~reset_file ?(on_error = fun _ -> ()) () =
     let t =
       { f_primary = primary; f_m = Mutex.create (); f_stopped = false;
         f_feed = None; f_thread = None }
@@ -485,8 +457,8 @@ module Follower = struct
       Some
         (Thread.create
            (fun () ->
-             drive t ~name ?version ?spool ~current_seq ~apply ~reset
-               ?reset_file ~on_error ())
+             drive t ~name ?spool ~current_seq ~apply ~reset_file ~on_error
+               ())
            ());
     t
 

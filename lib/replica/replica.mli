@@ -1,9 +1,10 @@
 (** Journal-shipping replication transport.
 
     A primary design server streams its {!Ddf_journal.Journal} to
-    follower daemons: each follower receives an optional full-state
-    snapshot followed by every journal entry, tagged with its global
-    sequence number and md5 digest, and applies them through its own
+    follower daemons: each follower receives an optional streamed
+    full-state snapshot followed by every journal entry, tagged with
+    its global sequence number and md5 digest, and applies them
+    through its own
     journal — so a caught-up follower's database (store, history,
     meta-data, logical clock, and on-disk wal suffix) is identical to
     the primary's, and the follower is itself crash-safe and
@@ -33,12 +34,11 @@ module Feed : sig
   type t
 
   type event =
-    | Snapshot of { seq : int; data : string }
-        (** full workspace state as of [seq]; replaces everything *)
     | Snapshot_file of { seq : int; path : string }
-        (** a v7 streamed snapshot, reassembled (byte count and digest
-            verified) into a spool file the consumer owns — state as
-            of [seq] without ever existing as one in-memory string *)
+        (** full workspace state as of [seq], replacing everything: a
+            streamed snapshot reassembled (byte count and digest
+            verified) into a spool file the consumer owns, never held
+            as one in-memory string *)
     | Frame of {
         seq : int;
         payload : string;
@@ -48,15 +48,12 @@ module Feed : sig
       }  (** one journal entry (digest already verified) *)
 
   val connect :
-    ?user:string -> ?version:int -> ?spool:string ->
-    socket:string -> since:int -> unit -> t
+    ?user:string -> ?spool:string -> socket:string -> since:int -> unit -> t
   (** Dial the primary, handshake ([Hello] with this build's protocol
-      version — override [version] to exercise the downlevel sexp
-      codec or monolithic resync paths; the feed speaks the codec the
-      version negotiates from the Subscribe onward) and send
-      [Subscribe since].  [spool] is the directory streamed snapshots
-      are reassembled in (default the system temp dir); put it on the
-      database's filesystem so the final rename into place is atomic.
+      version) and send [Subscribe since].  [spool] is the directory
+      streamed snapshots are reassembled in (default the system temp
+      dir); put it on the database's filesystem so the final rename
+      into place is atomic.
       @raise Replica_error on connection refusal, a version mismatch,
       or any transport failure. *)
 
@@ -80,18 +77,15 @@ end
 module Outbox : sig
   type t
 
-  val create :
-    ?cap:int -> ?codec:Ddf_wire.Wire.codec -> name:string ->
-    Unix.file_descr -> t
-  (** [cap] defaults to 65536 queued messages.  [codec] (default
-      [Sexp]) is the encoding the subscriber negotiated; the sender
-      thread drains each contiguous run of queued responses and
-      flushes it as {e one} gathered write in that codec. *)
+  val create : ?cap:int -> name:string -> Unix.file_descr -> t
+  (** [cap] defaults to 65536 queued messages.  The sender thread
+      drains each contiguous run of queued responses and flushes it as
+      {e one} gathered write. *)
 
   val name : t -> string
   val push : ?trace:Ddf_obs.Obs.span_ctx -> t -> Ddf_wire.Wire.response -> unit
-  (** Enqueue; silently drops when the outbox is dead.  [Ok_frame] and
-      [Ok_snapshot] update the sent-seqno watermark.  [trace] rides
+  (** Enqueue; silently drops when the outbox is dead.  [Ok_frame]
+      updates the sent-seqno watermark.  [trace] rides
       the frame header so the follower's apply span joins the
       producing write's trace. *)
 
@@ -115,7 +109,7 @@ end
 (** A background thread keeping one replication stream alive:
     reconnects with bounded exponential backoff (50ms doubling to 2s),
     resubscribes from [current_seq ()], and feeds every event to the
-    [apply]/[reset] hooks.  The hooks run on the follower thread and
+    [apply]/[reset_file] hooks.  The hooks run on the follower thread and
     must raise on failure — the driver then drops the connection and
     retries, which restarts catch-up cleanly. *)
 module Follower : sig
@@ -123,22 +117,17 @@ module Follower : sig
 
   val start :
     ?name:string ->
-    ?version:int ->
     ?spool:string ->
     primary:string ->
     current_seq:(unit -> int) ->
     apply:(trace:Ddf_obs.Obs.span_ctx option -> seq:int -> string -> unit) ->
-    reset:(seq:int -> string -> unit) ->
-    ?reset_file:(seq:int -> string -> unit) ->
+    reset_file:(seq:int -> string -> unit) ->
     ?on_error:(string -> unit) ->
     unit -> t
-  (** [version] overrides the protocol version each (re)connection
-      hellos with — the downlevel-codec debug lever (see
-      {!Feed.connect}).  [spool] is where streamed snapshots are
-      reassembled.  [reset_file] handles a {!Feed.Snapshot_file}
-      event — typically {!Ddf_journal.Journal.reset_to_snapshot_file},
-      which consumes the spool file; when absent the driver reads the
-      spool back into memory and falls through to [reset]. *)
+  (** [spool] is where streamed snapshots are reassembled.
+      [reset_file] handles a {!Feed.Snapshot_file} event — typically
+      {!Ddf_journal.Journal.reset_to_snapshot_file}, which consumes the
+      spool file; the driver removes whatever the hook leaves behind. *)
 
   val primary : t -> string
 

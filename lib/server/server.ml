@@ -810,36 +810,24 @@ let spool_export t =
      raise e);
   (seq, fd)
 
-(* [Snapshot_export] (wire v7): stream a self-contained save back as
+(* [Snapshot_export]: stream a self-contained save back as
    begin/chunk/end frames.  The save is spooled by one writer job, so
    it is exactly the state at the captured seqno; the streaming itself
    runs on the connection thread, outside the writer — a slow reader
    never blocks writes. *)
-let snapshot_export_stream t fd ~user ~version =
-  let codec = Wire.codec_for_version version in
-  let send resp =
-    try Wire.send_response codec fd resp with Wire.Wire_error _ -> ()
+let snapshot_export_stream t fd ~user =
+  let pinned = ref None in
+  let resp =
+    submit t ~user (fun () ->
+        pinned := Some (spool_export t);
+        Wire.Ok_unit)
   in
-  if version < 7 then
-    send
-      (wire_error `Invalid
-         "snapshot-export needs protocol v7 (connection negotiated v%d)"
-         version)
-  else begin
-    let pinned = ref None in
-    let resp =
-      submit t ~user (fun () ->
-          pinned := Some (spool_export t);
-          Wire.Ok_unit)
-    in
-    match (resp, !pinned) with
-    | Wire.Ok_unit, Some (seq, sfd) -> (
-      try
-        Replica.stream_snapshot ~seq sfd
-          ~send:(fun r -> Wire.send_response codec fd r)
-      with Wire.Wire_error _ | Unix.Unix_error _ | Sys_error _ -> ())
-    | resp, _ -> send resp
-  end
+  match (resp, !pinned) with
+  | Wire.Ok_unit, Some (seq, sfd) -> (
+    try Replica.stream_snapshot ~seq sfd ~send:(Wire.send_response fd)
+    with Wire.Wire_error _ | Unix.Unix_error _ | Sys_error _ -> ())
+  | resp, _ -> (
+    try Wire.send_response fd resp with Wire.Wire_error _ -> ())
 
 let rec stop t =
   let already = Atomic.exchange t.stopping true in
@@ -894,9 +882,8 @@ let rec stop t =
    and "start receiving live frames after s" — the stream is gapless
    by construction.  After that this thread only reads acks; the
    outbox's sender thread owns the socket's write side. *)
-and replication_loop t fd ~user ~version since =
-  let codec = Wire.codec_for_version version in
-  let outbox = Replica.Outbox.create ~codec ~name:user fd in
+and replication_loop t fd ~user since =
+  let outbox = Replica.Outbox.create ~name:user fd in
   let push_frames frames =
     List.iter
       (fun (seq, payload) ->
@@ -908,17 +895,13 @@ and replication_loop t fd ~user ~version since =
   let subscribed =
     submit t ~user (fun () ->
         (match Journal.entries_since t.journal since with
-        | Journal.Snapshot_needed when version >= 7 ->
-          (* the journal was compacted past [since]: reseed.  A v7
-             subscriber gets a self-contained save of the state at
-             [seq], spooled here under the writer and streamed in
-             chunks by the outbox's sender; live frames follow it. *)
+        | Journal.Snapshot_needed ->
+          (* the journal was compacted past [since]: reseed with a
+             self-contained save of the state at [seq], spooled here
+             under the writer and streamed in chunks by the outbox's
+             sender; live frames follow it. *)
           let seq, fd = spool_export t in
           Replica.Outbox.push_snapshot_fd outbox ~seq fd
-        | Journal.Snapshot_needed ->
-          (* a v6-or-below subscriber: one monolithic snapshot *)
-          let seq, data = Journal.snapshot_state t.journal in
-          Replica.Outbox.push outbox (Wire.Ok_snapshot { seq; data })
         | Journal.Frames frames -> push_frames frames);
         register_follower t outbox;
         Wire.Ok_unit)
@@ -928,7 +911,7 @@ and replication_loop t fd ~user ~version since =
     let rec acks () =
       match Wire.recv_request fd with
       | None -> ()
-      | Some (Wire.Repl_ack seq, _, _) ->
+      | Some (Wire.Repl_ack seq, _) ->
         Replica.Outbox.note_ack outbox seq;
         update_replica_gauges t;
         acks ()
@@ -938,30 +921,24 @@ and replication_loop t fd ~user ~version since =
     in
     (try acks () with Wire.Wire_error _ | Unix.Unix_error _ -> ())
   | resp -> (
-    try Wire.send_response codec fd resp with Wire.Wire_error _ -> ()));
+    try Wire.send_response fd resp with Wire.Wire_error _ -> ()));
   unregister_follower t outbox;
   Replica.Outbox.close outbox
 
 and connection_loop t fd conn_id =
   let session = Session.of_context t.ctx in
   let user = ref "anonymous" in
-  (* negotiated protocol dialect; a peer that never says Hello is
-     treated as pre-streaming (v1) and gets the monolithic paths *)
-  let version = ref 1 in
   let stopping () = Atomic.get t.stopping in
-  (* which codec this connection answers in: a pure function of the
-     negotiated version, so the reply to an accepted v8 hello — and
-     everything after it — is already binary *)
-  let codec () = Wire.codec_for_version !version in
   let rec loop () =
     match Wire.recv_request fd with
     | None -> ()
     | exception Wire.Wire_error m ->
-      (* malformed frame or undecodable request: answer in the
-         connection's current codec, then drop the connection *)
-      (try Wire.send_response (codec ()) fd (wire_error `Invalid "%s" m)
+      (* malformed frame or undecodable request (a pre-v9 peer's
+         s-expression frame included): answer with a typed error, then
+         drop the connection *)
+      (try Wire.send_response fd (wire_error `Invalid "%s" m)
        with Wire.Wire_error _ -> ())
-    | Some (req, meta, _frame_codec) -> (
+    | Some (req, meta) -> (
       (* the budget starts ticking the moment the frame is read; a
          header-less request falls back to the server default *)
       let deadline =
@@ -972,30 +949,24 @@ and connection_loop t fd conn_id =
       in
       let trace = meta.Wire.fm_trace in
       match req with
-      | Wire.Subscribe since ->
-        replication_loop t fd ~user:!user ~version:!version since
+      | Wire.Subscribe since -> replication_loop t fd ~user:!user since
       | Wire.Snapshot_export ->
-        snapshot_export_stream t fd ~user:!user ~version:!version;
+        snapshot_export_stream t fd ~user:!user;
         if not (stopping ()) then loop ()
       | req ->
         let resp, continue =
           match req with
-          | Wire.Hello { user = u; version = version_ } ->
-            if
-              version_ < Wire.min_protocol_version
-              || version_ > Wire.protocol_version
-            then begin
+          | Wire.Hello { user = u; version } ->
+            if version <> Wire.protocol_version then begin
               Metrics.incr m_version_mismatch;
               ( wire_error `Invalid
-                  "protocol version mismatch: server speaks v%d (accepts \
-                   v%d..v%d), client speaks v%d"
-                  Wire.protocol_version Wire.min_protocol_version
-                  Wire.protocol_version version_,
+                  "protocol version mismatch: server speaks v%d only, \
+                   client speaks v%d"
+                  Wire.protocol_version version,
                 false )
             end
             else begin
               user := u;
-              version := version_;
               (serve_request t session ~conn_id ~user ?deadline ?trace req,
                true)
             end
@@ -1006,7 +977,7 @@ and connection_loop t fd conn_id =
           | req ->
             (serve_request t session ~conn_id ~user ?deadline ?trace req, true)
         in
-        (match Wire.send_response (codec ()) fd resp with
+        (match Wire.send_response fd resp with
         | () -> ()
         | exception Wire.Wire_error _ -> ());
         if continue then begin
@@ -1019,11 +990,13 @@ and connection_loop t fd conn_id =
           match req with Wire.Shutdown -> true | _ -> false
         then stop t)
   in
-  (try loop () with
-  | Wire.Wire_error _ -> ()
-  | Unix.Unix_error _ -> ());
-  remove_conn t conn_id;
-  (try Unix.close fd with Unix.Unix_error _ -> ())
+  (* the slot and the descriptor are released on every exit, whatever
+     escapes the loop *)
+  Fun.protect
+    ~finally:(fun () ->
+      remove_conn t conn_id;
+      try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> try loop () with Wire.Wire_error _ | Unix.Unix_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Accepting                                                           *)
@@ -1056,10 +1029,9 @@ let accept_loop t =
         if reject then begin
           Metrics.incr m_rejected;
           (try
-             Wire.send fd
-               (Wire.response_to_sexp
-                  (wire_error ~retry_after:0.1 `Overloaded
-                     "server is at capacity (%d clients)" t.max_clients))
+             Wire.send_response fd
+               (wire_error ~retry_after:0.1 `Overloaded
+                  "server is at capacity (%d clients)" t.max_clients)
            with Wire.Wire_error _ -> ());
           (try Unix.close fd with Unix.Unix_error _ -> ())
         end
@@ -1087,7 +1059,7 @@ let accept_loop t =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let start ?registry ?seed ?follow ?feed_version ?(max_clients = 64)
+let start ?registry ?seed ?follow ?(max_clients = 64)
     ?(request_timeout = 30.0) ?(max_queue = 256) ?default_deadline
     ?(read_domains = 0) ?(drain_grace = 5.0) ?compact_every ?sync_mode
     ?slow_log ~db ~socket schema =
@@ -1168,7 +1140,6 @@ let start ?registry ?seed ?follow ?feed_version ?(max_clients = 64)
     let driver =
       Replica.Follower.start
         ~name:(Printf.sprintf "follower:%s" (Filename.basename socket))
-        ?version:feed_version
         (* spool streamed snapshots beside the database, so the final
            rename into place stays on one filesystem *)
         ~spool:(Journal.dir t.journal)
@@ -1181,10 +1152,6 @@ let start ?registry ?seed ?follow ?feed_version ?(max_clients = 64)
               Obs.with_span ~cat:"replica" ?parent:trace
                 ~attrs:[ ("seq", Obs.Int seq) ] "follower.apply"
                 (fun () -> Journal.apply t.journal ~seq payload);
-              Wire.Ok_unit))
-        ~reset:(fun ~seq data ->
-          apply_job "resync" (fun () ->
-              Journal.reset_to_snapshot t.journal ~seq data;
               Wire.Ok_unit))
         ~reset_file:(fun ~seq path ->
           apply_job "resync" (fun () ->
@@ -1234,11 +1201,11 @@ let wait t =
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   (try Unix.unlink t.socket_path with Unix.Unix_error _ | Sys_error _ -> ())
 
-let run ?registry ?seed ?follow ?feed_version ?max_clients ?request_timeout
+let run ?registry ?seed ?follow ?max_clients ?request_timeout
     ?max_queue ?default_deadline ?read_domains ?drain_grace ?compact_every
     ?sync_mode ?slow_log ~db ~socket schema =
   let t =
-    start ?registry ?seed ?follow ?feed_version ?max_clients ?request_timeout
+    start ?registry ?seed ?follow ?max_clients ?request_timeout
       ?max_queue ?default_deadline ?read_domains ?drain_grace ?compact_every
       ?sync_mode ?slow_log ~db ~socket schema
   in

@@ -45,7 +45,6 @@ val start :
   ?registry:Ddf_tools.Encapsulation.registry ->
   ?seed:(Ddf_exec.Engine.context -> unit) ->
   ?follow:string ->
-  ?feed_version:int ->
   ?max_clients:int ->
   ?request_timeout:float ->
   ?max_queue:int ->
@@ -96,9 +95,7 @@ val start :
     is ignored (state comes from the stream).  The connection is kept
     alive with bounded exponential backoff, and a follower whose
     journal predates the primary's snapshot resyncs from a fresh
-    snapshot automatically.  [feed_version] overrides the protocol
-    version the replication feed hellos with (the [--wire sexp] debug
-    lever: 7 keeps the upstream link on the sexp codec).
+    snapshot automatically.
     @raise Server_error when the socket cannot be bound. *)
 
 val context : t -> Ddf_exec.Engine.context
@@ -124,7 +121,6 @@ val run :
   ?registry:Ddf_tools.Encapsulation.registry ->
   ?seed:(Ddf_exec.Engine.context -> unit) ->
   ?follow:string ->
-  ?feed_version:int ->
   ?max_clients:int ->
   ?request_timeout:float ->
   ?max_queue:int ->

@@ -1,12 +1,20 @@
-(* The Hercules design-server wire protocol: framed s-expressions over
-   a stream socket.
+(* The Hercules design-server wire protocol: length-prefixed binary
+   frames over a stream socket.
 
-   Framing is a fixed header line ("ddf1 <len>") followed by exactly
-   <len> payload bytes and a newline, so either side reads one message
-   with two exact reads and malformed peers are detected immediately.
-   The payload grammar reuses the persistence codecs (Workspace_file
-   meta form, Codec value form) so the network speaks the same dialect
-   as the disk. *)
+   Every frame, in both directions and from the hello on, is a fixed
+   header (0xD8 magic, a flags byte, a u32-LE body length, then the
+   flagged optional deadline and trace fields) followed by a
+   tag-byte-dispatched body of fixed-width little-endian ints and
+   length-delimited strings.  Design-object values, journal frames and
+   snapshot chunks ride as opaque byte slices the codec never
+   re-encodes.  A frame that does not start with the magic is refused
+   with a typed error; a peer that still speaks the retired
+   "ddf1 <len>" s-expression framing learns that this side speaks
+   protocol v9 only.
+
+   The s-expression forms below are not a transport: they are the
+   text language of `hercules remote batch`, which reads requests with
+   [request_of_sexp] and prints answers with [response_to_sexp]. *)
 
 open Ddf_store
 module S = Ddf_persist.Sexp
@@ -20,57 +28,9 @@ let wire_errorf fmt = Format.kasprintf (fun s -> raise (Wire_error s)) fmt
 
 type iid = Store.iid
 
-(* Version 1: the PR-2 request/response surface, (hello <user>).
-   Version 2: hello carries (version N), replication (subscribe /
-   repl-ack / lag / compact) and the role/seq stat fields.
-   Version 3: (batch <req>...) pipelining — one frame carrying a
-   sequence of requests, answered by one (ok-batch <resp>...).
-   Version 4: structured error frames (error <code> <msg> <retry>
-   ...) and an optional per-request deadline budget in the frame
-   header.  A v4 side still parses the bare v3 (error <msg>) form.
-   Version 5: the (metrics) verb answered by (ok-metrics ...), and an
-   optional trace-context header token (t=<trace>.<span>).  Both ride
-   in slots a v4 peer never sends, so a v5 server accepts v4 clients
-   — the handshake takes any version in
-   [min_protocol_version, protocol_version].
-   Version 6: anti-entropy sync verbs — (sync-digest) answered by
-   (ok-digest ...), (sync-frames <after> <limit>) / (ok-frames ...),
-   (sync-ack <origin> <upto> <frame>...) / (ok-sync ...) — plus the
-   conflict surface (conflicts) / (ok-conflicts ...) and (resolve
-   <id> <winner>).  All live in slots a v4/v5 peer never sends, so
-   the handshake window stays [4, 6] and older clients interoperate
-   unchanged.
-   Version 7: chunked streaming snapshots.  (snapshot-export) asks the
-   server to compact and stream its on-disk snapshot back as
-   (ok-snapshot-begin <seq> <bytes>), a run of (ok-snapshot-chunk
-   <data>) frames and a final (ok-snapshot-end <md5>); a v7 subscriber
-   whose cursor predates the primary's base is resynced with the same
-   begin/chunk/end run (followed by wal frames) instead of one
-   monolithic (ok-snapshot ...), so neither side ever holds the whole
-   state as a single string.  Negotiated via hello: a v6-or-below
-   subscriber still gets the monolithic form, and (snapshot-export)
-   from such a peer is refused.
-   Version 8: the length-prefixed binary codec.  No new verbs — the
-   same request/response surface rides binary frames (tag byte,
-   fixed-width little-endian ints, length-delimited strings; journal
-   payloads and snapshot chunks as opaque byte slices that are never
-   escaped through an s-expression).  Negotiation stays inside the
-   hello handshake: the hello itself and its reply up to acceptance
-   travel as framed s-expressions, and once a v8 hello is accepted
-   every later frame in both directions is binary.  Receivers always
-   dispatch on the first frame byte (0xD8 = binary, 'd' of "ddf1" =
-   sexp), so a v≤7 peer — or a v8 client forced down with --wire sexp,
-   which simply negotiates v7 — interoperates unchanged. *)
-let protocol_version = 8
-let min_protocol_version = 4
-
-(* The two on-wire codecs.  Which one a connection speaks is a pure
-   function of the negotiated hello version, re-derived per connection
-   (a redial always restarts from [Sexp] until its own hello lands). *)
-type codec = Sexp | Binary
-
-let codec_name = function Sexp -> "sexp" | Binary -> "binary"
-let codec_for_version v = if v >= 8 then Binary else Sexp
+(* The hello travels as a binary frame like everything else, and a
+   server accepts exactly this version. *)
+let protocol_version = 9
 
 (* Streamed snapshots travel in bounded chunks: big enough to amortise
    framing, small enough that neither peer ever buffers more than a few
@@ -132,13 +92,13 @@ type request =
   | Snapshot_export
       (** compact, then stream the on-disk snapshot back as
           begin/chunk/end frames — the bounded-memory bootstrap verb
-          (v7; handled at connection level like [Subscribe]) *)
+          (handled at connection level like [Subscribe]) *)
   | Batch of request list
       (** A pipeline: the requests are executed in order and answered
           positionally by one [Ok_batch], one frame each way.  An inner
           failure yields an [Error] at its position; execution
-          continues (the journal has no rollback).  Batches do not
-          nest. *)
+          continues (the journal has no rollback).  See
+          [max_batch_depth] for nesting. *)
 
 type stat = {
   st_role : string;
@@ -190,7 +150,6 @@ type response =
   | Ok_rows of instance_row list
   | Ok_stat of stat
   | Ok_refresh of { fresh : iid; reran : int; reused : int }
-  | Ok_snapshot of { seq : int; data : string }
   | Ok_snapshot_begin of { seq : int; bytes : int }
       (** a streamed snapshot follows: [bytes] of workspace save taken
           at [seq], in {!snapshot_chunk_bytes}-bounded chunks *)
@@ -217,23 +176,11 @@ type response =
   | Error of E.t
 
 (* ------------------------------------------------------------------ *)
-(* Filters                                                             *)
+(* Requests: the `remote batch` text form                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Optional filter fields are present-or-absent fields of one
    (filter ...) form. *)
-let filter_to_sexp (f : Store.filter) =
-  let fields = ref [] in
-  let add name items = fields := S.field name items :: !fields in
-  Option.iter (fun es -> add "entities" (List.map S.atom es)) f.Store.f_entities;
-  Option.iter (fun u -> add "user" [ S.atom u ]) f.Store.f_user;
-  Option.iter (fun t -> add "from" [ S.int t ]) f.Store.f_from;
-  Option.iter (fun t -> add "to" [ S.int t ]) f.Store.f_to;
-  if f.Store.f_keywords <> [] then
-    add "keywords" (List.map S.atom f.Store.f_keywords);
-  Option.iter (fun t -> add "text" [ S.atom t ]) f.Store.f_text;
-  S.field "filter" (List.rev !fields)
-
 let filter_of_sexp sexp =
   match S.as_list sexp with
   | S.Atom "filter" :: fields ->
@@ -255,73 +202,6 @@ let filter_of_sexp sexp =
     }
   | _ -> wire_errorf "malformed filter"
 
-(* ------------------------------------------------------------------ *)
-(* Requests                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let catalog_name = function
-  | Entities -> "entities"
-  | Tools -> "tools"
-  | Flows -> "flows"
-
-let rec request_to_sexp = function
-  | Hello { user; version } ->
-    S.field "hello" [ S.atom user; S.field "version" [ S.int version ] ]
-  | Ping -> S.atom "ping"
-  | Stat -> S.atom "stat"
-  | Catalog c -> S.field "catalog" [ S.atom (catalog_name c) ]
-  | Browse f -> S.field "browse" [ filter_to_sexp f ]
-  | Install { entity; label; keywords; value } ->
-    S.field "install"
-      [ S.atom entity; S.atom label; S.list (List.map S.atom keywords); value ]
-  | Annotate { iid; label; comment; keywords } ->
-    let fields = ref [] in
-    Option.iter (fun l -> fields := S.field "label" [ S.atom l ] :: !fields) label;
-    Option.iter
-      (fun c -> fields := S.field "comment" [ S.atom c ] :: !fields)
-      comment;
-    Option.iter
-      (fun ks -> fields := S.field "keywords" (List.map S.atom ks) :: !fields)
-      keywords;
-    S.field "annotate" (S.int iid :: List.rev !fields)
-  | Start_goal entity -> S.field "start-goal" [ S.atom entity ]
-  | Start_data iid -> S.field "start-data" [ S.int iid ]
-  | Expand nid -> S.field "expand" [ S.int nid ]
-  | Specialize (nid, sub) -> S.field "specialize" [ S.int nid; S.atom sub ]
-  | Select (nid, iids) ->
-    S.field "select" [ S.int nid; S.list (List.map S.int iids) ]
-  | Node_browse (nid, f) -> S.field "node-browse" [ S.int nid; filter_to_sexp f ]
-  | Leaves -> S.atom "leaves"
-  | Run nid -> S.field "run" [ S.int nid ]
-  | Render -> S.atom "render"
-  | Recall iid -> S.field "recall" [ S.int iid ]
-  | Trace iid -> S.field "trace" [ S.int iid ]
-  | Uses iid -> S.field "uses" [ S.int iid ]
-  | Refresh iid -> S.field "refresh" [ S.int iid ]
-  | Save_flow name -> S.field "save-flow" [ S.atom name ]
-  | Load_flow name -> S.field "load-flow" [ S.atom name ]
-  | Shutdown -> S.atom "shutdown"
-  | Subscribe seq -> S.field "subscribe" [ S.int seq ]
-  | Repl_ack seq -> S.field "repl-ack" [ S.int seq ]
-  | Lag -> S.atom "lag"
-  | Compact -> S.atom "compact"
-  | Metrics -> S.atom "metrics"
-  | Sync_digest -> S.atom "sync-digest"
-  | Sync_frames { after; limit } ->
-    S.field "sync-frames" [ S.int after; S.int limit ]
-  | Sync_ack { origin; upto; frames } ->
-    S.field "sync-ack"
-      (S.atom origin :: S.int upto
-      :: List.map
-           (fun (seq, digest, payload) ->
-             S.list [ S.int seq; S.atom digest; S.atom payload ])
-           frames)
-  | Conflicts -> S.atom "conflicts"
-  | Resolve { conflict; winner } ->
-    S.field "resolve" [ S.int conflict; S.int winner ]
-  | Snapshot_export -> S.atom "snapshot-export"
-  | Batch reqs -> S.field "batch" (List.map request_to_sexp reqs)
-
 let rec request_of_sexp sexp =
   match sexp with
   | S.Atom "ping" -> Ping
@@ -337,8 +217,6 @@ let rec request_of_sexp sexp =
   | S.Atom "snapshot-export" -> Snapshot_export
   | S.List (S.Atom name :: args) -> (
     match (name, args) with
-    (* a bare (hello <user>) is the version-1 dialect *)
-    | "hello", [ user ] -> Hello { user = S.as_atom user; version = 1 }
     | "hello", [ user; S.List [ S.Atom "version"; v ] ] ->
       Hello { user = S.as_atom user; version = S.as_int v }
     | "catalog", [ S.Atom "entities" ] -> Catalog Entities
@@ -393,6 +271,8 @@ let rec request_of_sexp sexp =
     | "batch", reqs -> Batch (List.map request_of_sexp reqs)
     | _ -> wire_errorf "unknown request %S" name)
   | _ -> wire_errorf "malformed request"
+
+let hello user = Hello { user; version = protocol_version }
 
 let request_name = function
   | Hello _ -> "hello"
@@ -456,13 +336,12 @@ let rec is_mutation = function
     false
 
 (* ------------------------------------------------------------------ *)
-(* Responses                                                           *)
+(* Responses: the `remote batch` printed form                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Metrics ride the wire as one tagged form per metric: (c <name>
-   <count>), (g <name> <value>), (h <name> <n> <sum> <min> <max> <p50>
-   <p90> <p99>).  [S.float] prints hex floats, so values round-trip
-   exactly. *)
+(* One tagged form per metric: (c <name> <count>), (g <name> <value>),
+   (h <name> <n> <sum> <min> <max> <p50> <p90> <p99>).  [S.float]
+   prints hex floats, so the printed values are exact. *)
 module M = Ddf_obs.Metrics
 
 let metric_to_sexp = function
@@ -474,30 +353,8 @@ let metric_to_sexp = function
         S.float h.M.hs_min; S.float h.M.hs_max; S.float h.M.hs_p50;
         S.float h.M.hs_p90; S.float h.M.hs_p99 ]
 
-let metric_of_sexp sexp =
-  match S.as_list sexp with
-  | [ S.Atom "c"; n; v ] -> M.Counter (S.as_atom n, S.as_int v)
-  | [ S.Atom "g"; n; v ] -> M.Gauge (S.as_atom n, S.as_float v)
-  | [ S.Atom "h"; n; cnt; sum; mn; mx; p50; p90; p99 ] ->
-    M.Histogram
-      ( S.as_atom n,
-        { M.hs_n = S.as_int cnt; hs_sum = S.as_float sum;
-          hs_min = S.as_float mn; hs_max = S.as_float mx;
-          hs_p50 = S.as_float p50; hs_p90 = S.as_float p90;
-          hs_p99 = S.as_float p99 } )
-  | _ -> wire_errorf "malformed metric"
-
 let row_to_sexp r =
   S.list [ S.int r.row_iid; S.atom r.row_entity; W.meta_to_sexp r.row_meta ]
-
-let row_of_sexp sexp =
-  match S.as_list sexp with
-  | [ iid; entity; meta ] ->
-    { row_iid = S.as_int iid; row_entity = S.as_atom entity;
-      row_meta =
-        (try W.meta_of_sexp meta
-         with W.Persist_error m -> wire_errorf "row meta: %s" m) }
-  | _ -> wire_errorf "malformed instance row"
 
 let rec response_to_sexp = function
   | Ok_unit -> S.atom "ok"
@@ -516,8 +373,6 @@ let rec response_to_sexp = function
         S.int st.st_history_tick; S.float st.st_uptime_s ]
   | Ok_refresh { fresh; reran; reused } ->
     S.field "ok-refresh" [ S.int fresh; S.int reran; S.int reused ]
-  | Ok_snapshot { seq; data } ->
-    S.field "ok-snapshot" [ S.int seq; S.atom data ]
   | Ok_snapshot_begin { seq; bytes } ->
     S.field "ok-snapshot-begin" [ S.int seq; S.int bytes ]
   | Ok_snapshot_chunk { data } -> S.field "ok-snapshot-chunk" [ S.atom data ]
@@ -577,171 +432,17 @@ let rec response_to_sexp = function
                    (fun (k, v) -> S.list [ S.atom k; S.atom v ])
                    ctx) ]))
 
-let rec response_of_sexp sexp =
-  match sexp with
-  | S.Atom "ok" -> Ok_unit
-  | S.List (S.Atom name :: args) -> (
-    match (name, args) with
-    | "ok-int", [ n ] -> Ok_int (S.as_int n)
-    | "ok-ints", ns -> Ok_ints (List.map S.as_int ns)
-    | "ok-atoms", l -> Ok_atoms (List.map S.as_atom l)
-    | "ok-text", [ t ] -> Ok_text (S.as_atom t)
-    | "ok-nodes", l ->
-      Ok_nodes
-        (List.map
-           (fun s ->
-             match S.as_list s with
-             | [ nid; e ] -> (S.as_int nid, S.as_atom e)
-             | _ -> wire_errorf "malformed node")
-           l)
-    | "ok-rows", rows -> Ok_rows (List.map row_of_sexp rows)
-    | "ok-stat", [ role; seq; c; i; r; sti; hti; up ] ->
-      Ok_stat
-        { st_role = S.as_atom role; st_seq = S.as_int seq;
-          st_clock = S.as_int c; st_instances = S.as_int i;
-          st_records = S.as_int r; st_store_tick = S.as_int sti;
-          st_history_tick = S.as_int hti; st_uptime_s = S.as_float up }
-    | "ok-refresh", [ f; re; ru ] ->
-      Ok_refresh
-        { fresh = S.as_int f; reran = S.as_int re; reused = S.as_int ru }
-    | "ok-snapshot", [ seq; data ] ->
-      Ok_snapshot { seq = S.as_int seq; data = S.as_atom data }
-    | "ok-snapshot-begin", [ seq; bytes ] ->
-      Ok_snapshot_begin { seq = S.as_int seq; bytes = S.as_int bytes }
-    | "ok-snapshot-chunk", [ data ] ->
-      Ok_snapshot_chunk { data = S.as_atom data }
-    | "ok-snapshot-end", [ digest ] ->
-      Ok_snapshot_end { digest = S.as_atom digest }
-    | "ok-frame", [ seq; digest; payload ] ->
-      Ok_frame
-        { seq = S.as_int seq; digest = S.as_atom digest;
-          payload = S.as_atom payload }
-    | "ok-lags", primary_seq :: rows ->
-      Ok_lags
-        { primary_seq = S.as_int primary_seq;
-          rows =
-            List.map
-              (fun s ->
-                match S.as_list s with
-                | [ f; a; l ] ->
-                  { lag_follower = S.as_atom f; lag_acked = S.as_int a;
-                    lag_sent = S.as_int l }
-                | _ -> wire_errorf "malformed lag row")
-              rows }
-    | "ok-metrics", ms -> Ok_metrics (List.map metric_of_sexp ms)
-    | "ok-digest", [ wsid; base; seq; fp; cursors; entries ] ->
-      Ok_digest
-        { wsid = S.as_atom wsid; base = S.as_int base; seq = S.as_int seq;
-          fingerprint = S.as_atom fp;
-          cursors =
-            List.map
-              (fun s ->
-                match S.as_list s with
-                | [ o; n ] -> (S.as_atom o, S.as_int n)
-                | _ -> wire_errorf "malformed cursor")
-              (S.as_list cursors);
-          entries =
-            List.map
-              (fun s ->
-                match S.as_list s with
-                | [ seq; d ] -> (S.as_int seq, S.as_atom d)
-                | _ -> wire_errorf "malformed digest entry")
-              (S.as_list entries) }
-    | "ok-frames", frames ->
-      Ok_frames
-        (List.map
-           (fun s ->
-             match S.as_list s with
-             | [ seq; digest; payload ] ->
-               (S.as_int seq, S.as_atom digest, S.as_atom payload)
-             | _ -> wire_errorf "malformed sync frame")
-           frames)
-    | "ok-sync", [ a; s; c; cur ] ->
-      Ok_sync
-        { sy_applied = S.as_int a; sy_skipped = S.as_int s;
-          sy_conflicts = S.as_int c; sy_cursor = S.as_int cur }
-    | "ok-conflicts", rows ->
-      Ok_conflicts
-        (List.map
-           (fun s ->
-             match S.as_list s with
-             | [ id; base; ours; theirs; origin; at; winner ] ->
-               { cf_id = S.as_int id; cf_base = S.as_int base;
-                 cf_ours = S.as_int ours; cf_theirs = S.as_int theirs;
-                 cf_origin = S.as_atom origin; cf_at = S.as_int at;
-                 cf_winner =
-                   (match winner with
-                   | S.Atom "-" -> None
-                   | w -> Some (S.as_int w)) }
-             | _ -> wire_errorf "malformed conflict row")
-           rows)
-    | "ok-batch", resps -> Ok_batch (List.map response_of_sexp resps)
-    (* bare (error <msg>) is the pre-v4 dialect: unclassified, final *)
-    | "error", [ m ] -> Error (E.make ~retryable:false `Internal (S.as_atom m))
-    | "error", code :: msg :: flag :: rest ->
-      let code =
-        match E.code_of_string (S.as_atom code) with
-        | Some c -> c
-        | None -> `Internal (* a code minted by a newer peer *)
-      in
-      let retryable =
-        match S.as_atom flag with
-        | "retryable" -> true
-        | "final" -> false
-        | other -> wire_errorf "bad retry flag %S" other
-      in
-      let retry_after =
-        Option.map
-          (fun items -> S.as_float (S.one "retry-after" items))
-          (S.find_field_opt rest "retry-after")
-      in
-      let context =
-        match S.find_field_opt rest "ctx" with
-        | None -> []
-        | Some items ->
-          List.map
-            (fun s ->
-              match S.as_list s with
-              | [ k; v ] -> (S.as_atom k, S.as_atom v)
-              | _ -> wire_errorf "malformed error context")
-            items
-      in
-      Error (E.make ~context ~retryable ?retry_after code (S.as_atom msg))
-    | _ -> wire_errorf "unknown response %S" name)
-  | _ -> wire_errorf "malformed response"
-
 (* ------------------------------------------------------------------ *)
-(* The v8 binary codec                                                 *)
+(* The binary codec                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Wire traffic accounting, split by codec: encode/decode latency per
-   frame and bytes moved each way.  Surfaced through the Metrics verb,
-   `remote metrics` and `hercules top` like every other registry
-   metric. *)
-let m_bytes_out_sexp = M.counter "wire.sexp.bytes_out"
-let m_bytes_in_sexp = M.counter "wire.sexp.bytes_in"
-let m_bytes_out_bin = M.counter "wire.binary.bytes_out"
-let m_bytes_in_bin = M.counter "wire.binary.bytes_in"
-let h_encode_sexp = M.histogram "wire.sexp.encode_seconds"
-let h_decode_sexp = M.histogram "wire.sexp.decode_seconds"
-let h_encode_bin = M.histogram "wire.binary.encode_seconds"
-let h_decode_bin = M.histogram "wire.binary.decode_seconds"
-
-let bytes_out_counter = function
-  | Sexp -> m_bytes_out_sexp
-  | Binary -> m_bytes_out_bin
-
-let bytes_in_counter = function
-  | Sexp -> m_bytes_in_sexp
-  | Binary -> m_bytes_in_bin
-
-let encode_histogram = function
-  | Sexp -> h_encode_sexp
-  | Binary -> h_encode_bin
-
-let decode_histogram = function
-  | Sexp -> h_decode_sexp
-  | Binary -> h_decode_bin
+(* Wire traffic accounting: encode/decode latency per frame and bytes
+   moved each way.  Surfaced through the Metrics verb, `remote
+   metrics` and `hercules top` like every other registry metric. *)
+let m_bytes_out = M.counter "wire.bytes_out"
+let m_bytes_in = M.counter "wire.bytes_in"
+let h_encode = M.histogram "wire.encode_seconds"
+let h_decode = M.histogram "wire.decode_seconds"
 
 (* An iovec-style frame list: header buffers interleaved with borrowed
    payload slices.  [gather_write] flushes a whole list with one
@@ -1014,6 +715,17 @@ let catalog_of_bin = function
   | 2 -> Flows
   | t -> wire_errorf "unknown catalog tag %d" t
 
+(* A batch may hold a batch (the server answers it positionally with
+   "batch requests do not nest"), but nothing deeper: the decoders
+   recurse once per level, so an unbounded depth would let one frame
+   exhaust the stack. *)
+let max_batch_depth = 2
+
+let enter_batch depth =
+  if depth >= max_batch_depth then
+    wire_errorf "batch nested deeper than %d levels" max_batch_depth;
+  depth + 1
+
 (* --- requests --- *)
 
 (* Tag bytes are append-only protocol surface: never renumber. *)
@@ -1118,7 +830,7 @@ let rec request_to_bin e = function
     Enc.u8 e 35;
     Enc.list e request_to_bin reqs
 
-let rec request_of_bin d =
+let rec request_of_bin ?(depth = 0) d =
   match Dec.u8 d with
   | 1 ->
     let user = Dec.str d in
@@ -1190,7 +902,9 @@ let rec request_of_bin d =
     let winner = Dec.int d in
     Resolve { conflict; winner }
   | 34 -> Snapshot_export
-  | 35 -> Batch (Dec.list d request_of_bin)
+  | 35 ->
+    let depth = enter_batch depth in
+    Batch (Dec.list d (request_of_bin ~depth))
   | t -> wire_errorf "unknown binary request tag %d" t
 
 (* --- responses --- *)
@@ -1235,10 +949,7 @@ let rec response_to_bin e = function
     Enc.int e fresh;
     Enc.int e reran;
     Enc.int e reused
-  | Ok_snapshot { seq; data } ->
-    Enc.u8 e 10;
-    Enc.int e seq;
-    Enc.payload e data
+  (* tag 10 was the monolithic v≤6 snapshot: retired, never reuse it *)
   | Ok_snapshot_begin { seq; bytes } ->
     Enc.u8 e 11;
     Enc.int e seq;
@@ -1302,7 +1013,7 @@ let rec response_to_bin e = function
     Enc.u8 e 22;
     error_to_bin e err
 
-let rec response_of_bin d =
+let rec response_of_bin ?(depth = 0) d =
   match Dec.u8 d with
   | 1 -> Ok_unit
   | 2 -> Ok_int (Dec.int d)
@@ -1334,10 +1045,6 @@ let rec response_of_bin d =
     let reran = Dec.int d in
     let reused = Dec.int d in
     Ok_refresh { fresh; reran; reused }
-  | 10 ->
-    let seq = Dec.int d in
-    let data = Dec.payload d in
-    Ok_snapshot { seq; data }
   | 11 ->
     let seq = Dec.int d in
     let bytes = Dec.int d in
@@ -1386,7 +1093,9 @@ let rec response_of_bin d =
            let cf_at = Dec.int d in
            let cf_winner = Dec.opt d Dec.int in
            { cf_id; cf_base; cf_ours; cf_theirs; cf_origin; cf_at; cf_winner }))
-  | 21 -> Ok_batch (Dec.list d response_of_bin)
+  | 21 ->
+    let depth = enter_batch depth in
+    Ok_batch (Dec.list d (response_of_bin ~depth))
   | 22 -> Error (error_of_bin d)
   | t -> wire_errorf "unknown binary response tag %d" t
 
@@ -1406,9 +1115,9 @@ let decode_of_string dec s =
   v
 
 let request_to_binary_string = encode_to_string request_to_bin
-let request_of_binary_string = decode_of_string request_of_bin
+let request_of_binary_string = decode_of_string (fun d -> request_of_bin d)
 let response_to_binary_string = encode_to_string response_to_bin
-let response_of_binary_string = decode_of_string response_of_bin
+let response_of_binary_string = decode_of_string (fun d -> response_of_bin d)
 
 (* ------------------------------------------------------------------ *)
 (* Framed socket I/O                                                   *)
@@ -1428,10 +1137,9 @@ let write_all fd bytes =
   in
   go 0
 
-(* One fault-checked flush of an iovec frame list.  Both codecs funnel
-   through here, so a "wire.send" fault (fail / torn) covers them
-   equally: [Torn k] writes the first [k] bytes of the flattened batch
-   and dies, exactly as the old single-string path did. *)
+(* One fault-checked flush of an iovec frame list: a "wire.send" fault
+   (fail / torn) covers every sender.  [Torn k] writes the first [k]
+   bytes of the flattened batch and dies. *)
 let flush_slices fd slices =
   match Fault.check "wire.send" with
   | Some (Fault.Torn k) ->
@@ -1446,29 +1154,12 @@ let flush_slices fd slices =
     with Unix.Unix_error (Unix.EPIPE, _, _) ->
       wire_errorf "peer closed the connection")
 
-let sexp_header ?deadline_ms ?trace len =
-  Printf.sprintf "ddf1 %d%s%s\n" len
-    (match deadline_ms with
-    | None -> ""
-    | Some ms -> Printf.sprintf " %d" ms)
-    (match trace with
-    | None -> ""
-    | Some ctx -> " " ^ Ddf_obs.Obs.span_ctx_to_token ctx)
-
-let sexp_frame ?deadline_ms ?trace payload =
-  sexp_header ?deadline_ms ?trace (String.length payload) ^ payload ^ "\n"
-
-let send ?deadline_ms ?trace fd sexp =
-  let msg = sexp_frame ?deadline_ms ?trace (S.to_string sexp) in
-  flush_slices fd [ Iovec.of_string msg ]
-
-(* A binary frame: 0xd8 magic, flags byte (bit0 deadline, bit1 trace),
-   u32-LE body length, then the optional header fields in flag order
-   (u32-LE deadline ms; u8-length-prefixed trace token), then the
-   body. *)
+(* A frame: 0xd8 magic, flags byte (bit0 deadline, bit1 trace), u32-LE
+   body length, then the optional header fields in flag order (u32-LE
+   deadline ms; u8-length-prefixed trace token), then the body. *)
 let binary_magic = '\xd8'
 
-let binary_frame ?deadline_ms ?trace body_slices =
+let frame ?deadline_ms ?trace body_slices =
   let blen = Iovec.total body_slices in
   if blen > max_frame then wire_errorf "oversized frame (%d bytes)" blen;
   let h = Buffer.create 48 in
@@ -1489,55 +1180,32 @@ let binary_frame ?deadline_ms ?trace body_slices =
     Buffer.add_string h tok);
   Iovec.of_string (Buffer.contents h) :: body_slices
 
-let encode_request_frame ?deadline_ms ?trace codec req =
-  match codec with
-  | Sexp ->
-    [ Iovec.of_string
-        (sexp_frame ?deadline_ms ?trace (S.to_string (request_to_sexp req))) ]
-  | Binary ->
-    let e = Enc.create () in
-    request_to_bin e req;
-    binary_frame ?deadline_ms ?trace (Enc.finish e)
-
-let encode_response_frame ?deadline_ms ?trace codec resp =
-  match codec with
-  | Sexp ->
-    [ Iovec.of_string
-        (sexp_frame ?deadline_ms ?trace (S.to_string (response_to_sexp resp))) ]
-  | Binary ->
-    let e = Enc.create () in
-    response_to_bin e resp;
-    binary_frame ?deadline_ms ?trace (Enc.finish e)
-
-let instrument_encode codec enc =
+(* Encode one message into its frame's slices, timed and metered. *)
+let encode_frame ?deadline_ms ?trace enc v =
   let t0 = Unix.gettimeofday () in
-  let slices = enc () in
-  M.observe (encode_histogram codec) (Unix.gettimeofday () -. t0);
-  M.incr ~by:(Iovec.total slices) (bytes_out_counter codec);
+  let e = Enc.create () in
+  enc e v;
+  let slices = frame ?deadline_ms ?trace (Enc.finish e) in
+  M.observe h_encode (Unix.gettimeofday () -. t0);
+  M.incr ~by:(Iovec.total slices) m_bytes_out;
   slices
 
-let send_request ?deadline_ms ?trace codec fd req =
-  flush_slices fd
-    (instrument_encode codec (fun () ->
-         encode_request_frame ?deadline_ms ?trace codec req))
+let send_request ?deadline_ms ?trace fd req =
+  flush_slices fd (encode_frame ?deadline_ms ?trace request_to_bin req)
 
-let send_response ?deadline_ms ?trace codec fd resp =
-  flush_slices fd
-    (instrument_encode codec (fun () ->
-         encode_response_frame ?deadline_ms ?trace codec resp))
+let send_response ?deadline_ms ?trace fd resp =
+  flush_slices fd (encode_frame ?deadline_ms ?trace response_to_bin resp)
 
 (* A whole group of responses as one flush: the frame lists are
    chained and hit the kernel in a single gathered write — this is the
    replication outbox's group-commit fan-out path. *)
-let send_response_batch codec fd items =
+let send_response_batch fd items =
   match items with
   | [] -> ()
   | items ->
     flush_slices fd
       (List.concat_map
-         (fun (resp, trace) ->
-           instrument_encode codec (fun () ->
-               encode_response_frame ?trace codec resp))
+         (fun (resp, trace) -> encode_frame ?trace response_to_bin resp)
          items)
 
 (* Read exactly [n] bytes; [None] when the stream ends cleanly at a
@@ -1555,174 +1223,78 @@ let read_exact fd n =
   in
   go 0
 
-(* One byte of lookahead: every receiver sniffs the first byte of a
-   frame (0xd8 = binary, 'd' of "ddf1" = sexp), so a server can read
-   the sexp hello of a peer whose version it does not yet know and
-   binary frames the moment the handshake settles. *)
-let read_byte fd =
-  let byte = Bytes.create 1 in
-  match Unix.read fd byte 0 1 with
-  | 0 -> None
-  | _ -> Some (Bytes.get byte 0)
-  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None
-
-let read_header_line_from fd first =
-  let buf = Buffer.create 24 in
-  Buffer.add_char buf first;
-  let byte = Bytes.create 1 in
-  let rec go () =
-    match Unix.read fd byte 0 1 with
-    | 0 -> wire_errorf "truncated header"
-    | _ ->
-      if Bytes.get byte 0 = '\n' then Buffer.contents buf
-      else begin
-        if Buffer.length buf > 64 then wire_errorf "oversized frame header";
-        Buffer.add_char buf (Bytes.get byte 0);
-        go ()
-      end
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-      wire_errorf "connection reset mid-header"
-  in
-  go ()
-
 type frame_meta = {
   fm_deadline_ms : int option;
   fm_trace : Ddf_obs.Obs.span_ctx option;
 }
 
-(* Header tokens after the length are recognised by shape — digits are
-   a deadline budget, "t=..." a trace context — so either, both (in
-   that order) or neither may appear and old peers stay parseable. *)
-let parse_sexp_header header =
-  match String.split_on_char ' ' header with
-  | "ddf1" :: len :: rest ->
-    let len =
-      match int_of_string_opt len with
-      | Some n when n >= 0 && n <= max_frame -> n
-      | Some _ | None -> wire_errorf "bad frame length %S" len
-    in
-    let meta =
-      List.fold_left
-        (fun meta tok ->
-          if String.length tok >= 2 && String.sub tok 0 2 = "t=" then
-            match Ddf_obs.Obs.span_ctx_of_token tok with
-            | Some ctx -> { meta with fm_trace = Some ctx }
-            | None -> wire_errorf "bad trace token %S" tok
-          else
-            match int_of_string_opt tok with
-            | Some n when n >= 0 -> { meta with fm_deadline_ms = Some n }
-            | Some _ | None -> wire_errorf "bad frame header %S" header)
-        { fm_deadline_ms = None; fm_trace = None }
-        rest
-    in
-    (len, meta)
-  | _ -> wire_errorf "bad frame header %S" header
-
-(* The raw body of one frame, still undecoded; the constructor records
-   which codec it arrived in. *)
-type raw_frame = Raw_sexp of string | Raw_binary of string
-
-let recv_sexp_rest fd first =
-  let header = read_header_line_from fd first in
-  let len, meta = parse_sexp_header header in
-  match read_exact fd (len + 1) with
-  | None -> wire_errorf "truncated frame"
-  | Some bytes ->
-    if Bytes.get bytes len <> '\n' then wire_errorf "missing frame terminator";
-    let payload = Bytes.sub_string bytes 0 len in
-    (Raw_sexp payload, meta, String.length header + 1 + len + 1)
-
-let recv_binary_rest fd =
-  match read_exact fd 5 with
-  | None -> wire_errorf "truncated binary frame header"
-  | Some hdr ->
-    let flags = Char.code (Bytes.get hdr 0) in
-    if flags land lnot 3 <> 0 then
-      wire_errorf "bad binary frame flags 0x%x" flags;
-    let blen = Int32.to_int (Bytes.get_int32_le hdr 1) land 0xFFFFFFFF in
-    if blen > max_frame then wire_errorf "oversized binary frame (%d bytes)" blen;
-    let hbytes = ref 6 in
-    let fm_deadline_ms =
-      if flags land 1 = 0 then None
-      else
-        match read_exact fd 4 with
-        | None -> wire_errorf "truncated binary frame header"
-        | Some b ->
-          hbytes := !hbytes + 4;
-          Some (Int32.to_int (Bytes.get_int32_le b 0) land 0xFFFFFFFF)
-    in
-    let fm_trace =
-      if flags land 2 = 0 then None
-      else
-        match read_exact fd 1 with
-        | None -> wire_errorf "truncated binary frame header"
-        | Some n -> (
-          let n = Char.code (Bytes.get n 0) in
-          match read_exact fd n with
-          | None -> wire_errorf "truncated binary frame header"
-          | Some tok -> (
-            hbytes := !hbytes + 1 + n;
-            let tok = Bytes.to_string tok in
-            match Ddf_obs.Obs.span_ctx_of_token tok with
-            | Some ctx -> Some ctx
-            | None -> wire_errorf "bad trace token %S" tok))
-    in
-    let body =
-      match read_exact fd blen with
-      | None -> wire_errorf "truncated binary frame"
-      | Some b -> Bytes.unsafe_to_string b
-    in
-    (Raw_binary body, { fm_deadline_ms; fm_trace }, !hbytes + blen)
-
-(* [None] on clean EOF at a frame boundary. *)
-let recv_raw fd =
-  match read_byte fd with
-  | None -> None
-  | Some c when c = binary_magic -> Some (recv_binary_rest fd)
-  | Some c -> Some (recv_sexp_rest fd c)
-
-let parse_sexp_payload payload =
-  try S.of_string payload with S.Sexp_error m -> wire_errorf "payload: %s" m
-
-let recv_meta fd =
-  match recv_raw fd with
-  | None -> None
-  | Some (Raw_binary _, _, _) ->
-    wire_errorf "unexpected binary frame on a sexp connection"
-  | Some (Raw_sexp payload, meta, _) -> Some (parse_sexp_payload payload, meta)
-
-let recv_deadline fd =
-  Option.map (fun (sexp, meta) -> (sexp, meta.fm_deadline_ms)) (recv_meta fd)
-
-let recv fd = Option.map fst (recv_meta fd)
-
-let instrument_decode raw nbytes dec_sexp dec_bin =
-  let t0 = Unix.gettimeofday () in
-  let codec, v =
-    match raw with
-    | Raw_sexp payload -> (Sexp, dec_sexp (parse_sexp_payload payload))
-    | Raw_binary body -> (Binary, decode_of_string dec_bin body)
+(* The fixed header after the magic byte, then the flagged fields and
+   the body.  Returns the undecoded body, its meta and the frame's
+   total size. *)
+let recv_frame_rest fd =
+  let need n =
+    match read_exact fd n with
+    | None -> wire_errorf "truncated frame header"
+    | Some b -> b
   in
-  M.observe (decode_histogram codec) (Unix.gettimeofday () -. t0);
-  M.incr ~by:nbytes (bytes_in_counter codec);
-  (v, codec)
+  let hdr = need 5 in
+  let flags = Char.code (Bytes.get hdr 0) in
+  if flags land lnot 3 <> 0 then wire_errorf "bad frame flags 0x%x" flags;
+  let blen = Int32.to_int (Bytes.get_int32_le hdr 1) land 0xFFFFFFFF in
+  if blen > max_frame then wire_errorf "oversized frame (%d bytes)" blen;
+  let hbytes = ref 6 in
+  let fm_deadline_ms =
+    if flags land 1 = 0 then None
+    else begin
+      hbytes := !hbytes + 4;
+      Some (Int32.to_int (Bytes.get_int32_le (need 4) 0) land 0xFFFFFFFF)
+    end
+  in
+  let fm_trace =
+    if flags land 2 = 0 then None
+    else begin
+      let n = Char.code (Bytes.get (need 1) 0) in
+      let tok = Bytes.to_string (need n) in
+      hbytes := !hbytes + 1 + n;
+      match Ddf_obs.Obs.span_ctx_of_token tok with
+      | Some ctx -> Some ctx
+      | None -> wire_errorf "bad trace token %S" tok
+    end
+  in
+  let body =
+    match read_exact fd blen with
+    | None -> wire_errorf "truncated frame"
+    | Some b -> Bytes.unsafe_to_string b
+  in
+  (body, { fm_deadline_ms; fm_trace }, !hbytes + blen)
 
-(* Typed receive: sniffs the codec per frame, so a connection can
-   switch from sexp to binary mid-stream when a v8 hello is accepted.
-   Returns the frame's codec so servers can answer a pre-hello frame
-   in kind. *)
-let recv_request fd =
-  match recv_raw fd with
-  | None -> None
-  | Some (raw, meta, nbytes) ->
-    let req, codec = instrument_decode raw nbytes request_of_sexp request_of_bin in
-    Some (req, meta, codec)
+(* [None] on clean EOF at a frame boundary.  Anything but the magic
+   byte is refused; a pre-v9 peer's "ddf1" s-expression frame lands
+   here too, and the error says which protocol this side speaks. *)
+let recv_frame fd =
+  let first = Bytes.create 1 in
+  match Unix.read fd first 0 1 with
+  | 0 -> None
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None
+  | _ ->
+    let c = Bytes.get first 0 in
+    if c <> binary_magic then
+      wire_errorf
+        "not a protocol v%d frame (first byte 0x%02x; v%d peers send binary \
+         frames only, the s-expression framing of v8 and older is retired)"
+        protocol_version (Char.code c) protocol_version;
+    Some (recv_frame_rest fd)
 
-let recv_response fd =
-  match recv_raw fd with
+(* Decode one frame's body, timed and metered. *)
+let recv_decoded fd dec =
+  match recv_frame fd with
   | None -> None
-  | Some (raw, meta, nbytes) ->
-    let resp, codec =
-      instrument_decode raw nbytes response_of_sexp response_of_bin
-    in
-    Some (resp, meta, codec)
+  | Some (body, meta, nbytes) ->
+    let t0 = Unix.gettimeofday () in
+    let v = decode_of_string dec body in
+    M.observe h_decode (Unix.gettimeofday () -. t0);
+    M.incr ~by:nbytes m_bytes_in;
+    Some (v, meta)
+
+let recv_request fd = recv_decoded fd (fun d -> request_of_bin d)
+let recv_response fd = recv_decoded fd (fun d -> response_of_bin d)

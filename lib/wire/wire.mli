@@ -1,29 +1,16 @@
 (** The Hercules design-server wire protocol.
 
-    Two codecs share the socket.  The s-expression codec frames each
-    message as
-
-    {v ddf1 <payload-bytes> [<deadline-ms>] [t=<trace>.<span>]\n<payload>\n v}
-
-    so both sides can read exactly one message without scanning.  The
-    optional extra header tokens are recognised by shape: a run of
-    digits is the sender's remaining deadline budget in milliseconds —
-    how long it is still willing to wait for the answer; the server
-    sheds requests it cannot start in time — and a [t=]-prefixed token
-    is a trace context ({!Ddf_obs.Obs.span_ctx_to_token}) linking the
-    receiver's spans into the sender's distributed trace.
-
-    The v8 {e binary} codec carries the same meta in a fixed header —
-    [0xd8] magic, a flags byte, a u32-LE body length, then the flagged
-    optional fields — followed by a tag-byte-dispatched body of
-    fixed-width ints and length-delimited strings.  Design-object
-    values, journal frames and snapshot chunks ride in it as opaque
-    length-delimited byte slices the codec never re-encodes.  Every
-    receiver sniffs the first byte of each frame (0xd8 vs the ['d'] of
-    ["ddf1"]), so the codec can switch mid-connection: a hello always
-    travels as sexp, and once a server {e accepts} a v8 hello, every
-    later frame in both directions — the hello reply included — is
-    binary.
+    One framing carries every message in both directions, the hello
+    included: a fixed header — [0xd8] magic, a flags byte, a u32-LE
+    body length, then the flagged optional fields — followed by a
+    tag-byte-dispatched body of fixed-width ints and length-delimited
+    strings.  The optional header fields are the sender's remaining
+    deadline budget in milliseconds (how long it is still willing to
+    wait for the answer; the server sheds requests it cannot start in
+    time) and a trace context ({!Ddf_obs.Obs.span_ctx_to_token})
+    linking the receiver's spans into the sender's distributed trace.
+    Design-object values, journal frames and snapshot chunks ride as
+    opaque length-delimited byte slices the codec never re-encodes.
 
     The request surface mirrors {!Ddf_session.Session}: catalog
     queries, task-window construction (expand / specialize / select),
@@ -36,33 +23,13 @@ exception Wire_error of string
 type iid = Ddf_store.Store.iid
 
 val protocol_version : int
-(** The dialect this build speaks (8).  The [Hello] handshake carries
-    the client's version; a server refuses clients outside
-    [[min_protocol_version, protocol_version]] with a typed error
-    before serving anything else.  Version 4 added structured error
-    frames and the deadline header token; version 5 added the
-    [Metrics] verb and the trace-context header token; version 6 the
-    anti-entropy sync verbs ([Sync_digest] / [Sync_frames] /
-    [Sync_ack]) and the conflict surface ([Conflicts] / [Resolve]);
-    version 7 adds chunked streaming snapshots ([Snapshot_export] and
-    the [Ok_snapshot_begin]/[Ok_snapshot_chunk]/[Ok_snapshot_end]
-    responses, also used to resync a v7 subscriber); version 8 adds no
-    verbs — it switches the connection to the length-prefixed binary
-    codec after the handshake.  All verb additions live in slots older
-    peers never send, so v4–v7 clients interoperate unchanged — a
-    v≤7 peer simply keeps the sexp codec both ways. *)
-
-val min_protocol_version : int
-(** The oldest client dialect a server of this build accepts (4). *)
-
-type codec = Sexp | Binary
-(** Which on-wire encoding a connection speaks.  Derived from the
-    negotiated hello version per connection ({!codec_for_version}); a
-    redial always restarts from [Sexp] until its own hello lands. *)
-
-val codec_name : codec -> string
-val codec_for_version : int -> codec
-(** [Binary] for negotiated version ≥ 8, [Sexp] below. *)
+(** The one protocol version this build speaks (9).  The [Hello]
+    handshake carries the client's version, and a server refuses any
+    other with a typed error before serving anything else.  A frame
+    that does not start with the binary magic — such as the
+    ["ddf1 <len>"] s-expression frame of a v8-or-older peer — is
+    answered with one typed [`Invalid] error naming this version, and
+    the connection is closed. *)
 
 val snapshot_chunk_bytes : int
 (** Chunk size of a streamed snapshot (both the [Subscribe] resync and
@@ -73,8 +40,7 @@ type catalog = Entities | Tools | Flows
 
 type request =
   | Hello of { user : string; version : int }
-      (** client identity (user) + protocol version; a version-1 peer
-          sends a bare [(hello <user>)], decoded as [version = 1] *)
+      (** client identity (user) + protocol version *)
   | Ping
   | Stat
   | Catalog of catalog
@@ -111,7 +77,8 @@ type request =
       (** follower → primary: stream me every journal entry with seqno
           greater than this (0 = from the beginning).  The connection
           switches into replication mode: the server answers with an
-          optional [Ok_snapshot] followed by an unbounded stream of
+          optional streamed snapshot ([Ok_snapshot_begin], chunks,
+          [Ok_snapshot_end]) followed by an unbounded stream of
           [Ok_frame]s, and reads only [Repl_ack]s from then on. *)
   | Repl_ack of int                      (** follower → primary: applied
                                              through this seqno (no
@@ -120,37 +87,37 @@ type request =
   | Compact                              (** admin: fold the journal into
                                              a fresh snapshot now *)
   | Metrics                              (** the server's metrics registry
-                                             snapshot (v5) *)
+                                             snapshot *)
   | Sync_digest
-      (** v6 anti-entropy handshake: the server's workspace id, journal
+      (** anti-entropy handshake: the server's workspace id, journal
           base/seq, wal digest (seqno → frame md5), per-origin applied
           cursors and canonical state fingerprint — everything a peer
           needs to locate the common prefix and resume a sync *)
   | Sync_frames of { after : int; limit : int }
-      (** v6: pull at most [limit] wal frames with seqno > [after] *)
+      (** pull at most [limit] wal frames with seqno > [after] *)
   | Sync_ack of { origin : string; upto : int; frames : (int * string * string) list }
-      (** v6: deliver a batch of [origin]'s frames [(seqno, md5,
+      (** deliver a batch of [origin]'s frames [(seqno, md5,
           payload)] for application through the writer loop and
           advance the persisted origin cursor to [upto]; an empty
           batch just acknowledges.  This is the push half of a sync
           round — a mutation. *)
-  | Conflicts                            (** v6: the sync-conflict registry *)
+  | Conflicts                            (** the sync-conflict registry *)
   | Resolve of { conflict : int; winner : iid }
-      (** v6: pick the winning version of a surfaced conflict *)
+      (** pick the winning version of a surfaced conflict *)
   | Snapshot_export
-      (** v7: compact, then stream the on-disk snapshot back as
+      (** compact, then stream the on-disk snapshot back as
           [Ok_snapshot_begin], [Ok_snapshot_chunk]s and
           [Ok_snapshot_end] — the bounded-memory bootstrap/backup
-          verb.  Handled at connection level (like [Subscribe]);
-          refused for peers that negotiated below 7. *)
+          verb.  Handled at connection level (like [Subscribe]). *)
   | Batch of request list
       (** a pipeline: the requests run in order and are answered
           positionally by one [Ok_batch] — one frame each way.  An
           inner failure yields an [Error] at its position and
           execution continues (journaled effects of earlier members
           are not rolled back).  A batch containing a mutation runs as
-          one writer job, so its writes group-commit together; batches
-          do not nest. *)
+          one writer job, so its writes group-commit together.  A
+          batch inside a batch is answered with a positional error;
+          a frame nesting deeper does not decode. *)
 
 type stat = {
   st_role : string;                      (** "primary" or "follower" *)
@@ -202,15 +169,12 @@ type response =
   | Ok_rows of instance_row list
   | Ok_stat of stat
   | Ok_refresh of { fresh : iid; reran : int; reused : int }
-  | Ok_snapshot of { seq : int; data : string }
-      (** replication seed: a full workspace save as of [seq] (the
-          monolithic, v6-and-below form) *)
   | Ok_snapshot_begin of { seq : int; bytes : int }
-      (** v7: a streamed snapshot follows — [bytes] of workspace save
+      (** a streamed snapshot follows — [bytes] of workspace save
           taken at [seq], chunked in {!snapshot_chunk_bytes} pieces *)
   | Ok_snapshot_chunk of { data : string }
   | Ok_snapshot_end of { digest : string }
-      (** v7: end of stream; [digest] is md5 hex over the whole
+      (** end of stream; [digest] is md5 hex over the whole
           reassembled snapshot *)
   | Ok_frame of { seq : int; payload : string; digest : string }
       (** one journal entry; [digest] is the md5 hex of [payload], the
@@ -236,20 +200,22 @@ type response =
   | Ok_conflicts of conflict_row list
   | Ok_batch of response list            (** positional answers to [Batch] *)
   | Error of Ddf_core.Error.t
-      (** on the wire:
-          [(error <code> <msg> <retryable|final> [(retry-after s)]
-          [(ctx (k v) ...)])].  [retryable] is the server's assertion
-          that the request was {e not executed}, so resending cannot
-          double-apply; [retry-after] is its backoff hint in seconds.
-          A bare [(error <msg>)] from a v3 peer decodes as a final
-          [`Internal] error. *)
+      (** [retryable] is the server's assertion that the request was
+          {e not executed}, so resending cannot double-apply;
+          [retry_after] is its backoff hint in seconds. *)
 
-val request_to_sexp : request -> Ddf_persist.Sexp.t
+(** {1 The [remote batch] text language}
+
+    Not a transport: [hercules remote batch] reads one request
+    s-expression per stdin line and prints each answer as one. *)
+
 val request_of_sexp : Ddf_persist.Sexp.t -> request
 (** @raise Wire_error on malformed input. *)
 
 val response_to_sexp : response -> Ddf_persist.Sexp.t
-val response_of_sexp : Ddf_persist.Sexp.t -> response
+
+val hello : string -> request
+(** This build's [Hello] for [user]. *)
 
 val request_name : request -> string
 (** Stable short name for tracing and metrics ("run", "browse", ...). *)
@@ -259,75 +225,49 @@ val is_mutation : request -> bool
     Session-window operations (expand/select/...) mutate only the
     per-connection session and count as reads of the shared store. *)
 
-(** {1 The v8 binary codec} *)
+(** {1 The binary codec} *)
 
 val request_to_binary_string : request -> string
 val request_of_binary_string : string -> request
 val response_to_binary_string : response -> string
 val response_of_binary_string : string -> response
-(** The binary codec as plain strings (frame body only, no header) —
-    the property-test and bench surface; the socket paths below keep
-    the gathered iovec form.  Decoders
-    @raise Wire_error on malformed input, including trailing bytes. *)
+(** The codec as plain strings (frame body only, no header) — the
+    property-test and bench surface; the socket paths below keep the
+    gathered iovec form.  Decoders
+    @raise Wire_error on malformed input, including trailing bytes
+    and batches nested more than one level deep. *)
 
-(** {1 Framed socket I/O} *)
+(** {1 Framed socket I/O}
 
-val send :
-  ?deadline_ms:int -> ?trace:Ddf_obs.Obs.span_ctx ->
-  Unix.file_descr -> Ddf_persist.Sexp.t -> unit
-(** Write one sexp-framed message; [deadline_ms] puts the sender's
-    remaining budget in the header, [trace] its span context (so the
-    receiver can parent its spans into the sender's trace).
-    @raise Wire_error on a closed peer. *)
-
-val recv : Unix.file_descr -> Ddf_persist.Sexp.t option
-(** Read one framed message; [None] on clean end-of-stream.
-    @raise Wire_error on framing violations (a binary frame included). *)
+    Each call observes the [wire.encode_seconds] /
+    [wire.decode_seconds] histograms and the [wire.bytes_out] /
+    [wire.bytes_in] counters. *)
 
 type frame_meta = {
   fm_deadline_ms : int option;   (** peer's remaining budget, ms *)
   fm_trace : Ddf_obs.Obs.span_ctx option;  (** peer's span context *)
 }
 
-val recv_meta :
-  Unix.file_descr -> (Ddf_persist.Sexp.t * frame_meta) option
-(** Like {!recv} but also yields the optional header tokens. *)
-
-val recv_deadline : Unix.file_descr -> (Ddf_persist.Sexp.t * int option) option
-(** {!recv_meta} restricted to the deadline budget. *)
-
-(** {1 Typed codec-aware I/O}
-
-    What every production path speaks.  Senders encode in the given
-    codec; receivers sniff the codec per frame, so a connection can
-    switch from sexp to binary the moment a v8 hello is accepted.
-    Each call observes the [wire.<codec>.encode_seconds] /
-    [wire.<codec>.decode_seconds] histograms and the
-    [wire.<codec>.bytes_out] / [wire.<codec>.bytes_in] counters. *)
-
 val send_request :
   ?deadline_ms:int -> ?trace:Ddf_obs.Obs.span_ctx ->
-  codec -> Unix.file_descr -> request -> unit
+  Unix.file_descr -> request -> unit
+(** Write one request frame; [deadline_ms] puts the sender's remaining
+    budget in the header, [trace] its span context.
+    @raise Wire_error on a closed peer. *)
 
 val send_response :
   ?deadline_ms:int -> ?trace:Ddf_obs.Obs.span_ctx ->
-  codec -> Unix.file_descr -> response -> unit
+  Unix.file_descr -> response -> unit
 
 val send_response_batch :
-  codec -> Unix.file_descr ->
-  (response * Ddf_obs.Obs.span_ctx option) list -> unit
+  Unix.file_descr -> (response * Ddf_obs.Obs.span_ctx option) list -> unit
 (** Flush a whole group of response frames (each with its own trace
     context) as {e one} gathered kernel write — the replication
-    outbox's group-commit fan-out.  Large binary payload bodies are
-    carried as borrowed slices, never concatenated on the OCaml
-    side. *)
+    outbox's group-commit fan-out.  Large payload bodies are carried
+    as borrowed slices, never concatenated on the OCaml side. *)
 
-val recv_request :
-  Unix.file_descr -> (request * frame_meta * codec) option
-(** Read and decode one request; the returned codec is the frame's
-    own, letting a server answer a pre-hello frame in kind.
-    [None] on clean end-of-stream.
+val recv_request : Unix.file_descr -> (request * frame_meta) option
+(** Read and decode one request; [None] on clean end-of-stream.
     @raise Wire_error on framing or decode violations. *)
 
-val recv_response :
-  Unix.file_descr -> (response * frame_meta * codec) option
+val recv_response : Unix.file_descr -> (response * frame_meta) option

@@ -19,17 +19,6 @@ let frames_for lo hi =
 
 let payload_of seq = Printf.sprintf "(frame %d payload-%d)" seq seq
 
-(* The session [user] header is per-connection identity, not state:
-   the monolithic snapshot is saved under the subscriber's login, the
-   streamed one under whoever wrote last (see [Test_journal.state]). *)
-let normalize_user s =
-  String.split_on_char '\n' s
-  |> List.map (fun line ->
-         if String.length line >= 7 && String.sub line 0 7 = " (user " then
-           " (user _)"
-         else line)
-  |> String.concat "\n"
-
 let segments =
   [
     Alcotest.test_case "fold, read, iterate, reopen" `Quick (fun () ->
@@ -227,34 +216,6 @@ let with_deep_primary f =
 
 let bootstrap =
   [
-    Alcotest.test_case "feed version matrix: v6 monolithic, v7 streamed"
-      `Quick (fun () ->
-        with_deep_primary @@ fun ~root ~p:_ ~pdir:_ ~psock ->
-        (* a downlevel subscriber gets the whole state as one string *)
-        let f6 = Replica.Feed.connect ~version:6 ~socket:psock ~since:0 () in
-        let seq6, data6 =
-          match Replica.Feed.next f6 with
-          | Replica.Feed.Snapshot { seq; data } -> (seq, data)
-          | _ -> Alcotest.fail "v6 expected a monolithic snapshot"
-        in
-        Replica.Feed.close f6;
-        Alcotest.(check bool) "snapshot covers history" true (seq6 > 0);
-        (* a current subscriber gets the same bytes as a spooled file,
-           never materialised in memory *)
-        let f7 = Replica.Feed.connect ~spool:root ~socket:psock ~since:0 () in
-        (match Replica.Feed.next f7 with
-        | Replica.Feed.Snapshot_file { seq; path } ->
-          Alcotest.(check int) "same watermark" seq6 seq;
-          let ic = open_in_bin path in
-          let spooled =
-            really_input_string ic (in_channel_length ic)
-          in
-          close_in ic;
-          Sys.remove path;
-          Alcotest.(check string) "same state either way"
-            (normalize_user data6) (normalize_user spooled)
-        | _ -> Alcotest.fail "v7 expected a streamed snapshot");
-        Replica.Feed.close f7);
     Alcotest.test_case "a late follower bootstraps by streaming" `Quick
       (fun () ->
         with_deep_primary @@ fun ~root ~p ~pdir:_ ~psock ->
@@ -304,16 +265,7 @@ let bootstrap =
          Alcotest.(check string) "export fingerprint" fingerprint
            (Sync.fingerprint (Session.context session));
          Alcotest.(check bool) "export larger than the checkpoint" true
-           (bytes > (Unix.stat (Filename.concat pdir "snapshot.ddf")).Unix.st_size));
-        (* a pre-v7 negotiation is refused with a typed error *)
-        let c6 = Client.connect ~version:6 ~socket:psock () in
-        Fun.protect ~finally:(fun () -> try Client.close c6 with _ -> ())
-        @@ fun () ->
-        match Client.snapshot_export c6 ~out:(out ^ ".v6") with
-        | _ -> Alcotest.fail "expected a downlevel refusal"
-        | exception Client.Client_error e ->
-          Alcotest.(check bool) "names the version floor" true
-            (Util.contains (Error.message e) "v7"));
+           (bytes > (Unix.stat (Filename.concat pdir "snapshot.ddf")).Unix.st_size)));
   ]
 
 (* The segment files of a cement directory, oldest first. *)

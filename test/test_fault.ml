@@ -151,13 +151,13 @@ let journal_faults =
         Fault.arm "journal.fsync" Fault.Fail;
         (match Client.install w ~entity:E.stimuli ~label:"refused" stim_sexp with
         | _ -> Alcotest.fail "expected the failed fsync to refuse the write"
-        | exception Client.Client_error _ -> ());
+        | exception Error.Ddf_error _ -> ());
         unchanged "after the failed sync";
         (* the journal is fail-stopped: later writes are refused too,
            and their state is never published either *)
         (match Client.install w ~entity:E.stimuli ~label:"later" stim_sexp with
         | _ -> Alcotest.fail "expected a fail-stop refusal"
-        | exception Client.Client_error _ -> ());
+        | exception Error.Ddf_error _ -> ());
         unchanged "on a fail-stopped journal");
   ]
 
@@ -204,7 +204,7 @@ let shedding =
                          ~label:(Printf.sprintf "w%d" i) stim_sexp
                      with
                      | _ -> Ok ()
-                     | exception Client.Client_error e -> Error e))
+                     | exception Error.Ddf_error e -> Error e))
                 ())
         in
         List.iter Thread.join workers;
@@ -261,7 +261,7 @@ let shedding =
          @@ fun c ->
          match Client.install c ~entity:E.stimuli ~label:"late" stim_sexp with
          | _ -> Alcotest.fail "expected a deadline miss"
-         | exception Client.Client_error e ->
+         | exception Error.Ddf_error e ->
            check_code "timeout" "timeout" e;
            Alcotest.(check bool) "blames the deadline" true
              (Util.contains (Error.message e) "deadline"));
@@ -293,13 +293,12 @@ let shedding =
                 try Unix.close fd with Unix.Unix_error _ -> ())
               (fun () ->
                 Unix.connect fd (Unix.ADDR_UNIX socket);
-                (* a hand-rolled peer that keeps sending sexp frames
-                   after a v8 hello: the server sniffs each frame and
-                   answers binary — recv_response sniffs right back *)
+                (* a hand-rolled peer, so the deadline header can be
+                   set to exactly zero *)
                 let rpc ?deadline_ms req =
-                  Wire.send ?deadline_ms fd (Wire.request_to_sexp req);
+                  Wire.send_request ?deadline_ms fd req;
                   match Wire.recv_response fd with
-                  | Some (resp, _, _) -> resp
+                  | Some (resp, _) -> resp
                   | None -> Alcotest.fail "connection dropped"
                 in
                 (match
@@ -345,7 +344,7 @@ let classification =
             (fun () ->
               let fd, _ = Unix.accept srv in
               (match Wire.recv_request fd with
-              | Some _ -> Wire.send_response Wire.Sexp fd Wire.Ok_unit
+              | Some _ -> Wire.send_response fd Wire.Ok_unit
               | None -> ());
               ignore (Wire.recv_request fd);
               Unix.close fd)
@@ -364,7 +363,7 @@ let classification =
                   Client.install c ~entity:E.stimuli ~label:"maybe" stim_sexp
                 with
                 | _ -> Alcotest.fail "expected `Ambiguous_commit"
-                | exception Client.Client_error e ->
+                | exception Error.Ddf_error e ->
                   (* retries:3, yet never resent: a resend could
                      double-apply a write that did commit *)
                   check_code "ambiguous-commit" "ambiguous-commit" e;
@@ -413,13 +412,13 @@ let classification =
               let rec serve () =
                 match Wire.recv_request fd with
                 | None -> ()
-                | Some (req, _, _) -> (
+                | Some (req, _) -> (
                   match req with
                   | Wire.Hello _ ->
-                    Wire.send_response Wire.Sexp fd Wire.Ok_unit;
+                    Wire.send_response fd Wire.Ok_unit;
                     serve ()
                   | Wire.Stat ->
-                    Wire.send_response Wire.Binary fd
+                    Wire.send_response fd
                       (Wire.Ok_stat
                          { st_role = "primary"; st_seq = 0; st_clock = 0;
                            st_instances = 0; st_records = 0;
@@ -447,7 +446,7 @@ let classification =
                         stim_sexp)
                 with
                 | _ -> Alcotest.fail "expected `Ambiguous_commit"
-                | exception Client.Client_error e ->
+                | exception Error.Ddf_error e ->
                   (* not `Unavailable: the pool must not re-probe and
                      resend a write whose fate is unknown *)
                   check_code "ambiguous-commit" "ambiguous-commit" e)));
@@ -499,7 +498,7 @@ let lifecycle =
                    Client.install c ~entity:E.stimuli ~label:"w" stim_sexp)
              with
             | _ -> Alcotest.fail "expected `Unavailable"
-            | exception Client.Client_error e ->
+            | exception Error.Ddf_error e ->
               check_code "unavailable" "unavailable" e;
               Alcotest.(check bool) "final: do not hammer a dead set" false
                 e.Error.retryable);

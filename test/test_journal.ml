@@ -25,6 +25,13 @@ let with_dir f =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
+(* Resync [j] from an in-memory save, through the spool file a
+   streamed bootstrap would have written. *)
+let reset_to_snapshot j ~seq data =
+  let path = Filename.temp_file ~temp_dir:(Journal.dir j) "reset" ".spool" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc data);
+  Journal.reset_to_snapshot_file j ~seq path
+
 (* The whole durable surface in one comparable string: instances with
    meta-data and payloads, history records, the clock.  The session
    [user] header is per-connection identity, not durable state (a
@@ -274,7 +281,7 @@ let compaction =
         let j2 = Journal.open_ ~dir:dir2 Standard_schemas.odyssey in
         ignore (activity (Journal.context j2) 2);
         let seq, data = Journal.snapshot_state j2 in
-        Journal.reset_to_snapshot j2 ~seq data;
+        reset_to_snapshot j2 ~seq data;
         let base2 = Journal.base_seq j2 in
         Alcotest.(check int) "resync base" seq base2;
         (match Journal.frames j2 ~after:(base2 - 1) ~limit:10 with

@@ -203,7 +203,7 @@ let blif_props =
 (* ------------------------------------------------------------------ *)
 
 (* The whole taxonomy — code, message, context pairs, retryability and
-   the backoff hint — must round-trip through a v4 error frame exactly:
+   the backoff hint — must round-trip through an error frame exactly:
    a client's retry decision is only as good as what the frame
    preserves. *)
 let error_gen =
@@ -225,24 +225,15 @@ let wire_error_props =
   [
     Util.qcheck ~count:200 "error frames round-trip the taxonomy" error_gen
       (fun e ->
-        let s =
-          Sexp.of_string (Sexp.to_string (Wire.response_to_sexp (Wire.Error e)))
-        in
-        match Wire.response_of_sexp s with
+        match
+          Wire.response_of_binary_string
+            (Wire.response_to_binary_string (Wire.Error e))
+        with
         | Wire.Error e' -> e = e'
         | _ -> false);
     Util.qcheck ~count:50 "codes round-trip their names"
       QCheck2.Gen.(oneofl Error.all_codes)
       (fun c -> Error.code_of_string (Error.code_to_string c) = Some c);
-    Alcotest.test_case "a bare v3 error frame decodes as final" `Quick
-      (fun () ->
-        match Wire.response_of_sexp (Sexp.of_string "(error \"boom\")") with
-        | Wire.Error e ->
-          Alcotest.(check string) "internal" "internal"
-            (Error.code_to_string e.Error.code);
-          Alcotest.(check string) "message" "boom" (Error.message e);
-          Alcotest.(check bool) "final" false e.Error.retryable
-        | _ -> Alcotest.fail "expected an error response");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -288,7 +279,7 @@ let journal_props =
           match Journal.entries_since p (Journal.seq f) with
           | Journal.Snapshot_needed ->
             let seq, data = Journal.snapshot_state p in
-            Journal.reset_to_snapshot f ~seq data;
+            Test_journal.reset_to_snapshot f ~seq data;
             sync ()
           | Journal.Frames [] -> ()
           | Journal.Frames frames ->

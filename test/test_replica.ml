@@ -89,7 +89,7 @@ let convergence =
                 (Value.Stimuli (Eda.Stimuli.exhaustive [ "a" ])))
          with
         | _ -> Alcotest.fail "expected a follower write rejection"
-        | exception Client.Client_error e ->
+        | exception Error.Ddf_error e ->
           Alcotest.(check bool) "names the primary" true
             (Util.contains (Error.message e) "read-only follower"
             && Util.contains (Error.message e) psock));
@@ -295,23 +295,22 @@ let versioning =
         Fun.protect
           ~finally:(fun () -> Server.stop t; Server.wait t)
           (fun () ->
-            (match Client.connect ~version:1 ~socket () with
-            | c ->
-              Client.close c;
-              Alcotest.fail "expected a version refusal"
-            | exception Client.Client_error e ->
-              Alcotest.(check bool) "typed mismatch error" true
-                (Util.contains (Error.message e) "protocol version mismatch"
-                && Util.contains (Error.message e) "v1"));
+            (* a v8 peer's hello, sent as a binary frame *)
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            (Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+             Unix.connect fd (Unix.ADDR_UNIX socket);
+             Wire.send_request fd (Wire.Hello { user = "old"; version = 8 });
+             (match Wire.recv_response fd with
+             | Some (Wire.Error e, _) ->
+               Alcotest.(check bool) "typed mismatch error" true
+                 (Util.contains (Error.message e) "protocol version mismatch"
+                 && Util.contains (Error.message e) "v8")
+             | _ -> Alcotest.fail "expected a version refusal");
+             (* and the refusal ends the connection *)
+             Alcotest.(check bool) "connection closed" true
+               (Wire.recv_response fd = None));
             (* current version still welcome on the same daemon *)
             Client.with_client ~socket Client.ping));
-    Alcotest.test_case "a bare hello decodes as protocol version 1" `Quick
-      (fun () ->
-        match Wire.request_of_sexp (Sexp.of_string "(hello jbb)") with
-        | Wire.Hello { user; version } ->
-          Alcotest.(check string) "user" "jbb" user;
-          Alcotest.(check int) "legacy version" 1 version
-        | _ -> Alcotest.fail "expected Hello");
   ]
 
 let suite =

@@ -114,8 +114,8 @@ let surface =
         with_server @@ fun _t ~dir:_ ~socket ->
         Client.with_client ~socket @@ fun c ->
         match Client.trace c 999 with
-        | _ -> Alcotest.fail "expected Client_error"
-        | exception Client.Client_error e ->
+        | _ -> Alcotest.fail "expected a Ddf_error"
+        | exception Error.Ddf_error e ->
           Alcotest.(check bool) "mentions the instance" true
             (Util.contains (Error.message e) "999"));
   ]
@@ -221,7 +221,7 @@ let limits =
         | c2 ->
           Client.close c2;
           Alcotest.fail "expected a capacity rejection"
-        | exception Client.Client_error e ->
+        | exception Error.Ddf_error e ->
           Alcotest.(check bool) "says so" true
             (Util.contains (Error.message e) "capacity"));
     Alcotest.test_case "mutations time out in the write queue" `Quick
@@ -237,7 +237,7 @@ let limits =
                (Value.Stimuli (Eda.Stimuli.exhaustive [ "a" ])))
         with
         | _ -> Alcotest.fail "expected a timeout"
-        | exception Client.Client_error e ->
+        | exception Error.Ddf_error e ->
           Alcotest.(check bool) "says so" true
             (Util.contains (Error.message e) "timed out"));
     Alcotest.test_case "shutdown request stops the daemon and fsyncs" `Quick

@@ -48,8 +48,8 @@ let token_roundtrip =
     ~count:500 ctx_arb (fun ctx ->
       Obs.span_ctx_of_token (Obs.span_ctx_to_token ctx) = Some ctx)
 
-(* The wire-level version: the context rides the ddf1 frame header
-   next to (and independently of) the deadline token. *)
+(* The wire-level version: the context rides the frame header next to
+   (and independently of) the deadline field. *)
 let header_roundtrip =
   QCheck.Test.make ~name:"a span context round-trips through a frame header"
     ~count:100
@@ -61,14 +61,11 @@ let header_roundtrip =
           Unix.close a;
           Unix.close b)
         (fun () ->
-          Wire.send ?deadline_ms ~trace:ctx a
-            (Wire.request_to_sexp Wire.Ping);
-          match Wire.recv_meta b with
+          Wire.send_request ?deadline_ms ~trace:ctx a Wire.Ping;
+          match Wire.recv_request b with
           | None -> false
-          | Some (sexp, meta) ->
-            (match Wire.request_of_sexp sexp with
-            | Wire.Ping -> true
-            | _ -> false)
+          | Some (req, meta) ->
+            req = Wire.Ping
             && meta.Wire.fm_deadline_ms = deadline_ms
             && meta.Wire.fm_trace = Some ctx))
 
@@ -100,16 +97,16 @@ let bare_frames_still_parse () =
       Unix.close a;
       Unix.close b)
     (fun () ->
-      (* no deadline, no trace: the v4 header shape *)
-      Wire.send a (Wire.request_to_sexp Wire.Ping);
-      (match Wire.recv_meta b with
+      (* no deadline, no trace: the bare header *)
+      Wire.send_request a Wire.Ping;
+      (match Wire.recv_request b with
       | Some (_, meta) ->
         check Alcotest.bool "no deadline" true (meta.Wire.fm_deadline_ms = None);
         check Alcotest.bool "no trace" true (meta.Wire.fm_trace = None)
       | None -> Alcotest.fail "eof on a bare frame");
-      (* deadline without trace still parses positionally *)
-      Wire.send ~deadline_ms:42 a (Wire.request_to_sexp Wire.Ping);
-      match Wire.recv_meta b with
+      (* deadline without trace *)
+      Wire.send_request ~deadline_ms:42 a Wire.Ping;
+      match Wire.recv_request b with
       | Some (_, meta) ->
         check Alcotest.bool "deadline alone" true (meta.Wire.fm_deadline_ms = Some 42);
         check Alcotest.bool "still no trace" true (meta.Wire.fm_trace = None)
@@ -126,8 +123,8 @@ let metrics_codec_roundtrip () =
   check Alcotest.bool "snapshot includes the empty histogram" true
     (List.exists (fun m -> Metrics.metric_name m = "h0") ms);
   match
-    Wire.response_of_sexp
-      (Sexp.of_string (Sexp.to_string (Wire.response_to_sexp (Wire.Ok_metrics ms))))
+    Wire.response_of_binary_string
+      (Wire.response_to_binary_string (Wire.Ok_metrics ms))
   with
   | Wire.Ok_metrics ms' ->
     check Alcotest.bool "metrics round-trip the response codec exactly" true (ms = ms')
@@ -161,14 +158,12 @@ let quantile_oracle () =
     [ 0.5; 0.9; 0.99 ]
 
 (* ------------------------------------------------------------------ *)
-(* The Metrics verb under version negotiation                          *)
+(* The Metrics verb                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let metrics_verb_v4 () =
+let metrics_verb () =
   Test_server.with_server @@ fun _t ~dir:_ ~socket ->
-  (* a v4 peer (the previous protocol revision) is accepted and can
-     use the new verb *)
-  Client.with_client ~user:"v4" ~version:4 ~socket @@ fun c ->
+  Client.with_client ~user:"metrics" ~socket @@ fun c ->
   Client.ping c;
   let ms = Client.metrics c in
   let has name = List.exists (fun m -> Metrics.metric_name m = name) ms in
@@ -186,16 +181,6 @@ let metrics_verb_v4 () =
       && h.Metrics.hs_p90 <= h.Metrics.hs_p99
       && h.Metrics.hs_p99 <= h.Metrics.hs_max)
   | _ -> Alcotest.fail "no server.request_us histogram in the snapshot"
-
-let too_old_client_refused () =
-  Test_server.with_server @@ fun _t ~dir:_ ~socket ->
-  match Client.connect ~user:"v3" ~version:3 ~socket () with
-  | c ->
-    Client.close c;
-    Alcotest.fail "a v3 hello was accepted"
-  | exception Client.Client_error e ->
-    check Alcotest.bool "names the accepted range" true
-      (Util.contains (Error.message e) "accepts")
 
 (* ------------------------------------------------------------------ *)
 (* Cross-process trace assembly                                        *)
@@ -356,11 +341,7 @@ let suite =
     ( "telemetry.quantiles",
       [ t "p50/p90/p99 track a sorted-array oracle" quantile_oracle ] );
     ( "telemetry.versioning",
-      [
-        t "a v4 client is accepted and can fetch metrics" metrics_verb_v4;
-        t "a v3 client is refused with the accepted range"
-          too_old_client_refused;
-      ] );
+      [ t "a client fetches request-latency quantiles" metrics_verb ] );
     ( "telemetry.assembly",
       [
         t "client retry, primary spans and follower apply share one trace"

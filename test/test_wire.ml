@@ -1,11 +1,11 @@
-(* Wire protocol v8: the length-prefixed binary codec.  A qcheck
-   codec-equivalence oracle over generated requests and responses
-   (binary and sexp must both round-trip every constructor to the same
-   value), header-token round-trips over real sockets in both codecs,
-   gathered batch writes, large-payload framing, per-frame codec
-   sniffing, the version interop matrix (binary and sexp clients
-   against one server, a mixed-codec replication pair, a sexp-feed
-   sync round), and redial renegotiation after torn sends. *)
+(* The wire protocol: the length-prefixed binary codec.  qcheck
+   round-trips over generated requests and responses, a byte-mutation
+   fuzzer over valid frames (a mutated frame decodes to a well-formed
+   message or raises Wire_error, nothing else), the batch nesting
+   bound, header-token round-trips over real sockets, gathered batch
+   writes, large-payload framing, the typed refusal of a legacy
+   s-expression frame and of a nested-batch bomb by a live server,
+   the `remote batch` text language, and redials after torn sends. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -26,8 +26,8 @@ let gen_int =
 
 let gen_nat = QCheck2.Gen.(int_bound 1_000_000)
 
-(* Finite floats only: both codecs are bit-exact (hex atoms on the
-   sexp side), but NaN breaks the structural-equality oracle. *)
+(* Finite floats only: the codec is bit-exact, but NaN breaks the
+   structural-equality oracle. *)
 let gen_float =
   QCheck2.Gen.(
     map
@@ -185,8 +185,6 @@ let gen_simple_response =
         map (fun ((fresh, reran), reused) ->
             Wire.Ok_refresh { fresh; reran; reused })
           (pair (pair gen_nat gen_nat) gen_nat);
-        map (fun (seq, data) -> Wire.Ok_snapshot { seq; data })
-          (pair gen_nat gen_text);
         map (fun (seq, bytes) -> Wire.Ok_snapshot_begin { seq; bytes })
           (pair gen_nat gen_nat);
         map (fun data -> Wire.Ok_snapshot_chunk { data }) gen_text;
@@ -237,10 +235,18 @@ let gen_response =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* The codec-equivalence oracle                                        *)
+(* Round trips and hostile bodies                                      *)
 (* ------------------------------------------------------------------ *)
 
-let sexp_reparse s = Sexp.of_string (Sexp.to_string s)
+(* [depth] Batch headers (tag 35, u32 count 1) around a Ping. *)
+let nested_batch_body depth =
+  let b = Buffer.create ((5 * depth) + 1) in
+  for _ = 1 to depth do
+    Buffer.add_char b '\035';
+    Buffer.add_int32_le b 1l
+  done;
+  Buffer.add_char b '\002';
+  Buffer.contents b
 
 let codec_props =
   [
@@ -250,16 +256,6 @@ let codec_props =
     Util.qcheck ~count:300 "responses round-trip the binary codec" gen_response
       (fun r ->
         Wire.response_of_binary_string (Wire.response_to_binary_string r) = r);
-    (* the two codecs must agree on every constructor: what binary
-       decodes to is exactly what the sexp path decodes to *)
-    Util.qcheck ~count:300 "request codecs agree (sexp oracle)" gen_request
-      (fun r ->
-        Wire.request_of_binary_string (Wire.request_to_binary_string r)
-        = Wire.request_of_sexp (sexp_reparse (Wire.request_to_sexp r)));
-    Util.qcheck ~count:300 "response codecs agree (sexp oracle)" gen_response
-      (fun r ->
-        Wire.response_of_binary_string (Wire.response_to_binary_string r)
-        = Wire.response_of_sexp (sexp_reparse (Wire.response_to_sexp r)));
     Alcotest.test_case "binary decode rejects trailing bytes" `Quick (fun () ->
         let s = Wire.request_to_binary_string Wire.Ping ^ "\x00" in
         match Wire.request_of_binary_string s with
@@ -278,6 +274,34 @@ let codec_props =
         match Wire.request_of_binary_string torn with
         | _ -> Alcotest.fail "expected a Wire_error"
         | exception Wire.Wire_error _ -> ());
+    Alcotest.test_case "batches nest one level deep, no deeper" `Quick
+      (fun () ->
+        (* one level is a request the server answers positionally *)
+        Alcotest.(check bool) "a batch in a batch decodes" true
+          (Wire.request_of_binary_string (nested_batch_body 2)
+          = Wire.Batch [ Wire.Batch [ Wire.Ping ] ]);
+        Alcotest.(check bool) "an ok-batch in an ok-batch decodes" true
+          (let r = Wire.Ok_batch [ Wire.Ok_batch [ Wire.Ok_unit ] ] in
+           Wire.response_of_binary_string (Wire.response_to_binary_string r)
+           = r);
+        (* deeper is a typed error, however deep: a million levels
+           would otherwise recurse a million frames down *)
+        List.iter
+          (fun depth ->
+            (match Wire.request_of_binary_string (nested_batch_body depth) with
+            | _ -> Alcotest.failf "request depth %d decoded" depth
+            | exception Wire.Wire_error m ->
+              Alcotest.(check bool) "names the nesting" true
+                (Util.contains m "nested"));
+            let resp =
+              String.map
+                (function '\035' -> '\021' | '\002' -> '\001' | c -> c)
+                (nested_batch_body depth)
+            in
+            match Wire.response_of_binary_string resp with
+            | _ -> Alcotest.failf "response depth %d decoded" depth
+            | exception Wire.Wire_error _ -> ())
+          [ 3; 1_000_000 ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -298,15 +322,14 @@ let send_threaded f =
   let t = Thread.create f () in
   Fun.protect ~finally:(fun () -> Thread.join t)
 
-let header_roundtrip codec () =
+let header_roundtrip () =
   with_sockpair @@ fun a b ->
   let span = Obs.new_root () in
-  Wire.send_request ~deadline_ms:1234 ~trace:span codec a (Wire.Run 7);
+  Wire.send_request ~deadline_ms:1234 ~trace:span a (Wire.Run 7);
   match Wire.recv_request b with
   | None -> Alcotest.fail "expected a frame"
-  | Some (req, meta, seen) ->
+  | Some (req, meta) ->
     Alcotest.(check bool) "request" true (req = Wire.Run 7);
-    Alcotest.(check bool) "codec sniffed" true (seen = codec);
     Alcotest.(check (option int)) "deadline" (Some 1234) meta.Wire.fm_deadline_ms;
     (match meta.Wire.fm_trace with
     | None -> Alcotest.fail "expected a trace token"
@@ -317,26 +340,7 @@ let header_roundtrip codec () =
 let framing =
   [
     Alcotest.test_case "header tokens round-trip (binary)" `Quick
-      (header_roundtrip Wire.Binary);
-    Alcotest.test_case "header tokens round-trip (sexp)" `Quick
-      (header_roundtrip Wire.Sexp);
-    Alcotest.test_case "receivers sniff the codec per frame" `Quick (fun () ->
-        with_sockpair @@ fun a b ->
-        (* the v8 handshake moment: a sexp hello, then binary frames on
-           the same stream — no receiver-side mode switch *)
-        Wire.send_request Wire.Sexp a
-          (Wire.Hello { user = "u"; version = Wire.protocol_version });
-        Wire.send_request Wire.Binary a Wire.Stat;
-        Wire.send_request Wire.Sexp a Wire.Ping;
-        (match Wire.recv_request b with
-        | Some (Wire.Hello _, _, Wire.Sexp) -> ()
-        | _ -> Alcotest.fail "expected a sexp hello");
-        (match Wire.recv_request b with
-        | Some (Wire.Stat, _, Wire.Binary) -> ()
-        | _ -> Alcotest.fail "expected a binary stat");
-        match Wire.recv_request b with
-        | Some (Wire.Ping, _, Wire.Sexp) -> ()
-        | _ -> Alcotest.fail "expected a sexp ping");
+      header_roundtrip;
     Alcotest.test_case "large payload bodies survive binary framing" `Quick
       (fun () ->
         with_sockpair @@ fun a b ->
@@ -345,11 +349,11 @@ let framing =
         let data = String.init 3_000_000 (fun i -> Char.chr (i land 0xff)) in
         send_threaded
           (fun () ->
-            Wire.send_response Wire.Binary a
+            Wire.send_response a
               (Wire.Ok_frame { seq = 42; payload = data; digest = "d" }))
           (fun () ->
             match Wire.recv_response b with
-            | Some (Wire.Ok_frame { seq; payload; digest }, _, Wire.Binary) ->
+            | Some (Wire.Ok_frame { seq; payload; digest }, _) ->
               Alcotest.(check int) "seq" 42 seq;
               Alcotest.(check string) "digest" "d" digest;
               Alcotest.(check bool) "payload intact" true (payload = data)
@@ -364,12 +368,12 @@ let framing =
                 if i mod 2 = 0 then Some (Obs.new_root ()) else None ))
         in
         send_threaded
-          (fun () -> Wire.send_response_batch Wire.Binary a items)
+          (fun () -> Wire.send_response_batch a items)
           (fun () ->
             List.iteri
               (fun i (want, trace) ->
                 match Wire.recv_response b with
-                | Some (got, meta, Wire.Binary) ->
+                | Some (got, meta) ->
                   Alcotest.(check bool)
                     (Printf.sprintf "frame %d" i)
                     true (got = want);
@@ -379,134 +383,260 @@ let framing =
                     (Option.is_some meta.Wire.fm_trace = Option.is_some trace)
                 | _ -> Alcotest.fail "expected a binary frame")
               items));
-    Alcotest.test_case "a binary frame on a legacy sexp reader is refused"
-      `Quick (fun () ->
-        with_sockpair @@ fun a b ->
-        Wire.send_request Wire.Binary a Wire.Ping;
-        match Wire.recv b with
-        | _ -> Alcotest.fail "expected a Wire_error"
-        | exception Wire.Wire_error m ->
-          Alcotest.(check bool) "names the binary frame" true
-            (Util.contains m "binary"));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The version interop matrix                                          *)
+(* The decoder fuzzer                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let only entity =
-  { Test_server.no_filter with Store.f_entities = Some [ entity ] }
+(* One byte-level mutation of a whole frame (header included). *)
+type mutation =
+  | Flip of int * int             (* position, xor mask (1..255) *)
+  | Truncate of int               (* keep this many bytes *)
+  | Insert of int * string        (* position, bytes *)
+  | Overwrite_u32 of int * int    (* position, a length-field value *)
+
+let mutate frame m =
+  let n = String.length frame in
+  let at p = if n = 0 then 0 else p mod (n + 1) in
+  match m with
+  | Flip (p, mask) when n > 0 ->
+    let b = Bytes.of_string frame in
+    let p = p mod n in
+    Bytes.set b p (Char.chr (Char.code frame.[p] lxor mask));
+    Bytes.to_string b
+  | Flip _ -> frame
+  | Truncate k -> String.sub frame 0 (at k)
+  | Insert (p, ins) ->
+    let p = at p in
+    String.sub frame 0 p ^ ins ^ String.sub frame p (n - p)
+  | Overwrite_u32 (p, v) ->
+    let b = Buffer.create (n + 4) in
+    let p = at p in
+    Buffer.add_string b (String.sub frame 0 p);
+    Buffer.add_int32_le b (Int32.of_int v);
+    let rest = p + 4 in
+    if rest < n then Buffer.add_string b (String.sub frame rest (n - rest));
+    Buffer.contents b
+
+(* The frame-body bound the receiver enforces (64 MiB). *)
+let max_frame = 64 * 1024 * 1024
+
+let gen_mutation =
+  QCheck2.Gen.(
+    oneof
+      [ map2 (fun p m -> Flip (p, m)) nat (int_range 1 255);
+        map (fun k -> Truncate k) nat;
+        map2 (fun p s -> Insert (p, s)) nat
+          (string_size ~gen:char (int_range 1 8));
+        map2 (fun p v -> Overwrite_u32 (p, v)) nat
+          (frequency
+             [ (3, int_bound 64);
+               (1, oneofl [ 0; 0x7FFFFFFF; 0xFFFFFFFF; max_frame + 1 ]);
+               (1, int_bound 0xFFFFFF) ])
+      ])
+
+let print_mutation = function
+  | Flip (p, m) -> Printf.sprintf "flip %d ^ 0x%02x" p m
+  | Truncate k -> Printf.sprintf "truncate to %d" k
+  | Insert (p, s) -> Printf.sprintf "insert %S at %d" s p
+  | Overwrite_u32 (p, v) -> Printf.sprintf "u32 %d at %d" v p
+
+(* A real frame, as the sender writes it. *)
+let framed send v =
+  with_sockpair @@ fun a b ->
+  send a v;
+  Unix.shutdown a Unix.SHUTDOWN_SEND;
+  In_channel.input_all (Unix.in_channel_of_descr b)
+
+(* Feed mutated bytes through the socket reader: a typed error, a clean
+   end of stream on an empty input, or a message whose re-encoding
+   decodes back to itself are the only acceptable outcomes. *)
+let survives ~send ~recv ~to_string ~of_string (v, muts) =
+  let bytes = List.fold_left mutate (framed send v) muts in
+  with_sockpair @@ fun a b ->
+  ignore (Unix.write_substring a bytes 0 (String.length bytes));
+  Unix.shutdown a Unix.SHUTDOWN_SEND;
+  match recv b with
+  | exception Wire.Wire_error _ -> true
+  | None -> bytes = ""
+  | Some (msg, _) -> compare (of_string (to_string msg)) msg = 0
+
+let fuzz_props =
+  let muts = QCheck2.Gen.(list_size (int_range 1 4) gen_mutation) in
+  let print_muts ms = String.concat "; " (List.map print_mutation ms) in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500
+         ~name:"mutated request frames decode or fail typed"
+         ~print:(fun (_, ms) -> print_muts ms)
+         (QCheck2.Gen.pair gen_request muts)
+         (survives
+            ~send:(fun fd r -> Wire.send_request fd r)
+            ~recv:Wire.recv_request ~to_string:Wire.request_to_binary_string
+            ~of_string:Wire.request_of_binary_string));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500
+         ~name:"mutated response frames decode or fail typed"
+         ~print:(fun (_, ms) -> print_muts ms)
+         (QCheck2.Gen.pair gen_response muts)
+         (survives
+            ~send:(fun fd r -> Wire.send_response fd r)
+            ~recv:Wire.recv_response ~to_string:Wire.response_to_binary_string
+            ~of_string:Wire.response_of_binary_string));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Hostile peers against a live server                                 *)
+(* ------------------------------------------------------------------ *)
 
 let stim_sexp =
   Codec.value_to_sexp (Value.Stimuli (Eda.Stimuli.exhaustive [ "a" ]))
 
-let counter_of name metrics =
-  List.fold_left
-    (fun acc m ->
-      match m with
-      | Metrics.Counter (n, v) when n = name -> acc + v
-      | _ -> acc)
-    0 metrics
+let only entity =
+  { Test_server.no_filter with Store.f_entities = Some [ entity ] }
 
-let interop =
+(* A raw connection: write [bytes] and half-close, then read what the
+   server answers until it closes the connection. *)
+let raw_exchange ~socket bytes =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let len = String.length bytes in
+  let rec go off =
+    if off < len then go (off + Unix.write_substring fd bytes off (len - off))
+  in
+  go 0;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let rec answers acc =
+    match Wire.recv_response fd with
+    | Some (r, _) -> answers (r :: acc)
+    | None -> List.rev acc
+  in
+  answers []
+
+let frame_of_body body =
+  let b = Buffer.create (String.length body + 6) in
+  Buffer.add_char b '\xd8';
+  Buffer.add_char b '\000';
+  Buffer.add_int32_le b (Int32.of_int (String.length body));
+  Buffer.add_string b body;
+  Buffer.contents b
+
+let expect_invalid what ~mentions = function
+  | [ Wire.Error e ] ->
+    Alcotest.(check bool) (what ^ ": typed invalid") true
+      (e.Error.code = `Invalid && not e.Error.retryable);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: names %S" what mentions)
+      true
+      (Util.contains (Error.message e) mentions)
+  | _ -> Alcotest.failf "%s: expected exactly one error, then a close" what
+
+let hostile =
   [
-    Alcotest.test_case "binary and sexp clients share one server" `Quick
-      (fun () ->
+    Alcotest.test_case "a ddf1 frame gets the typed refusal" `Quick (fun () ->
         Test_server.with_server @@ fun _t ~dir:_ ~socket ->
-        Client.with_client ~user:"v8" ~socket @@ fun c8 ->
-        Client.with_client ~user:"v7" ~version:7 ~socket @@ fun c7 ->
-        let iid =
-          Client.install c8 ~entity:E.stimuli ~label:"from-v8" stim_sexp
-        in
-        (* the downlevel sexp peer sees the binary peer's write *)
-        let rows = Client.browse c7 (only E.stimuli) in
-        Alcotest.(check bool) "sexp client reads it" true
-          (List.exists (fun r -> r.Wire.row_iid = iid) rows);
-        ignore (Client.install c7 ~entity:E.stimuli ~label:"from-v7" stim_sexp);
-        Alcotest.(check int) "binary client reads both" 2
-          (List.length (Client.browse c8 (only E.stimuli)));
-        (* both codecs moved real bytes, and the server metered them *)
-        let ms = Client.metrics c8 in
-        Alcotest.(check bool) "binary bytes metered" true
-          (counter_of "wire.binary.bytes_in" ms > 0
-          && counter_of "wire.binary.bytes_out" ms > 0);
-        Alcotest.(check bool) "sexp bytes metered" true
-          (counter_of "wire.sexp.bytes_in" ms > 0
-          && counter_of "wire.sexp.bytes_out" ms > 0));
-    Alcotest.test_case "a sexp-feed follower of a binary-era primary converges"
+        (* what a v8 client sent first: its hello, framed as an
+           s-expression *)
+        let hello = "(hello old (version 8))" in
+        raw_exchange ~socket
+          (Printf.sprintf "ddf1 %d\n%s\n" (String.length hello) hello)
+        |> expect_invalid "ddf1 hello"
+             ~mentions:(Printf.sprintf "v%d" Wire.protocol_version);
+        (* the server is unharmed *)
+        Client.with_client ~socket Client.ping);
+    Alcotest.test_case "a nested-batch bomb is refused and frees its slot"
       `Quick (fun () ->
-        Test_journal.with_dir @@ fun root ->
-        Unix.mkdir root 0o755;
-        let pdir = Filename.concat root "p"
-        and fdir = Filename.concat root "f" in
-        let psock = Filename.concat root "p.sock"
-        and fsock = Filename.concat root "f.sock" in
-        let p =
-          Server.start ~seed:Test_server.seed ~db:pdir ~socket:psock
-            Standard_schemas.odyssey
-        in
-        (* the --wire sexp lever: the replication feed hellos with v7,
-           so the whole stream rides the legacy codec *)
-        let fl =
-          Server.start ~follow:psock ~feed_version:7 ~db:fdir ~socket:fsock
-            Standard_schemas.odyssey
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            (try Server.stop fl; Server.wait fl with _ -> ());
-            (try Server.stop p; Server.wait p with _ -> ()))
-          (fun () ->
-            Client.with_client ~user:"w" ~socket:psock @@ fun cp ->
-            Client.with_client ~user:"r" ~socket:fsock @@ fun cf ->
-            ignore
-              (Test_server.perf_run cp (Eda.Circuits.c17 ()) "mixed-pair");
-            Test_replica.wait_until ~what:"sexp-feed catch-up"
-              (Test_replica.caught_up cp cf);
-            let _, _, _, fpp, _, _ = Client.sync_digest cp in
-            let _, _, _, fpf, _, _ = Client.sync_digest cf in
-            Alcotest.(check string)
-              "fingerprints agree across the codec boundary" fpp fpf));
-    Alcotest.test_case "a sexp sync round against a binary-era server" `Quick
-      (fun () ->
-        Test_journal.with_dir @@ fun root ->
-        Unix.mkdir root 0o755;
-        let adir = Filename.concat root "a"
-        and bdir = Filename.concat root "b" in
-        let asock = Filename.concat root "a.sock"
-        and bsock = Filename.concat root "b.sock" in
-        let a =
-          Server.start ~seed:Test_server.seed ~db:adir ~socket:asock
-            Standard_schemas.odyssey
-        in
-        let b =
-          Server.start ~db:bdir ~socket:bsock Standard_schemas.odyssey
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            (try Server.stop a; Server.wait a with _ -> ());
-            (try Server.stop b; Server.wait b with _ -> ()))
-          (fun () ->
-            Client.with_client ~user:"wa" ~socket:asock @@ fun ca ->
-            ignore
-              (Client.install ca ~entity:E.stimuli ~label:"sync-me" stim_sexp);
-            (* the pulling side speaks v7: every sync verb crosses the
-               codec boundary *)
-            Client.with_client ~user:"sync" ~version:7 ~socket:asock
-            @@ fun pull ->
-            Client.with_client ~user:"sync" ~version:7 ~socket:bsock
-            @@ fun push ->
-            let wsid_a, _, seq_a, fpa, _, _ = Client.sync_digest pull in
-            let frames = Client.sync_frames pull ~after:0 ~limit:10_000 in
-            Alcotest.(check int) "pulled the whole wal" seq_a
-              (List.length frames);
-            let stats = Client.sync_push push ~origin:wsid_a ~upto:seq_a frames in
-            Alcotest.(check int) "cursor advanced" seq_a stats.Wire.sy_cursor;
-            let _, _, _, fpb, _, _ = Client.sync_digest push in
-            Alcotest.(check string) "fingerprints converge" fpa fpb));
+        (* one client slot: a leaked connection would lock out the next *)
+        Test_server.with_server ~max_clients:1 @@ fun _t ~dir:_ ~socket ->
+        raw_exchange ~socket (frame_of_body (nested_batch_body 1_000_000))
+        |> expect_invalid "nested batches" ~mentions:"nested";
+        Client.with_client ~socket @@ fun c ->
+        ignore (Client.install c ~entity:E.stimuli ~label:"after" stim_sexp);
+        Alcotest.(check int) "a fresh client is served" 1
+          (List.length (Client.browse c (only E.stimuli))));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Torn sends and renegotiation                                        *)
+(* The `remote batch` text language                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One stdin line per request verb the language reads, parsed exactly
+   as `hercules remote batch` parses it. *)
+let batch_lines =
+  let filter = { Test_server.no_filter with Store.f_user = Some "ann" } in
+  [
+    ("(hello ann (version 9))", Wire.Hello { user = "ann"; version = 9 });
+    ("ping", Wire.Ping);
+    ("stat", Wire.Stat);
+    ("(catalog tools)", Wire.Catalog Wire.Tools);
+    ("(browse (filter (user ann)))", Wire.Browse filter);
+    ( "(install stimuli s (k1) (x))",
+      Wire.Install
+        { entity = "stimuli"; label = "s"; keywords = [ "k1" ];
+          value = Sexp.List [ Sexp.Atom "x" ] } );
+    ( "(annotate 4 (comment hi))",
+      Wire.Annotate
+        { iid = 4; label = None; comment = Some "hi"; keywords = None } );
+    ("(start-goal performance)", Wire.Start_goal "performance");
+    ("(start-data 3)", Wire.Start_data 3);
+    ("(expand 1)", Wire.Expand 1);
+    ("(specialize 2 sim)", Wire.Specialize (2, "sim"));
+    ("(select 2 (5 6))", Wire.Select (2, [ 5; 6 ]));
+    ("(node-browse 2 (filter (user ann)))", Wire.Node_browse (2, filter));
+    ("leaves", Wire.Leaves);
+    ("(run 1)", Wire.Run 1);
+    ("render", Wire.Render);
+    ("(recall 7)", Wire.Recall 7);
+    ("(trace 7)", Wire.Trace 7);
+    ("(uses 7)", Wire.Uses 7);
+    ("(refresh 7)", Wire.Refresh 7);
+    ("(save-flow f)", Wire.Save_flow "f");
+    ("(load-flow f)", Wire.Load_flow "f");
+    ("shutdown", Wire.Shutdown);
+    ("(subscribe 0)", Wire.Subscribe 0);
+    ("(repl-ack 5)", Wire.Repl_ack 5);
+    ("lag", Wire.Lag);
+    ("compact", Wire.Compact);
+    ("metrics", Wire.Metrics);
+    ("sync-digest", Wire.Sync_digest);
+    ("(sync-frames 0 64)", Wire.Sync_frames { after = 0; limit = 64 });
+    ( "(sync-ack w1 9 (9 ab \"(put)\"))",
+      Wire.Sync_ack { origin = "w1"; upto = 9; frames = [ (9, "ab", "(put)") ] }
+    );
+    ("conflicts", Wire.Conflicts);
+    ("(resolve 1 7)", Wire.Resolve { conflict = 1; winner = 7 });
+    ("snapshot-export", Wire.Snapshot_export);
+    ("(batch ping (run 1))", Wire.Batch [ Wire.Ping; Wire.Run 1 ]);
+  ]
+
+let text_language =
+  [
+    Alcotest.test_case "remote batch parses one line per request verb" `Quick
+      (fun () ->
+        List.iter
+          (fun (line, want) ->
+            Alcotest.(check string) line (Wire.request_name want)
+              (Wire.request_name (Wire.request_of_sexp (Sexp.of_string line)));
+            Alcotest.(check bool) line true
+              (Wire.request_of_sexp (Sexp.of_string line) = want))
+          batch_lines;
+        (* every verb of the protocol has a line *)
+        Alcotest.(check int) "verbs covered" 35
+          (List.length
+             (List.sort_uniq compare
+                (List.map (fun (_, r) -> Wire.request_name r) batch_lines)));
+        match Wire.request_of_sexp (Sexp.of_string "(frobnicate 1)") with
+        | _ -> Alcotest.fail "expected an unknown-request error"
+        | exception Wire.Wire_error m ->
+          Alcotest.(check bool) "names the verb" true
+            (Util.contains m "frobnicate"));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Torn sends and redials                                              *)
 (* ------------------------------------------------------------------ *)
 
 let faults =
@@ -526,16 +656,15 @@ let faults =
             Server.wait t)
           (fun () ->
             Client.with_client ~retries:2 ~socket @@ fun c ->
-            Client.ping c (* negotiate binary before arming the fault *);
-            (* the next binary frame dies 7 bytes in.  The client must
-               drop, redial, redo the hello from sexp, land back on
-               binary and retry — transparently *)
+            Client.ping c (* complete the hello before arming the fault *);
+            (* the next frame dies 7 bytes in.  The client must drop,
+               redial, redo the hello and retry — transparently *)
             Fault.arm ~times:1 "wire.send" (Fault.Torn 7);
             let stat = Client.stat c in
             Alcotest.(check string) "retried to an answer" "primary"
               stat.Wire.st_role;
             Alcotest.(check int) "the fault fired" 1 (Fault.fired "wire.send");
-            (* the renegotiated connection keeps working *)
+            (* the redialed connection keeps working *)
             ignore
               (Client.install c ~entity:E.stimuli ~label:"post-tear" stim_sexp);
             Alcotest.(check int) "applied exactly once" 1
@@ -564,9 +693,9 @@ let faults =
               Alcotest.fail "expected the torn hello to surface"
             | exception Fault.Injected _ -> ());
             Alcotest.(check int) "the fault fired" 1 (Fault.fired "wire.send");
-            (* a fresh dial renegotiates from scratch *)
+            (* a fresh dial starts over with a fresh hello *)
             Client.with_client ~socket @@ fun c ->
-            Alcotest.(check string) "fresh hello lands on binary" "primary"
+            Alcotest.(check string) "fresh hello is accepted" "primary"
               (Client.stat c).Wire.st_role));
   ]
 
@@ -574,6 +703,8 @@ let suite =
   [
     ("wire-v8 codec", codec_props);
     ("wire-v8 framing", framing);
-    ("wire-v8 interop", interop);
+    ("wire.fuzz", fuzz_props);
+    ("wire.hostile", hostile);
+    ("wire.batch-text", text_language);
     ("wire-v8 faults", faults);
   ]
