@@ -36,7 +36,6 @@ let run () =
 
   let w, c1, versions = fig11_scenario () in
   let h = Workspace.history w and st = Workspace.store w in
-  let schema = Workspace.schema w in
 
   Bench_util.section "(a) the dedicated version tree";
   let vt = B.Version_tree.create () in
@@ -53,12 +52,12 @@ let run () =
   in
   check_in None c1;
   List.iter
-    (fun v -> check_in (History.version_parent h st schema v) v)
+    (fun v -> check_in (History.version_parent h v) v)
     versions;
   Format.printf "%a@." B.Version_tree.pp vt;
 
   Bench_util.section "(b) the flow trace, reconstructed from history";
-  let tree = History.version_tree h st schema c1 in
+  let tree = History.version_tree h c1 in
   let rec render indent t =
     let m = Store.meta_of st t.History.v_iid in
     let tool =

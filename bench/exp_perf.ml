@@ -7,13 +7,16 @@
       where always mode pays 32.
    2. Wire pipelining -- one batch-of-32 frame vs 32 singleton round
       trips over the Unix socket.
-   3. Indexed versioning -- versions / latest_version latency over a
-      ~5k-record edit chain, answered from the version-successor index
-      instead of per-call uses_of re-derivation.
+   3. Indexed versioning -- versions / latest_version latency over
+      histories of 1k, 10k and 100k records (100-deep edit chains),
+      answered from the version index in the history state, by a live
+      reader and by a reader pinned to a snapshot taken halfway
+      through the history.  Both stay flat as the history grows.
 
    Exported gauges (for --json): perf.write.{always_rps,group_rps,
    speedup}, perf.rtt.{singleton_rps,batch32_rps,speedup},
-   perf.query.{index_build_us,versions_us,latest_us}. *)
+   perf.query.n<records>.{add_us,live_versions_us,live_latest_us,
+   pinned_versions_us,pinned_latest_us}. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -107,52 +110,80 @@ let round_trips () =
   (n /. singleton_s, n /. batched_s)
 
 (* ------------------------------------------------------------------ *)
-(* 3. Version queries over a long edit chain                           *)
+(* 3. Version queries over growing histories                           *)
 (* ------------------------------------------------------------------ *)
 
-let chain_len = 5_000
-let query_rounds = 100
+let chain_depth = 100
+let history_sizes = [ 1_000; 10_000; 100_000 ]
+let query_rounds = 1000
 
-let version_queries () =
+(* Median over five batches of [query_rounds] calls, per call. *)
+let per_query_us f =
+  Bench_util.time_us (fun () ->
+      for _ = 1 to query_rounds do
+        ignore (Sys.opaque_identity (f ()))
+      done)
+  /. float_of_int query_rounds
+
+(* [records / chain_depth] edit chains, one after the other.  The
+   snapshot taken when half of the chains are written is what a pooled
+   read domain holds while a writer keeps adding; it is queried on a
+   chain complete inside it, the live history on the newest chain.
+   Returns the mean cost of one [History.add] and the four per-query
+   latencies, all in us. *)
+let version_queries records =
   let schema = Standard_schemas.odyssey in
   let store = Store.create () in
   let h = History.create () in
-  let put i =
+  let clock = ref 0 in
+  let put () =
+    incr clock;
     Store.put store ~entity:E.edited_netlist
-      ~hash:(Printf.sprintf "h%d" i)
-      ~meta:(Store.meta ~created_at:i ())
+      ~hash:(Printf.sprintf "h%d" !clock)
+      ~meta:(Store.meta ~created_at:!clock ())
       ()
   in
-  let v0 = put 0 in
-  let prev = ref v0 in
-  for i = 1 to chain_len do
-    let v = put i in
-    ignore
-      (History.add h ~task_entity:E.edited_netlist ~tool:None
-         ~inputs:[ ("source", !prev) ]
-         ~outputs:[ (E.edited_netlist, v) ]
-         ~at:i);
-    prev := v
+  let chains = records / chain_depth in
+  let pinned = ref (History.snapshot h) and pinned_head = ref 0 in
+  let live_head = ref 0 and add_s = ref 0.0 in
+  for c = 0 to chains - 1 do
+    if c = chains / 2 then pinned := History.snapshot h;
+    let v0 = put () in
+    if c = (chains / 2) - 1 then pinned_head := v0;
+    live_head := v0;
+    let prev = ref v0 in
+    for _ = 1 to chain_depth do
+      let v = put () in
+      let t0 = Unix.gettimeofday () in
+      ignore
+        (History.add h store schema ~task_entity:E.edited_netlist ~tool:None
+           ~inputs:[ ("source", !prev) ]
+           ~outputs:[ (E.edited_netlist, v) ]
+           ~at:!clock);
+      add_s := !add_s +. (Unix.gettimeofday () -. t0);
+      prev := v
+    done
   done;
-  (* the first query pays for building the index over all records *)
-  let t0 = Unix.gettimeofday () in
-  ignore (History.latest_version h store schema v0);
-  let build_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to query_rounds do
-    ignore (History.versions h store schema v0)
-  done;
-  let versions_us =
-    (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int query_rounds
+  let snap = !pinned in
+  Gc.full_major ();
+  (* the live reader first, then the pinned one behind it *)
+  let live_versions =
+    per_query_us (fun () -> History.versions h store schema !live_head)
   in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to query_rounds do
-    ignore (History.latest_version h store schema !prev)
-  done;
-  let latest_us =
-    (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int query_rounds
+  let live_latest =
+    per_query_us (fun () -> History.latest_version h store schema !live_head)
   in
-  (build_us, versions_us, latest_us)
+  let pinned_versions =
+    per_query_us (fun () -> History.Snapshot.versions snap !pinned_head)
+  in
+  let pinned_latest =
+    per_query_us (fun () -> History.Snapshot.latest_version snap !pinned_head)
+  in
+  assert (
+    List.length (History.Snapshot.versions snap !pinned_head)
+    = chain_depth + 1);
+  ( !add_s *. 1e6 /. float_of_int records,
+    live_versions, live_latest, pinned_versions, pinned_latest )
 
 let run () =
   Bench_util.section
@@ -179,11 +210,25 @@ let run () =
   Metrics.set (Metrics.gauge "perf.rtt.speedup") r_speedup;
 
   Bench_util.section
-    (Printf.sprintf "version queries over a %d-record edit chain" chain_len);
-  let build_us, versions_us, latest_us = version_queries () in
-  Printf.printf
-    "  index build %.0f us; versions %.1f us, latest_version %.1f us per query\n"
-    build_us versions_us latest_us;
-  Metrics.set (Metrics.gauge "perf.query.index_build_us") build_us;
-  Metrics.set (Metrics.gauge "perf.query.versions_us") versions_us;
-  Metrics.set (Metrics.gauge "perf.query.latest_us") latest_us
+    (Printf.sprintf
+       "version queries, %d-deep edit chains, live and pinned readers"
+       chain_depth);
+  let us = Printf.sprintf "%.2f" in
+  Bench_util.print_table
+    [ "records"; "add us"; "live versions us"; "live latest us";
+      "pinned versions us"; "pinned latest us" ]
+    (List.map
+       (fun records ->
+         let add_us, lv, ll, pv, pl = version_queries records in
+         let gauge name v =
+           Metrics.set
+             (Metrics.gauge (Printf.sprintf "perf.query.n%d.%s" records name))
+             v
+         in
+         gauge "add_us" add_us;
+         gauge "live_versions_us" lv;
+         gauge "live_latest_us" ll;
+         gauge "pinned_versions_us" pv;
+         gauge "pinned_latest_us" pl;
+         [ string_of_int records; us add_us; us lv; us ll; us pv; us pl ])
+       history_sizes)

@@ -251,7 +251,8 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
       List.filter (fun (e, _) -> List.mem e out_entities) stored
     in
     ignore
-      (History.add ctx.history ~task_entity ~tool ~inputs ~outputs:produced ~at);
+      (History.add ctx.history ctx.store ctx.schema ~task_entity ~tool ~inputs
+         ~outputs:produced ~at);
     assign_outputs stored;
     (match kind with
     | `Composed -> Metrics.incr m_composed
@@ -388,8 +389,8 @@ let decompose ctx iid =
   | [] -> exec_errorf "decomposition of %s produced nothing" entity
   | (first, _) :: _ ->
     ignore
-      (History.add ctx.history ~task_entity:first ~tool:None
-         ~inputs:[ ("composite", iid) ] ~outputs:stored ~at));
+      (History.add ctx.history ctx.store ctx.schema ~task_entity:first
+         ~tool:None ~inputs:[ ("composite", iid) ] ~outputs:stored ~at));
   stored
 
 let result_of run nid =
@@ -449,7 +450,8 @@ let try_batch ?(memo = true) ctx g nid iids =
           Store.put ctx.store ~entity ~hash:(Ddf_data.hash merged) ~meta merged
         in
         ignore
-          (History.add ctx.history ~task_entity:entity ~tool:None ~inputs
+          (History.add ctx.history ctx.store ctx.schema ~task_entity:entity
+             ~tool:None ~inputs
              ~outputs:[ (entity, iid) ] ~at);
         Some iid
     end

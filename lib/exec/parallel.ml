@@ -347,7 +347,8 @@ let execute_parallel ?(domains = 4) ?(memo = true) (ctx : Engine.context) g
               Task_graph.entity_of g (List.hd inv.Task_graph.outputs)
             in
             ignore
-              (Ddf_history.History.add ctx.Engine.history ~task_entity ~tool
+              (Ddf_history.History.add ctx.Engine.history ctx.Engine.store
+                 ctx.Engine.schema ~task_entity ~tool
                  ~inputs ~outputs:stored ~at);
             List.iter
               (fun nid ->

@@ -11,7 +11,7 @@
 
    MVCC: like the store, the whole hot state is one immutable record
    behind an [Atomic.t]; a snapshot is [Atomic.get], mutations CAS a
-   new state in.  Store-joined reads (traces, version queries) pair a
+   new state in.  Store-joined reads (traces, templates) pair a
    history snapshot with a {!Store.Snapshot.t} so the two views are
    frozen together. *)
 
@@ -48,7 +48,18 @@ type conflict = {
 
 type conflict_event = Conflict_added of conflict | Conflict_resolved of conflict
 
-(* The immutable hot state. *)
+(* Versions ordered by (creation time, iid): the order in which
+   [latest_version] picks the newest. *)
+module Version_set = Set.Make (struct
+  type t = int * Store.iid
+
+  let compare (a, i) (b, j) =
+    match Int.compare a b with 0 -> Int.compare i j | c -> c
+end)
+
+(* The immutable hot state.  The last four fields are the version
+   index (see "Versioning" below), kept in step with the records by
+   [add], so every snapshot carries the index of its own prefix. *)
 type state = {
   hs_next_rid : int;
   hs_records : record Int_map.t;
@@ -56,48 +67,19 @@ type state = {
   hs_used_by : int list Int_map.t;        (* instance -> rids, newest first *)
   hs_next_cid : int;
   hs_conflicts : conflict Int_map.t;
-}
-
-(* The version-successor index: version-parent and version-children
-   edges derived from the records (see "Versioning" below).  Records
-   and instance entities are immutable once written, so an indexed
-   prefix of the record ids stays valid forever; the index advances
-   incrementally over rids [vi_next ..] at query time ([add] has no
-   store/schema in hand, so it cannot maintain the edges itself).
-
-   The index is itself an immutable record cached on the handle and
-   republished by CAS, which makes it snapshot-safe: a query over a
-   history snapshot uses the cache only when the cached prefix is
-   within the snapshot ([vi_next - 1 <= snapshot boundary]), extends
-   it privately to exactly the boundary, and publishes the extension
-   (a strict improvement — records are shared).  When the cache has
-   advanced past the snapshot (the live history grew), the query
-   rebuilds the prefix privately and leaves the cache alone.
-
-   The store and schema the edges were derived against are remembered
-   by store-handle id and schema physical identity — a different store
-   (e.g. after a replication resync swaps the context's store)
-   rebuilds from scratch. *)
-type vindex = {
-  vi_store : int;                       (* Store.id of the source handle *)
-  vi_schema : Obj.t;
-  vi_parent : Store.iid Int_map.t;
-  vi_children : Store.iid list Int_map.t;
-  vi_next : int;                        (* first rid not yet folded in *)
+  hs_vparent : Store.iid Int_map.t;       (* version -> edit predecessor *)
+  hs_vchildren : Int_set.t Int_map.t;     (* version -> edit successors *)
+  hs_vorigin : Store.iid Int_map.t;       (* version -> first of its tree *)
+  hs_vtrees : Version_set.t Int_map.t;    (* first version -> its tree *)
 }
 
 type t = {
   state : state Atomic.t;
   mutable observer : (record -> unit) option;
-  vindex : vindex option Atomic.t;
   mutable conflict_observer : (conflict_event -> unit) option;
 }
 
-type snapshot = {
-  hsnap_state : state;
-  hsnap_source : t;
-  (* the handle is carried only to reach the shared vindex cache *)
-}
+type snapshot = state
 
 let history_errorf ?(code = `Invalid) fmt = Ddf_core.Error.errorf code fmt
 
@@ -114,15 +96,14 @@ let empty_state =
     hs_used_by = Int_map.empty;
     hs_next_cid = 1;
     hs_conflicts = Int_map.empty;
+    hs_vparent = Int_map.empty;
+    hs_vchildren = Int_map.empty;
+    hs_vorigin = Int_map.empty;
+    hs_vtrees = Int_map.empty;
   }
 
 let create () =
-  {
-    state = Atomic.make empty_state;
-    observer = None;
-    vindex = Atomic.make None;
-    conflict_observer = None;
-  }
+  { state = Atomic.make empty_state; observer = None; conflict_observer = None }
 
 (* Pure-state CAS retry loop; [f]'s side effects must be none (it may
    run twice under contention). *)
@@ -132,7 +113,7 @@ let rec update h f =
   if Atomic.compare_and_set h.state old_state new_state then ret
   else update h f
 
-let snapshot h = { hsnap_state = Atomic.get h.state; hsnap_source = h }
+let snapshot h = Atomic.get h.state
 
 let size h = Int_map.cardinal (Atomic.get h.state).hs_records
 let tick h = (Atomic.get h.state).hs_next_rid
@@ -168,8 +149,74 @@ let add_conflict h ~base ~ours ~theirs ~origin ~at =
   (match h.conflict_observer with None -> () | Some f -> f (Conflict_added c));
   c
 
-let add h ~task_entity ~tool ~inputs ~outputs ~at =
+(* A record is an editing task when one input has the same root entity
+   type as an output: versioning is characterized exactly so in the
+   paper.  The version parent of such an output is the first such
+   input.  Returns the record's edges as ((output, its creation time),
+   (parent, its creation time)); an instance the store or the schema
+   does not know takes part in none. *)
+let version_edges store schema ~inputs ~outputs =
+  let describe iid =
+    match Store.Snapshot.find_opt store iid with
+    | None -> None
+    | Some inst -> (
+      match Schema.root_of schema inst.Store.entity with
+      | root -> Some (root, (iid, inst.Store.meta.Store.created_at))
+      | exception Schema.Schema_error _ -> None)
+  in
+  match List.filter_map (fun (_, i) -> describe i) inputs with
+  | [] -> []
+  | inputs ->
+    List.filter_map
+      (fun (_, out) ->
+        match describe out with
+        | None -> None
+        | Some (root, out) ->
+          List.find_map
+            (fun (r, input) -> if r = root then Some (out, input) else None)
+            inputs)
+      outputs
+
+(* Fold one edge [parent -> out] into the version index.  [out] has
+   just passed the one-producer check, so it has no parent yet; it
+   joins the parent's tree, bringing along the successors earlier
+   records may already have given it (then [out] heads a tree of its
+   own, whose members move over to the parent's origin). *)
+let add_version_edge st ((out, out_at), (p, p_at)) =
+  let origin, trees =
+    match Int_map.find_opt p st.hs_vorigin with
+    | Some o -> (o, st.hs_vtrees)
+    | None -> (p, Int_map.add p (Version_set.singleton (p_at, p)) st.hs_vtrees)
+  in
+  let tree = Int_map.find origin trees in
+  let vorigin = Int_map.add p origin st.hs_vorigin in
+  let vorigin, tree, trees =
+    match Int_map.find_opt out vorigin with
+    | None ->
+      ( Int_map.add out origin vorigin,
+        Version_set.add (out_at, out) tree,
+        trees )
+    | Some o when o = origin -> (vorigin, tree, trees)  (* an edit cycle *)
+    | Some o ->
+      let sub = Int_map.find o trees in
+      ( Version_set.fold
+          (fun (_, v) acc -> Int_map.add v origin acc)
+          sub vorigin,
+        Version_set.union tree sub,
+        Int_map.remove o trees )
+  in
+  let siblings =
+    Option.value (Int_map.find_opt p st.hs_vchildren) ~default:Int_set.empty
+  in
+  { st with
+    hs_vparent = Int_map.add out p st.hs_vparent;
+    hs_vchildren = Int_map.add p (Int_set.add out siblings) st.hs_vchildren;
+    hs_vorigin = vorigin;
+    hs_vtrees = Int_map.add origin tree trees }
+
+let add h store schema ~task_entity ~tool ~inputs ~outputs ~at =
   if outputs = [] then history_errorf "a record needs at least one output";
+  let edges = version_edges (Store.snapshot store) schema ~inputs ~outputs in
   let r =
     update h (fun st ->
         let rid = st.hs_next_rid in
@@ -194,12 +241,14 @@ let add h ~task_entity ~tool ~inputs ~outputs ~at =
         let used_by =
           match tool with Some t -> note_use used_by t | None -> used_by
         in
-        ( { st with
+        let st =
+          { st with
             hs_next_rid = rid + 1;
             hs_records = Int_map.add rid r st.hs_records;
             hs_produced_by = produced_by;
-            hs_used_by = used_by },
-          r ))
+            hs_used_by = used_by }
+        in
+        (List.fold_left add_version_edge st edges, r))
   in
   Ddf_obs.Metrics.incr m_appends;
   (match h.observer with None -> () | Some f -> f r);
@@ -388,6 +437,12 @@ type text_node = {
   mutable tn_open : bool;
 }
 
+(* The length of the last trace text, which sizes the next one's
+   buffer: a deep history's trace runs to hundreds of KiB, and growing
+   a buffer to that by doubling allocates it about twice over.  Shared
+   by every domain and thread; a stale value only costs one resize. *)
+let trace_size_hint = Atomic.make 4096
+
 (* The text [Wire.Trace] answers: [Task_graph.to_ascii] of
    [st_trace]'s graph and a line counting its instances, written into
    one buffer by one walk over the records, without assembling the
@@ -401,7 +456,10 @@ type text_node = {
    fails here with the same exception.  A cycle is an edge back to a
    node the walk is still below. *)
 let st_trace_text st store schema iid =
-  let buf = Buffer.create 4096 in
+  let buf =
+    let hint = Atomic.get trace_size_hint in
+    Buffer.create (hint + (hint / 8))
+  in
   let binding = Hashtbl.create 64 in  (* iid -> node *)
   (* construction rule and functional dependency, once per entity *)
   let rules = Hashtbl.create 16 in
@@ -490,6 +548,7 @@ let st_trace_text st store schema iid =
   Buffer.add_char buf '(';
   Buffer.add_string buf (string_of_int !count);
   Buffer.add_string buf " instances in the derivation)\n";
+  Atomic.set trace_size_hint (Buffer.length buf);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -611,88 +670,19 @@ let st_query_template st store (g : Ddf_graph.Task_graph.t) ~bound =
 (* Versioning (Fig. 11)                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A record is an editing task when one input has the same root entity
-   type as an output: versioning is characterized exactly so in the
-   paper.  The version parent of an instance is that input. *)
-let snap_record_version_parent store schema (r : record) out_iid =
-  let root = Schema.root_of schema (Store.Snapshot.entity_of store out_iid) in
-  List.find_opt
-    (fun (_, input) ->
-      Schema.root_of schema (Store.Snapshot.entity_of store input) = root)
-    r.inputs
-  |> Option.map snd
+(* The version index in the state answers every query here: the
+   parent and children edges directly, and a version's whole tree as
+   the (creation time, iid)-ordered set filed under the tree's first
+   version.  A lone instance is its own one-version tree. *)
 
-(* Fold records [from .. until] into (parent, children) edge maps.
-   Pure: builds fresh maps from the given ones. *)
-let fold_edges st store schema ~from ~until parent children =
-  let parent = ref parent and children = ref children in
-  for rid = from to until do
-    match Int_map.find_opt rid st.hs_records with
-    | None -> ()   (* rid gap from a forward [restore_tick] *)
-    | Some r ->
-      List.iter
-        (fun (_, out) ->
-          match snap_record_version_parent store schema r out with
-          | None -> ()
-          | Some p ->
-            parent := Int_map.add out p !parent;
-            let l = Option.value (Int_map.find_opt p !children) ~default:[] in
-            children := Int_map.add p (out :: l) !children)
-        r.outputs
-  done;
-  (!parent, !children)
-
-(* Get the version index for this (state, store, schema): the cached
-   one when its indexed prefix fits inside the state, extended to the
-   state's boundary; a privately rebuilt one otherwise.  Extensions of
-   the shared cache are published with a CAS (losing the race is fine
-   — the value returned is used either way; the cache just misses one
-   advance).  Each output has at most one producing record ([add]
-   enforces it), so the parent edge per instance is unique. *)
-let vindex_for h st store schema =
-  let boundary = st.hs_next_rid - 1 in
-  let sid = Store.id (Store.Snapshot.source store) in
-  let schema_id = Obj.repr schema in
-  let fresh () =
-    let parent, children =
-      fold_edges st store schema ~from:1 ~until:boundary Int_map.empty
-        Int_map.empty
-    in
-    { vi_store = sid; vi_schema = schema_id; vi_parent = parent;
-      vi_children = children; vi_next = boundary + 1 }
-  in
-  let cached = Atomic.get h.vindex in
-  match cached with
-  | Some vi when vi.vi_store = sid && vi.vi_schema == schema_id ->
-    if vi.vi_next = boundary + 1 then vi
-    else if vi.vi_next > boundary + 1 then
-      (* the live cache ran ahead of this snapshot: rebuild privately
-         for the snapshot's prefix, leave the cache alone *)
-      fresh ()
-    else begin
-      let parent, children =
-        fold_edges st store schema ~from:vi.vi_next ~until:boundary
-          vi.vi_parent vi.vi_children
-      in
-      let vi' = { vi with vi_parent = parent; vi_children = children;
-                  vi_next = boundary + 1 } in
-      ignore (Atomic.compare_and_set h.vindex cached (Some vi'));
-      vi'
-    end
-  | Some _ | None ->
-    let vi = fresh () in
-    ignore (Atomic.compare_and_set h.vindex cached (Some vi));
-    vi
-
-let st_version_parent h st store schema iid =
-  Int_map.find_opt iid (vindex_for h st store schema).vi_parent
+let st_version_parent st iid = Int_map.find_opt iid st.hs_vparent
 
 (* Direct edit successors: the alternative versions branching off an
    instance.  More than one child — siblings — is exactly the shape an
    anti-entropy merge of divergent workspaces produces. *)
-let st_version_children h st store schema iid =
-  match Int_map.find_opt iid (vindex_for h st store schema).vi_children with
-  | Some l -> List.sort_uniq compare l
+let st_version_children st iid =
+  match Int_map.find_opt iid st.hs_vchildren with
+  | Some s -> Int_set.elements s
   | None -> []
 
 type version_tree = {
@@ -700,47 +690,35 @@ type version_tree = {
   v_children : version_tree list;
 }
 
-(* The version tree rooted at an instance, following edit successors —
-   one child-map hit per node instead of re-deriving the successors
-   from [uses_of] at every node. *)
-let st_version_tree h st store schema iid =
-  let vi = vindex_for h st store schema in
-  let children iid =
-    match Int_map.find_opt iid vi.vi_children with
-    | Some l -> List.sort_uniq compare l
-    | None -> []
-  in
+(* The version tree rooted at an instance, following edit successors. *)
+let st_version_tree st iid =
   let rec build iid =
-    { v_iid = iid; v_children = List.map build (children iid) }
+    { v_iid = iid; v_children = List.map build (st_version_children st iid) }
   in
   build iid
 
 let rec version_tree_size t =
   1 + List.fold_left (fun acc c -> acc + version_tree_size c) 0 t.v_children
 
-(* All versions (the instances in the version tree), oldest first. *)
-let st_versions h st store schema iid =
-  (* walk up to the first version *)
-  let vi = vindex_for h st store schema in
-  let rec origin iid =
-    match Int_map.find_opt iid vi.vi_parent with
-    | Some p -> origin p
-    | None -> iid
-  in
-  (* accumulator fold: [concat_map] would copy the tail once per level,
-     quadratic on the long linear chains edit histories produce *)
-  let rec flatten acc t = List.fold_left flatten (t.v_iid :: acc) t.v_children in
-  flatten [] (st_version_tree h st store schema (origin iid))
-  |> List.sort_uniq compare
+let st_tree_of st iid =
+  Option.map
+    (fun o -> Int_map.find o st.hs_vtrees)
+    (Int_map.find_opt iid st.hs_vorigin)
+
+(* All versions (the instances in the version tree), ascending by iid. *)
+let st_versions st iid =
+  match st_tree_of st iid with
+  | None -> [ iid ]
+  | Some tree ->
+    Version_set.fold (fun (_, v) acc -> v :: acc) tree []
+    |> List.sort Int.compare
 
 (* The newest instance in the version tree by creation time (ties go
    to the higher iid); the instance itself when it has no versions. *)
-let st_latest_version h st store schema iid =
-  let at v = (Store.Snapshot.meta_of store v).Store.created_at in
-  List.fold_left
-    (fun best v -> if (at v, v) > (at best, best) then v else best)
-    iid
-    (st_versions h st store schema iid)
+let st_latest_version st iid =
+  match st_tree_of st iid with
+  | None -> iid
+  | Some tree -> snd (Version_set.max_elt tree)
 
 (* ------------------------------------------------------------------ *)
 (* Consistency (out-of-date analysis)                                  *)
@@ -749,25 +727,25 @@ let st_latest_version h st store schema iid =
 (* An instance is out of date when some input of its derivation has a
    newer version: e.g. the layout was edited after this netlist was
    extracted from it.  Returns the stale (input, newer-version) pairs. *)
-let st_out_of_date h st store schema iid =
+let st_out_of_date st iid =
   match st_derivation_of st iid with
   | None -> []
   | Some r ->
     List.filter_map
       (fun (role, input) ->
-        let newer =
-          st_versions h st store schema input
-          |> List.filter (fun v ->
-                 v <> input
-                 && (Store.Snapshot.meta_of store v).Store.created_at > r.at)
-        in
-        match newer with
-        | [] -> None
-        | _ -> Some (role, input, newer))
+        match st_tree_of st input with
+        | None -> None
+        | Some tree -> (
+          let newer =
+            Version_set.to_seq_from (r.at + 1, min_int) tree
+            |> Seq.filter_map (fun (_, v) ->
+                   if v <> input then Some v else None)
+            |> List.of_seq |> List.sort Int.compare
+          in
+          match newer with [] -> None | _ -> Some (role, input, newer)))
       r.inputs
 
-let st_is_up_to_date h st store schema iid =
-  st_out_of_date h st store schema iid = []
+let st_is_up_to_date st iid = st_out_of_date st iid = []
 
 (* ------------------------------------------------------------------ *)
 (* The snapshot read API                                               *)
@@ -776,52 +754,31 @@ let st_is_up_to_date h st store schema iid =
 module Snapshot = struct
   type t = snapshot
 
-  let size snap = Int_map.cardinal snap.hsnap_state.hs_records
-  let tick snap = snap.hsnap_state.hs_next_rid
-  let conflict_tick snap = snap.hsnap_state.hs_next_cid
-  let find snap rid = st_find snap.hsnap_state rid
-  let records snap = st_records snap.hsnap_state
-  let find_conflict snap cid = st_find_conflict snap.hsnap_state cid
-  let find_conflict_pair snap a b = st_find_conflict_pair snap.hsnap_state a b
-  let all_conflicts snap = st_all_conflicts snap.hsnap_state
-  let conflicts snap = st_conflicts snap.hsnap_state
-  let derivation_of snap iid = st_derivation_of snap.hsnap_state iid
-  let uses_of snap iid = st_uses_of snap.hsnap_state iid
-  let backward_closure snap iid = st_backward_closure snap.hsnap_state iid
-  let forward_closure snap iid = st_forward_closure snap.hsnap_state iid
-  let derived_instances snap iid = st_derived_instances snap.hsnap_state iid
-
-  let ancestor_instances snap iid =
-    st_ancestor_instances snap.hsnap_state iid
-
-  let trace snap store schema iid = st_trace snap.hsnap_state store schema iid
-
-  let trace_text snap store schema iid =
-    st_trace_text snap.hsnap_state store schema iid
-
-  let query_template snap store g ~bound =
-    st_query_template snap.hsnap_state store g ~bound
-
-  let version_parent snap store schema iid =
-    st_version_parent snap.hsnap_source snap.hsnap_state store schema iid
-
-  let version_children snap store schema iid =
-    st_version_children snap.hsnap_source snap.hsnap_state store schema iid
-
-  let version_tree snap store schema iid =
-    st_version_tree snap.hsnap_source snap.hsnap_state store schema iid
-
-  let versions snap store schema iid =
-    st_versions snap.hsnap_source snap.hsnap_state store schema iid
-
-  let latest_version snap store schema iid =
-    st_latest_version snap.hsnap_source snap.hsnap_state store schema iid
-
-  let out_of_date snap store schema iid =
-    st_out_of_date snap.hsnap_source snap.hsnap_state store schema iid
-
-  let is_up_to_date snap store schema iid =
-    st_is_up_to_date snap.hsnap_source snap.hsnap_state store schema iid
+  let size st = Int_map.cardinal st.hs_records
+  let tick st = st.hs_next_rid
+  let conflict_tick st = st.hs_next_cid
+  let find = st_find
+  let records = st_records
+  let find_conflict = st_find_conflict
+  let find_conflict_pair = st_find_conflict_pair
+  let all_conflicts = st_all_conflicts
+  let conflicts = st_conflicts
+  let derivation_of = st_derivation_of
+  let uses_of = st_uses_of
+  let backward_closure = st_backward_closure
+  let forward_closure = st_forward_closure
+  let derived_instances = st_derived_instances
+  let ancestor_instances = st_ancestor_instances
+  let trace = st_trace
+  let trace_text = st_trace_text
+  let query_template = st_query_template
+  let version_parent = st_version_parent
+  let version_children = st_version_children
+  let version_tree = st_version_tree
+  let versions = st_versions
+  let latest_version = st_latest_version
+  let out_of_date = st_out_of_date
+  let is_up_to_date = st_is_up_to_date
 end
 
 (* ------------------------------------------------------------------ *)
@@ -856,36 +813,16 @@ let query_template h store g ~bound =
   let st = Atomic.get h.state in
   st_query_template st (Store.snapshot store) g ~bound
 
-let record_version_parent store schema r out_iid =
-  snap_record_version_parent (Store.snapshot store) schema r out_iid
+let version_parent h iid = st_version_parent (Atomic.get h.state) iid
+let version_children h iid = st_version_children (Atomic.get h.state) iid
+let version_tree h iid = st_version_tree (Atomic.get h.state) iid
+let versions h _store _schema iid = st_versions (Atomic.get h.state) iid
 
-let version_parent h store schema iid =
-  let st = Atomic.get h.state in
-  st_version_parent h st (Store.snapshot store) schema iid
+let latest_version h _store _schema iid =
+  st_latest_version (Atomic.get h.state) iid
 
-let version_children h store schema iid =
-  let st = Atomic.get h.state in
-  st_version_children h st (Store.snapshot store) schema iid
-
-let version_tree h store schema iid =
-  let st = Atomic.get h.state in
-  st_version_tree h st (Store.snapshot store) schema iid
-
-let versions h store schema iid =
-  let st = Atomic.get h.state in
-  st_versions h st (Store.snapshot store) schema iid
-
-let latest_version h store schema iid =
-  let st = Atomic.get h.state in
-  st_latest_version h st (Store.snapshot store) schema iid
-
-let out_of_date h store schema iid =
-  let st = Atomic.get h.state in
-  st_out_of_date h st (Store.snapshot store) schema iid
-
-let is_up_to_date h store schema iid =
-  let st = Atomic.get h.state in
-  st_is_up_to_date h st (Store.snapshot store) schema iid
+let out_of_date h _store _schema iid = st_out_of_date (Atomic.get h.state) iid
+let is_up_to_date h iid = st_is_up_to_date (Atomic.get h.state) iid
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -13,8 +13,8 @@
     behind an [Atomic.t].  {!snapshot} captures it lock-free; all the
     reads below exist in two forms — live wrappers on {!t} (a fresh
     capture per call) and the {!Snapshot} module for pinned views.
-    Store-joined queries pair a history snapshot with a
-    {!Store.Snapshot.t} so both sides are frozen together.
+    Store-joined queries (traces, templates) pair a history snapshot
+    with a {!Store.Snapshot.t} so both sides are frozen together.
 
     Failures raise {!Ddf_core.Error.Ddf_error} ([`Not_found] for
     missing records/conflicts, [`Conflict] for duplicate producers and
@@ -46,10 +46,13 @@ val snapshot : t -> snapshot
 val size : t -> int
 
 val add :
-  t -> task_entity:string -> tool:Store.iid option ->
-  inputs:(string * Store.iid) list -> outputs:(string * Store.iid) list ->
-  at:int -> record
-(** @raise Ddf_core.Error.Ddf_error ([`Conflict]) when an output
+  t -> 'a Store.t -> Schema.t -> task_entity:string ->
+  tool:Store.iid option -> inputs:(string * Store.iid) list ->
+  outputs:(string * Store.iid) list -> at:int -> record
+(** Append a record.  The store and schema classify its version edges
+    (see Versioning below): they must be the ones the record's
+    instances live in and are typed by.
+    @raise Ddf_core.Error.Ddf_error ([`Conflict]) when an output
     already has a producing record (derivations uniquely identify
     design objects), [`Invalid] when outputs are empty. *)
 
@@ -174,44 +177,38 @@ val query_template :
 
 (** {1 Versioning (Fig. 11)}
 
-    Version queries are answered from a version-successor index
-    (parent and children edges per instance) built lazily and advanced
-    incrementally over the records added since the last query — never
-    re-derived from [uses_of] per node.  The index is an immutable
-    value cached on the handle and republished by CAS, which makes it
-    both domain-safe and snapshot-safe: a query through a pinned
-    snapshot only uses the cached prefix up to the snapshot's own
-    record boundary (rebuilding privately when the live cache has run
-    ahead).  The index is keyed on the {!Store.id} and the physical
-    identity of the schema it was derived against; querying with a
-    different store (e.g. after a replication resync) rebuilds it
-    transparently. *)
+    A record is an editing task when one of its inputs shares an
+    output's root entity type; that input is the output's version
+    parent.  {!add} files every such edge in a version index that is
+    part of the history state: parent and children per instance, and
+    per version tree its members ordered by (creation time, iid).  So
+    every query below is O(log n + answer) on the live history and on
+    any pinned snapshot alike, and needs no store or schema. *)
 
-val version_parent : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid option
+val version_parent : t -> Store.iid -> Store.iid option
 (** The edit predecessor: the input of the producing record whose
     entity shares the instance's root type. *)
 
-val version_children : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid list
-(** Direct edit successors — more than one means alternative versions
-    branch here (deliberate alternatives, or a sync merge of divergent
-    workspaces). *)
-
-val record_version_parent :
-  'a Store.t -> Schema.t -> record -> Store.iid -> Store.iid option
-(** The version parent [record] gives one of its outputs: the input
-    sharing the output's root entity type.  Exposed for the sync
-    applier, which must detect version branches record by record. *)
+val version_children : t -> Store.iid -> Store.iid list
+(** Direct edit successors, ascending — more than one means
+    alternative versions branch here (deliberate alternatives, or a
+    sync merge of divergent workspaces). *)
 
 type version_tree = {
   v_iid : Store.iid;
   v_children : version_tree list;
 }
 
-val version_tree : t -> 'a Store.t -> Schema.t -> Store.iid -> version_tree
+val version_tree : t -> Store.iid -> version_tree
 val version_tree_size : version_tree -> int
 
+(** [versions], [latest_version] and [out_of_date] read nothing from
+    their store and schema arguments; the arguments stay because the
+    benchmark's in-process replay ([perfbench/replay.ml]) calls these
+    three with them. *)
+
 val versions : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid list
-(** Every version in the instance's tree, from its origin. *)
+(** Every version in the instance's tree, ascending by iid. *)
 
 val latest_version : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid
 (** The newest version by creation time (ties go to the higher iid);
@@ -222,17 +219,17 @@ val latest_version : t -> 'a Store.t -> Schema.t -> Store.iid -> Store.iid
 val out_of_date :
   t -> 'a Store.t -> Schema.t -> Store.iid ->
   (string * Store.iid * Store.iid list) list
-(** Inputs of the derivation that have newer versions:
+(** Inputs of the derivation that have versions created after it:
     [(role, input, newer versions)]. *)
 
-val is_up_to_date : t -> 'a Store.t -> Schema.t -> Store.iid -> bool
+val is_up_to_date : t -> Store.iid -> bool
 
 (** {1 Snapshot reads}
 
     The read API above, against one frozen history view.  Store-joined
-    queries take the {!Store.Snapshot.t} to read instance entities and
-    metadata from — pin both sides together (the server's published
-    view does) for a fully repeatable query. *)
+    queries (traces, templates) take the {!Store.Snapshot.t} to read
+    instance entities from — pin both sides together (the server's
+    published view does) for a fully repeatable query. *)
 
 module Snapshot : sig
   type t = snapshot
@@ -263,27 +260,13 @@ module Snapshot : sig
     t -> 'a Store.Snapshot.t -> Ddf_graph.Task_graph.t ->
     bound:(int * Store.iid) list -> (int * Store.iid) list list
 
-  val version_parent :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> Store.iid option
-
-  val version_children :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> Store.iid list
-
-  val version_tree :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> version_tree
-
-  val versions :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> Store.iid list
-
-  val latest_version :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> Store.iid
-
-  val out_of_date :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid ->
-    (string * Store.iid * Store.iid list) list
-
-  val is_up_to_date :
-    t -> 'a Store.Snapshot.t -> Schema.t -> Store.iid -> bool
+  val version_parent : t -> Store.iid -> Store.iid option
+  val version_children : t -> Store.iid -> Store.iid list
+  val version_tree : t -> Store.iid -> version_tree
+  val versions : t -> Store.iid -> Store.iid list
+  val latest_version : t -> Store.iid -> Store.iid
+  val out_of_date : t -> Store.iid -> (string * Store.iid * Store.iid list) list
+  val is_up_to_date : t -> Store.iid -> bool
 end
 
 val pp_record : Format.formatter -> record -> unit

@@ -355,7 +355,8 @@ let replay_entry ?(lenient = false) ctx payload =
       end
       else begin
         let r =
-          History.add history ~task_entity:p.W.rp_task_entity
+          History.add history ctx.Ddf_exec.Engine.store
+            ctx.Ddf_exec.Engine.schema ~task_entity:p.W.rp_task_entity
             ~tool:p.W.rp_tool ~inputs:p.W.rp_inputs ~outputs:p.W.rp_outputs
             ~at:p.W.rp_at
         in

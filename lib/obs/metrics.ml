@@ -7,32 +7,38 @@
    instead of discarding them, keeping every cached handle valid.
 
    Histograms use fixed log-linear buckets -- 8 sub-buckets per
-   power-of-two octave -- so p50/p90/p99 read out with bounded
-   relative error (one bucket is a factor of 2^(1/8) ~ 9% wide) at a
-   fixed 256-int footprint, with no per-observation allocation. *)
+   power-of-two octave, 32 octaves each side of 1 -- so p50/p90/p99
+   read out with bounded relative error (one bucket is a factor of
+   2^(1/8) ~ 9% wide) from nanoseconds in seconds to hours in
+   microseconds, at a fixed 512-int footprint, with no
+   per-observation allocation. *)
 
 type counter = { c_name : string; mutable count : int }
 type gauge = { g_name : string; mutable value : float }
 
-(* Log-linear buckets: bucket 0 counts values <= 1; bucket i (i >= 1)
-   counts values in (2^((i-1)/8), 2^(i/8)]; the last bucket overflows
-   (2^(255/8) ~ 4e9 -- over an hour in microseconds). *)
+(* Log-linear buckets: bucket 0 counts values <= 2^-32; bucket i
+   (i >= 1) counts values in (2^((i-1-256)/8), 2^((i-256)/8)]; the
+   last bucket overflows (2^(255/8) ~ 4e9 -- over an hour in
+   microseconds).  Values above 1 land exactly where a 1-based scale
+   would put them, so microsecond histograms read as they always have. *)
 let sub_buckets = 8
-let bucket_count = 256
+let below_one = 32 * sub_buckets   (* buckets at or below 1 *)
+let bucket_count = 2 * below_one
 
 (* Upper bound of bucket i. *)
 let bucket_bound =
   let bounds =
     Array.init bucket_count (fun i ->
-        Float.pow 2.0 (float_of_int i /. float_of_int sub_buckets))
+        Float.pow 2.0
+          (float_of_int (i - below_one) /. float_of_int sub_buckets))
   in
   fun i -> bounds.(i)
 
 let bucket_of v =
-  if v <= 1.0 then 0
+  if v <= bucket_bound 0 then 0
   else
     let b =
-      int_of_float (ceil (float_of_int sub_buckets *. Float.log2 v))
+      int_of_float (ceil (float_of_int sub_buckets *. Float.log2 v)) + below_one
     in
     min (max b 0) (bucket_count - 1)
 

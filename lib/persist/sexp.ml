@@ -74,84 +74,101 @@ let to_string ?(pretty = true) sexp =
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Far deeper than anything the codecs, checkpoints or journal write
+   (a few dozen levels); the bound stops a hostile input from growing
+   the reader's stack with its nesting. *)
+let max_depth = 1000
+
+(* One left-to-right scan by index: no option or closure per
+   character, and an atom without escapes is one [String.sub]. *)
 let of_string text =
   let n = String.length text in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some ';' ->
-      (* comment to end of line *)
-      while !pos < n && text.[!pos] <> '\n' do
-        advance ()
-      done;
-      skip_ws ()
-    | Some _ | None -> ()
+    if !pos < n then
+      match text.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' ->
+        incr pos;
+        skip_ws ()
+      | ';' ->
+        (* comment to end of line *)
+        while !pos < n && text.[!pos] <> '\n' do
+          incr pos
+        done;
+        skip_ws ()
+      | _ -> ()
+  in
+  let rec plain i =
+    if i < n && text.[i] <> '"' && text.[i] <> '\\' then plain (i + 1) else i
   in
   let quoted_atom () =
-    advance ();
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> sexp_errorf "unterminated string at %d" !pos
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some c -> sexp_errorf "bad escape \\%c" c
-        | None -> sexp_errorf "dangling escape");
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Atom (Buffer.contents buf)
+    incr pos;
+    let start = !pos in
+    let stop = plain start in
+    if stop < n && text.[stop] = '"' then begin
+      pos := stop + 1;
+      Atom (String.sub text start (stop - start))
+    end
+    else begin
+      let buf = Buffer.create (2 * (stop - start) + 16) in
+      let rec go () =
+        let stop = plain !pos in
+        Buffer.add_substring buf text !pos (stop - !pos);
+        pos := stop;
+        if stop >= n then sexp_errorf "unterminated string at %d" !pos
+        else if text.[stop] = '"' then incr pos
+        else begin
+          pos := stop + 1;
+          if !pos >= n then sexp_errorf "dangling escape";
+          (match text.[!pos] with
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | '"' -> Buffer.add_char buf '"'
+          | '\\' -> Buffer.add_char buf '\\'
+          | c -> sexp_errorf "bad escape \\%c" c);
+          incr pos;
+          go ()
+        end
+      in
+      go ();
+      Atom (Buffer.contents buf)
+    end
   in
   let bare_atom () =
     let start = !pos in
-    let stop = ref false in
-    while not !stop do
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';') | None ->
-        stop := true
-      | Some _ -> advance ()
-    done;
+    let rec stop i =
+      if i >= n then i
+      else
+        match text.[i] with
+        | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> i
+        | _ -> stop (i + 1)
+    in
+    pos := stop start;
     Atom (String.sub text start (!pos - start))
   in
-  let rec expr () =
+  let rec expr depth =
     skip_ws ();
-    match peek () with
-    | None -> sexp_errorf "unexpected end of input"
-    | Some '(' ->
-      advance ();
-      let items = ref [] in
-      let rec items_loop () =
+    if !pos >= n then sexp_errorf "unexpected end of input";
+    match text.[!pos] with
+    | '(' ->
+      if depth >= max_depth then
+        sexp_errorf "lists nested deeper than %d at %d" max_depth !pos;
+      incr pos;
+      let rec items acc =
         skip_ws ();
-        match peek () with
-        | Some ')' -> advance ()
-        | None -> sexp_errorf "unterminated list"
-        | Some _ ->
-          items := expr () :: !items;
-          items_loop ()
+        if !pos >= n then sexp_errorf "unterminated list"
+        else if text.[!pos] = ')' then begin
+          incr pos;
+          List (List.rev acc)
+        end
+        else items (expr (depth + 1) :: acc)
       in
-      items_loop ();
-      List (List.rev !items)
-    | Some '"' -> quoted_atom ()
-    | Some ')' -> sexp_errorf "unexpected ')' at %d" !pos
-    | Some _ -> bare_atom ()
+      items []
+    | '"' -> quoted_atom ()
+    | ')' -> sexp_errorf "unexpected ')' at %d" !pos
+    | _ -> bare_atom ()
   in
-  let result = expr () in
+  let result = expr 0 in
   skip_ws ();
   if !pos <> n then sexp_errorf "trailing input at %d" !pos;
   result

@@ -11,7 +11,13 @@ exception Sexp_error of string
 
 val to_string : ?pretty:bool -> t -> string
 val of_string : string -> t
-(** @raise Sexp_error on malformed input or trailing text. *)
+(** @raise Sexp_error on malformed input, trailing text, or lists
+    nested deeper than {!max_depth}. *)
+
+val max_depth : int
+(** How deep {!of_string} lets lists nest: far beyond anything the
+    workspace formats write, low enough that a hostile input cannot
+    exhaust the reader's stack. *)
 
 (** {1 Streaming printer}
 

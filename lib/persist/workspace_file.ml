@@ -232,7 +232,8 @@ let load ?registry ?(cemented = fun _ -> None) schema text =
   List.iter
     (fun p ->
       let r =
-        History.add ctx.Ddf_exec.Engine.history ~task_entity:p.rp_task_entity
+        History.add ctx.Ddf_exec.Engine.history ctx.Ddf_exec.Engine.store
+          ctx.Ddf_exec.Engine.schema ~task_entity:p.rp_task_entity
           ~tool:p.rp_tool ~inputs:p.rp_inputs ~outputs:p.rp_outputs ~at:p.rp_at
       in
       if r.History.rid <> p.rp_rid then

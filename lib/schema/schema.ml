@@ -44,6 +44,8 @@ type closure = {
       (* direct subtypes, ascending id order *)
   cl_ancestors : String_set.t String_map.t;
       (* proper ancestors (the parent chain) as a set *)
+  cl_roots : string String_map.t;
+      (* the last ancestor, or the entity itself when it has none *)
   cl_descendants : string list String_map.t;
       (* transitive subtypes in BFS order, filled per queried root *)
 }
@@ -109,13 +111,9 @@ let ancestors s id =
   in
   up [] id
 
-let root_of s id =
-  match List.rev (ancestors s id) with
-  | [] -> id
-  | r :: _ -> r
-
-(* Build the children lists and ancestor sets in one pass over the
-   entity map; descendant lists are filled on demand per queried root.
+(* Build the children lists, ancestor sets and roots in one pass over
+   the entity map; descendant lists are filled on demand per queried
+   root.
    Parent chains are acyclic (validated), so the memoized ancestor
    recursion terminates. *)
 let build_closure s =
@@ -131,21 +129,24 @@ let build_closure s =
   in
   (* the fold visits ids in ascending order; un-reverse each list *)
   let children = String_map.map List.rev children in
-  let ancs = ref String_map.empty in
+  let ancs = ref String_map.empty and roots = ref String_map.empty in
   let rec anc_of id =
     match String_map.find_opt id !ancs with
     | Some set -> set
     | None ->
-      let set =
+      let set, root =
         match (String_map.find id s.entities).parent with
-        | None -> String_set.empty
-        | Some p -> String_set.add p (anc_of p)
+        | None -> (String_set.empty, id)
+        | Some p ->
+          let set = String_set.add p (anc_of p) in
+          (set, String_map.find p !roots)
       in
       ancs := String_map.add id set !ancs;
+      roots := String_map.add id root !roots;
       set
   in
   String_map.iter (fun id _ -> ignore (anc_of id)) s.entities;
-  { cl_children = children; cl_ancestors = !ancs;
+  { cl_children = children; cl_ancestors = !ancs; cl_roots = !roots;
     cl_descendants = String_map.empty }
 
 let closure_of s =
@@ -157,6 +158,11 @@ let closure_of s =
     else (
       (* another domain published first; its tables are identical *)
       match Atomic.get s.closure with Some cl -> cl | None -> cl)
+
+let root_of s id =
+  match String_map.find_opt id (closure_of s).cl_roots with
+  | Some r -> r
+  | None -> schema_errorf "unknown entity %S in schema %S" id s.name
 
 let subtypes s id =
   match String_map.find_opt id (closure_of s).cl_children with

@@ -829,6 +829,25 @@ let snapshot_export_stream t fd ~user =
   | resp, _ -> (
     try Wire.send_response fd resp with Wire.Wire_error _ -> ())
 
+(* Before closing a connection whose input was refused, read off and
+   drop what the peer has sent already (until it goes quiet for 0.1 s,
+   for at most 1 s in all), so that the close sends end-of-stream:
+   closing with unread input sends a reset instead, which the peer may
+   read in place of the error frame.  The write side stays open until
+   the close, so the peer sees the end only once the connection's slot
+   is free again. *)
+let end_refused fd =
+  let buf = Bytes.create 65536 in
+  let until = Unix.gettimeofday () +. 1.0 in
+  let rec drain () =
+    let left = until -. Unix.gettimeofday () in
+    if left > 0.0 then begin
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.min left 0.1);
+      if Unix.read fd buf 0 (Bytes.length buf) > 0 then drain ()
+    end
+  in
+  try drain () with Unix.Unix_error _ -> ()
+
 let rec stop t =
   let already = Atomic.exchange t.stopping true in
   Mutex.lock t.m;
@@ -937,7 +956,8 @@ and connection_loop t fd conn_id =
          s-expression frame included): answer with a typed error, then
          drop the connection *)
       (try Wire.send_response fd (wire_error `Invalid "%s" m)
-       with Wire.Wire_error _ -> ())
+       with Wire.Wire_error _ -> ());
+      end_refused fd
     | Some (req, meta) -> (
       (* the budget starts ticking the moment the frame is read; a
          header-less request falls back to the server default *)
@@ -988,7 +1008,8 @@ and connection_loop t fd conn_id =
         else if
           (* a Shutdown request stops the whole server after the reply *)
           match req with Wire.Shutdown -> true | _ -> false
-        then stop t)
+        then stop t
+        else end_refused fd)
   in
   (* the slot and the descriptor are released on every exit, whatever
      escapes the loop *)

@@ -58,7 +58,6 @@ type 'a state = {
 }
 
 type 'a t = {
-  id : int;                        (* identity for external index caches *)
   state : 'a state Atomic.t;
   mutable observer : ('a event -> unit) option;
   mutable cold_loader : (iid -> 'a option) option;
@@ -81,8 +80,6 @@ let m_browses = Ddf_obs.Metrics.counter "store.browses"
 let m_cold_loads = Ddf_obs.Metrics.counter "store.cold_loads"
 let m_evictions = Ddf_obs.Metrics.counter "store.evictions"
 
-let next_store_id = Atomic.make 1
-
 let empty_state =
   {
     st_next_iid = 1;
@@ -94,13 +91,10 @@ let empty_state =
 
 let create () =
   {
-    id = Atomic.fetch_and_add next_store_id 1;
     state = Atomic.make empty_state;
     observer = None;
     cold_loader = None;
   }
-
-let id store = store.id
 
 (* Apply a pure state transform with a CAS retry loop.  [f] must be
    side-effect free (it may run more than once under contention);

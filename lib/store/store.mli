@@ -50,11 +50,6 @@ type 'a snapshot
 
 val create : unit -> 'a t
 
-val id : 'a t -> int
-(** A process-unique identity for this handle, stable across
-    mutations.  External caches (e.g. the history version index) key
-    on it instead of on physical equality of mutable innards. *)
-
 val snapshot : 'a t -> 'a snapshot
 (** Capture the latest committed state: one atomic load. *)
 

@@ -435,8 +435,7 @@ let apply_frames j ~origin ~upto frames =
             (fun (_, o) ->
               let base =
                 Option.value ~default:o
-                  (History.version_parent (history ()) (store ())
-                     ctx.Engine.schema o)
+                  (History.version_parent (history ()) o)
               in
               register_conflict ~base ~ours:o ~theirs:o)
             collisions;
@@ -444,8 +443,9 @@ let apply_frames j ~origin ~upto frames =
         end
         else begin
           let r =
-            History.add (history ()) ~task_entity:p.W.rp_task_entity ~tool
-              ~inputs ~outputs ~at:p.W.rp_at
+            History.add (history ()) (store ()) ctx.Engine.schema
+              ~task_entity:p.W.rp_task_entity ~tool ~inputs ~outputs
+              ~at:p.W.rp_at
           in
           Hashtbl.replace rec_index rkey r.History.rid;
           incr applied;
@@ -454,9 +454,7 @@ let apply_frames j ~origin ~upto frames =
              workspaces derived a version of the same object *)
           List.iter
             (fun (_, o) ->
-              match
-                History.record_version_parent (store ()) ctx.Engine.schema r o
-              with
+              match History.version_parent (history ()) o with
               | None -> ()
               | Some parent ->
                 List.iter
@@ -465,8 +463,7 @@ let apply_frames j ~origin ~upto frames =
                       sib <> o
                       && Hashtbl.find_opt st.st_born sib <> Some origin
                     then register_conflict ~base:parent ~ours:sib ~theirs:o)
-                  (History.version_children (history ()) (store ())
-                     ctx.Engine.schema parent))
+                  (History.version_children (history ()) parent))
             outputs
         end
       end

@@ -196,6 +196,27 @@ let suite_cases =
         Persist.load Standard_schemas.odyssey tampered);
   ]
 
+(* Trees of atoms drawn from plain letters and every character the
+   printer must quote or escape. *)
+let gen_sexp =
+  let module S = Ddf_persist.Sexp in
+  let open QCheck2.Gen in
+  let atom =
+    map (fun s -> S.Atom s)
+      (string_size (int_range 0 6)
+         ~gen:
+           (oneofl
+              [ 'a'; 'Z'; '7'; '-'; ' '; '\t'; '\n'; '('; ')'; '"'; ';'; '\\' ]))
+  in
+  sized @@ fix (fun self n ->
+      if n <= 1 then atom
+      else
+        frequency
+          [ (1, atom);
+            ( 2,
+              map (fun l -> S.List l) (list_size (int_range 0 4) (self (n / 3)))
+            ) ])
+
 let sexp_cases =
   let module S = Ddf_persist.Sexp in
   [
@@ -219,6 +240,33 @@ let sexp_cases =
     t "comments are skipped" (fun () ->
         check Alcotest.bool "parsed" true
           (S.of_string "(a ; comment\n b)" = S.List [ S.Atom "a"; S.Atom "b" ]));
+    Util.qcheck ~count:300 "random trees round-trip, pretty and flat"
+      ~print:(fun x -> S.to_string ~pretty:false x)
+      gen_sexp
+      (fun x ->
+        S.of_string (S.to_string x) = x
+        && S.of_string (S.to_string ~pretty:false x) = x);
+    t "nesting is bounded with a typed error" (fun () ->
+        let nested d = String.make d '(' ^ String.make d ')' in
+        let rec depth = function
+          | S.List [ x ] -> 1 + depth x
+          | S.List _ | S.Atom _ -> 1
+        in
+        check Alcotest.int "the bound itself parses" S.max_depth
+          (depth (S.of_string (nested S.max_depth)));
+        List.iter
+          (fun d ->
+            match S.of_string (nested d) with
+            | _ -> Alcotest.failf "%d levels parsed" d
+            | exception S.Sexp_error _ -> ())
+          [ S.max_depth + 1; 100_000 ]);
+    t "quoted atom errors are typed" (fun () ->
+        List.iter
+          (fun text ->
+            match S.of_string text with
+            | _ -> Alcotest.failf "%S parsed" text
+            | exception S.Sexp_error _ -> ())
+          [ "\"abc"; "(\"a\\"; "\"bad \\q escape\""; ")" ]);
   ]
 
 let suite =

@@ -66,10 +66,9 @@ let history_laws =
       (fun (seed, depth) ->
         let w, _, _, versions = edit_tree seed depth in
         let h = Workspace.history w and st = Workspace.store w in
-        let schema = Workspace.schema w in
         List.for_all
           (fun v ->
-            match History.version_parent h st schema v with
+            match History.version_parent h v with
             | None -> true
             | Some p ->
               (Store.meta_of st p).Store.created_at

@@ -401,9 +401,9 @@ let seed_faulty_records () =
     let record inputs =
       let out = nl () in
       ignore
-        (History.add ctx.Engine.history ~task_entity:E.edited_netlist
-           ~tool:None ~inputs ~outputs:[ (E.edited_netlist, out) ]
-           ~at:ctx.Engine.clock);
+        (History.add ctx.Engine.history ctx.Engine.store ctx.Engine.schema
+           ~task_entity:E.edited_netlist ~tool:None ~inputs
+           ~outputs:[ (E.edited_netlist, out) ] ~at:ctx.Engine.clock);
       outputs := out :: !outputs
     in
     record [ ("colour", nl ()) ];

@@ -147,17 +147,14 @@ let history_tests =
           (Task_graph.entity_of g root));
     t "version parents follow edit inputs" (fun () ->
         let s = scenario () in
-        let h = Workspace.history s.w and st = Workspace.store s.w in
-        let schema = Workspace.schema s.w in
+        let h = Workspace.history s.w in
         check (Alcotest.option Alcotest.int) "v2 <- v1" (Some s.s_netlist)
-          (History.version_parent h st schema s.s_v2);
+          (History.version_parent h s.s_v2);
         check (Alcotest.option Alcotest.int) "v1 is an origin" None
-          (History.version_parent h st schema s.s_netlist));
+          (History.version_parent h s.s_netlist));
     t "version tree has the Fig. 11 shape" (fun () ->
         let s = scenario () in
-        let h = Workspace.history s.w and st = Workspace.store s.w in
-        let schema = Workspace.schema s.w in
-        let tree = History.version_tree h st schema s.s_netlist in
+        let tree = History.version_tree (Workspace.history s.w) s.s_netlist in
         check Alcotest.int "four versions" 4 (History.version_tree_size tree);
         (* v2 has two children: the branch *)
         let rec find t = if t.History.v_iid = s.s_v2 then Some t
@@ -178,8 +175,7 @@ let history_tests =
     t "out_of_date is empty for fresh data" (fun () ->
         let s = scenario () in
         check Alcotest.bool "fresh" true
-          (History.is_up_to_date (Workspace.history s.w) (Workspace.store s.w)
-             (Workspace.schema s.w) s.s_extracted));
+          (History.is_up_to_date (Workspace.history s.w) s.s_extracted));
     t "an edit makes downstream data stale" (fun () ->
         let s = scenario () in
         let ctx = Workspace.ctx s.w in
@@ -248,10 +244,11 @@ let history_tests =
     Util.expect_exn "double-producing an instance is rejected"
       (function Ddf.Error.Ddf_error _ -> true | _ -> false)
       (fun () ->
-        let h = History.create () in
-        let _ = History.add h ~task_entity:"x" ~tool:None ~inputs:[]
-                  ~outputs:[ ("x", 1) ] ~at:1 in
-        History.add h ~task_entity:"x" ~tool:None ~inputs:[]
+        let h = History.create () and store = Store.create () in
+        let schema = Standard_schemas.odyssey in
+        let _ = History.add h store schema ~task_entity:"x" ~tool:None
+                  ~inputs:[] ~outputs:[ ("x", 1) ] ~at:1 in
+        History.add h store schema ~task_entity:"x" ~tool:None ~inputs:[]
           ~outputs:[ ("x", 1) ] ~at:2);
   ]
 

@@ -265,10 +265,7 @@ let conflicts =
             ignore (find_version ctx "ours");
             ignore (find_version ctx "theirs"))
           [ ca; cb ];
-        let kids =
-          History.version_children ca.Engine.history ca.Engine.store
-            ca.Engine.schema base_a
-        in
+        let kids = History.version_children ca.Engine.history base_a in
         Alcotest.(check int) "sibling versions under the base" 2
           (List.length kids);
         (* ... and the divergence is registered once per side *)

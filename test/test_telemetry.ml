@@ -157,6 +157,75 @@ let quantile_oracle () =
           want rel)
     [ 0.5; 0.9; 0.99 ]
 
+(* Stage timings recorded in seconds sit far below 1: their quantiles
+   must resolve there as well as microsecond timings do above it. *)
+let sub_unit_quantiles () =
+  let reg = Metrics.create () in
+  let h = Metrics.histogram ~registry:reg "seconds" in
+  let rng = Random.State.make [| 0x5ec |] in
+  let n = 4000 in
+  (* log-uniform over 1e-5 .. 1e-2 s *)
+  let values =
+    Array.init n (fun _ ->
+        1e-5 *. Float.pow 10.0 (Random.State.float rng 3.0))
+  in
+  Array.iter (Metrics.observe h) values;
+  let sorted = Array.copy values in
+  Array.sort compare sorted;
+  List.iter
+    (fun q ->
+      let want = sorted.(min (n - 1) (int_of_float (q *. float_of_int n))) in
+      let got = Metrics.quantile h q in
+      (* one bucket is a factor of 2^(1/8) wide *)
+      let rel = Float.abs (got -. want) /. want in
+      if rel > Float.pow 2.0 0.125 -. 1.0 then
+        Alcotest.failf "q%.2f: got %g, oracle %g (relative error %.3f)" q got
+          want rel)
+    [ 0.5; 0.9; 0.99 ]
+
+(* The 1-based bucket table histograms had before the sub-unit range:
+   bucket 0 holds every value <= 1, bucket i > 0 holds
+   (2^((i-1)/8), 2^(i/8)], 256 buckets.  Quantiles over values above 1
+   must read exactly as they did. *)
+let one_based_quantile values q =
+  let count = 256 in
+  let bound i = Float.pow 2.0 (float_of_int i /. 8.0) in
+  let bucket v =
+    if v <= 1.0 then 0
+    else min (max (int_of_float (ceil (8.0 *. Float.log2 v))) 0) (count - 1)
+  in
+  let buckets = Array.make count 0 in
+  Array.iter (fun v -> buckets.(bucket v) <- buckets.(bucket v) + 1) values;
+  let n = Array.length values in
+  let lo_v = Array.fold_left Float.min infinity values
+  and hi_v = Array.fold_left Float.max neg_infinity values in
+  let rank = q *. float_of_int n in
+  let rec walk i cum =
+    let cum' = cum +. float_of_int buckets.(i) in
+    if cum' >= rank && buckets.(i) > 0 then
+      let lo = if i = 0 then 0.0 else bound (i - 1) in
+      let frac = (rank -. cum) /. float_of_int buckets.(i) in
+      let v = lo +. ((bound i -. lo) *. Float.min 1.0 (Float.max 0.0 frac)) in
+      Float.min hi_v (Float.max lo_v v)
+    else walk (i + 1) cum'
+  in
+  walk 0 0.0
+
+let microsecond_quantiles_unchanged () =
+  let reg = Metrics.create () in
+  let h = Metrics.histogram ~registry:reg "us" in
+  let rng = Random.State.make [| 0x55 |] in
+  let values =
+    Array.init 3000 (fun _ -> 1.0 +. Float.exp (Random.State.float rng 16.0))
+  in
+  Array.iter (Metrics.observe h) values;
+  List.iter
+    (fun q ->
+      check (Alcotest.float 0.0)
+        (Printf.sprintf "q%.2f" q)
+        (one_based_quantile values q) (Metrics.quantile h q))
+    [ 0.5; 0.9; 0.99 ]
+
 (* ------------------------------------------------------------------ *)
 (* The Metrics verb                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -339,7 +408,10 @@ let suite =
           metrics_codec_roundtrip;
       ] );
     ( "telemetry.quantiles",
-      [ t "p50/p90/p99 track a sorted-array oracle" quantile_oracle ] );
+      [ t "p50/p90/p99 track a sorted-array oracle" quantile_oracle;
+        t "seconds below 1 resolve within one bucket" sub_unit_quantiles;
+        t "values above 1 read as on the 1-based table"
+          microsecond_quantiles_unchanged ] );
     ( "telemetry.versioning",
       [ t "a client fetches request-latency quantiles" metrics_verb ] );
     ( "telemetry.assembly",

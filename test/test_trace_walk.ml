@@ -70,7 +70,8 @@ let record w ?tool ?(also = []) entity inputs =
   let outputs = (entity, out) :: List.map (fun e -> (e, put w e)) also in
   w.clock <- w.clock + 1;
   ignore
-    (History.add w.hist ~task_entity:entity ~tool ~inputs ~outputs ~at:w.clock);
+    (History.add w.hist w.store schema ~task_entity:entity ~tool ~inputs
+       ~outputs ~at:w.clock);
   out
 
 (* A random instance of one of [entities], newest first with odds 1/2
@@ -154,7 +155,8 @@ let add_fault rng w =
     let link out prev =
       w.clock <- w.clock + 1;
       ignore
-        (History.add w.hist ~task_entity:"item" ~tool:(Some (tool_a w rng))
+        (History.add w.hist w.store schema ~task_entity:"item"
+           ~tool:(Some (tool_a w rng))
            ~inputs:[ ("left", src w rng); ("right", src w rng); ("prev", prev) ]
            ~outputs:[ ("item", out) ] ~at:w.clock)
     in
@@ -287,11 +289,13 @@ let parity_tests =
         let x = put w "item" and y = put w "item" in
         let s = put w "src" in
         ignore
-          (History.add w.hist ~task_entity:"item" ~tool:(Some tool)
+          (History.add w.hist w.store schema ~task_entity:"item"
+             ~tool:(Some tool)
              ~inputs:[ ("left", s); ("right", s); ("prev", y) ]
              ~outputs:[ ("item", x) ] ~at:100);
         ignore
-          (History.add w.hist ~task_entity:"item" ~tool:(Some tool)
+          (History.add w.hist w.store schema ~task_entity:"item"
+             ~tool:(Some tool)
              ~inputs:[ ("left", s); ("right", s); ("prev", x) ]
              ~outputs:[ ("item", y) ] ~at:101);
         x);

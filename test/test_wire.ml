@@ -534,6 +534,42 @@ let expect_invalid what ~mentions = function
       (Util.contains (Error.message e) mentions)
   | _ -> Alcotest.failf "%s: expected exactly one error, then a close" what
 
+(* Write [bytes] on a fresh connection without half-closing, read the
+   one answer frame, then read on: the server must end the stream
+   (0 bytes), not reset it, though it never read all of [bytes]. *)
+let refusal_then_eof ~socket bytes =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  let answer =
+    match Wire.recv_response fd with
+    | Some (r, _) -> [ r ]
+    | None -> Alcotest.fail "no answer frame"
+  in
+  (match Unix.read fd (Bytes.create 64) 0 64 with
+  | 0 -> ()
+  | n -> Alcotest.failf "%d more bytes after the refusal" n
+  | exception Unix.Unix_error (e, _, _) ->
+    Alcotest.failf "read after the refusal: %s" (Unix.error_message e));
+  answer
+
+(* An install whose value is [depth] nested lists, framed by hand: the
+   value body is opaque bytes on the wire. *)
+let deep_install_frame depth =
+  let b = Buffer.create ((2 * depth) + 64) in
+  let str s =
+    Buffer.add_int32_le b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  Buffer.add_char b '\006';
+  str E.stimuli;
+  str "deep";
+  Buffer.add_int32_le b 0l;
+  str (String.make depth '(' ^ String.make depth ')');
+  frame_of_body (Buffer.contents b)
+
 let hostile =
   [
     Alcotest.test_case "a ddf1 frame gets the typed refusal" `Quick (fun () ->
@@ -547,6 +583,23 @@ let hostile =
              ~mentions:(Printf.sprintf "v%d" Wire.protocol_version);
         (* the server is unharmed *)
         Client.with_client ~socket Client.ping);
+    Alcotest.test_case "a refused frame ends in end-of-stream, not a reset"
+      `Quick (fun () ->
+        Test_server.with_server @@ fun _t ~dir:_ ~socket ->
+        let hello = "(hello old (version 8))" in
+        refusal_then_eof ~socket
+          (Printf.sprintf "ddf1 %d\n%s\n" (String.length hello) hello)
+        |> expect_invalid "ddf1 hello"
+             ~mentions:(Printf.sprintf "v%d" Wire.protocol_version));
+    Alcotest.test_case "a 100k-deep install value gets a typed error"
+      `Quick (fun () ->
+        Test_server.with_server ~max_clients:1 @@ fun _t ~dir:_ ~socket ->
+        refusal_then_eof ~socket (deep_install_frame 100_000)
+        |> expect_invalid "deep value" ~mentions:"nested deeper";
+        Client.with_client ~socket @@ fun c ->
+        ignore (Client.install c ~entity:E.stimuli ~label:"after" stim_sexp);
+        Alcotest.(check int) "the server keeps serving" 1
+          (List.length (Client.browse c (only E.stimuli))));
     Alcotest.test_case "a nested-batch bomb is refused and frees its slot"
       `Quick (fun () ->
         (* one client slot: a leaked connection would lock out the next *)

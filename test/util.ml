@@ -18,9 +18,9 @@ let expect_exn name pred f =
         if not (pred e) then
           Alcotest.failf "unexpected exception %s" (Printexc.to_string e))
 
-let qcheck ?(count = 100) name gen prop =
+let qcheck ?(count = 100) ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name gen prop)
+    (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Replace the first occurrence of [needle] in [hay]. *)
 let replace_first hay needle replacement =
