@@ -12,11 +12,18 @@
       answered from the version index in the history state, by a live
       reader and by a reader pinned to a snapshot taken halfway
       through the history.  Both stay flat as the history grows.
+   4. Trace text -- [History.trace_text] of the tip of an edit chain
+      100, 400 and 1600 deep (a fresh editor per edit, as `hercules
+      remote edit` makes them), its size in bytes and its latency, by a
+      live reader and by a reader pinned to a snapshot taken before a
+      second chain as deep was written, and the words one call
+      allocates.
 
    Exported gauges (for --json): perf.write.{always_rps,group_rps,
    speedup}, perf.rtt.{singleton_rps,batch32_rps,speedup},
    perf.query.n<records>.{add_us,live_versions_us,live_latest_us,
-   pinned_versions_us,pinned_latest_us}. *)
+   pinned_versions_us,pinned_latest_us},
+   perf.trace.d<depth>.{bytes,live_us,pinned_us,alloc_words}. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -117,13 +124,13 @@ let chain_depth = 100
 let history_sizes = [ 1_000; 10_000; 100_000 ]
 let query_rounds = 1000
 
-(* Median over five batches of [query_rounds] calls, per call. *)
-let per_query_us f =
+(* Median over five batches of [rounds] calls, per call. *)
+let per_query_us ?(rounds = query_rounds) f =
   Bench_util.time_us (fun () ->
-      for _ = 1 to query_rounds do
+      for _ = 1 to rounds do
         ignore (Sys.opaque_identity (f ()))
       done)
-  /. float_of_int query_rounds
+  /. float_of_int rounds
 
 (* [records / chain_depth] edit chains, one after the other.  The
    snapshot taken when half of the chains are written is what a pooled
@@ -185,6 +192,67 @@ let version_queries records =
   ( !add_s *. 1e6 /. float_of_int records,
     live_versions, live_latest, pinned_versions, pinned_latest )
 
+(* ------------------------------------------------------------------ *)
+(* 4. Trace text of deep edit chains                                   *)
+(* ------------------------------------------------------------------ *)
+
+let trace_depths = [ 100; 400; 1600 ]
+
+(* Two edit chains [depth] deep, a snapshot pinned between them.
+   Returns the text's size in bytes, the per-call latency of the live
+   and the pinned reader's [trace_text] in us, and the words one call
+   allocates. *)
+let trace_texts depth =
+  let schema = Standard_schemas.odyssey in
+  let store = Store.create () in
+  let h = History.create () in
+  let clock = ref 0 in
+  let put entity =
+    incr clock;
+    Store.put store ~entity
+      ~hash:(Printf.sprintf "h%d" !clock)
+      ~meta:(Store.meta ~created_at:!clock ())
+      ()
+  in
+  let chain () =
+    let rec grow prev i =
+      if i = 0 then prev
+      else
+        let editor = put E.netlist_editor and v = put E.edited_netlist in
+        ignore
+          (History.add h store schema ~task_entity:E.edited_netlist
+             ~tool:(Some editor) ~inputs:[ ("netlist", prev) ]
+             ~outputs:[ (E.edited_netlist, v) ]
+             ~at:!clock);
+        grow v (i - 1)
+    in
+    grow (put E.edited_netlist) depth
+  in
+  let pinned_tip = chain () in
+  let snap = History.snapshot h and pinned_store = Store.snapshot store in
+  let live_tip = chain () in
+  let text = History.trace_text h store schema live_tip in
+  assert (
+    text = History.Snapshot.trace_text snap pinned_store schema pinned_tip);
+  Gc.full_major ();
+  (* about 200k nodes per batch at every depth *)
+  let rounds = 100_000 / depth in
+  let live_us =
+    per_query_us ~rounds (fun () -> History.trace_text h store schema live_tip)
+  in
+  let pinned_us =
+    per_query_us ~rounds (fun () ->
+        History.Snapshot.trace_text snap pinned_store schema pinned_tip)
+  in
+  let words =
+    let w0 = Gc.minor_words () in
+    ignore
+      (Sys.opaque_identity
+         (History.Snapshot.trace_text snap pinned_store schema pinned_tip));
+    Gc.minor_words () -. w0
+  in
+  (String.length text, live_us, pinned_us, words)
+
 let run () =
   Bench_util.section
     (Printf.sprintf "group commit: %d batches of %d installs per sync mode"
@@ -231,4 +299,25 @@ let run () =
          gauge "pinned_versions_us" pv;
          gauge "pinned_latest_us" pl;
          [ string_of_int records; us add_us; us lv; us ll; us pv; us pl ])
-       history_sizes)
+       history_sizes);
+
+  Bench_util.section
+    "trace text of an edit chain's tip, live and pinned readers";
+  Bench_util.print_table
+    [ "depth"; "bytes"; "live us"; "pinned us"; "alloc words" ]
+    (List.map
+       (fun depth ->
+         let bytes, live_us, pinned_us, words = trace_texts depth in
+         let gauge name v =
+           Metrics.set
+             (Metrics.gauge (Printf.sprintf "perf.trace.d%d.%s" depth name))
+             v
+         in
+         gauge "bytes" (float_of_int bytes);
+         gauge "live_us" live_us;
+         gauge "pinned_us" pinned_us;
+         gauge "alloc_words" words;
+         [ string_of_int depth; string_of_int bytes;
+           Printf.sprintf "%.1f" live_us; Printf.sprintf "%.1f" pinned_us;
+           Printf.sprintf "%.0f" words ])
+       trace_depths)

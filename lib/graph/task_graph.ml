@@ -510,33 +510,38 @@ let validate g =
 
 let pp_node ppf n = Fmt.pf ppf "[%d:%s]" n.nid n.entity
 
-let spaces = String.make 256 ' '
+(* Lines deeper than this are indented as deep as this and carry their
+   depth instead, so a line's width no longer grows with the tree's
+   depth: a 400-deep derivation costs O(lines) bytes, not O(depth^2). *)
+let max_indent = 16
 
-(* One line of the Fig. 3(b) tree: two spaces per level, then the edge
-   tag ([f/] functional, [d/] data, [d?/] optional data, and the role)
-   when the node hangs below another, then [entity#nid], marked
-   [(shared)] when the node was printed in full further up.  The only
-   line renderer: [to_ascii] and the history's trace text both write
-   through it. *)
-let add_ascii_line buf ~depth ~via ~entity ~nid ~shared =
-  let rec indent n =
-    if n > 0 then begin
-      let k = min n (String.length spaces) in
-      Buffer.add_substring buf spaces 0 k;
-      indent (n - k)
-    end
-  in
-  indent (2 * depth);
-  (match via with
-  | None -> ()
-  | Some (dep_kind, role) ->
-    Buffer.add_string buf
-      (match dep_kind with
-      | Schema.Functional -> "f/"
-      | Schema.Data_dep { optional = true } -> "d?/"
-      | Schema.Data_dep { optional = false } -> "d/");
+let indent = String.make (2 * max_indent) ' '
+
+let dep_tag = function
+  | Schema.Functional -> "f/"
+  | Schema.Data_dep { optional = true } -> "d?/"
+  | Schema.Data_dep { optional = false } -> "d/"
+
+(* One line of the Fig. 3(b) tree: two spaces per level (down to
+   [max_indent] levels, then a [\[depth\] ] prefix), then the edge tag
+   ([f/] functional, [d/] data, [d?/] optional data, and the role) when
+   the node hangs below another, then [entity#nid], marked [(shared)]
+   when the node was printed in full further up.  The only line
+   renderer: [to_ascii] and the history's trace text both write through
+   it. *)
+let add_ascii_line buf ~depth ~tag ~role ~entity ~nid ~shared =
+  if depth <= max_indent then Buffer.add_substring buf indent 0 (2 * depth)
+  else begin
+    Buffer.add_string buf indent;
+    Buffer.add_char buf '[';
+    Buffer.add_string buf (string_of_int depth);
+    Buffer.add_string buf "] "
+  end;
+  if depth > 0 then begin
+    Buffer.add_string buf tag;
     Buffer.add_string buf role;
-    Buffer.add_string buf ": ");
+    Buffer.add_string buf ": "
+  end;
   Buffer.add_string buf entity;
   Buffer.add_char buf '#';
   Buffer.add_string buf (string_of_int nid);
@@ -549,17 +554,18 @@ let add_ascii_line buf ~depth ~via ~entity ~nid ~shared =
 let to_ascii g =
   let buf = Buffer.create 256 in
   let printed = Hashtbl.create 16 in
-  let rec render depth via nid =
+  let rec render depth tag role nid =
     let shared = Hashtbl.mem printed nid in
-    add_ascii_line buf ~depth ~via ~entity:(find g nid).entity ~nid ~shared;
+    add_ascii_line buf ~depth ~tag ~role ~entity:(find g nid).entity ~nid
+      ~shared;
     if not shared then begin
       Hashtbl.add printed nid ();
       List.iter
-        (fun (e : edge) -> render (depth + 1) (Some (e.dep_kind, e.role)) e.dst)
+        (fun (e : edge) -> render (depth + 1) (dep_tag e.dep_kind) e.role e.dst)
         (out_edges g nid)
     end
   in
-  List.iter (render 0 None) (roots g);
+  List.iter (render 0 "" "") (roots g);
   Buffer.contents buf
 
 let to_dot g =

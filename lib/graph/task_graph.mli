@@ -161,17 +161,31 @@ val cycle : exn
 
 val pp_node : Format.formatter -> node -> unit
 
+val max_indent : int
+(** The depth (16) down to which {!add_ascii_line} indents. *)
+
+val dep_tag : Schema.dep_kind -> string
+(** The edge tag of a dependency kind: ["f/"] functional, ["d/"] data,
+    ["d?/"] optional data. *)
+
 val add_ascii_line :
-  Buffer.t -> depth:int -> via:(Schema.dep_kind * string) option ->
-  entity:string -> nid:int -> shared:bool -> unit
-(** One line of the {!to_ascii} tree: indentation for [depth], the tag
-    of the edge [via] by which the node hangs below its user (none for a
-    root), [entity#nid], and a [(shared)] mark for a node already
-    printed in full. *)
+  Buffer.t -> depth:int -> tag:string -> role:string -> entity:string ->
+  nid:int -> shared:bool -> unit
+(** One line of the {!to_ascii} tree: the indentation for [depth], the
+    edge by which the node hangs below its user as [tag ^ role ^ ": "]
+    (written for [depth > 0] only: a root has no edge, and [tag] and
+    [role] are ignored), [entity#nid], and [" (shared)"] for a node
+    already printed in full.  The indentation is two spaces per level
+    down to {!max_indent}; a deeper line is indented [2 * max_indent]
+    spaces and then carries its depth as ["[depth] "], e.g.
+    ["<32 spaces>[417] d?/netlist: edited_netlist#834"].  Preorder plus
+    each line's depth still defines the tree exactly, and no line is
+    wider than [2 * max_indent] plus its depth's digits and its label. *)
 
 val to_ascii : t -> string
 (** The Fig. 3(b) indented tree from each root, every line written by
-    {!add_ascii_line}. *)
+    {!add_ascii_line} (so lines deeper than {!max_indent} carry a
+    ["[depth] "] prefix). *)
 
 val to_dot : t -> string
 val pp : Format.formatter -> t -> unit

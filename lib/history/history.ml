@@ -438,10 +438,18 @@ type text_node = {
 }
 
 (* The length of the last trace text, which sizes the next one's
-   buffer: a deep history's trace runs to hundreds of KiB, and growing
+   buffer: a long derivation's trace runs to tens of KiB (every line
+   past [Task_graph.max_indent] levels is about 70 bytes), and growing
    a buffer to that by doubling allocates it about twice over.  Shared
    by every domain and thread; a stale value only costs one resize. *)
 let trace_size_hint = Atomic.make 4096
+
+(* Is [role] among the roles of [inputs] before its suffix [rest]? *)
+let rec filled_before role inputs rest =
+  match inputs with
+  | (role', _) :: more when inputs != rest ->
+    String.equal role role' || filled_before role more rest
+  | _ -> false
 
 (* The text [Wire.Trace] answers: [Task_graph.to_ascii] of
    [st_trace]'s graph and a line counting its instances, written into
@@ -454,8 +462,10 @@ let trace_size_hint = Atomic.make 4096
    raised after the walk -- node errors before edge errors before a
    cycle, as [of_parts] orders them -- so a history [st_trace] rejects
    fails here with the same exception.  A cycle is an edge back to a
-   node the walk is still below. *)
+   node the walk is still below.  The walk makes no closure, result
+   box, tag tuple or list cell per edge. *)
 let st_trace_text st store schema iid =
+  let module G = Ddf_graph.Task_graph in
   let buf =
     let hint = Atomic.get trace_size_hint in
     Buffer.create (hint + (hint / 8))
@@ -482,19 +492,19 @@ let st_trace_text st store schema iid =
   let node_error = ref None and edge_error = ref None and cyclic = ref false in
   let note slot e = match !slot with None -> slot := Some e | Some _ -> () in
   let count = ref 0 in
-  let rec visit depth via iid =
+  let rec visit depth tag role iid =
     match Hashtbl.find_opt binding iid with
     | Some n ->
       if n.tn_open then cyclic := true;
-      Ddf_graph.Task_graph.add_ascii_line buf ~depth ~via ~entity:n.tn_entity
-        ~nid:n.tn_nid ~shared:true;
+      G.add_ascii_line buf ~depth ~tag ~role ~entity:n.tn_entity ~nid:n.tn_nid
+        ~shared:true;
       n
     | None ->
       let entity = Store.Snapshot.entity_of store iid in
       let n = { tn_nid = !count; tn_entity = entity; tn_open = true } in
       incr count;
       Hashtbl.add binding iid n;
-      Ddf_graph.Task_graph.add_ascii_line buf ~depth ~via ~entity ~nid:n.tn_nid
+      G.add_ascii_line buf ~depth ~tag ~role ~entity ~nid:n.tn_nid
         ~shared:false;
       (match st_derivation_of st iid with
       | None -> (
@@ -504,44 +514,51 @@ let st_trace_text st store schema iid =
       | Some r ->
         (* raises now for an unknown entity, as [st_trace] does *)
         let rule, functional = rule_of entity in
-        let filled = ref [] in
-        let edge role dep =
-          let decl =
-            match Ddf_graph.Task_graph.declared_dep ~entity rule role with
-            | d -> Ok d
-            | exception e -> Error e
-          in
-          (* on an error the text is dropped, so any tag will do *)
-          let kind =
-            match decl with
-            | Ok d -> d.Schema.dep_kind
-            | Error _ -> Schema.Functional
-          in
-          let d = visit (depth + 1) (Some (kind, role)) dep in
-          (match decl with
-          | Error e -> note edge_error e
-          | Ok decl -> (
-            let dep_entity = d.tn_entity in
-            match Ddf_graph.Task_graph.dep_fits schema decl ~dep_entity with
-            | true ->
-              if List.mem role !filled then
-                note edge_error
-                  (Ddf_graph.Task_graph.filled_twice role n.tn_nid)
-            | false ->
-              note edge_error
-                (Ddf_graph.Task_graph.ill_typed ~user_entity:entity decl
-                   ~dep_entity)
-            | exception e -> note edge_error e));
-          filled := role :: !filled
+        let depth = depth + 1 in
+        (* [functional] when the tool's edge filled its role *)
+        let tool_dep =
+          match (r.tool, functional) with
+          | Some tool, Some d ->
+            edge depth n rule d.Schema.role tool ~filled:false;
+            functional
+          | Some _, None | None, Some _ | None, None -> None
         in
-        (match (r.tool, functional) with
-        | Some tool, Some d -> edge d.Schema.role tool
-        | Some _, None | None, Some _ | None, None -> ());
-        List.iter (fun (role, input) -> edge role input) r.inputs);
+        let rec inputs = function
+          | [] -> ()
+          | (role, input) :: more as rest ->
+            let filled =
+              (match tool_dep with
+              | Some d -> String.equal role d.Schema.role
+              | None -> false)
+              || filled_before role r.inputs rest
+            in
+            edge depth n rule role input ~filled;
+            inputs more
+        in
+        inputs r.inputs);
       n.tn_open <- false;
       n
+  (* The edge by which [user] consumes [dep] in [role], [filled] when
+     an earlier edge of [user] fills [role] already: render [dep]
+     below it, then check the edge as [of_parts] does. *)
+  and edge depth user rule role dep ~filled =
+    let entity = user.tn_entity in
+    match G.declared_dep ~entity rule role with
+    | exception e ->
+      (* the text is dropped on an error, so any tag will do *)
+      ignore (visit depth "f/" role dep);
+      note edge_error e
+    | decl -> (
+      let d = visit depth (G.dep_tag decl.Schema.dep_kind) role dep in
+      let dep_entity = d.tn_entity in
+      match G.dep_fits schema decl ~dep_entity with
+      | true ->
+        if filled then note edge_error (G.filled_twice role user.tn_nid)
+      | false ->
+        note edge_error (G.ill_typed ~user_entity:entity decl ~dep_entity)
+      | exception e -> note edge_error e)
   in
-  ignore (visit 0 None iid);
+  ignore (visit 0 "" "" iid);
   (match (!node_error, !edge_error) with
   | Some e, _ | None, Some e -> raise e
   | None, None -> if !cyclic then raise Ddf_graph.Task_graph.cycle);

@@ -162,9 +162,13 @@ val trace :
 val trace_text : t -> 'a Store.t -> Schema.t -> Store.iid -> string
 (** [Task_graph.to_ascii] of the {!trace} graph followed by the line
     ["(N instances in the derivation)"], rendered in one walk over the
-    records without assembling the graph.  Every check the graph's
-    construction applies is applied, and a history {!trace} rejects
-    fails with the same exception. *)
+    records without assembling the graph.  Lines indent two spaces per
+    level down to [Task_graph.max_indent] (16) levels; a deeper line is
+    indented 32 spaces and prefixed with its depth as ["[depth] "]
+    (["[417] d?/netlist: edited_netlist#834"]), so the text grows
+    linearly with the derivation, not with its depth squared.  Every
+    check the graph's construction applies is applied, and a history
+    {!trace} rejects fails with the same exception. *)
 
 (** {1 Query by template (section 4.2)} *)
 

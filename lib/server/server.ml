@@ -277,6 +277,7 @@ type t = {
      [m], so the stop flag and the in-flight count are atomics *)
   stopping : bool Atomic.t;
   in_flight : int Atomic.t;           (* requests being served right now *)
+  drainers : int Atomic.t;            (* refused connections being drained *)
   (* shared state under [m] *)
   m : Mutex.t;
   mutable conns : (int * Unix.file_descr) list;
@@ -1023,6 +1024,32 @@ and connection_loop t fd conn_id =
 (* Accepting                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* At most this many refused connections are drained at a time; past
+   that, a refused connection is closed at once (and its peer may read
+   a reset instead of the refusal). *)
+let max_drainers = 4
+
+(* Close a connection refused at accept, after [end_refused] on a
+   thread of its own so the accept loop never waits on the peer. *)
+let close_refused t fd =
+  let close () = try Unix.close fd with Unix.Unix_error _ -> () in
+  if Atomic.fetch_and_add t.drainers 1 >= max_drainers then begin
+    Atomic.decr t.drainers;
+    close ()
+  end
+  else
+    let drain () =
+      Fun.protect
+        ~finally:(fun () ->
+          close ();
+          Atomic.decr t.drainers)
+        (fun () -> end_refused fd)
+    in
+    let th = Thread.create drain () in
+    Mutex.lock t.m;
+    t.threads <- th :: t.threads;
+    Mutex.unlock t.m
+
 let accept_loop t =
   let stopping () = Atomic.get t.stopping in
   (* Wait until a connection is pending or [stop] tickles the wake
@@ -1054,7 +1081,7 @@ let accept_loop t =
                (wire_error ~retry_after:0.1 `Overloaded
                   "server is at capacity (%d clients)" t.max_clients)
            with Wire.Wire_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ())
+          close_refused t fd
         end
         else begin
           let th = Thread.create (fun () -> connection_loop t fd conn_id) () in
@@ -1118,6 +1145,7 @@ let start ?registry ?seed ?follow ?(max_clients = 64)
       drain_grace; slow_log;
       started_at = Unix.gettimeofday ();
       stopping = Atomic.make false; in_flight = Atomic.make 0;
+      drainers = Atomic.make 0;
       m = Mutex.create (); conns = []; next_conn = 1;
       threads = []; queue = Queue.create (); queue_c = Condition.create ();
       avg_job_us = 0.0;

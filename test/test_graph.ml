@@ -291,23 +291,29 @@ let bulk_tests =
         Canonical.equal g (Task_graph.of_parts schema nodes edges));
   ]
 
-(* The renderer before lines, indentation and tags moved into
-   [add_ascii_line]: the reference its output must equal byte for
-   byte. *)
+(* The renderer's spec, written independently of [add_ascii_line]: its
+   output must equal this byte for byte.  Two spaces per level down to
+   depth 16; a deeper line is indented 32 spaces and carries
+   "[depth] ". *)
 let reference_ascii g =
   let buf = Buffer.create 256 in
   let printed = Hashtbl.create 16 in
-  let rec render indent role_label nid =
+  let indent depth =
+    if depth <= 16 then String.make (2 * depth) ' '
+    else Printf.sprintf "%s[%d] " (String.make 32 ' ') depth
+  in
+  let rec render depth role_label nid =
     let n = Task_graph.find g nid in
     let label =
       if role_label = "" then Printf.sprintf "%s#%d" n.Task_graph.entity nid
       else Printf.sprintf "%s: %s#%d" role_label n.Task_graph.entity nid
     in
     if Hashtbl.mem printed nid then
-      Buffer.add_string buf (Printf.sprintf "%s%s (shared)\n" indent label)
+      Buffer.add_string buf
+        (Printf.sprintf "%s%s (shared)\n" (indent depth) label)
     else begin
       Hashtbl.add printed nid ();
-      Buffer.add_string buf (Printf.sprintf "%s%s\n" indent label);
+      Buffer.add_string buf (Printf.sprintf "%s%s\n" (indent depth) label);
       List.iter
         (fun (e : Task_graph.edge) ->
           let tag =
@@ -316,12 +322,115 @@ let reference_ascii g =
             | Schema.Data_dep { optional = true } -> "d?/" ^ e.Task_graph.role
             | Schema.Data_dep { optional = false } -> "d/" ^ e.Task_graph.role
           in
-          render (indent ^ "  ") tag e.Task_graph.dst)
+          render (depth + 1) tag e.Task_graph.dst)
         (Task_graph.out_edges g nid)
     end
   in
-  List.iter (render "" "") (Task_graph.roots g);
+  List.iter (render 0 "") (Task_graph.roots g);
   Buffer.contents buf
+
+(* One rendered line, structured: depth, edge tag and role (none for a
+   root), entity, node id, shared mark. *)
+type line = {
+  l_depth : int;
+  l_via : (string * string) option;
+  l_entity : string;
+  l_nid : int;
+  l_shared : bool;
+}
+
+(* The lines the graph should render, in preorder. *)
+let graph_lines g =
+  let printed = Hashtbl.create 16 in
+  let rec walk depth via nid acc =
+    let shared = Hashtbl.mem printed nid in
+    let acc =
+      { l_depth = depth; l_via = via; l_entity = Task_graph.entity_of g nid;
+        l_nid = nid; l_shared = shared }
+      :: acc
+    in
+    if shared then acc
+    else begin
+      Hashtbl.add printed nid ();
+      List.fold_left
+        (fun acc (e : Task_graph.edge) ->
+          walk (depth + 1)
+            (Some (Task_graph.dep_tag e.Task_graph.dep_kind, e.Task_graph.role))
+            e.Task_graph.dst acc)
+        acc
+        (Task_graph.out_edges g nid)
+    end
+  in
+  List.rev
+    (List.fold_left (fun acc r -> walk 0 None r acc) [] (Task_graph.roots g))
+
+(* Parse a line of [to_ascii]'s text back, failing on anything off the
+   format: the indentation must be even and at most 32 spaces, and a
+   "[depth] " prefix appears exactly on lines deeper than 16. *)
+let parse_line l =
+  let fail () = QCheck2.Test.fail_reportf "malformed line %S" l in
+  let len = String.length l in
+  let rec spaces i = if i < len && l.[i] = ' ' then spaces (i + 1) else i in
+  let sp = spaces 0 in
+  let depth, rest =
+    if sp < len && l.[sp] = '[' then
+      match String.index_from_opt l sp ']' with
+      | Some close when close + 1 < len && l.[close + 1] = ' ' -> (
+        match int_of_string_opt (String.sub l (sp + 1) (close - sp - 1)) with
+        | Some d when sp = 32 && d > 16 -> (d, close + 2)
+        | _ -> fail ())
+      | _ -> fail ()
+    else if sp mod 2 = 0 && sp <= 32 then (sp / 2, sp)
+    else fail ()
+  in
+  let body = String.sub l rest (len - rest) in
+  let body, shared =
+    match String.length body - 9 with
+    | k when k > 0 && String.sub body k 9 = " (shared)" ->
+      (String.sub body 0 k, true)
+    | _ -> (body, false)
+  in
+  let via, label =
+    if depth = 0 then (None, body)
+    else
+      let tag =
+        List.find_opt
+          (fun tag -> String.starts_with ~prefix:tag body)
+          [ "f/"; "d?/"; "d/" ]
+      in
+      match (tag, String.index_opt body ':') with
+      | Some tag, Some colon
+        when colon + 1 < String.length body && body.[colon + 1] = ' ' ->
+        let n = String.length tag in
+        ( Some (tag, String.sub body n (colon - n)),
+          String.sub body (colon + 2) (String.length body - colon - 2) )
+      | _ -> fail ()
+  in
+  match String.rindex_opt label '#' with
+  | None -> fail ()
+  | Some hash -> (
+    let digits = String.length label - hash - 1 in
+    match int_of_string_opt (String.sub label (hash + 1) digits) with
+    | None -> fail ()
+    | Some nid ->
+      { l_depth = depth; l_via = via; l_entity = String.sub label 0 hash;
+        l_nid = nid; l_shared = shared })
+
+let text_lines text =
+  match List.rev (String.split_on_char '\n' text) with
+  | "" :: lines -> List.rev lines
+  | _ -> QCheck2.Test.fail_reportf "text does not end in a newline"
+
+(* Shallow random flows, edit chains past the indentation cap, and
+   wide flows. *)
+let gen_flow =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 Flow_gen.random_flow (int_bound 1_000_000) (int_range 1 15);
+        map (fun d -> fst (Standard_flows.edit_chain d)) (int_range 1 60);
+        map (fun w -> fst (Standard_flows.wide_flow w)) (int_range 1 4);
+      ])
 
 (* The figure flows the E3-E8 experiments print, against their text
    as committed. *)
@@ -343,15 +452,42 @@ let render_tests =
     figure_golden "fig8b" (Standard_flows.fig8b ()).Standard_flows.f8b_graph;
     figure_golden "edit_chain_3" (fst (Standard_flows.edit_chain 3));
     figure_golden "wide_flow_2" (fst (Standard_flows.wide_flow 2));
-    t "indentation past the spaces string stays two per level" (fun () ->
+    figure_golden "edit_chain_40" (fst (Standard_flows.edit_chain 40));
+    t "indentation past the cap becomes a depth prefix" (fun () ->
         let g, _ = Standard_flows.edit_chain 200 in
-        check Alcotest.string "deep chain" (reference_ascii g)
-          (Task_graph.to_ascii g));
-    Util.qcheck ~count:200 "to_ascii equals the reference renderer"
-      QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 15))
-      (fun (seed, steps) ->
-        let g = Flow_gen.random_flow seed steps in
-        Task_graph.to_ascii g = reference_ascii g);
+        let text = Task_graph.to_ascii g in
+        check Alcotest.string "deep chain" (reference_ascii g) text;
+        check Alcotest.bool "depth 200 is spelled out" true
+          (Util.contains text (String.make 32 ' ' ^ "[200] d?/netlist: ")));
+    Util.qcheck ~count:200 "to_ascii equals the reference renderer" gen_flow
+      (fun g -> Task_graph.to_ascii g = reference_ascii g);
+    Util.qcheck ~count:200 "the capped text parses back to the graph's preorder"
+      gen_flow (fun g ->
+        List.map parse_line (text_lines (Task_graph.to_ascii g))
+        = graph_lines g);
+    Util.qcheck ~count:200 "no line is wider than the cap, depth and label"
+      gen_flow (fun g ->
+        let lines = graph_lines g in
+        let width l =
+          let label =
+            (match l.l_via with
+            | None -> 0
+            | Some (tag, role) -> String.length tag + String.length role + 2)
+            + String.length l.l_entity + 1
+            + String.length (string_of_int l.l_nid)
+            + if l.l_shared then 9 else 0
+          in
+          (* indentation, "[depth] ", label, newline *)
+          (2 * Task_graph.max_indent)
+          + String.length (string_of_int l.l_depth) + 3 + label + 1
+        in
+        String.length (Task_graph.to_ascii g)
+        <= List.fold_left (fun acc l -> acc + width l) 0 lines);
+    t "a 420-deep chain renders in under 60 KB" (fun () ->
+        let g, _ = Standard_flows.edit_chain 420 in
+        let bytes = String.length (Task_graph.to_ascii g) in
+        check Alcotest.bool (Printf.sprintf "%d bytes" bytes) true
+          (bytes <= 60_000));
   ]
 
 let suite =

@@ -435,7 +435,26 @@ let trace_tests =
           (Client.trace c (List.hd results));
         Alcotest.(check string) "edit chain"
           (Util.golden "remote_trace_edits.txt")
-          (Client.trace c v3));
+          (Client.trace c v3);
+        (* 24 edits of [hercules remote edit], each through an editor
+           of its own: deeper than the trace's indented levels *)
+        let rec chain i iid =
+          if i > 24 then iid
+          else
+            let name = Printf.sprintf "v%d" i in
+            let editor =
+              Client.install c ~entity:E.netlist_editor ~label:("edit " ^ name)
+                (Codec.value_to_sexp
+                   (Value.Tool
+                      (Value.Scripted_netlist_editor
+                         (Eda.Edit_script.create ~name
+                            [ Eda.Edit_script.Rename name ]))))
+            in
+            chain (i + 1) (remote_edit c editor iid)
+        in
+        Alcotest.(check string) "deep edit chain"
+          (Util.golden "remote_trace_deep.txt")
+          (Client.trace c (chain 1 nl)));
     Alcotest.test_case "a rejected trace keeps its typed error code" `Quick
       (fun () ->
         Test_journal.with_dir @@ fun dir ->

@@ -610,6 +610,23 @@ let hostile =
         ignore (Client.install c ~entity:E.stimuli ~label:"after" stim_sexp);
         Alcotest.(check int) "a fresh client is served" 1
           (List.length (Client.browse c (only E.stimuli))));
+    Alcotest.test_case "an at-capacity refusal ends in end-of-stream" `Quick
+      (fun () ->
+        Test_server.with_server ~max_clients:1 @@ fun _t ~dir:_ ~socket ->
+        Client.with_client ~user:"first" ~socket @@ fun c ->
+        Client.ping c;
+        (* a hello and 4 KiB more that the refusing server never reads *)
+        let hello =
+          frame_of_body
+            (Wire.request_to_binary_string
+               (Wire.Hello { user = "late"; version = Wire.protocol_version }))
+        in
+        match refusal_then_eof ~socket (hello ^ String.make 4096 'x') with
+        | [ Wire.Error e ] ->
+          Alcotest.(check bool) "typed overloaded" true
+            (e.Error.code = `Overloaded
+            && Util.contains (Error.message e) "capacity")
+        | _ -> Alcotest.fail "expected one overloaded error");
   ]
 
 (* ------------------------------------------------------------------ *)
