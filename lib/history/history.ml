@@ -391,8 +391,16 @@ let st_ancestor_instances st iid =
 (* Flow traces (Fig. 11(b))                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The functional dependency of a construction rule, if it has one. *)
+let functional_of = function
+  | Schema.Constructed deps ->
+    List.find_opt (fun (d : Schema.dep) -> d.dep_kind = Schema.Functional) deps
+  | Schema.Abstract _ | Schema.Source -> None
+
 (* The derivation history of an instance as a task graph with an
-   instance binding: the same form queries and re-execution use. *)
+   instance binding: the same form queries and re-execution use.  An
+   instance of a source entity is a leaf even when a record produced
+   it (the engine records batch merges that way). *)
 let st_trace st store schema iid =
   (* gather nodes and edges, then assemble the graph in one pass *)
   let binding = Hashtbl.create 16 in  (* iid -> node *)
@@ -409,17 +417,20 @@ let st_trace st store schema iid =
       nodes := (nid, entity) :: !nodes;
       (match st_derivation_of st iid with
       | None -> ()
-      | Some r ->
-        (match (r.tool, Schema.functional_dep schema entity) with
-        | Some tool, Some d ->
-          let tnid = node_of tool in
-          edges := (nid, d.Schema.role, tnid) :: !edges
-        | Some _, None | None, Some _ | None, None -> ());
-        List.iter
-          (fun (role, input) ->
-            let inid = node_of input in
-            edges := (nid, role, inid) :: !edges)
-          r.inputs);
+      | Some r -> (
+        match Schema.construction_rule schema entity with
+        | Schema.Source -> ()  (* no construction roles: a leaf *)
+        | rule ->
+          (match (r.tool, functional_of rule) with
+          | Some tool, Some d ->
+            let tnid = node_of tool in
+            edges := (nid, d.Schema.role, tnid) :: !edges
+          | Some _, None | None, Some _ | None, None -> ());
+          List.iter
+            (fun (role, input) ->
+              let inid = node_of input in
+              edges := (nid, role, inid) :: !edges)
+            r.inputs));
       nid
   in
   let root = node_of iid in
@@ -478,14 +489,7 @@ let st_trace_text st store schema iid =
     | Some rf -> rf
     | None ->
       let rule = Schema.construction_rule schema entity in
-      let functional =
-        match rule with
-        | Schema.Constructed deps ->
-          List.find_opt
-            (fun (d : Schema.dep) -> d.dep_kind = Schema.Functional)
-            deps
-        | Schema.Abstract _ | Schema.Source -> None
-      in
+      let functional = functional_of rule in
       Hashtbl.add rules entity (rule, functional);
       (rule, functional)
   in
@@ -511,31 +515,33 @@ let st_trace_text st store schema iid =
         match Schema.find schema entity with
         | _ -> ()
         | exception e -> note node_error e)
-      | Some r ->
+      | Some r -> (
         (* raises now for an unknown entity, as [st_trace] does *)
-        let rule, functional = rule_of entity in
-        let depth = depth + 1 in
-        (* [functional] when the tool's edge filled its role *)
-        let tool_dep =
-          match (r.tool, functional) with
-          | Some tool, Some d ->
-            edge depth n rule d.Schema.role tool ~filled:false;
-            functional
-          | Some _, None | None, Some _ | None, None -> None
-        in
-        let rec inputs = function
-          | [] -> ()
-          | (role, input) :: more as rest ->
-            let filled =
-              (match tool_dep with
-              | Some d -> String.equal role d.Schema.role
-              | None -> false)
-              || filled_before role r.inputs rest
-            in
-            edge depth n rule role input ~filled;
-            inputs more
-        in
-        inputs r.inputs);
+        match rule_of entity with
+        | Schema.Source, _ -> ()  (* a leaf, as in [st_trace] *)
+        | rule, functional ->
+          let depth = depth + 1 in
+          (* [functional] when the tool's edge filled its role *)
+          let tool_dep =
+            match (r.tool, functional) with
+            | Some tool, Some d ->
+              edge depth n rule d.Schema.role tool ~filled:false;
+              functional
+            | Some _, None | None, Some _ | None, None -> None
+          in
+          let rec inputs = function
+            | [] -> ()
+            | (role, input) :: more as rest ->
+              let filled =
+                (match tool_dep with
+                | Some d -> String.equal role d.Schema.role
+                | None -> false)
+                || filled_before role r.inputs rest
+              in
+              edge depth n rule role input ~filled;
+              inputs more
+          in
+          inputs r.inputs));
       n.tn_open <- false;
       n
   (* The edge by which [user] consumes [dep] in [role], [filled] when

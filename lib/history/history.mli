@@ -157,7 +157,11 @@ val trace :
   Ddf_graph.Task_graph.t * int * (int * Store.iid) list
 (** The derivation of an instance as a task graph plus its instance
     binding: [(graph, root node, node -> instance)].  The same form is
-    used for queries and for re-execution. *)
+    used for queries and for re-execution.  An instance of a
+    [Schema.Source] entity is a leaf even when a record produced it:
+    a source declares no construction roles, so the record (a batch
+    merge's [part0], [part1], ... inputs) is not walked.  It stays in
+    the history and in {!backward_closure}. *)
 
 val trace_text : t -> 'a Store.t -> Schema.t -> Store.iid -> string
 (** [Task_graph.to_ascii] of the {!trace} graph followed by the line
@@ -168,7 +172,8 @@ val trace_text : t -> 'a Store.t -> Schema.t -> Store.iid -> string
     (["[417] d?/netlist: edited_netlist#834"]), so the text grows
     linearly with the derivation, not with its depth squared.  Every
     check the graph's construction applies is applied, and a history
-    {!trace} rejects fails with the same exception. *)
+    {!trace} rejects fails with the same exception.  A source
+    instance is a leaf here too, as in {!trace}. *)
 
 (** {1 Query by template (section 4.2)} *)
 

@@ -19,7 +19,8 @@
    worker domains that pin the latest published view per request (or
    per pure-read batch), so reads scale across cores while the writer
    keeps committing.  [read_domains = 0] (the default) evaluates them
-   inline on the connection thread — still lock-free.
+   inline on the connection thread — still lock-free.  The write queue
+   and the read pool are two instances of one bounded executor.
 
    Each connection owns a private Session over the shared context, so
    concurrent designers build flows independently while sharing one
@@ -50,7 +51,6 @@ let server_errorf fmt = Format.kasprintf (fun s -> raise (Server_error s)) fmt
 let m_requests = Metrics.counter "server.requests"
 let m_mutations = Metrics.counter "server.mutations"
 let m_errors = Metrics.counter "server.errors"
-let m_timeouts = Metrics.counter "server.timeouts"
 let m_shed = Metrics.counter "server.shed"
 let m_deadline_missed = Metrics.counter "server.deadline_missed"
 let m_connections = Metrics.counter "server.connections"
@@ -58,7 +58,8 @@ let m_rejected = Metrics.counter "server.rejected_connections"
 let m_version_mismatch = Metrics.counter "server.version_mismatches"
 let m_slow = Metrics.counter "server.slow_requests"
 let h_request = Metrics.histogram "server.request_us"
-let h_queue_wait = Metrics.histogram "server.write_queue_wait_us"
+let h_write_wait = Metrics.histogram "server.write_queue_wait_us"
+let h_read_wait = Metrics.histogram "server.read_queue_wait_us"
 
 (* The zero-lock-read invariant, made checkable: every acquisition of
    the writer commit lock bumps this counter, and nothing on the read
@@ -109,156 +110,177 @@ type published = {
   pub_clock : int;      (* engine clock at publication *)
 }
 
+(* Store/History/Session/Engine/Consistency/Journal errors all raise
+   Ddf_error and pass through with their code intact; the unmigrated
+   stringly exceptions get classified here. *)
+let error_response e =
+  let err =
+    match e with
+    | E.Ddf_error err -> err
+    | Ddf_exec.Typing.Type_mismatch m -> E.make `Type_error m
+    | Ddf_schema.Schema.Schema_error m | Ddf_graph.Task_graph.Graph_error m
+    | Ddf_persist.Codec.Codec_error m | Ddf_persist.Sexp.Sexp_error m
+    | Wire.Wire_error m ->
+      E.make `Invalid m
+    | e -> E.of_exn e
+  in
+  Wire.Error err
+
+let wire_error ?context ?retryable ?retry_after code fmt =
+  Format.kasprintf
+    (fun m -> Wire.Error (E.make ?context ?retryable ?retry_after code m))
+    fmt
+
 (* ------------------------------------------------------------------ *)
-(* The domain-pool read executor                                       *)
+(* The bounded executor                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Pure-read requests are handed to worker domains over a bounded
-   queue; each worker pins the latest published view and evaluates
-   without ever touching a server lock.  At most [max_pending] jobs
-   wait; anything beyond is shed immediately instead of stacking up
-   unbounded latency, and a job whose deadline passed while queued is
-   answered [`Timeout] at dequeue, not executed.  With no domains the
-   pool is inert and reads run inline on the connection thread. *)
-module Read_pool = struct
-  type rjob = {
-    rj_run : unit -> Wire.response;
-    rj_deadline : float option;
-    rj_enqueued : float;
-    rj_m : Mutex.t;
-    rj_c : Condition.t;
-    mutable rj_result : Wire.response option;
+(* One queue discipline for both kinds of queued server work: the
+   write queue, which the writer thread drains whole as one
+   group-commit batch, and the read pool, whose worker domains take
+   one job each.  A producer is admitted (or refused) by [submit] and
+   blocks there until its job is answered; a consumer [take]s jobs,
+   [serve]s each (the one expiry check, at dequeue) and [answer]s
+   them.  Stopping refuses new admissions, but every accepted job is
+   still taken and answered. *)
+module Executor = struct
+  type job = {
+    run : unit -> Wire.response;
+    user : string;
+    enqueued : float;
+    deadline : float;                 (* absolute; [infinity] for none *)
+    span : Obs.span_ctx option;       (* submitter's span, for the trace *)
+    (* the producer waits on its own pair, so an answer wakes only
+       its producer, not every producer still queued *)
+    answer_m : Mutex.t;
+    answer_c : Condition.t;
+    mutable answer : Wire.response option;
   }
 
   type t = {
-    pm : Mutex.t;
-    pc : Condition.t;
-    pqueue : rjob Queue.t;
-    max_pending : int;
-    pstop : bool Atomic.t;
-    mutable workers : unit Domain.t list;
+    what : string;                    (* "write" or "read", for messages *)
+    bound : int option;               (* admission bound, if any *)
+    max_wait : float;                 (* caps every job's deadline *)
+    wait_span : string;
+    h_wait : Metrics.histogram;
+    m : Mutex.t;
+    work : Condition.t;               (* consumers: on submit and stop *)
+    q : job Queue.t;
+    mutable stopping : bool;
+    mutable avg_us : float;           (* EWMA of job service time *)
   }
 
-  let answer job resp =
-    Mutex.lock job.rj_m;
-    job.rj_result <- Some resp;
-    Condition.signal job.rj_c;
-    Mutex.unlock job.rj_m
+  let create ?bound ?(max_wait = infinity) ~what ~wait_span ~h_wait () =
+    { what; bound; max_wait; wait_span; h_wait; m = Mutex.create ();
+      work = Condition.create (); q = Queue.create (); stopping = false;
+      avg_us = 0.0 }
 
-  (* Workers drain the queue even while stopping, so no accepted job
-     is ever dropped: stop only prevents new admissions. *)
-  let worker p =
-    let rec loop () =
-      Mutex.lock p.pm;
-      let rec await () =
-        if not (Queue.is_empty p.pqueue) then Some (Queue.pop p.pqueue)
-        else if Atomic.get p.pstop then None
-        else begin
-          Condition.wait p.pc p.pm;
-          await ()
-        end
-      in
-      let job = await () in
-      Mutex.unlock p.pm;
-      match job with
-      | None -> ()
-      | Some job ->
-        Metrics.incr m_pool_reads;
-        let now = Unix.gettimeofday () in
-        let resp =
-          match job.rj_deadline with
-          | Some d when now > d ->
-            Metrics.incr m_deadline_missed;
-            Wire.Error
-              (E.make `Timeout
-                 (Printf.sprintf
-                    "deadline expired after %.3fs in the read queue"
-                    (now -. job.rj_enqueued)))
-          | Some _ | None -> job.rj_run ()
-        in
-        answer job resp;
-        loop ()
+  (* How long a shed client should back off: the queue's expected
+     drain time under the recent service rate.  Call under [m]. *)
+  let retry_after_hint ex =
+    let avg_us = if ex.avg_us > 0.0 then ex.avg_us else 2_000.0 in
+    Float.max 0.01 (float_of_int (Queue.length ex.q + 1) *. avg_us /. 1e6)
+
+  (* Producer side: admit [run], wait for its answer and return it.
+     The deadline is capped at [max_wait] past admission. *)
+  let submit ex ?(deadline = infinity) ~user run =
+    let enqueued = Unix.gettimeofday () in
+    let job =
+      { run; user; enqueued;
+        deadline = Float.min deadline (enqueued +. ex.max_wait);
+        (* captured on the submitting thread: the dispatch span (or the
+           follower pump's context) the queued work belongs to *)
+        span = (if Obs.enabled () then Obs.current_span () else None);
+        answer_m = Mutex.create (); answer_c = Condition.create ();
+        answer = None }
     in
-    loop ()
-
-  let create ~domains ~max_pending =
-    let p =
-      { pm = Mutex.create (); pc = Condition.create ();
-        pqueue = Queue.create (); max_pending = max 1 max_pending;
-        pstop = Atomic.make false; workers = [] }
+    let refusal =
+      Mutex.protect ex.m @@ fun () ->
+      if ex.stopping then Some (wire_error `Unavailable "server is shutting down")
+      else
+        match ex.bound with
+        | Some bound when Queue.length ex.q >= bound ->
+          (* shed at admission: the job never reaches a consumer, so it
+             is never executed and never journaled — safe to resend *)
+          Metrics.incr m_shed;
+          Some
+            (wire_error ~retry_after:(retry_after_hint ex) `Overloaded
+               "%s queue is full (%d jobs)" ex.what bound)
+        | Some _ | None ->
+          Queue.push job ex.q;
+          Condition.signal ex.work;
+          None
     in
-    if domains > 0 then
-      p.workers <- List.init domains (fun _ -> Domain.spawn (fun () -> worker p));
-    p
+    match refusal with
+    | Some refused -> refused
+    | None ->
+      Mutex.protect job.answer_m @@ fun () ->
+      while job.answer = None do
+        Condition.wait job.answer_c job.answer_m
+      done;
+      Option.get job.answer
 
-  let pooled p = p.workers <> []
+  (* Consumer side: every queued job when [all] (a group-commit batch),
+     else the oldest one; [None] once stopped and drained. *)
+  let take ex ~all =
+    Mutex.protect ex.m @@ fun () ->
+    while Queue.is_empty ex.q && not ex.stopping do
+      Condition.wait ex.work ex.m
+    done;
+    if Queue.is_empty ex.q then None
+    else if all then begin
+      let batch = List.of_seq (Queue.to_seq ex.q) in
+      Queue.clear ex.q;
+      Some batch
+    end
+    else Some [ Queue.pop ex.q ]
 
-  (* [run] evaluates [f] on a worker domain (or inline when the pool
-     has none) and returns its verdict. *)
-  let run ?deadline p f =
-    if not (pooled p) then `Done (f ())
+  (* Run a taken job through [exec], unless its deadline passed while
+     it waited: then it is answered [`Timeout] and never run — its
+     client gave up, and a write was never journaled. *)
+  let serve ex job exec =
+    let now = Unix.gettimeofday () in
+    let waited = now -. job.enqueued in
+    Metrics.observe ex.h_wait (waited *. 1e6);
+    if Obs.enabled () then
+      Obs.complete ~cat:"server" ?span:job.span ~dur_us:(waited *. 1e6)
+        ex.wait_span;
+    if now > job.deadline then begin
+      Metrics.incr m_deadline_missed;
+      wire_error `Timeout
+        "deadline expired: timed out after %.3fs in the %s queue" waited
+        ex.what
+    end
     else begin
-      let job =
-        { rj_run = f; rj_deadline = deadline;
-          rj_enqueued = Unix.gettimeofday (); rj_m = Mutex.create ();
-          rj_c = Condition.create (); rj_result = None }
-      in
-      Mutex.lock p.pm;
-      let verdict =
-        if Atomic.get p.pstop then `Stopping
-        else if Queue.length p.pqueue >= p.max_pending then `Shed
-        else begin
-          Queue.push job p.pqueue;
-          Condition.signal p.pc;
-          `Queued
-        end
-      in
-      Mutex.unlock p.pm;
-      match verdict with
-      | `Stopping -> `Stopping
-      | `Shed -> `Shed
-      | `Queued ->
-        Mutex.lock job.rj_m;
-        while job.rj_result = None do
-          Condition.wait job.rj_c job.rj_m
-        done;
-        Mutex.unlock job.rj_m;
-        `Done (Option.get job.rj_result)
+      let resp = try exec () with e -> error_response e in
+      let dur_us = (Unix.gettimeofday () -. now) *. 1e6 in
+      Mutex.protect ex.m (fun () ->
+          ex.avg_us <- (0.8 *. ex.avg_us) +. (0.2 *. dur_us));
+      resp
     end
 
-  let stop p =
-    Atomic.set p.pstop true;
-    Mutex.lock p.pm;
-    Condition.broadcast p.pc;
-    Mutex.unlock p.pm
+  let answer answers =
+    List.iter
+      (fun (job, resp) ->
+        Mutex.protect job.answer_m (fun () ->
+            job.answer <- Some resp;
+            Condition.signal job.answer_c))
+      answers
 
-  let join p =
-    stop p;
-    List.iter Domain.join p.workers;
-    p.workers <- []
+  let stop ex =
+    Mutex.protect ex.m @@ fun () ->
+    ex.stopping <- true;
+    Condition.broadcast ex.work
 end
-
-(* ------------------------------------------------------------------ *)
-(* Write-queue jobs                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type job = {
-  job_user : string;
-  job_run : unit -> Wire.response;
-  job_enqueued : float;
-  job_deadline : float option;        (* absolute; shed when passed *)
-  job_span : Obs.span_ctx option;     (* submitter's span, for the trace *)
-  job_m : Mutex.t;
-  job_c : Condition.t;
-  mutable job_result : Wire.response option;
-}
 
 type t = {
   journal : Journal.t;
   ctx : Engine.context;
   commit_m : Commit_lock.t;           (* writer-only; see Commit_lock *)
   published : published Atomic.t;     (* what pure reads evaluate against *)
-  pool : Read_pool.t;                 (* domain-pool read executor *)
+  writes : Executor.t;                (* drained by the writer thread *)
+  reads : Executor.t;                 (* drained by the read domains *)
+  mutable read_workers : unit Domain.t list;
   socket_path : string;
   listen_fd : Unix.file_descr;
   (* self-pipe: [stop] writes a byte to wake the accepter out of its
@@ -267,8 +289,6 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   max_clients : int;
-  request_timeout : float;
-  max_queue : int;                    (* writer admission bound *)
   default_deadline : float option;    (* seconds, for deadline-less peers *)
   drain_grace : float;                (* seconds to let in-flight finish *)
   slow_log : float option;            (* seconds; log requests above it *)
@@ -283,9 +303,6 @@ type t = {
   mutable conns : (int * Unix.file_descr) list;
   mutable next_conn : int;
   mutable threads : Thread.t list;
-  queue : job Queue.t;
-  queue_c : Condition.t;              (* signalled on enqueue and stop *)
-  mutable avg_job_us : float;         (* EWMA of writer job service time *)
   mutable writer : Thread.t option;
   mutable accepter : Thread.t option;
   (* replication *)
@@ -338,33 +355,6 @@ let unregister_follower t outbox =
 (* The writer loop                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Store/History/Session/Engine/Consistency/Journal errors all raise
-   Ddf_error and pass through with their code intact; the unmigrated
-   stringly exceptions get classified here. *)
-let error_response e =
-  let err =
-    match e with
-    | E.Ddf_error err -> err
-    | Ddf_exec.Typing.Type_mismatch m -> E.make `Type_error m
-    | Ddf_schema.Schema.Schema_error m | Ddf_graph.Task_graph.Graph_error m
-    | Ddf_persist.Codec.Codec_error m | Ddf_persist.Sexp.Sexp_error m
-    | Wire.Wire_error m ->
-      E.make `Invalid m
-    | e -> E.of_exn e
-  in
-  Wire.Error err
-
-let wire_error ?context ?retryable ?retry_after code fmt =
-  Format.kasprintf
-    (fun m -> Wire.Error (E.make ?context ?retryable ?retry_after code m))
-    fmt
-
-let finish job result =
-  Mutex.lock job.job_m;
-  job.job_result <- Some result;
-  Condition.signal job.job_c;
-  Mutex.unlock job.job_m
-
 (* Swap the published view: two atomic snapshot loads (history first,
    so the store side covers every instance its records mention) and
    one atomic store.  Runs on the writer thread only. *)
@@ -372,6 +362,19 @@ let publish t =
   Atomic.set t.published
     { pub_view = Engine.pin t.ctx; pub_seq = Journal.seq t.journal;
       pub_clock = t.ctx.Engine.clock }
+
+(* One write job: the job's span becomes the writer thread's current
+   context, so journal appends (and the frame observer shipping to
+   followers) inherit the request's trace. *)
+let write_job t (job : Executor.job) () =
+  Obs.with_span ~cat:"server" ?parent:job.span
+    ~attrs:[ ("user", Obs.Str job.user) ] "server.write_job"
+  @@ fun () ->
+  Commit_lock.with_lock t.commit_m (fun () ->
+      t.ctx.Engine.user <- job.user;
+      let resp = job.run () in
+      ignore (Journal.maybe_compact t.journal);
+      resp)
 
 (* Group commit: the writer drains its whole queue as one batch, runs
    each job (mutating the store and appending journal frames), then
@@ -383,80 +386,17 @@ let publish t =
    between jobs exactly as before. *)
 let writer_loop t =
   let rec next () =
-    Mutex.lock t.m;
-    let rec await () =
-      if not (Queue.is_empty t.queue) then begin
-        let batch = ref [] in
-        while not (Queue.is_empty t.queue) do
-          batch := Queue.pop t.queue :: !batch
-        done;
-        Some (List.rev !batch)
-      end
-      else if Atomic.get t.stopping then None
-      else begin
-        Condition.wait t.queue_c t.m;
-        await ()
-      end
-    in
-    let batch = await () in
-    Mutex.unlock t.m;
-    match batch with
+    match Executor.take t.writes ~all:true with
     | None -> ()
     | Some batch ->
       (* test hook: an armed delay here models a stalled writer (slow
          disk, GC pause) so tests can fill the admission queue *)
       ignore (Fault.check "server.writer_stall" : Fault.action option);
-      let run_one job =
-        let now = Unix.gettimeofday () in
-        let waited = now -. job.job_enqueued in
-        Metrics.observe h_queue_wait (waited *. 1e6);
-        if Obs.enabled () then
-          Obs.complete ~cat:"server" ?span:job.job_span
-            ~dur_us:(waited *. 1e6) "server.queue_wait";
-        let expired =
-          match job.job_deadline with Some d -> now > d | None -> false
-        in
-        let result =
-          if expired then begin
-            (* the client gave up while the job sat in the queue;
-               executing it now would waste write-lock time nobody
-               will read — and the entry was never journaled *)
-            Metrics.incr m_deadline_missed;
-            wire_error `Timeout
-              "deadline expired after %.3fs in the write queue" waited
-          end
-          else if waited > t.request_timeout then begin
-            Metrics.incr m_timeouts;
-            wire_error `Timeout
-              "request timed out after %.1fs in the write queue" waited
-          end
-          else begin
-            let r =
-              (* the write-job span becomes the writer thread's current
-                 context, so journal appends (and the frame observer
-                 shipping to followers) inherit the request's trace *)
-              Obs.with_span ~cat:"server" ?parent:job.job_span
-                ~attrs:[ ("user", Obs.Str job.job_user) ] "server.write_job"
-              @@ fun () ->
-              Commit_lock.with_lock t.commit_m (fun () ->
-                  t.ctx.Engine.user <- job.job_user;
-                  match job.job_run () with
-                  | resp ->
-                    ignore (Journal.maybe_compact t.journal);
-                    resp
-                  | exception e -> error_response e)
-            in
-            let dur_us = (Unix.gettimeofday () -. now) *. 1e6 in
-            Mutex.lock t.m;
-            (* EWMA of service time drives the retry-after hint *)
-            t.avg_job_us <- (0.8 *. t.avg_job_us) +. (0.2 *. dur_us);
-            Mutex.unlock t.m;
-            r
-          end
-        in
-        (job, result)
+      let results =
+        List.map
+          (fun job -> (job, Executor.serve t.writes job (write_job t job)))
+          batch
       in
-      let results = List.map run_one batch in
       (* one fsync covers every frame the batch appended; only after it
          succeeds are the jobs acknowledged.  If the disk fails here,
          nobody gets an Ok for an entry of unknown durability. *)
@@ -465,7 +405,8 @@ let writer_loop t =
           (* the batch shares one fsync; parent the sync span to the
              first traced job so the group commit shows in its trace *)
           Obs.with_span ~cat:"journal"
-            ?parent:(List.find_map (fun (job, _) -> job.job_span) results)
+            ?parent:
+              (List.find_map (fun ((job : Executor.job), _) -> job.span) results)
             ~attrs:[ ("batch", Obs.Int (List.length results)) ]
             "journal.sync_batch"
             (fun () -> Journal.sync t.journal)
@@ -484,54 +425,27 @@ let writer_loop t =
          become durable (there is no rollback): readers keep the last
          durable view instead. *)
       if synced && Journal.failed t.journal = None then publish t;
-      List.iter (fun (job, result) -> finish job result) results;
+      Executor.answer results;
       next ()
   in
   next ()
 
-(* How long a shed client should back off: the queue's expected drain
-   time under the writer's recent service rate.  Call under [t.m]. *)
-let retry_after_hint t queued =
-  let avg_us = if t.avg_job_us > 0.0 then t.avg_job_us else 2_000.0 in
-  Float.max 0.01 (float_of_int (queued + 1) *. avg_us /. 1e6)
-
-let submit ?deadline t ~user run =
-  let job =
-    { job_user = user; job_run = run; job_enqueued = Unix.gettimeofday ();
-      job_deadline = deadline;
-      (* captured on the submitting thread: the dispatch span (or the
-         follower pump's context) the queued work belongs to *)
-      job_span = (if Obs.enabled () then Obs.current_span () else None);
-      job_m = Mutex.create (); job_c = Condition.create (); job_result = None }
+(* A read domain takes one job at a time; it exits once the executor
+   is stopped and drained. *)
+let read_worker t =
+  let rec next () =
+    match Executor.take t.reads ~all:false with
+    | None -> ()
+    | Some jobs ->
+      Executor.answer
+        (List.map
+           (fun (job : Executor.job) ->
+             Metrics.incr m_pool_reads;
+             (job, Executor.serve t.reads job job.run))
+           jobs);
+      next ()
   in
-  Mutex.lock t.m;
-  let verdict =
-    if Atomic.get t.stopping then `Stopping
-    else if Queue.length t.queue >= t.max_queue then begin
-      Metrics.incr m_shed;
-      `Full (retry_after_hint t (Queue.length t.queue))
-    end
-    else begin
-      Queue.push job t.queue;
-      Condition.broadcast t.queue_c;
-      `Queued
-    end
-  in
-  Mutex.unlock t.m;
-  match verdict with
-  | `Stopping -> wire_error `Unavailable "server is shutting down"
-  | `Full retry_after ->
-    (* shed at admission: the request never reaches the writer, so it
-       is never executed and never journaled — safe to resend *)
-    wire_error ~retry_after `Overloaded "write queue is full (%d jobs)"
-      t.max_queue
-  | `Queued ->
-    Mutex.lock job.job_m;
-    while job.job_result = None do
-      Condition.wait job.job_c job.job_m
-    done;
-    Mutex.unlock job.job_m;
-    Option.get job.job_result
+  next ()
 
 (* ------------------------------------------------------------------ *)
 (* Request evaluation                                                  *)
@@ -729,7 +643,7 @@ let serve_request t session ~conn_id ~user ?deadline ?trace req =
         (Option.value t.follow ~default:"?")
     else if Wire.is_mutation req then begin
       Metrics.incr m_mutations;
-      submit ?deadline t ~user:!user
+      Executor.submit t.writes ?deadline ~user:!user
         (fun () -> eval t session ~pin:(fun () -> Engine.pin t.ctx) req)
     end
     else begin
@@ -738,24 +652,17 @@ let serve_request t session ~conn_id ~user ?deadline ?trace req =
          domain when the server has read domains, inline otherwise.
          Either way the request takes no server lock; every member of
          a batch reads the same frozen state. *)
-      let g0 = Unix.gettimeofday () in
       let evaluate () =
-        if Obs.enabled () then
-          Obs.complete ~cat:"server" ~tid:conn_id
-            ~dur_us:((Unix.gettimeofday () -. g0) *. 1e6)
-            "server.read_queue_wait";
         let view = (Atomic.get t.published).pub_view in
         try eval t session ~pin:(fun () -> view) req
         with e -> error_response e
       in
-      match Read_pool.run ?deadline t.pool evaluate with
-      | `Done resp -> resp
-      | `Stopping -> wire_error `Unavailable "server is shutting down"
-      | `Shed ->
-        Metrics.incr m_shed;
-        wire_error ~retry_after:0.05 `Overloaded
-          "read queue is full (%d jobs pending)"
-          t.pool.Read_pool.max_pending
+      if t.read_workers = [] then evaluate ()
+      else
+        (* No admission bound: [accept_loop] admits at most
+           [max_clients] connections and each serves one request at a
+           time, so at most [max_clients] pooled reads ever wait. *)
+        Executor.submit t.reads ?deadline ~user:!user evaluate
     end
   in
   let dur_us = (Unix.gettimeofday () *. 1e6) -. t0 in
@@ -819,7 +726,7 @@ let spool_export t =
 let snapshot_export_stream t fd ~user =
   let pinned = ref None in
   let resp =
-    submit t ~user (fun () ->
+    Executor.submit t.writes ~user (fun () ->
         pinned := Some (spool_export t);
         Wire.Ok_unit)
   in
@@ -854,11 +761,12 @@ let rec stop t =
   Mutex.lock t.m;
   let driver = t.follower in
   t.follower <- None;
-  Condition.broadcast t.queue_c;
   Mutex.unlock t.m;
   if not already then begin
-    (* stop admitting pool reads; queued ones still get answered *)
-    Read_pool.stop t.pool;
+    (* stop admitting writes and pool reads; queued ones still get
+       answered, and the writer exits once its queue is empty *)
+    Executor.stop t.writes;
+    Executor.stop t.reads;
     (* a follower stops chasing the primary first, so no replication
        job races the drain *)
     Option.iter Replica.Follower.stop driver;
@@ -913,7 +821,7 @@ and replication_loop t fd ~user since =
       frames
   in
   let subscribed =
-    submit t ~user (fun () ->
+    Executor.submit t.writes ~user (fun () ->
         (match Journal.entries_since t.journal since with
         | Journal.Snapshot_needed ->
           (* the journal was compacted past [since]: reseed with a
@@ -1137,18 +1045,23 @@ let start ?registry ?seed ?follow ?(max_clients = 64)
         Atomic.make
           { pub_view = Engine.pin ctx; pub_seq = Journal.seq journal;
             pub_clock = ctx.Engine.clock };
-      pool =
-        Read_pool.create ~domains:read_domains
-          ~max_pending:(4 * max_clients);
+      (* [request_timeout] caps each write's deadline, so one expiry
+         check at dequeue covers both *)
+      writes =
+        Executor.create ~bound:max_queue ~max_wait:request_timeout
+          ~what:"write" ~wait_span:"server.queue_wait" ~h_wait:h_write_wait ();
+      reads =
+        Executor.create ~what:"read" ~wait_span:"server.read_queue_wait"
+          ~h_wait:h_read_wait ();
+      read_workers = [];
       socket_path = socket; listen_fd; wake_r; wake_w;
-      max_clients; request_timeout; max_queue; default_deadline;
+      max_clients; default_deadline;
       drain_grace; slow_log;
       started_at = Unix.gettimeofday ();
       stopping = Atomic.make false; in_flight = Atomic.make 0;
       drainers = Atomic.make 0;
       m = Mutex.create (); conns = []; next_conn = 1;
-      threads = []; queue = Queue.create (); queue_c = Condition.create ();
-      avg_job_us = 0.0;
+      threads = [];
       writer = None; accepter = None;
       follow; follower = None; followers = [] }
   in
@@ -1171,6 +1084,8 @@ let start ?registry ?seed ?follow ?(max_clients = 64)
         List.iter (fun ob -> Replica.Outbox.push ?trace ob frame) obs);
   Metrics.set g_seq (float_of_int (Journal.seq journal));
   t.writer <- Some (Thread.create writer_loop t);
+  t.read_workers <-
+    List.init read_domains (fun _ -> Domain.spawn (fun () -> read_worker t));
   t.accepter <- Some (Thread.create accept_loop t);
   (* A follower chases its primary on a background driver: every frame
      and snapshot is applied as a writer job, so replication shares
@@ -1180,7 +1095,7 @@ let start ?registry ?seed ?follow ?(max_clients = 64)
   | None -> ()
   | Some primary ->
     let apply_job what run =
-      match submit t ~user:"replication" run with
+      match Executor.submit t.writes ~user:"replication" run with
       | Wire.Ok_unit -> ()
       | Wire.Error err ->
         server_errorf "replication %s failed: %s" what (E.to_string err)
@@ -1244,7 +1159,9 @@ let wait t =
       drain ()
   in
   drain ();
-  Read_pool.join t.pool;
+  Executor.stop t.reads;
+  List.iter Domain.join t.read_workers;
+  t.read_workers <- [];
   Journal.close t.journal;
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());

@@ -24,15 +24,16 @@
     [Metrics] wire verb exposes the registry (with p50/p90/p99
     histogram quantiles) to remote clients.
 
-    Robustness: both admission queues are bounded — at most
-    [max_queue] mutations wait for the writer and at most
-    [4 * max_clients] pool reads wait for a worker domain; excess
-    load is shed with a typed [`Overloaded] error carrying a
-    retry-after hint, {e before} any work (or journaling) happens.
-    Requests carry a deadline budget in the frame header (or inherit
-    [default_deadline]); a request whose budget expires before or
-    while it waits is shed with [`Timeout] — again never executed,
-    so resending is safe.  Graceful shutdown stops admitting, lets
+    Robustness: the write queue and the read pool are one bounded
+    executor.  At most [max_queue] mutations wait for the writer;
+    excess writes are shed with a typed [`Overloaded] error carrying
+    a retry-after hint, {e before} any work (or journaling) happens.
+    Pool reads are never shed: at most [max_clients] connections are
+    admitted, each with one request in flight, so at most that many
+    reads wait for a worker domain.  Requests carry a deadline budget
+    in the frame header (or inherit [default_deadline]); a request
+    whose budget expires before dispatch or while it waits is shed
+    with [`Timeout] — again never executed, so resending is safe.  Graceful shutdown stops admitting, lets
     in-flight requests finish (bounded by [drain_grace]), drains the
     writer and the read pool, closes the connections and fsyncs the
     journal; {!stop} and {!wait} are idempotent. *)
@@ -59,16 +60,20 @@ val start :
     accepting.  [seed] runs once — journaled — when the database is
     empty (the CLI installs the standard tool catalog there).
     [max_clients] (default 64) bounds concurrent connections;
-    [request_timeout] (default 30s) bounds a mutation's wait in the
-    write queue.
+    [request_timeout] (default 30s) caps a mutation's deadline at
+    admission: a mutation that waits longer in the write queue is
+    answered [`Timeout] at dequeue, never run, by the same check as
+    an expired deadline (both count into [server.deadline_missed]).
 
     [max_queue] (default 256) bounds the write queue: a mutation
     arriving when it is full is refused with [`Overloaded] and a
     retry-after hint derived from the writer's recent service rate.
-    [read_domains] (default 0) sets the size of the domain-pool read
-    executor: with [N > 0], pure reads are evaluated on [N] OCaml 5
-    worker domains, each pinning the latest published store+history
-    view, so read throughput scales across cores; with [0] they run
+    [read_domains] (default 0) sets the size of the read pool: with
+    [N > 0], pure reads are evaluated on [N] OCaml 5 worker domains,
+    each pinning the latest published store+history view, so read
+    throughput scales across cores; the pool's queue has no bound
+    (it never holds more than [max_clients] reads) and its wait is
+    the [server.read_queue_wait_us] histogram.  With [0] reads run
     inline on the connection threads — in both modes the read path
     acquires no server lock.  [default_deadline] (seconds) gives
     every request from a peer that sent no deadline header an

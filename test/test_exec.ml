@@ -538,6 +538,48 @@ let batching_tests =
         check Alcotest.int "same result"
           (Engine.result_of (List.hd r1) perf)
           (Engine.result_of (List.hd r2) perf));
+    t "a batched result traces by both routes and recalls" (fun () ->
+        let w = Workspace.create () in
+        let ctx = Workspace.ctx w in
+        let nl = Eda.Circuits.c17 () in
+        let nl_iid = Workspace.install_netlist w nl in
+        let stim n seed =
+          Workspace.install_stimuli w
+            (Eda.Stimuli.for_netlist ~n nl (Eda.Rng.create seed))
+        in
+        let g, perf = Task_graph.create (Workspace.schema w) E.performance in
+        let g, _ = Task_graph.expand ~include_optional:false g perf in
+        let circuit = List.hd (Workspace.find_nodes g E.circuit) in
+        let g, _ = Task_graph.expand g circuit in
+        let node e = List.hd (Workspace.find_nodes g e) in
+        let runs =
+          Engine.execute_fanout ctx g
+            ~bindings:
+              [
+                (node E.simulator, [ Workspace.tool w E.simulator ]);
+                (node E.netlist, [ nl_iid ]);
+                (node E.device_models, [ Workspace.default_device_models w ]);
+                (node E.stimuli, [ stim 3 1; stim 5 2 ]);
+              ]
+        in
+        let perf_iid = Engine.result_of (List.hd runs) perf in
+        let h = Workspace.history w and store = Workspace.store w in
+        let schema = Workspace.schema w in
+        (* the merged stimuli were recorded with roles part0 and part1,
+           which a source does not declare: the trace ends at them *)
+        let tg, _, binding = History.trace h store schema perf_iid in
+        let text = History.trace_text h store schema perf_iid in
+        check Alcotest.string "text and graph routes agree"
+          (Printf.sprintf "%s(%d instances in the derivation)\n"
+             (Task_graph.to_ascii tg) (List.length binding))
+          text;
+        check Alcotest.bool "the merge is a leaf" true
+          (Util.contains text "d/stimuli: stimuli#");
+        check Alcotest.int "instances" 6 (List.length binding);
+        let s = Workspace.session w in
+        let root = Session.recall s perf_iid in
+        check (Alcotest.list Alcotest.int) "the recalled flow re-runs"
+          [ perf_iid ] (Session.run s root));
   ]
 
 let suite = suite @ [ ("exec.batching", batching_tests) ]

@@ -218,6 +218,77 @@ let pooled_read_your_writes () =
       (List.exists (fun r -> r.Ddf_wire.Wire.row_iid = iid) rows)
   done
 
+let histogram_count name ms =
+  List.fold_left
+    (fun acc m ->
+      match m with
+      | Ddf_obs.Metrics.Histogram (n, h) when n = name -> h.Ddf_obs.Metrics.hs_n
+      | _ -> acc)
+    0 ms
+
+(* The read pool has no admission bound: the server admits at most
+   [max_clients] connections and each has one request in flight, so
+   at most [max_clients] pooled reads ever wait.  Four clients at
+   [max_clients:4] keep every slot busy with one read domain. *)
+let pooled_reads_at_capacity () =
+  Test_journal.with_dir @@ fun dir ->
+  let socket = Filename.concat dir "s.sock" in
+  let t =
+    Server.start ~seed:Test_server.seed ~max_clients:4 ~read_domains:1
+      ~db:dir ~socket Standard_schemas.odyssey
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop t;
+      Server.wait t)
+  @@ fun () ->
+  let clients =
+    List.init 4 (fun i ->
+        Client.connect ~user:(Printf.sprintf "reader%d" i) ~socket ())
+  in
+  Fun.protect ~finally:(fun () -> List.iter Client.close clients) @@ fun () ->
+  let c = List.hd clients in
+  let editor =
+    Client.install c ~entity:E.netlist_editor ~label:"rename"
+      (Codec.value_to_sexp
+         (Value.Tool
+            (Value.Scripted_netlist_editor
+               (Eda.Edit_script.create ~name:"r" [ Eda.Edit_script.Rename "r" ]))))
+  in
+  let rec chain i iid =
+    if i = 0 then iid else chain (i - 1) (Test_server.remote_edit c editor iid)
+  in
+  let tip =
+    chain 100
+      (Client.install c ~entity:E.edited_netlist ~label:"c17"
+         (Codec.value_to_sexp (Value.Netlist (Eda.Circuits.c17 ()))))
+  in
+  check Alcotest.bool "a 100-deep chain" true
+    (Util.contains (Client.trace c tip) "(102 instances in the derivation)");
+  let before = Client.metrics c in
+  let answered = Atomic.make 0 in
+  let reader c =
+    Thread.create
+      (fun () ->
+        for i = 1 to 50 do
+          if i mod 2 = 0 then ignore (Client.trace c tip : string)
+          else ignore (Client.browse c no_filter : Ddf_wire.Wire.instance_row list);
+          Atomic.incr answered
+        done)
+      ()
+  in
+  List.iter Thread.join (List.map reader clients);
+  let after = Client.metrics c in
+  let delta name = counter_value name after - counter_value name before in
+  check Alcotest.int "every read answered" 200 (Atomic.get answered);
+  check Alcotest.int "nothing shed" 0 (delta "server.shed");
+  check Alcotest.int "lock counter flat" 0 (delta "server.lock_acquisitions");
+  check Alcotest.bool "the reads ran on the pool" true
+    (delta "server.pool_reads" >= 200);
+  check Alcotest.bool "every pooled read's queue wait observed" true
+    (histogram_count "server.read_queue_wait_us" after
+     >= counter_value "server.pool_reads" after)
+
 let suite =
   [
     ( "mvcc.snapshot",
@@ -230,5 +301,6 @@ let suite =
       [
         t "read path takes zero locks" zero_lock_reads;
         t "pooled reads see acknowledged writes" pooled_read_your_writes;
+        t "pooled reads at max_clients are never shed" pooled_reads_at_capacity;
       ] );
   ]

@@ -455,6 +455,41 @@ let trace_tests =
         Alcotest.(check string) "deep edit chain"
           (Util.golden "remote_trace_deep.txt")
           (Client.trace c (chain 1 nl)));
+    Alcotest.test_case "a batched run traces and recalls over the wire" `Quick
+      (fun () ->
+        with_server @@ fun _ ~dir:_ ~socket ->
+        Client.with_client ~user:"batch" ~socket @@ fun c ->
+        let nl = Eda.Circuits.c17 () in
+        let stim n seed =
+          Client.install c ~entity:E.stimuli ~label:(Printf.sprintf "s%d" n)
+            (Codec.value_to_sexp
+               (Value.Stimuli (Eda.Stimuli.for_netlist ~n nl (Eda.Rng.create seed))))
+        in
+        let nl_iid =
+          Client.install c ~entity:E.edited_netlist ~label:"c17"
+            (Codec.value_to_sexp (Value.Netlist nl))
+        in
+        let root = Client.start_goal c E.performance in
+        (match List.find_opt (fun (_, e) -> e = E.circuit) (Client.expand c root) with
+        | Some (nid, _) -> ignore (Client.expand c nid)
+        | None -> ());
+        let leaves = Client.leaves c in
+        let node entity = fst (List.find (fun (_, e) -> e = entity) leaves) in
+        Client.select c (node E.simulator) [ first_instance c E.simulator ];
+        Client.select c (node E.netlist) [ nl_iid ];
+        Client.select c (node E.device_models) [ first_instance c E.device_models ];
+        (* two stimuli: the batched simulator merges them into one *)
+        Client.select c (node E.stimuli) [ stim 3 1; stim 5 2 ];
+        let perf =
+          match Client.run c root with
+          | [ perf ] -> perf
+          | _ -> Alcotest.fail "expected one batched result"
+        in
+        Alcotest.(check bool) "trace ends at the merged stimuli" true
+          (Util.contains (Client.trace c perf) "(6 instances in the derivation)");
+        let recalled = Client.recall c perf in
+        Alcotest.(check (list int)) "the recalled flow re-runs to the result"
+          [ perf ] (Client.run c recalled));
     Alcotest.test_case "a rejected trace keeps its typed error code" `Quick
       (fun () ->
         Test_journal.with_dir @@ fun dir ->

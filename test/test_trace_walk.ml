@@ -301,6 +301,28 @@ let parity_tests =
         x);
   ]
 
+(* A source declares no construction roles, so a record producing one
+   (the engine's batch merges, roles part0, part1, ...) is not walked:
+   the instance is a leaf of both routes. *)
+let source_leaf_tests =
+  [
+    t "a record producing a source ends the trace there" (fun () ->
+        let w = world () in
+        let tool = put w "tool_a" in
+        let merged =
+          record w "src_x" [ ("part0", put w "src_x"); ("part1", put w "src") ]
+        in
+        let top = record w ~tool "item" [ ("left", merged); ("right", merged) ] in
+        let snap = History.snapshot w.hist and store = Store.snapshot w.store in
+        let text = History.Snapshot.trace_text snap store schema top in
+        check Alcotest.string "same text by both routes"
+          (graph_route snap store top) text;
+        check Alcotest.bool "three instances" true
+          (Util.contains text "(3 instances in the derivation)\n");
+        check Alcotest.bool "the merge record stays in the closure" true
+          (List.length (History.Snapshot.backward_closure snap top) = 2));
+  ]
+
 (* [derived_instances] used to be the record list of the forward
    closure, flattened to outputs and deduplicated. *)
 let derived_via_records snap iid =
@@ -325,5 +347,6 @@ let suite =
   [
     ("trace_walk", walk_tests);
     ("trace_walk.errors", parity_tests);
+    ("trace_walk.sources", source_leaf_tests);
     ("history.uses", uses_tests);
   ]
