@@ -164,7 +164,7 @@ let version_queries records =
       let t0 = Unix.gettimeofday () in
       ignore
         (History.add h store schema ~task_entity:E.edited_netlist ~tool:None
-           ~inputs:[ ("source", !prev) ]
+           ~inputs:[ ("netlist", !prev) ]
            ~outputs:[ (E.edited_netlist, v) ]
            ~at:!clock);
       add_s := !add_s +. (Unix.gettimeofday () -. t0);

@@ -149,9 +149,9 @@ let rule_of g nid =
   | (Schema.Constructed _ | Schema.Source) as r -> r
 
 (* The declaration of [role] in the construction rule of [entity].
-   This and the checks below are what every edge passes in [of_parts]
-   and [connect]; the history's one-walk trace renderer applies them
-   too, so both reject the same records with the same errors. *)
+   This and the checks below are what every edge passes in [connect];
+   the history applies them to each record it admits, so a trace
+   needs no check of its own. *)
 let declared_dep ~entity rule role =
   match (rule : Schema.rule) with
   | Schema.Abstract subs -> raise (Needs_specialization (entity, subs))
@@ -177,15 +177,24 @@ let find_role g nid role =
   let entity = entity_of g nid in
   declared_dep ~entity (Schema.construction_rule g.schema entity) role
 
-(* Bulk construction: all nodes and edges at once, validated with a
-   single topological pass instead of per-edge reachability checks, so
-   large graphs -- notably flow traces rebuilt from deep histories --
-   assemble in near-linear time. *)
+let add_edge g ~user ~role dep_kind ~dep =
+  let edge = { role; dep_kind; dst = dep } in
+  let outs = match Int_map.find_opt user g.out_edges with
+    | Some es -> es | None -> [] in
+  let ins = match Int_map.find_opt dep g.in_edges with
+    | Some es -> es | None -> [] in
+  { g with
+    out_edges = Int_map.add user (edge :: outs) g.out_edges;
+    in_edges = Int_map.add dep ((user, role) :: ins) g.in_edges }
+
+(* Bulk construction: all nodes and edges at once, with no rule check:
+   the parts are a flow trace, whose every edge the history checked
+   when it admitted the record, so deep traces assemble in near-linear
+   time.  [validate] is the full check. *)
 let of_parts schema node_list edge_list =
   let g =
     List.fold_left
       (fun g (nid, entity) ->
-        ignore (Schema.find schema entity);
         if Int_map.mem nid g.nodes then
           graph_errorf "duplicate node id %d" nid;
         { g with
@@ -193,28 +202,12 @@ let of_parts schema node_list edge_list =
           next_id = max g.next_id (nid + 1) })
       (empty schema) node_list
   in
-  let g =
-    List.fold_left
-      (fun g (user, role, dep) ->
-        if not (mem g user) then graph_errorf "edge from missing node %d" user;
-        if not (mem g dep) then graph_errorf "edge to missing node %d" dep;
-        let decl = find_role g user role in
-        let dep_entity = entity_of g dep in
-        if not (dep_fits g.schema decl ~dep_entity) then
-          raise (ill_typed ~user_entity:(entity_of g user) decl ~dep_entity);
-        if dep_of g user role <> None then raise (filled_twice role user);
-        let edge = { role; dep_kind = decl.dep_kind; dst = dep } in
-        let outs = match Int_map.find_opt user g.out_edges with
-          | Some es -> es | None -> [] in
-        let ins = match Int_map.find_opt dep g.in_edges with
-          | Some es -> es | None -> [] in
-        { g with
-          out_edges = Int_map.add user (edge :: outs) g.out_edges;
-          in_edges = Int_map.add dep ((user, role) :: ins) g.in_edges })
-      g edge_list
-  in
-  ignore (topological_order g);
-  g
+  List.fold_left
+    (fun g (user, role, dep) ->
+      if not (mem g user) then graph_errorf "edge from missing node %d" user;
+      if not (mem g dep) then graph_errorf "edge to missing node %d" dep;
+      add_edge g ~user ~role (find_role g user role).dep_kind ~dep)
+    g edge_list
 
 let connect g ~user ~role ~dep =
   let decl = find_role g user role in
@@ -224,14 +217,7 @@ let connect g ~user ~role ~dep =
   if dep_of g user role <> None then raise (filled_twice role user);
   if Int_set.mem user (reachable g dep) then
     graph_errorf "connecting %d -%s-> %d would create a cycle" user role dep;
-  let edge = { role; dep_kind = decl.dep_kind; dst = dep } in
-  let outs = match Int_map.find_opt user g.out_edges with
-    | Some es -> es | None -> [] in
-  let ins = match Int_map.find_opt dep g.in_edges with
-    | Some es -> es | None -> [] in
-  { g with
-    out_edges = Int_map.add user (edge :: outs) g.out_edges;
-    in_edges = Int_map.add dep ((user, role) :: ins) g.in_edges }
+  add_edge g ~user ~role decl.dep_kind ~dep
 
 let specialize g nid subtype =
   let current = entity_of g nid in

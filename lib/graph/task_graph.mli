@@ -39,10 +39,12 @@ val add_node : t -> string -> t * int
 
 val of_parts : Schema.t -> (int * string) list -> (int * string * int) list -> t
 (** [of_parts schema nodes edges] assembles a whole graph at once:
-    nodes are [(id, entity)], edges [(user, role, dependency)].  All
-    invariants are checked, with a single topological pass for
-    acyclicity, so deep flow traces rebuild in near-linear time.
-    @raise Graph_error on violation. *)
+    nodes are [(id, entity)], edges [(user, role, dependency)].  It
+    trusts its parts, a flow trace whose records the history checked
+    when it admitted them: only duplicate node ids and edges to or from
+    missing nodes are refused, so deep traces assemble in near-linear
+    time.  {!validate} is the full check.
+    @raise Graph_error on a duplicate id or a missing node. *)
 
 val connect : t -> user:int -> role:string -> dep:int -> t
 (** Fill role [role] of node [user] with node [dep].
@@ -133,10 +135,10 @@ val validate : t -> unit
 
 (** {1 Edge checks}
 
-    The checks {!of_parts} and {!connect} apply to every edge, exposed
-    for builders that walk a derivation without assembling a graph
-    (the history's trace text): they reject the same records with the
-    same errors. *)
+    The checks {!connect} applies to every edge, exposed for the
+    history: [History.add] applies them to each record it admits, so
+    it refuses a record with the error the record's graph would
+    raise. *)
 
 val declared_dep : entity:string -> Schema.rule -> string -> Schema.dep
 (** [declared_dep ~entity rule role] is the declaration of [role] in
@@ -155,7 +157,8 @@ val filled_twice : string -> int -> exn
 (** The error for a role filled twice on a node. *)
 
 val cycle : exn
-(** The error for a cyclic graph. *)
+(** The error for a cyclic graph (or a record that would close a cycle
+    in the history). *)
 
 (** {1 Printing} *)
 

@@ -196,7 +196,6 @@ let add_version_edge st ((out, out_at), (p, p_at)) =
       ( Int_map.add out origin vorigin,
         Version_set.add (out_at, out) tree,
         trees )
-    | Some o when o = origin -> (vorigin, tree, trees)  (* an edit cycle *)
     | Some o ->
       let sub = Int_map.find o trees in
       ( Version_set.fold
@@ -214,13 +213,91 @@ let add_version_edge st ((out, out_at), (p, p_at)) =
     hs_vorigin = vorigin;
     hs_vtrees = Int_map.add origin tree trees }
 
+(* ------------------------------------------------------------------ *)
+(* The construction rules, checked once per record                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The functional dependency of a construction rule, if it has one. *)
+let functional_of = function
+  | Schema.Constructed deps ->
+    List.find_opt (fun (d : Schema.dep) -> d.dep_kind = Schema.Functional) deps
+  | Schema.Abstract _ | Schema.Source -> None
+
+(* The construction rule a flow trace follows below an instance of
+   [entity] that [r] produced, or [None] when the instance is a leaf
+   of the trace: a source declares no construction roles (the engine
+   records a batch merge's parts as [part0], [part1], ...), and a
+   decomposition's parts come out of the composite by no task of the
+   schema.  The one predicate [add] and both trace routes share. *)
+let walked_rule schema entity r =
+  match (r.tool, r.inputs) with
+  | None, [ ("composite", _) ] -> None
+  | _ -> (
+    match Schema.construction_rule schema entity with
+    | Schema.Source -> None
+    | rule -> Some rule)
+
+(* Refuse a record the trace of one of its outputs would reject: per
+   output the trace walks below, the checks [Task_graph.connect]
+   applies to each edge, with its exceptions and messages (the output's
+   iid stands where the graph names a node).  The tool fills the
+   functional role, if the rule has one; every input fills a declared
+   role with a subtype of its target, and no role is filled twice. *)
+let check_rules store schema r =
+  let module G = Ddf_graph.Task_graph in
+  List.iter
+    (fun (_, out) ->
+      let entity = Store.Snapshot.entity_of store out in
+      match walked_rule schema entity r with
+      | None -> ()
+      | Some rule ->
+        let edge filled (role, dep) =
+          let decl = G.declared_dep ~entity rule role in
+          let dep_entity = Store.Snapshot.entity_of store dep in
+          if not (G.dep_fits schema decl ~dep_entity) then
+            raise (G.ill_typed ~user_entity:entity decl ~dep_entity);
+          if List.mem role filled then raise (G.filled_twice role out);
+          role :: filled
+        in
+        let filled =
+          match (r.tool, functional_of rule) with
+          | Some tool, Some d -> edge [] (d.Schema.role, tool)
+          | (Some _ | None), _ -> []
+        in
+        ignore (List.fold_left edge filled r.inputs))
+    r.outputs
+
+(* Would [r] close a cycle?  It would when its tool or an input is one
+   of its outputs, or is reachable forward from one through the records
+   using it.  An output is usually fresh, used by no record yet, so this
+   is one lookup per output. *)
+let closes_cycle st r =
+  let deps = Option.to_list r.tool @ List.map snd r.inputs in
+  let seen = ref Int_set.empty in
+  let rec reaches iid =
+    List.mem iid deps
+    || (not (Int_set.mem iid !seen))
+       && begin
+         seen := Int_set.add iid !seen;
+         List.exists
+           (fun rid ->
+             List.exists (fun (_, out) -> reaches out)
+               (Int_map.find rid st.hs_records).outputs)
+           (Option.value (Int_map.find_opt iid st.hs_used_by) ~default:[])
+       end
+  in
+  List.exists (fun (_, out) -> reaches out) r.outputs
+
 let add h store schema ~task_entity ~tool ~inputs ~outputs ~at =
   if outputs = [] then history_errorf "a record needs at least one output";
-  let edges = version_edges (Store.snapshot store) schema ~inputs ~outputs in
+  let store = Store.snapshot store in
+  let r = { rid = 0; task_entity; tool; inputs; outputs; at } in
+  check_rules store schema r;
+  let edges = version_edges store schema ~inputs ~outputs in
   let r =
     update h (fun st ->
         let rid = st.hs_next_rid in
-        let r = { rid; task_entity; tool; inputs; outputs; at } in
+        let r = { r with rid } in
         let produced_by =
           List.fold_left
             (fun acc (_, iid) ->
@@ -230,6 +307,7 @@ let add h store schema ~task_entity ~tool ~inputs ~outputs ~at =
               Int_map.add iid rid acc)
             st.hs_produced_by outputs
         in
+        if closes_cycle st r then raise Ddf_graph.Task_graph.cycle;
         let note_use acc iid =
           let l = Option.value (Int_map.find_opt iid acc) ~default:[] in
           Int_map.add iid (rid :: l) acc
@@ -391,62 +469,62 @@ let st_ancestor_instances st iid =
 (* Flow traces (Fig. 11(b))                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The functional dependency of a construction rule, if it has one. *)
-let functional_of = function
-  | Schema.Constructed deps ->
-    List.find_opt (fun (d : Schema.dep) -> d.dep_kind = Schema.Functional) deps
-  | Schema.Abstract _ | Schema.Source -> None
-
-(* The derivation history of an instance as a task graph with an
-   instance binding: the same form queries and re-execution use.  An
-   instance of a source entity is a leaf even when a record produced
-   it (the engine records batch merges that way). *)
-let st_trace st store schema iid =
-  (* gather nodes and edges, then assemble the graph in one pass *)
-  let binding = Hashtbl.create 16 in  (* iid -> node *)
-  let nodes = ref [] and edges = ref [] in
-  let counter = ref 0 in
-  let rec node_of iid =
+(* The one walk behind both trace routes: preorder over an instance's
+   derivation, numbering nodes in visit order (tool first, then inputs
+   in record order) and stopping where [walked_rule] says the trace
+   has a leaf.  [f] sees each line of the Fig. 11(b) tree: its depth,
+   the edge by which it hangs below node [user] (tag and role, unused
+   at depth 0), and node [nid] of [entity], [shared] when seen before.
+   It checks nothing: [add] admitted every record it reads.  Returns
+   the binding iid -> (node, entity) and the node count. *)
+let walk_trace st store schema iid f =
+  let module G = Ddf_graph.Task_graph in
+  let binding = Hashtbl.create 16 in
+  let count = ref 0 in
+  let rec visit depth tag role user iid =
     match Hashtbl.find_opt binding iid with
-    | Some nid -> nid
-    | None ->
-      let entity = Store.Snapshot.entity_of store iid in
-      let nid = !counter in
-      incr counter;
-      Hashtbl.add binding iid nid;
-      nodes := (nid, entity) :: !nodes;
-      (match st_derivation_of st iid with
+    | Some (nid, entity) -> f ~depth ~tag ~role ~user ~entity ~nid ~shared:true
+    | None -> (
+      let entity = Store.Snapshot.entity_of store iid and nid = !count in
+      incr count;
+      Hashtbl.add binding iid (nid, entity);
+      f ~depth ~tag ~role ~user ~entity ~nid ~shared:false;
+      match st_derivation_of st iid with
       | None -> ()
       | Some r -> (
-        match Schema.construction_rule schema entity with
-        | Schema.Source -> ()  (* no construction roles: a leaf *)
-        | rule ->
+        match walked_rule schema entity r with
+        | None -> ()
+        | Some rule ->
+          let depth = depth + 1 in
           (match (r.tool, functional_of rule) with
           | Some tool, Some d ->
-            let tnid = node_of tool in
-            edges := (nid, d.Schema.role, tnid) :: !edges
-          | Some _, None | None, Some _ | None, None -> ());
+            visit depth (G.dep_tag Schema.Functional) d.Schema.role nid tool
+          | (Some _ | None), _ -> ());
           List.iter
             (fun (role, input) ->
-              let inid = node_of input in
-              edges := (nid, role, inid) :: !edges)
-            r.inputs));
-      nid
+              let decl = G.declared_dep ~entity rule role in
+              visit depth (G.dep_tag decl.Schema.dep_kind) role nid input)
+            r.inputs))
   in
-  let root = node_of iid in
+  visit 0 "" "" 0 iid;
+  (binding, !count)
+
+(* The derivation history of an instance as a task graph with an
+   instance binding: the same form queries and re-execution use.  The
+   parts come from records [add] checked, so they make a valid task
+   graph as they are. *)
+let st_trace st store schema iid =
+  let nodes = ref [] and edges = ref [] in
+  let binding, _ =
+    walk_trace st store schema iid
+      (fun ~depth ~tag:_ ~role ~user ~entity ~nid ~shared ->
+        if not shared then nodes := (nid, entity) :: !nodes;
+        if depth > 0 then edges := (user, role, nid) :: !edges)
+  in
   let g =
     Ddf_graph.Task_graph.of_parts schema (List.rev !nodes) (List.rev !edges)
   in
-  let pairs = Hashtbl.fold (fun iid nid acc -> (nid, iid) :: acc) binding [] in
-  (g, root, pairs)
-
-(* A node of the trace-text walk: its preorder number, its entity, and
-   the on-path mark (the walk is still below it). *)
-type text_node = {
-  tn_nid : int;
-  tn_entity : string;
-  mutable tn_open : bool;
-}
+  (g, 0, Hashtbl.fold (fun iid (nid, _) acc -> (nid, iid) :: acc) binding [])
 
 (* The length of the last trace text, which sizes the next one's
    buffer: a long derivation's trace runs to tens of KiB (every line
@@ -455,121 +533,22 @@ type text_node = {
    by every domain and thread; a stale value only costs one resize. *)
 let trace_size_hint = Atomic.make 4096
 
-(* Is [role] among the roles of [inputs] before its suffix [rest]? *)
-let rec filled_before role inputs rest =
-  match inputs with
-  | (role', _) :: more when inputs != rest ->
-    String.equal role role' || filled_before role more rest
-  | _ -> false
-
-(* The text [Wire.Trace] answers: [Task_graph.to_ascii] of
-   [st_trace]'s graph and a line counting its instances, written into
-   one buffer by one walk over the records, without assembling the
-   graph.  The walk visits, numbers and orders nodes
-   as [st_trace] does (tool first, then inputs in record order; node
-   ids in preorder), so the text is the same byte for byte.  It also
-   applies every check [of_parts] applies, to the same edges in the
-   same order: a violation is noted where [of_parts] meets it and
-   raised after the walk -- node errors before edge errors before a
-   cycle, as [of_parts] orders them -- so a history [st_trace] rejects
-   fails here with the same exception.  A cycle is an edge back to a
-   node the walk is still below.  The walk makes no closure, result
-   box, tag tuple or list cell per edge. *)
+(* The text [Wire.Trace] answers: [Task_graph.to_ascii] of [st_trace]'s
+   graph and a line counting its instances, rendered line by line by
+   the same walk into one buffer, without assembling the graph. *)
 let st_trace_text st store schema iid =
-  let module G = Ddf_graph.Task_graph in
   let buf =
     let hint = Atomic.get trace_size_hint in
     Buffer.create (hint + (hint / 8))
   in
-  let binding = Hashtbl.create 64 in  (* iid -> node *)
-  (* construction rule and functional dependency, once per entity *)
-  let rules = Hashtbl.create 16 in
-  let rule_of entity =
-    match Hashtbl.find_opt rules entity with
-    | Some rf -> rf
-    | None ->
-      let rule = Schema.construction_rule schema entity in
-      let functional = functional_of rule in
-      Hashtbl.add rules entity (rule, functional);
-      (rule, functional)
+  let _, count =
+    walk_trace st store schema iid
+      (fun ~depth ~tag ~role ~user:_ ~entity ~nid ~shared ->
+        Ddf_graph.Task_graph.add_ascii_line buf ~depth ~tag ~role ~entity ~nid
+          ~shared)
   in
-  let node_error = ref None and edge_error = ref None and cyclic = ref false in
-  let note slot e = match !slot with None -> slot := Some e | Some _ -> () in
-  let count = ref 0 in
-  let rec visit depth tag role iid =
-    match Hashtbl.find_opt binding iid with
-    | Some n ->
-      if n.tn_open then cyclic := true;
-      G.add_ascii_line buf ~depth ~tag ~role ~entity:n.tn_entity ~nid:n.tn_nid
-        ~shared:true;
-      n
-    | None ->
-      let entity = Store.Snapshot.entity_of store iid in
-      let n = { tn_nid = !count; tn_entity = entity; tn_open = true } in
-      incr count;
-      Hashtbl.add binding iid n;
-      G.add_ascii_line buf ~depth ~tag ~role ~entity ~nid:n.tn_nid
-        ~shared:false;
-      (match st_derivation_of st iid with
-      | None -> (
-        match Schema.find schema entity with
-        | _ -> ()
-        | exception e -> note node_error e)
-      | Some r -> (
-        (* raises now for an unknown entity, as [st_trace] does *)
-        match rule_of entity with
-        | Schema.Source, _ -> ()  (* a leaf, as in [st_trace] *)
-        | rule, functional ->
-          let depth = depth + 1 in
-          (* [functional] when the tool's edge filled its role *)
-          let tool_dep =
-            match (r.tool, functional) with
-            | Some tool, Some d ->
-              edge depth n rule d.Schema.role tool ~filled:false;
-              functional
-            | Some _, None | None, Some _ | None, None -> None
-          in
-          let rec inputs = function
-            | [] -> ()
-            | (role, input) :: more as rest ->
-              let filled =
-                (match tool_dep with
-                | Some d -> String.equal role d.Schema.role
-                | None -> false)
-                || filled_before role r.inputs rest
-              in
-              edge depth n rule role input ~filled;
-              inputs more
-          in
-          inputs r.inputs));
-      n.tn_open <- false;
-      n
-  (* The edge by which [user] consumes [dep] in [role], [filled] when
-     an earlier edge of [user] fills [role] already: render [dep]
-     below it, then check the edge as [of_parts] does. *)
-  and edge depth user rule role dep ~filled =
-    let entity = user.tn_entity in
-    match G.declared_dep ~entity rule role with
-    | exception e ->
-      (* the text is dropped on an error, so any tag will do *)
-      ignore (visit depth "f/" role dep);
-      note edge_error e
-    | decl -> (
-      let d = visit depth (G.dep_tag decl.Schema.dep_kind) role dep in
-      let dep_entity = d.tn_entity in
-      match G.dep_fits schema decl ~dep_entity with
-      | true ->
-        if filled then note edge_error (G.filled_twice role user.tn_nid)
-      | false ->
-        note edge_error (G.ill_typed ~user_entity:entity decl ~dep_entity)
-      | exception e -> note edge_error e)
-  in
-  ignore (visit 0 "" "" iid);
-  (match (!node_error, !edge_error) with
-  | Some e, _ | None, Some e -> raise e
-  | None, None -> if !cyclic then raise Ddf_graph.Task_graph.cycle);
   Buffer.add_char buf '(';
-  Buffer.add_string buf (string_of_int !count);
+  Buffer.add_string buf (string_of_int count);
   Buffer.add_string buf " instances in the derivation)\n";
   Atomic.set trace_size_hint (Buffer.length buf);
   Buffer.contents buf

@@ -49,9 +49,18 @@ val add :
   t -> 'a Store.t -> Schema.t -> task_entity:string ->
   tool:Store.iid option -> inputs:(string * Store.iid) list ->
   outputs:(string * Store.iid) list -> at:int -> record
-(** Append a record.  The store and schema classify its version edges
-    (see Versioning below): they must be the ones the record's
-    instances live in and are typed by.
+(** Append a record.  The store and schema must be the ones the
+    record's instances live in and are typed by: they check the record
+    and classify its version edges (see Versioning below).  The check
+    is the one place a history is validated; reads trust it.  For each
+    output a trace walks below (see {!trace}), the record fills the
+    construction rule as {!Ddf_graph.Task_graph.connect} would: roles
+    declared, the tool fitting the functional role, inputs subtypes of
+    their roles' targets, no role twice.  And its tool and inputs must
+    not depend on an output (no cycle).  A refused record raises the
+    exception its graph would ([Task_graph.Graph_error], with the
+    output's iid as the node; [Task_graph.Needs_specialization];
+    [Schema.Schema_error]) and leaves the history as it was.
     @raise Ddf_core.Error.Ddf_error ([`Conflict]) when an output
     already has a producing record (derivations uniquely identify
     design objects), [`Invalid] when outputs are empty. *)
@@ -157,11 +166,15 @@ val trace :
   Ddf_graph.Task_graph.t * int * (int * Store.iid) list
 (** The derivation of an instance as a task graph plus its instance
     binding: [(graph, root node, node -> instance)].  The same form is
-    used for queries and for re-execution.  An instance of a
-    [Schema.Source] entity is a leaf even when a record produced it:
-    a source declares no construction roles, so the record (a batch
-    merge's [part0], [part1], ... inputs) is not walked.  It stays in
-    the history and in {!backward_closure}. *)
+    used for queries and for re-execution.  Two kinds of instance are
+    leaves even when a record produced them, because no task of the
+    schema did: an instance of a [Schema.Source] entity (a source
+    declares no construction roles; the engine records a batch merge's
+    parts as [part0], [part1], ...), and a part of a decomposition (a
+    record with no tool whose one input fills the role ["composite"]).
+    Such a record is not walked; it stays in the history and in
+    {!backward_closure}.  The graph is assembled with no check: {!add}
+    checked every record it is made of. *)
 
 val trace_text : t -> 'a Store.t -> Schema.t -> Store.iid -> string
 (** [Task_graph.to_ascii] of the {!trace} graph followed by the line
@@ -170,10 +183,8 @@ val trace_text : t -> 'a Store.t -> Schema.t -> Store.iid -> string
     level down to [Task_graph.max_indent] (16) levels; a deeper line is
     indented 32 spaces and prefixed with its depth as ["[depth] "]
     (["[417] d?/netlist: edited_netlist#834"]), so the text grows
-    linearly with the derivation, not with its depth squared.  Every
-    check the graph's construction applies is applied, and a history
-    {!trace} rejects fails with the same exception.  A source
-    instance is a leaf here too, as in {!trace}. *)
+    linearly with the derivation, not with its depth squared.  It
+    checks nothing, and it has the leaves {!trace} has. *)
 
 (** {1 Query by template (section 4.2)} *)
 

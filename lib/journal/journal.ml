@@ -354,12 +354,7 @@ let replay_entry ?(lenient = false) ctx payload =
         false
       end
       else begin
-        let r =
-          History.add history ctx.Ddf_exec.Engine.store
-            ctx.Ddf_exec.Engine.schema ~task_entity:p.W.rp_task_entity
-            ~tool:p.W.rp_tool ~inputs:p.W.rp_inputs ~outputs:p.W.rp_outputs
-            ~at:p.W.rp_at
-        in
+        let r = W.add_record ctx p in
         if r.History.rid <> p.W.rp_rid then
           journal_errorf "log out of order: record %d replayed as %d"
             p.W.rp_rid r.History.rid;

@@ -116,6 +116,23 @@ let record_of_sexp sexp =
       rp_outputs = List.map pair (S.as_list outputs); rp_at = S.as_int at }
   | _ -> persist_errorf "malformed record"
 
+(* Every stored record enters the history here: checkpoint load, wal
+   replay and sync apply.  A record the schema's construction rules
+   refuse (a schema edit dropped a role it fills, say) is a typed
+   [`Invalid] naming it. *)
+let add_record (ctx : Ddf_exec.Engine.context) p =
+  let refuse m =
+    Ddf_core.Error.errorf `Invalid "record %d breaks the schema's rules: %s"
+      p.rp_rid m
+  in
+  try
+    History.add ctx.history ctx.store ctx.schema ~task_entity:p.rp_task_entity
+      ~tool:p.rp_tool ~inputs:p.rp_inputs ~outputs:p.rp_outputs ~at:p.rp_at
+  with
+  | Ddf_graph.Task_graph.Graph_error m | Ddf_schema.Schema.Schema_error m -> refuse m
+  | Ddf_graph.Task_graph.Needs_specialization (entity, _) ->
+    refuse (entity ^ " is abstract")
+
 (* The workspace is one list, printed item by item so its tree is never
    built whole: the instance and record sections stream one element at
    a time (each element's small tree dies young), byte-identical to
@@ -231,11 +248,7 @@ let load ?registry ?(cemented = fun _ -> None) schema text =
   in
   List.iter
     (fun p ->
-      let r =
-        History.add ctx.Ddf_exec.Engine.history ctx.Ddf_exec.Engine.store
-          ctx.Ddf_exec.Engine.schema ~task_entity:p.rp_task_entity
-          ~tool:p.rp_tool ~inputs:p.rp_inputs ~outputs:p.rp_outputs ~at:p.rp_at
-      in
+      let r = add_record ctx p in
       if r.History.rid <> p.rp_rid then
         persist_errorf "record ids are not dense (%d loaded as %d)" p.rp_rid
           r.History.rid)

@@ -68,3 +68,10 @@ type record_parts = {
 val record_of_sexp : Sexp.t -> record_parts
 (** The parsed fields of a record (records proper are only minted by
     {!Ddf_history.History.add}). @raise Persist_error. *)
+
+val add_record : Ddf_exec.Engine.context -> record_parts -> Ddf_history.History.record
+(** {!Ddf_history.History.add} of a stored record, in the context's
+    store, history and schema: checkpoint load, wal replay and sync
+    apply admit records through it.
+    @raise Ddf_core.Error.Ddf_error ([`Invalid]) naming the record's rid
+    when the schema's construction rules refuse it. *)

@@ -420,9 +420,8 @@ let apply_frames j ~origin ~upto frames =
       in
       if Hashtbl.mem rec_index rkey then incr skipped
       else begin
-        (* produced-by collision check BEFORE History.add — add inserts
-           before validating later outputs, so a late duplicate would
-           leave a half-registered record behind *)
+        (* a collision is a divergence to surface as a conflict, not
+           an error *)
         let collisions =
           List.filter
             (fun (_, o) -> History.derivation_of (history ()) o <> None)
@@ -443,9 +442,8 @@ let apply_frames j ~origin ~upto frames =
         end
         else begin
           let r =
-            History.add (history ()) (store ()) ctx.Engine.schema
-              ~task_entity:p.W.rp_task_entity ~tool ~inputs ~outputs
-              ~at:p.W.rp_at
+            W.add_record ctx
+              { p with W.rp_tool = tool; rp_inputs = inputs; rp_outputs = outputs }
           in
           Hashtbl.replace rec_index rkey r.History.rid;
           incr applied;

@@ -81,8 +81,10 @@ val apply_frames :
     an empty batch just advances the cursor.  The server runs this
     from its single-writer loop ([Sync_ack] is a mutation).
     @raise Ddf_core.Error.Ddf_error on checksum mismatch, an
-    unmappable instance reference, or [origin] equal to the local
-    workspace id (a clone that kept [wsid.ddf]). *)
+    unmappable instance reference, [origin] equal to the local
+    workspace id (a clone that kept [wsid.ddf]), or ([`Invalid]) a
+    record the local schema's construction rules refuse, which the
+    history does not take. *)
 
 (** {1 Peers and the sync driver} *)
 

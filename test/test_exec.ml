@@ -315,12 +315,24 @@ let decompose_tests =
           (List.exists
              (fun (e, _) -> e = E.netlist || e = E.extracted_netlist)
              parts);
-        (* the decomposition is in the history: parts chain back to the
-           composite *)
-        let _, part = List.hd parts in
-        let ancestors = History.ancestor_instances (Workspace.history w) part in
-        check Alcotest.bool "chains to the composite" true
-          (List.mem circuit ancestors));
+        let h = Workspace.history w and store = Workspace.store w in
+        let schema = Workspace.schema w in
+        List.iter
+          (fun (entity, part) ->
+            (* the decomposition is in the history: each part chains
+               back to the composite *)
+            check Alcotest.bool (entity ^ " chains to the composite") true
+              (List.mem circuit (History.ancestor_instances h part));
+            (* but no task of the schema made it: a leaf of its trace,
+               the same by both routes *)
+            let g, _, binding = History.trace h store schema part in
+            check Alcotest.int (entity ^ " traces as a leaf") 1
+              (List.length binding);
+            check Alcotest.string (entity ^ " traces alike")
+              (Printf.sprintf "%s(1 instances in the derivation)\n"
+                 (Task_graph.to_ascii g))
+              (History.trace_text h store schema part))
+          parts);
     expect_exec_error "decomposing a non-composite fails" (fun () ->
         let w = Workspace.create () in
         let iid = Workspace.install_netlist w (Eda.Circuits.c17 ()) in

@@ -259,16 +259,21 @@ let bulk_tests =
         let g, nid = Task_graph.add_node g E.stimuli in
         check Alcotest.bool "fresh id" true (nid >= 3);
         ignore g);
-    expect_graph_error "of_parts rejects cycles" (fun () ->
-        Task_graph.of_parts schema
-          [ (0, E.device_models); (1, E.device_models) ]
-          [ (0, E.device_models, 1); (1, E.device_models, 0) ]);
+    (* of_parts trusts its parts (the history checked them); validate
+       is the full check *)
+    expect_graph_error "validate rejects a cycle of_parts trusts" (fun () ->
+        Task_graph.validate
+          (Task_graph.of_parts schema
+             [ (0, E.device_models); (1, E.device_models) ]
+             [ (0, E.device_models, 1); (1, E.device_models, 0) ]));
     expect_graph_error "of_parts rejects duplicate node ids" (fun () ->
         Task_graph.of_parts schema [ (0, E.stimuli); (0, E.stimuli) ] []);
-    expect_graph_error "of_parts rejects ill-typed edges" (fun () ->
-        Task_graph.of_parts schema
-          [ (0, E.extracted_netlist); (1, E.stimuli) ]
-          [ (0, E.layout, 1) ]);
+    expect_graph_error "validate rejects an ill-typed edge of_parts trusts"
+      (fun () ->
+        Task_graph.validate
+          (Task_graph.of_parts schema
+             [ (0, E.extracted_netlist); (1, E.stimuli) ]
+             [ (0, E.layout, 1) ]));
     Util.qcheck ~count:40 "traces equal incremental reconstruction"
       QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 15))
       (fun (seed, steps) ->

@@ -482,5 +482,65 @@ let oracle_prop =
       let want = state oracle in
       got = want && reopened = want)
 
+(* A schema, with or without the role "base": a record filling it is
+   admitted under the first and refused under the second, as when a
+   schema edit drops a role that stored records use. *)
+let docs_schema ~with_base =
+  Schema.create "docs"
+    [ Schema.tool "ed" [];
+      Schema.entity "doc"
+        (Schema.functional "ed"
+        :: (if with_base then [ Schema.data ~role:"base" ~optional:true "doc" ]
+            else [])) ]
+
+(* One edit record in [ctx], filling the role "base"; returns its rid. *)
+let base_record (ctx : Engine.context) =
+  let put entity text =
+    let value = Value.Blob { blob_kind = "text"; text } in
+    Store.put ctx.Engine.store ~entity ~hash:(Ddf_data.hash value)
+      ~meta:(Store.meta ~created_at:ctx.Engine.clock ())
+      value
+  in
+  let ed = put "ed" "ed" and v0 = put "doc" "v0" and v1 = put "doc" "v1" in
+  let r =
+    History.add ctx.Engine.history ctx.Engine.store ctx.Engine.schema
+      ~task_entity:"doc" ~tool:(Some ed) ~inputs:[ ("base", v0) ]
+      ~outputs:[ ("doc", v1) ] ~at:ctx.Engine.clock
+  in
+  r.History.rid
+
+(* [f] raises the typed refusal of record [rid]. *)
+let expect_refusal ~rid f =
+  match f () with
+  | _ -> Alcotest.fail "the record was admitted"
+  | exception Ddf.Error.Ddf_error e ->
+    Alcotest.(check string) "code" "invalid" (Ddf.Error.code_to_string e.code);
+    let want = Printf.sprintf "record %d breaks the schema's rules" rid in
+    if not (Util.contains e.message want && Util.contains e.message "\"base\"")
+    then Alcotest.failf "unexpected message %S" e.message
+
+(* Build a database under the full schema, then open it under the one
+   that dropped the role. *)
+let refused_at_open ~compact =
+  with_dir @@ fun dir ->
+  let j = Journal.open_ ~dir (docs_schema ~with_base:true) in
+  let rid = base_record (Journal.context j) in
+  if compact then begin
+    Journal.compact j;
+    Alcotest.(check int) "the record is in the checkpoint only" 0
+      (Journal.entries_since_snapshot j)
+  end;
+  Journal.close j;
+  expect_refusal ~rid (fun () ->
+      Journal.open_ ~dir (docs_schema ~with_base:false))
+
+let rules =
+  [ Alcotest.test_case "wal replay refuses a record the schema no longer admits"
+      `Quick (fun () -> refused_at_open ~compact:false);
+    Alcotest.test_case
+      "checkpoint load refuses a record the schema no longer admits" `Quick
+      (fun () -> refused_at_open ~compact:true) ]
+
 let suite =
-  [ ("journal", basics @ torn_tail @ compaction @ checkpoint @ [ oracle_prop ]) ]
+  [ ("journal", basics @ torn_tail @ compaction @ checkpoint @ [ oracle_prop ]);
+    ("journal.rules", rules) ]

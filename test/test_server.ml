@@ -384,33 +384,6 @@ let remote_edit c editor iid =
   Client.select c (node E.netlist) [ iid ];
   List.hd (Client.run c root)
 
-(* Records the graph build rejects, journaled with the seed: an
-   undeclared role, and an ill-typed input (device models where a
-   netlist belongs).  Returns the seed and the faulty outputs. *)
-let seed_faulty_records () =
-  let outputs = ref [] in
-  let seed ctx =
-    seed ctx;
-    let nl () =
-      Engine.install ctx ~entity:E.edited_netlist
-        (Value.Netlist (Eda.Circuits.c17 ()))
-    in
-    let models =
-      List.hd (Store.instances_of_entity ctx.Engine.store E.device_models)
-    in
-    let record inputs =
-      let out = nl () in
-      ignore
-        (History.add ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-           ~task_entity:E.edited_netlist ~tool:None ~inputs
-           ~outputs:[ (E.edited_netlist, out) ] ~at:ctx.Engine.clock);
-      outputs := out :: !outputs
-    in
-    record [ ("colour", nl ()) ];
-    record [ ("netlist", models) ]
-  in
-  (seed, outputs)
-
 let trace_tests =
   [
     (* what [hercules remote trace] prints is [Client.trace]'s text *)
@@ -490,30 +463,6 @@ let trace_tests =
         let recalled = Client.recall c perf in
         Alcotest.(check (list int)) "the recalled flow re-runs to the result"
           [ perf ] (Client.run c recalled));
-    Alcotest.test_case "a rejected trace keeps its typed error code" `Quick
-      (fun () ->
-        Test_journal.with_dir @@ fun dir ->
-        let socket = Filename.concat dir "s.sock" in
-        let seed, outputs = seed_faulty_records () in
-        let t =
-          Server.start ~seed ~db:dir ~socket Standard_schemas.odyssey
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            Server.stop t;
-            Server.wait t)
-        @@ fun () ->
-        Client.with_client ~user:"golden" ~socket @@ fun c ->
-        Alcotest.(check int) "both records seeded" 2 (List.length !outputs);
-        List.iter
-          (fun iid ->
-            match Client.trace_r c iid with
-            | Ok _ -> Alcotest.failf "trace of #%d accepted" iid
-            | Error err ->
-              (* Graph_error, classified as it always was *)
-              Alcotest.(check string) "code" "invalid"
-                (Ddf.Error.code_to_string err.Ddf.Error.code))
-          !outputs);
   ]
 
 let suite =

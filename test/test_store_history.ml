@@ -242,14 +242,19 @@ let history_tests =
         in
         check Alcotest.int "none" 0 (List.length results));
     Util.expect_exn "double-producing an instance is rejected"
-      (function Ddf.Error.Ddf_error _ -> true | _ -> false)
+      (function
+        | Ddf.Error.Ddf_error { code = `Conflict; _ } -> true | _ -> false)
       (fun () ->
         let h = History.create () and store = Store.create () in
         let schema = Standard_schemas.odyssey in
-        let _ = History.add h store schema ~task_entity:"x" ~tool:None
-                  ~inputs:[] ~outputs:[ ("x", 1) ] ~at:1 in
-        History.add h store schema ~task_entity:"x" ~tool:None ~inputs:[]
-          ~outputs:[ ("x", 1) ] ~at:2);
+        let x =
+          Store.put store ~entity:E.stimuli ~hash:"x"
+            ~meta:(Store.meta ~created_at:1 ()) ()
+        in
+        let _ = History.add h store schema ~task_entity:E.stimuli ~tool:None
+                  ~inputs:[] ~outputs:[ (E.stimuli, x) ] ~at:1 in
+        History.add h store schema ~task_entity:E.stimuli ~tool:None ~inputs:[]
+          ~outputs:[ (E.stimuli, x) ] ~at:2);
   ]
 
 (* The browse before it read entity buckets: a scan of every instance

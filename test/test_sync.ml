@@ -533,9 +533,48 @@ let properties =
                 fp ja = fp jb)));
   ]
 
+(* A peer whose schema still has a role the local one dropped sends a
+   record filling it: the apply is a typed error, and the local
+   history, store and journal gain nothing from that record. *)
+let rules =
+  [ Alcotest.test_case "a peer's record the schema refuses is a typed error"
+      `Quick (fun () ->
+        with_dir @@ fun da ->
+        with_dir @@ fun db ->
+        let ja = Journal.open_ ~dir:da (Test_journal.docs_schema ~with_base:true) in
+        let jb = Journal.open_ ~dir:db (Test_journal.docs_schema ~with_base:false) in
+        Fun.protect
+          ~finally:(fun () ->
+            Journal.close ja;
+            Journal.close jb)
+        @@ fun () ->
+        let rid = Test_journal.base_record (Journal.context ja) in
+        let records, puts =
+          List.partition
+            (fun (_, _, payload) -> String.starts_with ~prefix:"(record" payload)
+            (Journal.frames ja ~after:0 ~limit:100)
+        in
+        Alcotest.(check int) "one record frame" 1 (List.length records);
+        let origin = Journal.wsid ja and upto = Journal.seq ja in
+        ignore (Sync.apply_frames jb ~origin ~upto:(upto - 1) puts);
+        let ctx = Journal.context jb in
+        let state () =
+          ( History.size ctx.Engine.history,
+            History.tick ctx.Engine.history,
+            Store.instance_count ctx.Engine.store,
+            Journal.seq jb )
+        in
+        let before = state () in
+        Test_journal.expect_refusal ~rid (fun () ->
+            Sync.apply_frames jb ~origin ~upto records);
+        Alcotest.(check bool) "history, store and journal unchanged" true
+          (before = state ()));
+  ]
+
 let suite =
   [
     ( "sync",
       fingerprints @ convergence @ conflicts @ resume @ wire_codecs
       @ hello_matrix @ sockets @ properties );
+    ("sync.rules", rules);
   ]

@@ -1,7 +1,8 @@
 (* The one-walk trace text (History.Snapshot.trace_text) against the
    graph route it replaces: Task_graph.to_ascii of History.trace plus
-   the instance-count line, byte for byte, and the same exception on
-   every history the graph build rejects.  Also the forward fold
+   the instance-count line, byte for byte.  Every record the graph
+   build rejected, [History.add] now refuses with the graph build's
+   exception, so neither route meets one.  Also the forward fold
    behind [derived_instances] against the record-list route. *)
 
 open Ddf
@@ -126,43 +127,104 @@ let add_siblings rng w =
   ignore
     (History.add_conflict w.hist ~base ~ours ~theirs ~origin:"peer" ~at:w.clock)
 
-(* One fault of each kind the graph build rejects. *)
+(* A record [add] must refuse, and the exception the record's task
+   graph raises: [Task_graph.connect]'s for a bad edge (with the
+   output's iid as the node), [validate]'s for a cycle. *)
+type fault = { attempt : unit -> unit; expect : exn }
+
+(* The record deriving [out], already in the store, as [entity]. *)
+let derive w ?tool entity out inputs () =
+  w.clock <- w.clock + 1;
+  ignore
+    (History.add w.hist w.store schema ~task_entity:entity ~tool ~inputs
+       ~outputs:[ (entity, out) ] ~at:w.clock)
+
+(* One fault of each kind, by the name of its test. *)
+let fault_kinds =
+  let graph_error m = Task_graph.Graph_error m in
+  (* an item record, with its expected error given the output *)
+  let item rng ?(tool = tool_a) w inputs expect =
+    let tool = tool w rng in
+    let out = put w "item" in
+    { attempt = derive w ~tool "item" out inputs; expect = expect out }
+  in
+  [
+    ( "an undeclared role raises the graph build's error",
+      fun rng w ->
+        let l = src w rng and b = src w rng in
+        item rng w [ ("left", l); ("bogus", b) ] (fun _ ->
+            graph_error "entity item has no dependency role \"bogus\"") );
+    ( "an ill-typed input raises the graph build's error",
+      fun rng w ->
+        let p = pick rng w [ "pair" ] and r = src w rng in
+        item rng w [ ("left", p); ("right", r) ] (fun _ ->
+            graph_error "role \"left\" of item requires src, not pair") );
+    ( "an ill-typed tool raises the graph build's error",
+      fun rng w ->
+        let l = src w rng and r = src w rng in
+        item rng w
+          ~tool:(fun w rng -> pick rng w [ "tool_b" ])
+          [ ("left", l); ("right", r) ]
+          (fun _ ->
+            graph_error "role \"tool\" of item requires tool_a, not tool_b") );
+    ( "a role filled twice raises the graph build's error",
+      fun rng w ->
+        let a = src w rng and b = src w rng in
+        item rng w [ ("left", a); ("left", b) ] (fun out ->
+            graph_error
+              (Printf.sprintf "role \"left\" of node %d is already filled" out)) );
+    ( "roles on an abstract output raise the graph build's error",
+      fun rng w ->
+        let x = src w rng in
+        let out = put w "abs" in
+        { attempt = derive w "abs" out [ ("x", x) ];
+          expect = Task_graph.Needs_specialization ("abs", [ "abs_1" ]) } );
+    ( "roles on the abstract src raise the graph build's error",
+      fun rng w ->
+        (* src has the subtype src_x: abstract, not a source *)
+        let l = src w rng in
+        let out = put w "src" in
+        { attempt = derive w "src" out [ ("left", l) ];
+          expect = Task_graph.Needs_specialization ("src", [ "src_x" ]) } );
+    ( "an unknown entity raises the graph build's error",
+      fun rng w ->
+        let ghost = put w "ghost" and r = src w rng in
+        item rng w [ ("left", ghost); ("right", r) ] (fun _ ->
+            Schema.Schema_error
+              "unknown entity \"ghost\" in schema \"trace-walk\"") );
+    ( "a cycle raises the graph build's error",
+      fun rng w ->
+        let x = put w "item" and y = put w "item" in
+        let link out prev =
+          let tool = tool_a w rng in
+          let l = src w rng and r = src w rng in
+          derive w ~tool "item" out [ ("left", l); ("right", r); ("prev", prev) ]
+        in
+        (* accepted: y has no derivation yet *)
+        link x y ();
+        { attempt = link y x; expect = Task_graph.cycle } );
+  ]
+
+(* Attempt a fault: [add] raises its exception and leaves the history's
+   size and tick as they were. *)
+let refused w f =
+  let before = (History.size w.hist, History.tick w.hist) in
+  match f.attempt () with
+  | () -> Error "add accepted the record"
+  | exception e ->
+    let got = Printexc.to_string e and want = Printexc.to_string f.expect in
+    if got <> want then Error (Printf.sprintf "add raised %s, not %s" got want)
+    else if (History.size w.hist, History.tick w.hist) <> before then
+      Error "the refused record changed the history's size or tick"
+    else Ok ()
+
 let add_fault rng w =
-  match Random.State.int rng 8 with
-  | 0 ->
-    record w ~tool:(tool_a w rng) "item"
-      [ ("left", src w rng); ("bogus", src w rng) ]
-  | 1 ->
-    (* ill-typed: a pair where a src belongs *)
-    record w ~tool:(tool_a w rng) "item"
-      [ ("left", pick rng w [ "pair" ]); ("right", src w rng) ]
-  | 2 ->
-    (* ill-typed tool *)
-    record w ~tool:(pick rng w [ "tool_b" ]) "item"
-      [ ("left", src w rng); ("right", src w rng) ]
-  | 3 ->
-    record w ~tool:(tool_a w rng) "item"
-      [ ("left", src w rng); ("left", src w rng) ]
-  | 4 -> record w "abs" [ ("x", src w rng) ]
-  | 5 -> record w "src" [ ("left", src w rng) ]
-  | 6 ->
-    (* an instance of an entity the schema does not know *)
-    record w ~tool:(tool_a w rng) "item"
-      [ ("left", put w "ghost"); ("right", src w rng) ]
-  | _ ->
-    (* a two-record cycle *)
-    let x = put w "item" and y = put w "item" in
-    let link out prev =
-      w.clock <- w.clock + 1;
-      ignore
-        (History.add w.hist w.store schema ~task_entity:"item"
-           ~tool:(Some (tool_a w rng))
-           ~inputs:[ ("left", src w rng); ("right", src w rng); ("prev", prev) ]
-           ~outputs:[ ("item", out) ] ~at:w.clock)
-    in
-    link x y;
-    link y x;
-    x
+  let name, kind =
+    List.nth fault_kinds (Random.State.int rng (List.length fault_kinds))
+  in
+  match refused w (kind rng w) with
+  | Ok () -> ()
+  | Error m -> QCheck2.Test.fail_reportf "%s: %s" name m
 
 let random_history ~faults seed ops =
   let rng = Random.State.make [| seed |] in
@@ -174,7 +236,7 @@ let random_history ~faults seed ops =
     | 6 | 7 -> ignore (add_pair rng w)
     | 8 -> ignore (add_bundle rng w)
     | 9 -> add_siblings rng w
-    | _ -> if faults then ignore (add_fault rng w) else ignore (add_item rng w)
+    | _ -> if faults then add_fault rng w else ignore (add_item rng w)
   done;
   w
 
@@ -221,8 +283,9 @@ let walk_tests =
       gen_history (fun (seed, ops) ->
         let w = random_history ~faults:false seed ops in
         List.for_all (same_trace w) (all_iids w));
-    Util.qcheck ~count:200 "faulty histories fail with the same exception"
+    Util.qcheck ~count:200 "add refuses each fault, the rest trace alike"
       gen_history (fun (seed, ops) ->
+        (* [add_fault] fails the test unless [add] refuses the fault *)
         let w = random_history ~faults:true seed ops in
         List.for_all (same_trace w) (all_iids w));
     Util.qcheck ~count:3 "edit chains 1000+ deep render identically"
@@ -257,49 +320,22 @@ let walk_tests =
         check Alcotest.int "shared" (3 * 1499) (count "(shared)"));
   ]
 
-(* Error parity, by name: an undeclared role and an ill-typed input
-   (the faults a schema edit leaves in old records), and a cycle. *)
-let parity name fault =
-  t name (fun () ->
-      let w = world () in
-      let tool = put w "tool_a" in
-      let out = fault w tool in
-      let snap = History.snapshot w.hist and store = Store.snapshot w.store in
-      let expect =
-        match graph_route snap store out with
-        | _ -> Alcotest.fail "the graph route accepted the fault"
-        | exception (Task_graph.Graph_error _ as e) -> e
-      in
-      match History.Snapshot.trace_text snap store schema out with
-      | _ -> Alcotest.fail "the walk accepted the fault"
-      | exception e ->
-        check Alcotest.string "same exception" (Printexc.to_string expect)
-          (Printexc.to_string e))
-
-let parity_tests =
-  [
-    parity "an undeclared role raises the graph build's error" (fun w tool ->
-        let s = put w "src" in
-        record w ~tool "item" [ ("left", s); ("right", s); ("colour", s) ]);
-    parity "an ill-typed input raises the graph build's error" (fun w tool ->
-        let s = put w "src" in
-        let it = record w ~tool "item" [ ("left", s); ("right", s) ] in
-        record w ~tool "item" [ ("left", it); ("right", s) ]);
-    parity "a cycle raises the graph build's error" (fun w tool ->
-        let x = put w "item" and y = put w "item" in
-        let s = put w "src" in
-        ignore
-          (History.add w.hist w.store schema ~task_entity:"item"
-             ~tool:(Some tool)
-             ~inputs:[ ("left", s); ("right", s); ("prev", y) ]
-             ~outputs:[ ("item", x) ] ~at:100);
-        ignore
-          (History.add w.hist w.store schema ~task_entity:"item"
-             ~tool:(Some tool)
-             ~inputs:[ ("left", s); ("right", s); ("prev", x) ]
-             ~outputs:[ ("item", y) ] ~at:101);
-        x);
-  ]
+(* Each fault kind, by name: [add] refuses the record with the error
+   its graph raises, the history keeps its size and tick, and every
+   instance, the refused output included (a leaf), traces alike by both
+   routes. *)
+let refusal_tests =
+  List.map
+    (fun (name, kind) ->
+      t name (fun () ->
+          let w = world () in
+          let rng = Random.State.make [| 7 |] in
+          (match refused w (kind rng w) with
+          | Ok () -> ()
+          | Error m -> Alcotest.fail m);
+          check Alcotest.bool "every instance traces alike" true
+            (List.for_all (same_trace w) (all_iids w))))
+    fault_kinds
 
 (* A source declares no construction roles, so a record producing one
    (the engine's batch merges, roles part0, part1, ...) is not walked:
@@ -346,7 +382,7 @@ let uses_tests =
 let suite =
   [
     ("trace_walk", walk_tests);
-    ("trace_walk.errors", parity_tests);
+    ("trace_walk.errors", refusal_tests);
     ("trace_walk.sources", source_leaf_tests);
     ("history.uses", uses_tests);
   ]

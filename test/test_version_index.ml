@@ -187,9 +187,44 @@ let put (ctx : Engine.context) entity created =
     ~meta:(Store.meta ~user:ctx.Engine.user ~created_at:created ())
     value
 
+(* The entities a [Derive] produces: constructed ones of both version
+   families and of a root of their own, and a source (whose records the
+   construction rules exempt, so they take any roles). *)
+let derived =
+  [| E.edited_netlist; E.extracted_netlist; E.optimized_netlist;
+     E.edited_layout; E.device_models; E.stimuli |]
+
+(* The inputs of a record producing [entity] that its construction rule
+   admits: each picked instance fills the first free data role whose
+   target it fits, or is dropped; a source takes the picks as roles
+   [r0], [r1], ..., an abstract entity none. *)
+let conforming_inputs (ctx : Engine.context) entity picked =
+  match Schema.construction_rule schema entity with
+  | Schema.Source -> List.mapi (fun i p -> (Printf.sprintf "r%d" i, p)) picked
+  | Schema.Abstract _ -> []
+  | Schema.Constructed deps ->
+    let fits p (d : Schema.dep) =
+      d.Schema.dep_kind <> Schema.Functional
+      && Schema.is_subtype schema
+           ~sub:(Store.entity_of ctx.Engine.store p) ~super:d.Schema.target
+    in
+    List.rev
+      (List.fold_left
+         (fun acc p ->
+           match
+             List.find_opt
+               (fun (d : Schema.dep) ->
+                 fits p d && not (List.mem_assoc d.Schema.role acc))
+               deps
+           with
+           | Some d -> (d.Schema.role, p) :: acc
+           | None -> acc)
+         [] picked)
+
 (* Apply [ops] to a context, returning the views pinned along the way.
    A pick is the newest instance with odds 1/2 (so chains grow deep),
-   else any. *)
+   else any.  Every record conforms to the schema's construction rules:
+   its outputs share one entity, whose rule admits its inputs. *)
 let apply (ctx : Engine.context) ops =
   let pool () = Array.of_list (Store.all_instances ctx.Engine.store) in
   let pick p =
@@ -207,30 +242,28 @@ let apply (ctx : Engine.context) ops =
         if Store.all_instances ctx.Engine.store = [] then
           ignore (put ctx entities.(entity) created)
         else begin
-          let inputs =
-            List.mapi (fun i p -> (Printf.sprintf "r%d" i, pick p)) picks
-          in
-          let newest_input = List.fold_left (fun m (_, i) -> max m i) 0 inputs in
+          let picked = List.map pick picks in
+          let newest_input = List.fold_left max 0 picked in
           (* newer than every input, so no edit cycle can form *)
           let unproduced iid =
             iid > newest_input
             && History.derivation_of ctx.Engine.history iid = None
           in
-          let outputs =
-            List.init (extra + 1) (fun k ->
-                let e = entities.((entity + (3 * k)) mod Array.length entities) in
-                (e, put ctx e created))
-          in
-          let outputs =
+          let first =
             match List.find_opt unproduced (Store.all_instances ctx.Engine.store) with
-            | Some iid when late ->
-              (Store.entity_of ctx.Engine.store iid, iid) :: List.tl outputs
-            | Some _ | None -> outputs
+            | Some iid when late -> iid
+            | Some _ | None ->
+              put ctx derived.(entity mod Array.length derived) created
+          in
+          let out_entity = Store.entity_of ctx.Engine.store first in
+          let outputs =
+            (out_entity, first)
+            :: List.init extra (fun _ -> (out_entity, put ctx out_entity created))
           in
           ignore
             (History.add ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-               ~task_entity:(fst (List.hd outputs)) ~tool:None ~inputs ~outputs
-               ~at)
+               ~task_entity:out_entity ~tool:None
+               ~inputs:(conforming_inputs ctx out_entity picked) ~outputs ~at)
         end;
         pins)
     [] ops
