@@ -18,12 +18,16 @@
       live reader and by a reader pinned to a snapshot taken before a
       second chain as deep was written, and the words one call
       allocates.
+   5. Forward chaining -- [History.derived_instances] of the base of the
+      same live chain (the [uses] query): its latency and the words one
+      call allocates.
 
    Exported gauges (for --json): perf.write.{always_rps,group_rps,
    speedup}, perf.rtt.{singleton_rps,batch32_rps,speedup},
    perf.query.n<records>.{add_us,live_versions_us,live_latest_us,
    pinned_versions_us,pinned_latest_us},
-   perf.trace.d<depth>.{bytes,live_us,pinned_us,alloc_words}. *)
+   perf.trace.d<depth>.{bytes,live_us,pinned_us,alloc_words},
+   perf.uses.d<depth>.{us,alloc_words}. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -193,16 +197,31 @@ let version_queries records =
     live_versions, live_latest, pinned_versions, pinned_latest )
 
 (* ------------------------------------------------------------------ *)
-(* 4. Trace text of deep edit chains                                   *)
+(* 4 and 5. Trace text and forward chaining over deep edit chains      *)
 (* ------------------------------------------------------------------ *)
 
 let trace_depths = [ 100; 400; 1600 ]
 
+(* The minor-heap words one call of [f] allocates. *)
+let alloc_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+type chain_reads = {
+  bytes : int;          (* the trace text's size *)
+  live_us : float;
+  pinned_us : float;
+  trace_words : float;
+  uses_us : float;
+  uses_words : float;
+}
+
 (* Two edit chains [depth] deep, a snapshot pinned between them.
-   Returns the text's size in bytes, the per-call latency of the live
-   and the pinned reader's [trace_text] in us, and the words one call
-   allocates. *)
-let trace_texts depth =
+   Measures the live and the pinned reader's [trace_text] of a tip and
+   the live [derived_instances] of a base: per-call latency in us, and
+   the words one call allocates. *)
+let chain_reads depth =
   let schema = Standard_schemas.odyssey in
   let store = Store.create () in
   let h = History.create () in
@@ -226,11 +245,12 @@ let trace_texts depth =
              ~at:!clock);
         grow v (i - 1)
     in
-    grow (put E.edited_netlist) depth
+    let base = put E.edited_netlist in
+    (base, grow base depth)
   in
-  let pinned_tip = chain () in
+  let _, pinned_tip = chain () in
   let snap = History.snapshot h and pinned_store = Store.snapshot store in
-  let live_tip = chain () in
+  let live_base, live_tip = chain () in
   let text = History.trace_text h store schema live_tip in
   assert (
     text = History.Snapshot.trace_text snap pinned_store schema pinned_tip);
@@ -244,14 +264,19 @@ let trace_texts depth =
     per_query_us ~rounds (fun () ->
         History.Snapshot.trace_text snap pinned_store schema pinned_tip)
   in
-  let words =
-    let w0 = Gc.minor_words () in
-    ignore
-      (Sys.opaque_identity
-         (History.Snapshot.trace_text snap pinned_store schema pinned_tip));
-    Gc.minor_words () -. w0
+  let trace_words =
+    alloc_words (fun () ->
+        History.Snapshot.trace_text snap pinned_store schema pinned_tip)
   in
-  (String.length text, live_us, pinned_us, words)
+  assert (List.length (History.derived_instances h live_base) = depth);
+  let uses_us =
+    per_query_us ~rounds (fun () -> History.derived_instances h live_base)
+  in
+  let uses_words =
+    alloc_words (fun () -> History.derived_instances h live_base)
+  in
+  { bytes = String.length text; live_us; pinned_us; trace_words; uses_us;
+    uses_words }
 
 let run () =
   Bench_util.section
@@ -302,22 +327,27 @@ let run () =
        history_sizes);
 
   Bench_util.section
-    "trace text of an edit chain's tip, live and pinned readers";
+    "trace text of an edit chain's tip (live and pinned readers), uses of \
+     its base";
   Bench_util.print_table
-    [ "depth"; "bytes"; "live us"; "pinned us"; "alloc words" ]
+    [ "depth"; "bytes"; "live us"; "pinned us"; "alloc words"; "uses us";
+      "uses alloc words" ]
     (List.map
        (fun depth ->
-         let bytes, live_us, pinned_us, words = trace_texts depth in
-         let gauge name v =
+         let r = chain_reads depth in
+         let gauge group name v =
            Metrics.set
-             (Metrics.gauge (Printf.sprintf "perf.trace.d%d.%s" depth name))
+             (Metrics.gauge (Printf.sprintf "perf.%s.d%d.%s" group depth name))
              v
          in
-         gauge "bytes" (float_of_int bytes);
-         gauge "live_us" live_us;
-         gauge "pinned_us" pinned_us;
-         gauge "alloc_words" words;
-         [ string_of_int depth; string_of_int bytes;
-           Printf.sprintf "%.1f" live_us; Printf.sprintf "%.1f" pinned_us;
-           Printf.sprintf "%.0f" words ])
+         gauge "trace" "bytes" (float_of_int r.bytes);
+         gauge "trace" "live_us" r.live_us;
+         gauge "trace" "pinned_us" r.pinned_us;
+         gauge "trace" "alloc_words" r.trace_words;
+         gauge "uses" "us" r.uses_us;
+         gauge "uses" "alloc_words" r.uses_words;
+         [ string_of_int depth; string_of_int r.bytes;
+           Printf.sprintf "%.1f" r.live_us; Printf.sprintf "%.1f" r.pinned_us;
+           Printf.sprintf "%.0f" r.trace_words; Printf.sprintf "%.1f" r.uses_us;
+           Printf.sprintf "%.0f" r.uses_words ])
        trace_depths)

@@ -148,6 +148,11 @@ let rule_of g nid =
   | Schema.Abstract subs -> raise (Needs_specialization (entity, subs))
   | (Schema.Constructed _ | Schema.Source) as r -> r
 
+let rec dep_of_role role = function
+  | (d : Schema.dep) :: deps ->
+    if String.equal d.role role then d else dep_of_role role deps
+  | [] -> raise Not_found
+
 (* The declaration of [role] in the construction rule of [entity].
    This and the checks below are what every edge passes in [connect];
    the history applies them to each record it admits, so a trace
@@ -158,9 +163,10 @@ let declared_dep ~entity rule role =
   | Schema.Source ->
     graph_errorf "entity %s is a source and has no dependencies" entity
   | Schema.Constructed deps -> (
-    match List.find_opt (fun (d : Schema.dep) -> d.role = role) deps with
-    | Some d -> d
-    | None -> graph_errorf "entity %s has no dependency role %S" entity role)
+    match dep_of_role role deps with
+    | d -> d
+    | exception Not_found ->
+      graph_errorf "entity %s has no dependency role %S" entity role)
 
 let dep_fits schema (decl : Schema.dep) ~dep_entity =
   Schema.is_subtype schema ~sub:dep_entity ~super:decl.target
@@ -508,6 +514,15 @@ let dep_tag = function
   | Schema.Data_dep { optional = true } -> "d?/"
   | Schema.Data_dep { optional = false } -> "d/"
 
+(* The decimal digits of [n], written into [buf] without the string
+   [string_of_int] would format in C and allocate. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
+
 (* One line of the Fig. 3(b) tree: two spaces per level (down to
    [max_indent] levels, then a [\[depth\] ] prefix), then the edge tag
    ([f/] functional, [d/] data, [d?/] optional data, and the role) when
@@ -520,7 +535,7 @@ let add_ascii_line buf ~depth ~tag ~role ~entity ~nid ~shared =
   else begin
     Buffer.add_string buf indent;
     Buffer.add_char buf '[';
-    Buffer.add_string buf (string_of_int depth);
+    add_int buf depth;
     Buffer.add_string buf "] "
   end;
   if depth > 0 then begin
@@ -530,7 +545,7 @@ let add_ascii_line buf ~depth ~tag ~role ~entity ~nid ~shared =
   end;
   Buffer.add_string buf entity;
   Buffer.add_char buf '#';
-  Buffer.add_string buf (string_of_int nid);
+  add_int buf nid;
   if shared then Buffer.add_string buf " (shared)";
   Buffer.add_char buf '\n'
 

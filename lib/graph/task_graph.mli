@@ -183,7 +183,9 @@ val add_ascii_line :
     spaces and then carries its depth as ["[depth] "], e.g.
     ["<32 spaces>[417] d?/netlist: edited_netlist#834"].  Preorder plus
     each line's depth still defines the tree exactly, and no line is
-    wider than [2 * max_indent] plus its depth's digits and its label. *)
+    wider than [2 * max_indent] plus its depth's digits and its label.
+    Numbers are written as [string_of_int] spells them, digit by digit
+    into [buf], allocating nothing. *)
 
 val to_ascii : t -> string
 (** The Fig. 3(b) indented tree from each root, every line written by

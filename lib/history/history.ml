@@ -20,6 +20,16 @@ open Ddf_store
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
+(* The reads' scratch tables (a walk's node binding, the closures' seen
+   sets): ids hash to themselves, so a lookup makes no C call and no
+   polymorphic comparison. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type record = {
   rid : int;
   task_entity : string;                   (* goal entity of the task *)
@@ -57,14 +67,16 @@ module Version_set = Set.Make (struct
     match Int.compare a b with 0 -> Int.compare i j | c -> c
 end)
 
-(* The immutable hot state.  The last four fields are the version
-   index (see "Versioning" below), kept in step with the records by
-   [add], so every snapshot carries the index of its own prefix. *)
+(* The immutable hot state.  [hs_produced_by] and [hs_used_by] hold
+   the records themselves, not their rids, so chaining reads one map
+   per step.  The last four fields are the version index (see
+   "Versioning" below), kept in step with the records by [add], so
+   every snapshot carries the index of its own prefix. *)
 type state = {
   hs_next_rid : int;
   hs_records : record Int_map.t;
-  hs_produced_by : int Int_map.t;         (* instance -> record *)
-  hs_used_by : int list Int_map.t;        (* instance -> rids, newest first *)
+  hs_produced_by : record Int_map.t;      (* instance -> its producer *)
+  hs_used_by : record list Int_map.t;     (* instance -> users, newest first *)
   hs_next_cid : int;
   hs_conflicts : conflict Int_map.t;
   hs_vparent : Store.iid Int_map.t;       (* version -> edit predecessor *)
@@ -223,19 +235,25 @@ let functional_of = function
     List.find_opt (fun (d : Schema.dep) -> d.dep_kind = Schema.Functional) deps
   | Schema.Abstract _ | Schema.Source -> None
 
-(* The construction rule a flow trace follows below an instance of
-   [entity] that [r] produced, or [None] when the instance is a leaf
-   of the trace: a source declares no construction roles (the engine
-   records a batch merge's parts as [part0], [part1], ...), and a
-   decomposition's parts come out of the composite by no task of the
-   schema.  The one predicate [add] and both trace routes share. *)
-let walked_rule schema entity r =
+(* What a trace needs of [entity]'s construction rule: [None] for a
+   source, which declares no construction roles (the engine records a
+   batch merge's parts as [part0], [part1], ...), else the rule and its
+   functional dependency. *)
+let trace_rule schema entity =
+  match Schema.construction_rule schema entity with
+  | Schema.Source -> None
+  | rule -> Some (rule, functional_of rule)
+
+(* The rule a flow trace follows below an instance of [entity] that
+   [r] produced, as [rule_of] (a [trace_rule] lookup) gives it, or
+   [None] when the instance is a leaf of the trace: a source's, and a
+   decomposition's parts, which come out of the composite by no task
+   of the schema.  The one predicate [add] and both trace routes
+   share. *)
+let walked_rule rule_of entity r =
   match (r.tool, r.inputs) with
   | None, [ ("composite", _) ] -> None
-  | _ -> (
-    match Schema.construction_rule schema entity with
-    | Schema.Source -> None
-    | rule -> Some rule)
+  | _ -> rule_of entity
 
 (* Refuse a record the trace of one of its outputs would reject: per
    output the trace walks below, the checks [Task_graph.connect]
@@ -248,9 +266,9 @@ let check_rules store schema r =
   List.iter
     (fun (_, out) ->
       let entity = Store.Snapshot.entity_of store out in
-      match walked_rule schema entity r with
+      match walked_rule (trace_rule schema) entity r with
       | None -> ()
-      | Some rule ->
+      | Some (rule, functional) ->
         let edge filled (role, dep) =
           let decl = G.declared_dep ~entity rule role in
           let dep_entity = Store.Snapshot.entity_of store dep in
@@ -260,7 +278,7 @@ let check_rules store schema r =
           role :: filled
         in
         let filled =
-          match (r.tool, functional_of rule) with
+          match (r.tool, functional) with
           | Some tool, Some d -> edge [] (d.Schema.role, tool)
           | (Some _ | None), _ -> []
         in
@@ -280,9 +298,7 @@ let closes_cycle st r =
        && begin
          seen := Int_set.add iid !seen;
          List.exists
-           (fun rid ->
-             List.exists (fun (_, out) -> reaches out)
-               (Int_map.find rid st.hs_records).outputs)
+           (fun u -> List.exists (fun (_, out) -> reaches out) u.outputs)
            (Option.value (Int_map.find_opt iid st.hs_used_by) ~default:[])
        end
   in
@@ -304,13 +320,13 @@ let add h store schema ~task_entity ~tool ~inputs ~outputs ~at =
               if Int_map.mem iid acc then
                 history_errorf ~code:`Conflict
                   "instance %d already has a producing record" iid;
-              Int_map.add iid rid acc)
+              Int_map.add iid r acc)
             st.hs_produced_by outputs
         in
         if closes_cycle st r then raise Ddf_graph.Task_graph.cycle;
         let note_use acc iid =
           let l = Option.value (Int_map.find_opt iid acc) ~default:[] in
-          Int_map.add iid (rid :: l) acc
+          Int_map.add iid (r :: l) acc
         in
         let used_by =
           List.fold_left (fun acc (_, iid) -> note_use acc iid)
@@ -396,54 +412,55 @@ let st_conflicts st =
 
 (* The record that created an instance; None for instances installed
    directly by the designer (sources). *)
-let st_derivation_of st iid =
-  Option.map (st_find st) (Int_map.find_opt iid st.hs_produced_by)
+let st_derivation_of st iid = Int_map.find_opt iid st.hs_produced_by
 
 let st_uses_of st iid =
   match Int_map.find_opt iid st.hs_used_by with
-  | Some l -> List.rev_map (st_find st) l
+  | Some l -> List.rev l
   | None -> []
 
 (* Backward chaining: every record in the derivation history of an
    instance, nearest first. *)
 let st_backward_closure st iid =
-  let seen_records = Hashtbl.create 16 in
+  let seen = Int_tbl.create 16 in
   let acc = ref [] in
   let rec go iid =
-    match st_derivation_of st iid with
-    | None -> ()
-    | Some r ->
-      if not (Hashtbl.mem seen_records r.rid) then begin
-        Hashtbl.add seen_records r.rid ();
+    match Int_map.find iid st.hs_produced_by with
+    | exception Not_found -> ()
+    | r ->
+      if not (Int_tbl.mem seen r.rid) then begin
+        Int_tbl.add seen r.rid ();
         acc := r :: !acc;
         List.iter (fun (_, i) -> go i) r.inputs;
         Option.iter go r.tool
       end
   in
   go iid;
-  Ddf_obs.Metrics.observe h_backward (float_of_int (Hashtbl.length seen_records));
+  Ddf_obs.Metrics.observe h_backward (float_of_int (Int_tbl.length seen));
   List.rev !acc
 
 (* Forward chaining as a fold: [f] sees every record that transitively
    depends on an instance once, in preorder, oldest use first. *)
 let st_fold_forward st iid f init =
-  let seen_records = Hashtbl.create 16 in
+  let seen = Int_tbl.create 16 in
   let rec go acc iid =
-    match Int_map.find_opt iid st.hs_used_by with
-    | None -> acc
-    | Some rids ->
-      List.fold_left
-        (fun acc rid ->
-          if Hashtbl.mem seen_records rid then acc
-          else begin
-            Hashtbl.add seen_records rid ();
-            let r = st_find st rid in
-            List.fold_left (fun acc (_, out) -> go acc out) (f acc r) r.outputs
-          end)
-        acc (List.rev rids)
+    match Int_map.find iid st.hs_used_by with
+    | exception Not_found -> acc
+    | users -> uses acc (List.rev users)
+  and uses acc = function
+    | [] -> acc
+    | r :: rest ->
+      if Int_tbl.mem seen r.rid then uses acc rest
+      else begin
+        Int_tbl.add seen r.rid ();
+        uses (outputs (f acc r) r.outputs) rest
+      end
+  and outputs acc = function
+    | [] -> acc
+    | (_, out) :: rest -> outputs (go acc out) rest
   in
   let acc = go init iid in
-  Ddf_obs.Metrics.observe h_forward (float_of_int (Hashtbl.length seen_records));
+  Ddf_obs.Metrics.observe h_forward (float_of_int (Int_tbl.length seen));
   acc
 
 (* Every record that transitively depends on an instance -- e.g. all
@@ -451,12 +468,13 @@ let st_fold_forward st iid f init =
 let st_forward_closure st iid =
   List.rev (st_fold_forward st iid (fun acc r -> r :: acc) [])
 
+(* An instance has one producer and the fold meets each record once,
+   so the outputs it collects are distinct. *)
 let st_derived_instances st iid =
   st_fold_forward st iid
-    (fun acc r ->
-      List.fold_left (fun acc (_, out) -> Int_set.add out acc) acc r.outputs)
-    Int_set.empty
-  |> Int_set.elements
+    (fun acc r -> List.fold_left (fun acc (_, out) -> out :: acc) acc r.outputs)
+    []
+  |> List.sort_uniq Int.compare
 
 let st_ancestor_instances st iid =
   st_backward_closure st iid
@@ -469,62 +487,78 @@ let st_ancestor_instances st iid =
 (* Flow traces (Fig. 11(b))                                            *)
 (* ------------------------------------------------------------------ *)
 
+module String_tbl = Hashtbl.Make (String)
+
 (* The one walk behind both trace routes: preorder over an instance's
    derivation, numbering nodes in visit order (tool first, then inputs
    in record order) and stopping where [walked_rule] says the trace
    has a leaf.  [f] sees each line of the Fig. 11(b) tree: its depth,
    the edge by which it hangs below node [user] (tag and role, unused
-   at depth 0), and node [nid] of [entity], [shared] when seen before.
-   It checks nothing: [add] admitted every record it reads.  Returns
-   the binding iid -> (node, entity) and the node count. *)
+   at depth 0), and node [nid] of [entity] bound to [iid], [shared]
+   when seen before.  It checks nothing: [add] admitted every record it
+   reads.  It asks the schema for an entity's rule once per walk, not
+   once per node.  Returns the node count. *)
 let walk_trace st store schema iid f =
   let module G = Ddf_graph.Task_graph in
-  let binding = Hashtbl.create 16 in
+  let rules = String_tbl.create 8 in
+  let rule_of entity =
+    match String_tbl.find rules entity with
+    | rule -> rule
+    | exception Not_found ->
+      let rule = trace_rule schema entity in
+      String_tbl.add rules entity rule;
+      rule
+  in
+  let binding = Int_tbl.create 16 in
   let count = ref 0 in
   let rec visit depth tag role user iid =
-    match Hashtbl.find_opt binding iid with
-    | Some (nid, entity) -> f ~depth ~tag ~role ~user ~entity ~nid ~shared:true
-    | None -> (
+    match Int_tbl.find binding iid with
+    | nid, entity -> f ~depth ~tag ~role ~user ~entity ~nid ~iid ~shared:true
+    | exception Not_found -> (
       let entity = Store.Snapshot.entity_of store iid and nid = !count in
       incr count;
-      Hashtbl.add binding iid (nid, entity);
-      f ~depth ~tag ~role ~user ~entity ~nid ~shared:false;
-      match st_derivation_of st iid with
-      | None -> ()
-      | Some r -> (
-        match walked_rule schema entity r with
+      Int_tbl.add binding iid (nid, entity);
+      f ~depth ~tag ~role ~user ~entity ~nid ~iid ~shared:false;
+      match Int_map.find iid st.hs_produced_by with
+      | exception Not_found -> ()
+      | r -> (
+        match walked_rule rule_of entity r with
         | None -> ()
-        | Some rule ->
+        | Some (rule, functional) ->
           let depth = depth + 1 in
-          (match (r.tool, functional_of rule) with
+          (match (r.tool, functional) with
           | Some tool, Some d ->
             visit depth (G.dep_tag Schema.Functional) d.Schema.role nid tool
           | (Some _ | None), _ -> ());
-          List.iter
-            (fun (role, input) ->
-              let decl = G.declared_dep ~entity rule role in
-              visit depth (G.dep_tag decl.Schema.dep_kind) role nid input)
-            r.inputs))
+          inputs depth nid entity rule r.inputs))
+  and inputs depth user entity rule = function
+    | [] -> ()
+    | (role, input) :: rest ->
+      let decl = G.declared_dep ~entity rule role in
+      visit depth (G.dep_tag decl.Schema.dep_kind) role user input;
+      inputs depth user entity rule rest
   in
   visit 0 "" "" 0 iid;
-  (binding, !count)
+  !count
 
 (* The derivation history of an instance as a task graph with an
    instance binding: the same form queries and re-execution use.  The
    parts come from records [add] checked, so they make a valid task
    graph as they are. *)
 let st_trace st store schema iid =
-  let nodes = ref [] and edges = ref [] in
-  let binding, _ =
-    walk_trace st store schema iid
-      (fun ~depth ~tag:_ ~role ~user ~entity ~nid ~shared ->
-        if not shared then nodes := (nid, entity) :: !nodes;
-        if depth > 0 then edges := (user, role, nid) :: !edges)
-  in
+  let nodes = ref [] and edges = ref [] and binding = ref [] in
+  ignore
+    (walk_trace st store schema iid
+       (fun ~depth ~tag:_ ~role ~user ~entity ~nid ~iid ~shared ->
+         if not shared then begin
+           nodes := (nid, entity) :: !nodes;
+           binding := (nid, iid) :: !binding
+         end;
+         if depth > 0 then edges := (user, role, nid) :: !edges));
   let g =
     Ddf_graph.Task_graph.of_parts schema (List.rev !nodes) (List.rev !edges)
   in
-  (g, 0, Hashtbl.fold (fun iid (nid, _) acc -> (nid, iid) :: acc) binding [])
+  (g, 0, List.rev !binding)
 
 (* The length of the last trace text, which sizes the next one's
    buffer: a long derivation's trace runs to tens of KiB (every line
@@ -541,9 +575,9 @@ let st_trace_text st store schema iid =
     let hint = Atomic.get trace_size_hint in
     Buffer.create (hint + (hint / 8))
   in
-  let _, count =
+  let count =
     walk_trace st store schema iid
-      (fun ~depth ~tag ~role ~user:_ ~entity ~nid ~shared ->
+      (fun ~depth ~tag ~role ~user:_ ~entity ~nid ~iid:_ ~shared ->
         Ddf_graph.Task_graph.add_ascii_line buf ~depth ~tag ~role ~entity ~nid
           ~shared)
   in

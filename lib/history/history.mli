@@ -141,22 +141,30 @@ val set_conflict_observer : t -> (conflict_event -> unit) -> unit
 
 val clear_conflict_observer : t -> unit
 
-(** {1 Chaining (Fig. 10)} *)
+(** {1 Chaining (Fig. 10)}
+
+    The history state maps each instance to the record that produced
+    it and to the records using it (the records themselves, shared with
+    the record table), so a chaining step is one map lookup. *)
 
 val derivation_of : t -> Store.iid -> record option
 (** The record that created an instance; [None] for sources installed
     directly by the designer. *)
 
 val uses_of : t -> Store.iid -> record list
-(** Records consuming the instance (as input or as tool). *)
+(** Records consuming the instance (as input or as tool), oldest first;
+    a record appears once per role the instance fills. *)
 
 val backward_closure : t -> Store.iid -> record list
 (** The complete derivation history, nearest record first. *)
 
 val forward_closure : t -> Store.iid -> record list
-(** Every record transitively depending on the instance. *)
+(** Every record transitively depending on the instance, once each, in
+    preorder: a record's users follow it, oldest use first. *)
 
 val derived_instances : t -> Store.iid -> Store.iid list
+(** The outputs of {!forward_closure}, ascending: the [uses] query. *)
+
 val ancestor_instances : t -> Store.iid -> Store.iid list
 
 (** {1 Flow traces (Fig. 11(b))} *)
@@ -165,7 +173,8 @@ val trace :
   t -> 'a Store.t -> Schema.t -> Store.iid ->
   Ddf_graph.Task_graph.t * int * (int * Store.iid) list
 (** The derivation of an instance as a task graph plus its instance
-    binding: [(graph, root node, node -> instance)].  The same form is
+    binding: [(graph, root node, node -> instance)], the binding in
+    node order.  The same form is
     used for queries and for re-execution.  Two kinds of instance are
     leaves even when a record produced them, because no task of the
     schema did: an instance of a [Schema.Source] entity (a source
@@ -174,7 +183,8 @@ val trace :
     record with no tool whose one input fills the role ["composite"]).
     Such a record is not walked; it stays in the history and in
     {!backward_closure}.  The graph is assembled with no check: {!add}
-    checked every record it is made of. *)
+    checked every record it is made of.  The walk asks the schema for
+    each entity's rule once, not once per node. *)
 
 val trace_text : t -> 'a Store.t -> Schema.t -> Store.iid -> string
 (** [Task_graph.to_ascii] of the {!trace} graph followed by the line
@@ -184,7 +194,9 @@ val trace_text : t -> 'a Store.t -> Schema.t -> Store.iid -> string
     indented 32 spaces and prefixed with its depth as ["[depth] "]
     (["[417] d?/netlist: edited_netlist#834"]), so the text grows
     linearly with the derivation, not with its depth squared.  It
-    checks nothing, and it has the leaves {!trace} has. *)
+    checks nothing, and it has the leaves {!trace} has.  The work per
+    node is two map lookups (the store's entity, the producing record)
+    and one binding in a table private to the call. *)
 
 (** {1 Query by template (section 4.2)} *)
 

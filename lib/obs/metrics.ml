@@ -89,6 +89,18 @@ let gauge ?(registry = global) name =
 let set g v = g.value <- v
 let value g = g.value
 
+(* [Gc.quick_stat] on OCaml 5.1 counts a domain's minor words only up
+   to its last minor collection; collecting first makes every domain's
+   count current. *)
+let sample_gc () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  let put name v = set (gauge name) v in
+  put "gc.minor_words" s.Gc.minor_words;
+  put "gc.major_words" s.Gc.major_words;
+  put "gc.minor_collections" (float_of_int s.Gc.minor_collections);
+  put "gc.major_collections" (float_of_int s.Gc.major_collections)
+
 let histogram ?(registry = global) name =
   match Hashtbl.find_opt registry.histograms name with
   | Some h -> h

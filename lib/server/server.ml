@@ -518,7 +518,9 @@ let rec eval t session ~pin req =
   | Wire.Compact ->
     Journal.compact t.journal;
     Wire.Ok_unit
-  | Wire.Metrics -> Wire.Ok_metrics (Metrics.snapshot Metrics.global)
+  | Wire.Metrics ->
+    Metrics.sample_gc ();
+    Wire.Ok_metrics (Metrics.snapshot Metrics.global)
   | Wire.Sync_digest ->
     (* runs as a writer job (wal reads need the writer excluded), but
        mutates nothing — the anti-entropy handshake *)

@@ -287,9 +287,9 @@ module Snapshot = struct
   let find_opt snap iid = Int_map.find_opt iid snap.snap_state.st_instances
 
   let find snap iid =
-    match find_opt snap iid with
-    | Some inst -> inst
-    | None -> store_errorf ~code:`Not_found "no instance %d" iid
+    match Int_map.find iid snap.snap_state.st_instances with
+    | inst -> inst
+    | exception Not_found -> store_errorf ~code:`Not_found "no instance %d" iid
 
   let mem snap iid = Int_map.mem iid snap.snap_state.st_instances
 

@@ -334,6 +334,30 @@ let reference_ascii g =
   List.iter (render 0 "") (Task_graph.roots g);
   Buffer.contents buf
 
+(* One line by the same spec, through [Printf]. *)
+let reference_line ~depth ~tag ~role ~entity ~nid ~shared =
+  Printf.sprintf "%s%s%s#%d%s\n"
+    (if depth <= 16 then String.make (2 * depth) ' '
+     else Printf.sprintf "%s[%d] " (String.make 32 ' ') depth)
+    (if depth > 0 then tag ^ role ^ ": " else "")
+    entity nid
+    (if shared then " (shared)" else "")
+
+(* Depths and node ids at the digit and indentation boundaries, and
+   anywhere up to a million levels and [max_int]. *)
+let gen_line =
+  let open QCheck2.Gen in
+  let boundary l = oneofl l in
+  let m = Task_graph.max_indent in
+  let depth =
+    oneof [ boundary [ 0; 9; 10; m; m + 1 ]; int_range 0 1_000_000 ]
+  in
+  let nid =
+    oneof [ boundary [ 0; 9; 10; 99; 100; max_int ]; int_range 0 max_int ]
+  in
+  let name = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
+  tup6 depth (oneofl [ "f/"; "d/"; "d?/" ]) name name nid bool
+
 (* One rendered line, structured: depth, edge tag and role (none for a
    root), entity, node id, shared mark. *)
 type line = {
@@ -488,6 +512,12 @@ let render_tests =
         in
         String.length (Task_graph.to_ascii g)
         <= List.fold_left (fun acc l -> acc + width l) 0 lines);
+    Util.qcheck ~count:1000 "add_ascii_line equals the Printf reference"
+      gen_line (fun (depth, tag, role, entity, nid, shared) ->
+        let buf = Buffer.create 64 in
+        Task_graph.add_ascii_line buf ~depth ~tag ~role ~entity ~nid ~shared;
+        Buffer.contents buf
+        = reference_line ~depth ~tag ~role ~entity ~nid ~shared);
     t "a 420-deep chain renders in under 60 KB" (fun () ->
         let g, _ = Standard_flows.edit_chain 420 in
         let bytes = String.length (Task_graph.to_ascii g) in

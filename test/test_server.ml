@@ -257,6 +257,16 @@ let limits =
 (* Observability                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Derive a new version of [iid] with the given editor instance — the
+   client calls of [hercules remote edit]. *)
+let remote_edit c editor iid =
+  let root = Client.start_goal c E.edited_netlist in
+  let fresh = Client.expand c root in
+  let node entity = fst (List.find (fun (_, e) -> e = entity) fresh) in
+  Client.select c (node E.netlist_editor) [ editor ];
+  Client.select c (node E.netlist) [ iid ];
+  List.hd (Client.run c root)
+
 let observability =
   [
     Alcotest.test_case "every request gets a server span" `Quick (fun () ->
@@ -287,6 +297,48 @@ let observability =
           (fun op ->
             Alcotest.(check bool) (op ^ " traced") true (List.mem op ops))
           [ "hello"; "ping"; "browse"; "install" ]);
+    Alcotest.test_case "gc.minor_words grows across a deep remote trace"
+      `Quick (fun () ->
+        with_server @@ fun _t ~dir:_ ~socket ->
+        Client.with_client ~user:"gc" ~socket @@ fun c ->
+        let editor =
+          Client.install c ~entity:E.netlist_editor ~label:"rename"
+            (Codec.value_to_sexp
+               (Value.Tool
+                  (Value.Scripted_netlist_editor
+                     (Eda.Edit_script.create ~name:"r"
+                        [ Eda.Edit_script.Rename "r" ]))))
+        in
+        let nl =
+          Client.install c ~entity:E.edited_netlist ~label:"c17"
+            (Codec.value_to_sexp (Value.Netlist (Eda.Circuits.c17 ())))
+        in
+        (* deeper than the trace's 16 indented levels *)
+        let rec chain i iid =
+          if i = 0 then iid else chain (i - 1) (remote_edit c editor iid)
+        in
+        let tip = chain 20 nl in
+        let gauge name ms =
+          match
+            List.find_map
+              (function
+                | Ddf_obs.Metrics.Gauge (n, v) when n = name -> Some v
+                | _ -> None)
+              ms
+          with
+          | Some v -> v
+          | None -> Alcotest.failf "no gauge %s in the daemon's metrics" name
+        in
+        let before = Client.metrics c in
+        Alcotest.(check bool) "a 20-deep trace" true
+          (Util.contains (Client.trace c tip) "[20] d?/netlist: ");
+        let after = Client.metrics c in
+        let grew name = gauge name after -. gauge name before in
+        Alcotest.(check bool) "minor words grew" true (grew "gc.minor_words" > 0.);
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (name ^ " never falls") true (grew name >= 0.))
+          [ "gc.major_words"; "gc.minor_collections"; "gc.major_collections" ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -373,16 +425,6 @@ let batching =
                  (fun r -> r.Wire.row_iid = i1)
                  (Client.browse c no_filter))));
   ]
-
-(* Derive a new version of [iid] with the given editor instance — the
-   client calls of [hercules remote edit]. *)
-let remote_edit c editor iid =
-  let root = Client.start_goal c E.edited_netlist in
-  let fresh = Client.expand c root in
-  let node entity = fst (List.find (fun (_, e) -> e = entity) fresh) in
-  Client.select c (node E.netlist_editor) [ editor ];
-  Client.select c (node E.netlist) [ iid ];
-  List.hd (Client.run c root)
 
 let trace_tests =
   [

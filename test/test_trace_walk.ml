@@ -10,15 +10,16 @@ open Ddf
 let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
 
-(* A schema with every shape a trace can take: shared tools, two roles
-   of one target (the same instance may fill both), an optional role
-   that chains an entity to itself (edit chains), a subtype, a
-   composite with no tool, and an abstract entity. *)
+(* A schema with every shape a trace can take: shared tools, a tool
+   derived during design, two roles of one target (the same instance
+   may fill both), an optional role that chains an entity to itself
+   (edit chains), a subtype, a composite with no tool, and an abstract
+   entity. *)
 let schema =
   Schema.create "trace-walk"
     [
       Schema.tool "tool_a" [];
-      Schema.tool "tool_b" [];
+      Schema.tool "tool_b" [ Schema.data ~role:"from" ~optional:true "item" ];
       Schema.entity "src" [];
       Schema.entity ~parent:"src" "src_x" [];
       Schema.entity "item"
@@ -114,6 +115,10 @@ let add_bundle rng w =
   (* a tool on a composite has no role to fill: the trace drops it *)
   let tool = if Random.State.int rng 4 = 0 then Some (tool_a w rng) else None in
   record w ?tool "bundle" (("p", pick rng w [ "pair" ]) :: q)
+
+(* A [tool_b] derived from an item, as a compiled simulator is from a
+   netlist: a pair's trace and backward closure continue below it. *)
+let add_tool rng w = record w "tool_b" [ ("from", pick rng w [ "item" ]) ]
 
 (* Two edits of one base, recorded as a sync sibling conflict. *)
 let add_siblings rng w =
@@ -226,18 +231,21 @@ let add_fault rng w =
   | Ok () -> ()
   | Error m -> QCheck2.Test.fail_reportf "%s: %s" name m
 
-let random_history ~faults seed ops =
-  let rng = Random.State.make [| seed |] in
-  let w = world () in
+let grow rng w ~faults ops =
   for _ = 1 to ops do
-    match Random.State.int rng 12 with
+    match Random.State.int rng 13 with
     | 0 -> ignore (put w (if Random.State.bool rng then "tool_a" else "src_x"))
     | 1 | 2 | 3 | 4 | 5 -> ignore (add_item rng w)
     | 6 | 7 -> ignore (add_pair rng w)
     | 8 -> ignore (add_bundle rng w)
     | 9 -> add_siblings rng w
+    | 10 -> ignore (add_tool rng w)
     | _ -> if faults then add_fault rng w else ignore (add_item rng w)
-  done;
+  done
+
+let random_history ~faults seed ops =
+  let w = world () in
+  grow (Random.State.make [| seed |]) w ~faults ops;
   w
 
 (* An edit chain [depth] deep over one shared tool and one shared
@@ -359,23 +367,150 @@ let source_leaf_tests =
           (List.length (History.Snapshot.backward_closure snap top) = 2));
   ]
 
+module type CHAINING = sig
+  val uses_of : Store.iid -> History.record list
+  val forward_closure : Store.iid -> History.record list
+  val backward_closure : Store.iid -> History.record list
+  val derived_instances : Store.iid -> Store.iid list
+end
+
+(* The chaining reads by the record-list route: a scan of every record
+   the snapshot holds, with no index. *)
+let uses_via_records snap iid =
+  History.Snapshot.records snap
+  |> List.concat_map (fun (r : History.record) ->
+         (* one entry per role the instance fills, tool last *)
+         List.filter_map
+           (fun i -> if i = iid then Some r else None)
+           (List.map snd r.History.inputs @ Option.to_list r.History.tool))
+
+let producer_via_records snap iid =
+  List.find_opt
+    (fun (r : History.record) -> List.exists (fun (_, o) -> o = iid) r.outputs)
+    (History.Snapshot.records snap)
+
+(* Preorder over the users, oldest use first. *)
+let forward_via_records snap iid =
+  let seen = Hashtbl.create 16 and acc = ref [] in
+  let rec go iid =
+    List.iter
+      (fun (r : History.record) ->
+        if not (Hashtbl.mem seen r.rid) then begin
+          Hashtbl.add seen r.rid ();
+          acc := r :: !acc;
+          List.iter (fun (_, o) -> go o) r.outputs
+        end)
+      (uses_via_records snap iid)
+  in
+  go iid;
+  List.rev !acc
+
+(* Preorder over the producers, inputs in record order, then the tool. *)
+let backward_via_records snap iid =
+  let seen = Hashtbl.create 16 and acc = ref [] in
+  let rec go iid =
+    match producer_via_records snap iid with
+    | None -> ()
+    | Some r ->
+      if not (Hashtbl.mem seen r.History.rid) then begin
+        Hashtbl.add seen r.History.rid ();
+        acc := r :: !acc;
+        List.iter (fun (_, i) -> go i) r.History.inputs;
+        Option.iter go r.History.tool
+      end
+  in
+  go iid;
+  List.rev !acc
+
 (* [derived_instances] used to be the record list of the forward
    closure, flattened to outputs and deduplicated. *)
 let derived_via_records snap iid =
-  History.Snapshot.forward_closure snap iid
+  forward_via_records snap iid
   |> List.concat_map (fun (r : History.record) -> List.map snd r.History.outputs)
   |> List.sort_uniq compare
+
+(* Every chaining read of [iid] against the record-list route over
+   [snap]: [uses_of] (the index keeps users newest first), the order
+   of both closures, and [derived_instances].  [reads] are the live
+   reads or [snap]'s own. *)
+let chains_alike snap (reads : (module CHAINING)) iid =
+  let module R = (val reads) in
+  let rids = List.map (fun (r : History.record) -> r.History.rid) in
+  let alike name got want =
+    if got <> want then
+      QCheck2.Test.fail_reportf "%s of #%d: [%s], not [%s]" name iid
+        (String.concat "; " (List.map string_of_int got))
+        (String.concat "; " (List.map string_of_int want))
+  in
+  alike "uses_of" (rids (R.uses_of iid)) (rids (uses_via_records snap iid));
+  alike "forward_closure"
+    (rids (R.forward_closure iid))
+    (rids (forward_via_records snap iid));
+  alike "backward_closure"
+    (rids (R.backward_closure iid))
+    (rids (backward_via_records snap iid));
+  alike "derived_instances" (R.derived_instances iid)
+    (derived_via_records snap iid);
+  true
+
+(* Derive a fresh item's chain [k] long, then try to derive the item
+   from the chain's tip: [add] must find the cycle through [k] users. *)
+let long_cycle rng w k =
+  let base = put w "item" in
+  let link out prev =
+    derive w ~tool:(tool_a w rng) "item" out
+      [ ("left", src w rng); ("right", src w rng); ("prev", prev) ]
+  in
+  let tip =
+    List.fold_left
+      (fun prev _ ->
+        let out = put w "item" in
+        link out prev ();
+        out)
+      base (List.init k Fun.id)
+  in
+  { attempt = link base tip; expect = Task_graph.cycle }
 
 let uses_tests =
   [
     Util.qcheck ~count:200 "derived instances equal the record-list route"
-      gen_history (fun (seed, ops) ->
-        let w = random_history ~faults:true seed ops in
-        let snap = History.snapshot w.hist in
+      QCheck2.Gen.(triple int (int_range 1 40) (int_range 0 40))
+      (fun (seed, ops, more) ->
+        let rng = Random.State.make [| seed |] in
+        let w = world () in
+        grow rng w ~faults:true ops;
+        let pinned = History.snapshot w.hist in
+        grow rng w ~faults:true more;
+        (match refused w (long_cycle rng w (1 + Random.State.int rng 5)) with
+        | Ok () -> ()
+        | Error m -> QCheck2.Test.fail_reportf "a long cycle: %s" m);
+        let live =
+          (module struct
+            let uses_of = History.uses_of w.hist
+            let forward_closure = History.forward_closure w.hist
+            let backward_closure = History.backward_closure w.hist
+            let derived_instances = History.derived_instances w.hist
+          end : CHAINING)
+        and frozen =
+          (module struct
+            let uses_of = History.Snapshot.uses_of pinned
+            let forward_closure = History.Snapshot.forward_closure pinned
+            let backward_closure = History.Snapshot.backward_closure pinned
+            let derived_instances = History.Snapshot.derived_instances pinned
+          end : CHAINING)
+        in
+        let latest = History.snapshot w.hist in
+        (* the pinned snapshot holds exactly the records added before it *)
+        let before_pin (r : History.record) =
+          r.History.rid < History.Snapshot.tick pinned
+        in
+        if
+          History.Snapshot.records pinned
+          <> List.filter before_pin (History.records w.hist)
+        then QCheck2.Test.fail_reportf "the pinned snapshot sees a later record";
         List.for_all
           (fun iid ->
-            History.Snapshot.derived_instances snap iid
-            = derived_via_records snap iid)
+            chains_alike latest live iid && chains_alike pinned frozen iid)
           (all_iids w));
   ]
 
