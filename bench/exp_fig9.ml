@@ -60,6 +60,9 @@ let run () =
               Store.f_to = Some (n / 2) };
           run_filter "by keyword"
             { Store.any_filter with Store.f_keywords = [ "cmos" ] };
+          run_filter "by entity+keyword"
+            { Store.any_filter with Store.f_entities = Some [ E.edited_netlist ];
+              Store.f_keywords = [ "cmos" ] };
           run_filter "by text"
             { Store.any_filter with Store.f_text = Some "design 7" };
         ])

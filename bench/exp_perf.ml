@@ -21,13 +21,22 @@
    5. Forward chaining -- [History.derived_instances] of the base of the
       same live chain (the [uses] query): its latency and the words one
       call allocates.
+   6. Keyword browse -- [Store.Snapshot.browse] by entity and a rare
+      keyword, one that 10 instances carry, over stores of 1,000 and
+      10,000 instances.  The answer is the same 10 instances at both
+      sizes; a browse that scans the entity's instances costs about
+      10x more at the larger size, one served from the keyword index
+      about the same.  The reverse, a rare entity (10 instances) and a
+      keyword a quarter of the store carries, must stay flat too: it
+      is served from the entity's instances, not the keyword's.
 
    Exported gauges (for --json): perf.write.{always_rps,group_rps,
    speedup}, perf.rtt.{singleton_rps,batch32_rps,speedup},
    perf.query.n<records>.{add_us,live_versions_us,live_latest_us,
    pinned_versions_us,pinned_latest_us},
    perf.trace.d<depth>.{bytes,live_us,pinned_us,alloc_words},
-   perf.uses.d<depth>.{us,alloc_words}. *)
+   perf.uses.d<depth>.{us,alloc_words}, perf.browse.n<instances>.us,
+   perf.browse_rare_entity.n<instances>.us. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -278,6 +287,46 @@ let chain_reads depth =
   { bytes = String.length text; live_us; pinned_us; trace_words; uses_us;
     uses_words }
 
+(* ------------------------------------------------------------------ *)
+(* 6. Keyword browse over growing stores                               *)
+(* ------------------------------------------------------------------ *)
+
+let browse_sizes = [ 1_000; 10_000 ]
+let rare_carriers = 10
+
+(* [n] instances, mostly netlists and stimuli in turn, each with one
+   of four common keywords; [rare_carriers] netlists spread over the
+   store also carry "rare", and [rare_carriers] layouts carry "analog".
+   Returns the per-call latencies, in us, of the browses for netlists
+   with "rare" and for layouts with "analog". *)
+let keyword_browse n =
+  let store = Store.create () in
+  let common = [| "analog"; "cmos"; "adder"; "filter" |] in
+  let every = n / rare_carriers in
+  for i = 0 to n - 1 do
+    let entity, keyword =
+      if i mod every = every / 2 then (E.layout, "analog")
+      else ((if i land 1 = 0 then E.edited_netlist else E.stimuli), common.(i mod 4))
+    in
+    let keywords = keyword :: (if i mod every = 0 then [ "rare" ] else []) in
+    ignore
+      (Store.put store ~entity ~hash:(string_of_int i)
+         ~meta:(Store.meta ~user:"bench" ~keywords ~created_at:i ())
+         ())
+  done;
+  let snap = Store.snapshot store in
+  let time entity keyword =
+    let filter =
+      { Store.any_filter with
+        Store.f_entities = Some [ entity ]; f_keywords = [ keyword ];
+        f_user = Some "bench" }
+    in
+    assert (List.length (Store.Snapshot.browse snap filter) = rare_carriers);
+    Gc.full_major ();
+    per_query_us (fun () -> Store.Snapshot.browse snap filter)
+  in
+  (time E.edited_netlist "rare", time E.layout "analog")
+
 let run () =
   Bench_util.section
     (Printf.sprintf "group commit: %d batches of %d installs per sync mode"
@@ -350,4 +399,21 @@ let run () =
            Printf.sprintf "%.1f" r.live_us; Printf.sprintf "%.1f" r.pinned_us;
            Printf.sprintf "%.0f" r.trace_words; Printf.sprintf "%.1f" r.uses_us;
            Printf.sprintf "%.0f" r.uses_words ])
-       trace_depths)
+       trace_depths);
+
+  Bench_util.section
+    (Printf.sprintf
+       "browse by a rare keyword (or entity), %d instances carry it"
+       rare_carriers);
+  Bench_util.print_table [ "instances"; "rare keyword us"; "rare entity us" ]
+    (List.map
+       (fun n ->
+         let keyword_us, entity_us = keyword_browse n in
+         let gauge name v =
+           Metrics.set (Metrics.gauge (Printf.sprintf "perf.%s.n%d.us" name n)) v
+         in
+         gauge "browse" keyword_us;
+         gauge "browse_rare_entity" entity_us;
+         [ string_of_int n; Printf.sprintf "%.2f" keyword_us;
+           Printf.sprintf "%.2f" entity_us ])
+       browse_sizes)

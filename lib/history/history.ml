@@ -560,21 +560,27 @@ let st_trace st store schema iid =
   in
   (g, 0, List.rev !binding)
 
-(* The length of the last trace text, which sizes the next one's
-   buffer: a long derivation's trace runs to tens of KiB (every line
-   past [Task_graph.max_indent] levels is about 70 bytes), and growing
-   a buffer to that by doubling allocates it about twice over.  Shared
-   by every domain and thread; a stale value only costs one resize. *)
-let trace_size_hint = Atomic.make 4096
+(* One spare render buffer, shared by every domain and thread: a trace
+   takes it (or makes a fresh one while another trace holds it) and
+   hands it back when done.  A long derivation's trace runs to tens of
+   KiB (every line past [Task_graph.max_indent] levels is about 70
+   bytes); growing a fresh buffer to that by doubling would allocate it
+   about twice over, and sizing each fresh buffer from the last text
+   would make a short trace after a deep one allocate the deep one's
+   size.  With the spare, a trace allocates its text once and a short
+   one allocates no large buffer. *)
+let spare_trace_buffer = Atomic.make None
+
+let take_trace_buffer () =
+  match Atomic.exchange spare_trace_buffer None with
+  | Some buf -> Buffer.clear buf; buf
+  | None -> Buffer.create 4096
 
 (* The text [Wire.Trace] answers: [Task_graph.to_ascii] of [st_trace]'s
    graph and a line counting its instances, rendered line by line by
    the same walk into one buffer, without assembling the graph. *)
 let st_trace_text st store schema iid =
-  let buf =
-    let hint = Atomic.get trace_size_hint in
-    Buffer.create (hint + (hint / 8))
-  in
+  let buf = take_trace_buffer () in
   let count =
     walk_trace st store schema iid
       (fun ~depth ~tag ~role ~user:_ ~entity ~nid ~iid:_ ~shared ->
@@ -584,8 +590,9 @@ let st_trace_text st store schema iid =
   Buffer.add_char buf '(';
   Buffer.add_string buf (string_of_int count);
   Buffer.add_string buf " instances in the derivation)\n";
-  Atomic.set trace_size_hint (Buffer.length buf);
-  Buffer.contents buf
+  let text = Buffer.contents buf in
+  Atomic.set spare_trace_buffer (Some buf);
+  text
 
 (* ------------------------------------------------------------------ *)
 (* Query by template (section 4.2)                                     *)

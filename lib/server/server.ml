@@ -454,8 +454,9 @@ let read_worker t =
 let rows_of snap iids =
   List.map
     (fun iid ->
-      { Wire.row_iid = iid; row_entity = Store.Snapshot.entity_of snap iid;
-        row_meta = Store.Snapshot.meta_of snap iid })
+      let inst = Store.Snapshot.find snap iid in
+      { Wire.row_iid = iid; row_entity = inst.Store.entity;
+        row_meta = inst.Store.meta })
     iids
 
 let nodes_with_entities flow nids =

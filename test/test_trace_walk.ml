@@ -326,6 +326,20 @@ let walk_tests =
         check Alcotest.int "items" 1500 (count "item#");
         check Alcotest.int "tool lines" 1500 (count "f/tool: tool_a#");
         check Alcotest.int "shared" (3 * 1499) (count "(shared)"));
+    t "a short trace after a deep one allocates no large buffer" (fun () ->
+        let deep, deep_top = edit_chain 400 and short, short_top = edit_chain 2 in
+        let trace w top = History.trace_text w.hist w.store schema top in
+        let major_words f =
+          Gc.minor ();
+          let before = (Gc.quick_stat ()).Gc.major_words in
+          ignore (Sys.opaque_identity (f ()));
+          Gc.minor ();
+          (Gc.quick_stat ()).Gc.major_words -. before
+        in
+        ignore (major_words (fun () -> trace deep deep_top));
+        let words = major_words (fun () -> trace short short_top) in
+        if words >= 1000. then
+          Alcotest.failf "a 2-edit trace allocated %.0f major words" words);
   ]
 
 (* Each fault kind, by name: [add] refuses the record with the error
