@@ -211,11 +211,22 @@ let version_queries records =
 
 let trace_depths = [ 100; 400; 1600 ]
 
-(* The minor-heap words one call of [f] allocates. *)
+(* The words one call of [f] allocates, in both heaps: a block too
+   large for the minor heap goes straight to the major heap.  Promoted
+   words count as major words too, so only the direct ones are added.
+   On OCaml 5.1 the minor count must come from [Gc.minor_words] (the
+   one in [Gc.counters] is off by the word size) and the major counts
+   from [Gc.counters] ([Gc.quick_stat]'s lag behind promotion). *)
 let alloc_words f =
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let m0 = direct_major () in
   let w0 = Gc.minor_words () in
   ignore (Sys.opaque_identity (f ()));
-  Gc.minor_words () -. w0
+  let w1 = Gc.minor_words () in
+  w1 -. w0 +. (direct_major () -. m0)
 
 type chain_reads = {
   bytes : int;          (* the trace text's size *)
