@@ -803,7 +803,7 @@ let serve_cmd =
       | exception Server.Server_error m ->
         Printf.eprintf "server error: %s\n" m;
         exit 1
-      | exception Journal.Journal_error err ->
+      | exception Error.Ddf_error err ->
         Printf.eprintf "journal error: %s\n" (Error.to_string err);
         exit 1
     end

@@ -45,9 +45,6 @@ module W = Ddf_persist.Workspace_file
 module Codec = Ddf_persist.Codec
 module Cement = Ddf_cement.Cement
 
-exception Journal_error = Ddf_core.Error.Ddf_error
-(* Deprecated alias: the journal raises the shared typed error now. *)
-
 module Fault = Ddf_fault.Fault
 
 let journal_errorf ?(code = `Internal) fmt = Ddf_core.Error.errorf code fmt
@@ -222,6 +219,23 @@ let read_frame ic =
       if Digest.to_hex (Digest.string payload) <> digest then raise (Torn start);
       Some payload
     | _ -> raise (Torn start))
+
+(* Pass [f] each frame of the wal at [path] with its seqno, counting up
+   from [base], until [f] answers [false] or the file ends.  [None] at
+   a clean end or an early stop; [Some at] when the frame at offset
+   [at] is torn.  The file is closed however the read ends. *)
+let read_wal path ~base f =
+  if not (Sys.file_exists path) then None
+  else
+    let ic = open_in_bin path in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+    let rec go seq =
+      match read_frame ic with
+      | None -> None
+      | Some payload -> if f (seq + 1) payload then go (seq + 1) else None
+      | exception Torn at -> Some at
+    in
+    go base
 
 (* ------------------------------------------------------------------ *)
 (* Entry codec                                                         *)
@@ -521,34 +535,24 @@ let sync j =
    uses to detect a compaction that crashed between its base write and
    its wal truncation. *)
 let replay_wal ctx path =
-  if not (Sys.file_exists path) then (0, 0, 0)
-  else begin
-    let ic = open_in_bin path in
-    let total = in_channel_length ic in
-    let entries = ref 0 in
-    let applied = ref 0 in
-    let good_end =
-      let rec go () =
-        match read_frame ic with
-        | None -> pos_in ic
-        | Some payload ->
-          (* lenient: a crash inside [compact] can leave a snapshot
-             that already folded in a prefix of this wal *)
-          if replay_entry ~lenient:true ctx payload then incr applied;
-          incr entries;
-          Ddf_obs.Metrics.incr m_replayed;
-          go ()
-      in
-      try go () with Torn at -> at
-    in
-    close_in ic;
-    let torn = total - good_end in
-    if torn > 0 then begin
-      Ddf_obs.Metrics.incr m_torn;
-      Unix.truncate path good_end
-    end;
+  let entries = ref 0 in
+  let applied = ref 0 in
+  let torn_at =
+    read_wal path ~base:0 (fun _ payload ->
+        (* lenient: a crash inside [compact] can leave a snapshot that
+           already folded in a prefix of this wal *)
+        if replay_entry ~lenient:true ctx payload then incr applied;
+        incr entries;
+        Ddf_obs.Metrics.incr m_replayed;
+        true)
+  in
+  match torn_at with
+  | None -> (!entries, 0, !applied)
+  | Some at ->
+    let torn = (Unix.stat path).Unix.st_size - at in
+    Ddf_obs.Metrics.incr m_torn;
+    Unix.truncate path at;
     (!entries, torn, !applied)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Tiered cold storage (the cement store)                              *)
@@ -687,33 +691,23 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
   attach j;
   j
 
-(* Wal entries with seqno > [since], as (seqno, payload) ascending.
-   Reads the file back from its start (the i-th frame is entry
-   base+i); callers must exclude writers so the file ends exactly at
-   the last complete frame. *)
-let wal_tail j since =
+(* The live journal's wal, read back from its start (the i-th frame is
+   entry base+i) as [read_wal] does.  Callers must exclude writers, so
+   the file ends exactly at the last complete frame: a torn frame here
+   is corruption, not a crash tail. *)
+let iter_wal j f =
   flush j.j_oc;
-  if not (Sys.file_exists (wal_path j.j_dir)) then []
-  else begin
-    let ic = open_in_bin (wal_path j.j_dir) in
-    let frames = ref [] in
-    let n = ref j.j_base in
-    (try
-       let rec go () =
-         match read_frame ic with
-         | None -> ()
-         | Some payload ->
-           incr n;
-           if !n > since then frames := (!n, payload) :: !frames;
-           go ()
-       in
-       (try go () with Torn at -> journal_errorf "wal torn mid-read at %d" at)
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    close_in ic;
-    List.rev !frames
-  end
+  match read_wal (wal_path j.j_dir) ~base:j.j_base f with
+  | None -> ()
+  | Some at -> journal_errorf "wal torn mid-read at %d" at
+
+(* Wal entries with seqno > [since], as (seqno, payload) ascending. *)
+let wal_tail j since =
+  let frames = ref [] in
+  iter_wal j (fun seq payload ->
+      if seq > since then frames := (seq, payload) :: !frames;
+      true);
+  List.rev !frames
 
 (* Write [text] as the new checkpoint: temp file, fsync, rename.  The
    rename is pinned by the caller's directory fsync. *)
@@ -845,28 +839,11 @@ let frame_digest payload = Digest.to_hex (Digest.string payload)
 (* (seqno, md5) for every wal frame, ascending — entries base+1..seq. *)
 let digest j =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
-  flush j.j_oc;
-  if not (Sys.file_exists (wal_path j.j_dir)) then []
-  else begin
-    let ic = open_in_bin (wal_path j.j_dir) in
-    let out = ref [] in
-    let n = ref j.j_base in
-    (try
-       let rec go () =
-         match read_frame ic with
-         | None -> ()
-         | Some payload ->
-           incr n;
-           out := (!n, frame_digest payload) :: !out;
-           go ()
-       in
-       (try go () with Torn at -> journal_errorf "wal torn mid-read at %d" at)
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    close_in ic;
-    List.rev !out
-  end
+  let out = ref [] in
+  iter_wal j (fun seq payload ->
+      out := (seq, frame_digest payload) :: !out;
+      true);
+  List.rev !out
 
 (* At most [limit] frames with seqno > [after], as (seqno, md5,
    payload) ascending.  Frames below the snapshot base are served from
@@ -902,34 +879,17 @@ let rec frames j ~after ~limit =
         cold @ frames j ~after:j.j_base ~limit:(limit - got)
       else cold
   end
+  else if after >= j.j_seq || limit = 0 then []
   else begin
-  flush j.j_oc;
-  if after >= j.j_seq || limit = 0 then []
-  else begin
-    let ic = open_in_bin (wal_path j.j_dir) in
     let out = ref [] in
     let taken = ref 0 in
-    let n = ref j.j_base in
-    (try
-       let rec go () =
-         if !taken < limit then
-           match read_frame ic with
-           | None -> ()
-           | Some payload ->
-             incr n;
-             if !n > after then begin
-               incr taken;
-               out := (!n, frame_digest payload, payload) :: !out
-             end;
-             go ()
-       in
-       (try go () with Torn at -> journal_errorf "wal torn mid-read at %d" at)
-     with e ->
-       close_in_noerr ic;
-       raise e);
-    close_in ic;
+    iter_wal j (fun seq payload ->
+        if seq > after then begin
+          incr taken;
+          out := (seq, frame_digest payload, payload) :: !out
+        end;
+        !taken < limit);
     List.rev !out
-  end
   end
 
 (* A stable workspace identity for the sync fabric, minted on first
@@ -1012,40 +972,6 @@ let apply j ~seq payload =
   | Some f -> f j.j_seq payload
   | None -> ()
 
-(* Replace the whole database with a primary's snapshot (the catch-up
-   path when our seqno predates the primary's oldest wal entry, e.g.
-   after a primary compaction).  Disk first — snapshot.ddf via atomic
-   rename, base.ddf, truncated wal — then the in-memory context is
-   swapped to the freshly loaded store/history/clock in place, so
-   sessions holding the context observe the new state. *)
-(* Shared tail of both reset flavours, entered with the new
-   snapshot.ddf already renamed into place and observers detached. *)
-let finish_reset j ~seq fresh =
-  write_base j.j_dir seq;
-  (* one directory fsync pins both renames (snapshot + base) *)
-  fsync_dir j.j_dir;
-  close_out j.j_oc;
-  j.j_oc <-
-    open_out_gen
-      [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-      0o644 (wal_path j.j_dir);
-  j.j_ctx.Ddf_exec.Engine.store <- fresh.Ddf_exec.Engine.store;
-  j.j_ctx.Ddf_exec.Engine.history <- fresh.Ddf_exec.Engine.history;
-  j.j_ctx.Ddf_exec.Engine.clock <- fresh.Ddf_exec.Engine.clock;
-  j.j_entries <- 0;
-  j.j_base <- seq;
-  j.j_seq <- seq;
-  j.j_pending <- 0;
-  (* the resync rebased the seqno line: the cemented history belongs
-     to the pre-reset database and can never be extended contiguously.
-     The new checkpoint is self-contained, so clearing after its
-     rename is safe. *)
-  Cement.clear j.j_cement;
-  (* the fresh store needs the cold loader re-wired (it replaced the
-     one the loader was installed on) *)
-  install_cold_loader j.j_cement fresh.Ddf_exec.Engine.store;
-  attach j
-
 let m_stream_resyncs = Ddf_obs.Metrics.counter "journal.snapshot_stream_resyncs"
 
 (* Move [src] over [dst] — rename when the spool shares the
@@ -1077,11 +1003,14 @@ let rename_or_copy src dst =
     Sys.rename tmp dst;
     try Sys.remove src with Sys_error _ -> ()
 
-(* Follower-side resync: [path] holds a workspace save spooled to disk
-   in bounded chunks (a streamed bootstrap), so the snapshot bytes
+(* Follower-side resync, the catch-up path when our seqno predates the
+   primary's oldest wal entry: [path] holds a workspace save spooled to
+   disk in bounded chunks (a streamed bootstrap), so the snapshot bytes
    never exist as one in-memory string here.  The file is parsed FIRST
    — a malformed stream must not clobber the database — then fsynced
-   and renamed into place. *)
+   and renamed into place, base.ddf written and the wal truncated;
+   only then is the in-memory context swapped in place, so sessions
+   holding it observe the new state. *)
 let reset_to_snapshot_file j ~seq path =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   Ddf_obs.Metrics.incr m_resyncs;
@@ -1104,4 +1033,27 @@ let reset_to_snapshot_file j ~seq path =
   | exception e ->
     attach j;
     raise e);
-  finish_reset j ~seq fresh
+  write_base j.j_dir seq;
+  (* one directory fsync pins both renames (snapshot + base) *)
+  fsync_dir j.j_dir;
+  close_out j.j_oc;
+  j.j_oc <-
+    open_out_gen
+      [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
+      0o644 (wal_path j.j_dir);
+  j.j_ctx.Ddf_exec.Engine.store <- fresh.Ddf_exec.Engine.store;
+  j.j_ctx.Ddf_exec.Engine.history <- fresh.Ddf_exec.Engine.history;
+  j.j_ctx.Ddf_exec.Engine.clock <- fresh.Ddf_exec.Engine.clock;
+  j.j_entries <- 0;
+  j.j_base <- seq;
+  j.j_seq <- seq;
+  j.j_pending <- 0;
+  (* the resync rebased the seqno line: the cemented history belongs
+     to the pre-reset database and can never be extended contiguously.
+     The new checkpoint is self-contained, so clearing after its
+     rename is safe. *)
+  Cement.clear j.j_cement;
+  (* the fresh store needs the cold loader re-wired (it replaced the
+     one the loader was installed on) *)
+  install_cold_loader j.j_cement fresh.Ddf_exec.Engine.store;
+  attach j

@@ -19,10 +19,9 @@
     and flows, with each payload a reference to its cemented put frame)
     and truncates the log. *)
 
-exception Journal_error of Ddf_core.Error.t
-(** Deprecated alias of {!Ddf_core.Error.Ddf_error}: corruption and
-    ordering violations are [`Internal]/[`Conflict], operations on a
-    closed or failed journal are [`Unavailable]. *)
+(** Errors are {!Ddf_core.Error.Ddf_error}: corruption and ordering
+    violations are [`Internal]/[`Conflict], operations on a closed or
+    failed journal are [`Unavailable]. *)
 
 type t
 
@@ -55,7 +54,7 @@ val open_ :
     journaled.  [compact_every] (default 10_000) is the log-entry
     threshold {!maybe_compact} acts on.  [sync_mode] (default {!Group})
     sets when entries become durable.
-    @raise Journal_error on corruption before the tail (iid/rid or
+    @raise Ddf_core.Error.Ddf_error on corruption before the tail (iid/rid or
     content-hash mismatches), or when the checkpoint references a put
     the cement store does not hold (the message names the iid). *)
 
@@ -166,7 +165,7 @@ val frames : t -> after:int -> limit:int -> (int * string * string) list
     [(seqno, md5, payload)] ascending.  Frames below [base_seq] are
     served from the cement store when it covers them (positioned
     reads), transparently continuing into the wal.
-    @raise Journal_error ([`Conflict]) when [after] predates both the
+    @raise Ddf_core.Error.Ddf_error ([`Conflict]) when [after] predates both the
     cemented window and [base_seq]: those frames are gone. *)
 
 val frame_digest : string -> string
@@ -180,7 +179,7 @@ val wsid : t -> string
 val apply : t -> seq:int -> string -> unit
 (** Follower-side: apply one replicated frame — replay the payload into
     the context and append the identical bytes to the local wal.
-    @raise Journal_error on a sequence gap ([seq] must be [seq t + 1]),
+    @raise Ddf_core.Error.Ddf_error on a sequence gap ([seq] must be [seq t + 1]),
     content-hash mismatch or out-of-order ids. *)
 
 val reset_to_snapshot_file : t -> seq:int -> string -> unit
@@ -194,7 +193,7 @@ val reset_to_snapshot_file : t -> seq:int -> string -> unit
     across filesystems) into place.
     Counts [journal.snapshot_stream_resyncs] on top of
     [journal.snapshot_resyncs].
-    @raise Journal_error when the file does not parse. *)
+    @raise Ddf_core.Error.Ddf_error when the file does not parse. *)
 
 val snapshot_file : t -> string
 (** Path of [snapshot.ddf] in this database directory — the

@@ -83,7 +83,7 @@ let journal_faults =
         Alcotest.(check bool) "poisoned" true (Journal.failed j <> None);
         (match Engine.install ctx ~entity:E.stimuli ~label:"after" stim_value with
         | _ -> Alcotest.fail "expected a fail-stop refusal"
-        | exception Journal.Journal_error e ->
+        | exception Error.Ddf_error e ->
           check_code "unavailable" "unavailable" e;
           Alcotest.(check bool) "names the fail-stop" true
             (Util.contains (Error.message e) "fail-stop"));
@@ -114,7 +114,7 @@ let journal_faults =
         | exception Fault.Injected "journal.fsync" -> ());
         (match Journal.sync j with
         | _ -> Alcotest.fail "expected a fail-stop refusal"
-        | exception Journal.Journal_error e ->
+        | exception Error.Ddf_error e ->
           check_code "unavailable" "unavailable" e);
         Journal.close j;
         (* reopening clears the fail-stop and the acked prefix is
