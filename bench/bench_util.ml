@@ -119,3 +119,52 @@ let print_table headers rows =
   print_row headers;
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows
+
+(* Nanoseconds per call of each thunk: the fastest of [passes] timed
+   passes of [iters] calls each, after a warm-up.  The passes go round
+   by round across the thunks, so each thunk's passes are spread over
+   the whole measurement: a slow phase of a shared host slows some
+   passes of every thunk, not all passes of one. *)
+let best_ns_each ?(passes = 15) ?(iters = 1_000) fs =
+  let fs = Array.of_list fs in
+  Array.iter (fun f -> for _ = 1 to 200 do f () done) fs;
+  let best = Array.make (Array.length fs) infinity in
+  for _ = 1 to passes do
+    Array.iteri
+      (fun i f ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to iters do
+          f ()
+        done;
+        let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
+        best.(i) <- Float.min best.(i) ns)
+      fs
+  done;
+  Array.to_list best
+
+let thunk f () = ignore (Sys.opaque_identity (f ()))
+
+let best_ns ?passes ?iters f =
+  List.hd (best_ns_each ?passes ?iters [ thunk f ])
+
+(* A fixed chunk of work that calls nothing in the repository, so no
+   change to the program moves it: it allocates, builds a string-keyed
+   map and sorts a list, as the codecs and the daemon do.  Timed among
+   a benchmark's own thunks, it measures how fast the host ran during
+   that benchmark. *)
+module Ref_map = Map.Make (String)
+
+let ref_keys = Array.init 512 (fun i -> string_of_int ((i * 7919) land 4095))
+
+let host_reference () =
+  let m = ref Ref_map.empty in
+  for i = 0 to 63 do
+    m := Ref_map.add ref_keys.((i * 37) land 511) i !m
+  done;
+  let l = List.sort compare (List.init 64 (fun i -> (i * 7919) land 255)) in
+  ignore (Sys.opaque_identity (!m, l))
+
+(* The reference chunk's time, best of 15 passes, on an uncontended
+   2-vCPU Xeon VM: a time scaled by [host_nominal_ns /. reference] is
+   what that host would have measured. *)
+let host_nominal_ns = 6_500.

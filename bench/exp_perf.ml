@@ -29,6 +29,12 @@
       about the same.  The reverse, a rare entity (10 instances) and a
       keyword a quarter of the store carries, must stay flat too: it
       is served from the entity's instances, not the keyword's.
+   7. One install's journal work -- for a 16-gate netlist (perfbench
+      ingest's mid size): the put entry encoded and framed with the
+      value's text in hand, as a wire install hands it over; decoded;
+      decoded with the value parsed back and hash-checked, as replay
+      does; and the content hash alone.  ns per call, best of 15
+      passes, and the words one call allocates.
 
    Exported gauges (for --json): perf.write.{always_rps,group_rps,
    speedup}, perf.rtt.{singleton_rps,batch32_rps,speedup},
@@ -36,7 +42,8 @@
    pinned_versions_us,pinned_latest_us},
    perf.trace.d<depth>.{bytes,live_us,pinned_us,alloc_words},
    perf.uses.d<depth>.{us,alloc_words}, perf.browse.n<instances>.us,
-   perf.browse_rare_entity.n<instances>.us. *)
+   perf.browse_rare_entity.n<instances>.us,
+   perf.entry.{encode,decode,replay,hash}.{ns,words}. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -338,6 +345,35 @@ let keyword_browse n =
   in
   (time E.edited_netlist "rare", time E.layout "analog")
 
+(* ------------------------------------------------------------------ *)
+(* 7. The journal's put entry and the content hash                     *)
+(* ------------------------------------------------------------------ *)
+
+let entry_rows () =
+  let nl = Eda.Circuits.random ~n_inputs:5 ~n_gates:16 (Eda.Rng.create 7) in
+  let value = Value.Netlist nl in
+  let hash = Value.hash value in
+  let put =
+    Entry.Put
+      { iid = 4096; clock = 8192; entity = E.edited_netlist; hash;
+        meta =
+          Store.meta ~user:"bench" ~label:"nl" ~keywords:[ "ingest" ]
+            ~created_at:8192 ();
+        text = Sexp.to_string ~pretty:false (Codec.value_to_sexp value) }
+  in
+  let payload = Entry.encode put in
+  let replay () =
+    match Entry.decode payload with
+    | Entry.Put { iid; hash; text; _ } -> Entry.value ~iid ~hash text
+    | _ -> assert false
+  in
+  let row key name f = (key, name, Bench_util.best_ns f, alloc_words f) in
+  [ row "encode" "put entry encode + frame header" (fun () ->
+        Cement.frame_header (Entry.encode put));
+    row "decode" "put entry decode" (fun () -> Entry.decode payload);
+    row "replay" "put entry decode + value + hash check" replay;
+    row "hash" "netlist content hash" (fun () -> Value.hash value) ]
+
 let run () =
   Bench_util.section
     (Printf.sprintf "group commit: %d batches of %d installs per sync mode"
@@ -427,4 +463,19 @@ let run () =
          gauge "browse_rare_entity" entity_us;
          [ string_of_int n; Printf.sprintf "%.2f" keyword_us;
            Printf.sprintf "%.2f" entity_us ])
-       browse_sizes)
+       browse_sizes);
+
+  Bench_util.section
+    "one install's journal work, 16-gate netlist (best of 15 passes)";
+  Bench_util.print_table [ "step"; "ns"; "alloc words" ]
+    (List.map
+       (fun (key, name, ns, words) ->
+         let gauge unit v =
+           Metrics.set
+             (Metrics.gauge (Printf.sprintf "perf.entry.%s.%s" key unit))
+             v
+         in
+         gauge "ns" ns;
+         gauge "words" words;
+         [ name; Printf.sprintf "%.0f" ns; Printf.sprintf "%.0f" words ])
+       (entry_rows ()))

@@ -6,7 +6,9 @@
    socketpair (the zero-copy slice path); (3) an end-to-end mini rerun
    of experiment S's shape: one server and one client driving an
    install/browse workload, singly and as pipelined batches.  Exported
-   as gauges for --json. *)
+   as gauges for --json; the codec medians also scaled by a host
+   reference chunk timed among the frames
+   ([wire.bench.{encode,decode}_ns_median_scaled]). *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -75,42 +77,48 @@ let sample_responses =
 (* Codec microbenchmarks                                               *)
 (* ------------------------------------------------------------------ *)
 
-let ns_per ?(iters = 10_000) f =
-  for _ = 1 to 200 do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-
 let median xs =
   let a = Array.of_list xs in
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* One row per sample frame: size and encode/decode ns. *)
+(* The host reference's ns, and one row per sample frame: size and
+   encode/decode ns.  Each time is the best of 15 passes of 1,000
+   calls, every thunk's passes interleaved with the others'. *)
 let codec_rows () =
-  let bench name to_bin of_bin =
-    let bin = to_bin () in
-    let enc = ns_per to_bin and dec = ns_per (fun () -> of_bin bin) in
-    (enc, dec,
-     [ name; string_of_int (String.length bin); Printf.sprintf "%.0f" enc;
-       Printf.sprintf "%.0f" dec ])
-  in
-  List.map
-    (fun (name, r) ->
-      bench name
-        (fun () -> Wire.request_to_binary_string r)
-        Wire.request_of_binary_string)
-    sample_requests
-  @ List.map
+  let frames =
+    List.map
       (fun (name, r) ->
-        bench name
-          (fun () -> Wire.response_to_binary_string r)
-          Wire.response_of_binary_string)
-      sample_responses
+        ( name,
+          (fun () -> Wire.request_to_binary_string r),
+          fun b -> ignore (Wire.request_of_binary_string b) ))
+      sample_requests
+    @ List.map
+        (fun (name, r) ->
+          ( name,
+            (fun () -> Wire.response_to_binary_string r),
+            fun b -> ignore (Wire.response_of_binary_string b) ))
+        sample_responses
+  in
+  let thunks =
+    List.concat_map
+      (fun (_, enc, dec) ->
+        let bin = enc () in
+        [ Bench_util.thunk enc; (fun () -> dec bin) ])
+      frames
+  in
+  match Bench_util.best_ns_each (Bench_util.host_reference :: thunks) with
+  | [] -> assert false
+  | reference :: ns ->
+    let ns = Array.of_list ns in
+    ( reference,
+      List.mapi
+        (fun i (name, enc, _) ->
+          let e = ns.(2 * i) and d = ns.((2 * i) + 1) in
+          (e, d,
+           [ name; string_of_int (String.length (enc ()));
+             Printf.sprintf "%.0f" e; Printf.sprintf "%.0f" d ]))
+        frames )
 
 (* ------------------------------------------------------------------ *)
 (* Framed transport throughput                                         *)
@@ -196,12 +204,23 @@ let batch_workload socket =
 let run () =
   (* --- codec micro --- *)
   Bench_util.section "codec: encode/decode ns per frame, bytes per frame";
-  let rows = codec_rows () in
+  let reference, rows = codec_rows () in
   Bench_util.print_table [ "frame"; "bytes"; "enc ns"; "dec ns" ]
     (List.map (fun (_, _, row) -> row) rows);
   let enc = median (List.map (fun (e, _, _) -> e) rows) in
   let dec = median (List.map (fun (_, d, _) -> d) rows) in
   Printf.printf "  median: encode %.0f ns, decode %.0f ns\n" enc dec;
+  (* a slow phase of a shared host can outlast a whole run, and slows
+     the reference chunk as much as the codec: the scaled medians are
+     what resolve a change between runs *)
+  let scale = Bench_util.host_nominal_ns /. reference in
+  Printf.printf
+    "  host reference %.0f ns; scaled to the nominal host: encode %.0f ns, \
+     decode %.0f ns\n"
+    reference (enc *. scale) (dec *. scale);
+  Metrics.set (Metrics.gauge "wire.bench.host_reference_ns") reference;
+  Metrics.set (Metrics.gauge "wire.bench.encode_ns_median_scaled") (enc *. scale);
+  Metrics.set (Metrics.gauge "wire.bench.decode_ns_median_scaled") (dec *. scale);
   Metrics.set (Metrics.gauge "wire.bench.encode_ns_median") enc;
   Metrics.set (Metrics.gauge "wire.bench.decode_ns_median") dec;
 

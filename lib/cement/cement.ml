@@ -9,12 +9,13 @@
                                      %016x %c %012d\n
                                      offset kind  id
 
-   The frames reuse the wal's framing byte-for-byte (J1 <len> <md5>
-   header, payload, newline), so cementing is a copy, not a
-   re-encoding, and every read re-verifies the md5.  The index line
+   The frames use the wal's framing (J1 <len> <md5> header, payload,
+   newline; the one codec for both is below), so cementing is a copy,
+   not a re-encoding, and every read re-verifies the md5.  The index line
    records the frame's byte offset (hex, fixed width), its entry kind
    (p/n/r/c/v for put/note/record/conflict/resolve) and the id the
-   entry installs (the iid for puts and notes, 0 otherwise) — enough
+   entry installs (the iid for puts and notes, 0 otherwise), both read
+   off the entry's head by [Entry.classify] — enough
    for O(1) seqno lookup and for the store's cold-load path to find
    the put frame of an evicted payload without replaying anything.
 
@@ -32,6 +33,7 @@
 
 module Metrics = Ddf_obs.Metrics
 module Obs = Ddf_obs.Obs
+module Entry = Ddf_entry.Entry
 
 let cement_errorf ?(code = `Internal) fmt = Ddf_core.Error.errorf code fmt
 
@@ -42,15 +44,38 @@ let m_folds = Metrics.counter "cement.folds"
 let h_fold = Metrics.histogram "cement.fold_seconds"
 
 (* ------------------------------------------------------------------ *)
-(* Framing (the wal's J1 format, byte-identical)                       *)
+(* J1 framing: the one frame codec of the wal and the segments         *)
 (* ------------------------------------------------------------------ *)
 
-let frame_of payload =
-  Printf.sprintf "J1 %d %s\n%s\n" (String.length payload)
-    (Digest.to_hex (Digest.string payload))
-    payload
+(* A frame is "J1 <payload-bytes> <md5-hex>\n<payload>\n": the header
+   makes entries self-delimiting, the checksum makes a torn tail
+   detectable. *)
+let frame_header payload =
+  String.concat ""
+    [ "J1 "; Int.to_string (String.length payload); " ";
+      Digest.to_hex (Digest.string payload); "\n" ]
 
-(* Read one frame from a channel; [None] cleanly at end of file,
+(* Header, payload and newline go to the channel as they are: the
+   frame is never assembled in memory. *)
+let output_frame oc payload =
+  output_string oc (frame_header payload);
+  output_string oc payload;
+  output_char oc '\n'
+
+(* The length and checksum a header line announces. *)
+let parse_header line =
+  match String.split_on_char ' ' line with
+  | [ "J1"; len; digest ] -> (
+    match int_of_string_opt len with
+    | Some len when len >= 0 -> Some (len, digest)
+    | Some _ | None -> None)
+  | _ -> None
+
+(* A length this large is checked against what the file still holds
+   before anything is allocated for it. *)
+let large_frame = 1 lsl 20
+
+(* Read one frame from a channel: [`End] cleanly at end of file,
    [`Torn at] when the tail is damaged ([at] = end of the good
    prefix). *)
 let read_frame ic =
@@ -58,62 +83,20 @@ let read_frame ic =
   match input_line ic with
   | exception End_of_file -> `End
   | header -> (
-    match String.split_on_char ' ' header with
-    | [ "J1"; len; digest ] -> (
-      match int_of_string_opt len with
-      | Some len when len >= 0 -> (
-        match really_input_string ic (len + 1) with
-        | exception End_of_file -> `Torn start
-        | payload ->
-          if payload.[len] <> '\n' then `Torn start
-          else
-            let payload = String.sub payload 0 len in
-            if Digest.to_hex (Digest.string payload) <> digest then `Torn start
-            else `Frame payload)
-      | Some _ | None -> `Torn start)
-    | _ -> `Torn start)
-
-(* ------------------------------------------------------------------ *)
-(* Entry classification (for the index)                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Frames are our own codec's output: "(put (iid N) ...)", "(note (iid
-   N) ...)", "(record ...)", "(conflict ...)", "(resolve ...)".  The
-   kind is the first atom; the id is the integer after the first
-   "(iid" (puts and notes only).  A scan, not a full parse — the frame
-   checksum already vouches for the bytes. *)
-let classify payload =
-  let n = String.length payload in
-  let rec skip_ws i = if i < n && (payload.[i] = ' ' || payload.[i] = '\n') then skip_ws (i + 1) else i in
-  let kind =
-    let i = skip_ws (if n > 0 && payload.[0] = '(' then 1 else 0) in
-    let rec word j = if j < n && payload.[j] >= 'a' && payload.[j] <= 'z' then word (j + 1) else j in
-    match String.sub payload i (word i - i) with
-    | "put" -> 'p'
-    | "note" -> 'n'
-    | "record" -> 'r'
-    | "conflict" -> 'c'
-    | "resolve" -> 'v'
-    | _ | (exception Invalid_argument _) -> '?'
-  in
-  let id =
-    if kind <> 'p' && kind <> 'n' then 0
-    else
-      let rec find i =
-        if i + 4 > n then 0
-        else if String.sub payload i 4 = "(iid" then
-          let i = skip_ws (i + 4) in
-          let rec digits j acc =
-            if j < n && payload.[j] >= '0' && payload.[j] <= '9' then
-              digits (j + 1) ((acc * 10) + Char.code payload.[j] - 48)
-            else acc
-          in
-          digits i 0
-        else find (i + 1)
-      in
-      find 0
-  in
-  (kind, id)
+    match parse_header header with
+    | None -> `Torn start
+    | Some (len, _)
+      when len >= large_frame && len >= in_channel_length ic - pos_in ic ->
+      `Torn start
+    | Some (len, digest) -> (
+      match really_input_string ic (len + 1) with
+      | exception End_of_file -> `Torn start
+      | payload ->
+        if payload.[len] <> '\n' then `Torn start
+        else
+          let payload = String.sub payload 0 len in
+          if Digest.to_hex (Digest.string payload) <> digest then `Torn start
+          else `Frame payload))
 
 (* ------------------------------------------------------------------ *)
 (* Segments                                                            *)
@@ -208,7 +191,7 @@ let write_idx ~dir ~first ~last frames =
      output_string oc header;
      List.iter
        (fun (off, payload) ->
-         let kind, id = classify payload in
+         let kind, id = Entry.classify payload in
          output_string oc (idx_entry off kind id))
        frames;
      fsync_oc oc;
@@ -458,7 +441,7 @@ let fold t ~first frames =
            List.iter
              (fun (_, payload) ->
                offsets := (pos_out oc, payload) :: !offsets;
-               output_string oc (frame_of payload))
+               output_frame oc payload)
              frames;
            fsync_oc oc;
            close_out oc
@@ -476,7 +459,7 @@ let fold t ~first frames =
         in
         List.iteri
           (fun k (off, payload) ->
-            match classify payload with
+            match Entry.classify payload with
             | 'p', iid -> Hashtbl.replace t.c_puts iid (first + k, off)
             | _ -> ())
           offsets;
@@ -558,14 +541,11 @@ let frame_at seg off =
     | Some i -> i
     | None -> cement_errorf "cement segment %s: bad frame header" seg.s_path
   in
-  match String.split_on_char ' ' (String.sub probe 0 nl) with
-  | [ "J1"; len; digest ] ->
-    let len =
-      match int_of_string_opt len with
-      | Some n when n >= 0 -> n
-      | Some _ | None ->
-        cement_errorf "cement segment %s: bad frame length" seg.s_path
-    in
+  match parse_header (String.sub probe 0 nl) with
+  | None -> cement_errorf "cement segment %s: bad frame header" seg.s_path
+  | Some (len, digest) ->
+    if off + nl + 1 + len > seg.s_bytes then
+      cement_errorf "cement segment %s: frame runs past the segment" seg.s_path;
     let payload = pread fd ~off:(off + nl + 1) ~len in
     if String.length payload <> len then
       cement_errorf "cement segment %s: short frame read" seg.s_path;
@@ -573,7 +553,6 @@ let frame_at seg off =
       cement_errorf "cement segment %s: frame checksum mismatch at %d"
         seg.s_path off;
     payload
-  | _ -> cement_errorf "cement segment %s: bad frame header" seg.s_path
 
 let read t seq =
   locked t @@ fun () ->

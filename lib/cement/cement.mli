@@ -16,8 +16,9 @@
       segment-<first>-<last>.idx   I1 header + fixed-width offset lines
     v}
 
-    The frames reuse the wal's [J1 <len> <md5>] framing, so a cemented
-    frame is byte-identical to the wal frame it came from; the index
+    The frames use the wal's [J1 <len> <md5>] framing (one codec,
+    below), so a cemented frame is byte-identical to the wal frame it
+    came from; the index
     maps a seqno to its byte offset in O(1) (one fixed-width line per
     entry), so lookups are served by pread-style positioned reads, not
     replay.  The index is derived data: a missing or inconsistent
@@ -35,6 +36,25 @@
 
     Thread safety: all operations on one [t] are serialised by an
     internal mutex; callers may read from any thread. *)
+
+(** {1 J1 framing}
+
+    The one frame codec of the journal's wal and of the segments:
+    [J1 <payload-bytes> <md5-hex>\n<payload>\n]. *)
+
+val frame_header : string -> string
+(** The header line (newline included) that frames a payload. *)
+
+val output_frame : out_channel -> string -> unit
+(** Write a framed payload to the channel, piece by piece (the frame
+    is never assembled in memory).  Does not flush. *)
+
+val read_frame : in_channel -> [ `End | `Frame of string | `Torn of int ]
+(** Read one frame: [`End] cleanly at end of file, [`Torn at] when a
+    short, malformed or checksum-failing frame starts at offset [at]
+    (the end of the good prefix). *)
+
+(** {1 Segments} *)
 
 type t
 

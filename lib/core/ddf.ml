@@ -34,6 +34,7 @@ module Metrics = Ddf_obs.Metrics
 module Obs_sinks = Ddf_obs.Sinks
 module Journal = Ddf_journal.Journal
 module Cement = Ddf_cement.Cement
+module Entry = Ddf_entry.Entry
 module Wire = Ddf_wire.Wire
 module Replica = Ddf_replica.Replica
 module Server = Ddf_server.Server

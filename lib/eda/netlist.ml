@@ -289,28 +289,54 @@ let find_gate nl gname = List.find_opt (fun g -> g.gname = gname) nl.gates
 (* Structural hash (content addressing for the design-object store)    *)
 (* ------------------------------------------------------------------ *)
 
+(* Written piece by piece into one buffer (no Printf, no per-gate
+   strings): "name|pi:a,b|po:y" then "|g:op(a,b)->y@drive" per gate
+   and "|f:dff(d)->q=init" per flop, each sorted by name.  These bytes
+   are what content hashes are computed over: never change them. *)
 let to_canonical_string nl =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf nl.name;
-  Buffer.add_string buf "|pi:";
-  Buffer.add_string buf (String.concat "," nl.primary_inputs);
-  Buffer.add_string buf "|po:";
-  Buffer.add_string buf (String.concat "," nl.primary_outputs);
-  let gs =
-    List.sort (fun a b -> compare a.gname b.gname) nl.gates
+  let buf = Buffer.create 1024 in
+  let add = Buffer.add_string buf in
+  let add_names = function
+    | [] -> ()
+    | n :: rest ->
+      add n;
+      List.iter
+        (fun n ->
+          Buffer.add_char buf ',';
+          add n)
+        rest
   in
+  add nl.name;
+  add "|pi:";
+  add_names nl.primary_inputs;
+  add "|po:";
+  add_names nl.primary_outputs;
   List.iter
     (fun g ->
-      Buffer.add_string buf
-        (Printf.sprintf "|%s:%s(%s)->%s@%d" g.gname (Logic.op_name g.op)
-           (String.concat "," g.inputs) g.output g.drive))
-    gs;
+      Buffer.add_char buf '|';
+      add g.gname;
+      Buffer.add_char buf ':';
+      add (Logic.op_name g.op);
+      Buffer.add_char buf '(';
+      add_names g.inputs;
+      add ")->";
+      add g.output;
+      Buffer.add_char buf '@';
+      if g.drive >= 0 && g.drive <= 9 then
+        Buffer.add_char buf (Char.unsafe_chr (48 + g.drive))
+      else add (Int.to_string g.drive))
+    (List.sort (fun a b -> String.compare a.gname b.gname) nl.gates);
   List.iter
     (fun f ->
-      Buffer.add_string buf
-        (Printf.sprintf "|%s:dff(%s)->%s=%s" f.fname f.d f.q
-           (Logic.value_name f.init)))
-    (List.sort (fun a b -> compare a.fname b.fname) nl.flops);
+      Buffer.add_char buf '|';
+      add f.fname;
+      add ":dff(";
+      add f.d;
+      add ")->";
+      add f.q;
+      Buffer.add_char buf '=';
+      add (Logic.value_name f.init))
+    (List.sort (fun a b -> String.compare a.fname b.fname) nl.flops);
   Buffer.contents buf
 
 let hash nl = Digest.to_hex (Digest.string (to_canonical_string nl))

@@ -68,7 +68,7 @@ let pin ctx =
 
 (* Install a source design object (or a tool from the catalog). *)
 let install ctx ~entity ?(label = "") ?(comment = "") ?(keywords = []) ?user
-    value =
+    ?text value =
   Metrics.incr m_installs;
   ignore (Schema.find ctx.schema entity);
   Typing.check ctx.schema entity value;
@@ -76,7 +76,7 @@ let install ctx ~entity ?(label = "") ?(comment = "") ?(keywords = []) ?user
   let meta =
     Store.meta ~user ~label ~comment ~keywords ~created_at:(tick ctx) ()
   in
-  Store.put ctx.store ~entity ~hash:(Ddf_data.hash value) ~meta value
+  Store.put ?text ctx.store ~entity ~hash:(Ddf_data.hash value) ~meta value
 
 (* Install a catalog tool with its default payload. *)
 let install_tool ctx entity =

@@ -51,8 +51,11 @@ val pin : context -> view
 
 val install :
   context -> entity:string -> ?label:string -> ?comment:string ->
-  ?keywords:string list -> ?user:string -> Ddf_data.value -> Store.iid
-(** Install a source design object (or a tool) into the store.
+  ?keywords:string list -> ?user:string -> ?text:string -> Ddf_data.value ->
+  Store.iid
+(** Install a source design object (or a tool) into the store.  [text]
+    is the value's s-expression text as received (a wire install's
+    bytes); the journal records it in place of printing the value.
     @raise Typing.Type_mismatch when the payload does not fit the
     entity. *)
 

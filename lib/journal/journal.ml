@@ -15,14 +15,12 @@
      J1 <payload-bytes> <md5-hex>\n
      <payload>\n
 
-   where <payload> is one s-expression:
-
-     (put (iid N) (clock C) (entity E) (hash H) (meta M) (value V))
-     (note (iid N) (meta M))
-     (record (clock C) R)               ; R as in Workspace_file
-     (conflict (clock C) (id N) (base B) (ours O) (theirs T)
-               (origin S) (at A))       ; sync divergence registered
-     (resolve (clock C) (id N) (winner W))
+   (the framing is Cement's, shared with the segments), where
+   <payload> is one binary entry (Entry: put, note, record, conflict
+   or resolve).  A put carries its value as flat s-expression text: a
+   wire install's bytes as the client sent them, or an engine-derived
+   value printed once.  A database whose entries are s-expressions
+   (entry format 1) is refused at open.
 
    The frame header makes entries self-delimiting and the checksum
    makes a torn tail (crash mid-append) detectable: recovery truncates
@@ -44,6 +42,7 @@ module S = Ddf_persist.Sexp
 module W = Ddf_persist.Workspace_file
 module Codec = Ddf_persist.Codec
 module Cement = Ddf_cement.Cement
+module Entry = Ddf_entry.Entry
 
 module Fault = Ddf_fault.Fault
 
@@ -70,17 +69,6 @@ let h_compact = Ddf_obs.Metrics.histogram "journal.compact_seconds"
        clean process exit loses nothing. *)
 type sync_mode = Always | Group | Never
 
-let sync_mode_of_string = function
-  | "always" -> Some Always
-  | "group" -> Some Group
-  | "none" | "never" -> Some Never
-  | _ -> None
-
-let sync_mode_to_string = function
-  | Always -> "always"
-  | Group -> "group"
-  | Never -> "none"
-
 type t = {
   j_dir : string;
   j_ctx : Ddf_exec.Engine.context;
@@ -94,7 +82,7 @@ type t = {
   mutable j_failed : string option;  (* fail-stop reason, sticky until reopen *)
   mutable j_frame_obs : (int -> string -> unit) option;
   compact_every : int;
-  mutable j_sync_mode : sync_mode;
+  j_sync_mode : sync_mode;
   mutable j_pending : int;           (* entries since the last durability point *)
   j_cement : Cement.t;
 }
@@ -107,10 +95,8 @@ let seq j = j.j_seq
 let base_seq j = j.j_base
 
 let set_frame_observer j f = j.j_frame_obs <- Some f
-let clear_frame_observer j = j.j_frame_obs <- None
 
 let sync_mode j = j.j_sync_mode
-let set_sync_mode j m = j.j_sync_mode <- m
 let failed j = j.j_failed
 
 let m_failures = Ddf_obs.Metrics.counter "journal.failures"
@@ -179,46 +165,16 @@ let write_base dir base =
 (* ------------------------------------------------------------------ *)
 
 let write_frame oc payload =
-  let frame =
-    Printf.sprintf "J1 %d %s\n%s\n" (String.length payload)
-      (Digest.to_hex (Digest.string payload))
-      payload
-  in
   (match Fault.check "journal.torn_write" with
   | Some (Fault.Torn k) ->
     (* a crash mid-append: only a prefix of the frame reaches the file *)
+    let frame = Cement.frame_header payload ^ payload ^ "\n" in
     output_string oc (String.sub frame 0 (min k (String.length frame)));
     flush oc;
     raise (Fault.Injected "journal.torn_write")
   | Some Fault.Fail -> raise (Fault.Injected "journal.torn_write")
-  | Some (Fault.Delay _) | None -> output_string oc frame);
+  | Some (Fault.Delay _) | None -> Cement.output_frame oc payload);
   flush oc
-
-(* Read one frame; [None] cleanly at end of file.  A short, malformed
-   or checksum-failing frame raises [Torn] with the offset where the
-   good prefix ends. *)
-exception Torn of int
-
-let read_frame ic =
-  let start = pos_in ic in
-  match input_line ic with
-  | exception End_of_file -> None
-  | header ->
-    (match String.split_on_char ' ' header with
-    | [ "J1"; len; digest ] ->
-      let len =
-        match int_of_string_opt len with
-        | Some n when n >= 0 -> n
-        | Some _ | None -> raise (Torn start)
-      in
-      let payload =
-        try really_input_string ic (len + 1) with End_of_file -> raise (Torn start)
-      in
-      if payload.[len] <> '\n' then raise (Torn start);
-      let payload = String.sub payload 0 len in
-      if Digest.to_hex (Digest.string payload) <> digest then raise (Torn start);
-      Some payload
-    | _ -> raise (Torn start))
 
 (* Pass [f] each frame of the wal at [path] with its seqno, counting up
    from [base], until [f] answers [false] or the file ends.  [None] at
@@ -230,50 +186,12 @@ let read_wal path ~base f =
     let ic = open_in_bin path in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
     let rec go seq =
-      match read_frame ic with
-      | None -> None
-      | Some payload -> if f (seq + 1) payload then go (seq + 1) else None
-      | exception Torn at -> Some at
+      match Cement.read_frame ic with
+      | `End -> None
+      | `Frame payload -> if f (seq + 1) payload then go (seq + 1) else None
+      | `Torn at -> Some at
     in
     go base
-
-(* ------------------------------------------------------------------ *)
-(* Entry codec                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let put_to_sexp ~clock (inst : Ddf_data.value Store.instance) value =
-  S.list
-    [ S.atom "put"; S.field "iid" [ S.int inst.Store.iid ];
-      S.field "clock" [ S.int clock ];
-      S.field "entity" [ S.atom inst.Store.entity ];
-      S.field "hash" [ S.atom inst.Store.data_hash ];
-      S.field "meta" [ W.meta_to_sexp inst.Store.meta ];
-      S.field "value" [ Codec.value_to_sexp value ] ]
-
-let note_to_sexp (inst : Ddf_data.value Store.instance) =
-  S.list
-    [ S.atom "note"; S.field "iid" [ S.int inst.Store.iid ];
-      S.field "meta" [ W.meta_to_sexp inst.Store.meta ] ]
-
-let record_to_sexp ~clock r =
-  S.list
-    [ S.atom "record"; S.field "clock" [ S.int clock ]; W.record_to_sexp r ]
-
-let conflict_to_sexp ~clock (c : History.conflict) =
-  S.list
-    [ S.atom "conflict"; S.field "clock" [ S.int clock ];
-      S.field "id" [ S.int c.History.cid ];
-      S.field "base" [ S.int c.History.c_base ];
-      S.field "ours" [ S.int c.History.c_ours ];
-      S.field "theirs" [ S.int c.History.c_theirs ];
-      S.field "origin" [ S.atom c.History.c_origin ];
-      S.field "at" [ S.int c.History.c_at ] ]
-
-let resolve_to_sexp ~clock (c : History.conflict) winner =
-  S.list
-    [ S.atom "resolve"; S.field "clock" [ S.int clock ];
-      S.field "id" [ S.int c.History.cid ];
-      S.field "winner" [ S.int winner ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -294,25 +212,14 @@ let resolve_to_sexp ~clock (c : History.conflict) winner =
    that signal (confirmed against the cement watermark) to finish the
    truncation instead of double-counting the frames. *)
 let replay_entry ?(lenient = false) ctx payload =
-  let sexp =
-    try S.of_string payload
-    with S.Sexp_error m -> journal_errorf "log entry: %s" m
-  in
   let store = ctx.Ddf_exec.Engine.store in
-  match S.as_list sexp with
-  | S.Atom "put" :: fields ->
-    let iid = S.as_int (S.one "iid" (S.find_field fields "iid")) in
-    let clock = S.as_int (S.one "clock" (S.find_field fields "clock")) in
-    let entity = S.as_atom (S.one "entity" (S.find_field fields "entity")) in
-    let stored_hash = S.as_atom (S.one "hash" (S.find_field fields "hash")) in
-    let meta = W.meta_of_sexp (S.one "meta" (S.find_field fields "meta")) in
-    let value =
-      try Codec.value_of_sexp (S.one "value" (S.find_field fields "value"))
-      with Codec.Codec_error m -> journal_errorf "entry for #%d: %s" iid m
-    in
-    let hash = Ddf_data.hash value in
-    if hash <> stored_hash then
-      journal_errorf "instance %d: content hash mismatch (log corrupt?)" iid;
+  let history = ctx.Ddf_exec.Engine.history in
+  let advance clock =
+    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock
+  in
+  match Entry.decode payload with
+  | Entry.Put { iid; clock; entity; hash; meta; text } ->
+    let value = Entry.value ~iid ~hash text in
     let applied =
       if lenient && Store.mem store iid then begin
         let inst = Store.find store iid in
@@ -324,18 +231,16 @@ let replay_entry ?(lenient = false) ctx payload =
         false
       end
       else begin
-        let got = Store.put store ~entity ~hash ~meta value in
+        let got = Store.put ~text store ~entity ~hash ~meta value in
         if got <> iid then
           journal_errorf "log out of order: instance %d replayed as %d" iid
             got;
         true
       end
     in
-    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock;
+    advance clock;
     applied
-  | S.Atom "note" :: fields ->
-    let iid = S.as_int (S.one "iid" (S.find_field fields "iid")) in
-    let meta = W.meta_of_sexp (S.one "meta" (S.find_field fields "meta")) in
+  | Entry.Note { iid; meta } ->
     if not (Store.mem store iid) then
       journal_errorf "annotation of unknown instance %d" iid;
     let inst = Store.find store iid in
@@ -350,17 +255,7 @@ let replay_entry ?(lenient = false) ctx payload =
         ~comment:meta.Store.comment ~keywords:meta.Store.keywords ();
       true
     end
-  | [ S.Atom "record"; clock_field; r ] ->
-    let clock =
-      match clock_field with
-      | S.List [ S.Atom "clock"; c ] -> S.as_int c
-      | _ -> journal_errorf "malformed record entry"
-    in
-    let p =
-      try W.record_of_sexp r
-      with W.Persist_error m -> journal_errorf "record entry: %s" m
-    in
-    let history = ctx.Ddf_exec.Engine.history in
+  | Entry.Record { clock; record = p } ->
     let applied =
       if lenient && p.W.rp_rid < History.tick history then begin
         (* raises if the claimed record was never actually replayed *)
@@ -375,39 +270,25 @@ let replay_entry ?(lenient = false) ctx payload =
         true
       end
     in
-    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock;
+    advance clock;
     applied
-  | S.Atom "conflict" :: fields ->
-    let int_f name = S.as_int (S.one name (S.find_field fields name)) in
-    let clock = int_f "clock" in
-    let cid = int_f "id" in
-    let history = ctx.Ddf_exec.Engine.history in
+  | Entry.Conflict { clock; conflict = cid; base; ours; theirs; origin; at } ->
     let applied =
       if lenient && cid < History.conflict_tick history then begin
         ignore (History.find_conflict history cid);
         false
       end
       else begin
-        let c =
-          History.add_conflict history ~base:(int_f "base")
-            ~ours:(int_f "ours") ~theirs:(int_f "theirs")
-            ~origin:(S.as_atom (S.one "origin" (S.find_field fields "origin")))
-            ~at:(int_f "at")
-        in
+        let c = History.add_conflict history ~base ~ours ~theirs ~origin ~at in
         if c.History.cid <> cid then
           journal_errorf "log out of order: conflict %d replayed as %d" cid
             c.History.cid;
         true
       end
     in
-    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock;
+    advance clock;
     applied
-  | S.Atom "resolve" :: fields ->
-    let int_f name = S.as_int (S.one name (S.find_field fields name)) in
-    let clock = int_f "clock" in
-    let cid = int_f "id" in
-    let winner = int_f "winner" in
-    let history = ctx.Ddf_exec.Engine.history in
+  | Entry.Resolve { clock; conflict = cid; winner } ->
     let already =
       lenient
       && (match History.find_conflict history cid with
@@ -416,9 +297,8 @@ let replay_entry ?(lenient = false) ctx payload =
     in
     if not already then
       ignore (History.resolve_conflict history cid ~winner);
-    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock;
+    advance clock;
     not already
-  | _ -> journal_errorf "unknown log entry kind"
 
 (* ------------------------------------------------------------------ *)
 (* Observers: the live write path                                      *)
@@ -466,24 +346,42 @@ let append j payload =
     | None -> ()
   end
 
+(* A put journals the value's text as received when the installer had
+   it (a wire install's bytes); only an engine-derived value is
+   printed, once and flat. *)
 let attach j =
   let ctx = j.j_ctx in
+  let clock () = ctx.Ddf_exec.Engine.clock in
+  let log e = append j (Entry.encode e) in
   Store.set_observer ctx.Ddf_exec.Engine.store (function
-    | Store.Put (inst, value) ->
-      append j
-        (S.to_string (put_to_sexp ~clock:ctx.Ddf_exec.Engine.clock inst value))
-    | Store.Annotated inst -> append j (S.to_string (note_to_sexp inst)));
+    | Store.Put (inst, value, text) ->
+      let text =
+        match text with
+        | Some text -> text
+        | None -> S.to_string ~pretty:false (Codec.value_to_sexp value)
+      in
+      log
+        (Entry.Put
+           { iid = inst.Store.iid; clock = clock ();
+             entity = inst.Store.entity; hash = inst.Store.data_hash;
+             meta = inst.Store.meta; text })
+    | Store.Annotated inst ->
+      log (Entry.Note { iid = inst.Store.iid; meta = inst.Store.meta }));
   History.set_observer ctx.Ddf_exec.Engine.history (fun r ->
-      append j
-        (S.to_string (record_to_sexp ~clock:ctx.Ddf_exec.Engine.clock r)));
+      log (Entry.Record { clock = clock (); record = W.record_parts r }));
   History.set_conflict_observer ctx.Ddf_exec.Engine.history (fun ev ->
-      let clock = ctx.Ddf_exec.Engine.clock in
-      match ev with
-      | History.Conflict_added c ->
-        append j (S.to_string (conflict_to_sexp ~clock c))
-      | History.Conflict_resolved c ->
-        let winner = Option.get c.History.c_winner in
-        append j (S.to_string (resolve_to_sexp ~clock c winner)))
+      log
+        (match ev with
+        | History.Conflict_added c ->
+          Entry.Conflict
+            { clock = clock (); conflict = c.History.cid;
+              base = c.History.c_base; ours = c.History.c_ours;
+              theirs = c.History.c_theirs; origin = c.History.c_origin;
+              at = c.History.c_at }
+        | History.Conflict_resolved c ->
+          Entry.Resolve
+            { clock = clock (); conflict = c.History.cid;
+              winner = Option.get c.History.c_winner }))
 
 let detach j =
   Store.clear_observer j.j_ctx.Ddf_exec.Engine.store;
@@ -579,24 +477,13 @@ let cold_put_value c store iid =
   match Cement.find_put c ~iid with
   | None -> None
   | Some payload -> (
-    let sexp =
-      try S.of_string payload
-      with S.Sexp_error m -> journal_errorf "cemented entry: %s" m
-    in
-    match S.as_list sexp with
-    | S.Atom "put" :: fields ->
-      let stored_hash = S.as_atom (S.one "hash" (S.find_field fields "hash")) in
-      let value =
-        try Codec.value_of_sexp (S.one "value" (S.find_field fields "value"))
-        with Codec.Codec_error m ->
-          journal_errorf "cemented entry for #%d: %s" iid m
-      in
-      if
-        Ddf_data.hash value <> stored_hash
-        || stored_hash <> Store.hash_of store iid
-      then journal_errorf "cemented instance %d: content hash mismatch" iid;
-      Some value
-    | _ -> None)
+    match Entry.decode payload with
+    | Entry.Put { hash; text; _ } ->
+      if hash <> Store.hash_of store iid then
+        journal_errorf "cemented instance %d: content hash mismatch" iid;
+      Some (Entry.value ~iid ~hash text)
+    | Entry.Note _ | Entry.Record _ | Entry.Conflict _ | Entry.Resolve _ ->
+      None)
 
 let install_cold_loader c store = Store.set_cold_loader store (cold_put_value c store)
 
@@ -635,6 +522,12 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
      here): the checkpoint's payload references are checked against
      its put map as the checkpoint loads *)
   let cement = Cement.open_ ~dir:(cemented_dir dir) in
+  (* entries of another format are refused by name here, before the
+     checkpoint's references are trusted: the newest cemented entry
+     speaks for the segments, and wal replay for the wal *)
+  (match Cement.read cement (Cement.last_seq cement) with
+  | Some payload -> ignore (Entry.decode payload : Entry.t)
+  | None -> ());
   let ctx =
     if Sys.file_exists (snapshot_path dir) then
       let session =

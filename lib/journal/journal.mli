@@ -5,10 +5,13 @@
     derivation meta-data must survive across sessions.  [Journal]
     makes an {!Ddf_exec.Engine.context} durable: every [Store.put],
     annotation and [History.add] is appended to an on-disk log
-    ([wal.ddf]) as one checksummed, length-prefixed s-expression frame
-    before the caller proceeds, and replaying snapshot + log
-    reconstructs the context — same iids, rids, meta-data, payload
-    hashes and logical clock.
+    ([wal.ddf]) as one checksummed, length-prefixed frame holding a
+    binary {!Ddf_entry.Entry} before the caller proceeds, and replaying
+    snapshot + log reconstructs the context — same iids, rids,
+    meta-data, payload hashes and logical clock.  A put entry carries
+    the value's text as received (a wire install's bytes) and prints
+    only engine-derived values; a database whose entries are of an
+    older format is refused at {!open_} with an error naming it.
 
     Crash safety: frames are self-delimiting with an MD5 checksum, so
     a torn tail (power cut mid-append) is detected and truncated on
@@ -36,11 +39,6 @@ type sync_mode =
                 benchmark scaffolding.  A clean close loses nothing; a
                 machine crash may lose the tail. *)
 
-val sync_mode_of_string : string -> sync_mode option
-(** ["always"], ["group"], ["none"] (or ["never"]). *)
-
-val sync_mode_to_string : sync_mode -> string
-
 val open_ :
   ?registry:Ddf_tools.Encapsulation.registry ->
   ?compact_every:int ->
@@ -55,11 +53,12 @@ val open_ :
     threshold {!maybe_compact} acts on.  [sync_mode] (default {!Group})
     sets when entries become durable.
     @raise Ddf_core.Error.Ddf_error on corruption before the tail (iid/rid or
-    content-hash mismatches), or when the checkpoint references a put
-    the cement store does not hold (the message names the iid). *)
+    content-hash mismatches), when the checkpoint references a put
+    the cement store does not hold (the message names the iid), or
+    ([`Invalid]) when the wal or cement holds entries of format 1
+    (s-expressions). *)
 
 val sync_mode : t -> sync_mode
-val set_sync_mode : t -> sync_mode -> unit
 
 val context : t -> Ddf_exec.Engine.context
 (** The journaled context; mutate it only through the normal engine /
@@ -128,8 +127,6 @@ val set_frame_observer : t -> (int -> string -> unit) -> unit
 (** Install the single frame observer, called with [(seqno, payload)]
     after each entry reaches the local disk — the replication fan-out
     point.  Called from whichever thread performs the write. *)
-
-val clear_frame_observer : t -> unit
 
 type tail =
   | Frames of (int * string) list  (** [(seqno, payload)], ascending *)

@@ -102,6 +102,11 @@ type record_parts = {
   rp_at : int;
 }
 
+let record_parts (r : History.record) =
+  { rp_rid = r.History.rid; rp_task_entity = r.History.task_entity;
+    rp_tool = r.History.tool; rp_inputs = r.History.inputs;
+    rp_outputs = r.History.outputs; rp_at = r.History.at }
+
 let record_of_sexp sexp =
   match S.as_list sexp with
   | [ rid; task; tool; inputs; outputs; at ] ->

@@ -43,18 +43,11 @@ val load_file :
   ?cemented:(Ddf_store.Store.iid -> int option) ->
   Ddf_schema.Schema.t -> string -> Ddf_session.Session.t
 
-(** {1 Shared codecs}
+(** {1 Stored records}
 
-    The meta/record wire forms, reused by the journal and the design
-    server's wire protocol so every durable surface speaks one
-    format. *)
-
-val meta_to_sexp : Ddf_store.Store.meta -> Sexp.t
-
-val meta_of_sexp : Sexp.t -> Ddf_store.Store.meta
-(** @raise Persist_error on malformed input. *)
-
-val record_to_sexp : Ddf_history.History.record -> Sexp.t
+    The journal's record entries carry a record as its parts; the
+    checkpoint, the wal and sync apply all admit records through
+    {!add_record}. *)
 
 type record_parts = {
   rp_rid : int;
@@ -65,9 +58,7 @@ type record_parts = {
   rp_at : int;
 }
 
-val record_of_sexp : Sexp.t -> record_parts
-(** The parsed fields of a record (records proper are only minted by
-    {!Ddf_history.History.add}). @raise Persist_error. *)
+val record_parts : Ddf_history.History.record -> record_parts
 
 val add_record : Ddf_exec.Engine.context -> record_parts -> Ddf_history.History.record
 (** {!Ddf_history.History.add} of a stored record, in the context's

@@ -467,8 +467,10 @@ let nodes_with_entities flow nids =
    constant — the published view the request (or the whole pure-read
    batch) was dispatched with, so evaluation is repeatable and
    lock-free; on the writer path it pins the live context afresh, so
-   a member of a mutation batch observes the members before it. *)
-let rec eval t session ~pin req =
+   a member of a mutation batch observes the members before it.
+   [texts] are the frame's install values as the client sent them
+   ([Wire.frame_meta]); an install journals its own. *)
+let rec eval ?(texts = []) t session ~pin req =
   let ctx = t.ctx in
   match (req : Wire.request) with
   | Wire.Batch reqs ->
@@ -487,7 +489,7 @@ let rec eval t session ~pin req =
            | Wire.Snapshot_export ->
              wire_error `Invalid "connection-level request %S inside a batch"
                (Wire.request_name r)
-           | r -> ( try eval t session ~pin r with e -> error_response e))
+           | r -> ( try eval ~texts t session ~pin r with e -> error_response e))
          reqs)
   | Wire.Hello _ | Wire.Ping | Wire.Shutdown -> Wire.Ok_unit
   | Wire.Stat ->
@@ -560,8 +562,9 @@ let rec eval t session ~pin req =
     let snap = v.Engine.v_store in
     Wire.Ok_rows (rows_of snap (Store.Snapshot.browse snap filter))
   | Wire.Install { entity; label; keywords; value } ->
+    let text = List.assq_opt value texts in
     let value = Ddf_persist.Codec.value_of_sexp value in
-    Wire.Ok_int (Engine.install ctx ~entity ~label ~keywords value)
+    Wire.Ok_int (Engine.install ctx ~entity ~label ~keywords ?text value)
   | Wire.Annotate { iid; label; comment; keywords } ->
     Store.annotate ctx.Engine.store iid ?label ?comment ?keywords ();
     Wire.Ok_unit
@@ -616,7 +619,7 @@ let follower_rejects t req =
        false
      | _ -> true)
 
-let serve_request t session ~conn_id ~user ?deadline ?trace req =
+let serve_request t session ~conn_id ~user ?deadline ?trace ?texts req =
   Metrics.incr m_requests;
   Atomic.incr t.in_flight;
   Fun.protect ~finally:(fun () -> Atomic.decr t.in_flight)
@@ -647,7 +650,7 @@ let serve_request t session ~conn_id ~user ?deadline ?trace req =
     else if Wire.is_mutation req then begin
       Metrics.incr m_mutations;
       Executor.submit t.writes ?deadline ~user:!user
-        (fun () -> eval t session ~pin:(fun () -> Engine.pin t.ctx) req)
+        (fun () -> eval ?texts t session ~pin:(fun () -> Engine.pin t.ctx) req)
     end
     else begin
       (* Pure read (including a pure-read batch): pin the latest
@@ -907,7 +910,9 @@ and connection_loop t fd conn_id =
                 Wire.Shutdown,
               false )
           | req ->
-            (serve_request t session ~conn_id ~user ?deadline ?trace req, true)
+            ( serve_request t session ~conn_id ~user ?deadline ?trace
+                ~texts:meta.Wire.fm_texts req,
+              true )
         in
         (match Wire.send_response fd resp with
         | () -> ()

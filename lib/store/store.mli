@@ -57,8 +57,11 @@ val meta :
   ?user:string -> ?label:string -> ?comment:string -> ?keywords:string list ->
   created_at:int -> unit -> meta
 
-val put : 'a t -> entity:string -> hash:string -> meta:meta -> 'a -> iid
-(** Install an instance; the payload is stored once per distinct hash. *)
+val put :
+  ?text:string -> 'a t -> entity:string -> hash:string -> meta:meta -> 'a -> iid
+(** Install an instance; the payload is stored once per distinct hash.
+    [text] is the payload's serialised form as the caller received it,
+    handed on to the write observer untouched. *)
 
 val find : 'a t -> iid -> 'a instance
 (** @raise Ddf_core.Error.Ddf_error on a missing instance. *)
@@ -131,7 +134,8 @@ val put_cold : 'a t -> entity:string -> hash:string -> meta:meta -> iid
 (** {1 Write observation (the journal's attachment point)} *)
 
 type 'a event =
-  | Put of 'a instance * 'a       (** a new instance was installed *)
+  | Put of 'a instance * 'a * string option
+      (** a new instance was installed, with {!put}'s [text] *)
   | Annotated of 'a instance      (** an instance's meta changed *)
 
 val set_observer : 'a t -> ('a event -> unit) -> unit

@@ -40,9 +40,9 @@ open Ddf_store
 open Ddf_history
 module S = Ddf_persist.Sexp
 module W = Ddf_persist.Workspace_file
-module Codec = Ddf_persist.Codec
 module Engine = Ddf_exec.Engine
 module Journal = Ddf_journal.Journal
+module Entry = Ddf_entry.Entry
 module Wire = Ddf_wire.Wire
 module Client = Ddf_client.Client
 module Obs = Ddf_obs.Obs
@@ -343,28 +343,20 @@ let apply_frames j ~origin ~upto frames =
       incr conflicts;
       Metrics.incr m_conflicts
   in
-  let int_f fields name = S.as_int (S.one name (S.find_field fields name)) in
-  let atom_f fields name = S.as_atom (S.one name (S.find_field fields name)) in
+  let advance clock = ctx.Engine.clock <- max ctx.Engine.clock clock in
+  (* a peer's bad bytes are its error, not this journal's *)
+  let from_peer f =
+    try f ()
+    with E.Ddf_error e when e.E.code = `Internal ->
+      E.errorf `Invalid "sync frame: %s" e.E.message
+  in
   let apply_entry payload =
-    let sexp =
-      try S.of_string payload
-      with S.Sexp_error m -> E.errorf `Invalid "sync frame: %s" m
-    in
-    match S.as_list sexp with
-    | S.Atom "put" :: fields ->
-      let riid = int_f fields "iid" in
-      let entity = atom_f fields "entity" in
-      let stored_hash = atom_f fields "hash" in
-      let meta = W.meta_of_sexp (S.one "meta" (S.find_field fields "meta")) in
+    match from_peer (fun () -> Entry.decode payload) with
+    | Entry.Put { iid = riid; clock; entity; hash = stored_hash; meta; text } ->
       let value =
-        try Codec.value_of_sexp (S.one "value" (S.find_field fields "value"))
-        with Codec.Codec_error m ->
-          E.errorf `Invalid "sync frame for instance %d: %s" riid m
+        from_peer (fun () -> Entry.value ~iid:riid ~hash:stored_hash text)
       in
-      if Ddf_data.hash value <> stored_hash then
-        E.errorf `Invalid "sync frame for instance %d: content hash mismatch"
-          riid;
-      ctx.Engine.clock <- max ctx.Engine.clock (int_f fields "clock");
+      advance clock;
       if Hashtbl.mem st.st_imap (origin, riid) then incr skipped
       else begin
         let bk =
@@ -378,18 +370,18 @@ let apply_frames j ~origin ~upto frames =
           incr skipped
         | None ->
           (* a direct put preserves the remote meta (user, creation
-             time), so the birth key survives further hops *)
+             time), so the birth key survives further hops; the
+             peer's text is journaled as it came *)
           let liid =
-            Store.put (store ()) ~entity ~hash:stored_hash ~meta value
+            Store.put ~text (store ()) ~entity ~hash:stored_hash ~meta value
           in
           Hashtbl.replace st.st_imap (origin, riid) liid;
           Hashtbl.replace st.st_born liid origin;
           Hashtbl.replace id_index bk liid;
           incr applied
       end
-    | S.Atom "note" :: fields ->
-      let liid = remap (int_f fields "iid") in
-      let meta = W.meta_of_sexp (S.one "meta" (S.find_field fields "meta")) in
+    | Entry.Note { iid = riid; meta } ->
+      let liid = remap riid in
       (* max-register merge: the larger serialized annotation wins on
          both sides, so concurrent edits converge without a conflict;
          equality skips, so re-delivery reaches a fixpoint *)
@@ -400,17 +392,8 @@ let apply_frames j ~origin ~upto frames =
         incr applied
       end
       else incr skipped
-    | [ S.Atom "record"; clock_field; r ] ->
-      let clock =
-        match clock_field with
-        | S.List [ S.Atom "clock"; c ] -> S.as_int c
-        | _ -> E.errorf `Invalid "sync frame: malformed record entry"
-      in
-      let p =
-        try W.record_of_sexp r
-        with W.Persist_error m -> E.errorf `Invalid "sync record entry: %s" m
-      in
-      ctx.Engine.clock <- max ctx.Engine.clock clock;
+    | Entry.Record { clock; record = p } ->
+      advance clock;
       let tool = Option.map remap p.W.rp_tool in
       let inputs = List.map (fun (role, i) -> (role, remap i)) p.W.rp_inputs in
       let outputs = List.map (fun (e, i) -> (e, remap i)) p.W.rp_outputs in
@@ -465,14 +448,14 @@ let apply_frames j ~origin ~upto frames =
             outputs
         end
       end
-    | S.Atom "conflict" :: fields ->
-      ctx.Engine.clock <- max ctx.Engine.clock (int_f fields "clock");
-      let rcid = int_f fields "id" in
+    | Entry.Conflict { clock; conflict = rcid; base; ours; theirs; origin = o; at }
+      ->
+      advance clock;
       if Hashtbl.mem st.st_cmap (origin, rcid) then incr skipped
       else begin
-        let base = remap (int_f fields "base") in
-        let ours = remap (int_f fields "ours") in
-        let theirs = remap (int_f fields "theirs") in
+        let base = remap base in
+        let ours = remap ours in
+        let theirs = remap theirs in
         match History.find_conflict_pair (history ()) ours theirs with
         | Some c ->
           (* we already registered this divergence from our end *)
@@ -480,24 +463,22 @@ let apply_frames j ~origin ~upto frames =
           incr skipped
         | None ->
           let c =
-            History.add_conflict (history ()) ~base ~ours ~theirs
-              ~origin:(atom_f fields "origin") ~at:(int_f fields "at")
+            History.add_conflict (history ()) ~base ~ours ~theirs ~origin:o ~at
           in
           Hashtbl.replace st.st_cmap (origin, rcid) c.History.cid;
           incr conflicts;
           Metrics.incr m_conflicts;
           incr applied
       end
-    | S.Atom "resolve" :: fields -> (
-      ctx.Engine.clock <- max ctx.Engine.clock (int_f fields "clock");
-      let rcid = int_f fields "id" in
+    | Entry.Resolve { clock; conflict = rcid; winner } -> (
+      advance clock;
       match Hashtbl.find_opt st.st_cmap (origin, rcid) with
       | None ->
         (* a resolution for a conflict we never mapped (lost sidecar):
            nothing safe to do — the conflict itself stays queryable *)
         incr skipped
       | Some lcid -> (
-        let winner = remap (int_f fields "winner") in
+        let winner = remap winner in
         let c = History.find_conflict (history ()) lcid in
         match c.History.c_winner with
         | Some w when w = winner -> incr skipped
@@ -510,7 +491,6 @@ let apply_frames j ~origin ~upto frames =
             (History.resolve_conflict (history ()) lcid ~winner
               : History.conflict);
           incr applied))
-    | _ -> E.errorf `Invalid "sync frame: unknown entry kind"
   in
   List.iter
     (fun (seqno, md5, payload) ->

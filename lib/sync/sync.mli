@@ -31,8 +31,9 @@
     per-origin applied cursors, the identity map and the conflict map.
     A sync severed mid-round (network fault, crash) resumes from the
     cursor; re-delivered frames deduplicate, so delivery is
-    effectively exactly-once.  The wire side rides the v6 verbs
-    ({!Ddf_wire.Wire.request}); in-process peers sync directly. *)
+    effectively exactly-once.  The wire side rides the sync verbs of
+    {!Ddf_wire.Wire.request} ([sync-digest], [sync-frames],
+    [sync-ack]); in-process peers sync directly. *)
 
 (** {1 Digests} *)
 
@@ -95,8 +96,7 @@ type peer
 val of_journal : Ddf_journal.Journal.t -> peer
 
 val of_client : Ddf_client.Client.t -> peer
-(** The remote must speak wire v6; older servers refuse the sync
-    verbs with a typed error. *)
+(** A design server reached over the wire, through its sync verbs. *)
 
 type direction = {
   d_from : string;      (** source wsid *)

@@ -97,9 +97,14 @@ module Enc = struct
 end
 
 module Dec = struct
-  type t = { db : string; mutable pos : int; mutable depth : int }
+  type t = {
+    db : string;
+    mutable pos : int;
+    mutable depth : int;
+    mutable texts : (S.t * string) list;  (* each [Sexp] leaf's body *)
+  }
 
-  let of_string s = { db = s; pos = 0; depth = 0 }
+  let of_string s = { db = s; pos = 0; depth = 0; texts = [] }
 
   let need d n =
     if d.pos + n > String.length d.db then
@@ -274,8 +279,12 @@ let rec decoder : type a. a fld -> Dec.t -> a = function
   | Sexp ->
     fun d ->
       let body = Dec.payload d in
-      (try S.of_string body
-       with S.Sexp_error m -> wire_errorf "install value: %s" m)
+      let v =
+        try S.of_string body
+        with S.Sexp_error m -> wire_errorf "install value: %s" m
+      in
+      d.Dec.texts <- (v, body) :: d.Dec.texts;
+      v
   | Flag _ -> Dec.bool
   | Pair (a, b) ->
     let da = decoder a and db = decoder b in
@@ -338,15 +347,22 @@ let to_slices f v =
   encoder f e v;
   Enc.finish e
 
-let to_string f v = Iovec.concat (to_slices f v)
+let to_string f v =
+  match to_slices f v with
+  | [ { Iovec.io_base; io_off = 0; io_len } ]
+    when io_len = String.length io_base ->
+    io_base
+  | slices -> Iovec.concat slices
 
-let of_string f s =
+let of_string_texts f s =
   let d = Dec.of_string s in
   let v = decoder f d in
   if not (Dec.finished d) then
     wire_errorf "trailing bytes in binary frame (%d of %d consumed)" d.Dec.pos
       (String.length s);
-  v
+  (v, d.Dec.texts)
+
+let of_string f s = fst (of_string_texts f s)
 
 (* --- text --- *)
 

@@ -79,6 +79,12 @@ val to_string : 'a fld -> 'a -> string
 val of_string : 'a fld -> string -> 'a
 (** @raise Wire_error on malformed input, including trailing bytes. *)
 
+val of_string_texts : 'a fld -> string -> 'a * (Ddf_persist.Sexp.t * string) list
+(** As {!of_string}, also returning the body of every [Sexp] leaf
+    exactly as it arrived, each paired with the tree it parsed to
+    (look one up by physical equality, [List.assq]): a receiver can
+    keep a value's bytes as sent instead of printing the tree again. *)
+
 val to_sexp : 'a union -> 'a -> Ddf_persist.Sexp.t
 
 val of_sexp : 'a union -> Ddf_persist.Sexp.t -> 'a

@@ -237,6 +237,10 @@ val response_of_binary_string : string -> response
     @raise Wire_error on malformed input, including trailing bytes
     and batches nested more than one level deep. *)
 
+val meta : Ddf_store.Store.meta Layout.fld
+(** An instance's meta-data as a browse row carries it; the journal's
+    put and note entries reuse it. *)
+
 (** {1 Framed socket I/O}
 
     Each call observes the [wire.encode_seconds] /
@@ -246,6 +250,10 @@ val response_of_binary_string : string -> response
 type frame_meta = {
   fm_deadline_ms : int option;   (** peer's remaining budget, ms *)
   fm_trace : Ddf_obs.Obs.span_ctx option;  (** peer's span context *)
+  fm_texts : (Ddf_persist.Sexp.t * string) list;
+      (** every install value of this frame, with its bytes exactly as
+          the peer sent them ({!Layout.of_string_texts}): the server
+          journals those bytes instead of printing the value again *)
 }
 
 val send_request :

@@ -275,18 +275,15 @@ let segment_files dir =
   |> List.sort compare
   |> List.map (Filename.concat dir)
 
-(* The put-map oracle: a linear scan of every cemented frame, parsing
+(* The put-map oracle: a linear scan of every cemented frame, decoding
    each put's iid — the newest put of an iid wins. *)
 let scanned_puts c =
   let tbl = Hashtbl.create 16 in
   if Cement.first_seq c > 0 then
     Cement.iter_range c ~from:(Cement.first_seq c) ~upto:(Cement.last_seq c)
       (fun _ payload ->
-        match Ddf_persist.Sexp.of_string payload with
-        | Ddf_persist.Sexp.List
-            (Ddf_persist.Sexp.Atom "put"
-            :: Ddf_persist.Sexp.List [ Ddf_persist.Sexp.Atom "iid"; iid ] :: _) ->
-          Hashtbl.replace tbl (Ddf_persist.Sexp.as_int iid) payload
+        match Entry.decode payload with
+        | Entry.Put { iid; _ } -> Hashtbl.replace tbl iid payload
         | _ -> ());
   tbl
 
@@ -308,10 +305,20 @@ let put_map_prop =
   let frame_gen =
     QCheck2.Gen.(
       pair (int_range 0 2) (int_range 1 12) >|= fun (kind, iid) ->
-      match kind with
-      | 0 -> Printf.sprintf "(put (iid %d) (value v%d))" iid iid
-      | 1 -> Printf.sprintf "(note (iid %d) (meta m))" iid
-      | _ -> "(record (clock 1) r)")
+      let meta = Store.meta ~label:"m" ~created_at:1 () in
+      Entry.encode
+        (match kind with
+        | 0 ->
+          Entry.Put
+            { iid; clock = 1; entity = "e"; hash = "h"; meta;
+              text = Printf.sprintf "v%d" iid }
+        | 1 -> Entry.Note { iid; meta }
+        | _ ->
+          Entry.Record
+            { clock = 1;
+              record =
+                { Persist.rp_rid = 1; rp_task_entity = "r"; rp_tool = None;
+                  rp_inputs = []; rp_outputs = []; rp_at = 1 } }))
   in
   let gen =
     QCheck2.Gen.(
@@ -381,8 +388,11 @@ let integrity =
           close_in ic;
           s
         in
+        (* a put entry's kind byte, right after its frame's
+           "J1 <len> <md5>\n" header line *)
         let rec last_put i =
-          if String.sub text i 4 = "(put" then i else last_put (i - 1)
+          if text.[i] = 'p' && text.[i - 1] = '\n' && text.[i - 34] = ' ' then i
+          else last_put (i - 1)
         in
         flip_byte path (last_put (String.length text - 4) + 20);
         let j = Journal.open_ ~dir Standard_schemas.odyssey in

@@ -248,8 +248,77 @@ let property_tests =
         List.for_all (fun (_, x) -> x <> Logic.VX) (Netlist.eval nl env));
   ]
 
+(* The content hash's oracle: the canonical string as it was first
+   written, one Printf per gate and flop.  The buffer-only version
+   must write the same bytes, or every stored hash changes. *)
+let printf_canonical_string (nl : Netlist.t) =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf nl.name;
+  Buffer.add_string buf "|pi:";
+  Buffer.add_string buf (String.concat "," nl.primary_inputs);
+  Buffer.add_string buf "|po:";
+  Buffer.add_string buf (String.concat "," nl.primary_outputs);
+  let gs =
+    List.sort (fun a b -> compare a.Netlist.gname b.Netlist.gname) nl.gates
+  in
+  List.iter
+    (fun (g : Netlist.gate) ->
+      Buffer.add_string buf
+        (Printf.sprintf "|%s:%s(%s)->%s@%d" g.gname (Logic.op_name g.op)
+           (String.concat "," g.inputs) g.output g.drive))
+    gs;
+  List.iter
+    (fun (f : Netlist.flop) ->
+      Buffer.add_string buf
+        (Printf.sprintf "|%s:dff(%s)->%s=%s" f.fname f.d f.q
+           (Logic.value_name f.init)))
+    (List.sort (fun a b -> compare a.Netlist.fname b.Netlist.fname) nl.flops);
+  Buffer.contents buf
+
+let canonical_oracle_test =
+  let open QCheck2 in
+  (* short names over a small alphabet, so names repeat and sort ties
+     happen; drives beyond the validated 1/2/4 cover every digit
+     count *)
+  let name = Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '1'; '_' ]) (int_range 0 3)) in
+  let names = Gen.(list_size (int_range 0 4) name) in
+  let gate =
+    Gen.map
+      (fun ((gname, op), (inputs, output), drive) ->
+        { Netlist.gname; op; inputs; output; drive })
+      Gen.(
+        triple (pair name (oneofl Logic.all_ops)) (pair names name)
+          (oneof [ oneofl [ 1; 2; 4 ]; int_range (-20) 20; int ]))
+  in
+  let flop =
+    Gen.map
+      (fun ((fname, d), (q, init)) -> { Netlist.fname; d; q; init })
+      Gen.(pair (pair name name) (pair name (oneofl Logic.[ V0; V1; VX ])))
+  in
+  let netlist =
+    Gen.map
+      (fun ((name, primary_inputs, primary_outputs), (gates, flops)) ->
+        { Netlist.name; primary_inputs; primary_outputs; gates; flops })
+      Gen.(
+        pair (triple name names names)
+          (pair
+             (list_size (int_range 0 30) gate)
+             (oneof [ pure []; list_size (int_range 1 6) flop ])))
+  in
+  Util.qcheck ~count:300 "the canonical string equals its Printf oracle" netlist
+    (fun nl -> Netlist.to_canonical_string nl = printf_canonical_string nl)
+
+let random_canonical_test =
+  let open QCheck2 in
+  Util.qcheck ~count:100 "generated circuits hash as the Printf oracle does"
+    Gen.(pair (int_bound 1_000_000) (int_range 1 80))
+    (fun (seed, n_gates) ->
+      let nl = Circuits.random ~n_inputs:4 ~n_gates (Rng.create seed) in
+      Netlist.to_canonical_string nl = printf_canonical_string nl)
+
 let suite =
   [
+    ("eda.netlist.hash", [ canonical_oracle_test; random_canonical_test ]);
     ("eda.logic", logic_tests);
     ("eda.netlist.construction", construction_tests);
     ("eda.netlist.eval", eval_tests);

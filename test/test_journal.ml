@@ -153,6 +153,24 @@ let torn_tail =
         let after = state (Journal.context j) in
         Journal.close j;
         reopened_equals dir after);
+    Alcotest.test_case "a header claiming a terabyte is a torn tail" `Quick
+      (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        ignore (activity (Journal.context j) 2);
+        let before = state (Journal.context j) in
+        Journal.close j;
+        (* a damaged length must be refused before anything is
+           allocated for it *)
+        let oc =
+          open_out_gen [ Open_append ] 0o644 (Filename.concat dir "wal.ddf")
+        in
+        output_string oc "J1 1099511627776 0123456789abcdef0123456789abcdef\np";
+        close_out oc;
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        Alcotest.(check bool) "tail dropped" true (Journal.truncated_on_open j > 0);
+        Alcotest.(check string) "prefix state" before (state (Journal.context j));
+        Journal.close j);
     Alcotest.test_case "corrupted checksum in the tail is dropped" `Quick
       (fun () ->
         with_dir @@ fun dir ->

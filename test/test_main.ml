@@ -8,4 +8,5 @@ let () =
     @ Test_obs.suite @ Test_journal.suite @ Test_server.suite
     @ Test_replica.suite @ Test_cement.suite @ Test_fault.suite
     @ Test_telemetry.suite @ Test_sync.suite @ Test_wire.suite
-    @ Test_mvcc.suite @ Test_trace_walk.suite @ Test_version_index.suite)
+    @ Test_mvcc.suite @ Test_trace_walk.suite @ Test_version_index.suite
+    @ Test_entry.suite)

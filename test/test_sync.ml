@@ -551,7 +551,7 @@ let rules =
         let rid = Test_journal.base_record (Journal.context ja) in
         let records, puts =
           List.partition
-            (fun (_, _, payload) -> String.starts_with ~prefix:"(record" payload)
+            (fun (_, _, payload) -> String.starts_with ~prefix:"r" payload)
             (Journal.frames ja ~after:0 ~limit:100)
         in
         Alcotest.(check int) "one record frame" 1 (List.length records);
