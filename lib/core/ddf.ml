@@ -23,7 +23,7 @@ module Parallel = Ddf_exec.Parallel
 module Consistency = Ddf_exec.Consistency
 module Typing = Ddf_exec.Typing
 module Views = Ddf_views.Views
-module Persist = Ddf_persist.Workspace_file
+module Persist = Ddf_entry.Workspace_file
 module Process = Ddf_process.Process
 module Process_file = Ddf_process.Process_file
 module Sexp = Ddf_persist.Sexp

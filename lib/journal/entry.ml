@@ -12,7 +12,15 @@
    are disk format: never renumber. *)
 
 module L = Ddf_wire.Layout
-module W = Ddf_persist.Workspace_file
+
+type record_parts = {
+  rp_rid : int;
+  rp_task_entity : string;
+  rp_tool : Ddf_store.Store.iid option;
+  rp_inputs : (string * Ddf_store.Store.iid) list;
+  rp_outputs : (string * Ddf_store.Store.iid) list;
+  rp_at : int;
+}
 
 type t =
   | Put of {
@@ -24,7 +32,7 @@ type t =
       text : string;
     }
   | Note of { iid : int; meta : Ddf_store.Store.meta }
-  | Record of { clock : int; record : W.record_parts }
+  | Record of { clock : int; record : record_parts }
   | Conflict of {
       clock : int;
       conflict : int;
@@ -45,9 +53,9 @@ let binding = L.List (L.Str ** L.Int)
 let record_parts =
   L.Map
     ( (fun (rp_rid, (rp_task_entity, (rp_tool, (rp_inputs, (rp_outputs, rp_at)))))
-       -> { W.rp_rid; rp_task_entity; rp_tool; rp_inputs; rp_outputs; rp_at }),
+       -> { rp_rid; rp_task_entity; rp_tool; rp_inputs; rp_outputs; rp_at }),
       (fun p ->
-        W.(p.rp_rid, (p.rp_task_entity, (p.rp_tool, (p.rp_inputs,
+        (p.rp_rid, (p.rp_task_entity, (p.rp_tool, (p.rp_inputs,
           (p.rp_outputs, p.rp_at)))))),
       L.Int ** L.Str ** L.Opt L.Int ** binding ** binding ** L.Int )
 
@@ -98,6 +106,9 @@ let decode payload =
       format_version;
   try L.of_string fld payload
   with L.Wire_error m -> Ddf_core.Error.errorf `Internal "journal entry: %s" m
+
+let text value =
+  Ddf_persist.Sexp.to_string ~pretty:false (Ddf_persist.Codec.value_to_sexp value)
 
 let value ~iid ~hash text =
   let value =

@@ -15,6 +15,19 @@
     entries of earlier builds) are refused by name: there is no reader
     for them. *)
 
+(** A history record as the journal and the checkpoint store it. *)
+type record_parts = {
+  rp_rid : int;
+  rp_task_entity : string;
+  rp_tool : Ddf_store.Store.iid option;
+  rp_inputs : (string * Ddf_store.Store.iid) list;
+  rp_outputs : (string * Ddf_store.Store.iid) list;
+  rp_at : int;
+}
+
+val record_parts : record_parts Ddf_wire.Layout.fld
+(** A record's layout, shared by the record entry and the checkpoint. *)
+
 type t =
   | Put of {
       iid : int;
@@ -25,7 +38,7 @@ type t =
       text : string;  (** the value, flat s-expression text *)
     }
   | Note of { iid : int; meta : Ddf_store.Store.meta }
-  | Record of { clock : int; record : Ddf_persist.Workspace_file.record_parts }
+  | Record of { clock : int; record : record_parts }
   | Conflict of {
       clock : int;
       conflict : int;
@@ -43,6 +56,9 @@ val decode : string -> t
 (** @raise Ddf_core.Error.Ddf_error on anything but a well-formed
     entry: [`Invalid] naming format 1 for an s-expression entry,
     [`Internal] for truncated, unknown or trailing bytes. *)
+
+val text : Ddf_data.value -> string
+(** A value printed as a put carries it: flat s-expression text. *)
 
 val value : iid:int -> hash:string -> string -> Ddf_data.value
 (** A put's value, parsed back from its text and checked against the

@@ -568,7 +568,7 @@ let value_to_sexp = function
         S.float o.Ddf_data.objective.Optimize.power_weight ]
   | Ddf_data.Tool t -> S.list [ S.atom "tool"; tool_to_sexp t ]
 
-let value_of_sexp sexp =
+let value_of_fields sexp =
   match S.as_list sexp with
   | [ S.Atom "blob"; kind; text ] ->
     Ddf_data.Blob { blob_kind = S.as_atom kind; text = S.as_atom text }
@@ -610,3 +610,14 @@ let value_of_sexp sexp =
   | [ S.Atom "tool"; t ] -> Ddf_data.Tool (tool_of_sexp t)
   | S.Atom k :: _ -> codec_errorf "unknown payload kind %S" k
   | _ -> codec_errorf "malformed value"
+
+(* The payload constructors check their own invariants: on text that
+   breaks one (hostile or damaged bytes) their refusal is this
+   codec's. *)
+let value_of_sexp sexp =
+  try value_of_fields sexp with
+  | Netlist.Netlist_error m | Layout.Layout_error m | Device_model.Model_error m
+  | Stimuli.Stimuli_error m | Edit_script.Edit_error m
+  | Sim_compiled.Compile_error m | Transistor.Transistor_error m
+  | Ddf_data.Type_error m ->
+    raise (Codec_error m)

@@ -61,10 +61,6 @@ and add_item buf ~depth ~first item =
   separator buf ~depth ~first ~list:(match item with List _ -> true | Atom _ -> false);
   to_buffer buf (if depth >= 0 then depth + 1 else depth) item
 
-let open_item buf ~depth ~first =
-  separator buf ~depth ~first ~list:true;
-  Buffer.add_char buf '('
-
 let to_string ?(pretty = true) sexp =
   let buf = Buffer.create 1024 in
   to_buffer buf (if pretty then 0 else -1) sexp;

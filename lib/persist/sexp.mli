@@ -1,5 +1,6 @@
-(** A minimal s-expression reader/printer: the workspace's on-disk
-    syntax.  Atoms are bare words or double-quoted strings with the
+(** A minimal s-expression reader/printer: the text of design-object
+    values (as put entries and checkpoints carry them) and of
+    [remote batch] requests.  Atoms are bare words or double-quoted strings with the
     usual escapes; lists are parenthesized; [;] comments run to end of
     line. *)
 
@@ -18,20 +19,6 @@ val max_depth : int
 (** How deep {!of_string} lets lists nest: far beyond anything the
     workspace formats write, low enough that a hostile input cannot
     exhaust the reader's stack. *)
-
-(** {1 Streaming printer}
-
-    Pretty-print a long list item by item into a buffer, byte-identical
-    to {!to_string} of the whole tree, without ever building the tree.
-    [depth] is the nesting depth of the open list that receives the
-    item: 0 for the outermost list, whose ['('] and [')'] the caller
-    writes. *)
-
-val add_item : Buffer.t -> depth:int -> first:bool -> t -> unit
-
-val open_item : Buffer.t -> depth:int -> first:bool -> unit
-(** Start an item that is itself a list: fill it with items at
-    [depth + 1] and close it with [')']. *)
 
 (** {1 Construction helpers} *)
 

@@ -39,7 +39,7 @@
 open Ddf_store
 open Ddf_history
 module S = Ddf_persist.Sexp
-module W = Ddf_persist.Workspace_file
+module W = Ddf_entry.Workspace_file
 module Engine = Ddf_exec.Engine
 module Journal = Ddf_journal.Journal
 module Entry = Ddf_entry.Entry
@@ -394,12 +394,12 @@ let apply_frames j ~origin ~upto frames =
       else incr skipped
     | Entry.Record { clock; record = p } ->
       advance clock;
-      let tool = Option.map remap p.W.rp_tool in
-      let inputs = List.map (fun (role, i) -> (role, remap i)) p.W.rp_inputs in
-      let outputs = List.map (fun (e, i) -> (e, remap i)) p.W.rp_outputs in
+      let tool = Option.map remap p.Entry.rp_tool in
+      let inputs = List.map (fun (role, i) -> (role, remap i)) p.Entry.rp_inputs in
+      let outputs = List.map (fun (e, i) -> (e, remap i)) p.Entry.rp_outputs in
       let rkey =
-        record_key ~task_entity:p.W.rp_task_entity ~tool ~inputs ~outputs
-          ~at:p.W.rp_at
+        record_key ~task_entity:p.Entry.rp_task_entity ~tool ~inputs ~outputs
+          ~at:p.Entry.rp_at
       in
       if Hashtbl.mem rec_index rkey then incr skipped
       else begin
@@ -426,7 +426,7 @@ let apply_frames j ~origin ~upto frames =
         else begin
           let r =
             W.add_record ctx
-              { p with W.rp_tool = tool; rp_inputs = inputs; rp_outputs = outputs }
+              { p with Entry.rp_tool = tool; rp_inputs = inputs; rp_outputs = outputs }
           in
           Hashtbl.replace rec_index rkey r.History.rid;
           incr applied;

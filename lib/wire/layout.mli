@@ -85,6 +85,32 @@ val of_string_texts : 'a fld -> string -> 'a * (Ddf_persist.Sexp.t * string) lis
     (look one up by physical equality, [List.assq]): a receiver can
     keep a value's bytes as sent instead of printing the tree again. *)
 
+(** {1 Streams}
+
+    A document too large to build as one value (a checkpoint): a raw
+    [head], then layouts one after the other, a section being a count
+    and its rows.  Every [Int], length and count in a stream is an
+    LEB128 varint.  [write], [write_each], [read] and [read_each]
+    compile their layout when partially applied: bind them once.
+    Readers raise {!Wire_error} on malformed input, and refuse a
+    length or count beyond the bytes left before allocating. *)
+
+type writer
+type reader
+
+val writer : head:string -> writer
+val write : 'a fld -> writer -> 'a -> unit
+val write_each : 'a fld -> writer -> ('b -> 'a) -> 'b list -> unit
+(** The count of the list, then the row of each element. *)
+
+val written : writer -> string
+val reader : head:string -> string -> reader
+val read : 'a fld -> reader -> 'a
+val read_each : 'a fld -> reader -> ('a -> unit) -> unit
+(** A section's rows, each passed on as it is decoded. *)
+
+val read_end : reader -> unit
+
 val to_sexp : 'a union -> 'a -> Ddf_persist.Sexp.t
 
 val of_sexp : 'a union -> Ddf_persist.Sexp.t -> 'a

@@ -369,7 +369,7 @@ module Request = struct
       | Batch rs -> V (batch, rs))
 end
 
-(* the five items of [Workspace_file.meta_to_sexp] *)
+(* an instance's meta-data: the wire's, the journal's and the checkpoint's *)
 let meta =
   Row
     (Map

@@ -36,14 +36,7 @@ let reset_to_snapshot j ~seq data =
    meta-data and payloads, history records, the clock.  The session
    [user] header is per-connection identity, not durable state (a
    server rebinds it on every mutation), so it is normalized out. *)
-let state ctx =
-  Persist.save (Session.of_context ctx)
-  |> String.split_on_char '\n'
-  |> List.map (fun line ->
-         if String.length line >= 7 && String.sub line 0 7 = " (user " then
-           " (user _)"
-         else line)
-  |> String.concat "\n"
+let state ctx = Persist.save (Session.of_context { ctx with Engine.user = "_" })
 
 (* Drive a journaled context through the kind of work a session does:
    tool installs (via the workspace wrapper), netlist installs, edit
@@ -411,33 +404,28 @@ let checkpoint =
         | exception Error.Ddf_error e ->
           Alcotest.(check bool) "names the iid" true
             (Util.contains (Error.message e) "instance 1:"));
-    Alcotest.test_case "a version-1 workspace file still loads" `Quick
-      (fun () ->
-        let w = Workspace.create () in
-        ignore (Workspace.install_netlist w (Eda.Circuits.c17 ()));
-        let v2 = Persist.save (Workspace.session w) in
-        (* the version-1 layout: the bare value in the payload slot *)
-        let module S = Ddf_persist.Sexp in
-        let downgrade = function
-          | S.List [ S.Atom "version"; _ ] -> S.List [ S.Atom "version"; S.Atom "1" ]
-          | S.List (S.Atom "instances" :: insts) ->
-            S.List
-              (S.Atom "instances"
-              :: List.map
-                   (function
-                     | S.List [ iid; e; m; h; S.List [ S.Atom "value"; v ] ] ->
-                       S.List [ iid; e; m; h; v ]
-                     | _ -> Alcotest.fail "unexpected instance shape")
-                   insts)
-          | x -> x
+    Alcotest.test_case "an s-expression checkpoint is refused at open and at resync"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let old = "(ddf_workspace\n (version 2)\n (user u)\n (clock 0))\n" in
+        let expect_refusal f =
+          match f () with
+          | _ -> Alcotest.fail "expected the s-expression checkpoint to be refused"
+          | exception Error.Ddf_error e ->
+            Alcotest.(check bool) "typed `Invalid" true (e.Error.code = `Invalid);
+            Alcotest.(check bool) "names the format" true
+              (Util.contains e.Error.message "checkpoint format 2 (s-expression)")
         in
-        let v1 =
-          match S.of_string v2 with
-          | S.List fields -> S.to_string (S.List (List.map downgrade fields))
-          | S.Atom _ -> Alcotest.fail "not a workspace"
-        in
-        let s = Persist.load Standard_schemas.odyssey v1 in
-        Alcotest.(check string) "same workspace" v2 (Persist.save s));
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        ignore (activity (Journal.context j) 2);
+        let before = state (Journal.context j) in
+        expect_refusal (fun () -> reset_to_snapshot j ~seq:99 old);
+        Alcotest.(check string) "the database is untouched" before
+          (state (Journal.context j));
+        Journal.close j;
+        Out_channel.with_open_bin (Filename.concat dir "snapshot.ddf") (fun oc ->
+            output_string oc old);
+        expect_refusal (fun () -> Journal.open_ ~dir Standard_schemas.odyssey));
   ]
 
 (* The journaled database against an in-memory oracle: the same random

@@ -298,9 +298,10 @@ let scheduler_tests =
         (* only the verification executed; the extraction was pre-bound *)
         check Alcotest.int "one task" 1 run2.Engine.stats.Engine.executed);
     t "sexp pretty and compact forms parse the same" (fun () ->
-        let w = Workspace.create () in
-        ignore (Workspace.install_netlist w (Eda.Circuits.full_adder ()));
-        let text = Persist.save (Workspace.session w) in
+        let text =
+          Sexp.to_string
+            (Codec.value_to_sexp (Value.Netlist (Eda.Circuits.full_adder ())))
+        in
         let sexp = Sexp.of_string text in
         check Alcotest.bool "compact round-trip" true
           (Sexp.of_string (Sexp.to_string ~pretty:false sexp) = sexp));

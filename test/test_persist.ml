@@ -170,12 +170,18 @@ let suite_cases =
         let w, _, _ = rich_session () in
         let s = Workspace.session w in
         check Alcotest.string "same bytes" (Persist.save s) (Persist.save s));
-    t "the streamed save prints exactly the whole tree" (fun () ->
+    t "a cemented checkpoint is byte-deterministic and a save/load fixpoint"
+      (fun () ->
         let w, _, _ = rich_session () in
-        let text = Persist.save (Workspace.session w) in
-        let module S = Ddf_persist.Sexp in
-        check Alcotest.string "layout" (S.to_string (S.of_string text) ^ "\n")
-          text);
+        let cemented iid = Some (2 * iid) in
+        let text = Persist.save ~cemented (Workspace.session w) in
+        check Alcotest.string "same bytes" text
+          (Persist.save ~cemented (Workspace.session w));
+        let s2 = Persist.load ~cemented Standard_schemas.odyssey text in
+        check Alcotest.string "fixpoint" text (Persist.save ~cemented s2);
+        let store = (Session.context s2).Engine.store in
+        check Alcotest.bool "every payload left cold" false
+          (List.exists (Store.payload_resident store) (Store.all_instances store)));
     t "a second save/load cycle is a fixpoint" (fun () ->
         let w, _, _ = rich_session () in
         let text1 = Persist.save (Workspace.session w) in
@@ -269,5 +275,107 @@ let sexp_cases =
           [ "\"abc"; "(\"a\\"; "\"bad \\q escape\""; ")" ]);
   ]
 
+(* The hostile-bytes property of the checkpoint decoder, over the
+   rich session's checkpoint, self-contained and cemented, plus one
+   sync conflict. *)
+let checkpoints =
+  lazy
+    (let w, _, _ = rich_session () in
+     let h = (Workspace.ctx w).Engine.history in
+     let c = History.add_conflict h ~base:1 ~ours:2 ~theirs:3 ~origin:"peer" ~at:9 in
+     ignore (History.resolve_conflict h c.History.cid ~winner:2);
+     let s = Workspace.session w in
+     (Persist.save s, Persist.save ~cemented:Option.some s))
+
+type damage =
+  | Truncate of int
+  | Flip of int * int
+  | Lying_length of int * int
+      (* a varint this much past the end; [max_int]: the largest claim *)
+
+let damage =
+  QCheck2.Gen.(
+    oneof
+      [ map (fun k -> Truncate k) nat;
+        map (fun (p, b) -> Flip (p, b)) (pair nat (int_range 0 7));
+        map (fun (p, n) -> Lying_length (p, n))
+          (pair nat (oneof [ int_range 1 64; int_range (1 lsl 40) (1 lsl 50); return max_int ])) ])
+
+let apply_damage bytes = function
+  | Truncate k -> String.sub bytes 0 (k mod String.length bytes)
+  | Flip (p, bit) ->
+    let b = Bytes.of_string bytes in
+    let p = p mod Bytes.length b in
+    Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 lsl bit)));
+    Bytes.to_string b
+  | Lying_length (p, extra) ->
+    (* an LEB128 length or count larger than every byte after it,
+       written over any offset *)
+    let p = p mod String.length bytes in
+    let n = ref (if extra = max_int then max_int else String.length bytes - p + extra)
+    and v = Buffer.create 9 in
+    while !n lsr 7 <> 0 do
+      Buffer.add_char v (Char.chr (!n land 0x7f lor 0x80));
+      n := !n lsr 7
+    done;
+    Buffer.add_char v (Char.chr !n);
+    let v = Buffer.contents v in
+    let rest = p + String.length v in
+    String.sub bytes 0 p ^ v
+    ^ if rest < String.length bytes then String.sub bytes rest (String.length bytes - rest) else ""
+
+let checkpoint_cases =
+  [ Util.qcheck ~count:300 "damaged checkpoints raise only the typed errors"
+      QCheck2.Gen.(pair bool damage)
+      (fun (cemented, d) ->
+        let inline, cold = Lazy.force checkpoints in
+        let bytes = apply_damage (if cemented then cold else inline) d in
+        let cemented = if cemented then Some Option.some else None in
+        match Persist.load ?cemented Standard_schemas.odyssey bytes with
+        (* a flipped or overwritten byte inside a string can still load;
+           a truncated checkpoint never can *)
+        | _ -> ( match d with Truncate _ -> false | Flip _ | Lying_length _ -> true)
+        | exception Persist.Persist_error _ -> true
+        (* a row that still decodes but that the history refuses (a
+           record breaking the schema's rules, a conflict's foreign
+           winner) is the history's typed error; a truncation never
+           gets that far *)
+        | exception Error.Ddf_error _ -> (
+          match d with Truncate _ -> false | Flip _ | Lying_length _ -> true));
+    Util.qcheck ~count:200 "every int survives the varint layout"
+      QCheck2.Gen.(oneof [ int; oneofl [ 0; 127; 128; -1; min_int; max_int ] ])
+      (fun n ->
+        let w = Workspace.create () in
+        let store = Workspace.store w in
+        let value = Value.Blob { blob_kind = "text"; text = "v" } in
+        let iid =
+          Store.put store ~entity:E.stimuli ~hash:(Value.hash value)
+            ~meta:(Store.meta ~keywords:[ "k" ] ~created_at:n ()) value
+        in
+        let s2 = Persist.load Standard_schemas.odyssey (Persist.save (Workspace.session w)) in
+        (Store.meta_of (Session.context s2).Engine.store iid).Store.created_at = n);
+    t "a length beyond the bytes left is refused before it is allocated"
+      (fun () ->
+        let inline, _ = Lazy.force checkpoints in
+        (* the user's length, right after the magic and the format *)
+        let bytes = apply_damage inline (Lying_length (5, max_int)) in
+        match Persist.load Standard_schemas.odyssey bytes with
+        | _ -> Alcotest.fail "loaded"
+        | exception Persist.Persist_error m ->
+          check Alcotest.bool "truncation reported" true (Util.contains m "truncated"));
+    t "an s-expression checkpoint is refused by name" (fun () ->
+        List.iter
+          (fun (version, text) ->
+            match Persist.load Standard_schemas.odyssey text with
+            | _ -> Alcotest.fail "loaded"
+            | exception Error.Ddf_error e ->
+              check Alcotest.bool "typed `Invalid" true (e.Error.code = `Invalid);
+              check Alcotest.bool "names its format" true
+                (Util.contains e.Error.message
+                   (Printf.sprintf "checkpoint format %d (s-expression)" version)))
+          [ (2, "(ddf_workspace\n (version 2)\n (user u)\n (clock 0))\n");
+            (1, "(ddf_workspace\n (version 1)\n (user u)\n (clock 0))\n") ]) ]
+
 let suite =
-  [ ("persist.workspace", suite_cases); ("persist.sexp", sexp_cases) ]
+  [ ("persist.workspace", suite_cases); ("persist.checkpoint", checkpoint_cases);
+    ("persist.sexp", sexp_cases) ]
