@@ -122,6 +122,9 @@ let with_workspace ?user ws_file f =
       | session -> Workspace.of_session session
       | exception Persist.Persist_error m ->
         Printf.eprintf "cannot load workspace: %s\n" m;
+        exit 1
+      | exception Error.Ddf_error err ->
+        Printf.eprintf "cannot load workspace: %s\n" (Error.message err);
         exit 1)
     | Some _ | None -> Workspace.create ?user ()
   in
