@@ -42,6 +42,12 @@
       checkpoint's bytes, and the words one call allocates.  Load's
       words grow a little faster than the instances: each store put
       copies a path of four persistent maps.
+   9. The install path -- one batch frame of 32 installs as perfbench's
+      ingest sends it (netlists and stimuli): the words its body's
+      decode allocates, reading its values, the writer's work for them
+      (read, install, journal append), and the mean
+      [server.alloc_words.batch] an in-process daemon reports for
+      eight such frames.  Words do not depend on host speed.
 
    Exported gauges (for --json): perf.write.{always_rps,group_rps,
    speedup}, perf.rtt.{singleton_rps,batch32_rps,speedup},
@@ -52,7 +58,7 @@
    perf.browse_rare_entity.n<instances>.us,
    perf.entry.{encode,decode,replay,hash}.{ns,words},
    perf.checkpoint.{n1000,n4000,d400}.{bytes,save_us,save_words,load_us,
-   load_words}. *)
+   load_words}, perf.install_path.{decode,value,install,server}.words. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -227,22 +233,8 @@ let version_queries records =
 
 let trace_depths = [ 100; 400; 1600 ]
 
-(* The words one call of [f] allocates, in both heaps: a block too
-   large for the minor heap goes straight to the major heap.  Promoted
-   words count as major words too, so only the direct ones are added.
-   On OCaml 5.1 the minor count must come from [Gc.minor_words] (the
-   one in [Gc.counters] is off by the word size) and the major counts
-   from [Gc.counters] ([Gc.quick_stat]'s lag behind promotion). *)
-let alloc_words f =
-  let direct_major () =
-    let _, promoted, major = Gc.counters () in
-    major -. promoted
-  in
-  let m0 = direct_major () in
-  let w0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (f ()));
-  let w1 = Gc.minor_words () in
-  w1 -. w0 +. (direct_major () -. m0)
+(* The words one call of [f] allocates, in both heaps. *)
+let alloc_words = Metrics.alloc_words
 
 type chain_reads = {
   bytes : int;          (* the trace text's size *)
@@ -443,6 +435,103 @@ let checkpoint_rows () =
       ("n4000", "4,000 instances", 4_000, 0);
       ("d400", "400-deep chain (801 instances, 400 records)", 0, 400) ]
 
+(* ------------------------------------------------------------------ *)
+(* 9. The install path of one 32-install batch frame                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A batch as perfbench's ingest sends one: netlists of 6-24 gates and
+   exhaustive stimuli over 1-4 inputs, alternating; [k] draws the
+   contents, so no two batches share a value. *)
+let ingest_installs k =
+  let rng = Eda.Rng.create (1000 + k) in
+  List.init batch_size (fun j ->
+         let label = Printf.sprintf "b%d-%d" k j in
+         let entity, value =
+           if j mod 2 = 0 then
+             ( E.edited_netlist,
+               Value.Netlist
+                 (Eda.Circuits.random ~name:label ~n_inputs:(3 + Eda.Rng.int rng 4)
+                    ~n_gates:(6 + Eda.Rng.int rng 18) rng) )
+           else
+             ( E.stimuli,
+               Value.Stimuli
+                 (Eda.Stimuli.exhaustive
+                    (List.init (1 + Eda.Rng.int rng 4) (Printf.sprintf "%s_i%d" label))) )
+         in
+         Wire.Install
+           { entity; label; keywords = [ "ingest" ]; value = Codec.value_to_sexp value })
+
+let installs = function
+  | Wire.Batch reqs ->
+    List.filter_map
+      (function
+        | Wire.Install { entity; label; keywords; value } ->
+          Some (entity, label, keywords, value)
+        | _ -> None)
+      reqs
+  | _ -> []
+
+let server_batches = 8
+
+(* The words of: the frame body's decode; reading its 32 values; the
+   writer's work for them (each value read, installed and journaled,
+   as the server's evaluator does it, without the fsync); and the mean
+   [server.alloc_words.batch] of [server_batches] such frames sent to
+   an in-process daemon, whose writer's domain runs nothing else. *)
+let install_path_rows () =
+  let body = Wire.request_to_binary_string (Wire.Batch (ingest_installs 0)) in
+  let decoded = Wire.request_of_binary_string body in
+  let read_values () =
+    List.iter (fun (_, _, _, v) -> ignore (Codec.value_of_sexp v)) (installs decoded)
+  in
+  let install_journal =
+    let dir = fresh_dir () in
+    let j = Journal.open_ ~dir Standard_schemas.odyssey in
+    let ctx = Journal.context j in
+    let words =
+      alloc_words (fun () ->
+          List.iter
+            (fun (entity, label, keywords, value) ->
+              let text =
+                match value with Sexp.Text t -> Some t | Sexp.Atom _ | Sexp.List _ -> None
+              in
+              ignore
+                (Engine.install ctx ~entity ~label ~keywords ?text
+                   (Codec.value_of_sexp value)))
+            (installs decoded))
+    in
+    Journal.close j;
+    rm_rf dir;
+    words
+  in
+  let server_words =
+    with_scratch_server @@ fun socket ->
+    Client.with_client ~user:"perf" ~socket @@ fun c ->
+    ignore (Client.batch c (ingest_installs (-1)));
+    let n_sum () =
+      List.find_map
+        (function
+          | Metrics.Histogram ("server.alloc_words.batch", h) ->
+            Some (float_of_int h.Metrics.hs_n, h.Metrics.hs_sum)
+          | _ -> None)
+        (Metrics.snapshot Metrics.global)
+      |> Option.value ~default:(0.0, 0.0)
+    in
+    let n0, sum0 = n_sum () in
+    for k = 1 to server_batches do
+      List.iter
+        (function
+          | Wire.Ok_int _ -> () | _ -> failwith "install failed")
+        (Client.batch c (ingest_installs k))
+    done;
+    let n1, sum1 = n_sum () in
+    (sum1 -. sum0) /. (n1 -. n0)
+  in
+  [ ("decode", "frame body decode", alloc_words (fun () -> Wire.request_of_binary_string body));
+    ("value", "the 32 values read", alloc_words read_values);
+    ("install", "values read, installed and journaled", install_journal);
+    ("server", "server.alloc_words.batch (mean of 8 frames)", server_words) ]
+
 let run () =
   Bench_util.section
     (Printf.sprintf "group commit: %d batches of %d installs per sync mode"
@@ -568,4 +657,13 @@ let run () =
          [ name; string_of_int bytes; Printf.sprintf "%.0f" save_us;
            Printf.sprintf "%.0f" save_words; Printf.sprintf "%.0f" load_us;
            Printf.sprintf "%.0f" load_words ])
-       (checkpoint_rows ()))
+       (checkpoint_rows ()));
+
+  Bench_util.section
+    (Printf.sprintf "install path words, one %d-install batch frame" batch_size);
+  Bench_util.print_table [ "step"; "words" ]
+    (List.map
+       (fun (key, name, words) ->
+         Metrics.set (Metrics.gauge (Printf.sprintf "perf.install_path.%s.words" key)) words;
+         [ name; Printf.sprintf "%.0f" words ])
+       (install_path_rows ()))

@@ -107,13 +107,12 @@ let decode payload =
   try L.of_string fld payload
   with L.Wire_error m -> Ddf_core.Error.errorf `Internal "journal entry: %s" m
 
-let text value =
-  Ddf_persist.Sexp.to_string ~pretty:false (Ddf_persist.Codec.value_to_sexp value)
+let text = Ddf_persist.Codec.value_to_text
 
 let value ~iid ~hash text =
   let value =
-    try Ddf_persist.Codec.value_of_sexp (Ddf_persist.Sexp.of_string text)
-    with Ddf_persist.Sexp.Sexp_error m | Ddf_persist.Codec.Codec_error m ->
+    try Ddf_persist.Codec.value_of_text text
+    with Ddf_persist.Codec.Codec_error m ->
       Ddf_core.Error.errorf `Internal "value of instance %d: %s" iid m
   in
   if Ddf_data.hash value <> hash then

@@ -1,8 +1,9 @@
 (* A process-wide metrics registry: named counters, gauges and
    histograms.
 
-   Counters are always on -- an increment is one mutable int bump, so
-   there is no enable switch.  Call sites cache the metric handle in a
+   Counters are always on -- an increment is one atomic add, so there
+   is no enable switch, and increments from several domains are never
+   lost.  Call sites cache the metric handle in a
    module-level binding; [reset] therefore zeroes metrics in place
    instead of discarding them, keeping every cached handle valid.
 
@@ -11,9 +12,11 @@
    read out with bounded relative error (one bucket is a factor of
    2^(1/8) ~ 9% wide) from nanoseconds in seconds to hours in
    microseconds, at a fixed 512-int footprint, with no
-   per-observation allocation. *)
+   per-observation allocation.  Each histogram takes its own lock for
+   an observation, so what a snapshot reads is consistent: [n] is the
+   sum of the buckets. *)
 
-type counter = { c_name : string; mutable count : int }
+type counter = { c_name : string; count : int Atomic.t }
 type gauge = { g_name : string; mutable value : float }
 
 (* Log-linear buckets: bucket 0 counts values <= 2^-32; bucket i
@@ -44,6 +47,7 @@ let bucket_of v =
 
 type histogram = {
   h_name : string;
+  lock : Mutex.t;  (* every field below is read and written under it *)
   mutable n : int;
   mutable sum : float;
   mutable min_v : float;
@@ -52,6 +56,7 @@ type histogram = {
 }
 
 type t = {
+  reg_lock : Mutex.t;  (* find-or-create, from any domain *)
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
@@ -59,6 +64,7 @@ type t = {
 
 let create () =
   {
+    reg_lock = Mutex.create ();
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
@@ -67,24 +73,25 @@ let create () =
 (* The registry every standard engine metric lives in. *)
 let global = create ()
 
-let counter ?(registry = global) name =
-  match Hashtbl.find_opt registry.counters name with
-  | Some c -> c
+let find_or_add reg tbl name make =
+  Mutex.protect reg.reg_lock @@ fun () ->
+  match Hashtbl.find_opt tbl name with
+  | Some x -> x
   | None ->
-    let c = { c_name = name; count = 0 } in
-    Hashtbl.add registry.counters name c;
-    c
+    let x = make () in
+    Hashtbl.add tbl name x;
+    x
 
-let incr ?(by = 1) c = c.count <- c.count + by
-let count c = c.count
+let counter ?(registry = global) name =
+  find_or_add registry registry.counters name (fun () ->
+      { c_name = name; count = Atomic.make 0 })
+
+let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.count by : int)
+let count c = Atomic.get c.count
 
 let gauge ?(registry = global) name =
-  match Hashtbl.find_opt registry.gauges name with
-  | Some g -> g
-  | None ->
-    let g = { g_name = name; value = 0.0 } in
-    Hashtbl.add registry.gauges name g;
-    g
+  find_or_add registry registry.gauges name (fun () ->
+      { g_name = name; value = 0.0 })
 
 let set g v = g.value <- v
 let value g = g.value
@@ -101,31 +108,56 @@ let sample_gc () =
   put "gc.minor_collections" (float_of_int s.Gc.minor_collections);
   put "gc.major_collections" (float_of_int s.Gc.major_collections)
 
+external minor_collections : unit -> int = "ddf_minor_collections" [@@noalloc]
+
+(* Both heaps: a block too large for the minor heap goes straight to
+   the major heap.  Promoted words count as major words too, so only
+   the direct ones are added.  On OCaml 5.1 the minor count must come
+   from [Gc.minor_words] (the one in [Gc.counters] is off by the word
+   size) and the major counts from [Gc.counters] ([Gc.quick_stat]'s
+   lag behind promotion). *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+let with_alloc_words f =
+  let m0 = direct_major_words () in
+  let w0 = Gc.minor_words () in
+  let x = f () in
+  let w1 = Gc.minor_words () in
+  (x, w1 -. w0 +. (direct_major_words () -. m0))
+
+let alloc_words f = snd (with_alloc_words (fun () -> Sys.opaque_identity (f ())))
+
 let histogram ?(registry = global) name =
-  match Hashtbl.find_opt registry.histograms name with
-  | Some h -> h
-  | None ->
-    let h =
-      { h_name = name; n = 0; sum = 0.0; min_v = infinity; max_v = neg_infinity;
-        buckets = Array.make bucket_count 0 }
-    in
-    Hashtbl.add registry.histograms name h;
-    h
+  find_or_add registry registry.histograms name (fun () ->
+      { h_name = name; lock = Mutex.create (); n = 0; sum = 0.0;
+        min_v = infinity; max_v = neg_infinity;
+        buckets = Array.make bucket_count 0 })
+
+(* Nothing in a locked section can raise. *)
+let locked h f =
+  Mutex.lock h.lock;
+  let x = f h in
+  Mutex.unlock h.lock;
+  x
 
 let observe h v =
+  let b = bucket_of v in
+  Mutex.lock h.lock;
   h.n <- h.n + 1;
   h.sum <- h.sum +. v;
   if v < h.min_v then h.min_v <- v;
   if v > h.max_v then h.max_v <- v;
-  let b = bucket_of v in
-  h.buckets.(b) <- h.buckets.(b) + 1
+  h.buckets.(b) <- h.buckets.(b) + 1;
+  Mutex.unlock h.lock
 
-let mean h = if h.n = 0 then 0.0 else h.sum /. float_of_int h.n
+let mean h = locked h (fun h -> if h.n = 0 then 0.0 else h.sum /. float_of_int h.n)
 
 (* Cumulative-rank walk with linear interpolation inside the landing
    bucket, clamped to the observed [min, max] so small samples do not
-   report a bucket bound no value ever reached. *)
-let quantile h q =
+   report a bucket bound no value ever reached.  Call under the lock. *)
+let quantile_locked h q =
   if h.n = 0 then 0.0
   else begin
     let q = Float.min 1.0 (Float.max 0.0 q) in
@@ -148,16 +180,20 @@ let quantile h q =
     walk 0 0.0
   end
 
+let quantile h q = locked h (fun h -> quantile_locked h q)
+
 let reset reg =
-  Hashtbl.iter (fun _ c -> c.count <- 0) reg.counters;
+  Mutex.protect reg.reg_lock @@ fun () ->
+  Hashtbl.iter (fun _ c -> Atomic.set c.count 0) reg.counters;
   Hashtbl.iter (fun _ g -> g.value <- 0.0) reg.gauges;
   Hashtbl.iter
     (fun _ h ->
-      h.n <- 0;
-      h.sum <- 0.0;
-      h.min_v <- infinity;
-      h.max_v <- neg_infinity;
-      Array.fill h.buckets 0 bucket_count 0)
+      locked h (fun h ->
+          h.n <- 0;
+          h.sum <- 0.0;
+          h.min_v <- infinity;
+          h.max_v <- neg_infinity;
+          Array.fill h.buckets 0 bucket_count 0))
     reg.histograms
 
 (* ------------------------------------------------------------------ *)
@@ -183,6 +219,7 @@ let metric_name = function
   | Counter (n, _) | Gauge (n, _) | Histogram (n, _) -> n
 
 let histo_of_histogram h =
+  locked h @@ fun h ->
   if h.n = 0 then
     { hs_n = 0; hs_sum = 0.0; hs_min = 0.0; hs_max = 0.0;
       hs_p50 = 0.0; hs_p90 = 0.0; hs_p99 = 0.0 }
@@ -192,9 +229,9 @@ let histo_of_histogram h =
       hs_sum = h.sum;
       hs_min = h.min_v;
       hs_max = h.max_v;
-      hs_p50 = quantile h 0.50;
-      hs_p90 = quantile h 0.90;
-      hs_p99 = quantile h 0.99;
+      hs_p50 = quantile_locked h 0.50;
+      hs_p90 = quantile_locked h 0.90;
+      hs_p99 = quantile_locked h 0.99;
     }
 
 let hs_mean hs = if hs.hs_n = 0 then 0.0 else hs.hs_sum /. float_of_int hs.hs_n
@@ -202,8 +239,9 @@ let hs_mean hs = if hs.hs_n = 0 then 0.0 else hs.hs_sum /. float_of_int hs.hs_n
 (* Empty histograms are included (n = 0, zeroed stats): a consumer can
    tell "no samples yet" from "metric missing". *)
 let snapshot reg =
+  Mutex.protect reg.reg_lock @@ fun () ->
   let cs =
-    Hashtbl.fold (fun _ c acc -> Counter (c.c_name, c.count) :: acc)
+    Hashtbl.fold (fun _ c acc -> Counter (c.c_name, count c) :: acc)
       reg.counters []
   in
   let gs =

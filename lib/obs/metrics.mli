@@ -1,9 +1,14 @@
 (** A process-wide metrics registry: named counters, gauges and
     histograms.
 
-    Counters are always on -- an increment is one mutable int bump.
-    Call sites cache the handle in a module-level binding; {!reset}
-    zeroes metrics in place, so cached handles survive a reset.
+    Counters are always on -- an increment is one atomic add.  Call
+    sites cache the handle in a module-level binding; {!reset} zeroes
+    metrics in place, so cached handles survive a reset.
+
+    Every operation is safe from any domain and any thread: no
+    increment or observation is lost, and a snapshot of a histogram is
+    consistent (its [n] is the sum of its buckets), because each
+    histogram takes its own lock for an observation.
 
     Histograms use fixed log-linear buckets (8 sub-buckets per
     power-of-two octave over 2^-32 .. 2^32, 512 buckets total) so
@@ -43,6 +48,24 @@ val sample_gc : unit -> unit
     runs one first (stopping every domain briefly, and counted in
     [gc.minor_collections]); without it the words a domain allocated
     since its last collection would be missing. *)
+
+val minor_collections : unit -> int
+(** The minor collections since the process started, over every
+    domain: [Gc.quick_stat]'s [minor_collections], read in place, with
+    no allocation. *)
+
+val with_alloc_words : (unit -> 'a) -> 'a * float
+(** [f ()] and the words it allocated, in both heaps: the minor words
+    plus those allocated straight in the major heap (promotions are
+    not counted twice).  On OCaml 5 the counts are the calling
+    domain's: they cover every thread of that domain that ran while
+    [f] did.  A daemon started with [--read-domains 0] evaluates reads
+    on its connection threads, in the writer's domain, so a read that
+    runs while a write job waits on a lock is counted with the job;
+    with read domains, only the writer's domain's threads are. *)
+
+val alloc_words : (unit -> 'a) -> float
+(** The words of {!with_alloc_words}, the result dropped. *)
 
 val histogram : ?registry:t -> string -> histogram
 val observe : histogram -> float -> unit

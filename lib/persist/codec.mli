@@ -1,22 +1,25 @@
-(** S-expression codecs for every design-data payload.
+(** The design-data payload codec: flat s-expression text, printed
+    straight from a value and read straight into one.
 
     Round-trip fidelity matters: gate and cell names survive (edit
     scripts reference them), floats are written exactly, and compiled
-    simulators serialize by source hash and are recompiled on load. *)
+    simulators serialize their whole program. *)
 
 exception Codec_error of string
 
+val value_to_text : Ddf_data.value -> string
+(** The value as flat s-expression text: the bytes a put entry, a
+    checkpoint and a wire install carry. *)
+
+val value_of_text : string -> Ddf_data.value
+(** Read a value off its text in one scan, building no tree.
+    @raise Codec_error on malformed text, including a syntax error and
+    text that a payload's own constructor refuses. *)
+
 val value_to_sexp : Ddf_data.value -> Sexp.t
+(** [Text (value_to_text v)]. *)
 
 val value_of_sexp : Sexp.t -> Ddf_data.value
-(** @raise Codec_error on malformed payloads, including text that a
-    payload's own constructor refuses. *)
-
-(** {1 Individual codecs (exposed for tests and external tooling)} *)
-
-val netlist_to_sexp : Ddf_eda.Netlist.t -> Sexp.t
-val layout_to_sexp : Ddf_eda.Layout.t -> Sexp.t
-val edit_to_sexp : Ddf_eda.Edit_script.edit -> Sexp.t
-val edit_of_sexp : Sexp.t -> Ddf_eda.Edit_script.edit
-val layout_edit_to_sexp : Ddf_eda.Layout.edit -> Sexp.t
-val layout_edit_of_sexp : Sexp.t -> Ddf_eda.Layout.edit
+(** A [Text] leaf is read as it is; a tree is printed flat and read
+    the same way.
+    @raise Codec_error as {!value_of_text}. *)

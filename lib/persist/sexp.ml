@@ -1,10 +1,13 @@
 (* A minimal s-expression reader/printer: the workspace's on-disk
    syntax.  Atoms are bare words or double-quoted strings with the
-   usual escapes; lists are parenthesized. *)
+   usual escapes; lists are parenthesized.  A [Text] leaf is an
+   s-expression kept as its flat text, so a design value travels from
+   its printer to the journal without a tree in between. *)
 
 type t =
   | Atom of string
   | List of t list
+  | Text of string
 
 exception Sexp_error of string
 
@@ -19,12 +22,11 @@ let must_quote s =
   || String.exists
        (fun c ->
          match c with
-         | ' ' | '\t' | '\n' | '(' | ')' | '"' | ';' | '\\' -> true
+         | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' | '\\' -> true
          | _ -> false)
        s
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_escaped buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -35,13 +37,248 @@ let escape s =
       | '\t' -> Buffer.add_string buf "\\t"
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  Buffer.add_char buf '"'
+
+let add_atom buf s =
+  if must_quote s then add_escaped buf s else Buffer.add_string buf s
+
+(* ------------------------------------------------------------------ *)
+(* The cursor                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Far deeper than anything the codecs, checkpoints or journal write
+   (a few dozen levels); the bound stops a hostile input from growing
+   the reader's stack with its nesting. *)
+let max_depth = 1000
+
+(* One left-to-right scan by index: no option or closure per
+   character, and an atom without escapes is one [String.sub].  The
+   tree reader, the checker and the value codecs all read through it,
+   so the syntax is decided in one place. *)
+type cursor = { text : string; len : int; mutable pos : int; mutable depth : int }
+
+type token = Open | Close | Word | End
+
+let cursor text = { text; len = String.length text; pos = 0; depth = 0 }
+
+let rec skip_ws text len i =
+  if i >= len then i
+  else
+    match String.unsafe_get text i with
+    | ' ' | '\t' | '\n' | '\r' -> skip_ws text len (i + 1)
+    | ';' -> skip_comment text len (i + 1)
+    | _ -> i
+
+and skip_comment text len i =
+  if i >= len then i
+  else if String.unsafe_get text i = '\n' then skip_ws text len (i + 1)
+  else skip_comment text len (i + 1)
+
+let peek c =
+  let i = skip_ws c.text c.len c.pos in
+  c.pos <- i;
+  if i >= c.len then End
+  else
+    match String.unsafe_get c.text i with
+    | '(' -> Open
+    | ')' -> Close
+    | _ -> Word
+
+let enter c =
+  if c.depth >= max_depth then
+    sexp_errorf "lists nested deeper than %d at %d" max_depth c.pos;
+  c.depth <- c.depth + 1;
+  c.pos <- c.pos + 1
+
+let leave c =
+  c.depth <- c.depth - 1;
+  c.pos <- c.pos + 1
+
+let rec bare_end text len i =
+  if i >= len then i
+  else
+    match String.unsafe_get text i with
+    | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> i
+    | _ -> bare_end text len (i + 1)
+
+let rec plain_end text len i =
+  if i < len && String.unsafe_get text i <> '"' && String.unsafe_get text i <> '\\'
+  then plain_end text len (i + 1)
+  else i
+
+let unescape = function
+  | 'n' -> '\n'
+  | 't' -> '\t'
+  | '"' -> '"'
+  | '\\' -> '\\'
+  | c -> sexp_errorf "bad escape \\%c" c
+
+(* The end of the quoted atom whose body starts at [i], its escapes
+   checked: nothing is allocated. *)
+let rec quoted_end text len i =
+  let stop = plain_end text len i in
+  if stop >= len then sexp_errorf "unterminated string at %d" stop
+  else if String.unsafe_get text stop = '"' then stop + 1
+  else if stop + 1 >= len then sexp_errorf "dangling escape"
+  else begin
+    ignore (unescape (String.unsafe_get text (stop + 1)) : char);
+    quoted_end text len (stop + 2)
+  end
+
+let quoted_atom c =
+  let text = c.text and len = c.len in
+  let start = c.pos + 1 in
+  let stop = plain_end text len start in
+  if stop < len && String.unsafe_get text stop = '"' then begin
+    c.pos <- stop + 1;
+    String.sub text start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (2 * (stop - start) + 16) in
+    let rec go i =
+      let stop = plain_end text len i in
+      Buffer.add_substring buf text i (stop - i);
+      if stop >= len then sexp_errorf "unterminated string at %d" stop
+      else if String.unsafe_get text stop = '"' then c.pos <- stop + 1
+      else if stop + 1 >= len then sexp_errorf "dangling escape"
+      else begin
+        Buffer.add_char buf (unescape (String.unsafe_get text (stop + 1)));
+        go (stop + 2)
+      end
+    in
+    go start;
+    Buffer.contents buf
+  end
+
+let atom_at c =
+  if String.unsafe_get c.text c.pos = '"' then quoted_atom c
+  else begin
+    let start = c.pos in
+    c.pos <- bare_end c.text c.len start;
+    String.sub c.text start (c.pos - start)
+  end
+
+(* Past the atom at the cursor, allocating nothing. *)
+let skip_atom c =
+  c.pos <-
+    (if String.unsafe_get c.text c.pos = '"' then quoted_end c.text c.len (c.pos + 1)
+     else bare_end c.text c.len c.pos)
+
+(* The decimal digits in [i, stop) as a number, or -1 if another
+   character is among them. *)
+let rec digits text stop i acc =
+  if i >= stop then acc
+  else
+    match String.unsafe_get text i with
+    | '0' .. '9' as d -> digits text stop (i + 1) ((acc * 10) + Char.code d - 48)
+    | _ -> -1
+
+(* A bare decimal atom of at most 18 digits is read in place; anything
+   else [int_of_string] decides, as for a tree's atom. *)
+let int_at c =
+  let text = c.text and start = c.pos in
+  if String.unsafe_get text start = '"' then begin
+    let s = quoted_atom c in
+    match int_of_string_opt s with
+    | Some i -> i
+    | None -> sexp_errorf "expected an integer, got %S" s
+  end
+  else begin
+    let stop = bare_end text c.len start in
+    c.pos <- stop;
+    let neg = String.unsafe_get text start = '-' in
+    let first = if neg then start + 1 else start in
+    let n =
+      if first < stop && stop - first <= 18 then digits text stop first 0 else -1
+    in
+    if n >= 0 then if neg then -n else n
+    else
+      let s = String.sub text start (stop - start) in
+      match int_of_string_opt s with
+      | Some i -> i
+      | None -> sexp_errorf "expected an integer, got %S" s
+  end
+
+let rec same_at text start word i len =
+  i >= len
+  || String.unsafe_get text (start + i) = String.unsafe_get word i
+     && same_at text start word (i + 1) len
+
+let rec word_in text start stop words i =
+  if i >= Array.length words then -1
+  else
+    let w = Array.unsafe_get words i in
+    if String.length w = stop - start && same_at text start w 0 (stop - start)
+    then i
+    else word_in text start stop words (i + 1)
+
+let word_index c words =
+  if String.unsafe_get c.text c.pos = '"' then -1
+  else
+    let stop = bare_end c.text c.len c.pos in
+    let i = word_in c.text c.pos stop words 0 in
+    if i >= 0 then c.pos <- stop;
+    i
+
+(* Past one whole s-expression, checking it as [of_string] would
+   without building it: a loop over the nesting, so no stack either. *)
+let skip c =
+  match peek c with
+  | End -> sexp_errorf "unexpected end of input"
+  | Close -> sexp_errorf "unexpected ')' at %d" c.pos
+  | Word -> skip_atom c
+  | Open ->
+    let outer = c.depth in
+    enter c;
+    while c.depth > outer do
+      match peek c with
+      | Open -> enter c
+      | Close -> leave c
+      | Word -> skip_atom c
+      | End -> sexp_errorf "unterminated list"
+    done
+
+let finish c =
+  if peek c <> End then sexp_errorf "trailing input at %d" c.pos
+
+(* ------------------------------------------------------------------ *)
+(* Trees                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let rec read c =
+  match peek c with
+  | Word -> Atom (atom_at c)
+  | Open ->
+    enter c;
+    let rec items acc =
+      match peek c with
+      | Close ->
+        leave c;
+        List (List.rev acc)
+      | End -> sexp_errorf "unterminated list"
+      | Open | Word -> items (read c :: acc)
+    in
+    items []
+  | Close -> sexp_errorf "unexpected ')' at %d" c.pos
+  | End -> sexp_errorf "unexpected end of input"
+
+let of_string text =
+  let c = cursor text in
+  let result = read c in
+  finish c;
+  result
+
+let check text =
+  let c = cursor text in
+  skip c;
+  finish c
 
 (* The pretty layout: an item of a list opened at [depth] that is
    itself a list starts a new line indented [depth + 1] (long lists
    break across lines for readable diffs); any other item follows a
-   space; the first follows the paren.  [depth] < 0 prints flat. *)
+   space; the first follows the paren.  [depth] < 0 prints flat, and a
+   [Text] leaf, already flat, is copied; the pretty layout reads it
+   back to lay it out as its tree. *)
 let separator buf ~depth ~first ~list =
   if not first then
     if list && depth >= 0 then begin
@@ -51,123 +288,32 @@ let separator buf ~depth ~first ~list =
     else Buffer.add_char buf ' '
 
 let rec to_buffer buf indent = function
-  | Atom s -> Buffer.add_string buf (if must_quote s then escape s else s)
+  | Atom s -> add_atom buf s
+  | Text s when indent < 0 -> Buffer.add_string buf s
+  | Text s -> to_buffer buf indent (of_string s)
   | List items ->
     Buffer.add_char buf '(';
     List.iteri (fun i item -> add_item buf ~depth:indent ~first:(i = 0) item) items;
     Buffer.add_char buf ')'
 
 and add_item buf ~depth ~first item =
-  separator buf ~depth ~first ~list:(match item with List _ -> true | Atom _ -> false);
+  let list =
+    match item with
+    | List _ -> true
+    | Atom _ -> false
+    | Text s ->
+      let i = skip_ws s (String.length s) 0 in
+      i < String.length s && s.[i] = '('
+  in
+  separator buf ~depth ~first ~list;
   to_buffer buf (if depth >= 0 then depth + 1 else depth) item
 
-let to_string ?(pretty = true) sexp =
-  let buf = Buffer.create 1024 in
-  to_buffer buf (if pretty then 0 else -1) sexp;
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Far deeper than anything the codecs, checkpoints or journal write
-   (a few dozen levels); the bound stops a hostile input from growing
-   the reader's stack with its nesting. *)
-let max_depth = 1000
-
-(* One left-to-right scan by index: no option or closure per
-   character, and an atom without escapes is one [String.sub]. *)
-let of_string text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let rec skip_ws () =
-    if !pos < n then
-      match text.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        incr pos;
-        skip_ws ()
-      | ';' ->
-        (* comment to end of line *)
-        while !pos < n && text.[!pos] <> '\n' do
-          incr pos
-        done;
-        skip_ws ()
-      | _ -> ()
-  in
-  let rec plain i =
-    if i < n && text.[i] <> '"' && text.[i] <> '\\' then plain (i + 1) else i
-  in
-  let quoted_atom () =
-    incr pos;
-    let start = !pos in
-    let stop = plain start in
-    if stop < n && text.[stop] = '"' then begin
-      pos := stop + 1;
-      Atom (String.sub text start (stop - start))
-    end
-    else begin
-      let buf = Buffer.create (2 * (stop - start) + 16) in
-      let rec go () =
-        let stop = plain !pos in
-        Buffer.add_substring buf text !pos (stop - !pos);
-        pos := stop;
-        if stop >= n then sexp_errorf "unterminated string at %d" !pos
-        else if text.[stop] = '"' then incr pos
-        else begin
-          pos := stop + 1;
-          if !pos >= n then sexp_errorf "dangling escape";
-          (match text.[!pos] with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | c -> sexp_errorf "bad escape \\%c" c);
-          incr pos;
-          go ()
-        end
-      in
-      go ();
-      Atom (Buffer.contents buf)
-    end
-  in
-  let bare_atom () =
-    let start = !pos in
-    let rec stop i =
-      if i >= n then i
-      else
-        match text.[i] with
-        | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> i
-        | _ -> stop (i + 1)
-    in
-    pos := stop start;
-    Atom (String.sub text start (!pos - start))
-  in
-  let rec expr depth =
-    skip_ws ();
-    if !pos >= n then sexp_errorf "unexpected end of input";
-    match text.[!pos] with
-    | '(' ->
-      if depth >= max_depth then
-        sexp_errorf "lists nested deeper than %d at %d" max_depth !pos;
-      incr pos;
-      let rec items acc =
-        skip_ws ();
-        if !pos >= n then sexp_errorf "unterminated list"
-        else if text.[!pos] = ')' then begin
-          incr pos;
-          List (List.rev acc)
-        end
-        else items (expr (depth + 1) :: acc)
-      in
-      items []
-    | '"' -> quoted_atom ()
-    | ')' -> sexp_errorf "unexpected ')' at %d" !pos
-    | _ -> bare_atom ()
-  in
-  let result = expr 0 in
-  skip_ws ();
-  if !pos <> n then sexp_errorf "trailing input at %d" !pos;
-  result
+let to_string ?(pretty = true) = function
+  | Text s when not pretty -> s
+  | sexp ->
+    let buf = Buffer.create 1024 in
+    to_buffer buf (if pretty then 0 else -1) sexp;
+    Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Construction / destructuring helpers                                *)
@@ -182,7 +328,7 @@ let field name items = List (Atom name :: items)
 
 let as_atom = function
   | Atom s -> s
-  | List _ -> sexp_errorf "expected an atom"
+  | List _ | Text _ -> sexp_errorf "expected an atom"
 
 let as_int sexp =
   match int_of_string_opt (as_atom sexp) with
@@ -202,23 +348,20 @@ let as_bool sexp =
 let as_list = function
   | List l -> l
   | Atom a -> sexp_errorf "expected a list, got atom %S" a
+  | Text _ -> sexp_errorf "expected a list, got a text leaf"
 
 (* Access the payload of a [(name item...)] field inside a record. *)
-let find_field fields name =
-  let matches = function
-    | List (Atom n :: rest) when n = name -> Some rest
-    | List _ | Atom _ -> None
-  in
-  match List.find_map matches fields with
-  | Some rest -> rest
-  | None -> sexp_errorf "missing field %S" name
-
 let find_field_opt fields name =
   let matches = function
     | List (Atom n :: rest) when n = name -> Some rest
-    | List _ | Atom _ -> None
+    | List _ | Atom _ | Text _ -> None
   in
   List.find_map matches fields
+
+let find_field fields name =
+  match find_field_opt fields name with
+  | Some rest -> rest
+  | None -> sexp_errorf "missing field %S" name
 
 let one name = function
   | [ x ] -> x

@@ -61,6 +61,36 @@ let h_request = Metrics.histogram "server.request_us"
 let h_write_wait = Metrics.histogram "server.write_queue_wait_us"
 let h_read_wait = Metrics.histogram "server.read_queue_wait_us"
 
+(* The words a write request allocates (both heaps, see
+   [Metrics.with_alloc_words] for the threads a count covers): its
+   frame's decode, on its connection thread, plus its job on the
+   writer thread, journal appends included; the response's encode is
+   not counted.  By verb class; and the minor collections a writer
+   batch spans, from taking it to answering it. *)
+let h_alloc_words =
+  let h verb = Metrics.histogram ("server.alloc_words." ^ verb) in
+  let install = h "install" and batch = h "batch" and run = h "run" in
+  let refresh = h "refresh" and annotate = h "annotate" in
+  fun (req : Wire.request) ->
+    match req with
+    | Wire.Install _ -> Some install
+    | Wire.Batch _ -> Some batch
+    | Wire.Run _ -> Some run
+    | Wire.Refresh _ -> Some refresh
+    | Wire.Annotate _ -> Some annotate
+    | _ -> None
+
+let h_minor_collections = Metrics.histogram "server.minor_collections"
+
+let metered_alloc ~decode_words req f =
+  match h_alloc_words req with
+  | None -> f ()
+  | Some h ->
+    let resp, words = Metrics.with_alloc_words f in
+    Metrics.observe h (decode_words +. words);
+    resp
+
+
 (* The zero-lock-read invariant, made checkable: every acquisition of
    the writer commit lock bumps this counter, and nothing on the read
    path ever takes it — so under read-only load the counter must stay
@@ -389,6 +419,7 @@ let writer_loop t =
     match Executor.take t.writes ~all:true with
     | None -> ()
     | Some batch ->
+      let collections = Metrics.minor_collections () in
       (* test hook: an armed delay here models a stalled writer (slow
          disk, GC pause) so tests can fill the admission queue *)
       ignore (Fault.check "server.writer_stall" : Fault.action option);
@@ -426,6 +457,8 @@ let writer_loop t =
          durable view instead. *)
       if synced && Journal.failed t.journal = None then publish t;
       Executor.answer results;
+      Metrics.observe h_minor_collections
+        (float_of_int (Metrics.minor_collections () - collections));
       next ()
   in
   next ()
@@ -467,10 +500,8 @@ let nodes_with_entities flow nids =
    constant — the published view the request (or the whole pure-read
    batch) was dispatched with, so evaluation is repeatable and
    lock-free; on the writer path it pins the live context afresh, so
-   a member of a mutation batch observes the members before it.
-   [texts] are the frame's install values as the client sent them
-   ([Wire.frame_meta]); an install journals its own. *)
-let rec eval ?(texts = []) t session ~pin req =
+   a member of a mutation batch observes the members before it. *)
+let rec eval t session ~pin req =
   let ctx = t.ctx in
   match (req : Wire.request) with
   | Wire.Batch reqs ->
@@ -489,7 +520,7 @@ let rec eval ?(texts = []) t session ~pin req =
            | Wire.Snapshot_export ->
              wire_error `Invalid "connection-level request %S inside a batch"
                (Wire.request_name r)
-           | r -> ( try eval ~texts t session ~pin r with e -> error_response e))
+           | r -> ( try eval t session ~pin r with e -> error_response e))
          reqs)
   | Wire.Hello _ | Wire.Ping | Wire.Shutdown -> Wire.Ok_unit
   | Wire.Stat ->
@@ -562,7 +593,13 @@ let rec eval ?(texts = []) t session ~pin req =
     let snap = v.Engine.v_store in
     Wire.Ok_rows (rows_of snap (Store.Snapshot.browse snap filter))
   | Wire.Install { entity; label; keywords; value } ->
-    let text = List.assq_opt value texts in
+    (* a value off the wire is its text, checked at decode: read once,
+       and journaled as the client sent it *)
+    let text =
+      match value with
+      | Ddf_persist.Sexp.Text text -> Some text
+      | Ddf_persist.Sexp.Atom _ | Ddf_persist.Sexp.List _ -> None
+    in
     let value = Ddf_persist.Codec.value_of_sexp value in
     Wire.Ok_int (Engine.install ctx ~entity ~label ~keywords ?text value)
   | Wire.Annotate { iid; label; comment; keywords } ->
@@ -619,7 +656,8 @@ let follower_rejects t req =
        false
      | _ -> true)
 
-let serve_request t session ~conn_id ~user ?deadline ?trace ?texts req =
+let serve_request t session ~conn_id ~user ?deadline ?trace
+    ?(decode_words = 0.0) req =
   Metrics.incr m_requests;
   Atomic.incr t.in_flight;
   Fun.protect ~finally:(fun () -> Atomic.decr t.in_flight)
@@ -650,7 +688,9 @@ let serve_request t session ~conn_id ~user ?deadline ?trace ?texts req =
     else if Wire.is_mutation req then begin
       Metrics.incr m_mutations;
       Executor.submit t.writes ?deadline ~user:!user
-        (fun () -> eval ?texts t session ~pin:(fun () -> Engine.pin t.ctx) req)
+        (fun () ->
+          metered_alloc ~decode_words req (fun () ->
+              eval t session ~pin:(fun () -> Engine.pin t.ctx) req))
     end
     else begin
       (* Pure read (including a pure-read batch): pin the latest
@@ -883,6 +923,7 @@ and connection_loop t fd conn_id =
         | None -> Option.map (fun d -> now +. d) t.default_deadline
       in
       let trace = meta.Wire.fm_trace in
+      let decode_words = meta.Wire.fm_decode_words in
       match req with
       | Wire.Subscribe since -> replication_loop t fd ~user:!user since
       | Wire.Snapshot_export ->
@@ -911,7 +952,7 @@ and connection_loop t fd conn_id =
               false )
           | req ->
             ( serve_request t session ~conn_id ~user ?deadline ?trace
-                ~texts:meta.Wire.fm_texts req,
+                ~decode_words req,
               true )
         in
         (match Wire.send_response fd resp with

@@ -133,10 +133,9 @@ module Dec = struct
     db : string;
     mutable pos : int;
     mutable depth : int;
-    mutable texts : (S.t * string) list;  (* each [Sexp] leaf's body *)
   }
 
-  let of_string ?(pos = 0) s = { db = s; pos; depth = 0; texts = [] }
+  let of_string ?(pos = 0) s = { db = s; pos; depth = 0 }
 
   (* written so that no [n], however large, overflows the test *)
   let need d n =
@@ -290,8 +289,8 @@ let rec encoder : type a. bool -> a fld -> Enc.t -> a -> unit =
   | Float -> Enc.float
   | Str -> if v then Enc.vstr else Enc.str
   | Payload -> if v then Enc.vstr else Enc.payload
-  (* a design-object value rides as one opaque body: printed once
-     here, parsed once by the evaluator, never re-framed between *)
+  (* a design-object value rides as one opaque body: a [Text] leaf's
+     bytes are copied as they are, a tree is printed flat *)
   | Sexp ->
     let payload = if v then Enc.vstr else Enc.payload in
     fun e x -> payload e (S.to_string ~pretty:false x)
@@ -356,14 +355,12 @@ let rec decoder : type a. bool -> a fld -> Dec.t -> a =
   | Payload -> if v then Dec.vstr else Dec.payload
   | Sexp ->
     let payload = if v then Dec.vstr else Dec.payload in
+    (* checked here, so a malformed value is refused with its frame;
+       read once, by the evaluator *)
     fun d ->
       let body = payload d in
-      let x =
-        try S.of_string body
-        with S.Sexp_error m -> wire_errorf "install value: %s" m
-      in
-      d.Dec.texts <- (x, body) :: d.Dec.texts;
-      x
+      (try S.check body with S.Sexp_error m -> wire_errorf "install value: %s" m);
+      S.Text body
   | Flag _ -> Dec.bool
   | Pair (a, b) ->
     let da = decoder v a and db = decoder v b in
@@ -441,13 +438,11 @@ let to_slices f v =
 
 let to_string f v = string_of_slices (to_slices f v)
 
-let of_string_texts f s =
+let of_string f s =
   let d = Dec.of_string s in
   let v = decoder false f d in
   Dec.finish d;
-  (v, d.Dec.texts)
-
-let of_string f s = fst (of_string_texts f s)
+  v
 
 (* --- streams: varint layouts after a raw head --- *)
 
@@ -585,4 +580,4 @@ and of_sexp : type a. a union -> S.t -> a =
     match c.fld with
     | Unit -> wire_errorf "malformed %s" u.what
     | f -> c.inj (parse_full f args))
-  | S.List _ -> wire_errorf "malformed %s" u.what
+  | S.List _ | S.Text _ -> wire_errorf "malformed %s" u.what

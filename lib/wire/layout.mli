@@ -30,7 +30,11 @@ type _ fld =
   | Str : string fld                         (** u32 length, bytes; atom *)
   | Payload : string fld
       (** as [Str], but carried as its own slice from 512 bytes on *)
-  | Sexp : Ddf_persist.Sexp.t fld            (** a printed [Payload]; itself *)
+  | Sexp : Ddf_persist.Sexp.t fld
+      (** a [Payload] of flat text, a [Text] leaf's bytes as they are;
+          itself.  The decoder {!Ddf_persist.Sexp.check}s the bytes
+          (a malformed value is a [Wire_error "install value: ..."])
+          and hands them on as a [Text] leaf. *)
   | Flag : string * string -> bool fld       (** 0/1 byte; yes/no atom *)
   | Pair : 'a fld * 'b fld -> ('a * 'b) fld  (** one, then the other *)
   | Opt : 'a fld -> 'a option fld            (** 0/1 byte, value; or "-" *)
@@ -78,12 +82,6 @@ val to_string : 'a fld -> 'a -> string
 
 val of_string : 'a fld -> string -> 'a
 (** @raise Wire_error on malformed input, including trailing bytes. *)
-
-val of_string_texts : 'a fld -> string -> 'a * (Ddf_persist.Sexp.t * string) list
-(** As {!of_string}, also returning the body of every [Sexp] leaf
-    exactly as it arrived, each paired with the tree it parsed to
-    (look one up by physical equality, [List.assq]): a receiver can
-    keep a value's bytes as sent instead of printing the tree again. *)
 
 (** {1 Streams}
 

@@ -664,7 +664,7 @@ let read_exact fd n =
 type frame_meta = {
   fm_deadline_ms : int option;
   fm_trace : Ddf_obs.Obs.span_ctx option;
-  fm_texts : (S.t * string) list;
+  fm_decode_words : float;
 }
 
 (* The fixed header after the magic byte, then the flagged fields and
@@ -705,7 +705,7 @@ let recv_frame_rest fd =
     | None -> wire_errorf "truncated frame"
     | Some b -> Bytes.unsafe_to_string b
   in
-  (body, { fm_deadline_ms; fm_trace; fm_texts = [] }, !hbytes + blen)
+  (body, { fm_deadline_ms; fm_trace; fm_decode_words = 0.0 }, !hbytes + blen)
 
 (* [None] on clean EOF at a frame boundary.  Anything but the magic
    byte is refused; a pre-v9 peer's "ddf1" s-expression frame lands
@@ -730,10 +730,10 @@ let recv_decoded fd f =
   | None -> None
   | Some (body, meta, nbytes) ->
     let t0 = Unix.gettimeofday () in
-    let v, fm_texts = of_string_texts f body in
+    let v, fm_decode_words = M.with_alloc_words (fun () -> of_string f body) in
     M.observe h_decode (Unix.gettimeofday () -. t0);
     M.incr ~by:nbytes m_bytes_in;
-    Some (v, if fm_texts = [] then meta else { meta with fm_texts })
+    Some (v, { meta with fm_decode_words })
 
 let recv_request fd = recv_decoded fd Request.fld
 let recv_response fd = recv_decoded fd Response.fld

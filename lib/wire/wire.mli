@@ -250,10 +250,9 @@ val meta : Ddf_store.Store.meta Layout.fld
 type frame_meta = {
   fm_deadline_ms : int option;   (** peer's remaining budget, ms *)
   fm_trace : Ddf_obs.Obs.span_ctx option;  (** peer's span context *)
-  fm_texts : (Ddf_persist.Sexp.t * string) list;
-      (** every install value of this frame, with its bytes exactly as
-          the peer sent them ({!Layout.of_string_texts}): the server
-          journals those bytes instead of printing the value again *)
+  fm_decode_words : float;
+      (** the words the body's decode allocated
+          ({!Ddf_obs.Metrics.with_alloc_words}) *)
 }
 
 val send_request :

@@ -443,10 +443,57 @@ let sink_tests =
         check Alcotest.int "three lines" 3 !count);
   ]
 
+(* [domains] domains each add [k] to a counter and observe [k] values
+   of 1.0; the first also observes [k - 1] values of 1000.0 and the
+   others [k] each.  Nothing may be lost: the counter reads exactly
+   domains * k, the histogram's n the observation count, and its
+   buckets hold every observation, so the median lands among the
+   1.0s (one more of them than of the 1000.0s) and the 99th
+   percentile among the 1000.0s. *)
+let domains_lose_nothing (domains, k) =
+  let reg = Metrics.create () in
+  let c = Metrics.counter ~registry:reg "c" in
+  let h = Metrics.histogram ~registry:reg "h" in
+  let work i () =
+    for _ = 1 to k do
+      Metrics.incr c;
+      Metrics.observe h 1.0
+    done;
+    for _ = 1 to (if i = 0 then k - 1 else k) do
+      Metrics.observe h 1000.0
+    done
+  in
+  List.iter Domain.join (List.init domains (fun i -> Domain.spawn (work i)));
+  let n = (2 * domains * k) - 1 in
+  match Metrics.snapshot reg with
+  | [ Metrics.Counter ("c", count); Metrics.Histogram ("h", hs) ] ->
+    count = domains * k
+    && hs.Metrics.hs_n = n
+    && hs.Metrics.hs_sum = float_of_int ((domains * k) + (1000 * ((domains * k) - 1)))
+    && hs.Metrics.hs_p50 = 1.0
+    && hs.Metrics.hs_p99 > 900.0
+  | _ -> false
+
+let domain_tests =
+  [
+    Alcotest.test_case "minor_collections reads quick_stat's count" `Quick
+      (fun () ->
+        let before = Metrics.minor_collections () in
+        Gc.minor ();
+        let n = Metrics.minor_collections () in
+        check Alcotest.int "as quick_stat" (Gc.quick_stat ()).Gc.minor_collections n;
+        check Alcotest.bool "counts the collection" true (n > before));
+    Util.qcheck ~count:4 "N domains x K updates lose none"
+      ~print:(fun (d, k) -> Printf.sprintf "%d domains x %d" d k)
+      QCheck2.Gen.(pair (int_range 2 4) (int_range 1_000 50_000))
+      domains_lose_nothing;
+  ]
+
 let suite =
   [
     ("obs.spans", span_tests);
     ("obs.metrics", metrics_tests);
+    ("obs.metrics.domains", domain_tests);
     ("obs.chrome", chrome_tests);
     ("obs.sinks", sink_tests);
   ]

@@ -256,7 +256,7 @@ let sexp_cases =
         let nested d = String.make d '(' ^ String.make d ')' in
         let rec depth = function
           | S.List [ x ] -> 1 + depth x
-          | S.List _ | S.Atom _ -> 1
+          | S.List _ | S.Atom _ | S.Text _ -> 1
         in
         check Alcotest.int "the bound itself parses" S.max_depth
           (depth (S.of_string (nested S.max_depth)));

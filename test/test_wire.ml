@@ -248,11 +248,20 @@ let nested_batch_body depth =
   Buffer.add_char b '\002';
   Buffer.contents b
 
+(* A request as the decoder hands it on: an install's value is the
+   flat text it arrived as. *)
+let rec as_received = function
+  | Wire.Install i ->
+    Wire.Install { i with value = Sexp.Text (Sexp.to_string ~pretty:false i.value) }
+  | Wire.Batch rs -> Wire.Batch (List.map as_received rs)
+  | r -> r
+
 let codec_props =
   [
     Util.qcheck ~count:300 "requests round-trip the binary codec" gen_request
       (fun r ->
-        Wire.request_of_binary_string (Wire.request_to_binary_string r) = r);
+        Wire.request_of_binary_string (Wire.request_to_binary_string r)
+        = as_received r);
     Util.qcheck ~count:300 "responses round-trip the binary codec" gen_response
       (fun r ->
         Wire.response_of_binary_string (Wire.response_to_binary_string r) = r);
@@ -856,7 +865,7 @@ let goldens =
         List.iter2
           (fun r body ->
             Alcotest.(check bool) (Wire.request_name r) true
-              (Wire.request_of_binary_string body = r))
+              (Wire.request_of_binary_string body = as_received r))
           golden_requests
           (golden_bodies ~prefix:None "wire_requests.txt"));
     Alcotest.test_case "response bodies and texts match the goldens" `Quick
