@@ -10,7 +10,9 @@
      - the cold tier itself: how much resident memory payload eviction
        releases, and what a positioned cold read costs;
      - follower bootstrap: wall time and peak-heap growth of a
-       streamed snapshot (bounded 256 KiB chunks spooled to disk).
+       streamed snapshot (bounded 256 KiB chunks spooled to disk);
+     - compaction I/O: the bytes one 512-frame compaction writes
+       (frames, checkpoint, index) and its wall time.
 
    Everything is exported as gauges for --json. *)
 
@@ -278,9 +280,93 @@ let bootstrap () =
   Metrics.set (Metrics.gauge "cement.bench.stream_ms") s_ms;
   Metrics.set (Metrics.gauge "cement.bench.stream_heap_mib") (mib s_grew)
 
+(* Bytes this process has passed to write(2) so far ([wchar] in
+   /proc/self/io); [None] where the kernel does not report it. *)
+let written_bytes () =
+  match In_channel.with_open_text "/proc/self/io" In_channel.input_all with
+  | text ->
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "wchar:"; n ] -> int_of_string_opt n
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  | exception Sys_error _ -> None
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* One compaction of a 512-frame wal (512 stimuli installs on top of
+   the previous rounds), five rounds.  The bytes it writes are read
+   from the kernel's count, not from the journal: what the checkpoint,
+   the segment's index and the base file hold is subtracted, and what
+   is left is frame bytes written again. *)
+let compaction_io () =
+  let frames = 512 and rounds = 5 in
+  Bench_util.section
+    (Printf.sprintf "compaction I/O: one %d-frame compaction (%d rounds)"
+       frames rounds);
+  let dir = fresh_dir () in
+  let j = Journal.open_ ~compact_every:1_000_000 ~dir Standard_schemas.odyssey in
+  let w = Workspace.of_session (Session.of_context (Journal.context j)) in
+  let samples =
+    List.init rounds (fun r ->
+        for i = 1 to frames do
+          let k = (r * frames) + i in
+          ignore
+            (Workspace.install_stimuli w ~label:(Printf.sprintf "s%d" k) (stim k))
+        done;
+        Journal.sync j;
+        let wal = file_size (Filename.concat dir "wal.ddf") in
+        let first = Journal.base_seq j + 1 and last = Journal.seq j in
+        let w0 = written_bytes () in
+        let t0 = Unix.gettimeofday () in
+        Journal.compact j;
+        let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        let w1 = written_bytes () in
+        let ckpt = file_size (Filename.concat dir "snapshot.ddf") in
+        let idx =
+          file_size
+            (Filename.concat dir
+               (Printf.sprintf "cemented/segment-%012d-%012d.idx" first last))
+        in
+        let base = file_size (Filename.concat dir "base.ddf") in
+        let written =
+          match (w0, w1) with Some a, Some b -> b - a | _ -> -1
+        in
+        (wal, written, ckpt, idx, written - ckpt - idx - base, ms))
+  in
+  Journal.close j;
+  rm_rf dir;
+  let mean f =
+    List.fold_left (fun acc x -> acc + f x) 0 samples / List.length samples
+  in
+  let ms =
+    List.nth
+      (List.sort compare (List.map (fun (_, _, _, _, _, ms) -> ms) samples))
+      (rounds / 2)
+  in
+  let wal = mean (fun (w, _, _, _, _, _) -> w)
+  and written = mean (fun (_, w, _, _, _, _) -> w)
+  and ckpt = mean (fun (_, _, c, _, _, _) -> c)
+  and idx = mean (fun (_, _, _, i, _, _) -> i)
+  and frame_bytes = mean (fun (_, _, _, _, f, _) -> f) in
+  Bench_util.print_table
+    [ "wal B"; "written B"; "frames B"; "checkpoint B"; "idx B"; "ms (median)" ]
+    [ [ string_of_int wal; string_of_int written; string_of_int frame_bytes;
+        string_of_int ckpt; string_of_int idx; Printf.sprintf "%.2f" ms ] ];
+  List.iter
+    (fun (name, v) ->
+      Metrics.set (Metrics.gauge ("cement.bench.compact_" ^ name)) v)
+    [ ("wal_bytes", float_of_int wal);
+      ("written_bytes", float_of_int written);
+      ("frame_bytes", float_of_int frame_bytes);
+      ("checkpoint_bytes", float_of_int ckpt);
+      ("idx_bytes", float_of_int idx); ("ms", ms) ]
+
 (* Bootstrap first: the top-of-heap checkpoints it takes are monotone,
    so it must run before the other phases warm the heap up. *)
 let run () =
   bootstrap ();
   replay_scaling ();
-  cold_tier ()
+  cold_tier ();
+  compaction_io ()

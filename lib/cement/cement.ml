@@ -3,33 +3,30 @@
 
    Layout of a cement directory (conventionally <db>/cemented):
 
-     segment-<first>-<last>.ddf    C1 <first> <last>\n  + J1 frames
+     segment-<first>-<last>.ddf    J1 frames, nothing else: a sealed wal
      segment-<first>-<last>.idx    I1 <first> <last> <count>\n
                                    + one 32-byte line per entry:
                                      %016x %c %012d\n
                                      offset kind  id
 
-   The frames use the wal's framing (J1 <len> <md5> header, payload,
-   newline; the one codec for both is below), so cementing is a copy,
-   not a re-encoding, and every read re-verifies the md5.  The index line
-   records the frame's byte offset (hex, fixed width), its entry kind
-   (p/n/r/c/v for put/note/record/conflict/resolve) and the id the
-   entry installs (the iid for puts and notes, 0 otherwise), both read
-   off the entry's head by [Entry.classify] — enough
-   for O(1) seqno lookup and for the store's cold-load path to find
-   the put frame of an evicted payload without replaying anything.
+   A segment is the journal's wal file, renamed into this directory
+   once complete ([seal]): each frame is written once, by the append
+   that journaled it, and the seqno window is the file name.  The index
+   line records the frame's byte offset (hex, fixed width), its entry
+   kind (p/n/r/c/v for put/note/record/conflict/resolve) and the id the
+   entry installs (the iid for puts and notes, 0 otherwise), read off
+   the entry's head by [Entry.classify] when the frame was appended
+   ([index_add]).  A segment of cement segment format 1 (a "C1 <first>
+   <last>" line before a copy of the frames) is refused at open.
 
    The index is derived data: if it is missing, or its header
    disagrees with the segment, it is rebuilt by one sequential scan.
-   Only the newest segment can have a torn tail (older ones were
-   complete when the next was created), so open scans that one segment
-   fully and truncates it back to the last good frame; an older
-   segment is scanned only when its index is stale.
-
-   Open also reads every index once into an in-memory put map (iid ->
-   seqno and frame offset of the newest put that installed it), which
-   [fold_framed] extends and [clear] empties: a cold payload load is one map
-   lookup and one positioned read, never an index scan. *)
+   Only the newest segment can have a torn tail, so open scans that one
+   fully, cuts it in place back to the last good frame and renames it
+   to the window that survived; an older segment is scanned only when
+   its index is stale.  Open also reads every index once into the put
+   map (iid -> seqno and frame offset of the newest put that installed
+   it), which [seal] extends and [clear] empties. *)
 
 module Metrics = Ddf_obs.Metrics
 module Obs = Ddf_obs.Obs
@@ -57,13 +54,11 @@ let frame_header payload =
 
 (* Header, payload and newlines go to the channel as they are: the
    frame is never assembled in memory. *)
-let output_framed oc header payload =
-  output_string oc header;
+let output_frame oc payload =
+  output_string oc (frame_header payload);
   output_char oc '\n';
   output_string oc payload;
   output_char oc '\n'
-
-let output_frame oc payload = output_framed oc (frame_header payload) payload
 
 (* The length and checksum a header line announces. *)
 let parse_header line =
@@ -78,10 +73,9 @@ let parse_header line =
    before anything is allocated for it. *)
 let large_frame = 1 lsl 20
 
-(* Read one frame from a channel: [`Frame (header, payload)], the
-   header line without its newline; [`End] cleanly at end of file;
-   [`Torn at] when the tail is damaged ([at] = end of the good
-   prefix). *)
+(* Read one frame from a channel: [`Frame payload]; [`End] cleanly at
+   end of file; [`Torn at] when the tail is damaged ([at] = end of the
+   good prefix). *)
 let read_frame ic =
   let start = pos_in ic in
   match input_line ic with
@@ -100,7 +94,55 @@ let read_frame ic =
         else
           let payload = String.sub payload 0 len in
           if Digest.to_hex (Digest.string payload) <> digest then `Torn start
-          else `Frame (header, payload)))
+          else `Frame payload))
+
+(* ------------------------------------------------------------------ *)
+(* Index lines                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let idx_line_len = 32
+
+(* The lines, and one line's worth of scratch the next is written in. *)
+type index = { lines : Buffer.t; line : Bytes.t }
+
+let index () = { lines = Buffer.create 4096; line = Bytes.create idx_line_len }
+let hex_digits = "0123456789abcdef"
+
+(* [n]'s decimal digits, right-aligned to end at [line.[i]]. *)
+let rec decimal line i n =
+  if n > 0 then begin
+    Bytes.unsafe_set line i (Char.unsafe_chr (48 + (n mod 10)));
+    decimal line (i - 1) (n / 10)
+  end
+
+(* One "%016x %c %012d\n" line, written digit by digit: it is added on
+   every journal append. *)
+let index_add { lines; line } ~off payload =
+  let kind, id = Entry.classify payload in
+  Bytes.fill line 19 12 '0';
+  for k = 0 to 15 do
+    Bytes.unsafe_set line (15 - k) hex_digits.[(off lsr (4 * k)) land 15]
+  done;
+  Bytes.unsafe_set line 16 ' ';
+  Bytes.unsafe_set line 17 kind;
+  Bytes.unsafe_set line 18 ' ';
+  decimal line 30 id;
+  Bytes.unsafe_set line 31 '\n';
+  Buffer.add_bytes lines line
+
+let index_offset idx k =
+  int_of_string ("0x" ^ Buffer.sub idx.lines (k * idx_line_len) 16)
+
+let idx_header first last count = Printf.sprintf "I1 %d %d %d\n" first last count
+
+let parse_idx_entry line =
+  if String.length line <> idx_line_len - 1 then
+    cement_errorf "cement index: malformed entry %S" line
+  else
+    let off = int_of_string ("0x" ^ String.sub line 0 16) in
+    let kind = line.[17] in
+    let id = int_of_string (String.sub line 19 12) in
+    (off, kind, id)
 
 (* ------------------------------------------------------------------ *)
 (* Segments                                                            *)
@@ -125,8 +167,6 @@ type t = {
   c_truncated : int;
 }
 
-let idx_line_len = 32
-
 let seg_name first last = Printf.sprintf "segment-%012d-%012d" first last
 let seg_path dir first last = Filename.concat dir (seg_name first last ^ ".ddf")
 let idx_path dir first last = Filename.concat dir (seg_name first last ^ ".idx")
@@ -136,18 +176,6 @@ let parse_seg_name name =
   | pair -> Some pair
   | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
-let idx_header first last count = Printf.sprintf "I1 %d %d %d\n" first last count
-let idx_entry off kind id = Printf.sprintf "%016x %c %012d\n" off kind id
-
-let parse_idx_entry line =
-  if String.length line <> idx_line_len - 1 then
-    cement_errorf "cement index: malformed entry %S" line
-  else
-    let off = int_of_string ("0x" ^ String.sub line 0 16) in
-    let kind = line.[17] in
-    let id = int_of_string (String.sub line 19 12) in
-    (off, kind, id)
-
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | fd ->
@@ -155,50 +183,49 @@ let fsync_dir dir =
     Unix.close fd
   | exception Unix.Unix_error _ -> ()
 
-let fsync_oc oc =
-  flush oc;
-  Unix.fsync (Unix.descr_of_out_channel oc)
+(* A segment of format 1 begins with its "C1 <first> <last>" header,
+   so its first frame is not at offset 0; a sealed wal begins with a
+   frame's "J1". *)
+let refuse_format_1 path =
+  cement_errorf ~code:`Invalid
+    "cement segment %s is cement segment format 1 (a C1 header before its \
+     frames); this build reads only sealed wal segments: rebuild the \
+     database"
+    path
 
-(* Scan a segment's frames: returns (offsets-and-payloads in order,
-   end-of-good-prefix).  [offsets] are absolute file offsets. *)
+(* Scan a segment's frames: (the index of its good prefix, frames in
+   it, end of the good prefix, file size). *)
 let scan_segment path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let header = try input_line ic with End_of_file -> "" in
-  match String.split_on_char ' ' header with
-  | [ "C1"; first; last ] -> (
-    match (int_of_string_opt first, int_of_string_opt last) with
-    | Some first, Some last ->
-      let frames = ref [] in
-      let rec go () =
-        let off = pos_in ic in
-        match read_frame ic with
-        | `End -> off
-        | `Torn at -> at
-        | `Frame (_, payload) ->
-          frames := (off, payload) :: !frames;
-          go ()
-      in
-      let good_end = go () in
-      `Seg (first, last, List.rev !frames, good_end, in_channel_length ic)
-    | _ -> `Bad_header)
-  | _ -> `Bad_header
+  if in_channel_length ic >= 3 && really_input_string ic 3 = "C1 " then
+    refuse_format_1 path;
+  seek_in ic 0;
+  let idx = index () in
+  let rec go n =
+    let off = pos_in ic in
+    match read_frame ic with
+    | `End -> (n, off)
+    | `Torn at -> (n, at)
+    | `Frame payload ->
+      index_add idx ~off payload;
+      go (n + 1)
+  in
+  let n, good_end = go 0 in
+  (idx, n, good_end, in_channel_length ic)
 
-(* Build (or rebuild) the idx file for a scanned segment; returns the
-   idx header length. *)
-let write_idx ~dir ~first ~last frames =
+(* Write the idx file of window [first..last] from its index lines;
+   returns the idx header length. *)
+let write_idx ~dir ~first ~last idx =
   let path = idx_path dir first last in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  let header = idx_header first last (List.length frames) in
+  let header = idx_header first last (last - first + 1) in
   (try
      output_string oc header;
-     List.iter
-       (fun (off, payload) ->
-         let kind, id = Entry.classify payload in
-         output_string oc (idx_entry off kind id))
-       frames;
-     fsync_oc oc;
+     Buffer.output_buffer oc idx.lines;
+     flush oc;
+     Unix.fsync (Unix.descr_of_out_channel oc);
      close_out oc
    with e ->
      close_out_noerr oc;
@@ -219,13 +246,6 @@ let idx_valid ~dir ~first ~last count =
   let len = in_channel_length ic in
   close_in ic;
   header = expect && len = String.length expect + (count * idx_line_len)
-
-(* Validate the idx against the segment scan; rebuild when stale.
-   Returns the idx header length. *)
-let ensure_idx ~dir ~first ~last frames =
-  if idx_valid ~dir ~first ~last (List.length frames) then
-    String.length (idx_header first last (List.length frames))
-  else write_idx ~dir ~first ~last frames
 
 (* Record the segment's put frames in the put map, ascending, so the
    newest put of an iid wins. *)
@@ -262,8 +282,15 @@ let make_segment ~dir ~first ~last ~path ~bytes ~idx_base =
     s_idx = idx_path dir first last; s_bytes = bytes; s_idx_base = idx_base;
     s_fd = None; s_idx_fd = None }
 
+(* Cut [path] back to [len] bytes, durably. *)
+let truncate_durably path len =
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.ftruncate fd len;
+  Unix.fsync fd
+
 (* Open one segment file.  An older segment with a valid index is
-   trusted as is (it was complete when the next one was created); the
+   trusted as is (it was complete when the next one was sealed); the
    newest one, or one whose index is stale, is scanned frame by frame.
    Returns [None] when nothing of a damaged newest segment survives;
    adds dropped torn bytes to [truncated]. *)
@@ -276,71 +303,42 @@ let open_segment ~dir ~newest ~truncated (first, last) =
          ~bytes:(Unix.stat path).Unix.st_size
          ~idx_base:(String.length (idx_header first last want)))
   else
-    match scan_segment path with
-    | `Bad_header ->
-      if newest then begin
-        (* a damaged newest segment cannot be trusted at all *)
-        truncated := !truncated + (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0);
-        drop_files ~dir ~first ~last path;
-        None
-      end
-      else cement_errorf "cement segment %s: bad header" path
-    | `Seg (hfirst, hlast, frames, good_end, size) ->
-      if hfirst <> first || hlast <> last then
-        cement_errorf "cement segment %s: header names %d-%d" path hfirst
-          hlast;
-      let have = List.length frames in
-      if have > want then
-        cement_errorf "cement segment %s: %d frames for window %d-%d" path
-          have first last;
-      if have < want && not newest then
-        cement_errorf "cement segment %s: torn mid-store (%d/%d frames)"
-          path have want;
-      if have = 0 then begin
-        (* nothing survived: drop the segment *)
-        truncated := !truncated + size;
-        drop_files ~dir ~first ~last path;
-        None
-      end
-      else if have = want then
-        Some
-          (make_segment ~dir ~first ~last ~path ~bytes:size
-             ~idx_base:(ensure_idx ~dir ~first ~last frames))
-      else begin
-        (* torn tail on the newest segment: truncate to the good prefix
-           and rename to the window that survived *)
+    let idx, have, good_end, size = scan_segment path in
+    if have > want then
+      cement_errorf "cement segment %s: %d frames for window %d-%d" path have
+        first last;
+    if have < want && not newest then
+      cement_errorf "cement segment %s: torn mid-store (%d/%d frames)" path
+        have want;
+    if have = 0 then begin
+      (* nothing survived: drop the segment *)
+      truncated := !truncated + size;
+      drop_files ~dir ~first ~last path;
+      None
+    end
+    else begin
+      (* a torn tail on the newest segment: cut it back to the good
+         prefix and rename it to the window that survived; the frames
+         keep their offsets *)
+      let last' = first + have - 1 in
+      let path' = seg_path dir first last' in
+      if good_end < size then begin
         truncated := !truncated + (size - good_end);
-        let last' = first + have - 1 in
-        let path' = seg_path dir first last' in
-        let ic = open_in_bin path in
-        let good = really_input_string ic good_end in
-        close_in ic;
-        (* rewrite with the corrected header, atomically *)
-        let body =
-          let nl = String.index good '\n' in
-          String.sub good (nl + 1) (String.length good - nl - 1)
-        in
-        let tmp = path' ^ ".tmp" in
-        let oc = open_out_bin tmp in
-        let hdr = Printf.sprintf "C1 %d %d\n" first last' in
-        output_string oc hdr;
-        output_string oc body;
-        fsync_oc oc;
-        close_out oc;
-        Sys.rename tmp path';
-        if path' <> path then (try Sys.remove path with Sys_error _ -> ());
-        (try Sys.remove (idx_path dir first last) with Sys_error _ -> ());
-        (* offsets shift by the header-length delta: re-scan *)
-        let frames =
-          match scan_segment path' with
-          | `Seg (_, _, frames, _, _) -> frames
-          | `Bad_header -> cement_errorf "cement segment %s: rewrite failed" path'
-        in
-        Some
-          (make_segment ~dir ~first ~last:last' ~path:path'
-             ~bytes:(String.length hdr + String.length body)
-             ~idx_base:(ensure_idx ~dir ~first ~last:last' frames))
-      end
+        truncate_durably path good_end
+      end;
+      if last' <> last then begin
+        Sys.rename path path';
+        try Sys.remove (idx_path dir first last) with Sys_error _ -> ()
+      end;
+      let idx_base =
+        if idx_valid ~dir ~first ~last:last' have then
+          String.length (idx_header first last' have)
+        else write_idx ~dir ~first ~last:last' idx
+      in
+      Some
+        (make_segment ~dir ~first ~last:last' ~path:path' ~bytes:good_end
+           ~idx_base)
+    end
 
 let open_ ~dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -352,7 +350,7 @@ let open_ ~dir =
     |> List.sort compare
   in
   let truncated = ref 0 in
-  (* leftover temp files from a crashed fold are garbage *)
+  (* leftover temp files from a crashed index write are garbage *)
   Array.iter
     (fun n ->
       if Filename.check_suffix n ".tmp" then
@@ -378,7 +376,13 @@ let open_ ~dir =
   in
   check segments;
   let puts = Hashtbl.create 1024 in
-  List.iter (fun seg -> index_puts puts seg (idx_body seg)) segments;
+  List.iter
+    (fun seg ->
+      let body = idx_body seg in
+      if not (String.starts_with ~prefix:"0000000000000000 " body) then
+        refuse_format_1 seg.s_path;
+      index_puts puts seg body)
+    segments;
   let t =
     { c_dir = dir; c_m = Mutex.create ();
       c_segments = Array.of_list segments; c_puts = puts;
@@ -410,72 +414,39 @@ let total_bytes t =
   Array.fold_left (fun acc s -> acc + s.s_bytes) 0 t.c_segments
 
 (* ------------------------------------------------------------------ *)
-(* Fold (cementing)                                                    *)
+(* Seal (cementing)                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let fold_framed t ~first frames =
-  let t0 = Unix.gettimeofday () in
-  locked t
-    (fun () ->
-      let n = Array.length t.c_segments in
-      let last_cemented = if n = 0 then 0 else t.c_segments.(n - 1).s_last in
-      (* idempotence across the compact crash window: skip what is
-         already cemented *)
-      let frames =
-        List.filteri (fun i _ -> first + i > last_cemented) frames
-      in
-      let first = max first (last_cemented + 1) in
-      match frames with
-      | [] -> ()
-      | frames ->
+let seal t ~first idx path =
+  let count = Buffer.length idx.lines / idx_line_len in
+  if count > 0 then begin
+    let t0 = Unix.gettimeofday () in
+    locked t (fun () ->
+        let n = Array.length t.c_segments in
+        let last_cemented = if n = 0 then 0 else t.c_segments.(n - 1).s_last in
         if n > 0 && first <> last_cemented + 1 then
           cement_errorf ~code:`Conflict
-            "cement fold gap: have through %d, offered from %d" last_cemented
-            first;
-        (* contiguity within the batch is the caller's contract; the
-           index assumes seqno = first + position *)
-        let last = first + List.length frames - 1 in
-        let path = seg_path t.c_dir first last in
-        let tmp = path ^ ".tmp" in
-        let oc = open_out_bin tmp in
-        let offsets = ref [] in
-        (try
-           let hdr = Printf.sprintf "C1 %d %d\n" first last in
-           output_string oc hdr;
-           List.iter
-             (fun (_, header, payload) ->
-               offsets := (pos_out oc, payload) :: !offsets;
-               output_framed oc header payload)
-             frames;
-           fsync_oc oc;
-           close_out oc
-         with e ->
-           close_out_noerr oc;
-           (try Sys.remove tmp with Sys_error _ -> ());
-           raise e);
-        Sys.rename tmp path;
-        let offsets = List.rev !offsets in
-        let idx_base = write_idx ~dir:t.c_dir ~first ~last offsets in
+            "cement seal: have through %d, offered from %d" last_cemented first;
+        let last = first + count - 1 in
+        let seg_file = seg_path t.c_dir first last in
+        Sys.rename path seg_file;
+        let idx_base = write_idx ~dir:t.c_dir ~first ~last idx in
         fsync_dir t.c_dir;
         let seg =
-          make_segment ~dir:t.c_dir ~first ~last ~path
-            ~bytes:(Unix.stat path).Unix.st_size ~idx_base
+          make_segment ~dir:t.c_dir ~first ~last ~path:seg_file
+            ~bytes:(Unix.stat seg_file).Unix.st_size ~idx_base
         in
-        List.iteri
-          (fun k (off, payload) ->
-            match Entry.classify payload with
-            | 'p', iid -> Hashtbl.replace t.c_puts iid (first + k, off)
-            | _ -> ())
-          offsets;
+        index_puts t.c_puts seg (Buffer.contents idx.lines);
         t.c_segments <- Array.append t.c_segments [| seg |];
         Metrics.incr m_folds;
         refresh_gauges t);
-  let dt = Unix.gettimeofday () -. t0 in
-  Metrics.observe h_fold dt;
-  if Obs.enabled () then
-    Obs.complete ~cat:"cement" ~dur_us:(dt *. 1e6)
-      ~attrs:[ ("frames", Obs.Int (List.length frames)) ]
-      "cement.fold"
+    let dt = Unix.gettimeofday () -. t0 in
+    Metrics.observe h_fold dt;
+    if Obs.enabled () then
+      Obs.complete ~cat:"cement" ~dur_us:(dt *. 1e6)
+        ~attrs:[ ("frames", Obs.Int count) ]
+        "cement.seal"
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Reads (positioned, index-backed)                                    *)
@@ -532,8 +503,8 @@ let entry_offset seg seq =
   in
   if String.length line <> idx_line_len then
     cement_errorf "cement index %s: short read at entry %d" seg.s_idx k;
-  let off, kind, id = parse_idx_entry (String.sub line 0 (idx_line_len - 1)) in
-  (off, kind, id)
+  let off, _, _ = parse_idx_entry (String.sub line 0 (idx_line_len - 1)) in
+  off
 
 (* Read the frame at [off]: parse the J1 header out of a fixed-size
    probe, then read exactly the payload. *)
@@ -563,7 +534,7 @@ let read t seq =
   match find_segment t seq with
   | None -> None
   | Some seg ->
-    let off, _, _ = entry_offset seg seq in
+    let off = entry_offset seg seq in
     Metrics.incr m_reads;
     Some (frame_at seg off)
 
@@ -576,20 +547,17 @@ let iter_range t ~from ~upto f =
     | None -> None
     | Some seg ->
       let hi = min upto seg.s_last in
-      let off, _, _ = entry_offset seg from in
+      let off = entry_offset seg from in
       let ic = open_in_bin seg.s_path in
       Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
       seek_in ic off;
       let out = ref [] in
-      (try
-         for seq = from to hi do
-           match read_frame ic with
-           | `Frame (_, payload) -> out := (seq, payload) :: !out
-           | `End | `Torn _ ->
-             cement_errorf "cement segment %s: truncated mid-window"
-               seg.s_path
-         done
-       with e -> raise e);
+      for seq = from to hi do
+        match read_frame ic with
+        | `Frame payload -> out := (seq, payload) :: !out
+        | `End | `Torn _ ->
+          cement_errorf "cement segment %s: truncated mid-window" seg.s_path
+      done;
       Metrics.incr m_reads;
       Some (List.rev !out, hi)
   in

@@ -2,37 +2,36 @@
 
     The journal's entries are immutable once written: frames below the
     compaction watermark ([base.ddf]) describe puts, annotations and
-    flow records that can never change again.  Before this subsystem
-    they were folded into the snapshot and {e discarded} — restart
+    flow records that can never change again.  [Cement] keeps that
+    history in {e segments} under a [cemented/] directory, so restart
     replay, anti-entropy catch-up and cold version/trace queries below
-    the watermark were impossible without a full resync.
-
-    [Cement] keeps that history in {e segments}: append-only,
-    checksummed, index-backed files under a [cemented/] directory.  A
-    segment holds a contiguous seqno window
+    the watermark work without a full resync.  A segment holds a
+    contiguous seqno window
 
     {v
-      segment-<first>-<last>.ddf   C1 <first> <last>\n + J1 frames
+      segment-<first>-<last>.ddf   J1 frames, nothing else: a sealed wal
       segment-<first>-<last>.idx   I1 header + fixed-width offset lines
     v}
 
-    The frames use the wal's [J1 <len> <md5>] framing (one codec,
-    below), so a cemented frame is byte-identical to the wal frame it
-    came from; the index
-    maps a seqno to its byte offset in O(1) (one fixed-width line per
-    entry), so lookups are served by pread-style positioned reads, not
-    replay.  The index is derived data: a missing or inconsistent
-    [.idx] is rebuilt from its segment on open.  Open also reads every
-    index once into an in-memory put map (iid → seqno and offset of the
-    put frame that installed it), which {!fold_framed} extends and {!clear}
-    empties, so put lookups never scan an index.
+    A segment {e is} the journal's wal file: a compaction fsyncs the
+    wal and {!seal}s it, renaming it into the store, so each frame is
+    written once, by the append that journaled it.  The frames use the
+    wal's [J1 <len> <md5>] framing (one codec, below); the index maps a
+    seqno to its byte offset in O(1), so lookups are positioned reads,
+    not replay.  The journal builds a wal's index lines as it appends
+    ({!index_add}).  A missing or inconsistent [.idx] is rebuilt from
+    its segment on open.  Open also reads every index once into an
+    in-memory put map (iid → seqno and offset of the put frame that
+    installed it), which {!seal} extends and {!clear} empties, so put
+    lookups never scan an index.  A segment of cement segment format 1
+    (a [C1 <first> <last>] line before a copy of the frames) is refused
+    at {!open_}.
 
-    Crash safety: segments are written to a temp file, fsynced and
-    renamed into place (the directory is fsynced after the rename); a
-    torn tail on the newest segment — external truncation, a crash
-    while the file system reordered writes — is detected on open by a
-    full scan of that segment and truncated back to the last good
-    frame (an empty survivor is dropped entirely).
+    Crash safety: a sealed file is complete and fsynced before its
+    rename, and the directory is fsynced after it.  A torn tail on the
+    newest segment (external damage) is found on open by a full scan
+    of that segment and cut back in place to the last good frame (an
+    empty survivor is dropped).
 
     Thread safety: all operations on one [t] are serialised by an
     internal mutex; callers may read from any thread. *)
@@ -49,13 +48,28 @@ val output_frame : out_channel -> string -> unit
 (** Write a framed payload to the channel, piece by piece (the frame
     is never assembled in memory).  Does not flush. *)
 
-val read_frame :
-  in_channel -> [ `End | `Frame of string * string | `Torn of int ]
-(** Read one frame: [`Frame (header, payload)], the header line
-    without its newline, once the payload matched its checksum; [`End]
-    cleanly at end of file; [`Torn at] when a short, malformed or
-    checksum-failing frame starts at offset [at] (the end of the good
-    prefix). *)
+val read_frame : in_channel -> [ `End | `Frame of string | `Torn of int ]
+(** Read one frame: [`Frame payload] once the payload matched its
+    checksum; [`End] cleanly at end of file; [`Torn at] when a short,
+    malformed or checksum-failing frame starts at offset [at] (the end
+    of the good prefix). *)
+
+(** {1 Index of a file being appended} *)
+
+type index
+(** The index lines of a file of frames, one per frame in file order:
+    what {!seal} writes as the segment's [.idx] and loads into the put
+    map. *)
+
+val index : unit -> index
+
+val index_add : index -> off:int -> string -> unit
+(** [index_add idx ~off payload] records the frame of [payload] written
+    at byte offset [off]: its kind and id are read off the entry's
+    head ([Entry.classify]). *)
+
+val index_offset : index -> int -> int
+(** The byte offset of the [k]-th recorded frame (from 0). *)
 
 (** {1 Segments} *)
 
@@ -67,7 +81,8 @@ val open_ : dir:string -> t
     is stale), validates contiguity, truncates a torn newest segment,
     rebuilds stale indexes and loads the put map.
     @raise Ddf_core.Error.Ddf_error on unrecoverable corruption (a
-    seqno gap between surviving segments). *)
+    seqno gap between surviving segments), or ([`Invalid]) on a
+    segment of cement segment format 1. *)
 
 val dir : t -> string
 
@@ -85,19 +100,16 @@ val total_bytes : t -> int
 val truncated_on_open : t -> int
 (** Bytes of torn tail dropped by crash recovery during {!open_}. *)
 
-val fold_framed : t -> first:int -> (int * string * string) list -> unit
-(** [fold_framed t ~first frames] cements [frames] (ascending,
-    contiguous [(seqno, header, payload)] starting at [first]) as one
-    new segment.  Each header line is the one {!read_frame} verified
-    (or {!frame_header} of the payload) and is written as it is, so no
-    payload is hashed again.
-    Frames with seqno <= {!last_seq} are skipped — refolding after a
-    crash between the cement fold and the watermark write is
-    idempotent — and the remainder must start at [last_seq t + 1].
-    A no-op on an empty list.  Durable on return (file and directory
-    fsync).  Observes [cement.fold_seconds] and bumps
-    [cement.segments]/[cement.bytes].
-    @raise Ddf_core.Error.Ddf_error on a seqno gap. *)
+val seal : t -> first:int -> index -> string -> unit
+(** [seal t ~first idx path] cements the file at [path] — complete J1
+    frames, already fsynced, one [idx] line per frame — as the segment
+    [first .. first + n - 1] by renaming it into the store: no frame is
+    read or written.  Writes the [.idx], extends the put map and fsyncs
+    the store's directory, so the segment is durable on return.  A
+    no-op when [idx] is empty.  Observes [cement.fold_seconds] and
+    bumps [cement.segments]/[cement.bytes].
+    @raise Ddf_core.Error.Ddf_error ([`Conflict]) unless [first] is
+    [last_seq t + 1] on a non-empty store. *)
 
 val read : t -> int -> string option
 (** [read t seq] returns the cemented frame payload for [seq] via one

@@ -7,9 +7,9 @@
                     flows; each payload is a reference to its cemented
                     put frame, inline only when cement lacks that put.
                     Optional.
-     wal.ddf        framed log entries appended since the snapshot
+     wal.ddf        framed log entries appended since the last seal
      base.ddf       sequence number folded into the snapshot
-     cemented/      the cement store: every compacted wal frame
+     cemented/      the cement store: every sealed wal, as a segment
 
    Each log frame is
 
@@ -33,9 +33,10 @@
 
    Sequence numbers.  Every entry ever journaled has a global sequence
    number: the snapshot covers entries 1..base (persisted in base.ddf,
-   0 when absent), the wal holds base+1..seq.  Seqnos are not written
-   into the frames — the i-th wal frame is entry base+i — so the disk
-   format is unchanged; they exist so a replication stream can name
+   0 when absent), the cement store holds sealed wals up to its
+   last_seq, and the wal holds max(base, last_seq)+1..seq.  Seqnos are
+   not written into the frames — the i-th wal frame is entry
+   max(base, last_seq)+i — they exist so a replication stream can name
    frames exactly ([entries_since], [apply], the frame observer). *)
 
 open Ddf_store
@@ -73,9 +74,10 @@ type t = {
   j_dir : string;
   j_ctx : Ddf_exec.Engine.context;
   j_registry : Ddf_tools.Encapsulation.registry option;
-  mutable j_oc : out_channel;        (* wal.ddf, append mode *)
-  mutable j_entries : int;           (* entries since the snapshot *)
-  mutable j_base : int;              (* seq folded into the snapshot *)
+  mutable j_oc : out_channel;        (* wal.ddf, positioned at its end *)
+  mutable j_index : Cement.index;    (* one index line per wal frame *)
+  mutable j_entries : int;           (* frames in the wal *)
+  mutable j_base : int;              (* seq before the wal's first frame *)
   mutable j_seq : int;               (* seq of the last entry = base + entries *)
   j_truncated : int;                 (* torn-tail bytes dropped on open *)
   mutable j_closed : bool;
@@ -164,7 +166,11 @@ let write_base dir base =
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let write_frame oc payload =
+(* Append one frame to the wal and record its offset, kind and id for
+   the seal that will make the wal a cement segment. *)
+let write_frame j payload =
+  let oc = j.j_oc in
+  let off = pos_out oc in
   (match Fault.check "journal.torn_write" with
   | Some (Fault.Torn k) ->
     (* a crash mid-append: only a prefix of the frame reaches the file *)
@@ -174,24 +180,26 @@ let write_frame oc payload =
     raise (Fault.Injected "journal.torn_write")
   | Some Fault.Fail -> raise (Fault.Injected "journal.torn_write")
   | Some (Fault.Delay _) | None -> Cement.output_frame oc payload);
-  flush oc
+  flush oc;
+  Cement.index_add j.j_index ~off payload
 
-(* Pass [f] each frame of the wal at [path] with its seqno, counting up
-   from [base], and its verified J1 header line, until [f] answers
-   [false] or the file ends.  [None] at
-   a clean end or an early stop; [Some at] when the frame at offset
-   [at] is torn.  The file is closed however the read ends. *)
-let read_wal path ~base f =
-  if not (Sys.file_exists path) then None
+(* Pass [f] the seqno, offset and payload of each frame of the wal at
+   [path] from byte [off], counting seqnos up from [base], until [f]
+   answers [false] or the file ends.  [`End at] at a clean end (the
+   file's length) or an early stop; [`Torn at] when the frame at
+   offset [at] is torn.  The file is closed however the read ends. *)
+let read_wal ?(off = 0) path ~base f =
+  if not (Sys.file_exists path) then `End 0
   else
     let ic = open_in_bin path in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+    seek_in ic off;
     let rec go seq =
+      let at = pos_in ic in
       match Cement.read_frame ic with
-      | `End -> None
-      | `Frame (header, payload) ->
-        if f (seq + 1) header payload then go (seq + 1) else None
-      | `Torn at -> Some at
+      | `End -> `End at
+      | `Frame payload -> if f (seq + 1) at payload then go (seq + 1) else `End at
+      | `Torn at -> `Torn at
     in
     go base
 
@@ -201,18 +209,13 @@ let read_wal path ~base f =
 
 (* [lenient] makes replay idempotent: an entry whose effect is already
    present (same instance/record/conflict with identical content) is
-   skipped instead of raising "log out of order".  Only [replay_wal]
-   passes it — a crash inside [compact] between the snapshot rename and
-   the base.ddf write leaves a NEW snapshot with the OLD base and a
-   full wal, so restart replays entries the snapshot already folded in.
-   Divergent content under a replayed id still errors: leniency covers
-   exact re-application, never conflicting history.
-
-   Returns whether the entry changed anything: [false] means its whole
-   effect was already present.  A wal whose every entry replays as
-   [false] is a leftover from an interrupted compaction — [open_] uses
-   that signal (confirmed against the cement watermark) to finish the
-   truncation instead of double-counting the frames. *)
+   skipped instead of raising "log out of order".  Open-time replay
+   passes it: the cemented frames past the base that a crash between a
+   seal and its base write leaves behind are already in a checkpoint
+   renamed before the crash, and a wal may be too (the checkpoint a
+   cement restart or a resync renames before its base write covers
+   it).  Divergent content under a replayed id still errors: leniency
+   covers exact re-application, never conflicting history. *)
 let replay_entry ?(lenient = false) ctx payload =
   let store = ctx.Ddf_exec.Engine.store in
   let history = ctx.Ddf_exec.Engine.history in
@@ -222,74 +225,54 @@ let replay_entry ?(lenient = false) ctx payload =
   match Entry.decode payload with
   | Entry.Put { iid; clock; entity; hash; meta; text } ->
     let value = Entry.value ~iid ~hash text in
-    let applied =
-      if lenient && Store.mem store iid then begin
-        let inst = Store.find store iid in
-        if inst.Store.entity <> entity || inst.Store.data_hash <> hash then
-          journal_errorf
-            "instance %d already present with different content (log \
-             corrupt?)"
-            iid;
-        false
-      end
-      else begin
-        let got = Store.put ~text store ~entity ~hash ~meta value in
-        if got <> iid then
-          journal_errorf "log out of order: instance %d replayed as %d" iid
-            got;
-        true
-      end
-    in
-    advance clock;
-    applied
+    if lenient && Store.mem store iid then begin
+      let inst = Store.find store iid in
+      if inst.Store.entity <> entity || inst.Store.data_hash <> hash then
+        journal_errorf
+          "instance %d already present with different content (log \
+           corrupt?)"
+          iid
+    end
+    else begin
+      let got = Store.put ~text store ~entity ~hash ~meta value in
+      if got <> iid then
+        journal_errorf "log out of order: instance %d replayed as %d" iid got
+    end;
+    advance clock
   | Entry.Note { iid; meta } ->
     if not (Store.mem store iid) then
       journal_errorf "annotation of unknown instance %d" iid;
     let inst = Store.find store iid in
     if
-      lenient
-      && inst.Store.meta.Store.label = meta.Store.label
-      && inst.Store.meta.Store.comment = meta.Store.comment
-      && inst.Store.meta.Store.keywords = meta.Store.keywords
-    then false
-    else begin
+      not
+        (lenient
+        && inst.Store.meta.Store.label = meta.Store.label
+        && inst.Store.meta.Store.comment = meta.Store.comment
+        && inst.Store.meta.Store.keywords = meta.Store.keywords)
+    then
       Store.annotate store iid ~label:meta.Store.label
-        ~comment:meta.Store.comment ~keywords:meta.Store.keywords ();
-      true
-    end
+        ~comment:meta.Store.comment ~keywords:meta.Store.keywords ()
   | Entry.Record { clock; record = p } ->
-    let applied =
-      if lenient && p.Entry.rp_rid < History.tick history then begin
-        (* raises if the claimed record was never actually replayed *)
-        ignore (History.find history p.Entry.rp_rid);
-        false
-      end
-      else begin
-        let r = W.add_record ctx p in
-        if r.History.rid <> p.Entry.rp_rid then
-          journal_errorf "log out of order: record %d replayed as %d"
-            p.Entry.rp_rid r.History.rid;
-        true
-      end
-    in
-    advance clock;
-    applied
+    if lenient && p.Entry.rp_rid < History.tick history then
+      (* raises if the claimed record was never actually replayed *)
+      ignore (History.find history p.Entry.rp_rid)
+    else begin
+      let r = W.add_record ctx p in
+      if r.History.rid <> p.Entry.rp_rid then
+        journal_errorf "log out of order: record %d replayed as %d"
+          p.Entry.rp_rid r.History.rid
+    end;
+    advance clock
   | Entry.Conflict { clock; conflict = cid; base; ours; theirs; origin; at } ->
-    let applied =
-      if lenient && cid < History.conflict_tick history then begin
-        ignore (History.find_conflict history cid);
-        false
-      end
-      else begin
-        let c = History.add_conflict history ~base ~ours ~theirs ~origin ~at in
-        if c.History.cid <> cid then
-          journal_errorf "log out of order: conflict %d replayed as %d" cid
-            c.History.cid;
-        true
-      end
-    in
-    advance clock;
-    applied
+    if lenient && cid < History.conflict_tick history then
+      ignore (History.find_conflict history cid)
+    else begin
+      let c = History.add_conflict history ~base ~ours ~theirs ~origin ~at in
+      if c.History.cid <> cid then
+        journal_errorf "log out of order: conflict %d replayed as %d" cid
+          c.History.cid
+    end;
+    advance clock
   | Entry.Resolve { clock; conflict = cid; winner } ->
     let already =
       lenient
@@ -299,8 +282,7 @@ let replay_entry ?(lenient = false) ctx payload =
     in
     if not already then
       ignore (History.resolve_conflict history cid ~winner);
-    advance clock;
-    not already
+    advance clock
 
 (* ------------------------------------------------------------------ *)
 (* Observers: the live write path                                      *)
@@ -330,7 +312,7 @@ let append j payload =
   if not j.j_closed then begin
     check_writable j;
     (match
-       write_frame j.j_oc payload;
+       write_frame j payload;
        j.j_entries <- j.j_entries + 1;
        j.j_seq <- j.j_seq + 1;
        j.j_pending <- j.j_pending + 1;
@@ -401,13 +383,16 @@ let fsync_oc oc =
    filesystems that journal renames anyway), but the
    [journal.dir_fsync] crash point fires through so the fault sweep
    can kill the process exactly here. *)
-let fsync_dir dir =
-  Fault.fire "journal.dir_fsync";
+let sync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | fd ->
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     Unix.close fd
   | exception Unix.Unix_error _ -> ()
+
+let fsync_dir dir =
+  Fault.fire "journal.dir_fsync";
+  sync_dir dir
 
 let sync j =
   if not j.j_closed then begin
@@ -424,31 +409,26 @@ let sync j =
     | exception e -> fail_stop j e
   end
 
-(* Replay wal.ddf into [ctx]; returns (entries, torn-tail bytes
-   dropped, entries that actually applied something new).  The file is
-   truncated at the first torn frame.  [applied] = 0 with entries > 0
-   means the snapshot already held everything — the signal [open_]
-   uses to detect a compaction that crashed between its base write and
-   its wal truncation. *)
-let replay_wal ctx path =
+(* Replay wal.ddf into [ctx], recording each frame in [index]; returns
+   (entries, torn-tail bytes dropped, end of the good prefix).  The
+   file is truncated at the first torn frame. *)
+let replay_wal ctx index path =
   let entries = ref 0 in
-  let applied = ref 0 in
-  let torn_at =
-    read_wal path ~base:0 (fun _ _ payload ->
-        (* lenient: a crash inside [compact] can leave a snapshot that
-           already folded in a prefix of this wal *)
-        if replay_entry ~lenient:true ctx payload then incr applied;
+  let read =
+    read_wal path ~base:0 (fun _ off payload ->
+        replay_entry ~lenient:true ctx payload;
+        Cement.index_add index ~off payload;
         incr entries;
         Ddf_obs.Metrics.incr m_replayed;
         true)
   in
-  match torn_at with
-  | None -> (!entries, 0, !applied)
-  | Some at ->
+  match read with
+  | `End at -> (!entries, 0, at)
+  | `Torn at ->
     let torn = (Unix.stat path).Unix.st_size - at in
     Ddf_obs.Metrics.incr m_torn;
     Unix.truncate path at;
-    (!entries, torn, !applied)
+    (!entries, torn, at)
 
 (* ------------------------------------------------------------------ *)
 (* Tiered cold storage (the cement store)                              *)
@@ -545,7 +525,18 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
     else Ddf_exec.Engine.create_context ?registry schema
   in
   install_cold_loader cement ctx.Ddf_exec.Engine.store;
-  let entries, torn, applied = replay_wal ctx (wal_path dir) in
+  (* frames sealed past the base: a compaction crashed between its
+     seal and its base write, so the checkpoint may or may not hold
+     them *)
+  let base = read_base dir in
+  let sealed = Cement.last_seq cement in
+  if sealed > base then
+    Cement.iter_range cement ~from:(base + 1) ~upto:sealed (fun _ payload ->
+        replay_entry ~lenient:true ctx payload;
+        Ddf_obs.Metrics.incr m_replayed);
+  let index = Cement.index () in
+  let wal_existed = Sys.file_exists (wal_path dir) in
+  let entries, torn, wal_end = replay_wal ctx index (wal_path dir) in
   (* counters were restored by dense re-insertion; assert the ticks
      agree with the contents before trusting the database *)
   let store = ctx.Ddf_exec.Engine.store in
@@ -557,56 +548,38 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
      <> History.size ctx.Ddf_exec.Engine.history + 1
   then journal_errorf "record counter disagrees with the history size";
   let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (wal_path dir)
+    open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 (wal_path dir)
   in
-  let base = read_base dir in
+  seek_out oc wal_end;
+  (* a wal this open created (a fresh database, or a crash before a
+     compaction's fresh wal) is durable before anything is appended *)
+  if not wal_existed then sync_dir dir;
+  let base = max base sealed in
   let j =
     { j_dir = dir; j_ctx = ctx; j_registry = registry; j_oc = oc;
-      j_entries = entries; j_base = base; j_seq = base + entries;
-      j_truncated = torn; j_closed = false; j_failed = None;
-      j_frame_obs = None; compact_every;
+      j_index = index; j_entries = entries; j_base = base;
+      j_seq = base + entries; j_truncated = torn; j_closed = false;
+      j_failed = None; j_frame_obs = None; compact_every;
       j_sync_mode = sync_mode; j_pending = 0; j_cement = cement }
   in
-  (* Crash between compact's base write and its wal truncation: replay
-     proved the wal fully redundant (nothing applied) while the cement
-     watermark sits exactly at the new base — so these frames are the
-     pre-compaction wal, already folded into both snapshot and cement.
-     Complete the interrupted truncation instead of double-counting
-     them into the seqno line.  (The other crash window — snapshot
-     renamed, base still old — is left alone: there the cement
-     watermark equals base + entries, not base.) *)
-  if applied = 0 && entries > 0 && base > 0 && Cement.last_seq cement = base
-  then begin
-    close_out j.j_oc;
-    j.j_oc <-
-      open_out_gen
-        [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-        0o644 (wal_path dir);
-    j.j_entries <- 0;
-    j.j_seq <- base
-  end;
   attach j;
   j
 
-(* The live journal's wal, read back from its start (the i-th frame is
-   entry base+i) as [read_wal] does.  Callers must exclude writers, so
-   the file ends exactly at the last complete frame: a torn frame here
-   is corruption, not a crash tail. *)
-let iter_wal j f =
+(* The live journal's wal frames with seqno > [after] (at least the
+   wal's base), read back from the offset the index recorded for the
+   first of them.  Callers must exclude writers, so the file ends
+   exactly at the last complete frame: a torn frame here is
+   corruption, not a crash tail. *)
+let iter_wal j ~after f =
   flush j.j_oc;
-  match read_wal (wal_path j.j_dir) ~base:j.j_base f with
-  | None -> ()
-  | Some at -> journal_errorf "wal torn mid-read at %d" at
-
-(* Wal entries with seqno > [since], as (seqno, header, payload)
-   ascending: each keeps the J1 header line its read verified, so a
-   compaction's fold writes it as it is instead of hashing again. *)
-let wal_tail j since =
-  let frames = ref [] in
-  iter_wal j (fun seq header payload ->
-      if seq > since then frames := (seq, header, payload) :: !frames;
-      true);
-  List.rev !frames
+  let k = max 0 (after - j.j_base) in
+  if k < j.j_entries then
+    match
+      read_wal (wal_path j.j_dir) ~off:(Cement.index_offset j.j_index k)
+        ~base:(j.j_base + k) f
+    with
+    | `End _ -> ()
+    | `Torn at -> journal_errorf "wal torn mid-read at %d" at
 
 (* Write [text] as the new checkpoint: temp file, fsync, rename.  The
    rename is pinned by the caller's directory fsync. *)
@@ -623,41 +596,50 @@ let write_checkpoint dir text =
      raise e);
   Sys.rename tmp (snapshot_path dir)
 
-(* Fold the wal into cement and a fresh checkpoint, then truncate it.
+(* Seal the wal into cement and write a fresh checkpoint over it.
 
-   Order: cement fold (durable on return) -> checkpoint rename -> base
-   write -> one directory fsync -> wal truncation.  The checkpoint
-   references only puts [Cement.fold_framed] made durable before its rename,
-   so it never has to read a payload; a crash at any point leaves
-   either the old checkpoint (whose references are older frames,
-   untouched) or the new one, and open-time replay repairs the rest.
-   The [journal.compact] fault point fires after the fold, after the
-   checkpoint rename and after the base write (no fold hit when cement
-   is restarted: there the fold follows the rename). *)
-let compact j =
-  if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
-  check_writable j;
-  Ddf_obs.Metrics.incr m_compactions;
-  let t0 = Unix.gettimeofday () in
+   Order: wal fsync -> the wal renamed into cement as segment
+   base+1..seq, its index written from the lines recorded at append,
+   cement directory fsync (all in [Cement.seal]) -> checkpoint rename
+   -> base write -> fresh wal -> one directory fsync, which pins both
+   renames and the new wal's entry before anything is appended to it.
+   The checkpoint references only puts the seal made durable before
+   its rename, so it never has to read a payload, and no frame is read
+   or written again.  A crash at any point leaves either the old
+   checkpoint (whose references are older frames, untouched) or the
+   new one; open replays the sealed frames past the base, then the
+   wal.  The [journal.compact] fault point fires after the seal, after
+   the checkpoint rename and after the base write (no seal hit when
+   cement is restarted: there the seal follows the rename).  A failure
+   anywhere fail-stops the journal: the wal may already be a segment. *)
+let compact_now j =
   let c = j.j_cement in
-  let frames = if j.j_entries > 0 then wal_tail j j.j_base else [] in
+  let sealed = j.j_entries > 0 in
+  let seal () =
+    if sealed then begin
+      fsync_oc j.j_oc;
+      close_out j.j_oc;
+      Cement.seal c ~first:(j.j_base + 1) j.j_index (wal_path j.j_dir)
+    end
+  in
   let session = Ddf_session.Session.of_context j.j_ctx in
   if Cement.last_seq c <> 0 && Cement.last_seq c < j.j_base then begin
     (* A cold store that stops short of the base (a torn segment
        dropped on open, or a directory copied from another line) cannot
-       be extended contiguously: start it over.  The current checkpoint
-       may reference frames the clear deletes, so it is first replaced
-       by a self-contained one — every payload read back, and so made
-       resident, while cement still holds it: the clear drops the
-       frames a cold payload would load from — and that rename is
-       pinned before anything is deleted. *)
+       be extended contiguously: start it over, with the wal as its
+       first segment.  The current checkpoint may reference frames the
+       clear deletes, so it is first replaced by a self-contained one —
+       every payload read back, and so made resident, while cement
+       still holds it: the clear drops the frames a cold payload would
+       load from — and that rename is pinned before anything is
+       deleted. *)
     write_checkpoint j.j_dir (W.save session);
     fsync_dir j.j_dir;
     Cement.clear c;
-    Cement.fold_framed c ~first:(j.j_base + 1) frames
+    seal ()
   end
   else begin
-    Cement.fold_framed c ~first:(j.j_base + 1) frames;
+    seal ();
     Fault.fire "journal.compact";
     write_checkpoint j.j_dir
       (W.save ~cemented:(fun iid -> Cement.put_seq c ~iid) session)
@@ -665,21 +647,25 @@ let compact j =
   Fault.fire "journal.compact";
   write_base j.j_dir j.j_seq;
   Fault.fire "journal.compact";
-  (* one directory fsync pins BOTH renames (snapshot.ddf and base.ddf):
-     without it a power cut can resurrect the old directory entries
-     even though both files were themselves fsynced *)
+  if sealed then
+    j.j_oc <-
+      open_out_gen
+        [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
+        0o644 (wal_path j.j_dir);
   fsync_dir j.j_dir;
-  (* the log's contents are folded into the checkpoint: restart it *)
-  close_out j.j_oc;
-  j.j_oc <-
-    open_out_gen
-      [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-      0o644 (wal_path j.j_dir);
+  j.j_index <- Cement.index ();
   j.j_entries <- 0;
   j.j_base <- j.j_seq;
-  (* every journaled entry is folded into the fsynced checkpoint: this
-     is a durability point even for entries not yet fsynced in the wal *)
-  j.j_pending <- 0;
+  (* every journaled entry is sealed or folded into the checkpoint:
+     this is a durability point even for entries not yet fsynced *)
+  j.j_pending <- 0
+
+let compact j =
+  if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
+  check_writable j;
+  Ddf_obs.Metrics.incr m_compactions;
+  let t0 = Unix.gettimeofday () in
+  (try compact_now j with e -> fail_stop j e);
   Ddf_obs.Metrics.observe h_compact (Unix.gettimeofday () -. t0)
 
 let maybe_compact j =
@@ -725,8 +711,13 @@ type tail =
 let entries_since j since =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   if since < j.j_base then Snapshot_needed
-  else if since >= j.j_seq then Frames []
-  else Frames (List.map (fun (seq, _, payload) -> (seq, payload)) (wal_tail j since))
+  else begin
+    let out = ref [] in
+    iter_wal j ~after:since (fun seq _ payload ->
+        out := (seq, payload) :: !out;
+        true);
+    Frames (List.rev !out)
+  end
 
 (* Anti-entropy support: the digest a peer compares against, and exact
    frame extraction by seqno window.  Both read the wal back from disk
@@ -735,15 +726,6 @@ let entries_since j since =
    histories genuinely diverge at that seqno. *)
 
 let frame_digest payload = Digest.to_hex (Digest.string payload)
-
-(* (seqno, md5) for every wal frame, ascending — entries base+1..seq. *)
-let digest j =
-  if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
-  let out = ref [] in
-  iter_wal j (fun seq _ payload ->
-      out := (seq, frame_digest payload) :: !out;
-      true);
-  List.rev !out
 
 (* At most [limit] frames with seqno > [after], as (seqno, md5,
    payload) ascending.  Frames below the snapshot base are served from
@@ -779,18 +761,22 @@ let rec frames j ~after ~limit =
         cold @ frames j ~after:j.j_base ~limit:(limit - got)
       else cold
   end
-  else if after >= j.j_seq || limit = 0 then []
+  else if limit = 0 then []
   else begin
     let out = ref [] in
     let taken = ref 0 in
-    iter_wal j (fun seq _ payload ->
-        if seq > after then begin
-          incr taken;
-          out := (seq, frame_digest payload, payload) :: !out
-        end;
+    iter_wal j ~after (fun seq _ payload ->
+        incr taken;
+        out := (seq, frame_digest payload, payload) :: !out;
         !taken < limit);
     List.rev !out
   end
+
+(* (seqno, md5) for every wal frame, ascending — entries base+1..seq. *)
+let digest j =
+  List.map
+    (fun (seq, md5, _) -> (seq, md5))
+    (frames j ~after:j.j_base ~limit:max_int)
 
 (* A stable workspace identity for the sync fabric, minted on first
    use and persisted next to the wal.  A cloned database directory
@@ -856,13 +842,13 @@ let apply j ~seq payload =
     journal_errorf ~code:`Conflict "replication gap: expected entry %d, got %d"
       (j.j_seq + 1) seq;
   detach j;
-  (try ignore (replay_entry j.j_ctx payload : bool)
+  (try replay_entry j.j_ctx payload
    with e ->
      attach j;
      raise e);
   attach j;
   (match
-     write_frame j.j_oc payload;
+     write_frame j payload;
      j.j_entries <- j.j_entries + 1;
      j.j_seq <- seq;
      j.j_pending <- j.j_pending + 1;
@@ -911,7 +897,8 @@ let rename_or_copy src dst =
    disk in bounded chunks (a streamed bootstrap), so the snapshot bytes
    never exist as one in-memory string here.  The file is parsed FIRST
    — a malformed stream must not clobber the database — then fsynced
-   and renamed into place, base.ddf written and the wal truncated;
+   and renamed into place, cement cleared, base.ddf written and the
+   wal truncated;
    only then is the in-memory context swapped in place, so sessions
    holding it observe the new state. *)
 let reset_to_snapshot_file j ~seq path =
@@ -936,14 +923,22 @@ let reset_to_snapshot_file j ~seq path =
   | exception e ->
     attach j;
     raise e);
+  (* the resync rebased the seqno line: the cemented history belongs
+     to the pre-reset database and can never be extended contiguously.
+     It goes before the base is written, or open would replay it past
+     the new base as a cement tail.  The new checkpoint is
+     self-contained, so clearing once its rename is pinned is safe. *)
+  sync_dir j.j_dir;
+  Cement.clear j.j_cement;
   write_base j.j_dir seq;
-  (* one directory fsync pins both renames (snapshot + base) *)
+  (* one directory fsync pins the base rename *)
   fsync_dir j.j_dir;
   close_out j.j_oc;
   j.j_oc <-
     open_out_gen
       [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
       0o644 (wal_path j.j_dir);
+  j.j_index <- Cement.index ();
   j.j_ctx.Ddf_exec.Engine.store <- fresh.Ddf_exec.Engine.store;
   j.j_ctx.Ddf_exec.Engine.history <- fresh.Ddf_exec.Engine.history;
   j.j_ctx.Ddf_exec.Engine.clock <- fresh.Ddf_exec.Engine.clock;
@@ -951,11 +946,6 @@ let reset_to_snapshot_file j ~seq path =
   j.j_base <- seq;
   j.j_seq <- seq;
   j.j_pending <- 0;
-  (* the resync rebased the seqno line: the cemented history belongs
-     to the pre-reset database and can never be extended contiguously.
-     The new checkpoint is self-contained, so clearing after its
-     rename is safe. *)
-  Cement.clear j.j_cement;
   (* the fresh store needs the cold loader re-wired (it replaced the
      one the loader was installed on) *)
   install_cold_loader j.j_cement fresh.Ddf_exec.Engine.store;

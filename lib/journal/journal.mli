@@ -16,11 +16,10 @@
     Crash safety: frames are self-delimiting with an MD5 checksum, so
     a torn tail (power cut mid-append) is detected and truncated on
     open; everything up to the last complete frame replays.  Periodic
-    {!compact} moves the log's frames into the cement store
-    ([cemented/]), writes a checkpoint ([snapshot.ddf], the
-    {!Ddf_persist.Workspace_file} v2 format: meta-data, history, clock
-    and flows, with each payload a reference to its cemented put frame)
-    and truncates the log. *)
+    {!compact} seals the log into the cement store ([cemented/]) by
+    renaming it, writes a checkpoint ([snapshot.ddf]: meta-data,
+    history, clock and flows, with each payload a reference to its
+    cemented put frame) and starts a fresh log. *)
 
 (** Errors are {!Ddf_core.Error.Ddf_error}: corruption and ordering
     violations are [`Internal]/[`Conflict], operations on a closed or
@@ -47,7 +46,9 @@ val open_ :
 (** Open a database directory (created when missing): open the cement
     store, load [snapshot.ddf] if present — instances whose payload it
     references come back cold, filled from cement on first read — then
-    replay [wal.ddf] (truncating a torn tail) and attach write
+    replay the cemented frames past [base.ddf] (left by a crash between
+    a seal and its base write) and [wal.ddf] (truncating a torn tail),
+    and attach write
     observers to the rebuilt context so subsequent mutations are
     journaled.  [compact_every] (default 10_000) is the log-entry
     threshold {!maybe_compact} acts on.  [sync_mode] (default {!Group})
@@ -56,7 +57,8 @@ val open_ :
     content-hash mismatches), when the checkpoint references a put
     the cement store does not hold (the message names the iid), or
     ([`Invalid]) when the wal or cement holds entries of format 1
-    (s-expressions). *)
+    (s-expressions) or cement holds a segment of cement segment
+    format 1. *)
 
 val sync_mode : t -> sync_mode
 
@@ -89,17 +91,21 @@ val sync : t -> unit
     pending. *)
 
 val compact : t -> unit
-(** Fold the log's frames into the cement store (durable on return),
-    write a fresh checkpoint (atomically, via rename) and truncate the
-    log.  The checkpoint references only puts that fold made durable
-    before its rename, so compaction never reads or re-encodes a
-    payload; the full history stays addressable by seqno.  The
-    checkpoint and base renames are pinned by a directory fsync (crash
-    point [journal.dir_fsync]; [journal.compact] fires after the fold,
-    the checkpoint rename and the base write); the whole operation is
-    timed into the [journal.compact_seconds] histogram.  A cement store
-    that stops short of the base is restarted, behind a self-contained
-    checkpoint. *)
+(** Seal the log into the cement store — fsync it and rename it into
+    [cemented/] as the next segment, whose index comes from the lines
+    recorded at append, so no frame is read or written again — then
+    write a fresh checkpoint (atomically, via rename), the base and a
+    fresh log.  The checkpoint references only puts the seal made
+    durable before its rename, so compaction never reads or re-encodes
+    a payload; the full history stays addressable by seqno.  The
+    checkpoint and base renames and the fresh log are pinned by one
+    directory fsync (crash point [journal.dir_fsync]; [journal.compact]
+    fires after the seal, the checkpoint rename and the base write);
+    the whole operation is timed into the [journal.compact_seconds]
+    histogram.  A cement store that stops short of the base is
+    restarted, behind a self-contained checkpoint, with the log as its
+    first segment.  A failure fail-stops the journal (see {!failed}):
+    the log may already be sealed, and a reopen recovers. *)
 
 val maybe_compact : t -> bool
 (** {!compact} when the log has reached [compact_every] entries;
@@ -111,9 +117,9 @@ val close : t -> unit
 
 (** {1 Replication (journal shipping)}
 
-    Every journaled entry has a global sequence number: the snapshot
-    covers entries [1..base_seq] (persisted in [base.ddf]) and the wal
-    holds [base_seq+1..seq].  A primary streams frames tagged with
+    Every journaled entry has a global sequence number: cement and the
+    snapshot cover entries [1..base_seq] and the wal holds
+    [base_seq+1..seq].  A primary streams frames tagged with
     their seqnos; a follower applies them through its own journal, so
     its wal is byte-for-byte the primary's log suffix. *)
 
@@ -121,7 +127,9 @@ val seq : t -> int
 (** Sequence number of the last entry journaled (applied or appended). *)
 
 val base_seq : t -> int
-(** Sequence number folded into the current snapshot. *)
+(** Sequence number of the entry before the wal's first: the base in
+    [base.ddf], or the cement store's last seqno when a crash between
+    a seal and its base write left it past that base. *)
 
 val set_frame_observer : t -> (int -> string -> unit) -> unit
 (** Install the single frame observer, called with [(seqno, payload)]
@@ -200,8 +208,8 @@ val snapshot_file : t -> string
 
 (** {1:cement Tiered cold storage}
 
-    {!compact} folds the wal frames it is about to truncate into an
-    append-only, indexed cold store under [cemented/] (see
+    {!compact} seals the wal into an append-only, indexed cold store
+    under [cemented/] (see
     {!Ddf_cement.Cement}).  The full journaled history 1..seq then
     stays addressable: seqnos at or below [base_seq] resolve by
     positioned reads against cement, seqnos above it live in the wal.

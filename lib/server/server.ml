@@ -1216,23 +1216,40 @@ let wait t =
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   (try Unix.unlink t.socket_path with Unix.Unix_error _ | Sys_error _ -> ())
 
+(* SIGINT and SIGTERM stop the server.  They are blocked before
+   [start] creates a thread, so every server thread inherits the mask,
+   and one thread takes them with [Thread.wait_signal] and calls [stop]
+   (which takes [t.m]).  An OCaml handler runs only when some thread
+   runs OCaml code: an idle server, every thread in a wait or a join,
+   never acted on one.  A server stopped another way wakes the taker
+   with a SIGTERM of its own. *)
 let run ?registry ?seed ?follow ?max_clients ?request_timeout
     ?max_queue ?default_deadline ?read_domains ?drain_grace ?compact_every
     ?sync_mode ?slow_log ~db ~socket schema =
+  let signals = [ Sys.sigint; Sys.sigterm ] in
+  let old_mask = Thread.sigmask Unix.SIG_BLOCK signals in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Thread.sigmask Unix.SIG_SETMASK old_mask : int list))
+  @@ fun () ->
   let t =
     start ?registry ?seed ?follow ?max_clients ?request_timeout
       ?max_queue ?default_deadline ?read_domains ?drain_grace ?compact_every
       ?sync_mode ?slow_log ~db ~socket schema
   in
-  let on_signal _ = stop t in
-  let previous =
-    List.filter_map
-      (fun s ->
-        try Some (s, Sys.signal s (Sys.Signal_handle on_signal))
-        with Invalid_argument _ | Sys_error _ -> None)
-      [ Sys.sigint; Sys.sigterm ]
+  (* 0: waiting; 1: the taker got a signal; 2: the server stopped
+     without one *)
+  let state = Atomic.make 0 in
+  let taker =
+    Thread.create
+      (fun () ->
+        ignore (Thread.wait_signal signals : int);
+        if Atomic.compare_and_set state 0 1 then stop t)
+      ()
   in
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun (s, old) -> try Sys.set_signal s old with _ -> ()) previous)
+      if Atomic.compare_and_set state 0 2 then
+        Unix.kill (Unix.getpid ()) Sys.sigterm;
+      Thread.join taker)
     (fun () -> wait t)

@@ -12,22 +12,27 @@ module E = Standard_schemas.E
 let with_dir = Test_journal.with_dir
 let seed = Test_server.seed
 
-let framed seq payload = (seq, Cement.frame_header payload, payload)
-
-let frames_for lo hi =
-  List.init
-    (hi - lo + 1)
-    (fun i -> framed (lo + i) (Printf.sprintf "(frame %d payload-%d)" (lo + i) (lo + i)))
-
 let payload_of seq = Printf.sprintf "(frame %d payload-%d)" seq seq
+
+(* The payloads of seqnos [lo..hi]. *)
+let frames_for lo hi = List.init (hi - lo + 1) (fun i -> payload_of (lo + i))
+
+let seal c ~first frames = Util.seal_frames ~first c frames
+
+(* The segment files of a cement directory, oldest first. *)
+let segment_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ddf")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
 
 let segments =
   [
     Alcotest.test_case "fold, read, iterate, reopen" `Quick (fun () ->
         with_dir @@ fun dir ->
         let c = Cement.open_ ~dir in
-        Cement.fold_framed c ~first:1 (frames_for 1 3);
-        Cement.fold_framed c ~first:4 (frames_for 4 6);
+        seal c ~first:1 (frames_for 1 3);
+        seal c ~first:4 (frames_for 4 6);
         Alcotest.(check int) "segments" 2 (Cement.segment_count c);
         Alcotest.(check int) "first" 1 (Cement.first_seq c);
         Alcotest.(check int) "last" 6 (Cement.last_seq c);
@@ -50,20 +55,24 @@ let segments =
         Alcotest.(check (option string)) "reopened read" (Some (payload_of 2))
           (Cement.read c2 2);
         Cement.close c2);
-    Alcotest.test_case "refolding cemented seqnos is idempotent, gaps refused"
+    Alcotest.test_case "sealing extends the store contiguously, overlaps and gaps refused"
       `Quick (fun () ->
         with_dir @@ fun dir ->
         let c = Cement.open_ ~dir in
-        Cement.fold_framed c ~first:1 (frames_for 1 4);
-        (* a crash between fold and the watermark write retries with an
-           overlapping window: the cemented prefix is skipped *)
-        Cement.fold_framed c ~first:1 (frames_for 1 6);
+        seal c ~first:1 (frames_for 1 4);
+        (* a sealed window is never sealed again: the journal replays
+           the cemented frames past its base instead *)
+        (match seal c ~first:1 (frames_for 1 6) with
+        | () -> Alcotest.fail "expected an overlap refusal"
+        | exception Error.Ddf_error e ->
+          Alcotest.(check bool) "typed conflict" true (e.Error.code = `Conflict));
+        seal c ~first:5 (frames_for 5 6);
         Alcotest.(check int) "extended" 6 (Cement.last_seq c);
         Alcotest.(check (option string)) "old frame intact"
           (Some (payload_of 3)) (Cement.read c 3);
         Alcotest.(check (option string)) "new frame" (Some (payload_of 6))
           (Cement.read c 6);
-        (match Cement.fold_framed c ~first:9 (frames_for 9 10) with
+        (match seal c ~first:9 (frames_for 9 10) with
         | () -> Alcotest.fail "expected a seqno-gap refusal"
         | exception Error.Ddf_error _ -> ());
         Cement.close c);
@@ -71,8 +80,8 @@ let segments =
       `Quick (fun () ->
         with_dir @@ fun dir ->
         let c = Cement.open_ ~dir in
-        Cement.fold_framed c ~first:1 (frames_for 1 3);
-        Cement.fold_framed c ~first:4 (frames_for 4 6);
+        seal c ~first:1 (frames_for 1 3);
+        seal c ~first:4 (frames_for 4 6);
         Cement.close c;
         (* cut the newest segment mid-frame, like a crash while the
            file system reordered writes *)
@@ -89,10 +98,67 @@ let segments =
         Alcotest.(check (option string)) "torn frame gone" None
           (Cement.read c2 6);
         (* the store extends contiguously from the surviving watermark *)
-        Cement.fold_framed c2 ~first:6 (frames_for 6 7);
+        seal c2 ~first:6 (frames_for 6 7);
         Alcotest.(check (option string)) "refolded" (Some (payload_of 6))
           (Cement.read c2 6);
         Cement.close c2);
+    Alcotest.test_case "a segment of cement segment format 1 is refused at open"
+      `Quick (fun () ->
+        (* two segments, one of them rewritten the way format 1 stored
+           it: a "C1 <first> <last>" line before a copy of the wal's
+           frames, its index offsets shifted past that line.  The newest
+           segment is scanned at open, an older one trusted by its
+           index: both are refused *)
+        List.iter
+          (fun pick ->
+            with_dir @@ fun dir ->
+            let cdir = Filename.concat dir "cemented" in
+            let j = Journal.open_ ~dir Standard_schemas.odyssey in
+            ignore (Test_journal.activity (Journal.context j) 1);
+            Journal.compact j;
+            ignore (Test_journal.activity ~seed:5 (Journal.context j) 1);
+            Journal.compact j;
+            Journal.close j;
+            let path = pick (segment_files cdir) in
+            let first, last =
+              Scanf.sscanf (Filename.basename path) "segment-%d-%d.ddf"
+                (fun a b -> (a, b))
+            in
+            let header = Printf.sprintf "C1 %d %d\n" first last in
+            let frames = In_channel.with_open_bin path In_channel.input_all in
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc header;
+                output_string oc frames);
+            let idx = Filename.chop_suffix path ".ddf" ^ ".idx" in
+            let lines =
+              String.split_on_char '\n'
+                (In_channel.with_open_bin idx In_channel.input_all)
+            in
+            Out_channel.with_open_bin idx (fun oc ->
+                output_string oc (List.hd lines ^ "\n");
+                List.iter
+                  (fun line ->
+                    if line <> "" then
+                      Scanf.sscanf line "%x %c %d" (fun off kind id ->
+                          Printf.fprintf oc "%016x %c %012d\n"
+                            (off + String.length header) kind id))
+                  (List.tl lines));
+            let refused f =
+              match f () with
+              | _ -> Alcotest.fail "expected the format 1 segment to be refused"
+              | exception Error.Ddf_error e ->
+                Alcotest.(check bool) "typed `Invalid" true
+                  (e.Error.code = `Invalid);
+                Alcotest.(check bool) "names the format" true
+                  (Util.contains e.Error.message "cement segment format 1")
+            in
+            refused (fun () -> Cement.open_ ~dir:cdir);
+            refused (fun () -> Journal.open_ ~dir Standard_schemas.odyssey);
+            (* refused, not repaired: the segment is as it was written *)
+            Alcotest.(check int) "segment untouched"
+              (String.length header + String.length frames)
+              (Unix.stat path).Unix.st_size)
+          [ List.hd; (fun l -> List.hd (List.rev l)) ]);
   ]
 
 let journal =
@@ -129,6 +195,69 @@ let journal =
           (Journal.cold_frame j 1 <> None);
         Alcotest.(check (option string)) "wal seqnos are not cold" None
           (Journal.cold_frame j (base + 1));
+        Journal.close j);
+    Alcotest.test_case "a compaction seals the wal file itself: same inode, same bytes"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let ctx = Journal.context j in
+        ignore (Test_journal.activity ctx 2);
+        let wal = Filename.concat dir "wal.ddf" in
+        Journal.sync j;
+        let st = Unix.stat wal in
+        let bytes = In_channel.with_open_bin wal In_channel.input_all in
+        let first = Journal.base_seq j + 1 and last = Journal.seq j in
+        let last_payload =
+          match Journal.entries_since j (last - 1) with
+          | Journal.Frames [ (_, p) ] -> p
+          | _ -> Alcotest.fail "expected the wal's last frame"
+        in
+        Journal.compact j;
+        let seg =
+          Filename.concat dir
+            (Printf.sprintf "cemented/segment-%012d-%012d.ddf" first last)
+        in
+        let sealed = Unix.stat seg in
+        Alcotest.(check int) "the segment is the former wal's inode"
+          st.Unix.st_ino sealed.Unix.st_ino;
+        Alcotest.(check string) "holding the same bytes" bytes
+          (In_channel.with_open_bin seg In_channel.input_all);
+        (* the fresh wal is another file, and empty *)
+        Alcotest.(check bool) "a new wal" true
+          ((Unix.stat wal).Unix.st_ino <> st.Unix.st_ino
+          && (Unix.stat wal).Unix.st_size = 0);
+        Alcotest.(check (option string)) "the last sealed frame reads cold"
+          (Some last_payload) (Journal.cold_frame j last);
+        Journal.close j);
+    Alcotest.test_case "a resync that crashes after its base write reopens to its snapshot"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        Fun.protect ~finally:Fault.reset @@ fun () ->
+        let seq, seed, fp =
+          with_dir @@ fun sdir ->
+          let s = Journal.open_ ~dir:sdir Standard_schemas.odyssey in
+          ignore (Test_journal.activity ~seed:3 (Journal.context s) 1);
+          let seq, seed = Journal.snapshot_state s in
+          let fp = Sync.fingerprint (Journal.context s) in
+          Journal.close s;
+          (seq, seed, fp)
+        in
+        (* a database whose cemented history runs past the seed's seqno:
+           left in cement, it would replay as a tail past the new base *)
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        ignore (Test_journal.activity (Journal.context j) 3);
+        Journal.compact j;
+        Alcotest.(check bool) "cement past the seed" true (Journal.base_seq j > seq);
+        Fault.arm "journal.dir_fsync" Fault.Fail;
+        (match Test_journal.reset_to_snapshot j ~seq seed with
+        | () -> Alcotest.fail "expected the injected crash"
+        | exception Fault.Injected _ -> ());
+        Fault.reset ();
+        Journal.close j;
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        Alcotest.(check int) "seqno line" seq (Journal.seq j);
+        Alcotest.(check string) "fingerprint" fp
+          (Sync.fingerprint (Journal.context j));
         Journal.close j);
     Alcotest.test_case "evicted payloads reload from cement" `Quick (fun () ->
         with_dir @@ fun dir ->
@@ -193,7 +322,7 @@ let journal =
         Alcotest.(check string) "same fingerprint" fingerprint
           (Sync.fingerprint (Journal.context f));
         Journal.close f);
-    Alcotest.test_case "a crash between base write and wal truncation repairs"
+    Alcotest.test_case "a crash at the compaction's directory fsync reopens on the same line"
       `Quick (fun () ->
         with_dir @@ fun dir ->
         Fun.protect ~finally:Fault.reset @@ fun () ->
@@ -203,19 +332,17 @@ let journal =
         Journal.sync j;
         let seq0 = Journal.seq j in
         let reference = Test_journal.state ctx in
-        (* die exactly between the snapshot/base renames and the wal
-           truncation: the cement fold and both renames are on disk,
-           the redundant wal is still in place *)
+        (* die exactly at the directory fsync that pins the snapshot
+           and base renames: the seal, both renames and the fresh wal
+           are in place *)
         Fault.arm "journal.dir_fsync" Fault.Fail;
         (match Journal.compact j with
         | () -> Alcotest.fail "expected the injected crash"
         | exception Fault.Injected _ -> ());
         Alcotest.(check int) "fired once" 1 (Fault.fired "journal.dir_fsync");
         Journal.close j;
-        (* recovery must not double-count the leftover frames into the
-           seqno line (seq = 2 * base) — replay proves the wal redundant
-           and the cement watermark sits at the base, so the interrupted
-           truncation completes *)
+        (* recovery must not count the sealed frames into the seqno line
+           twice (seq = 2 * base): they are cement's, not the wal's *)
         let j2 = Journal.open_ ~dir Standard_schemas.odyssey in
         Alcotest.(check int) "seqno line repaired" seq0 (Journal.seq j2);
         Alcotest.(check int) "base at the crash point" seq0
@@ -304,13 +431,6 @@ let bootstrap =
            (bytes > (Unix.stat (Filename.concat pdir "snapshot.ddf")).Unix.st_size)));
   ]
 
-(* The segment files of a cement directory, oldest first. *)
-let segment_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".ddf")
-  |> List.sort compare
-  |> List.map (Filename.concat dir)
-
 (* The put-map oracle: a linear scan of every cemented frame, decoding
    each put's iid — the newest put of an iid wins. *)
 let scanned_puts c =
@@ -366,11 +486,7 @@ let put_map_prop =
   Util.qcheck ~count:40 "the put map agrees with a linear scan" gen
     (fun (batches, cut, after_clear) ->
       with_dir @@ fun dir ->
-      let fold c frames =
-        let first = Cement.last_seq c + 1 in
-        if frames <> [] then
-          Cement.fold_framed c ~first (List.mapi (fun i p -> framed (first + i) p) frames)
-      in
+      let fold c frames = Util.seal_frames c frames in
       let c = Cement.open_ ~dir in
       List.iter (fold c) batches;
       let live = put_map_agrees c in

@@ -151,8 +151,7 @@ let refusals =
         with_dir @@ fun dir ->
         Unix.mkdir dir 0o755;
         let c = Cement.open_ ~dir:(Filename.concat dir "cemented") in
-        Cement.fold_framed c ~first:1
-          [ (1, Cement.frame_header old_put, old_put) ];
+        Util.seal_frames ~first:1 c [ old_put ];
         Cement.close c;
         expect_format_refusal (fun () ->
             Journal.open_ ~dir Standard_schemas.odyssey)) ]

@@ -35,3 +35,24 @@ let replace_first hay needle replacement =
   | Some i ->
     String.sub hay 0 i ^ replacement
     ^ String.sub hay (i + n) (h - i - n)
+
+(* Cement [payloads] as the segment that follows the store's newest,
+   the way a compaction seals a wal: the frames are written to a file
+   beside the store, each indexed at its offset, and the file is
+   sealed.  [first] overrides the first seqno. *)
+let seal_frames ?first c payloads =
+  let module Cement = Ddf.Cement in
+  if payloads <> [] then begin
+    let first =
+      match first with Some f -> f | None -> Cement.last_seq c + 1
+    in
+    let path = Filename.concat (Cement.dir c) "sealing.wal" in
+    let idx = Cement.index () in
+    Out_channel.with_open_bin path (fun oc ->
+        List.iter
+          (fun p ->
+            Cement.index_add idx ~off:(pos_out oc) p;
+            Cement.output_frame oc p)
+          payloads);
+    Cement.seal c ~first idx path
+  end
