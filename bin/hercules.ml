@@ -92,13 +92,13 @@ let obs_term =
 
 (* Run [f] with the requested sink installed; the trace file is
    finalized (and the Chrome JSON document written) on the way out,
-   even when [f] raises.  [locked] serializes emission for
-   multi-threaded commands (the server). *)
-let with_obs ?(locked = false) (trace, format, metrics) f =
+   even when [f] raises.  [Obs.emit] serializes emission, so the
+   server's threads share the sink as is. *)
+let with_obs (trace, format, metrics) f =
   (match trace with
   | Some path -> (
     match Obs_sinks.to_file ~format path with
-    | sink -> Obs.set_sink (if locked then Obs_sinks.locked sink else sink)
+    | sink -> Obs.set_sink sink
     | exception Sys_error m ->
       Printf.eprintf "cannot open trace file: %s\n" m;
       exit 1)
@@ -789,7 +789,7 @@ let serve_cmd =
       Journal.close j
     end
     else begin
-      with_obs ~locked:true obs @@ fun () ->
+      with_obs obs @@ fun () ->
       (match follow with
       | None -> Printf.printf "hercules: serving %s on %s\n%!" db socket
       | Some primary ->

@@ -18,7 +18,6 @@ val create : rule list -> t
 (** @raise Make_error on duplicate targets. *)
 
 val tick : t -> int
-val mtime : t -> string -> int option
 
 val touch : t -> string -> unit
 (** Bump a source's mtime; content is irrelevant, as in touch(1). *)

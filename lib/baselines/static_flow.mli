@@ -37,7 +37,6 @@ val conforms : t -> (string * string list) list -> bool
 (** Does an executed [(tool, produced)] sequence match the mandated
     order exactly? *)
 
-val flows_mentioning : t list -> tool:string -> t list
 val maintenance_burden : t list -> tool:string -> int
 (** Flows that must be rewritten when the tool changes. *)
 

@@ -111,11 +111,3 @@ let check_against_schema schema ~typing tr =
           produced)
     tr.events;
   List.rev !violations
-
-let pp_trace ppf tr =
-  Fmt.pf ppf "@[<v>trace %s:@,%a@]" tr.trace_name
-    (Fmt.list ~sep:Fmt.cut (fun ppf e ->
-         Fmt.pf ppf "%s (%s) -> %s" e.ev_tool
-           (String.concat "," e.ev_consumed)
-           (String.concat "," e.ev_produced)))
-    tr.events

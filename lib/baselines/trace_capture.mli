@@ -47,5 +47,3 @@ val check_against_schema :
   Schema.t -> typing:(string -> string option) -> trace -> violation list
 (** Post-hoc legality check — possible only given the typing
     information traces themselves lack. *)
-
-val pp_trace : Format.formatter -> trace -> unit

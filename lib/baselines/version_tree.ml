@@ -68,14 +68,6 @@ let roots t =
     t.versions []
   |> List.sort compare
 
-(* The tree shape as nested lists, for comparison against the tree
-   reconstructed from flow traces. *)
-type shape = Node of string * shape list
-
-let rec shape_of t vid =
-  let v = find t vid in
-  Node (v.payload_hash, List.map (shape_of t) (children t vid))
-
 (* Meta-data footprint per version: parent pointer + hash + author +
    timestamp.  The history-based scheme stores tool and role bindings
    too; the experiment reports both so the overhead of the richer

@@ -32,12 +32,6 @@ val children : t -> vid -> vid list
 val size : t -> int
 val roots : t -> vid list
 
-type shape = Node of string * shape list
-
-val shape_of : t -> vid -> shape
-(** The tree's payload-hash shape, for comparison against the tree
-    reconstructed from flow traces. *)
-
 val metadata_bytes : t -> int
 (** Meta-data footprint: parent + hash + author + timestamp per
     version. *)

@@ -478,31 +478,11 @@ let snapshot_export t ~out =
 let res f = match f () with v -> Ok v | exception E.Ddf_error e -> Error e
 
 let ping_r t = res (fun () -> ping t)
-let stat_r t = res (fun () -> stat t)
-let catalog_r t which = res (fun () -> catalog t which)
-let browse_r t filter = res (fun () -> browse t filter)
 
 let install_r t ~entity ?label ?keywords value =
   res (fun () -> install t ~entity ?label ?keywords value)
 
-let annotate_r t ?label ?comment ?keywords iid =
-  res (fun () -> annotate t ?label ?comment ?keywords iid)
-
-let start_goal_r t entity = res (fun () -> start_goal t entity)
-let start_data_r t iid = res (fun () -> start_data t iid)
-let expand_r t nid = res (fun () -> expand t nid)
-let specialize_r t nid sub = res (fun () -> specialize t nid sub)
-let select_r t nid iids = res (fun () -> select t nid iids)
-let node_browse_r t nid filter = res (fun () -> node_browse t nid filter)
-let leaves_r t = res (fun () -> leaves t)
-let run_r t nid = res (fun () -> run t nid)
-let render_r t = res (fun () -> render t)
-let recall_r t iid = res (fun () -> recall t iid)
 let trace_r t iid = res (fun () -> trace t iid)
-let uses_r t iid = res (fun () -> uses t iid)
-let refresh_r t iid = res (fun () -> refresh t iid)
-let save_flow_r t name = res (fun () -> save_flow t name)
-let load_flow_r t name = res (fun () -> load_flow t name)
 
 (* ------------------------------------------------------------------ *)
 (* Pool: read/write splitting over a replica set                       *)

@@ -119,21 +119,12 @@ val load_flow : t -> string -> int list
 
 (** {1 Result-typed variants}
 
-    The same session surface returning [(value, Ddf_core.Error.t)
+    [ping], [install] and [trace] returning [(value, Ddf_core.Error.t)
     result] instead of raising — for callers that route on the error
-    code (retry orchestration, degraded-mode UIs) without exception
+    code (retry orchestration, readiness probes) without exception
     handlers. *)
 
 val ping_r : t -> (unit, Ddf_core.Error.t) result
-val stat_r : t -> (Ddf_wire.Wire.stat, Ddf_core.Error.t) result
-
-val catalog_r :
-  t -> Ddf_wire.Wire.catalog -> (string list, Ddf_core.Error.t) result
-
-val browse_r :
-  t ->
-  Ddf_store.Store.filter ->
-  (Ddf_wire.Wire.instance_row list, Ddf_core.Error.t) result
 
 val install_r :
   t ->
@@ -143,49 +134,7 @@ val install_r :
   Ddf_persist.Sexp.t ->
   (Ddf_store.Store.iid, Ddf_core.Error.t) result
 
-val annotate_r :
-  t ->
-  ?label:string ->
-  ?comment:string ->
-  ?keywords:string list ->
-  Ddf_store.Store.iid ->
-  (unit, Ddf_core.Error.t) result
-
-val start_goal_r : t -> string -> (int, Ddf_core.Error.t) result
-val start_data_r : t -> Ddf_store.Store.iid -> (int, Ddf_core.Error.t) result
-val expand_r : t -> int -> ((int * string) list, Ddf_core.Error.t) result
-val specialize_r : t -> int -> string -> (unit, Ddf_core.Error.t) result
-
-val select_r :
-  t -> int -> Ddf_store.Store.iid list -> (unit, Ddf_core.Error.t) result
-
-val node_browse_r :
-  t ->
-  int ->
-  Ddf_store.Store.filter ->
-  (Ddf_store.Store.iid list, Ddf_core.Error.t) result
-
-val leaves_r : t -> ((int * string) list, Ddf_core.Error.t) result
-
-val run_r :
-  t -> int -> (Ddf_store.Store.iid list, Ddf_core.Error.t) result
-
-val render_r : t -> (string, Ddf_core.Error.t) result
-val recall_r : t -> Ddf_store.Store.iid -> (int, Ddf_core.Error.t) result
 val trace_r : t -> Ddf_store.Store.iid -> (string, Ddf_core.Error.t) result
-
-val uses_r :
-  t ->
-  Ddf_store.Store.iid ->
-  (Ddf_store.Store.iid list, Ddf_core.Error.t) result
-
-val refresh_r :
-  t ->
-  Ddf_store.Store.iid ->
-  (Ddf_store.Store.iid * int * int, Ddf_core.Error.t) result
-
-val save_flow_r : t -> string -> (unit, Ddf_core.Error.t) result
-val load_flow_r : t -> string -> (int list, Ddf_core.Error.t) result
 
 (** {1 Administration} *)
 

@@ -33,6 +33,5 @@ val apply_from_scratch :
 (** Editing with the optional base dependency left unfilled: create a
     design from nothing. *)
 
-val edit_to_string : edit -> string
 val hash : t -> string
 val pp : Format.formatter -> t -> unit

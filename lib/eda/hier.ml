@@ -117,7 +117,6 @@ let create ~design_name ~cells ~top_inputs ~top_outputs ?(glue = []) instances =
 (* ------------------------------------------------------------------ *)
 
 let instance_count h = List.length h.instances
-let cell_names h = List.map fst h.cells
 
 let cells_used h =
   List.map (fun i -> i.cell) h.instances |> List.sort_uniq compare

@@ -33,8 +33,6 @@ val create :
 val validate : t -> unit
 val find_cell : t -> string -> Netlist.t
 val instance_count : t -> int
-val cell_names : t -> string list
-val cells_used : t -> string list
 val gate_count : t -> int
 
 val flatten : t -> Netlist.t

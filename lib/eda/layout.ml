@@ -58,22 +58,6 @@ let segment x1 y1 x2 y2 =
 
 let segment_length s = abs (s.x2 - s.x1) + abs (s.y2 - s.y1)
 
-let on_segment s (x, y) =
-  if s.y1 = s.y2 then y = s.y1 && x >= s.x1 && x <= s.x2
-  else x = s.x1 && y >= s.y1 && y <= s.y2
-
-let is_endpoint s (x, y) = (x, y) = (s.x1, s.y1) || (x, y) = (s.x2, s.y2)
-
-(* Connectivity is via-style: two segments connect only where they
-   share an endpoint (the router drops a via there); crossings and T
-   junctions without a via do not connect. *)
-let segments_touch a b =
-  is_endpoint b (a.x1, a.y1) || is_endpoint b (a.x2, a.y2)
-  || is_endpoint a (b.x1, b.y1)
-  || is_endpoint a (b.x2, b.y2)
-
-let pin_on_segment p s = is_endpoint s (p.px, p.py)
-
 (* ------------------------------------------------------------------ *)
 (* Placement and routing                                               *)
 (* ------------------------------------------------------------------ *)
@@ -236,11 +220,6 @@ let place ?(name_suffix = "_layout") nl =
 let area l = l.die_width * l.die_height
 let cell_count l = List.length l.cells
 let wirelength l = List.fold_left (fun acc s -> acc + segment_length s) 0 l.wires
-
-let gate_cells l =
-  List.filter (fun c -> match c.kind with Gate_cell _ -> true
-                                        | Input_pad _ | Output_pad _ -> false)
-    l.cells
 
 (* ------------------------------------------------------------------ *)
 (* Edits (the layout-editor tool)                                      *)

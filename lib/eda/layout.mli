@@ -44,23 +44,9 @@ type t = {
 
 exception Layout_error of string
 
-val cell_height : int
-val pad_size : int
-val cell_width : n_inputs:int -> int
-
 val segment : int -> int -> int -> int -> segment
 (** Normalized axis-parallel segment.
     @raise Layout_error on a diagonal. *)
-
-val segment_length : segment -> int
-val on_segment : segment -> int * int -> bool
-val is_endpoint : segment -> int * int -> bool
-
-val segments_touch : segment -> segment -> bool
-(** Via-style connectivity: only shared endpoints connect; crossings
-    and T junctions without a via do not. *)
-
-val pin_on_segment : pin -> segment -> bool
 
 val place : ?name_suffix:string -> Netlist.t -> t
 (** The placer tool: rows by logic level, pads at the die edges, one
@@ -71,7 +57,6 @@ val place : ?name_suffix:string -> Netlist.t -> t
 val area : t -> int
 val cell_count : t -> int
 val wirelength : t -> int
-val gate_cells : t -> cell list
 
 (** {1 Edits (the layout-editor tool)} *)
 

@@ -136,12 +136,6 @@ let run ?(budget = 200) ?(objective = default_objective) ?cost:cost_fn strategy
       evaluations = !evaluations;
     } )
 
-let report_hash r =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%s|%f|%f|%d" r.strategy r.initial_cost r.final_cost
-          r.evaluations))
-
 let pp_report ppf r =
   Fmt.pf ppf "%s: %.1f -> %.1f in %d evaluations" r.strategy r.initial_cost
     r.final_cost r.evaluations

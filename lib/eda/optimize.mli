@@ -44,5 +44,4 @@ val run :
     is functionally identical to the input (drives do not change
     logic) and never costlier. *)
 
-val report_hash : report -> string
 val pp_report : Format.formatter -> report -> unit

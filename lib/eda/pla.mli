@@ -24,29 +24,12 @@ type t = {
 
 exception Pla_error of string
 
-val max_inputs : int
-
-(** {1 Truth tables} *)
-
-type truth_table = {
-  tt_inputs : string list;
-  tt_outputs : string list;
-  tt_rows : bool array array;
-}
-
-val truth_table : Netlist.t -> truth_table
-(** @raise Pla_error beyond {!max_inputs} inputs or on X outputs. *)
-
 (** {1 Cube algebra} *)
 
-val cube_of_minterm : int -> int -> cube
-val cube_covers : cube -> int -> bool
-val try_merge : cube -> cube -> cube option
 val cube_key : cube -> string
 
 (** {1 Synthesis} *)
 
-val of_truth_table : ?name:string -> truth_table -> t
 val of_netlist : Netlist.t -> t
 val product_terms : t -> int
 

@@ -100,9 +100,6 @@ let cycle t state vector =
 
 let initial_state t = List.map (fun (_, _, init) -> init) t.flop_slots
 
-(* One steady-state evaluation of a single vector, from reset. *)
-let run_vector t vector = fst (cycle t (initial_state t) vector)
-
 (* Clocked run: the flop state threads across vectors (one edge per
    vector); purely combinational programs are unaffected. *)
 let run t stimuli =

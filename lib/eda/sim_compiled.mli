@@ -36,9 +36,6 @@ val cycle :
   (string * Logic.value) list * Logic.value list
 (** One clock cycle under a flop state: outputs and next state. *)
 
-val run_vector : t -> Stimuli.vector -> (string * Logic.value) list
-(** Steady-state outputs for one vector, from reset (zero-delay). *)
-
 val run : t -> Stimuli.t -> (string * Logic.value) list list
 (** One response list per stimulus vector; for sequential designs the
     flop state threads across vectors (one clock edge per vector). *)

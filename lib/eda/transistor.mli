@@ -36,7 +36,6 @@ type t = {
 exception Transistor_error of string
 
 val vdd : string
-val gnd : string
 
 val of_netlist : Netlist.t -> t
 (** CMOS expansion; XOR/XNOR lower through the four-NAND structure. *)

@@ -45,7 +45,9 @@ val make :
   code ->
   string ->
   t
-(** [retryable] defaults per {!default_retryable}. *)
+(** [retryable] defaults to true for [`Overloaded], [`Timeout] and
+    [`Unavailable] (each asserts the request was refused before
+    execution) and to false for every other code. *)
 
 val errorf :
   ?context:(string * string) list ->
@@ -57,11 +59,6 @@ val errorf :
 (** Format a message and raise {!Ddf_error}. *)
 
 val raise_ : t -> 'a
-
-val default_retryable : code -> bool
-(** [`Overloaded], [`Timeout] and [`Unavailable] default to
-    retryable — each asserts the request was refused before execution;
-    every other code defaults to not retryable. *)
 
 val code_to_string : code -> string
 (** Stable kebab-case names (["not-found"], ["ambiguous-commit"], ...)

@@ -69,8 +69,6 @@ type stats = {
   composed : int;    (** composite entities assembled *)
 }
 
-val no_stats : stats
-
 type run = {
   assignment : (int * Store.iid) list;  (** node -> instance *)
   stats : stats;

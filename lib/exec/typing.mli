@@ -8,8 +8,5 @@ open Ddf_schema
 
 exception Type_mismatch of string
 
-val expected_kind : string -> Ddf_data.value -> bool
-(** [expected_kind root payload]: does the payload fit the root entity? *)
-
 val check : Schema.t -> string -> Ddf_data.value -> unit
 (** @raise Type_mismatch when the payload cannot represent the entity. *)

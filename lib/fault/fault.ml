@@ -32,8 +32,6 @@ let arm ?(after = 0) ?(times = 1) name action =
       Hashtbl.replace points name
         { p_action = action; p_skip = after; p_left = times; p_fired = 0 })
 
-let disarm name = locked (fun () -> Hashtbl.remove points name)
-
 let reset () = locked (fun () -> Hashtbl.reset points)
 
 (* point=action[:arg][@skip][xtimes] ; ... *)

@@ -54,18 +54,12 @@ val arm : ?after:int -> ?times:int -> string -> action -> unit
     the next [times] hits (default 1; [max_int] ≈ forever).  Re-arming
     a point replaces its previous state. *)
 
-val disarm : string -> unit
-
 val reset : unit -> unit
 (** Disarm everything (including [DDF_FAULT]-loaded points). *)
 
 val configure : string -> unit
 (** Parse a spec string (the [DDF_FAULT] grammar) and arm each entry.
     Raises [Invalid_argument] on a malformed spec. *)
-
-val load_env : unit -> unit
-(** Arm from [DDF_FAULT] if set.  Called automatically before the
-    first {!fire}/{!check}; explicit calls re-read the variable. *)
 
 val fire : string -> unit
 (** Hit [point]: no-op when unarmed; [Delay] sleeps; [Fail] and [Torn]

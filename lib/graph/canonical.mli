@@ -7,10 +7,6 @@
     structurally identical siblings, which no schema-driven flow here
     exhibits. *)
 
-val structural_keys : Task_graph.t -> (int, string) Hashtbl.t
-(** A structural key per node: its entity plus its dependencies' keys
-    in role order (tree expansion, memoized). *)
-
 val canonical : Task_graph.t -> string
 (** Deterministic serialization with canonical ids and explicit
     sharing; equal strings iff isomorphic graphs. *)

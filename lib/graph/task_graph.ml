@@ -500,8 +500,6 @@ let validate g =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pp_node ppf n = Fmt.pf ppf "[%d:%s]" n.nid n.entity
-
 (* Lines deeper than this are indented as deep as this and carry their
    depth instead, so a line's width no longer grows with the tree's
    depth: a 400-deep derivation costs O(lines) bytes, not O(depth^2). *)

@@ -162,8 +162,6 @@ val cycle : exn
 
 (** {1 Printing} *)
 
-val pp_node : Format.formatter -> node -> unit
-
 val max_indent : int
 (** The depth (16) down to which {!add_ascii_line} indents. *)
 

@@ -346,5 +346,3 @@ let prometheus_of_metrics metrics =
              n h.hs_n))
     metrics;
   Buffer.contents buf
-
-let to_prometheus reg = prometheus_of_metrics (snapshot reg)

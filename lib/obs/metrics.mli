@@ -103,13 +103,11 @@ val snapshot : t -> metric list
     and zeroed stats so consumers can tell "no samples" from "metric
     missing". *)
 
-val json_of_metrics : metric list -> string
 val to_json : t -> string
 (** One flat JSON object: counters and gauges as numbers, histograms
     as [{"n", "mean", "min", "max", "p50", "p90", "p99"}] objects. *)
 
 val prometheus_of_metrics : metric list -> string
-val to_prometheus : t -> string
 (** Prometheus text exposition: counters as [<name>_total], gauges
     plain, histograms summary-style with [quantile] labels plus
     [_sum]/[_count].  Dots in names become underscores. *)

@@ -58,8 +58,6 @@ type sink = {
   close : unit -> unit;
 }
 
-let null_sink = { emit = (fun _ -> ()); close = (fun () -> ()) }
-
 (* ------------------------------------------------------------------ *)
 (* The process-wide sink                                               *)
 (* ------------------------------------------------------------------ *)
@@ -204,12 +202,6 @@ let event ?(cat = "") ?(logical = -1) ?(tid = 0) ?span ?(attrs = []) kind name
     =
   let span = match span with Some _ as s -> s | None -> current_span () in
   { kind; name; cat; ts_us = now_us (); logical; tid; span; attrs }
-
-let span_begin ?cat ?logical ?tid ?span ?attrs name =
-  if enabled () then emit (event ?cat ?logical ?tid ?span ?attrs Begin name)
-
-let span_end ?cat ?logical ?tid ?span ?attrs name =
-  if enabled () then emit (event ?cat ?logical ?tid ?span ?attrs End name)
 
 let complete ?cat ?logical ?tid ?span ?attrs ~dur_us name =
   if enabled () then

@@ -52,8 +52,6 @@ type sink = {
   close : unit -> unit;
 }
 
-val null_sink : sink
-
 val enabled : unit -> bool
 (** Is a sink installed?  The one branch disabled tracing costs. *)
 
@@ -78,28 +76,11 @@ val event :
 
 (** {1 Span identity} *)
 
-val fresh_trace_id : unit -> string
-(** A random 16-hex-digit trace id (process-unique seeding). *)
-
-val fresh_span_id : unit -> int
-(** A random nonzero span id. *)
-
 val new_root : unit -> span_ctx
 (** A fresh root context: new trace, no parent. *)
 
-val child_of : span_ctx -> span_ctx
-(** A fresh span in the parent's trace. *)
-
 val current_span : unit -> span_ctx option
 (** The calling thread's current span context, if any. *)
-
-val set_current_span : span_ctx option -> unit
-(** Install (or clear, with [None]) the calling thread's context —
-    used when a queued job resumes on another thread. *)
-
-val with_current_span : span_ctx -> (unit -> 'a) -> 'a
-(** Run the thunk with the given context installed for this thread,
-    restoring the previous one afterwards (even on raise). *)
 
 val span_ctx_to_token : span_ctx -> string
 (** Wire form: [t=<trace_id>.<span_id-hex>] — fits a frame header. *)
@@ -110,14 +91,6 @@ val span_ctx_of_token : string -> span_ctx option
     malformed input. *)
 
 (** {1 Emission helpers} *)
-
-val span_begin :
-  ?cat:string -> ?logical:int -> ?tid:int -> ?span:span_ctx ->
-  ?attrs:attrs -> string -> unit
-
-val span_end :
-  ?cat:string -> ?logical:int -> ?tid:int -> ?span:span_ctx ->
-  ?attrs:attrs -> string -> unit
 
 val complete :
   ?cat:string -> ?logical:int -> ?tid:int -> ?span:span_ctx ->

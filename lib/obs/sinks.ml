@@ -14,14 +14,6 @@ open Obs
 
 type format = Text | Jsonl | Chrome
 
-let format_of_string = function
-  | "text" -> Some Text
-  | "jsonl" -> Some Jsonl
-  | "chrome" -> Some Chrome
-  | _ -> None
-
-let format_name = function Text -> "text" | Jsonl -> "jsonl" | Chrome -> "chrome"
-
 (* ------------------------------------------------------------------ *)
 (* In-memory recorder                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -32,21 +24,6 @@ let memory () =
   let events = ref [] in
   ( { emit = (fun ev -> events := ev :: !events); close = (fun () -> ()) },
     fun () -> List.rev !events )
-
-(* ------------------------------------------------------------------ *)
-(* Thread-safety wrapper                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* [Obs.emit] already serialises all emission behind a process-wide
-   mutex, so this wrapper is needed only for sinks driven directly
-   (bypassing [Obs.emit]); it is kept for compatibility. *)
-let locked sink =
-  let m = Mutex.create () in
-  let guard f x =
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> f x)
-  in
-  { emit = guard sink.emit; close = guard sink.close }
 
 (* ------------------------------------------------------------------ *)
 (* Text                                                                *)

@@ -3,9 +3,6 @@
 
 type format = Text | Jsonl | Chrome
 
-val format_of_string : string -> format option
-val format_name : format -> string
-
 val memory : unit -> Obs.sink * (unit -> Obs.event list)
 (** A recording sink and a function returning the events recorded so
     far, oldest first. *)
@@ -20,26 +17,11 @@ val chrome : out_channel -> Obs.sink
 (** Buffers all events and writes one [{"traceEvents": [...]}]
     document on close; loadable in chrome://tracing and Perfetto. *)
 
-val json_of_event : Obs.event -> string
-
-val json_lines_of_event : Obs.event -> string list
-(** The event's JSON object plus the Chrome flow records (ph ["s"] /
-    ["f"]) a span Begin implies — one line each, the shape the JSONL
-    sink writes.  Flow records are what draw cross-process arrows once
-    traces from several processes are merged. *)
-
 val chrome_json_of_events :
   ?lane_names:(int * string) list -> Obs.event list -> string
 (** The Chrome envelope over pre-built events; [lane_names] adds
     thread-name metadata for the given tids (used to label
     per-machine lanes of a {e schedule}). *)
-
-val locked : Obs.sink -> Obs.sink
-(** Serialize [emit]/[close] behind a mutex.  {!Obs.emit} already
-    serialises all emission process-wide, so this is only needed for
-    sinks driven directly; kept for compatibility. *)
-
-val of_format : format -> out_channel -> Obs.sink
 
 val to_file : format:format -> string -> Obs.sink
 (** Opens the file now; closing the sink closes the file. *)

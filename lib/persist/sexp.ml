@@ -335,16 +335,6 @@ let as_int sexp =
   | Some i -> i
   | None -> sexp_errorf "expected an integer, got %S" (as_atom sexp)
 
-let as_float sexp =
-  match float_of_string_opt (as_atom sexp) with
-  | Some f -> f
-  | None -> sexp_errorf "expected a float, got %S" (as_atom sexp)
-
-let as_bool sexp =
-  match bool_of_string_opt (as_atom sexp) with
-  | Some b -> b
-  | None -> sexp_errorf "expected a bool, got %S" (as_atom sexp)
-
 let as_list = function
   | List l -> l
   | Atom a -> sexp_errorf "expected a list, got atom %S" a
@@ -357,11 +347,6 @@ let find_field_opt fields name =
     | List _ | Atom _ | Text _ -> None
   in
   List.find_map matches fields
-
-let find_field fields name =
-  match find_field_opt fields name with
-  | Some rest -> rest
-  | None -> sexp_errorf "missing field %S" name
 
 let one name = function
   | [ x ] -> x

@@ -95,9 +95,6 @@ val field : string -> t list -> t
 
 val as_atom : t -> string
 val as_int : t -> int
-val as_float : t -> float
-val as_bool : t -> bool
 val as_list : t -> t list
-val find_field : t list -> string -> t list
 val find_field_opt : t list -> string -> t list option
 val one : string -> t list -> t

@@ -43,9 +43,6 @@ val cell_keyword : string -> string
 (** The store keyword linking instances to a cell: ["cell:<name>"].
     Install a cell's design data with this keyword. *)
 
-val logic_view : Ddf_exec.Engine.context -> cell -> Store.iid option
-(** The newest netlist instance tagged with the cell's keyword. *)
-
 type requirement_status =
   | No_logic_view
   | Missing

@@ -151,8 +151,5 @@ val coproduced : t -> string -> string list
 
 (** {1 Printing} *)
 
-val pp_kind : Format.formatter -> kind -> unit
-val pp_dep : Format.formatter -> dep -> unit
-val pp_entity : Format.formatter -> entity -> unit
 val pp : Format.formatter -> t -> unit
 val to_dot : t -> string

@@ -28,7 +28,6 @@ type t = {
   mutable current : Task_graph.t;
   (* node -> selected instances (several = fan-out execution) *)
   selections : (int, Store.iid list) Hashtbl.t;
-  mutable last_run : Ddf_exec.Engine.run list;
 }
 
 let create ?(user = "designer") schema =
@@ -37,7 +36,6 @@ let create ?(user = "designer") schema =
     flow_catalog = Hashtbl.create 8;
     current = Task_graph.empty schema;
     selections = Hashtbl.create 8;
-    last_run = [];
   }
 
 let of_context ctx =
@@ -46,7 +44,6 @@ let of_context ctx =
     flow_catalog = Hashtbl.create 8;
     current = Task_graph.empty ctx.Ddf_exec.Engine.schema;
     selections = Hashtbl.create 8;
-    last_run = [];
   }
 
 let context s = s.ctx
@@ -61,9 +58,6 @@ let pin s = Ddf_exec.Engine.pin s.ctx
 let resolve_view s = function
   | Some v -> v
   | None -> pin s
-
-(* Results of the most recent [run], one per fan-out combination. *)
-let last_runs s = s.last_run
 
 (* ------------------------------------------------------------------ *)
 (* Catalogs                                                            *)
@@ -226,7 +220,6 @@ let run ?memo s nid =
       (Task_graph.leaves sub)
   in
   let runs = Ddf_exec.Engine.execute_fanout ?memo s.ctx sub ~bindings in
-  s.last_run <- runs;
   List.map (fun r -> Ddf_exec.Engine.result_of r nid) runs
 
 (* Recall a previously executed task (section 4.1): the instance's flow

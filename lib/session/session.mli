@@ -99,10 +99,6 @@ val run : ?memo:bool -> t -> int -> Store.iid list
 (** Run the sub-flow rooted at a node, fanning out over multi-instance
     selections; one result instance per combination. *)
 
-val last_runs : t -> Ddf_exec.Engine.run list
-(** The engine runs behind the most recent {!run} (statistics, full
-    assignments). *)
-
 val recall : t -> Store.iid -> int
 (** Recall a previously executed task (section 4.1): the instance's
     flow trace becomes the current flow with leaf selections restored,

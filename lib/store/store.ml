@@ -248,7 +248,6 @@ let annotate store iid ?label ?comment ?keywords () =
   notify store (Annotated inst)
 
 let set_cold_loader store f = store.cold_loader <- Some f
-let clear_cold_loader store = store.cold_loader <- None
 
 let evict store iid =
   let dropped =
@@ -519,10 +518,6 @@ let browse store filter = Snapshot.browse (snapshot store) filter
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let pp_instance ppf inst =
-  Fmt.pf ppf "#%d %s %S by %s @%d" inst.iid inst.entity inst.meta.label
-    inst.meta.user inst.meta.created_at
 
 let pp ppf store =
   Fmt.pf ppf "store: %d instances over %d physical objects"

@@ -109,8 +109,6 @@ val set_cold_loader : 'a t -> (iid -> 'a option) -> unit
     datum.  The loader receives the iid (cold storage is keyed by the
     installing put, not by hash) and returns the payload or [None]. *)
 
-val clear_cold_loader : 'a t -> unit
-
 val payload_resident : 'a t -> iid -> bool
 (** Whether {!payload} would be served from the resident table (no
     cold load).  @raise Ddf_core.Error.Ddf_error on a missing
@@ -229,5 +227,4 @@ module Snapshot : sig
       mismatch.  A full scan, for tests. *)
 end
 
-val pp_instance : Format.formatter -> 'a instance -> unit
 val pp : Format.formatter -> 'a t -> unit

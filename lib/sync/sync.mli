@@ -134,5 +134,4 @@ val run : ?dry_run:bool -> ?batch:int -> a:peer -> b:peer -> unit -> report
     second delivers only the conflict registrations the first created
     on the later side). *)
 
-val pp_direction : Format.formatter -> direction -> unit
 val pp_report : Format.formatter -> report -> unit

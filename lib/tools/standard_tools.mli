@@ -1,32 +1,6 @@
 (** Encapsulations for every tool of the odyssey schema, binding the
     Fig. 1 / Fig. 2 entities to the substrate implementations. *)
 
-val netlist_editor_enc : Encapsulation.t
-val layout_editor_enc : Encapsulation.t
-val device_model_editor_enc : Encapsulation.t
-val simulator_enc : Encapsulation.t
-val verifier_enc : Encapsulation.t
-val plotter_enc : Encapsulation.t
-
-val extractor_enc : Encapsulation.t
-(** One invocation, two co-produced outputs (Fig. 5): the extracted
-    netlist and the extraction statistics. *)
-
-val placer_enc : Encapsulation.t
-val pla_generator_enc : Encapsulation.t
-val transistor_expander_enc : Encapsulation.t
-val simulator_compiler_enc : Encapsulation.t
-
-val compiled_simulator_enc : Encapsulation.t
-(** The tool instance itself carries the compiled program (Fig. 2). *)
-
-val optimizer_enc : Encapsulation.t
-(** One encapsulation shared by the three optimizer tool instances
-    (section 3.3); the [Builtin "optimizer:<strategy>"] payload selects
-    the algorithm. *)
-
-val all_encapsulations : Encapsulation.t list
-
 val registry : unit -> Encapsulation.registry
 (** The registry every workspace starts from, with the circuit
     composer and decomposer installed. *)

@@ -13,24 +13,6 @@ open Ddf_graph
 open Ddf_store
 module E = Standard_schemas.E
 
-type view =
-  | Logic_view
-  | Transistor_level_view
-  | Physical_view
-
-let view_name = function
-  | Logic_view -> "logic"
-  | Transistor_level_view -> "transistor"
-  | Physical_view -> "physical"
-
-(* Which view an entity belongs to, by its root type. *)
-let view_of_entity schema entity =
-  let root = Schema.root_of schema entity in
-  if root = E.netlist then Some Logic_view
-  else if root = E.transistor_netlist then Some Transistor_level_view
-  else if root = E.layout then Some Physical_view
-  else None
-
 type cell_views = {
   cv_logic : Store.iid;
   cv_transistor : Store.iid;
@@ -119,5 +101,3 @@ let transistor_corresponds (ctx : Ddf_exec.Engine.context) ~logic ~transistor rn
            ("expected a transistor view, got " ^ Ddf_data.kind_name v))
   in
   Ddf_eda.Transistor.corresponds nl tv rng
-
-let pp_view ppf v = Fmt.string ppf (view_name v)

@@ -10,16 +10,6 @@
 
 open Ddf_store
 
-type view =
-  | Logic_view
-  | Transistor_level_view
-  | Physical_view
-
-val view_name : view -> string
-
-val view_of_entity : Ddf_schema.Schema.t -> string -> view option
-(** The view an entity belongs to, by its root type. *)
-
 type cell_views = {
   cv_logic : Store.iid;
   cv_transistor : Store.iid;
@@ -43,5 +33,3 @@ val transistor_corresponds :
   Ddf_exec.Engine.context -> logic:Store.iid -> transistor:Store.iid ->
   Ddf_eda.Rng.t -> bool
 (** Switch-level vs. gate-level functional agreement. *)
-
-val pp_view : Format.formatter -> view -> unit

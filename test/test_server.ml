@@ -271,7 +271,7 @@ let observability =
   [
     Alcotest.test_case "every request gets a server span" `Quick (fun () ->
         let sink, events = Obs_sinks.memory () in
-        Obs.set_sink (Obs_sinks.locked sink);
+        Obs.set_sink sink;
         Fun.protect ~finally:Obs.clear_sink @@ fun () ->
         with_server @@ fun _t ~dir:_ ~socket ->
         (Client.with_client ~user:"traced" ~socket @@ fun c ->
