@@ -48,6 +48,10 @@
       (read, install, journal append), and the mean
       [server.alloc_words.batch] an in-process daemon reports for
       eight such frames.  Words do not depend on host speed.
+  10. The resident store -- the words the engine store's live state
+      reaches ([Obj.reachable_words]) after 4,000 wire installs drawn
+      as perfbench's library items are (netlists and stimuli, one coin
+      flip each).  Each value rests as its text.
 
    Exported gauges (for --json): perf.write.{always_rps,group_rps,
    speedup}, perf.rtt.{singleton_rps,batch32_rps,speedup},
@@ -58,7 +62,8 @@
    perf.browse_rare_entity.n<instances>.us,
    perf.entry.{encode,decode,replay,hash}.{ns,words},
    perf.checkpoint.{n1000,n4000,d400}.{bytes,save_us,save_words,load_us,
-   load_words}, perf.install_path.{decode,value,install,server}.words. *)
+   load_words}, perf.install_path.{decode,value,install,server}.words,
+   perf.store.resident_words.n4000. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -386,7 +391,7 @@ let checkpoint_session ~n ~depth =
   let ctx = Engine.create_context ~user:"bench" Standard_schemas.odyssey in
   let put entity i =
     let value = Value.Blob { blob_kind = "text"; text = Printf.sprintf "v%d" i } in
-    Store.put ctx.Engine.store ~entity ~hash:(Value.hash value)
+    Engine.put ctx ~entity
       ~meta:
         (Store.meta ~user:"bench" ~label:(Printf.sprintf "nl%d" i)
            ~keywords:[ "ingest" ] ~created_at:i ())
@@ -532,6 +537,37 @@ let install_path_rows () =
     ("install", "values read, installed and journaled", install_journal);
     ("server", "server.alloc_words.batch (mean of 8 frames)", server_words) ]
 
+(* ------------------------------------------------------------------ *)
+(* 10. The resident store                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The words the store's live state reaches after [n] installs drawn
+   as perfbench's library items, each installed from its text as a
+   wire install is. *)
+let resident_words n =
+  let rng = Eda.Rng.create 410 in
+  let ctx = Engine.create_context ~user:"bench" Standard_schemas.odyssey in
+  for i = 1 to n do
+    let label = Printf.sprintf "lib-%d" i in
+    let entity, value =
+      if Eda.Rng.int rng 2 = 0 then
+        ( E.edited_netlist,
+          Value.Netlist
+            (Eda.Circuits.random ~name:label ~n_inputs:(3 + Eda.Rng.int rng 4)
+               ~n_gates:(6 + Eda.Rng.int rng 18) rng) )
+      else
+        ( E.stimuli,
+          Value.Stimuli
+            (Eda.Stimuli.exhaustive
+               (List.init (1 + Eda.Rng.int rng 4) (Printf.sprintf "%s_i%d" label))) )
+    in
+    let text = Codec.value_to_text value in
+    ignore
+      (Engine.install ctx ~entity ~label ~keywords:[ "library" ] ~text
+         (Codec.value_of_text text))
+  done;
+  Obj.reachable_words (Obj.repr (Store.snapshot ctx.Engine.store))
+
 let run () =
   Bench_util.section
     (Printf.sprintf "group commit: %d batches of %d installs per sync mode"
@@ -666,4 +702,9 @@ let run () =
        (fun (key, name, words) ->
          Metrics.set (Metrics.gauge (Printf.sprintf "perf.install_path.%s.words" key)) words;
          [ name; Printf.sprintf "%.0f" words ])
-       (install_path_rows ()))
+       (install_path_rows ()));
+
+  Bench_util.section "the resident store after 4,000 library installs";
+  let words = resident_words 4_000 in
+  Printf.printf "  %d words reachable from the store's live state\n" words;
+  Metrics.set (Metrics.gauge "perf.store.resident_words.n4000") (float_of_int words)

@@ -150,7 +150,7 @@ let () =
   select "formatter" formatter;
   select "reviewer" reviewer;
   let review_iid = List.hd (Session.run session review_node) in
-  let _, verdict = Value.as_blob (Store.payload ctx.Engine.store review_iid) in
+  let _, verdict = Value.as_blob (Engine.payload ctx review_iid) in
   Printf.printf "\nreview verdict: %s\n" verdict;
 
   (* versioning and consistency, inherited for free *)
@@ -189,6 +189,6 @@ let () =
   let report = Consistency.refresh ctx review_iid in
   Format.printf "refresh the review: %a@." Consistency.pp_report report;
   let _, verdict2 =
-    Value.as_blob (Store.payload ctx.Engine.store report.Consistency.fresh_instance)
+    Value.as_blob (Engine.payload ctx report.Consistency.fresh_instance)
   in
   Printf.printf "new verdict: %s\n" verdict2

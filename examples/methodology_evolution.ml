@@ -127,7 +127,7 @@ let () =
     Engine.execute ctx g ~bindings:[ (lint_node, linter); (nl_node, nl_iid) ]
   in
   let _, text =
-    Value.as_blob (Store.payload ctx.Engine.store (Engine.result_of run report))
+    Value.as_blob (Engine.payload ctx (Engine.result_of run report))
   in
   Printf.printf "lint report for mux4:\n%s\n"
     (String.concat "\n"

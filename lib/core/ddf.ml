@@ -208,7 +208,7 @@ module Workspace = struct
         if n.Task_graph.entity = entity then Some n.Task_graph.nid else None)
       (Task_graph.nodes flow)
 
-  let payload w iid = Ddf_store.Store.payload (store w) iid
+  let payload w iid = Engine.payload (ctx w) iid
 
   let netlist_of w iid = Ddf_data.as_netlist (payload w iid)
   let layout_of w iid = Ddf_data.as_layout (payload w iid)

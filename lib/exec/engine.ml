@@ -25,7 +25,7 @@ let m_batches = Metrics.counter "engine.batched_merges"
 
 type context = {
   schema : Schema.t;
-  mutable store : Ddf_data.value Store.t;
+  mutable store : string Store.t;
   mutable history : History.t;
   registry : Encapsulation.registry;
   mutable clock : int;
@@ -57,7 +57,7 @@ let tick ctx =
    later) store view covers every instance a captured record
    mentions. *)
 type view = {
-  v_store : Ddf_data.value Store.snapshot;
+  v_store : string Store.snapshot;
   v_history : History.snapshot;
 }
 
@@ -65,6 +65,37 @@ let pin ctx =
   let v_history = History.snapshot ctx.history in
   let v_store = Store.snapshot ctx.store in
   { v_store; v_history }
+
+(* The decode cache: 256 lock-free slots, indexed from the content hash
+   and shared by every domain, each holding the last value stored or
+   decoded under it.  Equal hashes are equal contents, so one cache
+   serves every store. *)
+let cache = Array.init 256 (fun _ -> Atomic.make ("", Ddf_data.Tool (Ddf_data.Builtin "")))
+let slot hash = cache.(Hashtbl.hash hash land 255)
+let remember hash value = Atomic.set (slot hash) (hash, value)
+
+(* Stored text was checked against its hash on its way in (install,
+   replay, checkpoint load, sync or cold load): a miss only parses it. *)
+let decode snap iid =
+  let hash = Store.Snapshot.hash_of snap iid in
+  match Atomic.get (slot hash) with
+  | h, value when String.equal h hash -> value
+  | _ -> (
+    match Ddf_persist.Codec.value_of_text (Store.Snapshot.payload snap iid) with
+    | value ->
+      remember hash value;
+      value
+    | exception Ddf_persist.Codec.Codec_error m ->
+      exec_errorf ~code:`Internal "value of instance %d: %s" iid m)
+
+let payload ctx iid = decode (Store.snapshot ctx.store) iid
+
+(* Store [value] as its text, printed unless the caller holds it. *)
+let put ?text ctx ~entity ~meta value =
+  let hash = Ddf_data.hash value in
+  remember hash value;
+  Store.put ctx.store ~entity ~hash ~meta
+    (match text with Some t -> t | None -> Ddf_persist.Codec.value_to_text value)
 
 (* Install a source design object (or a tool from the catalog). *)
 let install ctx ~entity ?(label = "") ?(comment = "") ?(keywords = []) ?user
@@ -76,7 +107,7 @@ let install ctx ~entity ?(label = "") ?(comment = "") ?(keywords = []) ?user
   let meta =
     Store.meta ~user ~label ~comment ~keywords ~created_at:(tick ctx) ()
   in
-  Store.put ?text ctx.store ~entity ~hash:(Ddf_data.hash value) ~meta value
+  put ?text ctx ~entity ~meta value
 
 (* Install a catalog tool with its default payload. *)
 let install_tool ctx entity =
@@ -197,7 +228,7 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
     `Memo
   | None ->
     let args =
-      List.map (fun (role, iid) -> (role, Store.payload ctx.store iid)) inputs
+      List.map (fun (role, iid) -> (role, payload ctx iid)) inputs
     in
     let t0 = if Obs.enabled () then Obs.now_us () else 0.0 in
     let outcome, cost_us, kind =
@@ -213,7 +244,7 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
         ([ (entity, composer args) ], 10, `Composed)
       | Some tool_nid ->
         let tool_iid = lookup tool_nid in
-        let tool_payload = Store.payload ctx.store tool_iid in
+        let tool_payload = payload ctx tool_iid in
         let tool_entity = Store.entity_of ctx.store tool_iid in
         let goal =
           match out_entities with
@@ -239,7 +270,7 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
             if String.length label > 60 then String.sub label 0 60 else label
           in
           let meta = Store.meta ~user:ctx.user ~label ~created_at:at () in
-          (entity, Store.put ctx.store ~entity ~hash:(Ddf_data.hash value) ~meta value))
+          (entity, put ctx ~entity ~meta value))
         outcome
     in
     let task_entity =
@@ -372,7 +403,7 @@ let decompose ctx iid =
   if not (Schema.is_composite ctx.schema entity) then
     exec_errorf ~code:`Type_error "instance #%d (%s) is not composite" iid entity;
   let decomposer = Encapsulation.find_decomposer ctx.registry entity in
-  let parts = decomposer (Store.payload ctx.store iid) in
+  let parts = decomposer (payload ctx iid) in
   let at = tick ctx in
   let stored =
     List.map
@@ -380,9 +411,7 @@ let decompose ctx iid =
         Typing.check ctx.schema part_entity value;
         let label = Ddf_data.summary value in
         let meta = Store.meta ~user:ctx.user ~label ~created_at:at () in
-        ( part_entity,
-          Store.put ctx.store ~entity:part_entity ~hash:(Ddf_data.hash value)
-            ~meta value ))
+        (part_entity, put ctx ~entity:part_entity ~meta value))
       parts
   in
   (match stored with
@@ -438,7 +467,7 @@ let try_batch ?(memo = true) ctx g nid iids =
       | Some r -> List.assoc_opt entity r.History.outputs
       | None ->
         Metrics.incr m_batches;
-        let merged = merge (List.map (Store.payload ctx.store) iids) in
+        let merged = merge (List.map (payload ctx) iids) in
         Typing.check ctx.schema entity merged;
         let at = tick ctx in
         let meta =
@@ -446,9 +475,7 @@ let try_batch ?(memo = true) ctx g nid iids =
             ~label:(Printf.sprintf "batch of %d" (List.length iids))
             ~created_at:at ()
         in
-        let iid =
-          Store.put ctx.store ~entity ~hash:(Ddf_data.hash merged) ~meta merged
-        in
+        let iid = put ctx ~entity ~meta merged in
         ignore
           (History.add ctx.history ctx.store ctx.schema ~task_entity:entity
              ~tool:None ~inputs

@@ -16,9 +16,10 @@ open Ddf_tools
 
 type context = {
   schema : Schema.t;
-  mutable store : Ddf_data.value Store.t;
-      (** swapped wholesale only by a replication snapshot reinstall
-          ({!Ddf_journal}); everything else mutates the store in place *)
+  mutable store : string Store.t;
+      (** each value as its flat text, read through {!payload}; swapped
+          wholesale only by a replication snapshot reinstall
+          ({!Ddf_journal}), everything else mutates it in place *)
   mutable history : History.t;
   registry : Encapsulation.registry;
   mutable clock : int;   (** logical time; advanced by {!tick} *)
@@ -35,7 +36,7 @@ val create_context :
 val tick : context -> int
 
 type view = {
-  v_store : Ddf_data.value Store.snapshot;
+  v_store : string Store.snapshot;
   v_history : History.snapshot;
 }
 (** A pinned read view over a context: the store and history captured
@@ -49,15 +50,27 @@ val pin : context -> view
     first so the store side covers every instance its records
     mention). *)
 
+val payload : context -> Store.iid -> Ddf_data.value
+(** The decoded value behind an instance, through a cache of 256 slots
+    keyed by content hash, shared by every domain and filled by {!put}.
+    @raise Ddf_core.Error.Ddf_error as {!Store.payload}. *)
+
+val decode : string Store.snapshot -> Store.iid -> Ddf_data.value
+(** {!payload} through a snapshot (a pinned view's [v_store]). *)
+
+val put :
+  ?text:string -> context -> entity:string -> meta:Store.meta ->
+  Ddf_data.value -> Store.iid
+(** Store a value as its text ([text], else printed once), with no type
+    check and no tick: {!install} adds those. *)
+
 val install :
   context -> entity:string -> ?label:string -> ?comment:string ->
   ?keywords:string list -> ?user:string -> ?text:string -> Ddf_data.value ->
   Store.iid
-(** Install a source design object (or a tool) into the store.  [text]
-    is the value's s-expression text as received (a wire install's
-    bytes); the journal records it in place of printing the value.
-    @raise Typing.Type_mismatch when the payload does not fit the
-    entity. *)
+(** Install a source design object (or a tool) through {!put}; [text]
+    is a wire install's bytes.
+    @raise Typing.Type_mismatch when the payload does not fit the entity. *)
 
 val install_tool : context -> string -> Store.iid
 (** Install a catalog tool with its default payload.

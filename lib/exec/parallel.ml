@@ -278,7 +278,7 @@ let execute_parallel ?(domains = 4) ?(memo = true) (ctx : Engine.context) g
           in
           let resolve_args () =
             List.map
-              (fun (role, iid) -> (role, Store.Snapshot.payload snap iid))
+              (fun (role, iid) -> (role, Engine.decode snap iid))
               inputs
           in
           let out_entities = List.map node_entity inv.Task_graph.outputs in
@@ -299,7 +299,7 @@ let execute_parallel ?(domains = 4) ?(memo = true) (ctx : Engine.context) g
               in
               fun () ->
                 enc.Encapsulation.behavior
-                  ~tool:(Store.Snapshot.payload snap tool_iid)
+                  ~tool:(Engine.decode snap tool_iid)
                   ~goals:out_entities (resolve_args ())
           in
           (inv, inputs, work))
@@ -337,9 +337,7 @@ let execute_parallel ?(domains = 4) ?(memo = true) (ctx : Engine.context) g
                     Store.meta ~user:ctx.Engine.user
                       ~label:(Ddf_data.summary value) ~created_at:at ()
                   in
-                  ( entity,
-                    Store.put ctx.Engine.store ~entity
-                      ~hash:(Ddf_data.hash value) ~meta value ))
+                  (entity, Engine.put ctx ~entity ~meta value))
                 outcome
             in
             let tool = Option.map (Hashtbl.find assignment) inv.Task_graph.tool in

@@ -107,8 +107,6 @@ let decode payload =
   try L.of_string fld payload
   with L.Wire_error m -> Ddf_core.Error.errorf `Internal "journal entry: %s" m
 
-let text = Ddf_persist.Codec.value_to_text
-
 let value ~iid ~hash text =
   let value =
     try Ddf_persist.Codec.value_of_text text

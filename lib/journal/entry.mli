@@ -57,9 +57,6 @@ val decode : string -> t
     entry: [`Invalid] naming format 1 for an s-expression entry,
     [`Internal] for truncated, unknown or trailing bytes. *)
 
-val text : Ddf_data.value -> string
-(** A value printed as a put carries it: flat s-expression text. *)
-
 val value : iid:int -> hash:string -> string -> Ddf_data.value
 (** A put's value, parsed back from its text and checked against the
     content hash the put recorded.

@@ -224,7 +224,7 @@ let replay_entry ?(lenient = false) ctx payload =
   in
   match Entry.decode payload with
   | Entry.Put { iid; clock; entity; hash; meta; text } ->
-    let value = Entry.value ~iid ~hash text in
+    ignore (Entry.value ~iid ~hash text);
     if lenient && Store.mem store iid then begin
       let inst = Store.find store iid in
       if inst.Store.entity <> entity || inst.Store.data_hash <> hash then
@@ -234,7 +234,7 @@ let replay_entry ?(lenient = false) ctx payload =
           iid
     end
     else begin
-      let got = Store.put ~text store ~entity ~hash ~meta value in
+      let got = Store.put store ~entity ~hash ~meta text in
       if got <> iid then
         journal_errorf "log out of order: instance %d replayed as %d" iid got
     end;
@@ -330,16 +330,14 @@ let append j payload =
     | None -> ()
   end
 
-(* A put journals the value's text as received when the installer had
-   it (a wire install's bytes); only an engine-derived value is
-   printed, once and flat. *)
+(* A put journals the text the store keeps: a wire install's bytes as
+   received, or an engine-derived value as the engine printed it. *)
 let attach j =
   let ctx = j.j_ctx in
   let clock () = ctx.Ddf_exec.Engine.clock in
   let log e = append j (Entry.encode e) in
   Store.set_observer ctx.Ddf_exec.Engine.store (function
-    | Store.Put (inst, value, text) ->
-      let text = match text with Some text -> text | None -> Entry.text value in
+    | Store.Put (inst, text) ->
       log
         (Entry.Put
            { iid = inst.Store.iid; clock = clock ();
@@ -464,12 +462,11 @@ let cold_put_text c store iid =
     | Entry.Note _ | Entry.Record _ | Entry.Conflict _ | Entry.Resolve _ ->
       None)
 
-let cold_put_value c store iid =
-  Option.map
-    (Entry.value ~iid ~hash:(Store.hash_of store iid))
-    (cold_put_text c store iid)
-
-let install_cold_loader c store = Store.set_cold_loader store (cold_put_value c store)
+let install_cold_loader c store =
+  Store.set_cold_loader store (fun iid ->
+      Option.map
+        (fun text -> ignore (Entry.value ~iid ~hash:(Store.hash_of store iid) text); text)
+        (cold_put_text c store iid))
 
 (* Evict resident payloads whose every owning instance can be cold-
    loaded back from cement.  Payloads are shared by content hash, so a

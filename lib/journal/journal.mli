@@ -9,8 +9,8 @@
     binary {!Ddf_entry.Entry} before the caller proceeds, and replaying
     snapshot + log reconstructs the context — same iids, rids,
     meta-data, payload hashes and logical clock.  A put entry carries
-    the value's text as received (a wire install's bytes) and prints
-    only engine-derived values; a database whose entries are of an
+    the text the store keeps (a wire install's bytes, or the engine's
+    print of a derived value); a database whose entries are of an
     older format is refused at {!open_} with an error naming it.
 
     Crash safety: frames are self-delimiting with an MD5 checksum, so

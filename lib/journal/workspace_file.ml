@@ -116,7 +116,7 @@ let save ?(cemented = fun _ -> None) ?(cold_text = fun _ -> None) session =
         if Store.payload_resident store iid then None else cold_text iid
       with
       | Some text -> Value text
-      | None -> Value (Entry.text (Store.payload store iid)))
+      | None -> Value (Store.payload store iid))
   in
   let w = L.writer ~head:magic in
   write_header w
@@ -181,12 +181,10 @@ let load ?registry ?(cemented = fun _ -> None) schema text =
         let got =
           match slot with
           | Value text ->
-            let value =
-              try Entry.value ~iid ~hash text
-              with Ddf_core.Error.Ddf_error e ->
-                persist_errorf "%s" (Ddf_core.Error.message e)
-            in
-            Store.put store ~entity ~hash ~meta value
+            (try ignore (Entry.value ~iid ~hash text)
+             with Ddf_core.Error.Ddf_error e ->
+               persist_errorf "%s" (Ddf_core.Error.message e));
+            Store.put store ~entity ~hash ~meta text
           | Cemented seq ->
             if cemented iid <> Some seq then
               persist_errorf

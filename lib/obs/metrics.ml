@@ -106,7 +106,9 @@ let sample_gc () =
   put "gc.minor_words" s.Gc.minor_words;
   put "gc.major_words" s.Gc.major_words;
   put "gc.minor_collections" (float_of_int s.Gc.minor_collections);
-  put "gc.major_collections" (float_of_int s.Gc.major_collections)
+  put "gc.major_collections" (float_of_int s.Gc.major_collections);
+  put "gc.heap_words" (float_of_int s.Gc.heap_words);
+  put "gc.top_heap_words" (float_of_int s.Gc.top_heap_words)
 
 external minor_collections : unit -> int = "ddf_minor_collections" [@@noalloc]
 

@@ -43,11 +43,13 @@ val sample_gc : unit -> unit
 (** Set the {!global} gauges [gc.minor_words], [gc.major_words],
     [gc.minor_collections] and [gc.major_collections] from
     [Gc.quick_stat]: totals since the process started, over every
-    domain, the terminated ones included.  On OCaml 5.1 the runtime
-    updates a domain's counts only at a minor collection, so the sample
-    runs one first (stopping every domain briefly, and counted in
-    [gc.minor_collections]); without it the words a domain allocated
-    since its last collection would be missing. *)
+    domain, the terminated ones included.  [gc.heap_words] and
+    [gc.top_heap_words] are the major heap's size now and at its
+    largest.  On OCaml 5.1 the runtime updates a domain's counts only
+    at a minor collection, so the sample runs one first (stopping every
+    domain briefly, and counted in [gc.minor_collections]); without it
+    the words a domain allocated since its last collection would be
+    missing. *)
 
 val minor_collections : unit -> int
 (** The minor collections since the process started, over every

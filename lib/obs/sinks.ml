@@ -122,54 +122,27 @@ let add_json_of_event buf ev =
   (match ev.kind with Sample v -> arg "value" (Obs.json_float v) | _ -> ());
   Buffer.add_string buf "}}"
 
-let json_of_event ev =
-  let buf = Buffer.create 256 in
-  add_json_of_event buf ev;
-  Buffer.contents buf
-
 (* Chrome flow records: same (name, cat, id) triple binds a start to
    its finish.  Anchored at the event's own coordinates. *)
-let add_flow_record buf ~ph ~id ev =
-  Buffer.add_string buf "{\"name\": \"span\", \"cat\": \"trace\", \"ph\": \"";
-  Buffer.add_string buf ph;
-  Buffer.add_string buf "\", ";
-  if ph = "f" then Buffer.add_string buf "\"bp\": \"e\", ";
-  Buffer.add_string buf (Printf.sprintf "\"id\": \"0x%x\", " id);
-  Buffer.add_string buf "\"ts\": ";
-  Buffer.add_string buf (Obs.json_float ev.ts_us);
-  Buffer.add_string buf
-    (Printf.sprintf ", \"pid\": %d, \"tid\": %d}" (Lazy.force pid) ev.tid)
+let add_flow_record buf ~sep ~ph ~id ev =
+  Printf.bprintf buf
+    "{\"name\": \"span\", \"cat\": \"trace\", \"ph\": \"%s\", %s\"id\": \"0x%x\", \
+     \"ts\": %s, \"pid\": %d, \"tid\": %d}%s"
+    ph (if ph = "f" then "\"bp\": \"e\", " else "") id (Obs.json_float ev.ts_us)
+    (Lazy.force pid) ev.tid sep
 
-let flow_record ~ph ~id ev =
-  let buf = Buffer.create 128 in
-  add_flow_record buf ~ph ~id ev;
-  Buffer.contents buf
-
-(* The event as JSON plus any flow records it implies: a span Begin
-   opens a flow anchor under its own id and, when parented, closes the
-   parent's flow into itself — which is what draws the cross-process
-   arrow once traces are merged. *)
-let add_json_lines buf ev =
+(* The event as JSON plus any flow records it implies, each followed
+   by [sep]: a span Begin opens a flow anchor under its own id and,
+   when parented, closes the parent's flow into itself — which is what
+   draws the cross-process arrow once traces are merged. *)
+let add_json_lines ?(sep = "\n") buf ev =
   add_json_of_event buf ev;
-  Buffer.add_char buf '\n';
+  Buffer.add_string buf sep;
   match (ev.kind, ev.span) with
   | Begin, Some c ->
-    add_flow_record buf ~ph:"s" ~id:c.span_id ev;
-    Buffer.add_char buf '\n';
-    if c.parent_id <> 0 then begin
-      add_flow_record buf ~ph:"f" ~id:c.parent_id ev;
-      Buffer.add_char buf '\n'
-    end
+    add_flow_record buf ~sep ~ph:"s" ~id:c.span_id ev;
+    if c.parent_id <> 0 then add_flow_record buf ~sep ~ph:"f" ~id:c.parent_id ev
   | _ -> ()
-
-let json_lines_of_event ev =
-  let main = json_of_event ev in
-  match (ev.kind, ev.span) with
-  | Begin, Some c ->
-    (main :: [ flow_record ~ph:"s" ~id:c.span_id ev ])
-    @ (if c.parent_id <> 0 then [ flow_record ~ph:"f" ~id:c.parent_id ev ]
-       else [])
-  | _ -> [ main ]
 
 (* One trace event per line: greppable, streamable, jq-friendly.  The
    scratch buffer is owned by the sink; [Obs.emit] serialises calls. *)
@@ -187,22 +160,20 @@ let jsonl oc =
 (* The Chrome trace-event envelope over a list of already-built
    events; also used to render Parallel.schedule lanes. *)
 let chrome_json_of_events ?(lane_names = []) events =
+  let sep = ",\n  " in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\": [";
-  let first = ref true in
-  let add s =
-    if !first then first := false else Buffer.add_string buf ",\n  ";
-    Buffer.add_string buf s
-  in
   List.iter
     (fun (tid, name) ->
-      add
-        (Printf.sprintf
-           "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %d, \"tid\": \
-            %d, \"args\": {\"name\": \"%s\"}}"
-           (Lazy.force pid) tid (Obs.json_escape name)))
+      Printf.bprintf buf
+        "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %d, \"tid\": %d, \
+         \"args\": {\"name\": \"%s\"}}%s"
+        (Lazy.force pid) tid (Obs.json_escape name) sep)
     lane_names;
-  List.iter (fun ev -> List.iter add (json_lines_of_event ev)) events;
+  List.iter (add_json_lines ~sep buf) events;
+  (* the last record's separator *)
+  if lane_names <> [] || events <> [] then
+    Buffer.truncate buf (Buffer.length buf - String.length sep);
   Buffer.add_string buf "],\n\"displayTimeUnit\": \"ms\"}\n";
   Buffer.contents buf
 

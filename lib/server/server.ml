@@ -594,7 +594,7 @@ let rec eval t session ~pin req =
     Wire.Ok_rows (rows_of snap (Store.Snapshot.browse snap filter))
   | Wire.Install { entity; label; keywords; value } ->
     (* a value off the wire is its text, checked at decode: read once,
-       and journaled as the client sent it *)
+       then stored and journaled as the client sent it *)
     let text =
       match value with
       | Ddf_persist.Sexp.Text text -> Some text

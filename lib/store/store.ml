@@ -41,7 +41,7 @@ type 'a instance = {
 type keyword_iids = { count : int; iids : Int_set.t }
 
 type 'a event =
-  | Put of 'a instance * 'a * string option
+  | Put of 'a instance * 'a
   | Annotated of 'a instance
 
 (* A physical datum is resident, or cold: known by its hash but held
@@ -205,9 +205,9 @@ let install store ~entity ~hash ~meta slot =
   if dedup then Ddf_obs.Metrics.incr m_dedup;
   inst
 
-let put ?text store ~entity ~hash ~meta payload =
+let put store ~entity ~hash ~meta payload =
   let inst = install store ~entity ~hash ~meta (Resident payload) in
-  notify store (Put (inst, payload, text));
+  notify store (Put (inst, payload));
   inst.iid
 
 let put_cold store ~entity ~hash ~meta =

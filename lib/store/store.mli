@@ -57,11 +57,10 @@ val meta :
   ?user:string -> ?label:string -> ?comment:string -> ?keywords:string list ->
   created_at:int -> unit -> meta
 
-val put :
-  ?text:string -> 'a t -> entity:string -> hash:string -> meta:meta -> 'a -> iid
-(** Install an instance; the payload is stored once per distinct hash.
-    [text] is the payload's serialised form as the caller received it,
-    handed on to the write observer untouched. *)
+val put : 'a t -> entity:string -> hash:string -> meta:meta -> 'a -> iid
+(** Install an instance; the payload is stored once per distinct hash
+    and handed on to the write observer untouched.  The design engine's
+    payload is a value's flat text, the bytes its journal entry carries. *)
 
 val find : 'a t -> iid -> 'a instance
 (** @raise Ddf_core.Error.Ddf_error on a missing instance. *)
@@ -70,10 +69,12 @@ val find_opt : 'a t -> iid -> 'a instance option
 val mem : 'a t -> iid -> bool
 
 val payload : 'a t -> iid -> 'a
-(** The physical datum behind an instance.  Resident payloads are one
-    map lookup; an evicted payload falls through to the cold loader
-    (see {!set_cold_loader}), is re-installed in the resident table
-    (promote-on-read) and counted in [store.cold_loads].
+(** The physical datum behind an instance (the design engine decodes
+    its text through a bounded cache, {!Ddf_exec.Engine.payload}).
+    Resident payloads are one map lookup; an evicted payload falls
+    through to the cold loader (see {!set_cold_loader}), is re-installed
+    in the resident table (promote-on-read) and counted in
+    [store.cold_loads].
     @raise Ddf_core.Error.Ddf_error ([`Not_found]) when the payload is
     neither resident nor reloadable. *)
 
@@ -132,8 +133,8 @@ val put_cold : 'a t -> entity:string -> hash:string -> meta:meta -> iid
 (** {1 Write observation (the journal's attachment point)} *)
 
 type 'a event =
-  | Put of 'a instance * 'a * string option
-      (** a new instance was installed, with {!put}'s [text] *)
+  | Put of 'a instance * 'a
+      (** a new instance was installed, with the payload {!put} got *)
   | Annotated of 'a instance      (** an instance's meta changed *)
 
 val set_observer : 'a t -> ('a event -> unit) -> unit

@@ -353,9 +353,7 @@ let apply_frames j ~origin ~upto frames =
   let apply_entry payload =
     match from_peer (fun () -> Entry.decode payload) with
     | Entry.Put { iid = riid; clock; entity; hash = stored_hash; meta; text } ->
-      let value =
-        from_peer (fun () -> Entry.value ~iid:riid ~hash:stored_hash text)
-      in
+      ignore (from_peer (fun () -> Entry.value ~iid:riid ~hash:stored_hash text));
       advance clock;
       if Hashtbl.mem st.st_imap (origin, riid) then incr skipped
       else begin
@@ -372,9 +370,7 @@ let apply_frames j ~origin ~upto frames =
           (* a direct put preserves the remote meta (user, creation
              time), so the birth key survives further hops; the
              peer's text is journaled as it came *)
-          let liid =
-            Store.put ~text (store ()) ~entity ~hash:stored_hash ~meta value
-          in
+          let liid = Store.put (store ()) ~entity ~hash:stored_hash ~meta text in
           Hashtbl.replace st.st_imap (origin, riid) liid;
           Hashtbl.replace st.st_born liid origin;
           Hashtbl.replace id_index bk liid;

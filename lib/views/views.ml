@@ -84,16 +84,16 @@ let verify_physical (ctx : Ddf_exec.Engine.context) ~logic ~physical ~extractor_
   let run = Ddf_exec.Engine.execute ctx g ~bindings in
   let verification_iid = Ddf_exec.Engine.result_of run f.Standard_flows.f8b_verification in
   let verdict =
-    Ddf_data.as_verification (Store.payload ctx.Ddf_exec.Engine.store verification_iid)
+    Ddf_data.as_verification (Ddf_exec.Engine.payload ctx verification_iid)
   in
   (verification_iid, verdict)
 
 (* Direct (non-flow) correspondence between logic and transistor views,
    for the Fig. 7 demonstration: switch-level against gate-level. *)
 let transistor_corresponds (ctx : Ddf_exec.Engine.context) ~logic ~transistor rng =
-  let nl = Ddf_data.as_netlist (Store.payload ctx.Ddf_exec.Engine.store logic) in
+  let nl = Ddf_data.as_netlist (Ddf_exec.Engine.payload ctx logic) in
   let tv =
-    match Store.payload ctx.Ddf_exec.Engine.store transistor with
+    match Ddf_exec.Engine.payload ctx transistor with
     | Ddf_data.Transistor_view t -> t
     | v ->
       raise

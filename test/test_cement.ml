@@ -552,7 +552,7 @@ let integrity =
         let damaged = ref 0 in
         List.iter
           (fun iid ->
-            match Store.payload store iid with
+            match Codec.value_of_text (Store.payload store iid) with
             | v ->
               Alcotest.(check string) "an undamaged payload is intact"
                 (Store.hash_of store iid) (Value.hash v)

@@ -693,3 +693,80 @@ let registry_tests =
   ]
 
 let suite = suite @ [ ("exec.registry", registry_tests) ]
+
+(* The decode cache: values rest in the store as text and are decoded
+   through a fixed table of slots keyed by content hash, shared by
+   every domain.  A read must always give what a fresh parse of the
+   stored text gives, whatever else shares or takes over its slot. *)
+let cache_setup n =
+  let w = Workspace.create () in
+  let ctx = Workspace.ctx w in
+  let iids =
+    List.init n (fun i ->
+        if i mod 3 = 0 then
+          Workspace.install_netlist w
+            (Eda.Circuits.random ~n_inputs:3 ~n_gates:(4 + (i mod 5))
+               (Eda.Rng.create i))
+        else
+          Workspace.install_stimuli w
+            (Eda.Stimuli.exhaustive [ Printf.sprintf "in%d" i; "x" ]))
+  in
+  let fresh iid = Codec.value_of_text (Store.payload ctx.Engine.store iid) in
+  (ctx, Array.of_list iids, fresh)
+
+(* The slot a hash takes: the engine's indexing, over its 256 slots. *)
+let slot_of hash = Hashtbl.hash hash land 255
+
+let decode_cache_tests =
+  [
+    t "a slot collision returns the right value" (fun () ->
+        let ctx, iids, fresh = cache_setup 300 in
+        let hash iid = Store.hash_of ctx.Engine.store iid in
+        let by_slot = Hashtbl.create 256 in
+        let pair =
+          Array.fold_left
+            (fun found iid ->
+              match found with
+              | Some _ -> found
+              | None -> (
+                let s = slot_of (hash iid) in
+                match Hashtbl.find_opt by_slot s with
+                | Some other when hash other <> hash iid -> Some (other, iid)
+                | _ ->
+                  Hashtbl.replace by_slot s iid;
+                  None))
+            None iids
+        in
+        match pair with
+        | None -> Alcotest.fail "300 hashes over 256 slots must collide"
+        | Some (a, b) ->
+          List.iter
+            (fun iid ->
+              check Alcotest.bool
+                (Printf.sprintf "#%d reads as its text" iid)
+                true
+                (Engine.payload ctx iid = fresh iid))
+            [ a; b; a; a; b; b; a ]);
+    t "domains reading shared and colliding hashes agree with a parse"
+      (fun () ->
+        let ctx, iids, fresh = cache_setup 300 in
+        let expected = Array.map fresh iids in
+        let view = Engine.pin ctx in
+        let n = Array.length iids in
+        let reader stride () =
+          let wrong = ref 0 in
+          for round = 0 to 5 do
+            for k = 0 to n - 1 do
+              let i = (k * stride + round) mod n in
+              if Engine.decode view.Engine.v_store iids.(i) <> expected.(i) then
+                incr wrong
+            done
+          done;
+          !wrong
+        in
+        let domains = List.map (fun s -> Domain.spawn (reader s)) [ 1; 7; 13 ] in
+        let wrong = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+        check Alcotest.int "no domain read a wrong value" 0 wrong);
+  ]
+
+let suite = suite @ [ ("exec.decode_cache", decode_cache_tests) ]

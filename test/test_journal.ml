@@ -312,7 +312,7 @@ let payloads_verified ctx =
       Alcotest.(check string)
         (Printf.sprintf "payload hash of #%d" iid)
         (Store.hash_of store iid)
-        (Value.hash (Store.payload store iid)))
+        (Value.hash (Codec.value_of_text (Store.payload store iid))))
     (Store.all_instances store)
 
 let cold_count ctx =
@@ -565,9 +565,7 @@ let docs_schema ~with_base =
 let base_record (ctx : Engine.context) =
   let put entity text =
     let value = Value.Blob { blob_kind = "text"; text } in
-    Store.put ctx.Engine.store ~entity ~hash:(Ddf_data.hash value)
-      ~meta:(Store.meta ~created_at:ctx.Engine.clock ())
-      value
+    Engine.put ctx ~entity ~meta:(Store.meta ~created_at:ctx.Engine.clock ()) value
   in
   let ed = put "ed" "ed" and v0 = put "doc" "v0" and v1 = put "doc" "v1" in
   let r =
@@ -609,7 +607,87 @@ let rules =
       "checkpoint load refuses a record the schema no longer admits" `Quick
       (fun () -> refused_at_open ~compact:true) ]
 
+(* The store keeps each value as its text: the bytes a client sent, or
+   a derived value's flat print.  The wal carries the same bytes. *)
+let put_texts j =
+  List.filter_map
+    (fun (_, _, payload) ->
+      match Entry.decode payload with
+      | Entry.Put { iid; text; _ } -> Some (iid, text)
+      | _ -> None)
+    (Journal.frames j ~after:0 ~limit:100_000)
+
+let resting_text =
+  [ Alcotest.test_case "a text install rests as the client's bytes" `Quick
+      (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let ctx = Journal.context j in
+        let value = Value.Stimuli (Eda.Stimuli.exhaustive [ "a"; "b"; "c" ]) in
+        let text =
+          Sexp.to_string ~pretty:true (Codec.value_to_sexp value)
+          ^ " ; typed by hand\n"
+        in
+        Alcotest.(check bool) "the text is not the flat print" true
+          (text <> Codec.value_to_text value);
+        let iid = Engine.install ctx ~entity:E.stimuli ~text value in
+        Alcotest.(check string) "the store keeps the bytes" text
+          (Store.payload ctx.Engine.store iid);
+        Alcotest.(check (option string)) "the wal put carries them" (Some text)
+          (List.assoc_opt iid (put_texts j));
+        Alcotest.(check bool) "they decode to the value" true
+          (Engine.payload ctx iid = value);
+        Journal.close j);
+    Alcotest.test_case "a derived value rests as its flat print" `Quick
+      (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let ctx = Journal.context j in
+        let versions = activity ctx 3 in
+        let derived = List.filteri (fun i _ -> i < 3) versions in
+        let puts = put_texts j in
+        List.iter
+          (fun iid ->
+            let text = Store.payload ctx.Engine.store iid in
+            Alcotest.(check string) "the flat print"
+              (Codec.value_to_text (Engine.payload ctx iid)) text;
+            Alcotest.(check string) "it decodes under the same hash"
+              (Store.hash_of ctx.Engine.store iid)
+              (Value.hash (Codec.value_of_text text));
+            Alcotest.(check (option string)) "the wal put carries it"
+              (Some text) (List.assoc_opt iid puts))
+          derived;
+        Journal.close j);
+    Alcotest.test_case "a reopen after a compaction serves the same values"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let ctx = Journal.context j in
+        ignore (activity ctx 3 : Store.iid list);
+        let decoded ctx =
+          List.map
+            (fun iid ->
+              (iid, Codec.value_of_text (Store.payload ctx.Engine.store iid)))
+            (Store.all_instances ctx.Engine.store)
+        in
+        let before = decoded ctx in
+        Journal.compact j;
+        Journal.close j;
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let ctx = Journal.context j in
+        let after = decoded ctx in
+        Alcotest.(check int) "every instance" (List.length before)
+          (List.length after);
+        List.iter2
+          (fun (iid, v) (iid', v') ->
+            Alcotest.(check int) "the same instance" iid iid';
+            Alcotest.(check bool) (Printf.sprintf "the value of #%d" iid) true
+              (v = v' && Engine.payload ctx iid = v))
+          before after;
+        Journal.close j) ]
+
 let suite =
   [ ("journal",
      basics @ torn_tail @ compaction @ checkpoint @ [ oracle_prop; keyword_index ]);
+    ("journal.resting_text", resting_text);
     ("journal.rules", rules) ]

@@ -151,7 +151,7 @@ let suite_cases =
         in
         let s2 = reload (Workspace.session w) in
         let ctx2 = Session.context s2 in
-        match Store.payload ctx2.Engine.store sim1 with
+        match Engine.payload ctx2 sim1 with
         | Value.Tool (Value.Compiled_simulator c) ->
           check Alcotest.bool "has instructions" true
             (Eda.Sim_compiled.instruction_count c > 0)
@@ -346,10 +346,9 @@ let checkpoint_cases =
       QCheck2.Gen.(oneof [ int; oneofl [ 0; 127; 128; -1; min_int; max_int ] ])
       (fun n ->
         let w = Workspace.create () in
-        let store = Workspace.store w in
         let value = Value.Blob { blob_kind = "text"; text = "v" } in
         let iid =
-          Store.put store ~entity:E.stimuli ~hash:(Value.hash value)
+          Engine.put (Workspace.ctx w) ~entity:E.stimuli
             ~meta:(Store.meta ~keywords:[ "k" ] ~created_at:n ()) value
         in
         let s2 = Persist.load Standard_schemas.odyssey (Persist.save (Workspace.session w)) in

@@ -237,7 +237,7 @@ let find_version ctx name =
   match
     List.find_opt
       (fun iid ->
-        match Store.payload store iid with
+        match Engine.payload ctx iid with
         | Value.Netlist nl -> nl.Eda.Netlist.name = name
         | _ -> false)
       (Store.instances_of_entity store E.edited_netlist)

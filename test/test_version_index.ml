@@ -183,7 +183,7 @@ let put (ctx : Engine.context) entity created =
       { blob_kind = "text";
         text = Printf.sprintf "%s %d" entity (Store.tick ctx.Engine.store) }
   in
-  Store.put ctx.Engine.store ~entity ~hash:(Ddf_data.hash value)
+  Engine.put ctx ~entity
     ~meta:(Store.meta ~user:ctx.Engine.user ~created_at:created ())
     value
 
