@@ -31,6 +31,7 @@
 module Metrics = Ddf_obs.Metrics
 module Obs = Ddf_obs.Obs
 module Entry = Ddf_entry.Entry
+module Disk = Ddf_disk.Disk
 
 let cement_errorf ?(code = `Internal) fmt = Ddf_core.Error.errorf code fmt
 
@@ -176,13 +177,6 @@ let parse_seg_name name =
   | pair -> Some pair
   | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    Unix.close fd
-  | exception Unix.Unix_error _ -> ()
-
 (* A segment of format 1 begins with its "C1 <first> <last>" header,
    so its first frame is not at offset 0; a sealed wal begins with a
    frame's "J1". *)
@@ -217,21 +211,10 @@ let scan_segment path =
 (* Write the idx file of window [first..last] from its index lines;
    returns the idx header length. *)
 let write_idx ~dir ~first ~last idx =
-  let path = idx_path dir first last in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
   let header = idx_header first last (last - first + 1) in
-  (try
-     output_string oc header;
-     Buffer.output_buffer oc idx.lines;
-     flush oc;
-     Unix.fsync (Unix.descr_of_out_channel oc);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path;
+  Disk.replace (idx_path dir first last) (fun oc ->
+      output_string oc header;
+      Buffer.output_buffer oc idx.lines);
   String.length header
 
 (* Whether the idx for window [first..last] is present and holds
@@ -282,13 +265,6 @@ let make_segment ~dir ~first ~last ~path ~bytes ~idx_base =
     s_idx = idx_path dir first last; s_bytes = bytes; s_idx_base = idx_base;
     s_fd = None; s_idx_fd = None }
 
-(* Cut [path] back to [len] bytes, durably. *)
-let truncate_durably path len =
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-  Unix.ftruncate fd len;
-  Unix.fsync fd
-
 (* Open one segment file.  An older segment with a valid index is
    trusted as is (it was complete when the next one was sealed); the
    newest one, or one whose index is stale, is scanned frame by frame.
@@ -324,7 +300,7 @@ let open_segment ~dir ~newest ~truncated (first, last) =
       let path' = seg_path dir first last' in
       if good_end < size then begin
         truncated := !truncated + (size - good_end);
-        truncate_durably path good_end
+        Disk.cut path good_end
       end;
       if last' <> last then begin
         Sys.rename path path';
@@ -364,7 +340,7 @@ let open_ ~dir =
       names
     |> List.filter_map Fun.id
   in
-  if !truncated > 0 then fsync_dir dir;
+  if !truncated > 0 then Disk.fsync_path dir;
   (* surviving segments must be contiguous *)
   let rec check = function
     | a :: (b :: _ as rest) ->
@@ -431,7 +407,7 @@ let seal t ~first idx path =
         let seg_file = seg_path t.c_dir first last in
         Sys.rename path seg_file;
         let idx_base = write_idx ~dir:t.c_dir ~first ~last idx in
-        fsync_dir t.c_dir;
+        Disk.fsync_path t.c_dir;
         let seg =
           make_segment ~dir:t.c_dir ~first ~last ~path:seg_file
             ~bytes:(Unix.stat seg_file).Unix.st_size ~idx_base
@@ -608,7 +584,7 @@ let clear t =
     t.c_segments;
   t.c_segments <- [||];
   Hashtbl.reset t.c_puts;
-  fsync_dir t.c_dir;
+  Disk.fsync_path t.c_dir;
   refresh_gauges t
 
 let close t =

@@ -28,7 +28,8 @@
     at {!open_}.
 
     Crash safety: a sealed file is complete and fsynced before its
-    rename, and the directory is fsynced after it.  A torn tail on the
+    rename, and the directory is fsynced after it; every fsync goes
+    through {!Ddf_disk.Disk} and raises on failure.  A torn tail on the
     newest segment (external damage) is found on open by a full scan
     of that segment and cut back in place to the last good frame (an
     empty survivor is dropped).

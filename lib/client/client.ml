@@ -426,7 +426,6 @@ let snapshot_export t ~out =
   let fail fmt =
     Printf.ksprintf
       (fun s ->
-        (try Sys.remove tmp with Sys_error _ -> ());
         drop t;
         client_errorf ~code:`Unavailable "%s" s)
       fmt
@@ -444,28 +443,16 @@ let snapshot_export t ~out =
   | exception Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e));
   match recv () with
   | Wire.Error err -> raise (E.Ddf_error err)
-  | Wire.Ok_snapshot_begin { seq; bytes } ->
-    let oc = open_out_bin tmp in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-    let rec chunks received =
-      match recv () with
-      | Wire.Ok_snapshot_chunk { data } ->
-        output_string oc data;
-        chunks (received + String.length data)
-      | Wire.Ok_snapshot_end { digest } ->
-        close_out oc;
-        if received <> bytes then
-          fail "export ended short: %d of %d bytes" received bytes;
-        if not (String.equal (Digest.to_hex (Digest.file tmp)) digest) then
-          fail "export failed its checksum";
-        Sys.rename tmp out;
-        (seq, bytes)
-      | Wire.Error err ->
-        (try Sys.remove tmp with Sys_error _ -> ());
-        raise (E.Ddf_error err)
-      | resp -> unexpected Wire.Snapshot_export resp
-    in
-    chunks 0
+  | Wire.Ok_snapshot_begin { seq; bytes } -> (
+    match Wire.receive_snapshot ~recv ~bytes tmp with
+    | Ok () ->
+      Sys.rename tmp out;
+      (seq, bytes)
+    | Error (`Short received) ->
+      fail "export ended short: %d of %d bytes" received bytes
+    | Error `Bad_digest -> fail "export failed its checksum"
+    | Error (`Stopped (Wire.Error err)) -> raise (E.Ddf_error err)
+    | Error (`Stopped resp) -> unexpected Wire.Snapshot_export resp)
   | resp -> unexpected Wire.Snapshot_export resp
 
 (* ------------------------------------------------------------------ *)

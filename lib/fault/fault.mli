@@ -15,10 +15,15 @@
                              first [n] bytes reach the file, then the
                              append raises — a crash mid-write)
     - ["journal.dir_fsync"]  the directory fsync pinning compaction and
-                             resync renames ([Fail] → dies exactly
-                             between the base write and the wal
-                             truncation — the crash window open-time
-                             repair recovers from)
+                             resync renames ([Fail] → the journal
+                             fail-stops there, as a failed directory
+                             fsync does.  In a compaction it fires
+                             after the base write and the fresh wal's
+                             open, and in its cement restart also
+                             after the self-contained checkpoint's
+                             rename; in a resync it fires after the
+                             wal cut and the base write.  Open-time
+                             repair recovers each window)
     - ["wire.send"]          any framed socket send ([Torn n] → the
                              peer sees [n] bytes then a dead
                              connection)

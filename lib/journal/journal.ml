@@ -46,6 +46,7 @@ module Cement = Ddf_cement.Cement
 module Entry = Ddf_entry.Entry
 
 module Fault = Ddf_fault.Fault
+module Disk = Ddf_disk.Disk
 
 let journal_errorf ?(code = `Internal) fmt = Ddf_core.Error.errorf code fmt
 
@@ -130,8 +131,8 @@ let cemented_dir dir = Filename.concat dir "cemented"
 
 let snapshot_file j = snapshot_path j.j_dir
 
-(* The base seqno is a tiny self-checking text file, written atomically
-   (tmp + rename) so a crash leaves either the old or the new base. *)
+(* The base seqno is a tiny self-checking text file, replaced
+   atomically so a crash leaves either the old or the new base. *)
 let read_base dir =
   if not (Sys.file_exists (base_path dir)) then 0
   else
@@ -146,21 +147,7 @@ let read_base dir =
     | _ -> journal_errorf "base.ddf: malformed (%S)" line
 
 let write_base dir base =
-  let tmp = base_path dir ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     Printf.fprintf oc "B1 %d\n" base;
-     flush oc;
-     (* an fsync failure here must fail the caller: renaming a base
-        that may not be on disk would report durability that didn't
-        happen *)
-     Unix.fsync (Unix.descr_of_out_channel oc);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp (base_path dir)
+  Disk.replace (base_path dir) (fun oc -> Printf.fprintf oc "B1 %d\n" base)
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
@@ -295,7 +282,7 @@ let fsync_now j =
   let batch = j.j_pending in
   flush j.j_oc;
   Fault.fire "journal.fsync";
-  Unix.fsync (Unix.descr_of_out_channel j.j_oc);
+  Disk.fsync j.j_oc;
   Ddf_obs.Metrics.incr m_syncs;
   if j.j_pending > 0 then
     Ddf_obs.Metrics.observe h_batch (float_of_int j.j_pending);
@@ -370,27 +357,15 @@ let detach j =
 (* Open / close / compaction                                           *)
 (* ------------------------------------------------------------------ *)
 
-let fsync_oc oc =
-  flush oc;
-  Unix.fsync (Unix.descr_of_out_channel oc)
-
-(* Directory fsync: a rename is only durable once the directory entry
-   itself reaches disk — without this, a power cut after [compact] or
-   [reset_to_snapshot_file] can resurrect the pre-rename snapshot/base.
-   Real I/O errors are swallowed (the fsync is belt-and-braces on
-   filesystems that journal renames anyway), but the
-   [journal.dir_fsync] crash point fires through so the fault sweep
-   can kill the process exactly here. *)
-let sync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    Unix.close fd
-  | exception Unix.Unix_error _ -> ()
-
+(* The directory fsync that pins [compact]'s and
+   [reset_to_snapshot_file]'s renames: without it, a power cut can
+   resurrect the pre-rename snapshot/base.  A failure raises, and the
+   caller fail-stops as for a failed wal fsync; the [journal.dir_fsync]
+   crash point fires first so the fault sweep can kill the process
+   exactly here. *)
 let fsync_dir dir =
   Fault.fire "journal.dir_fsync";
-  sync_dir dir
+  Disk.fsync_path dir
 
 let sync j =
   if not j.j_closed then begin
@@ -409,7 +384,7 @@ let sync j =
 
 (* Replay wal.ddf into [ctx], recording each frame in [index]; returns
    (entries, torn-tail bytes dropped, end of the good prefix).  The
-   file is truncated at the first torn frame. *)
+   file is cut durably at the first torn frame. *)
 let replay_wal ctx index path =
   let entries = ref 0 in
   let read =
@@ -425,7 +400,7 @@ let replay_wal ctx index path =
   | `Torn at ->
     let torn = (Unix.stat path).Unix.st_size - at in
     Ddf_obs.Metrics.incr m_torn;
-    Unix.truncate path at;
+    Disk.cut path at;
     (!entries, torn, at)
 
 (* ------------------------------------------------------------------ *)
@@ -550,7 +525,7 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
   seek_out oc wal_end;
   (* a wal this open created (a fresh database, or a crash before a
      compaction's fresh wal) is durable before anything is appended *)
-  if not wal_existed then sync_dir dir;
+  if not wal_existed then Disk.fsync_path dir;
   let base = max base sealed in
   let j =
     { j_dir = dir; j_ctx = ctx; j_registry = registry; j_oc = oc;
@@ -578,20 +553,10 @@ let iter_wal j ~after f =
     | `End _ -> ()
     | `Torn at -> journal_errorf "wal torn mid-read at %d" at
 
-(* Write [text] as the new checkpoint: temp file, fsync, rename.  The
-   rename is pinned by the caller's directory fsync. *)
+(* Replace the checkpoint with [text].  The rename is pinned by the
+   caller's directory fsync. *)
 let write_checkpoint dir text =
-  let tmp = snapshot_path dir ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc text;
-     fsync_oc oc;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp (snapshot_path dir)
+  Disk.replace (snapshot_path dir) (fun oc -> output_string oc text)
 
 (* Seal the wal into cement and write a fresh checkpoint over it.
 
@@ -614,7 +579,7 @@ let compact_now j =
   let sealed = j.j_entries > 0 in
   let seal () =
     if sealed then begin
-      fsync_oc j.j_oc;
+      Disk.fsync j.j_oc;
       close_out j.j_oc;
       Cement.seal c ~first:(j.j_base + 1) j.j_index (wal_path j.j_dir)
     end
@@ -798,17 +763,7 @@ let wsid j =
            (Printf.sprintf "%s|%d|%f|%d" j.j_dir (Unix.getpid ())
               (Unix.gettimeofday ()) (Random.bits ())))
     in
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    (try
-       Printf.fprintf oc "W1 %s\n" id;
-       flush oc;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Sys.rename tmp path;
+    Disk.replace path (fun oc -> Printf.fprintf oc "W1 %s\n" id);
     id
   end
 
@@ -860,46 +815,21 @@ let apply j ~seq payload =
 
 let m_stream_resyncs = Ddf_obs.Metrics.counter "journal.snapshot_stream_resyncs"
 
-(* Move [src] over [dst] — rename when the spool shares the
-   filesystem, copy-then-rename when it does not. *)
-let rename_or_copy src dst =
-  try Sys.rename src dst
-  with Sys_error _ ->
-    let ic = open_in_bin src in
-    let tmp = dst ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    (try
-       let buf = Bytes.create 65536 in
-       let rec loop () =
-         let n = input ic buf 0 (Bytes.length buf) in
-         if n > 0 then begin
-           output oc buf 0 n;
-           loop ()
-         end
-       in
-       loop ();
-       fsync_oc oc;
-       close_out oc;
-       close_in ic
-     with e ->
-       close_out_noerr oc;
-       close_in_noerr ic;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    Sys.rename tmp dst;
-    try Sys.remove src with Sys_error _ -> ()
-
 (* Follower-side resync, the catch-up path when our seqno predates the
    primary's oldest wal entry: [path] holds a workspace save spooled to
    disk in bounded chunks (a streamed bootstrap), so the snapshot bytes
-   never exist as one in-memory string here.  The file is parsed FIRST
-   — a malformed stream must not clobber the database — then fsynced
-   and renamed into place, cement cleared, base.ddf written and the
-   wal truncated;
-   only then is the in-memory context swapped in place, so sessions
-   holding it observe the new state. *)
+   never exist as one in-memory string here.  The file is parsed and
+   fsynced FIRST — a malformed stream must not clobber the database.
+   Then the wal is cut durably, so no frame of the old seqno line can
+   replay past the new base; the spool is renamed into place (it is on
+   the database's filesystem) and pinned, cement cleared, base.ddf
+   written and pinned; only then is the in-memory context swapped in
+   place, so sessions holding it observe the new state.  A failure
+   from the cut on fail-stops the journal, as in [compact]: the disk
+   may already hold part of the new line. *)
 let reset_to_snapshot_file j ~seq path =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
+  check_writable j;
   Ddf_obs.Metrics.incr m_resyncs;
   Ddf_obs.Metrics.incr m_stream_resyncs;
   let session =
@@ -907,34 +837,29 @@ let reset_to_snapshot_file j ~seq path =
     with W.Persist_error m -> journal_errorf "replication snapshot: %s" m
   in
   let fresh = Ddf_session.Session.context session in
+  Disk.fsync_path path;
   detach j;
   (match
-     (match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-     | fd ->
-       (try Unix.fsync fd with Unix.Unix_error _ -> ());
-       Unix.close fd
-     | exception Unix.Unix_error _ -> ());
-     rename_or_copy path (snapshot_path j.j_dir)
+     flush j.j_oc;
+     Disk.cut (wal_path j.j_dir) 0;
+     seek_out j.j_oc 0;
+     Sys.rename path (snapshot_path j.j_dir);
+     (* the resync rebased the seqno line: the cemented history belongs
+        to the pre-reset database and can never be extended
+        contiguously.  It goes before the base is written, or open
+        would replay it past the new base as a cement tail.  The new
+        checkpoint is self-contained, so clearing once its rename is
+        pinned is safe. *)
+     Disk.fsync_path j.j_dir;
+     Cement.clear j.j_cement;
+     write_base j.j_dir seq;
+     (* one directory fsync pins the base rename *)
+     fsync_dir j.j_dir
    with
   | () -> ()
   | exception e ->
     attach j;
-    raise e);
-  (* the resync rebased the seqno line: the cemented history belongs
-     to the pre-reset database and can never be extended contiguously.
-     It goes before the base is written, or open would replay it past
-     the new base as a cement tail.  The new checkpoint is
-     self-contained, so clearing once its rename is pinned is safe. *)
-  sync_dir j.j_dir;
-  Cement.clear j.j_cement;
-  write_base j.j_dir seq;
-  (* one directory fsync pins the base rename *)
-  fsync_dir j.j_dir;
-  close_out j.j_oc;
-  j.j_oc <-
-    open_out_gen
-      [ Open_wronly; Open_trunc; Open_creat; Open_binary ]
-      0o644 (wal_path j.j_dir);
+    fail_stop j e);
   j.j_index <- Cement.index ();
   j.j_ctx.Ddf_exec.Engine.store <- fresh.Ddf_exec.Engine.store;
   j.j_ctx.Ddf_exec.Engine.history <- fresh.Ddf_exec.Engine.history;

@@ -193,9 +193,12 @@ val reset_to_snapshot_file : t -> seq:int -> string -> unit
     spooled to the given file path in bounded chunks (a streamed
     bootstrap), so the state never exists as one in-memory string.
     Clears the cement store — its history belongs to the pre-reset
-    seqno line.  The file is parsed first — a malformed stream leaves
-    the database untouched — then fsynced and renamed (or copied
-    across filesystems) into place.
+    seqno line.  The file must be on the database's filesystem.  It
+    is parsed first — a malformed stream leaves the database untouched
+    — then fsynced, the wal cut durably, and the file renamed into
+    place.  A failure from the wal cut on fail-stops the journal
+    ({!failed}), as in {!compact}: the disk may hold part of the new
+    line, which reopening recovers.
     Counts [journal.snapshot_stream_resyncs] on top of
     [journal.snapshot_resyncs].
     @raise Ddf_core.Error.Ddf_error when the file does not parse. *)

@@ -141,7 +141,7 @@ let save ?(cemented = fun _ -> None) ?(cold_text = fun _ -> None) session =
   L.written w
 
 let save_file session path =
-  Out_channel.with_open_bin path (fun oc -> output_string oc (save session))
+  Ddf_disk.Disk.replace path (fun oc -> output_string oc (save session))
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)

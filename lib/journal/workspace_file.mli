@@ -32,7 +32,8 @@ val save :
     so a self-contained save neither parses nor promotes it. *)
 
 val save_file : Ddf_session.Session.t -> string -> unit
-(** A self-contained {!save} written to a file. *)
+(** A self-contained {!save} written to a file, replacing it atomically
+    ({!Ddf_disk.Disk.replace}): a crash mid-save leaves the old file. *)
 
 val load :
   ?registry:Ddf_tools.Encapsulation.registry ->

@@ -74,8 +74,7 @@ module Feed = struct
     mutable closed : bool;
   }
 
-  let connect ?(user = "follower") ?(spool = Filename.get_temp_dir_name ())
-      ~socket ~since () =
+  let connect ?(user = "follower") ~spool ~socket ~since () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     let fail fmt =
       Printf.ksprintf
@@ -103,48 +102,29 @@ module Feed = struct
     | exception Wire.Wire_error m -> fail "%s" m);
     { fd; spool; closed = false }
 
-  (* Reassemble a streamed snapshot into a spool file: after
-     [Ok_snapshot_begin] only chunk frames may arrive until
-     [Ok_snapshot_end], whose digest covers the whole reassembled
-     file.  Only one chunk is ever held in memory. *)
   let spool_snapshot t ~seq ~bytes =
     let path =
       try Filename.temp_file ~temp_dir:t.spool "snapshot" ".spool"
       with Sys_error m -> replica_errorf "cannot spool snapshot: %s" m
     in
-    let oc = open_out_bin path in
-    let fail fmt =
-      Printf.ksprintf
-        (fun s ->
-          close_out_noerr oc;
-          (try Sys.remove path with Sys_error _ -> ());
-          raise (Replica_error s))
-        fmt
-    in
-    let rec chunks received =
+    let recv () =
       match Wire.recv_response t.fd with
-      | None -> fail "primary closed the stream mid-snapshot"
-      | exception Wire.Wire_error m -> fail "%s" m
+      | Some (resp, _) -> resp
+      | None -> replica_errorf "primary closed the stream mid-snapshot"
+      | exception Wire.Wire_error m -> replica_errorf "%s" m
       | exception Unix.Unix_error (e, _, _) ->
-        fail "snapshot stream: %s" (Unix.error_message e)
-      | Some (resp, _) -> (
-        match resp with
-        | Wire.Ok_snapshot_chunk { data } ->
-          output_string oc data;
-          chunks (received + String.length data)
-        | Wire.Ok_snapshot_end { digest } ->
-          if received <> bytes then
-            fail "snapshot stream ended short: %d of %d bytes" received bytes;
-          close_out oc;
-          if not (String.equal (Digest.to_hex (Digest.file path)) digest) then begin
-            (try Sys.remove path with Sys_error _ -> ());
-            replica_errorf "snapshot stream failed its checksum"
-          end;
-          Snapshot_file { seq; path }
-        | Wire.Error err -> fail "primary: %s" (Ddf_core.Error.to_string err)
-        | _ -> fail "unexpected message inside a snapshot stream")
+        replica_errorf "snapshot stream: %s" (Unix.error_message e)
     in
-    chunks 0
+    match Wire.receive_snapshot ~recv ~bytes path with
+    | Ok () -> Snapshot_file { seq; path }
+    | Error (`Short received) ->
+      replica_errorf "snapshot stream ended short: %d of %d bytes" received
+        bytes
+    | Error `Bad_digest -> replica_errorf "snapshot stream failed its checksum"
+    | Error (`Stopped (Wire.Error err)) ->
+      replica_errorf "primary: %s" (Ddf_core.Error.to_string err)
+    | Error (`Stopped _) ->
+      replica_errorf "unexpected message inside a snapshot stream"
 
   let next t =
     if t.closed then replica_errorf "feed is closed";
@@ -395,7 +375,7 @@ module Follower = struct
     in
     go d
 
-  let drive t ~name ?spool ~current_seq ~apply ~reset_file ~on_error () =
+  let drive t ~name ~spool ~current_seq ~apply ~reset_file ~on_error () =
     let reset_spooled ~seq path =
       reset_file ~seq path;
       (* the hook usually renames the spool into place; clean up if not *)
@@ -404,7 +384,7 @@ module Follower = struct
     in
     let rec attempt backoff =
       if not (stopped t) then begin
-        match Feed.connect ~user:name ?spool ~socket:t.f_primary
+        match Feed.connect ~user:name ~spool ~socket:t.f_primary
                 ~since:(current_seq ()) ()
         with
         | exception Replica_error m ->
@@ -447,7 +427,7 @@ module Follower = struct
     in
     attempt backoff_initial
 
-  let start ?(name = "follower") ?spool ~primary ~current_seq ~apply
+  let start ?(name = "follower") ~spool ~primary ~current_seq ~apply
       ~reset_file ?(on_error = fun _ -> ()) () =
     let t =
       { f_primary = primary; f_m = Mutex.create (); f_stopped = false;
@@ -457,7 +437,7 @@ module Follower = struct
       Some
         (Thread.create
            (fun () ->
-             drive t ~name ?spool ~current_seq ~apply ~reset_file ~on_error
+             drive t ~name ~spool ~current_seq ~apply ~reset_file ~on_error
                ())
            ());
     t

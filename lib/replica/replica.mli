@@ -48,12 +48,13 @@ module Feed : sig
       }  (** one journal entry (digest already verified) *)
 
   val connect :
-    ?user:string -> ?spool:string -> socket:string -> since:int -> unit -> t
+    ?user:string -> spool:string -> socket:string -> since:int -> unit -> t
   (** Dial the primary, handshake ([Hello] with this build's protocol
       version) and send [Subscribe since].  [spool] is the directory
-      streamed snapshots are reassembled in (default the system temp
-      dir); put it on the database's filesystem so the final rename
-      into place is atomic.
+      streamed snapshots are reassembled in: the database's directory,
+      or another on its filesystem, so that
+      {!Ddf_journal.Journal.reset_to_snapshot_file} can rename the
+      spool file into place.
       @raise Replica_error on connection refusal, a version mismatch,
       or any transport failure. *)
 
@@ -117,14 +118,15 @@ module Follower : sig
 
   val start :
     ?name:string ->
-    ?spool:string ->
+    spool:string ->
     primary:string ->
     current_seq:(unit -> int) ->
     apply:(trace:Ddf_obs.Obs.span_ctx option -> seq:int -> string -> unit) ->
     reset_file:(seq:int -> string -> unit) ->
     ?on_error:(string -> unit) ->
     unit -> t
-  (** [spool] is where streamed snapshots are reassembled.
+  (** [spool] is where streamed snapshots are reassembled, as for
+      {!Feed.connect}.
       [reset_file] handles a {!Feed.Snapshot_file} event — typically
       {!Ddf_journal.Journal.reset_to_snapshot_file}, which consumes the
       spool file; the driver removes whatever the hook leaves behind. *)

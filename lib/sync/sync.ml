@@ -132,19 +132,9 @@ let save_state dir st =
         S.field "born"
           (sorted st.st_born (fun l o -> [ S.int l; S.atom o ])) ]
   in
-  let path = state_path dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (S.to_string ~pretty:true sexp);
-     output_char oc '\n';
-     flush oc;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  Ddf_disk.Disk.replace (state_path dir) (fun oc ->
+      output_string oc (S.to_string ~pretty:true sexp);
+      output_char oc '\n')
 
 let cursor_of st origin =
   match List.assoc_opt origin st.st_cursors with Some c -> c | None -> 0

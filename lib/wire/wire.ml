@@ -737,3 +737,36 @@ let recv_decoded fd f =
 
 let recv_request fd = recv_decoded fd Request.fld
 let recv_response fd = recv_decoded fd Response.fld
+
+(* The receiving end of a streamed snapshot, after its
+   [Ok_snapshot_begin]: chunks go to [path] until [Ok_snapshot_end],
+   whose digest covers the whole file, so only one chunk is ever held
+   in memory.  The file is removed unless the stream checks out,
+   including when [recv] raises. *)
+let receive_snapshot ~recv ~bytes path =
+  let oc = open_out_bin path in
+  let rec chunks received =
+    match recv () with
+    | Ok_snapshot_chunk { data } ->
+      output_string oc data;
+      chunks (received + String.length data)
+    | Ok_snapshot_end { digest } ->
+      close_out oc;
+      if received <> bytes then Result.Error (`Short received)
+      else if not (String.equal (Digest.to_hex (Digest.file path)) digest) then
+        Result.Error `Bad_digest
+      else Ok ()
+    | resp -> Result.Error (`Stopped resp)
+  in
+  let discard () =
+    close_out_noerr oc;
+    try Sys.remove path with Sys_error _ -> ()
+  in
+  match chunks 0 with
+  | Ok () -> Ok ()
+  | Result.Error _ as e ->
+    discard ();
+    e
+  | exception e ->
+    discard ();
+    raise e

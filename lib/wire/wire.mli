@@ -278,3 +278,17 @@ val recv_request : Unix.file_descr -> (request * frame_meta) option
     @raise Wire_error on framing or decode violations. *)
 
 val recv_response : Unix.file_descr -> (response * frame_meta) option
+
+val receive_snapshot :
+  recv:(unit -> response) ->
+  bytes:int ->
+  string ->
+  (unit, [ `Short of int | `Bad_digest | `Stopped of response ]) result
+(** [receive_snapshot ~recv ~bytes path] reads a streamed snapshot
+    after its [Ok_snapshot_begin { bytes; _ }]: each [Ok_snapshot_chunk]
+    [recv] returns is written to [path] (created or truncated), one
+    chunk in memory at a time, until [Ok_snapshot_end].  [`Short n]
+    when only [n] bytes arrived, [`Bad_digest] when the file fails the
+    end frame's md5, [`Stopped resp] on any other response.  [path] is
+    removed unless the answer is [Ok ()], also when [recv] raises (as it
+    should when the stream breaks); the exception propagates. *)

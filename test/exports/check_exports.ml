@@ -1,9 +1,11 @@
 (* check_exports ROOT ALLOWLIST: fails, listing each one, when a
    [lib/*/*.mli] value is named nowhere outside its own module (see
    export_scan.ml), when the allowlist has an entry without a reason or
-   one that no longer matches a finding, or when README.md or DESIGN.md
-   cites a [Module.name] that no source file names.  `dune runtest`
-   runs it on the repo; run it by hand as
+   one that no longer matches a finding, when README.md or DESIGN.md
+   cites a [Module.name] that no source file names, or when a file under
+   [lib/] outside [lib/disk/] calls [Unix.fsync], [Unix.ftruncate] or
+   [Unix.truncate] (a file reaches disk only through the [Disk]
+   module).  `dune runtest` runs it on the repo; run it by hand as
    [dune exec test/exports/check_exports.exe -- . test/exports/allowlist]. *)
 
 let source_dirs = [ "lib"; "bin"; "test"; "bench"; "perfbench"; "examples" ]
@@ -71,12 +73,17 @@ let () =
       report "stale doc ref %s: `%s` (no source file names its last component)"
         doc r)
     (Export_scan.stale_doc_refs ~files ~docs);
+  List.iter
+    (fun (path, call) ->
+      report "durability %s: %s outside lib/disk/ (use Ddf_disk.Disk)" path call)
+    (Export_scan.stray_durability_calls ~files);
   if !problems > 0 then begin
     Printf.printf
       "\n\
        %d export-check problem(s).  Delete each \"delete\" value; drop each\n\
        \"unexport\" value's declaration from its .mli.  A value kept on\n\
-       purpose goes in test/exports/allowlist as \"<mli> <value> <reason>\".\n"
+       purpose goes in test/exports/allowlist as \"<mli> <value> <reason>\".\n\
+       A \"durability\" call moves behind lib/disk/disk.mli.\n"
       !problems;
     exit 1
   end

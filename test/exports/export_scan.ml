@@ -201,6 +201,36 @@ let stale_doc_refs ~files ~docs =
       |> List.map (fun r -> (doc, r)))
     docs
 
+(* The durability rule: under [lib/], only the disk layer ([lib/disk/])
+   calls the syscalls that make a file durable or cut it, so every
+   fsync and truncation follows its one policy.  Returns each such call
+   elsewhere under [lib/], comments aside, as (path, call) in file
+   order. *)
+let durability_calls = [ "fsync"; "ftruncate"; "truncate" ]
+
+let stray_durability_calls ~files =
+  List.concat_map
+    (fun (path, text) ->
+      if
+        (not (String.starts_with ~prefix:"lib/" path))
+        || String.starts_with ~prefix:"lib/disk/" path
+      then []
+      else begin
+        let s = strip_comments text in
+        let n = String.length s in
+        let found = ref [] in
+        iter_tokens s (fun tok stop ->
+            if tok = "Unix" && stop < n && s.[stop] = '.' then begin
+              let j = ref (stop + 1) in
+              while !j < n && is_ident_char s.[!j] do incr j done;
+              let name = String.sub s (stop + 1) (!j - stop - 1) in
+              if List.mem name durability_calls then
+                found := (path, "Unix." ^ name) :: !found
+            end);
+        List.rev !found
+      end)
+    files
+
 (* Allowlist lines are "<lib/dir/file.mli> <value> <reason ...>";
    blank lines and lines starting with '#' are ignored.  Returns the
    keys, or the lines that lack a reason. *)

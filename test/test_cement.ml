@@ -259,6 +259,45 @@ let journal =
         Alcotest.(check string) "fingerprint" fp
           (Sync.fingerprint (Journal.context j));
         Journal.close j);
+    Alcotest.test_case
+      "a follower resync that crashes after its base write fail-stops and \
+       reopens to its snapshot"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        with_dir @@ fun pdir ->
+        Fun.protect ~finally:Fault.reset @@ fun () ->
+        (* a follower that applied the head of the primary's line: its
+           wal holds frames the snapshot also covers *)
+        let p = Journal.open_ ~dir:pdir Standard_schemas.odyssey in
+        ignore (Test_journal.activity ~seed:3 (Journal.context p) 2);
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        (match Journal.entries_since p 0 with
+        | Journal.Frames frames ->
+          List.iter (fun (seq, payload) -> Journal.apply j ~seq payload) frames
+        | Journal.Snapshot_needed -> Alcotest.fail "the primary's wal serves 0");
+        Journal.sync j;
+        Alcotest.(check bool) "the follower's wal holds frames" true
+          (Journal.entries_since_snapshot j > 0);
+        (* the primary moves on and compacts past them *)
+        ignore (Test_journal.activity ~seed:5 (Journal.context p) 2);
+        Journal.compact p;
+        let seq, seed = Journal.snapshot_state p in
+        let fp = Sync.fingerprint (Journal.context p) in
+        Journal.close p;
+        Fault.arm "journal.dir_fsync" Fault.Fail;
+        (match Test_journal.reset_to_snapshot j ~seq seed with
+        | () -> Alcotest.fail "expected the injected crash"
+        | exception Fault.Injected _ -> ());
+        Fault.reset ();
+        Alcotest.(check bool) "fail-stopped" true (Journal.failed j <> None);
+        Journal.close j;
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        Alcotest.(check int) "seqno line" seq (Journal.seq j);
+        Alcotest.(check int) "no frame of the old wal replays" 0
+          (Journal.entries_since_snapshot j);
+        Alcotest.(check string) "fingerprint" fp
+          (Sync.fingerprint (Journal.context j));
+        Journal.close j);
     Alcotest.test_case "evicted payloads reload from cement" `Quick (fun () ->
         with_dir @@ fun dir ->
         let j = Journal.open_ ~dir Standard_schemas.odyssey in

@@ -114,5 +114,20 @@ let suite =
               Alcotest.(list (pair string string))
               "stale" [ ("DESIGN.md", "Plant.never_defined_anywhere") ]
               (Scan.stale_doc_refs ~files ~docs));
+        t "fsync and truncation calls only under lib/disk/" (fun () ->
+            let io =
+              "(* Unix.fsync in a comment is not a call *)\n\
+               let f fd = Unix.fsync fd; MyUnix.fsync fd\n\
+               let g p = Unix.truncate p 0; Unix.ftruncate_not x\n"
+            in
+            Alcotest.check
+              Alcotest.(list (pair string string))
+              "stray calls"
+              [ ("lib/plant/plant.ml", "Unix.fsync");
+                ("lib/plant/plant.ml", "Unix.truncate") ]
+              (Scan.stray_durability_calls
+                 ~files:
+                   [ ("lib/plant/plant.ml", io); ("lib/disk/disk.ml", io);
+                     ("test/t.ml", io) ]));
       ] );
   ]

@@ -3,6 +3,7 @@
 
 open Ddf
 module E = Standard_schemas.E
+module Disk = Ddf_disk.Disk
 
 let dir_counter = ref 0
 
@@ -686,8 +687,35 @@ let resting_text =
           before after;
         Journal.close j) ]
 
+(* The disk layer every journal, cement and checkpoint write goes
+   through: a failed step raises and leaves no half-made file behind. *)
+let disk =
+  [ Alcotest.test_case "a replace whose writer raises leaves the old file" `Quick
+      (fun () ->
+        with_dir @@ fun dir ->
+        Unix.mkdir dir 0o755;
+        let path = Filename.concat dir "base.ddf" in
+        Disk.replace path (fun oc -> output_string oc "B1 7\n");
+        (match
+           Disk.replace path (fun oc ->
+               output_string oc "B1 8";
+               failwith "writer died")
+         with
+        | () -> Alcotest.fail "expected the writer's exception"
+        | exception Failure _ -> ());
+        Alcotest.(check string) "old bytes" "B1 7\n"
+          (In_channel.with_open_bin path In_channel.input_all);
+        Alcotest.(check (list string)) "no temporary left" [ "base.ddf" ]
+          (Array.to_list (Sys.readdir dir)));
+    Alcotest.test_case "a directory fsync on a missing directory raises" `Quick
+      (fun () ->
+        match Disk.fsync_path (fresh_dir ()) with
+        | () -> Alcotest.fail "expected the fsync to fail"
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()) ]
+
 let suite =
   [ ("journal",
      basics @ torn_tail @ compaction @ checkpoint @ [ oracle_prop; keyword_index ]);
+    ("journal.disk", disk);
     ("journal.resting_text", resting_text);
     ("journal.rules", rules) ]
