@@ -20,7 +20,10 @@
       allocates.
    5. Forward chaining -- [History.derived_instances] of the base of the
       same live chain (the [uses] query): its latency and the words one
-      call allocates.
+      call allocates.  Then both reads of a 400-deep chain inside a
+      4,000-instance store, the size the daemon serves: eight other
+      instances are installed between two edits, so the chain's iids
+      spread over the whole store.
    6. Keyword browse -- [Store.Snapshot.browse] by entity and a rare
       keyword, one that 10 instances carry, over stores of 1,000 and
       10,000 instances.  The answer is the same 10 instances at both
@@ -58,7 +61,8 @@
    perf.query.n<records>.{add_us,live_versions_us,live_latest_us,
    pinned_versions_us,pinned_latest_us},
    perf.trace.d<depth>.{bytes,live_us,pinned_us,alloc_words},
-   perf.uses.d<depth>.{us,alloc_words}, perf.browse.n<instances>.us,
+   perf.uses.d<depth>.{us,alloc_words}, perf.trace.n4000_d400.{live_us,
+   alloc_words}, perf.uses.n4000_d400.us, perf.browse.n<instances>.us,
    perf.browse_rare_entity.n<instances>.us,
    perf.entry.{encode,decode,replay,hash}.{ns,words},
    perf.checkpoint.{n1000,n4000,d400}.{bytes,save_us,save_words,load_us,
@@ -310,6 +314,45 @@ let chain_reads depth =
   in
   { bytes = String.length text; live_us; pinned_us; trace_words; uses_us;
     uses_words }
+
+(* One edit chain [depth] deep with [between] other instances (netlists
+   and stimuli) installed before each edit.  Returns the store's size,
+   the live [trace_text] of the tip in us and the words it allocates,
+   and the live [derived_instances] of the base in us. *)
+let store_chain_reads ~depth ~between =
+  let schema = Standard_schemas.odyssey in
+  let store = Store.create () in
+  let h = History.create () in
+  let clock = ref 0 in
+  let put entity =
+    incr clock;
+    Store.put store ~entity
+      ~hash:(Printf.sprintf "h%d" !clock)
+      ~meta:(Store.meta ~keywords:[ "library" ] ~created_at:!clock ())
+      ()
+  in
+  let base = put E.edited_netlist in
+  let tip = ref base in
+  for _ = 1 to depth do
+    for k = 1 to between do
+      ignore (put (if k land 1 = 0 then E.edited_netlist else E.stimuli))
+    done;
+    let editor = put E.netlist_editor and v = put E.edited_netlist in
+    ignore
+      (History.add h store schema ~task_entity:E.edited_netlist
+         ~tool:(Some editor) ~inputs:[ ("netlist", !tip) ]
+         ~outputs:[ (E.edited_netlist, v) ]
+         ~at:!clock);
+    tip := v
+  done;
+  let tip = !tip in
+  assert (List.length (History.derived_instances h base) = depth);
+  Gc.full_major ();
+  let rounds = 100_000 / depth in
+  let trace () = History.trace_text h store schema tip in
+  let uses () = History.derived_instances h base in
+  ( Store.instance_count store, per_query_us ~rounds trace, alloc_words trace,
+    per_query_us ~rounds uses )
 
 (* ------------------------------------------------------------------ *)
 (* 6. Keyword browse over growing stores                               *)
@@ -641,6 +684,16 @@ let run () =
            Printf.sprintf "%.0f" r.trace_words; Printf.sprintf "%.1f" r.uses_us;
            Printf.sprintf "%.0f" r.uses_words ])
        trace_depths);
+  let instances, live_us, words, uses_us =
+    store_chain_reads ~depth:400 ~between:8
+  in
+  Printf.printf
+    "  400-deep chain in a %d-instance store: trace %.1f us, %.0f alloc \
+     words; uses %.1f us\n"
+    instances live_us words uses_us;
+  Metrics.set (Metrics.gauge "perf.trace.n4000_d400.live_us") live_us;
+  Metrics.set (Metrics.gauge "perf.trace.n4000_d400.alloc_words") words;
+  Metrics.set (Metrics.gauge "perf.uses.n4000_d400.us") uses_us;
 
   Bench_util.section
     (Printf.sprintf

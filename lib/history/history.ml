@@ -20,16 +20,6 @@ open Ddf_store
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
-(* The reads' scratch tables (a walk's node binding, the closures' seen
-   sets): ids hash to themselves, so a lookup makes no C call and no
-   polymorphic comparison. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
-
 type record = {
   rid : int;
   task_entity : string;                   (* goal entity of the task *)
@@ -67,16 +57,22 @@ module Version_set = Set.Make (struct
     match Int.compare a b with 0 -> Int.compare i j | c -> c
 end)
 
-(* The immutable hot state.  [hs_produced_by] and [hs_used_by] hold
-   the records themselves, not their rids, so chaining reads one map
-   per step.  The last four fields are the version index (see
-   "Versioning" below), kept in step with the records by [add], so
-   every snapshot carries the index of its own prefix. *)
+(* An instance's place in the derivation graph: the record that
+   produced it and the records using it, newest first.  They hold the
+   records themselves, not their rids, so a chaining step is one read. *)
+type links = { producer : record option; users : record list }
+
+let no_links = { producer = None; users = [] }
+
+(* The immutable hot state.  Rids and iids are dense from 1, so the
+   records and the per-instance links are [Dense] columns indexed by
+   id - 1 (an instance no record names reads [no_links], stored or
+   past the column's end).  The last four fields are the version index
+   (see "Versioning" below), kept in step with the records by [add],
+   so every snapshot carries the index of its own prefix. *)
 type state = {
-  hs_next_rid : int;
-  hs_records : record Int_map.t;
-  hs_produced_by : record Int_map.t;      (* instance -> its producer *)
-  hs_used_by : record list Int_map.t;     (* instance -> users, newest first *)
+  hs_records : record Dense.t;
+  hs_links : links Dense.t;
   hs_next_cid : int;
   hs_conflicts : conflict Int_map.t;
   hs_vparent : Store.iid Int_map.t;       (* version -> edit predecessor *)
@@ -102,10 +98,8 @@ let h_forward = Ddf_obs.Metrics.histogram "history.forward_depth"
 
 let empty_state =
   {
-    hs_next_rid = 1;
-    hs_records = Int_map.empty;
-    hs_produced_by = Int_map.empty;
-    hs_used_by = Int_map.empty;
+    hs_records = Dense.empty;
+    hs_links = Dense.empty;
     hs_next_cid = 1;
     hs_conflicts = Int_map.empty;
     hs_vparent = Int_map.empty;
@@ -127,15 +121,15 @@ let rec update h f =
 
 let snapshot h = Atomic.get h.state
 
-let size h = Int_map.cardinal (Atomic.get h.state).hs_records
-let tick h = (Atomic.get h.state).hs_next_rid
+let size h = Dense.length (Atomic.get h.state).hs_records
+let tick h = size h + 1
 
-let restore_tick h n =
-  update h (fun st ->
-      if n < st.hs_next_rid then
-        history_errorf "cannot move the record counter back (%d < %d)" n
-          st.hs_next_rid;
-      ({ st with hs_next_rid = n }, ()))
+(* [iid]'s links in a links column: one read. *)
+let links_at column iid =
+  if iid >= 1 && iid <= Dense.length column then Dense.get column (iid - 1)
+  else no_links
+
+let links st iid = links_at st.hs_links iid
 
 let set_observer h f = h.observer <- Some f
 let clear_observer h = h.observer <- None
@@ -299,48 +293,60 @@ let closes_cycle st r =
          seen := Int_set.add iid !seen;
          List.exists
            (fun u -> List.exists (fun (_, out) -> reaches out) u.outputs)
-           (Option.value (Int_map.find_opt iid st.hs_used_by) ~default:[])
+           (links st iid).users
        end
   in
   List.exists (fun (_, out) -> reaches out) r.outputs
+
+(* Every instance a record names must be installed: the links column
+   grows to the largest iid it is given. *)
+let check_installed store r =
+  let installed iid =
+    if not (Store.Snapshot.mem store iid) then
+      history_errorf ~code:`Not_found "no instance %d" iid
+  in
+  Option.iter installed r.tool;
+  List.iter (fun (_, iid) -> installed iid) r.inputs;
+  List.iter (fun (_, iid) -> installed iid) r.outputs
 
 let add h store schema ~task_entity ~tool ~inputs ~outputs ~at =
   if outputs = [] then history_errorf "a record needs at least one output";
   let store = Store.snapshot store in
   let r = { rid = 0; task_entity; tool; inputs; outputs; at } in
+  check_installed store r;
   check_rules store schema r;
   let edges = version_edges store schema ~inputs ~outputs in
   let r =
     update h (fun st ->
-        let rid = st.hs_next_rid in
+        let rid = Dense.length st.hs_records + 1 in
         let r = { r with rid } in
-        let produced_by =
+        let file column iid change =
+          Dense.set ~fill:no_links column (iid - 1) (change (links_at column iid))
+        in
+        let column =
           List.fold_left
-            (fun acc (_, iid) ->
-              if Int_map.mem iid acc then
-                history_errorf ~code:`Conflict
-                  "instance %d already has a producing record" iid;
-              Int_map.add iid r acc)
-            st.hs_produced_by outputs
+            (fun column (_, iid) ->
+              file column iid (fun l ->
+                  if l.producer <> None then
+                    history_errorf ~code:`Conflict
+                      "instance %d already has a producing record" iid;
+                  { l with producer = Some r }))
+            st.hs_links outputs
         in
         if closes_cycle st r then raise Ddf_graph.Task_graph.cycle;
-        let note_use acc iid =
-          let l = Option.value (Int_map.find_opt iid acc) ~default:[] in
-          Int_map.add iid (r :: l) acc
+        let note_use column iid =
+          file column iid (fun l -> { l with users = r :: l.users })
         in
-        let used_by =
-          List.fold_left (fun acc (_, iid) -> note_use acc iid)
-            st.hs_used_by inputs
+        let column =
+          List.fold_left (fun column (_, iid) -> note_use column iid) column inputs
         in
-        let used_by =
-          match tool with Some t -> note_use used_by t | None -> used_by
+        let column =
+          match tool with Some t -> note_use column t | None -> column
         in
         let st =
           { st with
-            hs_next_rid = rid + 1;
-            hs_records = Int_map.add rid r st.hs_records;
-            hs_produced_by = produced_by;
-            hs_used_by = used_by }
+            hs_records = Dense.push st.hs_records r;
+            hs_links = column }
         in
         (List.fold_left add_version_edge st edges, r))
   in
@@ -384,11 +390,12 @@ let resolve_conflict h cid ~winner =
    and the live wrappers at the bottom both delegate here. *)
 
 let st_find st rid =
-  match Int_map.find_opt rid st.hs_records with
-  | Some r -> r
-  | None -> history_errorf ~code:`Not_found "no record %d" rid
+  if rid >= 1 && rid <= Dense.length st.hs_records then
+    Dense.get st.hs_records (rid - 1)
+  else history_errorf ~code:`Not_found "no record %d" rid
 
-let st_records st = List.map snd (Int_map.bindings st.hs_records)
+let st_records st =
+  List.rev (Dense.fold (fun acc r -> r :: acc) [] st.hs_records)
 
 let st_find_conflict st cid =
   match Int_map.find_opt cid st.hs_conflicts with
@@ -412,55 +419,90 @@ let st_conflicts st =
 
 (* The record that created an instance; None for instances installed
    directly by the designer (sources). *)
-let st_derivation_of st iid = Int_map.find_opt iid st.hs_produced_by
+let st_derivation_of st iid = (links st iid).producer
+let st_uses_of st iid = List.rev (links st iid).users
 
-let st_uses_of st iid =
-  match Int_map.find_opt iid st.hs_used_by with
-  | Some l -> List.rev l
-  | None -> []
+(* The walks' scratch: [marks.(id) = stamp] says id was met by the walk
+   holding stamp [stamp], and the trace keeps an iid's node number in
+   [nids].  A walk takes a fresh stamp instead of clearing the arrays,
+   so marking is one array write and no walk allocates a table.  One
+   spare is shared by every domain and thread, like the trace buffer
+   below: a walk takes it (or makes its own while another walk holds
+   it) and puts it back when done, so no two walks ever share one. *)
+type scratch = {
+  mutable stamp : int;
+  mutable marks : int array;
+  mutable nids : int array;
+}
+
+let spare_scratch = Atomic.make None
+
+(* A scratch whose arrays take ids below [n]. *)
+let take_scratch n =
+  let s =
+    match Atomic.exchange spare_scratch None with
+    | Some s -> s
+    | None -> { stamp = 0; marks = [||]; nids = [||] }
+  in
+  if Array.length s.marks < n then begin
+    let n = max n (Array.length s.marks * 3 / 2) in
+    s.marks <- Array.make n 0;
+    s.nids <- Array.make n 0
+  end;
+  s.stamp <- s.stamp + 1;
+  s
+
+let give_scratch s = Atomic.set spare_scratch (Some s)
 
 (* Backward chaining: every record in the derivation history of an
    instance, nearest first. *)
 let st_backward_closure st iid =
-  let seen = Int_tbl.create 16 in
-  let acc = ref [] in
+  let s = take_scratch (Dense.length st.hs_records + 1) in
+  let marks = s.marks and stamp = s.stamp in
+  let acc = ref [] and met = ref 0 in
   let rec go iid =
-    match Int_map.find iid st.hs_produced_by with
-    | exception Not_found -> ()
-    | r ->
-      if not (Int_tbl.mem seen r.rid) then begin
-        Int_tbl.add seen r.rid ();
+    match (links st iid).producer with
+    | None -> ()
+    | Some r ->
+      if marks.(r.rid) <> stamp then begin
+        marks.(r.rid) <- stamp;
+        incr met;
         acc := r :: !acc;
         List.iter (fun (_, i) -> go i) r.inputs;
         Option.iter go r.tool
       end
   in
   go iid;
-  Ddf_obs.Metrics.observe h_backward (float_of_int (Int_tbl.length seen));
+  give_scratch s;
+  Ddf_obs.Metrics.observe h_backward (float_of_int !met);
   List.rev !acc
 
 (* Forward chaining as a fold: [f] sees every record that transitively
-   depends on an instance once, in preorder, oldest use first. *)
+   depends on an instance once, in preorder, oldest use first.  A users
+   list is newest first: [uses] reaches its oldest end before folding
+   any record, so the list is walked as it is, never reversed. *)
 let st_fold_forward st iid f init =
-  let seen = Int_tbl.create 16 in
-  let rec go acc iid =
-    match Int_map.find iid st.hs_used_by with
-    | exception Not_found -> acc
-    | users -> uses acc (List.rev users)
+  let s = take_scratch (Dense.length st.hs_records + 1) in
+  let marks = s.marks and stamp = s.stamp in
+  let met = ref 0 in
+  let rec go acc iid = uses acc (links st iid).users
   and uses acc = function
     | [] -> acc
-    | r :: rest ->
-      if Int_tbl.mem seen r.rid then uses acc rest
+    | r :: older ->
+      let acc = uses acc older in
+      if marks.(r.rid) = stamp then acc
       else begin
-        Int_tbl.add seen r.rid ();
-        uses (outputs (f acc r) r.outputs) rest
+        marks.(r.rid) <- stamp;
+        incr met;
+        outputs (f acc r) r.outputs
       end
   and outputs acc = function
     | [] -> acc
     | (_, out) :: rest -> outputs (go acc out) rest
   in
   let acc = go init iid in
-  Ddf_obs.Metrics.observe h_forward (float_of_int (Int_tbl.length seen));
+  give_scratch s;
+  Ddf_obs.Metrics.observe h_forward (float_of_int !met);
   acc
 
 (* Every record that transitively depends on an instance -- e.g. all
@@ -474,7 +516,7 @@ let st_derived_instances st iid =
   st_fold_forward st iid
     (fun acc r -> List.fold_left (fun acc (_, out) -> out :: acc) acc r.outputs)
     []
-  |> List.sort_uniq Int.compare
+  |> List.sort Int.compare
 
 let st_ancestor_instances st iid =
   st_backward_closure st iid
@@ -497,7 +539,9 @@ module String_tbl = Hashtbl.Make (String)
    at depth 0), and node [nid] of [entity] bound to [iid], [shared]
    when seen before.  It checks nothing: [add] admitted every record it
    reads.  It asks the schema for an entity's rule once per walk, not
-   once per node.  Returns the node count. *)
+   once per node, and binds nodes in a scratch indexed by iid (sized
+   to the store: the entity read checks each iid is installed before
+   it indexes).  Returns the node count. *)
 let walk_trace st store schema iid f =
   let module G = Ddf_graph.Task_graph in
   let rules = String_tbl.create 8 in
@@ -509,19 +553,22 @@ let walk_trace st store schema iid f =
       String_tbl.add rules entity rule;
       rule
   in
-  let binding = Int_tbl.create 16 in
+  let s = take_scratch (Store.Snapshot.tick store) in
+  let marks = s.marks and nids = s.nids and stamp = s.stamp in
   let count = ref 0 in
   let rec visit depth tag role user iid =
-    match Int_tbl.find binding iid with
-    | nid, entity -> f ~depth ~tag ~role ~user ~entity ~nid ~iid ~shared:true
-    | exception Not_found -> (
-      let entity = Store.Snapshot.entity_of store iid and nid = !count in
+    let entity = Store.Snapshot.entity_of store iid in
+    if marks.(iid) = stamp then
+      f ~depth ~tag ~role ~user ~entity ~nid:nids.(iid) ~iid ~shared:true
+    else begin
+      let nid = !count in
       incr count;
-      Int_tbl.add binding iid (nid, entity);
+      marks.(iid) <- stamp;
+      nids.(iid) <- nid;
       f ~depth ~tag ~role ~user ~entity ~nid ~iid ~shared:false;
-      match Int_map.find iid st.hs_produced_by with
-      | exception Not_found -> ()
-      | r -> (
+      match (links st iid).producer with
+      | None -> ()
+      | Some r -> (
         match walked_rule rule_of entity r with
         | None -> ()
         | Some (rule, functional) ->
@@ -530,7 +577,8 @@ let walk_trace st store schema iid f =
           | Some tool, Some d ->
             visit depth (G.dep_tag Schema.Functional) d.Schema.role nid tool
           | (Some _ | None), _ -> ());
-          inputs depth nid entity rule r.inputs))
+          inputs depth nid entity rule r.inputs)
+    end
   and inputs depth user entity rule = function
     | [] -> ()
     | (role, input) :: rest ->
@@ -539,6 +587,7 @@ let walk_trace st store schema iid f =
       inputs depth user entity rule rest
   in
   visit 0 "" "" 0 iid;
+  give_scratch s;
   !count
 
 (* The derivation history of an instance as a task graph with an
@@ -797,8 +846,8 @@ let st_is_up_to_date st iid = st_out_of_date st iid = []
 module Snapshot = struct
   type t = snapshot
 
-  let size st = Int_map.cardinal st.hs_records
-  let tick st = st.hs_next_rid
+  let size st = Dense.length st.hs_records
+  let tick st = size st + 1
   let conflict_tick st = st.hs_next_cid
   let find = st_find
   let records = st_records

@@ -44,6 +44,7 @@ val snapshot : t -> snapshot
 (** Capture the latest committed state: one atomic load. *)
 
 val size : t -> int
+(** O(1): the length of the history's record column. *)
 
 val add :
   t -> 'a Store.t -> Schema.t -> task_entity:string ->
@@ -63,18 +64,15 @@ val add :
     [Schema.Schema_error]) and leaves the history as it was.
     @raise Ddf_core.Error.Ddf_error ([`Conflict]) when an output
     already has a producing record (derivations uniquely identify
-    design objects), [`Invalid] when outputs are empty. *)
+    design objects), [`Not_found] when the store has no instance the
+    record names, [`Invalid] when outputs are empty. *)
 
 val find : t -> int -> record
 val records : t -> record list
 
 val tick : t -> int
-(** The history's monotonic record counter: the rid the next {!add}
-    will assign (restorable like {!Store.tick}). *)
-
-val restore_tick : t -> int -> unit
-(** @raise Ddf_core.Error.Ddf_error when moving the counter
-    backwards. *)
+(** The rid the next {!add} will assign.  Rids are dense from 1, so
+    this is always {!size} + 1. *)
 
 val set_observer : t -> (record -> unit) -> unit
 (** Install the single append observer, called synchronously after a
@@ -143,9 +141,9 @@ val clear_conflict_observer : t -> unit
 
 (** {1 Chaining (Fig. 10)}
 
-    The history state maps each instance to the record that produced
-    it and to the records using it (the records themselves, shared with
-    the record table), so a chaining step is one map lookup. *)
+    The history state holds, per instance, the record that produced it
+    and the records using it (the records themselves, shared with the
+    record column), so a chaining step is one column read. *)
 
 val derivation_of : t -> Store.iid -> record option
 (** The record that created an instance; [None] for sources installed

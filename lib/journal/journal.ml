@@ -509,16 +509,6 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
   let index = Cement.index () in
   let wal_existed = Sys.file_exists (wal_path dir) in
   let entries, torn, wal_end = replay_wal ctx index (wal_path dir) in
-  (* counters were restored by dense re-insertion; assert the ticks
-     agree with the contents before trusting the database *)
-  let store = ctx.Ddf_exec.Engine.store in
-  if Store.tick store <> Store.instance_count store + 1 then
-    journal_errorf "instance counter %d does not match %d instances"
-      (Store.tick store)
-      (Store.instance_count store);
-  if History.tick ctx.Ddf_exec.Engine.history
-     <> History.size ctx.Ddf_exec.Engine.history + 1
-  then journal_errorf "record counter disagrees with the history size";
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 (wal_path dir)
   in

@@ -50,12 +50,12 @@ type 'a event =
 type 'a slot = Resident of 'a | Cold
 
 (* The immutable hot state: everything a read needs, in persistent
-   maps.  [Int_map] iterates in ascending iid order, which is exactly
-   the store's installation order (iids are dense and ascending), so
-   the old [all_rev] list is redundant. *)
+   structures.  Iids are dense and ascending from 1 (nothing is ever
+   deleted), so the instances are a [Dense] column indexed by iid - 1:
+   its length is the instance count and the next iid is one past it,
+   and its ascending order is installation order. *)
 type 'a state = {
-  st_next_iid : int;
-  st_instances : 'a instance Int_map.t;
+  st_instances : 'a instance Dense.t;
   st_payloads : 'a slot String_map.t;   (* content-addressed physical data *)
   st_by_entity : 'a instance Int_map.t String_map.t;
   (* each entity's instances: [st_instances] split by entity, kept in
@@ -91,8 +91,7 @@ let m_evictions = Ddf_obs.Metrics.counter "store.evictions"
 
 let empty_state =
   {
-    st_next_iid = 1;
-    st_instances = Int_map.empty;
+    st_instances = Dense.empty;
     st_payloads = String_map.empty;
     st_by_entity = String_map.empty;
     st_by_keyword = String_map.empty;
@@ -118,14 +117,12 @@ let rec update store f =
 
 let snapshot store = { snap_state = Atomic.get store.state; snap_source = store }
 
-let tick store = (Atomic.get store.state).st_next_iid
+let next_iid st = Dense.length st.st_instances + 1
 
-let restore_tick store n =
-  update store (fun st ->
-      if n < st.st_next_iid then
-        store_errorf "cannot move the instance counter back (%d < %d)" n
-          st.st_next_iid;
-      ({ st with st_next_iid = n }, ()))
+(* The instance [iid] names, if installed: one column read. *)
+let instance st iid = Dense.get_opt st.st_instances (iid - 1)
+
+let tick store = next_iid (Atomic.get store.state)
 
 let set_observer store f = store.observer <- Some f
 let clear_observer store = store.observer <- None
@@ -174,7 +171,7 @@ let unindex_keywords iid keywords index =
 let install store ~entity ~hash ~meta slot =
   let inst, dedup =
     update store (fun st ->
-        let iid = st.st_next_iid in
+        let iid = next_iid st in
         let inst = { iid; entity; data_hash = hash; meta } in
         let known = String_map.find_opt hash st.st_payloads in
         let dedup = known <> None in
@@ -192,8 +189,7 @@ let install store ~entity ~hash ~meta slot =
           | None -> Int_map.singleton iid inst
         in
         ( {
-            st_next_iid = iid + 1;
-            st_instances = Int_map.add iid inst st.st_instances;
+            st_instances = Dense.push st.st_instances inst;
             st_payloads;
             st_by_entity = String_map.add entity bucket st.st_by_entity;
             st_by_keyword = index_keywords iid meta.keywords st.st_by_keyword;
@@ -216,7 +212,7 @@ let put_cold store ~entity ~hash ~meta =
 let annotate store iid ?label ?comment ?keywords () =
   let inst =
     update store (fun st ->
-        match Int_map.find_opt iid st.st_instances with
+        match instance st iid with
         | None -> store_errorf ~code:`Not_found "no instance %d" iid
         | Some inst ->
           let m = inst.meta in
@@ -237,7 +233,7 @@ let annotate store iid ?label ?comment ?keywords () =
           in
           let inst = { inst with meta = m } in
           ( { st with
-              st_instances = Int_map.add iid inst st.st_instances;
+              st_instances = Dense.set st.st_instances (iid - 1) inst;
               st_by_entity =
                 String_map.update inst.entity
                   (Option.map (Int_map.add iid inst))
@@ -252,7 +248,7 @@ let set_cold_loader store f = store.cold_loader <- Some f
 let evict store iid =
   let dropped =
     update store (fun st ->
-        match Int_map.find_opt iid st.st_instances with
+        match instance st iid with
         | None -> (st, false)
         | Some inst -> (
           match String_map.find_opt inst.data_hash st.st_payloads with
@@ -335,16 +331,16 @@ module Snapshot = struct
   type 'a t = 'a snapshot
 
   let source snap = snap.snap_source
-  let tick snap = snap.snap_state.st_next_iid
-
-  let find_opt snap iid = Int_map.find_opt iid snap.snap_state.st_instances
+  let tick snap = next_iid snap.snap_state
+  let find_opt snap iid = instance snap.snap_state iid
 
   let find snap iid =
-    match Int_map.find iid snap.snap_state.st_instances with
-    | inst -> inst
-    | exception Not_found -> store_errorf ~code:`Not_found "no instance %d" iid
+    let instances = snap.snap_state.st_instances in
+    if iid >= 1 && iid <= Dense.length instances then
+      Dense.get instances (iid - 1)
+    else store_errorf ~code:`Not_found "no instance %d" iid
 
-  let mem snap iid = Int_map.mem iid snap.snap_state.st_instances
+  let mem snap iid = iid >= 1 && iid <= Dense.length snap.snap_state.st_instances
 
   let payload_resident snap iid =
     match String_map.find_opt (find snap iid).data_hash snap.snap_state.st_payloads with
@@ -379,7 +375,7 @@ module Snapshot = struct
   let meta_of snap iid = (find snap iid).meta
   let hash_of snap iid = (find snap iid).data_hash
 
-  let instance_count snap = Int_map.cardinal snap.snap_state.st_instances
+  let instance_count snap = Dense.length snap.snap_state.st_instances
 
   let physical_count snap = snap.snap_state.st_phys
   (* instance_count - physical_count = storage saved by sharing; cold
@@ -390,13 +386,9 @@ module Snapshot = struct
     | Some m -> List.rev (Int_map.fold (fun iid _ acc -> iid :: acc) m [])
     | None -> []
 
-  (* Ascending-iid fold over the instance map IS installation order:
-     iids are dense and nothing is ever deleted. *)
-  let all_instances snap =
-    Seq.fold_left
-      (fun acc (iid, _) -> iid :: acc)
-      []
-      (Int_map.to_rev_seq snap.snap_state.st_instances)
+  (* Iids are dense, so the installed ones are 1 .. count, in
+     installation order. *)
+  let all_instances snap = List.init (instance_count snap) succ
 
   let matches snap filter iid = compile filter (find snap iid)
 
@@ -430,15 +422,16 @@ module Snapshot = struct
         if ki.count <> n then fail "keyword %S counts %d of its %d iids" k ki.count n;
         Int_set.iter
           (fun iid ->
-            match Int_map.find_opt iid st.st_instances with
+            match instance st iid with
             | None -> fail "keyword %S files iid %d, which is not installed" k iid
             | Some inst ->
               if not (List.exists (String.equal k) inst.meta.keywords) then
                 fail "keyword %S files iid %d, which does not carry it" k iid)
           ki.iids)
       st.st_by_keyword;
-    Int_map.iter
-      (fun iid inst ->
+    Dense.iteri
+      (fun i inst ->
+        let iid = i + 1 in
         List.iter
           (fun k ->
             match String_map.find_opt k st.st_by_keyword with
@@ -466,7 +459,11 @@ module Snapshot = struct
              instances [])
       in
       match filter.f_entities with
-      | None -> matching st.st_instances
+      | None ->
+        List.rev
+          (Dense.fold
+             (fun acc inst -> if meta_ok inst.meta then inst.iid :: acc else acc)
+             [] st.st_instances)
       | Some es ->
         List.fold_left
           (fun acc entity ->
@@ -487,7 +484,8 @@ module Snapshot = struct
         List.rev
           (Int_set.fold
              (fun iid acc ->
-               if ok (Int_map.find iid st.st_instances) then iid :: acc else acc)
+               if ok (Dense.get st.st_instances (iid - 1)) then iid :: acc
+               else acc)
              ki.iids []))
 end
 

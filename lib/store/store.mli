@@ -89,14 +89,8 @@ val annotate :
     naming and documenting design steps). *)
 
 val tick : 'a t -> int
-(** The store's monotonic instance counter: the iid the next {!put}
-    will assign.  Exposed so journal replay and the design server can
-    restore the clock instead of re-deriving it from the contents. *)
-
-val restore_tick : 'a t -> int -> unit
-(** Reset the counter after a replay.
-    @raise Ddf_core.Error.Ddf_error when moving the counter backwards
-    (iids must stay unique). *)
+(** The iid the next {!put} will assign.  Iids are dense from 1, so
+    this is always {!instance_count} + 1. *)
 
 (** {1 Tiered storage (the cement store's attachment point)}
 
@@ -144,6 +138,7 @@ val set_observer : 'a t -> ('a event -> unit) -> unit
 val clear_observer : 'a t -> unit
 
 val instance_count : 'a t -> int
+(** O(1): the length of the store's instance column. *)
 
 val physical_count : 'a t -> int
 (** Distinct payloads, resident or cold: [instance_count -

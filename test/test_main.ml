@@ -9,4 +9,5 @@ let () =
     @ Test_replica.suite @ Test_cement.suite @ Test_fault.suite
     @ Test_telemetry.suite @ Test_sync.suite @ Test_wire.suite
     @ Test_mvcc.suite @ Test_trace_walk.suite @ Test_version_index.suite
-    @ Test_entry.suite @ Test_codec.suite @ Test_exports.suite)
+    @ Test_entry.suite @ Test_codec.suite @ Test_dense.suite
+    @ Test_exports.suite)

@@ -528,9 +528,47 @@ let uses_tests =
           (all_iids w));
   ]
 
+(* Three domains trace and run [uses] over one pinned view at once.
+   Each walk marks the instances and records it meets in a scratch it
+   takes from one shared spare; were one scratch handed to two walks
+   at a time, a walk would see the other's marks and repeat or skip
+   nodes.  Every domain must read exactly the sequential answers. *)
+let domain_tests =
+  [
+    t "three domains trace and chain over one view as one would" (fun () ->
+        let w, top = edit_chain 300 in
+        grow (Random.State.make [| 11 |]) w ~faults:false 60;
+        let snap = History.snapshot w.hist and store = Store.snapshot w.store in
+        let iids = Array.of_list (top :: all_iids w) in
+        let read iid =
+          ( History.Snapshot.trace_text snap store schema iid,
+            History.Snapshot.derived_instances snap iid,
+            List.map
+              (fun (r : History.record) -> r.History.rid)
+              (History.Snapshot.backward_closure snap iid) )
+        in
+        let expected = Array.map read iids in
+        let n = Array.length iids in
+        let reader stride () =
+          let wrong = ref 0 in
+          for round = 0 to 3 do
+            for k = 0 to n - 1 do
+              (* the deep chain's tip every other read *)
+              let i = if k land 1 = 0 then 0 else (k * stride + round) mod n in
+              if read iids.(i) <> expected.(i) then incr wrong
+            done
+          done;
+          !wrong
+        in
+        let domains = List.map (fun s -> Domain.spawn (reader s)) [ 1; 7; 13 ] in
+        let wrong = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+        check Alcotest.int "no domain read a wrong answer" 0 wrong);
+  ]
+
 let suite =
   [
     ("trace_walk", walk_tests);
+    ("trace_walk.domains", domain_tests);
     ("trace_walk.errors", refusal_tests);
     ("trace_walk.sources", source_leaf_tests);
     ("history.uses", uses_tests);
