@@ -12,7 +12,10 @@
      - follower bootstrap: wall time and peak-heap growth of a
        streamed snapshot (bounded 256 KiB chunks spooled to disk);
      - compaction I/O: the bytes one 512-frame compaction writes
-       (frames, checkpoint, index) and its wall time.
+       (frames, checkpoint, index) and its wall time;
+     - checkpoint I/O: the checkpoint bytes sixteen seals write through
+       the checkpoint policy, against the final checkpoint's size, and
+       a restart at the longest lag the policy allows.
 
    Everything is exported as gauges for --json. *)
 
@@ -363,10 +366,106 @@ let compaction_io () =
       ("checkpoint_bytes", float_of_int ckpt);
       ("idx_bytes", float_of_int idx); ("ms", ms) ]
 
+let m_checkpoints = Metrics.counter "journal.checkpoints"
+
+(* Sixteen seal intervals of 512 stimuli installs, [maybe_compact]
+   after each install as the server's writer runs it after each job.
+   A checkpoint is written only once the sealed tail is as long as the
+   prefix it covers, so of the sixteen seals those at 512 * 2^k write
+   one.  The checkpoint bytes are the kernel's count of what the
+   compactions wrote, less each new segment's index and each base
+   write, summed and set against the final checkpoint's size: a
+   checkpoint rewritten at every seal reads about 8.5 there, one
+   written at the doubling points under 2.  Then the restart time at
+   the longest lag the policy allows (after fifteen seals: the
+   checkpoint covers 4,096 entries, the sealed tail 3,584 more), next
+   to a restart of the same database from a checkpoint at that seq. *)
+let checkpoint_io () =
+  let every = 512 and intervals = 16 in
+  Bench_util.section
+    (Printf.sprintf
+       "checkpoint I/O: %d seals of %d installs through maybe_compact" intervals
+       every);
+  let run dir ~from ~upto =
+    let j = Journal.open_ ~compact_every:every ~dir Standard_schemas.odyssey in
+    let ctx = Journal.context j in
+    let bytes = ref (Some 0) in
+    for r = from to upto do
+      for i = 1 to every do
+        let k = ((r - 1) * every) + i in
+        ignore
+          (Engine.install ctx ~entity:E.stimuli ~label:(Printf.sprintf "s%d" k)
+             (Value.Stimuli (stim k)));
+        if i < every && Journal.maybe_compact j then
+          failwith "checkpoint_io: a seal before its interval ended"
+      done;
+      let first = Journal.base_seq j + 1 and last = Journal.seq j in
+      let checkpoints = Metrics.count m_checkpoints in
+      let w0 = written_bytes () in
+      if not (Journal.maybe_compact j) then failwith "checkpoint_io: no seal";
+      let w1 = written_bytes () in
+      let idx =
+        file_size
+          (Filename.concat dir
+             (Printf.sprintf "cemented/segment-%012d-%012d.idx" first last))
+      in
+      let base =
+        if Metrics.count m_checkpoints > checkpoints then
+          file_size (Filename.concat dir "base.ddf")
+        else 0
+      in
+      bytes :=
+        match (!bytes, w0, w1) with
+        | Some n, Some a, Some b -> Some (n + (b - a - idx - base))
+        | _ -> None
+    done;
+    Journal.close j;
+    (* -1 where the kernel does not count written bytes *)
+    Option.value !bytes ~default:(-1)
+  in
+  let lagging = fresh_dir () and fresh = fresh_dir () in
+  let before_lag = run lagging ~from:1 ~upto:(intervals - 1) in
+  (* the same database at the lagging seq, then a fresh checkpoint *)
+  ignore (run fresh ~from:1 ~upto:(intervals - 1));
+  let j = Journal.open_ ~dir:fresh Standard_schemas.odyssey in
+  Journal.compact j;
+  Journal.close j;
+  (* the two restarts alternate, so a drift in the host's speed falls
+     on both; a restarted daemon starts with an empty heap, so the
+     garbage the builds left is compacted away first *)
+  Gc.compact ();
+  let restart_ms dir =
+    let t0 = Unix.gettimeofday () in
+    Journal.close (Journal.open_ ~dir Standard_schemas.odyssey);
+    (Unix.gettimeofday () -. t0) *. 1000.0
+  in
+  let times = List.init 9 (fun _ -> (restart_ms lagging, restart_ms fresh)) in
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  let lag_ms = median (List.map fst times)
+  and fresh_ms = median (List.map snd times) in
+  rm_rf fresh;
+  let last = run lagging ~from:intervals ~upto:intervals in
+  let written = if before_lag < 0 || last < 0 then -1 else before_lag + last in
+  let final = file_size (Filename.concat lagging "snapshot.ddf") in
+  rm_rf lagging;
+  let ratio = float_of_int written /. float_of_int final in
+  Bench_util.print_table
+    [ "checkpoint B written"; "final checkpoint B"; "ratio";
+      "restart ms, lagging"; "restart ms, fresh checkpoint" ]
+    [ [ string_of_int written; string_of_int final; Printf.sprintf "%.2f" ratio;
+        Printf.sprintf "%.2f" lag_ms; Printf.sprintf "%.2f" fresh_ms ] ];
+  List.iter
+    (fun (name, v) ->
+      Metrics.set (Metrics.gauge ("cement.bench.checkpoint_" ^ name)) v)
+    [ ("written_bytes", float_of_int written);
+      ("final_bytes", float_of_int final); ("io_ratio", ratio);
+      ("restart_lag_ms", lag_ms); ("restart_fresh_ms", fresh_ms) ]
+
 (* Bootstrap first: the top-of-heap checkpoints it takes are monotone,
    so it must run before the other phases warm the heap up. *)
 let run () =
   bootstrap ();
   replay_scaling ();
   cold_tier ();
-  compaction_io ()
+  compaction_io ();
+  checkpoint_io ()

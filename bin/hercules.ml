@@ -680,7 +680,11 @@ let serve_cmd =
     Arg.(
       value & opt int 512
       & info [ "compact-every" ] ~docv:"N"
-          ~doc:"Fold the journal into the snapshot every $(docv) entries.")
+          ~doc:
+            "Seal the journal into cement every $(docv) entries.  A seal \
+             also writes a checkpoint once the entries sealed since the \
+             last one are as many as it covers, so checkpoints land at \
+             $(docv) times a power of two.")
   in
   let request_timeout =
     Arg.(

@@ -21,12 +21,13 @@
 
    The index is derived data: if it is missing, or its header
    disagrees with the segment, it is rebuilt by one sequential scan.
-   Only the newest segment can have a torn tail, so open scans that one
-   fully, cuts it in place back to the last good frame and renames it
-   to the window that survived; an older segment is scanned only when
-   its index is stale.  Open also reads every index once into the put
-   map (iid -> seqno and frame offset of the newest put that installed
-   it), which [seal] extends and [clear] empties. *)
+   Only the newest segment can have a torn tail, so open checks that
+   its last indexed frame is whole and ends the file; when it is not,
+   open scans the segment, cuts it in place back to the last good frame
+   and renames it to the window that survived.  Any segment is scanned
+   when its index is stale.  Open also reads every index once into the
+   put map (iid -> seqno and frame offset of the newest put that
+   installed it), which [seal] extends and [clear] empties. *)
 
 module Metrics = Ddf_obs.Metrics
 module Obs = Ddf_obs.Obs
@@ -76,8 +77,8 @@ let large_frame = 1 lsl 20
 
 (* Read one frame from a channel: [`Frame payload]; [`End] cleanly at
    end of file; [`Torn at] when the tail is damaged ([at] = end of the
-   good prefix). *)
-let read_frame ic =
+   good prefix).  [skip payload] skips the checksum. *)
+let read_frame ?(skip = fun _ -> false) ic =
   let start = pos_in ic in
   match input_line ic with
   | exception End_of_file -> `End
@@ -88,14 +89,14 @@ let read_frame ic =
       when len >= large_frame && len >= in_channel_length ic - pos_in ic ->
       `Torn start
     | Some (len, digest) -> (
-      match really_input_string ic (len + 1) with
+      match really_input_string ic len with
       | exception End_of_file -> `Torn start
-      | payload ->
-        if payload.[len] <> '\n' then `Torn start
-        else
-          let payload = String.sub payload 0 len in
-          if Digest.to_hex (Digest.string payload) <> digest then `Torn start
-          else `Frame payload))
+      | payload -> (
+        match input_char ic with
+        | '\n'
+          when skip payload || Digest.to_hex (Digest.string payload) = digest ->
+          `Frame payload
+        | _ | (exception End_of_file) -> `Torn start)))
 
 (* ------------------------------------------------------------------ *)
 (* Index lines                                                         *)
@@ -234,9 +235,11 @@ let idx_valid ~dir ~first ~last count =
    newest put of an iid wins. *)
 let index_puts puts seg body =
   for k = 0 to seg.s_last - seg.s_first do
-    let line = String.sub body (k * idx_line_len) (idx_line_len - 1) in
-    let off, kind, id = parse_idx_entry line in
-    if kind = 'p' then Hashtbl.replace puts id (seg.s_first + k, off)
+    if body.[(k * idx_line_len) + 17] = 'p' then begin
+      let line = String.sub body (k * idx_line_len) (idx_line_len - 1) in
+      let off, _, id = parse_idx_entry line in
+      Hashtbl.replace puts id (seg.s_first + k, off)
+    end
   done
 
 (* ------------------------------------------------------------------ *)
@@ -265,20 +268,124 @@ let make_segment ~dir ~first ~last ~path ~bytes ~idx_base =
     s_idx = idx_path dir first last; s_bytes = bytes; s_idx_base = idx_base;
     s_fd = None; s_idx_fd = None }
 
-(* Open one segment file.  An older segment with a valid index is
-   trusted as is (it was complete when the next one was sealed); the
-   newest one, or one whose index is stale, is scanned frame by frame.
-   Returns [None] when nothing of a damaged newest segment survives;
-   adds dropped torn bytes to [truncated]. *)
+(* Positioned read on a cached descriptor.  Callers hold [t.c_m], so
+   the lseek+read pair is atomic with respect to other readers. *)
+let seg_fd seg =
+  match seg.s_fd with
+  | Some fd -> fd
+  | None ->
+    let fd = Unix.openfile seg.s_path [ Unix.O_RDONLY ] 0 in
+    seg.s_fd <- Some fd;
+    fd
+
+let seg_idx_fd seg =
+  match seg.s_idx_fd with
+  | Some fd -> fd
+  | None ->
+    let fd = Unix.openfile seg.s_idx [ Unix.O_RDONLY ] 0 in
+    seg.s_idx_fd <- Some fd;
+    fd
+
+(* Close the cached descriptors (they reopen lazily). *)
+let close_fds seg =
+  let close =
+    Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+  in
+  close seg.s_fd;
+  close seg.s_idx_fd;
+  seg.s_fd <- None;
+  seg.s_idx_fd <- None
+
+let pread fd ~off ~len =
+  ignore (Unix.lseek fd off Unix.SEEK_SET : int);
+  let buf = Bytes.create len in
+  let rec go o =
+    if o >= len then o
+    else
+      match Unix.read fd buf o (len - o) with 0 -> o | k -> go (o + k)
+  in
+  let n = go 0 in
+  Bytes.sub_string buf 0 n
+
+let find_segment t seq =
+  let segs = t.c_segments in
+  let rec bisect lo hi =
+    if lo > hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let s = segs.(mid) in
+      if seq < s.s_first then bisect lo (mid - 1)
+      else if seq > s.s_last then bisect (mid + 1) hi
+      else Some s
+  in
+  bisect 0 (Array.length segs - 1)
+
+(* The indexed offset of [seq] within its segment. *)
+let entry_offset seg seq =
+  let k = seq - seg.s_first in
+  let line =
+    pread (seg_idx_fd seg) ~off:(seg.s_idx_base + (k * idx_line_len))
+      ~len:idx_line_len
+  in
+  if String.length line <> idx_line_len then
+    cement_errorf "cement index %s: short read at entry %d" seg.s_idx k;
+  let off, _, _ = parse_idx_entry (String.sub line 0 (idx_line_len - 1)) in
+  off
+
+(* Read the frame at [off]: parse the J1 header out of a fixed-size
+   probe, then read exactly the payload. *)
+let frame_at seg off =
+  let fd = seg_fd seg in
+  let probe = pread fd ~off ~len:64 in
+  let nl =
+    match String.index_opt probe '\n' with
+    | Some i -> i
+    | None -> cement_errorf "cement segment %s: bad frame header" seg.s_path
+  in
+  match parse_header (String.sub probe 0 nl) with
+  | None -> cement_errorf "cement segment %s: bad frame header" seg.s_path
+  | Some (len, digest) ->
+    if off + nl + 1 + len > seg.s_bytes then
+      cement_errorf "cement segment %s: frame runs past the segment" seg.s_path;
+    let payload = pread fd ~off:(off + nl + 1) ~len in
+    if String.length payload <> len then
+      cement_errorf "cement segment %s: short frame read" seg.s_path;
+    if Digest.to_hex (Digest.string payload) <> digest then
+      cement_errorf "cement segment %s: frame checksum mismatch at %d"
+        seg.s_path off;
+    payload
+
+(* Open one segment file.  A segment with a valid index is trusted as
+   is: it was complete and fsynced before its rename, so only external
+   damage tears the newest one, and that shows at its end: its last
+   indexed frame must be whole and end the file.  Otherwise the segment
+   is scanned frame by frame.  Returns [None] when nothing of a damaged
+   newest segment survives; adds dropped torn bytes to [truncated]. *)
 let open_segment ~dir ~newest ~truncated (first, last) =
   let path = seg_path dir first last in
   let want = last - first + 1 in
-  if (not newest) && idx_valid ~dir ~first ~last want then
-    Some
-      (make_segment ~dir ~first ~last ~path
-         ~bytes:(Unix.stat path).Unix.st_size
-         ~idx_base:(String.length (idx_header first last want)))
-  else
+  let checked =
+    if not (idx_valid ~dir ~first ~last want) then None
+    else
+      let seg =
+        make_segment ~dir ~first ~last ~path
+          ~bytes:(Unix.stat path).Unix.st_size
+          ~idx_base:(String.length (idx_header first last want))
+      in
+      let whole () =
+        let off = entry_offset seg last in
+        let p = frame_at seg off in
+        off + String.length (frame_header p) + String.length p + 2 = seg.s_bytes
+      in
+      match (not newest) || whole () with
+      | true -> Some seg
+      | false | (exception (Ddf_core.Error.Ddf_error _ | Failure _)) ->
+        close_fds seg;
+        None
+  in
+  match checked with
+  | Some _ -> checked
+  | None ->
     let idx, have, good_end, size = scan_segment path in
     if have > want then
       cement_errorf "cement segment %s: %d frames for window %d-%d" path have
@@ -428,83 +535,6 @@ let seal t ~first idx path =
 (* Reads (positioned, index-backed)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Positioned read on a cached descriptor.  Callers hold [t.c_m], so
-   the lseek+read pair is atomic with respect to other readers. *)
-let seg_fd seg =
-  match seg.s_fd with
-  | Some fd -> fd
-  | None ->
-    let fd = Unix.openfile seg.s_path [ Unix.O_RDONLY ] 0 in
-    seg.s_fd <- Some fd;
-    fd
-
-let seg_idx_fd seg =
-  match seg.s_idx_fd with
-  | Some fd -> fd
-  | None ->
-    let fd = Unix.openfile seg.s_idx [ Unix.O_RDONLY ] 0 in
-    seg.s_idx_fd <- Some fd;
-    fd
-
-let pread fd ~off ~len =
-  ignore (Unix.lseek fd off Unix.SEEK_SET : int);
-  let buf = Bytes.create len in
-  let rec go o =
-    if o >= len then o
-    else
-      match Unix.read fd buf o (len - o) with 0 -> o | k -> go (o + k)
-  in
-  let n = go 0 in
-  Bytes.sub_string buf 0 n
-
-let find_segment t seq =
-  let segs = t.c_segments in
-  let rec bisect lo hi =
-    if lo > hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let s = segs.(mid) in
-      if seq < s.s_first then bisect lo (mid - 1)
-      else if seq > s.s_last then bisect (mid + 1) hi
-      else Some s
-  in
-  bisect 0 (Array.length segs - 1)
-
-(* The indexed offset of [seq] within its segment. *)
-let entry_offset seg seq =
-  let k = seq - seg.s_first in
-  let line =
-    pread (seg_idx_fd seg) ~off:(seg.s_idx_base + (k * idx_line_len))
-      ~len:idx_line_len
-  in
-  if String.length line <> idx_line_len then
-    cement_errorf "cement index %s: short read at entry %d" seg.s_idx k;
-  let off, _, _ = parse_idx_entry (String.sub line 0 (idx_line_len - 1)) in
-  off
-
-(* Read the frame at [off]: parse the J1 header out of a fixed-size
-   probe, then read exactly the payload. *)
-let frame_at seg off =
-  let fd = seg_fd seg in
-  let probe = pread fd ~off ~len:64 in
-  let nl =
-    match String.index_opt probe '\n' with
-    | Some i -> i
-    | None -> cement_errorf "cement segment %s: bad frame header" seg.s_path
-  in
-  match parse_header (String.sub probe 0 nl) with
-  | None -> cement_errorf "cement segment %s: bad frame header" seg.s_path
-  | Some (len, digest) ->
-    if off + nl + 1 + len > seg.s_bytes then
-      cement_errorf "cement segment %s: frame runs past the segment" seg.s_path;
-    let payload = pread fd ~off:(off + nl + 1) ~len in
-    if String.length payload <> len then
-      cement_errorf "cement segment %s: short frame read" seg.s_path;
-    if Digest.to_hex (Digest.string payload) <> digest then
-      cement_errorf "cement segment %s: frame checksum mismatch at %d"
-        seg.s_path off;
-    payload
-
 let read t seq =
   locked t @@ fun () ->
   match find_segment t seq with
@@ -514,7 +544,7 @@ let read t seq =
     Metrics.incr m_reads;
     Some (frame_at seg off)
 
-let iter_range t ~from ~upto f =
+let iter_range ?skip t ~from ~upto f =
   (* collect under the lock, deliver outside it, segment by segment —
      [f] may be arbitrary user code *)
   let batch from upto =
@@ -529,7 +559,7 @@ let iter_range t ~from ~upto f =
       seek_in ic off;
       let out = ref [] in
       for seq = from to hi do
-        match read_frame ic with
+        match read_frame ?skip ic with
         | `Frame payload -> out := (seq, payload) :: !out
         | `End | `Torn _ ->
           cement_errorf "cement segment %s: truncated mid-window" seg.s_path
@@ -573,12 +603,7 @@ let clear t =
   locked t @@ fun () ->
   Array.iter
     (fun seg ->
-      (match seg.s_fd with
-      | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
-      (match seg.s_idx_fd with
-      | Some fd -> (try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
+      close_fds seg;
       (try Sys.remove seg.s_path with Sys_error _ -> ());
       try Sys.remove seg.s_idx with Sys_error _ -> ())
     t.c_segments;
@@ -587,18 +612,4 @@ let clear t =
   Disk.fsync_path t.c_dir;
   refresh_gauges t
 
-let close t =
-  locked t @@ fun () ->
-  Array.iter
-    (fun seg ->
-      (match seg.s_fd with
-      | Some fd ->
-        seg.s_fd <- None;
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
-      match seg.s_idx_fd with
-      | Some fd ->
-        seg.s_idx_fd <- None;
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ())
-    t.c_segments
+let close t = locked t @@ fun () -> Array.iter close_fds t.c_segments

@@ -30,9 +30,10 @@
     Crash safety: a sealed file is complete and fsynced before its
     rename, and the directory is fsynced after it; every fsync goes
     through {!Ddf_disk.Disk} and raises on failure.  A torn tail on the
-    newest segment (external damage) is found on open by a full scan
-    of that segment and cut back in place to the last good frame (an
-    empty survivor is dropped).
+    newest segment (external damage) is found on open, where its last
+    indexed frame must be whole and end the file, and cut back in place
+    to the last good frame by a full scan (an empty survivor is
+    dropped).
 
     Thread safety: all operations on one [t] are serialised by an
     internal mutex; callers may read from any thread. *)
@@ -49,11 +50,12 @@ val output_frame : out_channel -> string -> unit
 (** Write a framed payload to the channel, piece by piece (the frame
     is never assembled in memory).  Does not flush. *)
 
-val read_frame : in_channel -> [ `End | `Frame of string | `Torn of int ]
+val read_frame :
+  ?skip:(string -> bool) -> in_channel -> [ `End | `Frame of string | `Torn of int ]
 (** Read one frame: [`Frame payload] once the payload matched its
-    checksum; [`End] cleanly at end of file; [`Torn at] when a short,
-    malformed or checksum-failing frame starts at offset [at] (the end
-    of the good prefix). *)
+    checksum, or at once when [skip payload]; [`End] cleanly at end of
+    file; [`Torn at] when a short, malformed or checksum-failing frame
+    starts at offset [at] (the end of the good prefix). *)
 
 (** {1 Index of a file being appended} *)
 
@@ -78,8 +80,9 @@ type t
 
 val open_ : dir:string -> t
 (** Open (creating the directory if needed) the cement store rooted at
-    [dir].  Scans the newest segment file (and any segment whose index
-    is stale), validates contiguity, truncates a torn newest segment,
+    [dir].  Trusts a segment's valid index (the newest one's only when
+    its last indexed frame is whole and ends the file), scans any other
+    segment, validates contiguity, truncates a torn newest segment,
     rebuilds stale indexes and loads the put map.
     @raise Ddf_core.Error.Ddf_error on unrecoverable corruption (a
     seqno gap between surviving segments), or ([`Invalid]) on a
@@ -118,10 +121,13 @@ val read : t -> int -> string option
     checksum; [None] when [seq] is outside the cemented window.
     Counts [cement.reads]. *)
 
-val iter_range : t -> from:int -> upto:int -> (int -> string -> unit) -> unit
+val iter_range :
+  ?skip:(string -> bool) -> t -> from:int -> upto:int -> (int -> string -> unit) -> unit
 (** [iter_range t ~from ~upto f] calls [f seq payload] for every
     cemented seqno in [[from, upto]] (clamped to the cemented window),
-    ascending — sequential reads, one index lookup per segment. *)
+    ascending — sequential reads, one index lookup per segment.  A
+    frame [skip] answers [true] for is passed on unchecked: its
+    checksum waits for a positioned read ({!find_put}). *)
 
 val find_put : t -> iid:int -> string option
 (** The cemented [put] frame payload that installed instance [iid], if

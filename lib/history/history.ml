@@ -511,12 +511,19 @@ let st_forward_closure st iid =
   List.rev (st_fold_forward st iid (fun acc r -> r :: acc) [])
 
 (* An instance has one producer and the fold meets each record once,
-   so the outputs it collects are distinct. *)
+   so the outputs it collects are distinct.  Along an edit chain they
+   arrive ascending, so the list is descending and a reversal sorts it. *)
 let st_derived_instances st iid =
-  st_fold_forward st iid
-    (fun acc r -> List.fold_left (fun acc (_, out) -> out :: acc) acc r.outputs)
-    []
-  |> List.sort Int.compare
+  let outs =
+    st_fold_forward st iid
+      (fun acc r -> List.fold_left (fun acc (_, out) -> out :: acc) acc r.outputs)
+      []
+  in
+  let rec descending = function
+    | a :: (b :: _ as l) -> a > b && descending l
+    | _ -> true
+  in
+  if descending outs then List.rev outs else List.sort Int.compare outs
 
 let st_ancestor_instances st iid =
   st_backward_closure st iid

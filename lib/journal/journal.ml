@@ -53,10 +53,13 @@ let journal_errorf ?(code = `Internal) fmt = Ddf_core.Error.errorf code fmt
 let m_appends = Ddf_obs.Metrics.counter "journal.appends"
 let m_replayed = Ddf_obs.Metrics.counter "journal.replayed_entries"
 let m_compactions = Ddf_obs.Metrics.counter "journal.compactions"
+let m_checkpoints = Ddf_obs.Metrics.counter "journal.checkpoints"
 let m_torn = Ddf_obs.Metrics.counter "journal.torn_tails"
 let m_syncs = Ddf_obs.Metrics.counter "journal.syncs"
 let h_batch = Ddf_obs.Metrics.histogram "journal.group_commit_batch"
 let h_compact = Ddf_obs.Metrics.histogram "journal.compact_seconds"
+let h_checkpoint = Ddf_obs.Metrics.histogram "journal.checkpoint_seconds"
+let g_lag = Ddf_obs.Metrics.gauge "journal.checkpoint_lag"
 
 (* When is an entry durable?
      [Always] - fsync inside every append: an entry is on disk before
@@ -79,6 +82,7 @@ type t = {
   mutable j_index : Cement.index;    (* one index line per wal frame *)
   mutable j_entries : int;           (* frames in the wal *)
   mutable j_base : int;              (* seq before the wal's first frame *)
+  mutable j_checkpoint : int;        (* seq the checkpoint covers, in base.ddf *)
   mutable j_seq : int;               (* seq of the last entry = base + entries *)
   j_truncated : int;                 (* torn-tail bytes dropped on open *)
   mutable j_closed : bool;
@@ -197,13 +201,14 @@ let read_wal ?(off = 0) path ~base f =
 (* [lenient] makes replay idempotent: an entry whose effect is already
    present (same instance/record/conflict with identical content) is
    skipped instead of raising "log out of order".  Open-time replay
-   passes it: the cemented frames past the base that a crash between a
-   seal and its base write leaves behind are already in a checkpoint
-   renamed before the crash, and a wal may be too (the checkpoint a
-   cement restart or a resync renames before its base write covers
-   it).  Divergent content under a replayed id still errors: leniency
-   covers exact re-application, never conflicting history. *)
-let replay_entry ?(lenient = false) ctx payload =
+   passes it: a crash between a checkpoint rename and its base write
+   leaves the cemented frames past the base in the checkpoint, and a
+   wal may be too (the checkpoint a cement restart or a resync renames
+   before its base write covers it).  Divergent content under a
+   replayed id still errors: leniency covers exact re-application,
+   never conflicting history.  [cold] loads a put as a checkpoint's
+   [cemented SEQ] slot does, its value checked at its first read. *)
+let replay_entry ?(lenient = false) ?(cold = false) ctx payload =
   let store = ctx.Ddf_exec.Engine.store in
   let history = ctx.Ddf_exec.Engine.history in
   let advance clock =
@@ -211,7 +216,7 @@ let replay_entry ?(lenient = false) ctx payload =
   in
   match Entry.decode payload with
   | Entry.Put { iid; clock; entity; hash; meta; text } ->
-    ignore (Entry.value ~iid ~hash text);
+    if not cold then ignore (Entry.value ~iid ~hash text);
     if lenient && Store.mem store iid then begin
       let inst = Store.find store iid in
       if inst.Store.entity <> entity || inst.Store.data_hash <> hash then
@@ -221,7 +226,10 @@ let replay_entry ?(lenient = false) ctx payload =
           iid
     end
     else begin
-      let got = Store.put store ~entity ~hash ~meta text in
+      let got =
+        if cold then Store.put_cold store ~entity ~hash ~meta
+        else Store.put store ~entity ~hash ~meta text
+      in
       if got <> iid then
         journal_errorf "log out of order: instance %d replayed as %d" iid got
     end;
@@ -367,9 +375,12 @@ let fsync_dir dir =
   Fault.fire "journal.dir_fsync";
   Disk.fsync_path dir
 
+let set_lag j = Ddf_obs.Metrics.set g_lag (float_of_int (j.j_seq - j.j_checkpoint))
+
 let sync j =
   if not j.j_closed then begin
     check_writable j;
+    set_lag j;
     match
       flush j.j_oc;
       if j.j_pending > 0 then
@@ -497,14 +508,15 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
     else Ddf_exec.Engine.create_context ?registry schema
   in
   install_cold_loader cement ctx.Ddf_exec.Engine.store;
-  (* frames sealed past the base: a compaction crashed between its
-     seal and its base write, so the checkpoint may or may not hold
-     them *)
-  let base = read_base dir in
+  (* the frames sealed since the checkpoint: their puts load cold, the
+     frame checksum, parse and content hash left to the cold loader *)
+  let checkpoint = read_base dir in
   let sealed = Cement.last_seq cement in
-  if sealed > base then
-    Cement.iter_range cement ~from:(base + 1) ~upto:sealed (fun _ payload ->
-        replay_entry ~lenient:true ctx payload;
+  if sealed > checkpoint then
+    Cement.iter_range cement ~from:(checkpoint + 1) ~upto:sealed
+      ~skip:(fun payload -> fst (Entry.classify payload) = 'p')
+      (fun _ payload ->
+        replay_entry ~lenient:true ~cold:true ctx payload;
         Ddf_obs.Metrics.incr m_replayed);
   let index = Cement.index () in
   let wal_existed = Sys.file_exists (wal_path dir) in
@@ -516,15 +528,16 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
   (* a wal this open created (a fresh database, or a crash before a
      compaction's fresh wal) is durable before anything is appended *)
   if not wal_existed then Disk.fsync_path dir;
-  let base = max base sealed in
+  let base = max checkpoint sealed in
   let j =
     { j_dir = dir; j_ctx = ctx; j_registry = registry; j_oc = oc;
       j_index = index; j_entries = entries; j_base = base;
-      j_seq = base + entries; j_truncated = torn; j_closed = false;
-      j_failed = None; j_frame_obs = None; compact_every;
+      j_checkpoint = checkpoint; j_seq = base + entries; j_truncated = torn;
+      j_closed = false; j_failed = None; j_frame_obs = None; compact_every;
       j_sync_mode = sync_mode; j_pending = 0; j_cement = cement }
   in
   attach j;
+  set_lag j;
   j
 
 (* The live journal's wal frames with seqno > [after] (at least the
@@ -543,28 +556,35 @@ let iter_wal j ~after f =
     | `End _ -> ()
     | `Torn at -> journal_errorf "wal torn mid-read at %d" at
 
-(* Replace the checkpoint with [text].  The rename is pinned by the
-   caller's directory fsync. *)
-let write_checkpoint dir text =
-  Disk.replace (snapshot_path dir) (fun oc -> output_string oc text)
+(* Replace the checkpoint with [save ()], timed with the save.  The
+   rename is pinned by the caller's directory fsync. *)
+let write_checkpoint dir save =
+  let t0 = Unix.gettimeofday () in
+  let text = save () in
+  Disk.replace (snapshot_path dir) (fun oc -> output_string oc text);
+  Ddf_obs.Metrics.incr m_checkpoints;
+  Ddf_obs.Metrics.observe h_checkpoint (Unix.gettimeofday () -. t0)
 
-(* Seal the wal into cement and write a fresh checkpoint over it.
+(* Seal the wal into cement and, when [checkpoint], write a fresh
+   checkpoint over it.
 
    Order: wal fsync -> the wal renamed into cement as segment
    base+1..seq, its index written from the lines recorded at append,
    cement directory fsync (all in [Cement.seal]) -> checkpoint rename
-   -> base write -> fresh wal -> one directory fsync, which pins both
+   -> base write -> fresh wal -> one directory fsync, which pins the
    renames and the new wal's entry before anything is appended to it.
-   The checkpoint references only puts the seal made durable before
-   its rename, so it never has to read a payload, and no frame is read
+   A seal alone skips the checkpoint and the base write.  The
+   checkpoint references only puts the seal made durable before its
+   rename, so it never has to read a payload, and no frame is read
    or written again.  A crash at any point leaves either the old
    checkpoint (whose references are older frames, untouched) or the
    new one; open replays the sealed frames past the base, then the
-   wal.  The [journal.compact] fault point fires after the seal, after
-   the checkpoint rename and after the base write (no seal hit when
-   cement is restarted: there the seal follows the rename).  A failure
-   anywhere fail-stops the journal: the wal may already be a segment. *)
-let compact_now j =
+   wal.  The [journal.compact] fault point fires after the seal, and
+   with a checkpoint after its rename and after the base write (no
+   seal hit when cement is restarted: there the seal follows the
+   rename).  A failure anywhere fail-stops the journal: the wal may
+   already be a segment. *)
+let compact_now ~checkpoint j =
   let c = j.j_cement in
   let sealed = j.j_entries > 0 in
   let seal () =
@@ -575,7 +595,8 @@ let compact_now j =
     end
   in
   let session = Ddf_session.Session.of_context j.j_ctx in
-  if Cement.last_seq c <> 0 && Cement.last_seq c < j.j_base then begin
+  let restart = Cement.last_seq c <> 0 && Cement.last_seq c < j.j_base in
+  if restart then begin
     (* A cold store that stops short of the base (a torn segment
        dropped on open, or a directory copied from another line) cannot
        be extended contiguously: start it over, with the wal as its
@@ -585,7 +606,7 @@ let compact_now j =
        still holds it: the clear drops the frames a cold payload would
        load from — and that rename is pinned before anything is
        deleted. *)
-    write_checkpoint j.j_dir (W.save session);
+    write_checkpoint j.j_dir (fun () -> W.save session);
     fsync_dir j.j_dir;
     Cement.clear c;
     seal ()
@@ -593,12 +614,16 @@ let compact_now j =
   else begin
     seal ();
     Fault.fire "journal.compact";
-    write_checkpoint j.j_dir
-      (W.save ~cemented:(fun iid -> Cement.put_seq c ~iid) session)
+    if checkpoint then
+      write_checkpoint j.j_dir (fun () ->
+          W.save ~cemented:(fun iid -> Cement.put_seq c ~iid) session)
   end;
-  Fault.fire "journal.compact";
-  write_base j.j_dir j.j_seq;
-  Fault.fire "journal.compact";
+  if restart || checkpoint then begin
+    Fault.fire "journal.compact";
+    write_base j.j_dir j.j_seq;
+    Fault.fire "journal.compact";
+    j.j_checkpoint <- j.j_seq
+  end;
   if sealed then
     j.j_oc <-
       open_out_gen
@@ -612,17 +637,22 @@ let compact_now j =
      this is a durability point even for entries not yet fsynced *)
   j.j_pending <- 0
 
-let compact j =
+let compact_with ~checkpoint j =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   check_writable j;
   Ddf_obs.Metrics.incr m_compactions;
   let t0 = Unix.gettimeofday () in
-  (try compact_now j with e -> fail_stop j e);
+  (try compact_now ~checkpoint j with e -> fail_stop j e);
   Ddf_obs.Metrics.observe h_compact (Unix.gettimeofday () -. t0)
 
+let compact j = compact_with ~checkpoint:true j
+
+(* A checkpoint once the sealed tail is as long as the prefix it
+   covers: they land at [compact_every]·2^k, so their bytes cost O(1)
+   per entry amortised, and open replays at most half the history. *)
 let maybe_compact j =
   if (not j.j_closed) && j.j_entries >= j.compact_every then begin
-    compact j;
+    compact_with ~checkpoint:(j.j_seq - j.j_checkpoint >= j.j_checkpoint) j;
     true
   end
   else false
@@ -856,6 +886,7 @@ let reset_to_snapshot_file j ~seq path =
   j.j_ctx.Ddf_exec.Engine.clock <- fresh.Ddf_exec.Engine.clock;
   j.j_entries <- 0;
   j.j_base <- seq;
+  j.j_checkpoint <- seq;
   j.j_seq <- seq;
   j.j_pending <- 0;
   (* the fresh store needs the cold loader re-wired (it replaced the

@@ -16,10 +16,10 @@
     Crash safety: frames are self-delimiting with an MD5 checksum, so
     a torn tail (power cut mid-append) is detected and truncated on
     open; everything up to the last complete frame replays.  Periodic
-    {!compact} seals the log into the cement store ([cemented/]) by
-    renaming it, writes a checkpoint ([snapshot.ddf]: meta-data,
-    history, clock and flows, with each payload a reference to its
-    cemented put frame) and starts a fresh log. *)
+    {!maybe_compact} seals the log into the cement store ([cemented/])
+    by renaming it and starts a fresh log; now and then it also writes
+    a checkpoint ([snapshot.ddf]: meta-data, history, clock and flows,
+    with each payload a reference to its cemented put frame). *)
 
 (** Errors are {!Ddf_core.Error.Ddf_error}: corruption and ordering
     violations are [`Internal]/[`Conflict], operations on a closed or
@@ -46,10 +46,9 @@ val open_ :
 (** Open a database directory (created when missing): open the cement
     store, load [snapshot.ddf] if present — instances whose payload it
     references come back cold, filled from cement on first read — then
-    replay the cemented frames past [base.ddf] (left by a crash between
-    a seal and its base write) and [wal.ddf] (truncating a torn tail),
-    and attach write
-    observers to the rebuilt context so subsequent mutations are
+    replay the cemented frames past [base.ddf] (the seals since the
+    checkpoint, their puts cold in the same way) and [wal.ddf]
+    (truncating a torn tail), and attach write observers to the rebuilt context so subsequent mutations are
     journaled.  [compact_every] (default 10_000) is the log-entry
     threshold {!maybe_compact} acts on.  [sync_mode] (default {!Group})
     sets when entries become durable.
@@ -69,6 +68,7 @@ val context : t -> Ddf_exec.Engine.context
 val dir : t -> string
 
 val entries_since_snapshot : t -> int
+(** Entries in the wal: those journaled since the last seal. *)
 
 val truncated_on_open : t -> int
 (** Bytes of torn tail dropped by crash recovery during {!open_}. *)
@@ -94,22 +94,27 @@ val compact : t -> unit
 (** Seal the log into the cement store — fsync it and rename it into
     [cemented/] as the next segment, whose index comes from the lines
     recorded at append, so no frame is read or written again — then
-    write a fresh checkpoint (atomically, via rename), the base and a
-    fresh log.  The checkpoint references only puts the seal made
-    durable before its rename, so compaction never reads or re-encodes
-    a payload; the full history stays addressable by seqno.  The
-    checkpoint and base renames and the fresh log are pinned by one
-    directory fsync (crash point [journal.dir_fsync]; [journal.compact]
-    fires after the seal, the checkpoint rename and the base write);
-    the whole operation is timed into the [journal.compact_seconds]
-    histogram.  A cement store that stops short of the base is
-    restarted, behind a self-contained checkpoint, with the log as its
-    first segment.  A failure fail-stops the journal (see {!failed}):
-    the log may already be sealed, and a reopen recovers. *)
+    always write a fresh checkpoint (atomically, via rename), the base
+    and a fresh log; the wire [Compact] verb runs this.  The checkpoint
+    references only puts the seal made durable before its rename, so
+    compaction never reads or re-encodes a payload; the full history
+    stays addressable by seqno.  The checkpoint and base renames and
+    the fresh log are pinned by one directory fsync (crash point
+    [journal.dir_fsync]; [journal.compact] fires after the seal, the
+    checkpoint rename and the base write); the whole operation is timed
+    into the [journal.compact_seconds] histogram, the checkpoint into
+    [journal.checkpoint_seconds] (counted in [journal.checkpoints]).  A
+    cement store that stops short of the base is restarted, behind a
+    self-contained checkpoint, with the log as its first segment.  A
+    failure fail-stops the journal (see {!failed}): the log may already
+    be sealed, and a reopen recovers. *)
 
 val maybe_compact : t -> bool
-(** {!compact} when the log has reached [compact_every] entries;
-    returns whether it did. *)
+(** Seal the log when it has reached [compact_every] entries, returning
+    whether it did: {!compact} less the checkpoint and base write,
+    added only once [seq] is at least twice the checkpoint's seq.  So
+    checkpoints cost O(1) bytes per entry amortised, and open replays
+    at most half the history ([journal.checkpoint_lag] entries). *)
 
 val close : t -> unit
 (** Detach the observers, {!sync} and close the log.  The context

@@ -102,6 +102,38 @@ let segments =
         Alcotest.(check (option string)) "refolded" (Some (payload_of 6))
           (Cement.read c2 6);
         Cement.close c2);
+    Alcotest.test_case "the newest segment's whole index is trusted, not rescanned"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let c = Cement.open_ ~dir in
+        seal c ~first:1 (frames_for 1 3);
+        seal c ~first:4 (frames_for 4 6);
+        Cement.close c;
+        (* damage a frame inside the newest segment, not at its end: a
+           rescan would cut the segment back to frame 4, a trusted index
+           keeps the window and the read of frame 5 refuses *)
+        let path = Filename.concat dir "segment-000000000004-000000000006.ddf" in
+        let bytes = In_channel.with_open_bin path In_channel.input_all in
+        let needle = payload_of 5 in
+        let rec find i =
+          if String.sub bytes i (String.length needle) = needle then i
+          else find (i + 1)
+        in
+        let at = find 0 in
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc
+              (String.mapi (fun i ch -> if i = at + 1 then 'X' else ch) bytes));
+        let c2 = Cement.open_ ~dir in
+        Alcotest.(check int) "nothing cut" 0 (Cement.truncated_on_open c2);
+        Alcotest.(check int) "the window stands" 6 (Cement.last_seq c2);
+        Alcotest.(check (option string)) "frame 6 reads" (Some (payload_of 6))
+          (Cement.read c2 6);
+        (match Cement.read c2 5 with
+        | _ -> Alcotest.fail "expected the damaged frame to refuse"
+        | exception Error.Ddf_error e ->
+          Alcotest.(check bool) "a checksum error" true
+            (Util.contains e.Error.message "checksum"));
+        Cement.close c2);
     Alcotest.test_case "a segment of cement segment format 1 is refused at open"
       `Quick (fun () ->
         (* two segments, one of them rewritten the way format 1 stored

@@ -434,6 +434,212 @@ let checkpoint =
         expect_refusal (fun () -> Journal.open_ ~dir Standard_schemas.odyssey));
   ]
 
+(* The checkpoint lags the seal: [maybe_compact] seals every
+   [compact_every] entries but writes a checkpoint only once the sealed
+   tail is as long as the prefix the checkpoint covers. *)
+
+(* The seqno the last checkpoint covers, as [base.ddf] holds it. *)
+let base_of dir =
+  In_channel.with_open_bin (Filename.concat dir "base.ddf") @@ fun ic ->
+  Scanf.sscanf (In_channel.input_all ic) "B1 %d" Fun.id
+
+let m_checkpoints = Metrics.counter "journal.checkpoints"
+
+(* One distinct stimuli install: one put entry. *)
+let install_stim ctx k =
+  Engine.install ctx ~entity:E.stimuli ~label:(Printf.sprintf "q%d" k)
+    (Value.Stimuli (Eda.Stimuli.exhaustive [ Printf.sprintf "qa%d" k ]))
+
+(* A checkpointed database at [compact_every:5] with [n] stimuli
+   installed on top, [maybe_compact] after each: returns the journal,
+   the checkpoint's seqno and the iids the seals cemented past it. *)
+let lagging_db ?(n = 12) dir =
+  let j = Journal.open_ ~compact_every:5 ~dir Standard_schemas.odyssey in
+  let ctx = Journal.context j in
+  ignore (activity ctx 6);
+  Journal.compact j;
+  let checkpoint = Journal.seq j in
+  let sealed = ref [] and pending = ref [] in
+  let checkpoints = Metrics.count m_checkpoints in
+  for k = 1 to n do
+    pending := install_stim ctx k :: !pending;
+    if Journal.maybe_compact j then begin
+      sealed := !pending @ !sealed;
+      pending := []
+    end
+  done;
+  Alcotest.(check int) "the seals wrote no checkpoint" checkpoints
+    (Metrics.count m_checkpoints);
+  Alcotest.(check int) "base.ddf stays at the checkpoint" checkpoint
+    (base_of dir);
+  (j, checkpoint, !sealed)
+
+let lagging =
+  [
+    Alcotest.test_case "checkpoints land at the doubling points; compact always writes one"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~compact_every:5 ~dir Standard_schemas.odyssey in
+        let ctx = Journal.context j in
+        let iid = install_stim ctx 0 in
+        let seals = ref 0 and checkpoints = ref [] in
+        for k = 1 to 99 do
+          (* one entry each *)
+          Store.annotate ctx.Engine.store iid ~label:(Printf.sprintf "l%d" k) ();
+          let before = Metrics.count m_checkpoints in
+          if Journal.maybe_compact j then begin
+            incr seals;
+            Alcotest.(check int) "a seal every 5 entries" 0 (Journal.seq j mod 5);
+            Alcotest.(check int) "the wal starts over" 0
+              (Journal.entries_since_snapshot j);
+            if Metrics.count m_checkpoints > before then begin
+              checkpoints := Journal.seq j :: !checkpoints;
+              Alcotest.(check int) "base.ddf names it" (Journal.seq j)
+                (base_of dir)
+            end
+          end
+        done;
+        Alcotest.(check int) "seals" 20 !seals;
+        Alcotest.(check (list int)) "checkpoints at 5 * 2^k" [ 5; 10; 20; 40; 80 ]
+          (List.rev !checkpoints);
+        Alcotest.(check int) "the base lags at the last doubling point" 80
+          (base_of dir);
+        (* an explicit compact writes one, right after a seal and with
+           an empty wal alike *)
+        List.iter
+          (fun what ->
+            let before = Metrics.count m_checkpoints in
+            Journal.compact j;
+            Alcotest.(check int) (what ^ ": one checkpoint") (before + 1)
+              (Metrics.count m_checkpoints);
+            Alcotest.(check int) (what ^ ": base.ddf") (Journal.seq j)
+              (base_of dir))
+          [ "after a seal"; "empty wal" ];
+        let final = state ctx in
+        Journal.close j;
+        reopened_equals dir final);
+    Alcotest.test_case "every seal-only compaction crash point reopens to the same state"
+      `Quick (fun () ->
+        Fun.protect ~finally:Fault.reset @@ fun () ->
+        let crash_points =
+          [ ("after the seal", "journal.compact", 0);
+            ("at the directory fsync", "journal.dir_fsync", 0) ]
+        in
+        List.iter
+          (fun (what, point, after) ->
+            with_dir @@ fun dir ->
+            let j, checkpoint, _ = lagging_db ~n:7 dir in
+            (* two entries in the wal: three more make a seal due *)
+            let ctx = Journal.context j in
+            List.iter (fun k -> ignore (install_stim ctx k)) [ 100; 101; 102 ];
+            Journal.sync j;
+            let fp = Sync.fingerprint ctx and seq = Journal.seq j in
+            Fault.arm ~after point Fault.Fail;
+            (match Journal.maybe_compact j with
+            | _ -> Alcotest.failf "%s: expected the injected crash" what
+            | exception Fault.Injected _ -> ());
+            Fault.reset ();
+            Journal.close j;
+            Alcotest.(check int) (what ^ ": no checkpoint written") checkpoint
+              (base_of dir);
+            let j = Journal.open_ ~compact_every:5 ~dir Standard_schemas.odyssey in
+            let ctx = Journal.context j in
+            Alcotest.(check string) (what ^ ": fingerprint") fp
+              (Sync.fingerprint ctx);
+            Alcotest.(check int) (what ^ ": seqno line") seq (Journal.seq j);
+            payloads_verified ctx;
+            (* the recovered database keeps sealing and reopening *)
+            for k = 200 to 210 do
+              ignore (install_stim ctx k);
+              ignore (Journal.maybe_compact j)
+            done;
+            let after = state ctx in
+            Journal.close j;
+            reopened_equals dir after)
+          crash_points);
+    Alcotest.test_case "a reopen holds the puts sealed past the checkpoint cold"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j, _, sealed = lagging_db dir in
+        let ctx = Journal.context j in
+        let fp = Sync.fingerprint ctx and before = state ctx in
+        let n = Store.instance_count ctx.Engine.store in
+        Journal.close j;
+        Alcotest.(check int) "two seals" 10 (List.length sealed);
+        let j = Journal.open_ ~compact_every:5 ~dir Standard_schemas.odyssey in
+        let ctx = Journal.context j in
+        let store = ctx.Engine.store in
+        (* the checkpoint's payloads and the sealed tail's are cold; the
+           two installs still in the wal are resident *)
+        List.iter
+          (fun iid ->
+            Alcotest.(check bool) (Printf.sprintf "#%d cold" iid) false
+              (Store.payload_resident store iid))
+          sealed;
+        Alcotest.(check int) "cold: all but the wal's two" (n - 2) (cold_count ctx);
+        Alcotest.(check string) "fingerprint" fp (Sync.fingerprint ctx);
+        payloads_verified ctx;
+        Alcotest.(check string) "state" before (state ctx);
+        Journal.close j);
+    Alcotest.test_case "a damaged put sealed past the checkpoint fails its first read, typed"
+      `Quick (fun () ->
+        (* one letter of the victim's value changed in its segment:
+           with the frame checksum left as it was, or recomputed so
+           that only the content hash tells.  Either way open loads the
+           put cold, and the first read of its payload refuses *)
+        List.iter
+          (fun (reframe, expect) ->
+            with_dir @@ fun dir ->
+            let j, _, sealed = lagging_db dir in
+            Journal.close j;
+            let victim = List.nth sealed (List.length sealed - 1) in
+            let cdir = Filename.concat dir "cemented" in
+            let path =
+              Sys.readdir cdir |> Array.to_list
+              |> List.filter (fun f -> Filename.check_suffix f ".ddf")
+              |> List.sort compare |> List.rev |> List.tl |> List.hd
+              |> Filename.concat cdir
+            in
+            let bytes = In_channel.with_open_bin path In_channel.input_all in
+            let rec rewrite off =
+              let nl = String.index_from bytes off '\n' in
+              let header = String.sub bytes off (nl - off) in
+              let len = Scanf.sscanf header "J1 %d %s" (fun l _ -> l) in
+              let payload = String.sub bytes (nl + 1) len in
+              match Entry.decode payload with
+              | Entry.Put ({ iid; text; _ } as p) when iid = victim ->
+                let text = String.map (function 'q' -> 'z' | c -> c) text in
+                let payload = Entry.encode (Entry.Put { p with text }) in
+                let header =
+                  if reframe then Cement.frame_header payload else header
+                in
+                let frame = header ^ "\n" ^ payload ^ "\n" in
+                Alcotest.(check int) "the frame keeps its length"
+                  (nl + len + 2 - off) (String.length frame);
+                String.sub bytes 0 off ^ frame
+                ^ String.sub bytes (nl + len + 2)
+                    (String.length bytes - nl - len - 2)
+              | _ -> rewrite (nl + len + 2)
+            in
+            Out_channel.with_open_bin path (fun oc ->
+                output_string oc (rewrite 0));
+            let j = Journal.open_ ~dir Standard_schemas.odyssey in
+            let store = (Journal.context j).Engine.store in
+            Fun.protect ~finally:(fun () -> Journal.close j) @@ fun () ->
+            List.iter
+              (fun iid ->
+                if iid <> victim then
+                  ignore (Codec.value_of_text (Store.payload store iid)))
+              sealed;
+            match Store.payload store victim with
+            | _ -> Alcotest.fail "expected the damaged put to refuse to load"
+            | exception Error.Ddf_error e ->
+              Alcotest.(check bool) expect true
+                (Util.contains (Error.message e) expect))
+          [ (false, "frame checksum mismatch");
+            (true, "content hash mismatch") ]);
+  ]
+
 (* The journaled database against an in-memory oracle: the same random
    installs, edit flows and annotations applied to a plain context,
    with compactions, payload evictions and reopens only on the
@@ -715,7 +921,8 @@ let disk =
 
 let suite =
   [ ("journal",
-     basics @ torn_tail @ compaction @ checkpoint @ [ oracle_prop; keyword_index ]);
+     basics @ torn_tail @ compaction @ checkpoint @ lagging
+     @ [ oracle_prop; keyword_index ]);
     ("journal.disk", disk);
     ("journal.resting_text", resting_text);
     ("journal.rules", rules) ]

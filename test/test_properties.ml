@@ -244,6 +244,61 @@ let journal_props =
   let journal_pair_gen =
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 8))
   in
+  (* The replication loop as the follower driver runs it — pull the
+     tail, apply frames, resync from a snapshot when compaction has
+     discarded the needed suffix — converges to the primary's exact
+     durable state under random interleavings of writes, primary
+     compactions and catch-up rounds.  With [compact_every], both sides
+     also seal whenever a seal is due. *)
+  let replica_converges ?compact_every (seed, steps) =
+    Test_journal.with_dir @@ fun root ->
+    Unix.mkdir root 0o755;
+    let pdir = Filename.concat root "p"
+    and fdir = Filename.concat root "f" in
+    let p = Journal.open_ ?compact_every ~dir:pdir Standard_schemas.odyssey in
+    let f = Journal.open_ ?compact_every ~dir:fdir Standard_schemas.odyssey in
+    (* a seal when one is due, as the server's writer checks after
+       each job *)
+    let seal j =
+      if compact_every <> None then ignore (Journal.maybe_compact j)
+    in
+    let rec sync () =
+      match Journal.entries_since p (Journal.seq f) with
+      | Journal.Snapshot_needed ->
+        let seq, data = Journal.snapshot_state p in
+        Test_journal.reset_to_snapshot f ~seq data;
+        sync ()
+      | Journal.Frames [] -> ()
+      | Journal.Frames frames ->
+        List.iter
+          (fun (seq, payload) ->
+            Journal.apply f ~seq payload;
+            seal f)
+          frames;
+        sync ()
+    in
+    let rng = Eda.Rng.create seed in
+    List.iter
+      (fun i ->
+        ignore
+          (Test_journal.activity ~seed:(seed + i) (Journal.context p) 1);
+        seal p;
+        match Eda.Rng.int rng 3 with
+        | 0 -> Journal.compact p
+        | 1 -> sync ()
+        | _ -> ())
+      (List.init steps (fun i -> i));
+    sync ();
+    let want = Test_journal.state (Journal.context p) in
+    let got = Test_journal.state (Journal.context f) in
+    Journal.close p;
+    Journal.close f;
+    (* and the follower's own journal replays to the same state *)
+    let f2 = Journal.open_ ~dir:fdir Standard_schemas.odyssey in
+    let replayed = Test_journal.state (Journal.context f2) in
+    Journal.close f2;
+    want = got && want = replayed
+  in
   [
     Util.qcheck ~count:12 "journal round-trips generated contexts" gen
       (fun (seed, depth) ->
@@ -261,51 +316,11 @@ let journal_props =
         let after = Test_journal.state (Journal.context j2) in
         Journal.close j2;
         before = after);
-    (* The replication loop as the follower driver runs it — pull the
-       tail, apply frames, resync from a snapshot when compaction has
-       discarded the needed suffix — converges to the primary's exact
-       durable state under random interleavings of writes, primary
-       compactions and catch-up rounds. *)
     Util.qcheck ~count:10 "replica_converges" journal_pair_gen
-      (fun (seed, steps) ->
-        Test_journal.with_dir @@ fun root ->
-        Unix.mkdir root 0o755;
-        let pdir = Filename.concat root "p"
-        and fdir = Filename.concat root "f" in
-        let p = Journal.open_ ~dir:pdir Standard_schemas.odyssey in
-        let f = Journal.open_ ~dir:fdir Standard_schemas.odyssey in
-        let rec sync () =
-          match Journal.entries_since p (Journal.seq f) with
-          | Journal.Snapshot_needed ->
-            let seq, data = Journal.snapshot_state p in
-            Test_journal.reset_to_snapshot f ~seq data;
-            sync ()
-          | Journal.Frames [] -> ()
-          | Journal.Frames frames ->
-            List.iter (fun (seq, payload) -> Journal.apply f ~seq payload)
-              frames;
-            sync ()
-        in
-        let rng = Eda.Rng.create seed in
-        List.iter
-          (fun i ->
-            ignore
-              (Test_journal.activity ~seed:(seed + i) (Journal.context p) 1);
-            match Eda.Rng.int rng 3 with
-            | 0 -> Journal.compact p
-            | 1 -> sync ()
-            | _ -> ())
-          (List.init steps (fun i -> i));
-        sync ();
-        let want = Test_journal.state (Journal.context p) in
-        let got = Test_journal.state (Journal.context f) in
-        Journal.close p;
-        Journal.close f;
-        (* and the follower's own journal replays to the same state *)
-        let f2 = Journal.open_ ~dir:fdir Standard_schemas.odyssey in
-        let replayed = Test_journal.state (Journal.context f2) in
-        Journal.close f2;
-        want = got && want = replayed);
+      replica_converges;
+    Util.qcheck ~count:10 "replica_converges with a seal every 3 entries"
+      journal_pair_gen
+      (replica_converges ~compact_every:3);
     (* Group commit's contract: every write acknowledged by [sync]
        survives a crash that loses any suffix of the wal written after
        the durability point, and cutting exactly at the point replays

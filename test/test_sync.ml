@@ -486,51 +486,71 @@ let converges_gen =
     pair (int_bound 1_000_000)
       (pair (pair (int_range 0 2) (int_range 0 2)) (int_bound 4)))
 
+(* Two clones diverge by random suffixes and sync over a link that may
+   fail mid-flight; two clean sessions then reach one fingerprint.
+   With [compact_every], the clones start from a checkpoint with a
+   sealed tail past it, and once converged each side seals when a seal
+   is due, after which a third session keeps the fingerprints equal.
+   Divergent work is not sealed before it syncs: sync compares the
+   wals, and takes what either side has compacted as shared. *)
+let sync_converges ?compact_every (seed, ((na, nb), fault_after)) =
+  let base = fresh_dir () and da = fresh_dir () and db = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.reset ();
+      rm_rf base;
+      rm_rf da;
+      rm_rf db)
+    (fun () ->
+      let j = Journal.open_ ?compact_every ~dir:base Standard_schemas.odyssey in
+      ignore (activity ~seed (Journal.context j) 1);
+      if compact_every <> None then begin
+        Journal.compact j;
+        List.iter
+          (fun k ->
+            Store.annotate (Journal.context j).Engine.store 1
+              ~label:(Printf.sprintf "sealed %d" k) ())
+          [ 1; 2; 3 ];
+        ignore (Journal.maybe_compact j)
+      end;
+      Journal.close j;
+      clone base da;
+      clone base db;
+      let ja = Journal.open_ ?compact_every ~dir:da Standard_schemas.odyssey in
+      let jb = Journal.open_ ?compact_every ~dir:db Standard_schemas.odyssey in
+      let run () =
+        ignore (Sync.run ~batch:3 ~a:(Sync.of_journal ja) ~b:(Sync.of_journal jb) ())
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Journal.close ja;
+          Journal.close jb)
+        (fun () ->
+          if na > 0 then
+            ignore (activity ~seed:(seed + 1) (Journal.context ja) na);
+          if nb > 0 then
+            ignore (activity ~seed:(seed + 2) (Journal.context jb) nb);
+          (* first attempt may die mid-flight on a faulty link *)
+          Fault.arm ~after:fault_after "sync.pull" Fault.Fail;
+          (try run () with Fault.Injected _ -> ());
+          Fault.reset ();
+          (* two clean sessions from anywhere reach a fixpoint *)
+          run ();
+          run ();
+          fp ja = fp jb
+          && (compact_every = None
+             || begin
+               List.iter (fun j -> ignore (Journal.maybe_compact j)) [ ja; jb ];
+               run ();
+               fp ja = fp jb
+             end)))
+
 let properties =
   [
     Util.qcheck ~count:8 "sync_converges: random suffixes, faulty links"
-      converges_gen
-      (fun (seed, ((na, nb), fault_after)) ->
-        let base = fresh_dir () and da = fresh_dir () and db = fresh_dir () in
-        Fun.protect
-          ~finally:(fun () ->
-            Fault.reset ();
-            rm_rf base;
-            rm_rf da;
-            rm_rf db)
-          (fun () ->
-            let j = Journal.open_ ~dir:base Standard_schemas.odyssey in
-            ignore (activity ~seed (Journal.context j) 1);
-            Journal.close j;
-            clone base da;
-            clone base db;
-            let ja = Journal.open_ ~dir:da Standard_schemas.odyssey in
-            let jb = Journal.open_ ~dir:db Standard_schemas.odyssey in
-            Fun.protect
-              ~finally:(fun () ->
-                Journal.close ja;
-                Journal.close jb)
-              (fun () ->
-                if na > 0 then
-                  ignore (activity ~seed:(seed + 1) (Journal.context ja) na);
-                if nb > 0 then
-                  ignore (activity ~seed:(seed + 2) (Journal.context jb) nb);
-                (* first attempt may die mid-flight on a faulty link *)
-                Fault.arm ~after:fault_after "sync.pull" Fault.Fail;
-                (try
-                   ignore
-                     (Sync.run ~batch:3 ~a:(Sync.of_journal ja)
-                        ~b:(Sync.of_journal jb) ())
-                 with Fault.Injected _ -> ());
-                Fault.reset ();
-                (* two clean sessions from anywhere reach a fixpoint *)
-                ignore
-                  (Sync.run ~batch:3 ~a:(Sync.of_journal ja)
-                     ~b:(Sync.of_journal jb) ());
-                ignore
-                  (Sync.run ~batch:3 ~a:(Sync.of_journal ja)
-                     ~b:(Sync.of_journal jb) ());
-                fp ja = fp jb)));
+      converges_gen sync_converges;
+    Util.qcheck ~count:8 "sync_converges with a seal every 3 entries"
+      converges_gen (sync_converges ~compact_every:3);
   ]
 
 (* A peer whose schema still has a role the local one dropped sends a
