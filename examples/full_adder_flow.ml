@@ -98,7 +98,7 @@ let () =
 
   (* real multicore execution with domains *)
   let t0 = Unix.gettimeofday () in
-  let _, executed = Parallel.execute_parallel ~domains:2 ctx g6 ~bindings in
+  let run = Engine.execute ~domains:2 ctx g6 ~bindings in
   let t1 = Unix.gettimeofday () in
-  Printf.printf "domains run: %d invocations in %.2f ms wall-clock\n" executed
-    ((t1 -. t0) *. 1000.0)
+  Format.printf "domains run: %a in %.2f ms wall-clock@." Engine.pp_stats
+    run.Engine.stats ((t1 -. t0) *. 1000.0)

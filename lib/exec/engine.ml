@@ -51,6 +51,8 @@ let tick ctx =
   ctx.clock <- ctx.clock + 1;
   ctx.clock
 
+module Int_map = Map.Make (Int)
+
 (* A pinned read view over a context: the store and history snapshots
    captured together.  The history is captured first — records only
    ever reference instances already installed, so the (possibly
@@ -134,7 +136,7 @@ type run = {
 (* Look in the history for a record of the same task with the same tool
    and inputs: if design objects are uniquely identified by their
    derivation, this IS the design-consistency lookup. *)
-let memo_lookup ctx ~tool ~inputs ~out_entities =
+let memo_lookup history ~tool ~inputs ~out_entities =
   let probe =
     match (inputs, tool) with
     | (_, iid) :: _, _ -> Some iid
@@ -152,7 +154,7 @@ let memo_lookup ctx ~tool ~inputs ~out_entities =
            (fun e -> List.mem_assoc e r.History.outputs)
            out_entities
     in
-    List.find_opt matches (History.uses_of ctx.history iid)
+    List.find_opt matches (History.Snapshot.uses_of history iid)
 
 let ordered_invocations g =
   let rank = Hashtbl.create 32 in
@@ -168,40 +170,223 @@ let ordered_invocations g =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
-(* Execute one invocation under the current assignment; returns the
-   new output instances. *)
-let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation) =
-  let node_entity nid = Task_graph.entity_of g nid in
-  let lookup nid =
-    match Hashtbl.find_opt assignment nid with
-    | Some iid -> iid
-    | None ->
-      exec_errorf "node %d (%s) has no instance selected" nid (node_entity nid)
+(* Whether [role] of an invocation is an optional data role: the dashed
+   arcs of Fig. 1. *)
+let role_optional g (inv : Task_graph.invocation) role =
+  match inv.Task_graph.outputs with
+  | [] -> false
+  | out :: _ ->
+    List.exists
+      (fun (e : Task_graph.edge) ->
+        e.Task_graph.role = role
+        && e.Task_graph.dep_kind = Schema.Data_dep { optional = true })
+      (Task_graph.out_edges g out)
+
+(* The tool and the inputs by role that an invocation resolves under
+   [find], the assignment at its turn.  An unselected node that fills
+   only an optional role is simply omitted. *)
+let resolve_inputs g find (inv : Task_graph.invocation) =
+  let unselected nid =
+    exec_errorf "node %d (%s) has no instance selected" nid
+      (Task_graph.entity_of g nid)
   in
-  let tool = Option.map lookup inv.Task_graph.tool in
-  (* an unselected node filling only an optional role is simply
-     omitted: the dashed arcs of Fig. 1 *)
-  let role_optional role =
-    match inv.Task_graph.outputs with
-    | [] -> false
-    | out :: _ ->
-      List.exists
-        (fun (e : Task_graph.edge) ->
-          e.Task_graph.role = role
-          && e.Task_graph.dep_kind = Schema.Data_dep { optional = true })
-        (Task_graph.out_edges g out)
+  let tool =
+    Option.map
+      (fun nid -> match find nid with Some iid -> iid | None -> unselected nid)
+      inv.Task_graph.tool
   in
   let inputs =
     List.filter_map
       (fun (role, nid) ->
-        match Hashtbl.find_opt assignment nid with
+        match find nid with
         | Some iid -> Some (role, iid)
-        | None ->
-          if role_optional role then None
-          else
-            exec_errorf "node %d (%s) has no instance selected" nid
-              (node_entity nid))
+        | None -> if role_optional g inv role then None else unselected nid)
       inv.Task_graph.inputs
+  in
+  (tool, inputs)
+
+(* What an invocation's behaviour yields: its output values by entity
+   and its simulated cost. *)
+type outcome = {
+  values : (string * Ddf_data.value) list;
+  cost_us : int;
+  kind : [ `Composed | `Executed ];
+}
+
+(* Run an invocation's composer or tool over its resolved inputs,
+   reading payloads through [snap].  It reads only the context's
+   immutable schema and registry, so a helper domain may run it. *)
+let perform ctx snap out_entities ~tool ~inputs =
+  let args = List.map (fun (role, iid) -> (role, decode snap iid)) inputs in
+  match tool with
+  | None ->
+    (* composite entity: implicit composition function *)
+    let entity =
+      match out_entities with
+      | [ e ] -> e
+      | [] | _ :: _ -> exec_errorf "composite task must have one output"
+    in
+    let composer = Encapsulation.find_composer ctx.registry entity in
+    { values = [ (entity, composer args) ]; cost_us = 10; kind = `Composed }
+  | Some tool_iid ->
+    let tool_payload = decode snap tool_iid in
+    let tool_entity = Store.Snapshot.entity_of snap tool_iid in
+    let goal =
+      match out_entities with
+      | e :: _ -> e
+      | [] -> exec_errorf "invocation without outputs"
+    in
+    let enc = Encapsulation.resolve ctx.registry ctx.schema ~tool_entity ~goal in
+    let values =
+      enc.Encapsulation.behavior ~tool:tool_payload ~goals:out_entities args
+    in
+    { values; cost_us = enc.Encapsulation.cost_us args; kind = `Executed }
+
+(* Look-ahead for [execute ~domains]: helper domains run the behaviours
+   of later invocations whose inputs are already committed, while the
+   commit loop keeps serial order and takes a helper's outcome at the
+   invocation's turn.  A helper exits once nothing is ready, so no
+   idle domain takes part in the collections of a long behaviour.
+   The mutable fields are guarded by [lock]. *)
+type slot =
+  | Free
+  | Taken  (* a helper is running its behaviour *)
+  | Done of (outcome, exn * Printexc.raw_backtrace) result
+  | Passed  (* no helper runs it: the commit loop does, or skips it *)
+
+type ahead = {
+  lock : Mutex.t;
+  changed : Condition.t;
+  invs : Task_graph.invocation array;
+  ready_at : int array;
+      (* commits after which invocation j's tool and inputs are final:
+         one past the last invocation producing any of them *)
+  slots : slot array;
+  helpers : int;  (* the most helpers running at once *)
+  mutable live : int;  (* helpers running *)
+  mutable cursor : int;  (* the invocation the commit loop is at *)
+  mutable known : Store.iid Int_map.t;  (* the assignment before it *)
+  mutable view : view;  (* pinned before it *)
+  mutable stop : bool;
+}
+
+let look_ahead ctx invocations known ~helpers =
+  let invs = Array.of_list invocations in
+  {
+    lock = Mutex.create ();
+    changed = Condition.create ();
+    invs;
+    ready_at =
+      Array.of_list
+        (List.map
+           (List.fold_left (fun r p -> max r (p + 1)) 0)
+           (Task_graph.invocation_deps invocations));
+    (* an invocation whose outputs are all bound is skipped *)
+    slots =
+      Array.map
+        (fun (inv : Task_graph.invocation) ->
+          if List.for_all (fun o -> Int_map.mem o known) inv.Task_graph.outputs
+          then Passed
+          else Free)
+        invs;
+    helpers;
+    live = 0;
+    cursor = 0;
+    known;
+    view = pin ctx;
+    stop = false;
+  }
+
+(* Under [lock]: the invocations from [j] on that a helper may start. *)
+let rec ready a j =
+  if j >= Array.length a.invs then []
+  else
+    match a.slots.(j) with
+    | Free when a.ready_at.(j) <= a.cursor -> j :: ready a (j + 1)
+    | _ -> ready a (j + 1)
+
+(* A helper domain: claim the first invocation past the commit loop
+   whose inputs are final, and run it unless it is a memo hit; exit
+   when none is left. *)
+let rec help ctx g ~memo a =
+  let job =
+    Mutex.protect a.lock (fun () ->
+        match if a.stop then [] else ready a (a.cursor + 1) with
+        | j :: _ ->
+          a.slots.(j) <- Taken;
+          Some (j, a.known, a.view)
+        | [] ->
+          a.live <- a.live - 1;
+          None)
+  in
+  match job with
+  | None -> ()
+  | Some (j, known, view) ->
+    let inv = a.invs.(j) in
+    let slot =
+      match
+        let tool, inputs =
+          resolve_inputs g (fun nid -> Int_map.find_opt nid known) inv
+        in
+        let out_entities =
+          List.map (Task_graph.entity_of g) inv.Task_graph.outputs
+        in
+        if memo
+           && Option.is_some
+                (memo_lookup view.v_history ~tool ~inputs ~out_entities)
+        then None
+        else Some (perform ctx view.v_store out_entities ~tool ~inputs)
+      with
+      | Some outcome -> Done (Ok outcome)
+      | None -> Passed
+      | exception e -> Done (Error (e, Printexc.get_raw_backtrace ()))
+    in
+    Mutex.protect a.lock (fun () ->
+        a.slots.(j) <- slot;
+        Condition.broadcast a.changed);
+    help ctx g ~memo a
+
+(* How many helpers to start for the invocations ready now. *)
+let wanted a =
+  Mutex.protect a.lock (fun () ->
+      let n =
+        min (a.helpers - a.live) (List.length (ready a (a.cursor + 1)))
+      in
+      a.live <- a.live + n;
+      n)
+
+(* The commit loop at invocation [j] after a memo miss: a helper's
+   outcome, waited for if a helper is running it, or [None] when the
+   loop must run it itself. *)
+let outcome_of a j =
+  Mutex.protect a.lock (fun () ->
+      let rec await () =
+        match a.slots.(j) with
+        | Taken ->
+          Condition.wait a.changed a.lock;
+          await ()
+        | Done r -> Some r
+        | Free | Passed -> None
+      in
+      await ())
+
+(* Publish the commit of the invocation at the cursor to the helpers. *)
+let advance a ctx known =
+  let view = pin ctx in
+  Mutex.protect a.lock (fun () ->
+      a.known <- known;
+      a.view <- view;
+      a.cursor <- a.cursor + 1)
+
+let stop a = Mutex.protect a.lock (fun () -> a.stop <- true)
+
+(* Execute the [j]th invocation under the current assignment: a memo
+   hit, or a behaviour run (by a helper domain when [ahead] holds its
+   outcome) whose outputs are stored and recorded. *)
+let run_invocation ~memo ?ahead ctx g assignment j (inv : Task_graph.invocation) =
+  let node_entity nid = Task_graph.entity_of g nid in
+  let tool, inputs =
+    resolve_inputs g (fun nid -> Int_map.find_opt nid !assignment) inv
   in
   let out_entities = List.map node_entity inv.Task_graph.outputs in
   let assign_outputs outputs_by_entity =
@@ -209,13 +394,15 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
       (fun nid ->
         let entity = node_entity nid in
         match List.assoc_opt entity outputs_by_entity with
-        | Some iid -> Hashtbl.replace assignment nid iid
+        | Some iid -> assignment := Int_map.add nid iid !assignment
         | None ->
           exec_errorf "task produced no output for entity %s" entity)
       inv.Task_graph.outputs
   in
   match
-    if memo then memo_lookup ctx ~tool ~inputs ~out_entities else None
+    if memo then
+      memo_lookup (History.snapshot ctx.history) ~tool ~inputs ~out_entities
+    else None
   with
   | Some r ->
     Metrics.incr m_memo;
@@ -227,37 +414,12 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
     assign_outputs r.History.outputs;
     `Memo
   | None ->
-    let args =
-      List.map (fun (role, iid) -> (role, payload ctx iid)) inputs
-    in
     let t0 = if Obs.enabled () then Obs.now_us () else 0.0 in
-    let outcome, cost_us, kind =
-      match inv.Task_graph.tool with
-      | None ->
-        (* composite entity: implicit composition function *)
-        let entity =
-          match out_entities with
-          | [ e ] -> e
-          | [] | _ :: _ -> exec_errorf "composite task must have one output"
-        in
-        let composer = Encapsulation.find_composer ctx.registry entity in
-        ([ (entity, composer args) ], 10, `Composed)
-      | Some tool_nid ->
-        let tool_iid = lookup tool_nid in
-        let tool_payload = payload ctx tool_iid in
-        let tool_entity = Store.entity_of ctx.store tool_iid in
-        let goal =
-          match out_entities with
-          | e :: _ -> e
-          | [] -> exec_errorf "invocation without outputs"
-        in
-        let enc =
-          Encapsulation.resolve ctx.registry ctx.schema ~tool_entity ~goal
-        in
-        let outcome =
-          enc.Encapsulation.behavior ~tool:tool_payload ~goals:out_entities args
-        in
-        (outcome, enc.Encapsulation.cost_us args, `Executed)
+    let { values; cost_us; kind } =
+      match Option.bind ahead (fun a -> outcome_of a j) with
+      | Some (Ok outcome) -> outcome
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> perform ctx (Store.snapshot ctx.store) out_entities ~tool ~inputs
     in
     (* store outputs and record the derivation *)
     let at = tick ctx in
@@ -271,7 +433,7 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
           in
           let meta = Store.meta ~user:ctx.user ~label ~created_at:at () in
           (entity, put ctx ~entity ~meta value))
-        outcome
+        values
     in
     let task_entity =
       match out_entities with e :: _ -> e | [] -> assert false
@@ -306,10 +468,13 @@ let run_invocation ?(memo = true) ctx g assignment (inv : Task_graph.invocation)
 (* Execute a complete flow.  [bindings] selects instances for leaf
    nodes (and optionally pre-computed inner nodes).  Derived nodes are
    computed in dependency order; sub-flows whose nodes are all bound
-   are left untouched. *)
-let execute ?(memo = true) ctx g ~bindings =
+   are left untouched.  With [domains] > 1, helper domains run later
+   invocations' behaviours ahead of the commit loop, which commits
+   exactly what a serial run commits. *)
+let execute ?(domains = 1) ?(memo = true) ctx g ~bindings =
+  if domains < 1 then exec_errorf "domains must be at least 1, not %d" domains;
   Task_graph.validate g;
-  let assignment = Hashtbl.create 32 in
+  let assignment = ref Int_map.empty in
   List.iter
     (fun (nid, iid) ->
       let entity = Task_graph.entity_of g nid in
@@ -318,8 +483,9 @@ let execute ?(memo = true) ctx g ~bindings =
         exec_errorf ~code:`Type_error "instance #%d (%s) cannot fill node %d (%s)" iid
           inst_entity
           nid entity;
-      Hashtbl.replace assignment nid iid)
+      assignment := Int_map.add nid iid !assignment)
     bindings;
+  let bound nid = Int_map.mem nid !assignment in
   (* a leaf must be bound when (a) some invocation that will actually
      run consumes it through a mandatory role -- sub-flows beneath
      pre-bound nodes are skipped entirely -- or (b) it is an unconsumed
@@ -327,27 +493,13 @@ let execute ?(memo = true) ctx g ~bindings =
   let needed = Hashtbl.create 16 in
   List.iter
     (fun (inv : Task_graph.invocation) ->
-      let runs =
-        not (List.for_all (Hashtbl.mem assignment) inv.Task_graph.outputs)
-      in
-      if runs then begin
+      if not (List.for_all bound inv.Task_graph.outputs) then begin
         (match inv.Task_graph.tool with
         | Some t -> Hashtbl.replace needed t ()
         | None -> ());
         List.iter
           (fun (role, nid) ->
-            let optional =
-              match inv.Task_graph.outputs with
-              | [] -> false
-              | out :: _ ->
-                List.exists
-                  (fun (e : Task_graph.edge) ->
-                    e.Task_graph.role = role
-                    && e.Task_graph.dep_kind
-                       = Schema.Data_dep { optional = true })
-                  (Task_graph.out_edges g out)
-            in
-            if not optional then Hashtbl.replace needed nid ())
+            if not (role_optional g inv role) then Hashtbl.replace needed nid ())
           inv.Task_graph.inputs
       end)
     (Task_graph.invocations g);
@@ -355,42 +507,66 @@ let execute ?(memo = true) ctx g ~bindings =
     (fun nid ->
       let required =
         Hashtbl.mem needed nid
-        || (Task_graph.in_edges g nid = [] && not (Hashtbl.mem assignment nid))
+        || (Task_graph.in_edges g nid = [] && not (bound nid))
       in
-      if required && not (Hashtbl.mem assignment nid) then
+      if required && not (bound nid) then
         exec_errorf "leaf node %d (%s) has no instance selected" nid
           (Task_graph.entity_of g nid))
     (Task_graph.leaves g);
   Metrics.incr m_runs;
   let stats = ref no_stats in
   let costs = ref [] in
+  let invocations = ordered_invocations g in
+  let helpers = min (domains - 1) (List.length invocations - 1) in
+  let ahead =
+    if helpers > 0 then Some (look_ahead ctx invocations !assignment ~helpers)
+    else None
+  in
+  let spawned = ref [] in
+  let start a =
+    for _ = 1 to wanted a do
+      spawned := Domain.spawn (fun () -> help ctx g ~memo a) :: !spawned
+    done
+  in
+  let commit_all () =
+    Option.iter start ahead;
+    List.iteri
+      (fun j (inv : Task_graph.invocation) ->
+        (if not (List.for_all bound inv.Task_graph.outputs) then
+           match run_invocation ~memo ?ahead ctx g assignment j inv with
+           | `Memo -> stats := { !stats with memo_hits = !stats.memo_hits + 1 }
+           | `Compose c ->
+             stats := { !stats with composed = !stats.composed + 1 };
+             costs := (inv.Task_graph.outputs, c) :: !costs
+           | `Ran c ->
+             stats := { !stats with executed = !stats.executed + 1 };
+             costs := (inv.Task_graph.outputs, c) :: !costs);
+        Option.iter
+          (fun a ->
+            advance a ctx !assignment;
+            start a)
+          ahead)
+      invocations
+  in
   Obs.with_span ~cat:"engine" ~logical:ctx.clock
     ~attrs:
       [
         ("nodes", Obs.Int (Task_graph.size g));
-        ("invocations", Obs.Int (List.length (Task_graph.invocations g)));
+        ("invocations", Obs.Int (List.length invocations));
       ]
     "engine.execute"
     (fun () ->
-      List.iter
-        (fun (inv : Task_graph.invocation) ->
-          let already_done =
-            List.for_all (Hashtbl.mem assignment) inv.Task_graph.outputs
-          in
-          if not already_done then
-            match run_invocation ~memo ctx g assignment inv with
-            | `Memo -> stats := { !stats with memo_hits = !stats.memo_hits + 1 }
-            | `Compose c ->
-              stats := { !stats with composed = !stats.composed + 1 };
-              costs := (inv.Task_graph.outputs, c) :: !costs
-            | `Ran c ->
-              stats := { !stats with executed = !stats.executed + 1 };
-              costs := (inv.Task_graph.outputs, c) :: !costs)
-        (ordered_invocations g));
+      match ahead with
+      | None -> commit_all ()
+      | Some a ->
+        (* a raise in the loop surfaces only once every helper is joined *)
+        Fun.protect
+          ~finally:(fun () ->
+            stop a;
+            List.iter Domain.join !spawned)
+          commit_all);
   {
-    assignment =
-      Hashtbl.fold (fun nid iid acc -> (nid, iid) :: acc) assignment []
-      |> List.sort compare;
+    assignment = Int_map.bindings !assignment;
     stats = !stats;
     costs = List.rev !costs;
   }
@@ -461,7 +637,8 @@ let try_batch ?(memo = true) ctx g nid iids =
       let inputs = List.mapi (fun i iid -> (Printf.sprintf "part%d" i, iid)) iids in
       match
         if memo then
-          memo_lookup ctx ~tool:None ~inputs ~out_entities:[ entity ]
+          memo_lookup (History.snapshot ctx.history) ~tool:None ~inputs
+            ~out_entities:[ entity ]
         else None
       with
       | Some r -> List.assoc_opt entity r.History.outputs

@@ -42,7 +42,7 @@ type view = {
 (** A pinned read view over a context: the store and history captured
     together, lock-free.  Every read through one view is repeatable —
     concurrent writer commits are invisible.  This is what the server's
-    domain-pool read executor and {!Parallel} flow branches read
+    domain-pool read executor and {!execute}'s helper domains read
     through. *)
 
 val pin : context -> view
@@ -90,24 +90,26 @@ type run = {
           execution order — replayed by {!Parallel.schedule} *)
 }
 
-val ordered_invocations : Task_graph.t -> Task_graph.invocation list
-(** Invocations in dependency order (used by the parallel executor). *)
-
-val memo_lookup :
-  context -> tool:Store.iid option -> inputs:(string * Store.iid) list ->
-  out_entities:string list -> History.record option
-(** The consistency lookup: an existing record of the same task with
-    the same tool and inputs, covering all the requested outputs. *)
-
 val execute :
-  ?memo:bool -> context -> Task_graph.t ->
+  ?domains:int -> ?memo:bool -> context -> Task_graph.t ->
   bindings:(int * Store.iid) list -> run
 (** Execute a flow.  [bindings] selects instances for leaves (and
     optionally pre-computed inner nodes); leaves filling only optional
     roles may stay unbound.  With [memo] (default), identical tasks are
     resolved from the history.
-    @raise Ddf_core.Error.Ddf_error on unbound mandatory leaves, incompatible
-    bindings or missing outputs. *)
+
+    With [domains] (default 1) above 1, [domains - 1] helper domains
+    run the behaviours of later invocations once every instance they
+    read is committed (Fig. 6: disjoint branches run in parallel),
+    through one pinned view each.  The commit loop still walks the
+    invocations in dependency order, repeats each memo lookup, and
+    stores and records outputs as a serial run does, taking a helper's
+    outcome in place of running the tool itself.  So for every domain
+    count the store, history, clock, labels and the returned [run] are
+    those of [domains = 1], which spawns nothing; a behaviour that
+    raises surfaces at its turn, after every helper is joined.
+    @raise Ddf_core.Error.Ddf_error on [domains < 1], unbound mandatory
+    leaves, incompatible bindings or missing outputs. *)
 
 val execute_fanout :
   ?memo:bool -> ?max_combinations:int -> context -> Task_graph.t ->

@@ -1,27 +1,14 @@
-(* Parallel task execution (Fig. 6): disjoint branches of a flow can
-   execute in parallel, possibly on different machines.
-
-   Two facilities:
-   - [schedule]: deterministic list scheduling of a flow's invocations
-     onto a simulated machine pool, using the costs observed during a
-     real run -- the makespan/speedup numbers of experiment E6;
-   - [execute_parallel]: actual multicore execution with OCaml domains,
-     wave by wave; tool behaviours run concurrently, store and history
-     commits stay sequential. *)
+(* Parallel task execution (Fig. 6) on a simulated machine pool:
+   deterministic list scheduling of a flow's invocations, using the
+   costs observed during a real run -- the makespan/speedup numbers of
+   experiment E6.  Real multicore execution is [Engine.execute
+   ~domains]. *)
 
 open Ddf_graph
-open Ddf_store
-open Ddf_tools
 module Obs = Ddf_obs.Obs
 module Metrics = Ddf_obs.Metrics
 
 let m_schedules = Metrics.counter "parallel.schedules"
-let m_waves = Metrics.counter "parallel.waves"
-let m_parallel_executed = Metrics.counter "parallel.executed"
-
-(* ------------------------------------------------------------------ *)
-(* Machine-pool simulation                                             *)
-(* ------------------------------------------------------------------ *)
 
 type entry = {
   outputs : int list;
@@ -50,23 +37,6 @@ let heuristic_name = function
   | Shortest_first -> "shortest-first"
   | Fifo -> "fifo"
 
-(* Invocation-level dependency DAG: A precedes B when one of A's
-   outputs is an input (or the tool) of B. *)
-let invocation_deps invocations =
-  let producer = Hashtbl.create 32 in
-  List.iteri
-    (fun i (inv : Task_graph.invocation) ->
-      List.iter (fun o -> Hashtbl.replace producer o i) inv.Task_graph.outputs)
-    invocations;
-  List.map
-    (fun (inv : Task_graph.invocation) ->
-      let ins =
-        (match inv.Task_graph.tool with Some t -> [ t ] | None -> [])
-        @ List.map snd inv.Task_graph.inputs
-      in
-      List.filter_map (Hashtbl.find_opt producer) ins |> List.sort_uniq compare)
-    invocations
-
 let schedule ?(heuristic = Longest_first) g ~costs ~machines =
   if machines < 1 then raise (Schedule_error "need at least one machine");
   Metrics.incr m_schedules;
@@ -87,7 +57,7 @@ let schedule ?(heuristic = Longest_first) g ~costs ~machines =
         cost_of inv.Task_graph.outputs <> None)
       invocations
   in
-  let deps_all = invocation_deps timed in
+  let deps_all = Task_graph.invocation_deps timed in
   let n = List.length timed in
   let inv_arr = Array.of_list timed in
   let deps = Array.of_list deps_all in
@@ -188,181 +158,3 @@ let chrome_trace_of_schedule ?label_of s =
 let pp_schedule ppf s =
   Fmt.pf ppf "%d machines: serial %d us, makespan %d us, speedup %.2fx"
     s.machines s.serial_us s.makespan_us (speedup s)
-
-(* ------------------------------------------------------------------ *)
-(* Real multicore execution                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Wave-parallel execution: repeatedly take every invocation whose
-   dependencies are all assigned, run their behaviours in domains, then
-   commit outputs sequentially. *)
-let execute_parallel ?(domains = 4) ?(memo = true) (ctx : Engine.context) g
-    ~bindings =
-  Task_graph.validate g;
-  let assignment = Hashtbl.create 32 in
-  List.iter (fun (nid, iid) -> Hashtbl.replace assignment nid iid) bindings;
-  let pending = ref (Engine.ordered_invocations g) in
-  let executed = ref 0 in
-  let wave = ref 0 in
-  while !pending <> [] do
-    incr wave;
-    Metrics.incr m_waves;
-    Obs.with_span ~cat:"parallel"
-      ~attrs:[ ("wave", Obs.Int !wave) ]
-      "parallel.wave"
-    @@ fun () ->
-    let ready, blocked =
-      List.partition
-        (fun (inv : Task_graph.invocation) ->
-          let needs =
-            (match inv.Task_graph.tool with Some t -> [ t ] | None -> [])
-            @ List.map snd inv.Task_graph.inputs
-          in
-          List.for_all (Hashtbl.mem assignment) needs)
-        !pending
-    in
-    if ready = [] then
-      Ddf_core.Error.errorf `Invalid "parallel execution stuck: unbound leaves";
-    (* skip invocations whose outputs are pre-bound *)
-    let ready =
-      List.filter
-        (fun (inv : Task_graph.invocation) ->
-          not (List.for_all (Hashtbl.mem assignment) inv.Task_graph.outputs))
-        ready
-    in
-    (* resolve memo hits inline before spawning any work *)
-    let ready =
-      List.filter
-        (fun (inv : Task_graph.invocation) ->
-          let lookup nid = Hashtbl.find assignment nid in
-          let inputs =
-            List.map (fun (role, nid) -> (role, lookup nid)) inv.Task_graph.inputs
-          in
-          let tool = Option.map lookup inv.Task_graph.tool in
-          let out_entities =
-            List.map (Task_graph.entity_of g) inv.Task_graph.outputs
-          in
-          match
-            if memo then Engine.memo_lookup ctx ~tool ~inputs ~out_entities
-            else None
-          with
-          | None -> true
-          | Some r ->
-            List.iter
-              (fun nid ->
-                match
-                  List.assoc_opt (Task_graph.entity_of g nid)
-                    r.Ddf_history.History.outputs
-                with
-                | Some iid -> Hashtbl.replace assignment nid iid
-                | None -> ())
-              inv.Task_graph.outputs;
-            false)
-        ready
-    in
-    (* Pin one store snapshot for the whole wave: every instance a
-       ready invocation references was committed in an earlier wave, so
-       the snapshot covers it, and the payload lookups then run
-       *inside* the spawned domains — lock-free reads on real cores
-       instead of a serial resolve on the coordinator. *)
-    let snap = Store.snapshot ctx.Engine.store in
-    (* prepare each invocation: graph/assignment lookups stay on the
-       coordinator, payload resolution moves into the worker domain *)
-    let prepared =
-      List.map
-        (fun (inv : Task_graph.invocation) ->
-          let node_entity nid = Task_graph.entity_of g nid in
-          let lookup nid = Hashtbl.find assignment nid in
-          let inputs =
-            List.map (fun (role, nid) -> (role, lookup nid)) inv.Task_graph.inputs
-          in
-          let resolve_args () =
-            List.map
-              (fun (role, iid) -> (role, Engine.decode snap iid))
-              inputs
-          in
-          let out_entities = List.map node_entity inv.Task_graph.outputs in
-          let work =
-            match inv.Task_graph.tool with
-            | None ->
-              let entity = List.hd out_entities in
-              let composer =
-                Encapsulation.find_composer ctx.Engine.registry entity
-              in
-              fun () -> [ (entity, composer (resolve_args ())) ]
-            | Some tool_nid ->
-              let tool_iid = lookup tool_nid in
-              let tool_entity = Store.Snapshot.entity_of snap tool_iid in
-              let enc =
-                Encapsulation.resolve ctx.Engine.registry ctx.Engine.schema
-                  ~tool_entity ~goal:(List.hd out_entities)
-              in
-              fun () ->
-                enc.Encapsulation.behavior
-                  ~tool:(Engine.decode snap tool_iid)
-                  ~goals:out_entities (resolve_args ())
-          in
-          (inv, inputs, work))
-        ready
-    in
-    (* run in batches of [domains] *)
-    let rec batches = function
-      | [] -> []
-      | l ->
-        let rec take n acc = function
-          | [] -> (List.rev acc, [])
-          | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        let batch, rest = take domains [] l in
-        batch :: batches rest
-    in
-    List.iter
-      (fun batch ->
-        let handles =
-          List.map
-            (fun (inv, inputs, work) ->
-              (inv, inputs, Domain.spawn work))
-            batch
-        in
-        (* sequential commit *)
-        List.iter
-          (fun ((inv : Task_graph.invocation), inputs, handle) ->
-            let outcome = Domain.join handle in
-            let at = Engine.tick ctx in
-            let stored =
-              List.map
-                (fun (entity, value) ->
-                  let meta =
-                    Store.meta ~user:ctx.Engine.user
-                      ~label:(Ddf_data.summary value) ~created_at:at ()
-                  in
-                  (entity, Engine.put ctx ~entity ~meta value))
-                outcome
-            in
-            let tool = Option.map (Hashtbl.find assignment) inv.Task_graph.tool in
-            let task_entity =
-              Task_graph.entity_of g (List.hd inv.Task_graph.outputs)
-            in
-            ignore
-              (Ddf_history.History.add ctx.Engine.history ctx.Engine.store
-                 ctx.Engine.schema ~task_entity ~tool
-                 ~inputs ~outputs:stored ~at);
-            List.iter
-              (fun nid ->
-                let entity = Task_graph.entity_of g nid in
-                match List.assoc_opt entity stored with
-                | Some iid -> Hashtbl.replace assignment nid iid
-                | None ->
-                  Ddf_core.Error.errorf `Internal "no output for entity %s"
-                    entity)
-              inv.Task_graph.outputs;
-            incr executed;
-            Metrics.incr m_parallel_executed)
-          handles)
-      (batches prepared);
-    pending := blocked
-  done;
-  ( Hashtbl.fold (fun nid iid acc -> (nid, iid) :: acc) assignment []
-    |> List.sort compare,
-    !executed )

@@ -1,10 +1,10 @@
 (** Parallel task execution (Fig. 6): disjoint branches of a flow can
-    execute in parallel, possibly on different machines. *)
+    execute in parallel, possibly on different machines.  This module
+    simulates a machine pool from a real run's costs; real multicore
+    execution is {!Engine.execute} with [~domains], whose outcome is a
+    serial run's. *)
 
 open Ddf_graph
-open Ddf_store
-
-(** {1 Machine-pool simulation} *)
 
 type entry = {
   outputs : int list;   (** output nodes of the scheduled invocation *)
@@ -48,14 +48,3 @@ val chrome_trace_of_schedule :
     Perfetto.  [label_of] names an invocation from its output nodes. *)
 
 val pp_schedule : Format.formatter -> schedule -> unit
-
-(** {1 Real multicore execution} *)
-
-val execute_parallel :
-  ?domains:int -> ?memo:bool -> Engine.context -> Task_graph.t ->
-  bindings:(int * Store.iid) list -> (int * Store.iid) list * int
-(** Wave-parallel execution with OCaml domains: every ready invocation
-    of a wave runs its behaviour concurrently; store and history
-    commits stay sequential.  Returns the assignment and the number of
-    invocations executed.  Payloads are identical to a serial
-    {!Engine.execute} (tested). *)

@@ -420,6 +420,20 @@ let invocations g =
       { inv with outputs = List.sort compare inv.outputs })
     !order
 
+(* Invocation-level dependency DAG: A precedes B when one of A's
+   outputs is an input (or the tool) of B. *)
+let invocation_deps invocations =
+  let producer = Hashtbl.create 32 in
+  List.iteri
+    (fun i inv -> List.iter (fun o -> Hashtbl.replace producer o i) inv.outputs)
+    invocations;
+  List.map
+    (fun inv ->
+      Option.to_list inv.tool @ List.map snd inv.inputs
+      |> List.filter_map (Hashtbl.find_opt producer)
+      |> List.sort_uniq compare)
+    invocations
+
 (* ------------------------------------------------------------------ *)
 (* Subflows                                                            *)
 (* ------------------------------------------------------------------ *)

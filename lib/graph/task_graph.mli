@@ -120,6 +120,10 @@ val invocations : t -> invocation list
     share one tool node and the same input nodes run as a single tool
     call (Fig. 5). Composite entities yield [tool = None]. *)
 
+val invocation_deps : invocation list -> int list list
+(** For each invocation of the list, the positions in the list of the
+    invocations producing its tool or inputs, ascending. *)
+
 val subflow : t -> int -> t
 (** Induced sub-graph reachable from a node; node ids are preserved.
     A subflow may be run independently whenever its own dependencies

@@ -193,8 +193,9 @@ val trace_text : t -> 'a Store.t -> Schema.t -> Store.iid -> string
     (["[417] d?/netlist: edited_netlist#834"]), so the text grows
     linearly with the derivation, not with its depth squared.  It
     checks nothing, and it has the leaves {!trace} has.  The work per
-    node is two map lookups (the store's entity, the producing record)
-    and one binding in a table private to the call. *)
+    node is two [Dense] column reads (the store's entity, the producing
+    record) and two writes into int arrays of a scratch stamped per
+    walk, so a walk allocates no table. *)
 
 (** {1 Query by template (section 4.2)} *)
 

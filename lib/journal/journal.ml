@@ -28,8 +28,8 @@
    makes a torn tail (crash mid-append) detectable: recovery truncates
    the log at the last complete frame and replays the rest.  Entries
    carry the engine's logical clock so replay restores it exactly;
-   counters (next iid / next rid) are restored through the stores'
-   [tick] accessors.
+   iids and rids are dense, so the next of each ([Store.tick],
+   [History.tick]) is the count replayed + 1 and needs no entry.
 
    Sequence numbers.  Every entry ever journaled has a global sequence
    number: the snapshot covers entries 1..base (persisted in base.ddf,

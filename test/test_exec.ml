@@ -37,6 +37,33 @@ let fig5_setup () =
   in
   (w, f, bindings)
 
+(* A flow whose sim_options leaf fills only an optional role and stays
+   unbound. *)
+let optional_leaf_flow domains =
+  let w = Workspace.create () in
+  let ctx = Workspace.ctx w in
+  let nl = Eda.Circuits.c17 () in
+  let nl_iid = Workspace.install_netlist w nl in
+  let stim_iid =
+    Workspace.install_stimuli w
+      (Eda.Stimuli.exhaustive nl.Eda.Netlist.primary_inputs)
+  in
+  let g, perf = Task_graph.create (Workspace.schema w) E.performance in
+  let g, _ = Task_graph.expand g perf in  (* includes sim_options *)
+  let circuit = Workspace.find_nodes g E.circuit in
+  let g, _ = Task_graph.expand g (List.hd circuit) in
+  let bindings =
+    Workspace.bind_catalog_tools w g
+      ~already:
+        ((List.hd (Workspace.find_nodes g E.netlist), nl_iid)
+        :: (List.hd (Workspace.find_nodes g E.stimuli), stim_iid)
+        :: [ (List.hd (Workspace.find_nodes g E.device_models),
+              Workspace.default_device_models w) ])
+  in
+  let run = Engine.execute ~domains ctx g ~bindings in
+  check Alcotest.bool "performance produced" true
+    (Engine.result_of run perf > 0)
+
 let engine_tests =
   [
     t "fig5 executes end to end" (fun () ->
@@ -84,32 +111,9 @@ let engine_tests =
             bindings
         in
         Engine.execute (Workspace.ctx w) f.Standard_flows.f5_graph ~bindings);
-    t "optional leaves may stay unbound" (fun () ->
-        let w = Workspace.create () in
-        let ctx = Workspace.ctx w in
-        let nl = Eda.Circuits.c17 () in
-        let nl_iid = Workspace.install_netlist w nl in
-        let stim_iid =
-          Workspace.install_stimuli w
-            (Eda.Stimuli.exhaustive nl.Eda.Netlist.primary_inputs)
-        in
-        let g, perf = Task_graph.create (Workspace.schema w) E.performance in
-        let g, _ = Task_graph.expand g perf in  (* includes sim_options *)
-        let circuit = Workspace.find_nodes g E.circuit in
-        let g, _ =
-          Task_graph.expand g (List.hd circuit)
-        in
-        let bindings =
-          Workspace.bind_catalog_tools w g
-            ~already:
-              ((List.hd (Workspace.find_nodes g E.netlist), nl_iid)
-              :: (List.hd (Workspace.find_nodes g E.stimuli), stim_iid)
-              :: [ (List.hd (Workspace.find_nodes g E.device_models),
-                    Workspace.default_device_models w) ])
-        in
-        let run = Engine.execute ctx g ~bindings in
-        check Alcotest.bool "performance produced" true
-          (Engine.result_of run perf > 0));
+    t "optional leaves may stay unbound" (fun () -> optional_leaf_flow 1);
+    t "helper domains allow unbound optional leaves" (fun () ->
+        optional_leaf_flow 2);
     t "fan-out runs once per selected instance" (fun () ->
         let w = Workspace.create () in
         let ctx = Workspace.ctx w in
@@ -213,22 +217,12 @@ let parallel_tests =
         check Alcotest.bool "ordered" true
           (simulation.Parallel.start_us >= extraction.Parallel.finish_us));
     t "domain execution matches serial results" (fun () ->
-        let w, f, bindings = fig5_setup () in
-        let ctx = Workspace.ctx w in
-        let serial = Engine.execute ctx f.Standard_flows.f5_graph ~bindings in
-        let w2, f2, bindings2 = fig5_setup () in
-        let ctx2 = Workspace.ctx w2 in
-        let assignment, executed =
-          Parallel.execute_parallel ~domains:3 ctx2 f2.Standard_flows.f5_graph
-            ~bindings:bindings2
+        let run domains =
+          let w, f, bindings = fig5_setup () in
+          Engine.execute ~domains (Workspace.ctx w) f.Standard_flows.f5_graph
+            ~bindings
         in
-        check Alcotest.int "five invocations" 5 executed;
-        let hash w r nid =
-          Store.hash_of (Workspace.store w) (List.assoc nid r)
-        in
-        check Alcotest.string "same performance payload"
-          (hash w serial.Engine.assignment f.Standard_flows.f5_performance)
-          (hash w2 assignment f2.Standard_flows.f5_performance));
+        check Alcotest.bool "the serial run" true (run 3 = run 1));
   ]
 
 let consistency_tests =
@@ -602,11 +596,97 @@ let parallel_memo_tests =
         let w, f, bindings = fig5_setup () in
         let ctx = Workspace.ctx w in
         let _ = Engine.execute ctx f.Standard_flows.f5_graph ~bindings in
-        let _, executed =
-          Parallel.execute_parallel ~domains:2 ctx f.Standard_flows.f5_graph
-            ~bindings
+        let run =
+          Engine.execute ~domains:2 ctx f.Standard_flows.f5_graph ~bindings
         in
-        check Alcotest.int "nothing re-executed" 0 executed);
+        check Alcotest.int "nothing re-executed" 0 run.Engine.stats.Engine.executed;
+        check Alcotest.int "nothing re-composed" 0 run.Engine.stats.Engine.composed);
+    Util.expect_exn "an ill-typed binding is refused before any tool runs"
+      (function
+        | Ddf.Error.Ddf_error { code = `Type_error; _ } -> true | _ -> false)
+      (fun () ->
+        let w, f, bindings = fig5_setup () in
+        let stim = Workspace.install_stimuli w (Eda.Stimuli.exhaustive [ "a" ]) in
+        let before = Sync.fingerprint (Workspace.ctx w) in
+        let bindings =
+          List.map
+            (fun (n, i) ->
+              if n = f.Standard_flows.f5_layout then (n, stim) else (n, i))
+            bindings
+        in
+        match
+          Engine.execute ~domains:2 (Workspace.ctx w) f.Standard_flows.f5_graph
+            ~bindings
+        with
+        | run -> run
+        | exception e ->
+          check Alcotest.string "nothing ran" before
+            (Sync.fingerprint (Workspace.ctx w));
+          raise e);
+    Util.expect_exn "fewer than one domain is refused"
+      (function Ddf.Error.Ddf_error { code = `Invalid; _ } -> true | _ -> false)
+      (fun () ->
+        let w, f, bindings = fig5_setup () in
+        Engine.execute ~domains:0 (Workspace.ctx w) f.Standard_flows.f5_graph
+          ~bindings);
+    t "a raising tool leaves what serial leaves" (fun () ->
+        (* three branches: an extraction, a tool with no encapsulation,
+           and another extraction that helpers may run ahead of it *)
+        let outcome domains =
+          let schema =
+            Schema.add_entity Standard_schemas.odyssey
+              (Schema.tool "mystery_tool" [])
+          in
+          let schema =
+            Schema.add_entity schema
+              (Schema.entity "mystery_output"
+                 [ Schema.functional "mystery_tool" ])
+          in
+          let ctx = Engine.create_context schema in
+          let extractor = Engine.install_tool ctx E.extractor in
+          let mystery =
+            Engine.install ctx ~entity:"mystery_tool"
+              (Value.Tool (Value.Builtin "?"))
+          in
+          let layout circuit =
+            Engine.install ctx ~entity:E.layout
+              (Value.Layout (Eda.Layout.place circuit))
+          in
+          let l1 = layout (Eda.Circuits.c17 ())
+          and l2 = layout (Eda.Circuits.full_adder ()) in
+          let branch (g, bindings) entity bind =
+            let g, out = Task_graph.add_node g entity in
+            let g, fresh = Task_graph.expand g out in
+            (g, List.map2 bind fresh (List.map (Task_graph.entity_of g) fresh)
+                @ bindings)
+          in
+          let extraction l nid entity =
+            (nid, if entity = E.extractor then extractor else l)
+          in
+          let g, bindings =
+            branch (Task_graph.empty schema, []) E.extracted_netlist
+              (extraction l1)
+          in
+          let g, bindings =
+            branch (g, bindings) "mystery_output" (fun nid _ -> (nid, mystery))
+          in
+          let g, bindings =
+            branch (g, bindings) E.extracted_netlist (extraction l2)
+          in
+          let raised =
+            match Engine.execute ~domains ctx g ~bindings with
+            | _ -> "nothing"
+            | exception e -> Printexc.to_string e
+          in
+          (raised, Sync.fingerprint ctx, ctx.Engine.clock,
+           History.size ctx.Engine.history)
+        in
+        let serial = outcome 1 in
+        let raised, _, _, records = serial in
+        check Alcotest.bool "serial raises" true (raised <> "nothing");
+        check Alcotest.int "after committing the first branch" 1 records;
+        check Alcotest.bool "the same exception and state" true
+          (outcome 3 = serial));
     t "critical path report is consistent" (fun () ->
         let nl = Eda.Circuits.ripple_adder 4 in
         let report = Eda.Performance.critical_path_report nl in

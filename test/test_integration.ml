@@ -4,7 +4,7 @@
 
    - execution succeeds and assigns every node;
    - an identical re-run is 100% memo hits with the same instances;
-   - wave-parallel execution produces payload-identical results;
+   - execution with helper domains has the serial run's outcome;
    - the workspace survives a save/load round trip with hashes intact. *)
 
 open Ddf
@@ -131,20 +131,22 @@ let executes_and_memoizes (seed, steps) =
   && r2.Engine.stats.Engine.composed = 0
   && r1.Engine.assignment = r2.Engine.assignment
 
+(* A flow's whole outcome on a fresh workspace at [domains]: the run,
+   the fingerprint, the history's records and every instance's meta. *)
+let outcome g domains =
+  let w = Workspace.create () in
+  let ctx = Workspace.ctx w in
+  let run = Engine.execute ~domains ctx g ~bindings:(auto_bindings w g) in
+  let store = Workspace.store w in
+  ( run,
+    Sync.fingerprint ctx,
+    History.records ctx.Engine.history,
+    List.map (Store.meta_of store) (Store.all_instances store) )
+
 let parallel_matches_serial (seed, steps) =
   let g = Flow_gen.random_flow seed steps in
-  let w1 = Workspace.create () in
-  let r1 = Engine.execute (Workspace.ctx w1) g ~bindings:(auto_bindings w1 g) in
-  let w2 = Workspace.create () in
-  let a2, _ =
-    Parallel.execute_parallel ~domains:2 (Workspace.ctx w2) g
-      ~bindings:(auto_bindings w2 g)
-  in
-  List.for_all
-    (fun nid ->
-      Store.hash_of (Workspace.store w1) (List.assoc nid r1.Engine.assignment)
-      = Store.hash_of (Workspace.store w2) (List.assoc nid a2))
-    (Task_graph.node_ids g)
+  let serial = outcome g 1 in
+  List.for_all (fun domains -> outcome g domains = serial) [ 2; 3 ]
 
 let survives_persistence (seed, steps) =
   let g = Flow_gen.random_flow seed steps in
