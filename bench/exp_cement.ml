@@ -300,9 +300,9 @@ let file_size path = (Unix.stat path).Unix.st_size
 
 (* One compaction of a 512-frame wal (512 stimuli installs on top of
    the previous rounds), five rounds.  The bytes it writes are read
-   from the kernel's count, not from the journal: what the checkpoint,
-   the segment's index and the base file hold is subtracted, and what
-   is left is frame bytes written again. *)
+   from the kernel's count, not from the journal: what the checkpoint
+   and the segment's index hold is subtracted, and what is left is
+   frame bytes written again. *)
 let compaction_io () =
   let frames = 512 and rounds = 5 in
   Bench_util.section
@@ -332,11 +332,10 @@ let compaction_io () =
             (Filename.concat dir
                (Printf.sprintf "cemented/segment-%012d-%012d.idx" first last))
         in
-        let base = file_size (Filename.concat dir "base.ddf") in
         let written =
           match (w0, w1) with Some a, Some b -> b - a | _ -> -1
         in
-        (wal, written, ckpt, idx, written - ckpt - idx - base, ms))
+        (wal, written, ckpt, idx, written - ckpt - idx, ms))
   in
   Journal.close j;
   rm_rf dir;
@@ -366,15 +365,14 @@ let compaction_io () =
       ("checkpoint_bytes", float_of_int ckpt);
       ("idx_bytes", float_of_int idx); ("ms", ms) ]
 
-let m_checkpoints = Metrics.counter "journal.checkpoints"
 
 (* Sixteen seal intervals of 512 stimuli installs, [maybe_compact]
    after each install as the server's writer runs it after each job.
    A checkpoint is written only once the sealed tail is as long as the
    prefix it covers, so of the sixteen seals those at 512 * 2^k write
    one.  The checkpoint bytes are the kernel's count of what the
-   compactions wrote, less each new segment's index and each base
-   write, summed and set against the final checkpoint's size: a
+   compactions wrote, less each new segment's index, summed and set
+   against the final checkpoint's size: a
    checkpoint rewritten at every seal reads about 8.5 there, one
    written at the doubling points under 2.  Then the restart time at
    the longest lag the policy allows (after fifteen seals: the
@@ -400,7 +398,6 @@ let checkpoint_io () =
           failwith "checkpoint_io: a seal before its interval ended"
       done;
       let first = Journal.base_seq j + 1 and last = Journal.seq j in
-      let checkpoints = Metrics.count m_checkpoints in
       let w0 = written_bytes () in
       if not (Journal.maybe_compact j) then failwith "checkpoint_io: no seal";
       let w1 = written_bytes () in
@@ -409,14 +406,9 @@ let checkpoint_io () =
           (Filename.concat dir
              (Printf.sprintf "cemented/segment-%012d-%012d.idx" first last))
       in
-      let base =
-        if Metrics.count m_checkpoints > checkpoints then
-          file_size (Filename.concat dir "base.ddf")
-        else 0
-      in
       bytes :=
         match (!bytes, w0, w1) with
-        | Some n, Some a, Some b -> Some (n + (b - a - idx - base))
+        | Some n, Some a, Some b -> Some (n + (b - a - idx))
         | _ -> None
     done;
     Journal.close j;

@@ -119,7 +119,7 @@ let with_workspace ?user ws_file f =
     match ws_file with
     | Some path when Sys.file_exists path -> (
       match Persist.load_file Standard_schemas.odyssey path with
-      | session -> Workspace.of_session session
+      | _, _, session -> Workspace.of_session session
       | exception Persist.Persist_error m ->
         Printf.eprintf "cannot load workspace: %s\n" m;
         exit 1
@@ -783,10 +783,10 @@ let serve_cmd =
       let j = Journal.open_ ~compact_every ~dir:db Standard_schemas.odyssey in
       let ctx = Journal.context j in
       Printf.printf
-        "%s: %d instance(s), %d history record(s), clock %d%s\n" db
+        "%s: %d instance(s), %d history record(s), clock %d, seq %d%s\n" db
         (Store.instance_count ctx.Engine.store)
         (History.size ctx.Engine.history)
-        ctx.Engine.clock
+        ctx.Engine.clock (Journal.seq j)
         (let torn = Journal.truncated_on_open j in
          if torn > 0 then Printf.sprintf " (%d byte(s) of torn tail dropped)" torn
          else "");

@@ -599,14 +599,17 @@ let iter_puts t f =
   in
   List.iter f (List.sort compare ids)
 
+(* Newest first: a process that dies midway leaves a store that still
+   starts where it did, which is how the journal tells it from the
+   line it was cleared for. *)
 let clear t =
   locked t @@ fun () ->
-  Array.iter
-    (fun seg ->
-      close_fds seg;
-      (try Sys.remove seg.s_path with Sys_error _ -> ());
-      try Sys.remove seg.s_idx with Sys_error _ -> ())
-    t.c_segments;
+  for i = Array.length t.c_segments - 1 downto 0 do
+    let seg = t.c_segments.(i) in
+    close_fds seg;
+    (try Sys.remove seg.s_path with Sys_error _ -> ());
+    try Sys.remove seg.s_idx with Sys_error _ -> ()
+  done;
   t.c_segments <- [||];
   Hashtbl.reset t.c_puts;
   Disk.fsync_path t.c_dir;

@@ -1,7 +1,7 @@
 (** Tiered cold storage for cemented journal history.
 
     The journal's entries are immutable once written: frames below the
-    compaction watermark ([base.ddf]) describe puts, annotations and
+    compaction watermark (the checkpoint's seq) describe puts, annotations and
     flow records that can never change again.  [Cement] keeps that
     history in {e segments} under a [cemented/] directory, so restart
     replay, anti-entropy catch-up and cold version/trace queries below
@@ -147,9 +147,11 @@ val iter_puts : t -> (int -> unit) -> unit
     reloadable. *)
 
 val clear : t -> unit
-(** Drop every segment — used when the journal's history is replaced
-    wholesale (a snapshot resync rebases the seqno line, so the old
-    cold history no longer belongs to this database). *)
+(** Drop every segment, newest first — used when the journal's history
+    is replaced wholesale (a snapshot resync rebases the seqno line, so
+    the old cold history no longer belongs to this database).  A
+    process that dies midway leaves the oldest segments, so the store
+    still starts where it did. *)
 
 val close : t -> unit
 (** Release cached descriptors.  The [t] stays usable (descriptors

@@ -137,8 +137,6 @@ let clear_observer h = h.observer <- None
 let set_conflict_observer h f = h.conflict_observer <- Some f
 let clear_conflict_observer h = h.conflict_observer <- None
 
-let conflict_tick h = (Atomic.get h.state).hs_next_cid
-
 let add_conflict h ~base ~ours ~theirs ~origin ~at =
   let c =
     update h (fun st ->
@@ -855,7 +853,6 @@ module Snapshot = struct
 
   let size st = Dense.length st.hs_records
   let tick st = size st + 1
-  let conflict_tick st = st.hs_next_cid
   let find = st_find
   let records = st_records
   let find_conflict = st_find_conflict

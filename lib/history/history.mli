@@ -128,10 +128,6 @@ val resolve_conflict : t -> int -> winner:Store.iid -> conflict
     @raise Ddf_core.Error.Ddf_error on an unknown id, a winner outside
     the conflict, or a contradictory re-resolution. *)
 
-val conflict_tick : t -> int
-(** The cid the next {!add_conflict} will assign (dense, like record
-    ids — journal replay asserts it). *)
-
 val set_conflict_observer : t -> (conflict_event -> unit) -> unit
 (** Install the single conflict observer (the journal subscribes here,
     like {!set_observer} for records).  [Conflict_resolved] carries the
@@ -267,7 +263,6 @@ module Snapshot : sig
 
   val size : t -> int
   val tick : t -> int
-  val conflict_tick : t -> int
   val find : t -> int -> record
   val records : t -> record list
   val find_conflict : t -> int -> conflict

@@ -3,12 +3,11 @@
    Layout of a database directory:
 
      snapshot.ddf   the checkpoint (Workspace_file, checkpoint format
-                    3, binary): instance meta-data, history, clock and
-                    flows; each payload is a reference to its cemented
-                    put frame, inline only when cement lacks that put.
-                    Optional.
+                    4, binary): the seq it covers, instance meta-data,
+                    history, clock and flows; each payload is a
+                    reference to its cemented put frame, inline only
+                    when cement lacks that put.  Optional.
      wal.ddf        framed log entries appended since the last seal
-     base.ddf       sequence number folded into the snapshot
      cemented/      the cement store: every sealed wal, as a segment
 
    Each log frame is
@@ -21,8 +20,8 @@
    or resolve).  A put carries its value as flat s-expression text: a
    wire install's bytes as the client sent them, or an engine-derived
    value printed once.  A database whose entries are s-expressions
-   (entry format 1), or whose checkpoint is (checkpoint formats 1 and
-   2), is refused at open.
+   (entry format 1), or whose checkpoint is of an earlier format
+   (checkpoint formats 1 to 3), is refused at open.
 
    The frame header makes entries self-delimiting and the checksum
    makes a torn tail (crash mid-append) detectable: recovery truncates
@@ -32,12 +31,13 @@
    [History.tick]) is the count replayed + 1 and needs no entry.
 
    Sequence numbers.  Every entry ever journaled has a global sequence
-   number: the snapshot covers entries 1..base (persisted in base.ddf,
-   0 when absent), the cement store holds sealed wals up to its
-   last_seq, and the wal holds max(base, last_seq)+1..seq.  Seqnos are
-   not written into the frames — the i-th wal frame is entry
-   max(base, last_seq)+i — they exist so a replication stream can name
-   frames exactly ([entries_since], [apply], the frame observer). *)
+   number: the checkpoint covers entries 1..c (its header names c,
+   and [from], the first entry of its line's cement, or of the wal when
+   there is none), the cement store holds sealed wals up to its
+   last_seq, and the wal holds max(c, last_seq)+1..seq.  Replay skips
+   every frame at or below c by its seqno.  Seqnos are not written
+   into the frames — the i-th wal frame is entry base+i — they exist
+   so a replication stream can name frames exactly. *)
 
 open Ddf_store
 open Ddf_history
@@ -82,7 +82,7 @@ type t = {
   mutable j_index : Cement.index;    (* one index line per wal frame *)
   mutable j_entries : int;           (* frames in the wal *)
   mutable j_base : int;              (* seq before the wal's first frame *)
-  mutable j_checkpoint : int;        (* seq the checkpoint covers, in base.ddf *)
+  mutable j_checkpoint : int;        (* seq the checkpoint covers, in its header *)
   mutable j_seq : int;               (* seq of the last entry = base + entries *)
   j_truncated : int;                 (* torn-tail bytes dropped on open *)
   mutable j_closed : bool;
@@ -130,28 +130,9 @@ let check_writable j =
 
 let snapshot_path dir = Filename.concat dir "snapshot.ddf"
 let wal_path dir = Filename.concat dir "wal.ddf"
-let base_path dir = Filename.concat dir "base.ddf"
 let cemented_dir dir = Filename.concat dir "cemented"
 
 let snapshot_file j = snapshot_path j.j_dir
-
-(* The base seqno is a tiny self-checking text file, replaced
-   atomically so a crash leaves either the old or the new base. *)
-let read_base dir =
-  if not (Sys.file_exists (base_path dir)) then 0
-  else
-    let ic = open_in_bin (base_path dir) in
-    let line = try input_line ic with End_of_file -> "" in
-    close_in ic;
-    match String.split_on_char ' ' (String.trim line) with
-    | [ "B1"; n ] -> (
-      match int_of_string_opt n with
-      | Some b when b >= 0 -> b
-      | Some _ | None -> journal_errorf "base.ddf: bad sequence %S" n)
-    | _ -> journal_errorf "base.ddf: malformed (%S)" line
-
-let write_base dir base =
-  Disk.replace (base_path dir) (fun oc -> Printf.fprintf oc "B1 %d\n" base)
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
@@ -198,17 +179,10 @@ let read_wal ?(off = 0) path ~base f =
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [lenient] makes replay idempotent: an entry whose effect is already
-   present (same instance/record/conflict with identical content) is
-   skipped instead of raising "log out of order".  Open-time replay
-   passes it: a crash between a checkpoint rename and its base write
-   leaves the cemented frames past the base in the checkpoint, and a
-   wal may be too (the checkpoint a cement restart or a resync renames
-   before its base write covers it).  Divergent content under a
-   replayed id still errors: leniency covers exact re-application,
-   never conflicting history.  [cold] loads a put as a checkpoint's
-   [cemented SEQ] slot does, its value checked at its first read. *)
-let replay_entry ?(lenient = false) ?(cold = false) ctx payload =
+(* Apply one entry; ids must come back dense, in order.  [cold] loads a
+   put as a checkpoint's [cemented SEQ] slot does, its value checked at
+   its first read. *)
+let replay_entry ?(cold = false) ctx payload =
   let store = ctx.Ddf_exec.Engine.store in
   let history = ctx.Ddf_exec.Engine.history in
   let advance clock =
@@ -217,66 +191,32 @@ let replay_entry ?(lenient = false) ?(cold = false) ctx payload =
   match Entry.decode payload with
   | Entry.Put { iid; clock; entity; hash; meta; text } ->
     if not cold then ignore (Entry.value ~iid ~hash text);
-    if lenient && Store.mem store iid then begin
-      let inst = Store.find store iid in
-      if inst.Store.entity <> entity || inst.Store.data_hash <> hash then
-        journal_errorf
-          "instance %d already present with different content (log \
-           corrupt?)"
-          iid
-    end
-    else begin
-      let got =
-        if cold then Store.put_cold store ~entity ~hash ~meta
-        else Store.put store ~entity ~hash ~meta text
-      in
-      if got <> iid then
-        journal_errorf "log out of order: instance %d replayed as %d" iid got
-    end;
+    let got =
+      if cold then Store.put_cold store ~entity ~hash ~meta
+      else Store.put store ~entity ~hash ~meta text
+    in
+    if got <> iid then
+      journal_errorf "log out of order: instance %d replayed as %d" iid got;
     advance clock
   | Entry.Note { iid; meta } ->
     if not (Store.mem store iid) then
       journal_errorf "annotation of unknown instance %d" iid;
-    let inst = Store.find store iid in
-    if
-      not
-        (lenient
-        && inst.Store.meta.Store.label = meta.Store.label
-        && inst.Store.meta.Store.comment = meta.Store.comment
-        && inst.Store.meta.Store.keywords = meta.Store.keywords)
-    then
-      Store.annotate store iid ~label:meta.Store.label
-        ~comment:meta.Store.comment ~keywords:meta.Store.keywords ()
+    Store.annotate store iid ~label:meta.Store.label
+      ~comment:meta.Store.comment ~keywords:meta.Store.keywords ()
   | Entry.Record { clock; record = p } ->
-    if lenient && p.Entry.rp_rid < History.tick history then
-      (* raises if the claimed record was never actually replayed *)
-      ignore (History.find history p.Entry.rp_rid)
-    else begin
-      let r = W.add_record ctx p in
-      if r.History.rid <> p.Entry.rp_rid then
-        journal_errorf "log out of order: record %d replayed as %d"
-          p.Entry.rp_rid r.History.rid
-    end;
+    let r = W.add_record ctx p in
+    if r.History.rid <> p.Entry.rp_rid then
+      journal_errorf "log out of order: record %d replayed as %d"
+        p.Entry.rp_rid r.History.rid;
     advance clock
   | Entry.Conflict { clock; conflict = cid; base; ours; theirs; origin; at } ->
-    if lenient && cid < History.conflict_tick history then
-      ignore (History.find_conflict history cid)
-    else begin
-      let c = History.add_conflict history ~base ~ours ~theirs ~origin ~at in
-      if c.History.cid <> cid then
-        journal_errorf "log out of order: conflict %d replayed as %d" cid
-          c.History.cid
-    end;
+    let c = History.add_conflict history ~base ~ours ~theirs ~origin ~at in
+    if c.History.cid <> cid then
+      journal_errorf "log out of order: conflict %d replayed as %d" cid
+        c.History.cid;
     advance clock
   | Entry.Resolve { clock; conflict = cid; winner } ->
-    let already =
-      lenient
-      && (match History.find_conflict history cid with
-         | c -> c.History.c_winner = Some winner
-         | exception _ -> false)
-    in
-    if not already then
-      ignore (History.resolve_conflict history cid ~winner);
+    ignore (History.resolve_conflict history cid ~winner);
     advance clock
 
 (* ------------------------------------------------------------------ *)
@@ -367,7 +307,7 @@ let detach j =
 
 (* The directory fsync that pins [compact]'s and
    [reset_to_snapshot_file]'s renames: without it, a power cut can
-   resurrect the pre-rename snapshot/base.  A failure raises, and the
+   resurrect the pre-rename checkpoint.  A failure raises, and the
    caller fail-stops as for a failed wal fsync; the [journal.dir_fsync]
    crash point fires first so the fault sweep can kill the process
    exactly here. *)
@@ -393,17 +333,21 @@ let sync j =
     | exception e -> fail_stop j e
   end
 
-(* Replay wal.ddf into [ctx], recording each frame in [index]; returns
+(* Replay wal.ddf, whose first frame is entry [base]+1, into [ctx],
+   recording each frame in [index]; a frame at or below [checkpoint] is
+   already in the checkpoint and is skipped by its seqno.  Returns
    (entries, torn-tail bytes dropped, end of the good prefix).  The
    file is cut durably at the first torn frame. *)
-let replay_wal ctx index path =
+let replay_wal ctx index path ~base ~checkpoint =
   let entries = ref 0 in
   let read =
-    read_wal path ~base:0 (fun _ off payload ->
-        replay_entry ~lenient:true ctx payload;
+    read_wal path ~base (fun seq off payload ->
+        if seq > checkpoint then begin
+          replay_entry ctx payload;
+          Ddf_obs.Metrics.incr m_replayed
+        end;
         Cement.index_add index ~off payload;
         incr entries;
-        Ddf_obs.Metrics.incr m_replayed;
         true)
   in
   match read with
@@ -495,32 +439,43 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
   (match Cement.read cement (Cement.last_seq cement) with
   | Some payload -> ignore (Entry.decode payload : Entry.t)
   | None -> ());
-  let ctx =
-    if Sys.file_exists (snapshot_path dir) then
-      let session =
+  let has_checkpoint = Sys.file_exists (snapshot_path dir) in
+  let checkpoint, from, ctx =
+    if has_checkpoint then
+      let seq, from, session =
         try
           W.load_file ?registry
             ~cemented:(fun iid -> Cement.put_seq cement ~iid)
             schema (snapshot_path dir)
         with W.Persist_error m -> journal_errorf "snapshot: %s" m
       in
-      Ddf_session.Session.context session
-    else Ddf_exec.Engine.create_context ?registry schema
+      (seq, from, Ddf_session.Session.context session)
+    else (0, 1, Ddf_exec.Engine.create_context ?registry schema)
   in
+  (* cement that does not start at the checkpoint's line is another
+     line's: a cement restart or a resync stopped between its
+     self-contained checkpoint's rename and the clear, finished here *)
+  if has_checkpoint && Cement.last_seq cement <> 0
+     && Cement.first_seq cement <> from
+  then Cement.clear cement;
   install_cold_loader cement ctx.Ddf_exec.Engine.store;
   (* the frames sealed since the checkpoint: their puts load cold, the
      frame checksum, parse and content hash left to the cold loader *)
-  let checkpoint = read_base dir in
   let sealed = Cement.last_seq cement in
   if sealed > checkpoint then
     Cement.iter_range cement ~from:(checkpoint + 1) ~upto:sealed
       ~skip:(fun payload -> fst (Entry.classify payload) = 'p')
       (fun _ payload ->
-        replay_entry ~lenient:true ~cold:true ctx payload;
+        replay_entry ~cold:true ctx payload;
         Ddf_obs.Metrics.incr m_replayed);
+  (* the wal follows the line's last sealed entry or, with no cement,
+     the entry before the line's first *)
+  let base = if sealed = 0 then from - 1 else max checkpoint sealed in
   let index = Cement.index () in
   let wal_existed = Sys.file_exists (wal_path dir) in
-  let entries, torn, wal_end = replay_wal ctx index (wal_path dir) in
+  let entries, torn, wal_end =
+    replay_wal ctx index (wal_path dir) ~base ~checkpoint
+  in
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 (wal_path dir)
   in
@@ -528,7 +483,6 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
   (* a wal this open created (a fresh database, or a crash before a
      compaction's fresh wal) is durable before anything is appended *)
   if not wal_existed then Disk.fsync_path dir;
-  let base = max checkpoint sealed in
   let j =
     { j_dir = dir; j_ctx = ctx; j_registry = registry; j_oc = oc;
       j_index = index; j_entries = entries; j_base = base;
@@ -571,31 +525,37 @@ let write_checkpoint dir save =
    Order: wal fsync -> the wal renamed into cement as segment
    base+1..seq, its index written from the lines recorded at append,
    cement directory fsync (all in [Cement.seal]) -> checkpoint rename
-   -> base write -> fresh wal -> one directory fsync, which pins the
-   renames and the new wal's entry before anything is appended to it.
-   A seal alone skips the checkpoint and the base write.  The
-   checkpoint references only puts the seal made durable before its
-   rename, so it never has to read a payload, and no frame is read
-   or written again.  A crash at any point leaves either the old
-   checkpoint (whose references are older frames, untouched) or the
-   new one; open replays the sealed frames past the base, then the
-   wal.  The [journal.compact] fault point fires after the seal, and
-   with a checkpoint after its rename and after the base write (no
-   seal hit when cement is restarted: there the seal follows the
-   rename).  A failure anywhere fail-stops the journal: the wal may
-   already be a segment. *)
+   -> fresh wal -> one directory fsync, which pins the renames and the
+   new wal's entry before anything is appended to it.  A seal alone
+   skips the checkpoint.  The checkpoint names the seq it covers and
+   references only puts the seal made durable before its rename, so it
+   never has to read a payload, and no frame is read or written again.
+   A crash at any point leaves either the old checkpoint (whose
+   references are older frames, untouched) or the new one; open
+   replays the sealed frames past the checkpoint's seq, then the wal.
+   The [journal.compact] fault point fires after the seal, and with a
+   checkpoint after its rename (only there when cement is restarted:
+   its seal follows the rename).  A failure anywhere fail-stops the
+   journal: the wal may already be a segment. *)
 let compact_now ~checkpoint j =
   let c = j.j_cement in
   let sealed = j.j_entries > 0 in
+  (* the wal is whole on disk before a checkpoint covers it: a cement
+     restart writes its checkpoint before the seal *)
+  if sealed then Disk.fsync j.j_oc;
   let seal () =
     if sealed then begin
-      Disk.fsync j.j_oc;
       close_out j.j_oc;
       Cement.seal c ~first:(j.j_base + 1) j.j_index (wal_path j.j_dir)
     end
   in
   let session = Ddf_session.Session.of_context j.j_ctx in
   let restart = Cement.last_seq c <> 0 && Cement.last_seq c < j.j_base in
+  (* where the checkpoint's cement starts, or will once the wal is sealed *)
+  let from =
+    if restart || Cement.first_seq c = 0 then j.j_base + 1
+    else Cement.first_seq c
+  in
   if restart then begin
     (* A cold store that stops short of the base (a torn segment
        dropped on open, or a directory copied from another line) cannot
@@ -605,8 +565,9 @@ let compact_now ~checkpoint j =
        every payload read back, and so made resident, while cement
        still holds it: the clear drops the frames a cold payload would
        load from — and that rename is pinned before anything is
-       deleted. *)
-    write_checkpoint j.j_dir (fun () -> W.save session);
+       deleted.  Until the seal, open clears the old segments and skips
+       the wal, numbered from [from], by seqno. *)
+    write_checkpoint j.j_dir (fun () -> W.save ~seq:j.j_seq ~from session);
     fsync_dir j.j_dir;
     Cement.clear c;
     seal ()
@@ -616,11 +577,10 @@ let compact_now ~checkpoint j =
     Fault.fire "journal.compact";
     if checkpoint then
       write_checkpoint j.j_dir (fun () ->
-          W.save ~cemented:(fun iid -> Cement.put_seq c ~iid) session)
+          W.save ~seq:j.j_seq ~from
+            ~cemented:(fun iid -> Cement.put_seq c ~iid) session)
   end;
   if restart || checkpoint then begin
-    Fault.fire "journal.compact";
-    write_base j.j_dir j.j_seq;
     Fault.fire "journal.compact";
     j.j_checkpoint <- j.j_seq
   end;
@@ -784,6 +744,7 @@ let wsid j =
               (Unix.gettimeofday ()) (Random.bits ())))
     in
     Disk.replace path (fun oc -> Printf.fprintf oc "W1 %s\n" id);
+    Disk.fsync_path j.j_dir;
     id
   end
 
@@ -794,7 +755,7 @@ let wsid j =
 let snapshot_state j =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   let cold_text = cold_put_text j.j_cement j.j_ctx.Ddf_exec.Engine.store in
-  (j.j_seq, W.save ~cold_text (Ddf_session.Session.of_context j.j_ctx))
+  (j.j_seq, W.save ~seq:j.j_seq ~cold_text (Ddf_session.Session.of_context j.j_ctx))
 
 (* Apply one replicated frame: replay the payload into the context and
    append the identical bytes to the local wal, so a follower's journal
@@ -838,24 +799,30 @@ let m_stream_resyncs = Ddf_obs.Metrics.counter "journal.snapshot_stream_resyncs"
 (* Follower-side resync, the catch-up path when our seqno predates the
    primary's oldest wal entry: [path] holds a workspace save spooled to
    disk in bounded chunks (a streamed bootstrap), so the snapshot bytes
-   never exist as one in-memory string here.  The file is parsed and
-   fsynced FIRST — a malformed stream must not clobber the database.
+   never exist as one in-memory string here.  The file is parsed, its
+   header's seq checked against the stream's, and fsynced FIRST — a
+   malformed or mislabelled stream must not clobber the database.
    Then the wal is cut durably, so no frame of the old seqno line can
    replay past the new base; the spool is renamed into place (it is on
-   the database's filesystem) and pinned, cement cleared, base.ddf
-   written and pinned; only then is the in-memory context swapped in
-   place, so sessions holding it observe the new state.  A failure
-   from the cut on fail-stops the journal, as in [compact]: the disk
-   may already hold part of the new line. *)
+   the database's filesystem) and pinned before cement is cleared; only
+   then is the in-memory context swapped in place, so sessions holding
+   it observe the new state.  A failure from the cut on fail-stops the
+   journal, as in [compact]: the disk may already hold part of the new
+   line, and open finishes the clear. *)
 let reset_to_snapshot_file j ~seq path =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";
   check_writable j;
   Ddf_obs.Metrics.incr m_resyncs;
   Ddf_obs.Metrics.incr m_stream_resyncs;
-  let session =
+  let covers, from, session =
     try W.load_file ?registry:j.j_registry j.j_ctx.Ddf_exec.Engine.schema path
     with W.Persist_error m -> journal_errorf "replication snapshot: %s" m
   in
+  if covers <> seq || from <> seq + 1 then
+    journal_errorf ~code:`Conflict
+      "replication snapshot: the stream names entry %d, the file covers %d \
+       (its line from %d)"
+      seq covers from;
   let fresh = Ddf_session.Session.context session in
   Disk.fsync_path path;
   detach j;
@@ -866,14 +833,12 @@ let reset_to_snapshot_file j ~seq path =
      Sys.rename path (snapshot_path j.j_dir);
      (* the resync rebased the seqno line: the cemented history belongs
         to the pre-reset database and can never be extended
-        contiguously.  It goes before the base is written, or open
-        would replay it past the new base as a cement tail.  The new
-        checkpoint is self-contained, so clearing once its rename is
-        pinned is safe. *)
-     Disk.fsync_path j.j_dir;
+        contiguously.  The new checkpoint is self-contained, so
+        clearing once its rename is pinned is safe. *)
+     fsync_dir j.j_dir;
      Cement.clear j.j_cement;
-     write_base j.j_dir seq;
-     (* one directory fsync pins the base rename *)
+     (* the resync's last durability point: the crash sweep's point
+        after the clear *)
      fsync_dir j.j_dir
    with
   | () -> ()

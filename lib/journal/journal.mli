@@ -46,18 +46,21 @@ val open_ :
 (** Open a database directory (created when missing): open the cement
     store, load [snapshot.ddf] if present — instances whose payload it
     references come back cold, filled from cement on first read — then
-    replay the cemented frames past [base.ddf] (the seals since the
-    checkpoint, their puts cold in the same way) and [wal.ddf]
-    (truncating a torn tail), and attach write observers to the rebuilt context so subsequent mutations are
-    journaled.  [compact_every] (default 10_000) is the log-entry
+    replay the cemented frames past the seq its header names (the seals
+    since the checkpoint, their puts cold in the same way) and the
+    [wal.ddf] frames past it (truncating a torn tail), and attach write
+    observers to the rebuilt context so subsequent mutations are
+    journaled.  Cement that does not start where the checkpoint's line
+    does (a cement restart or a resync stopped before its clear) is
+    cleared.  [compact_every] (default 10_000) is the log-entry
     threshold {!maybe_compact} acts on.  [sync_mode] (default {!Group})
     sets when entries become durable.
     @raise Ddf_core.Error.Ddf_error on corruption before the tail (iid/rid or
     content-hash mismatches), when the checkpoint references a put
     the cement store does not hold (the message names the iid), or
     ([`Invalid]) when the wal or cement holds entries of format 1
-    (s-expressions) or cement holds a segment of cement segment
-    format 1. *)
+    (s-expressions), cement holds a segment of cement segment format
+    1, or the checkpoint is of checkpoint format 1 to 3. *)
 
 val sync_mode : t -> sync_mode
 
@@ -94,14 +97,14 @@ val compact : t -> unit
 (** Seal the log into the cement store — fsync it and rename it into
     [cemented/] as the next segment, whose index comes from the lines
     recorded at append, so no frame is read or written again — then
-    always write a fresh checkpoint (atomically, via rename), the base
-    and a fresh log; the wire [Compact] verb runs this.  The checkpoint
-    references only puts the seal made durable before its rename, so
-    compaction never reads or re-encodes a payload; the full history
-    stays addressable by seqno.  The checkpoint and base renames and
-    the fresh log are pinned by one directory fsync (crash point
-    [journal.dir_fsync]; [journal.compact] fires after the seal, the
-    checkpoint rename and the base write); the whole operation is timed
+    always write a fresh checkpoint (atomically, via rename), whose
+    header names the seq it covers, and a fresh log; the wire [Compact]
+    verb runs this.  The checkpoint references only puts the seal made
+    durable before its rename, so compaction never reads or re-encodes
+    a payload; the full history stays addressable by seqno.  The
+    checkpoint rename and the fresh log are pinned by one directory
+    fsync (crash point [journal.dir_fsync]; [journal.compact] fires
+    after the seal and the checkpoint rename); the whole operation is timed
     into the [journal.compact_seconds] histogram, the checkpoint into
     [journal.checkpoint_seconds] (counted in [journal.checkpoints]).  A
     cement store that stops short of the base is restarted, behind a
@@ -111,8 +114,8 @@ val compact : t -> unit
 
 val maybe_compact : t -> bool
 (** Seal the log when it has reached [compact_every] entries, returning
-    whether it did: {!compact} less the checkpoint and base write,
-    added only once [seq] is at least twice the checkpoint's seq.  So
+    whether it did: {!compact} less the checkpoint, added only once
+    [seq] is at least twice the checkpoint's seq.  So
     checkpoints cost O(1) bytes per entry amortised, and open replays
     at most half the history ([journal.checkpoint_lag] entries). *)
 
@@ -132,9 +135,8 @@ val seq : t -> int
 (** Sequence number of the last entry journaled (applied or appended). *)
 
 val base_seq : t -> int
-(** Sequence number of the entry before the wal's first: the base in
-    [base.ddf], or the cement store's last seqno when a crash between
-    a seal and its base write left it past that base. *)
+(** Sequence number of the entry before the wal's first: the larger of
+    the checkpoint's seq and cement's last, or where the line starts. *)
 
 val set_frame_observer : t -> (int -> string -> unit) -> unit
 (** Install the single frame observer, called with [(seqno, payload)]
@@ -194,19 +196,23 @@ val apply : t -> seq:int -> string -> unit
 
 val reset_to_snapshot_file : t -> seq:int -> string -> unit
 (** Follower-side resync: replace the whole database (disk and the
-    live context, in place) with a primary snapshot taken at [seq],
-    spooled to the given file path in bounded chunks (a streamed
-    bootstrap), so the state never exists as one in-memory string.
-    Clears the cement store — its history belongs to the pre-reset
-    seqno line.  The file must be on the database's filesystem.  It
-    is parsed first — a malformed stream leaves the database untouched
-    — then fsynced, the wal cut durably, and the file renamed into
-    place.  A failure from the wal cut on fail-stops the journal
+    live context, in place) with a primary snapshot spooled to the
+    given file path in bounded chunks (a streamed bootstrap), so the
+    state never exists as one in-memory string.  The seq comes from
+    the file's header; [seq] is what the stream announced, checked
+    against it once.  Clears the cement store — its history belongs to
+    the pre-reset seqno line.  The file must be on the database's
+    filesystem.  It is parsed first — a malformed or mislabelled stream
+    leaves the database untouched — then fsynced, the wal cut durably,
+    the file renamed into place and pinned, and cement cleared
+    ([journal.dir_fsync] fires before each of the two directory
+    fsyncs).  A failure from the wal cut on fail-stops the journal
     ({!failed}), as in {!compact}: the disk may hold part of the new
     line, which reopening recovers.
     Counts [journal.snapshot_stream_resyncs] on top of
     [journal.snapshot_resyncs].
-    @raise Ddf_core.Error.Ddf_error when the file does not parse. *)
+    @raise Ddf_core.Error.Ddf_error when the file does not parse, or
+    ([`Conflict]) when its header names another seq than [seq]. *)
 
 val snapshot_file : t -> string
 (** Path of [snapshot.ddf] in this database directory — the

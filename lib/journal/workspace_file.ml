@@ -5,9 +5,10 @@
 
    The checkpoint is described once, beside the journal's entries
    (Entry), as a Layout stream: every int, length and count is an
-   LEB128 varint.  Checkpoint format 3:
+   LEB128 varint.  Checkpoint format 4:
 
-     DDFC 3 user clock      magic, format, header
+     DDFC 4 user clock      magic, format, header: the seq it
+       seq from               covers, where its line's log starts
      instances              count, then per instance in iid order:
                               iid entity meta hash slot
      records                count, then Entry.record_parts in rid order
@@ -27,8 +28,12 @@
    journal checks every reference against its cement store and wires
    the cold loader that fills the payload on first read.
 
-   There is one reader: an s-expression workspace file (formats 1 and
-   2, from earlier builds) is refused by name. *)
+   The checkpoint covers journal entries 1..seq (0 for a save made
+   outside a journal), and its line's log, cement then wal, starts at
+   entry [from]: seq+1, or a journal checkpoint's first cemented entry.
+
+   There is one reader: a workspace file of an earlier format (1 and 2,
+   s-expressions; 3, binary without the seq) is refused by name. *)
 
 open Ddf_store
 open Ddf_history
@@ -38,7 +43,7 @@ exception Persist_error of string
 
 let persist_errorf fmt = Format.kasprintf (fun s -> raise (Persist_error s)) fmt
 
-let format_version = 3
+let format_version = 4
 let magic = "DDFC"
 
 (* ------------------------------------------------------------------ *)
@@ -60,7 +65,7 @@ let slot =
     | Cemented seq -> L.V (cemented_case, seq)
     | Value text -> L.V (value_case, text))
 
-let header = L.Int ** L.Str ** L.Int
+let header = L.Str ** L.Int ** L.Int ** L.Int
 let instance = L.Int ** L.Str ** Ddf_wire.Wire.meta ** L.Str ** slot
 
 let conflict =
@@ -98,13 +103,14 @@ let add_record (ctx : Ddf_exec.Engine.context) (p : Entry.record_parts) =
 (* Saving                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let write_header = L.write header
+let write_header = L.write (L.Int ** header)
 let write_instances = L.write_each instance
 let write_records = L.write_each Entry.record_parts
 let write_conflicts = L.write_each conflict
 let write_flows = L.write_each flow
 
-let save ?(cemented = fun _ -> None) ?(cold_text = fun _ -> None) session =
+let save ?(seq = 0) ?(from = seq + 1) ?(cemented = fun _ -> None)
+    ?(cold_text = fun _ -> None) session =
   let ctx = Ddf_session.Session.context session in
   let store = ctx.Ddf_exec.Engine.store in
   let history = ctx.Ddf_exec.Engine.history in
@@ -120,7 +126,8 @@ let save ?(cemented = fun _ -> None) ?(cold_text = fun _ -> None) session =
   in
   let w = L.writer ~head:magic in
   write_header w
-    (format_version, (ctx.Ddf_exec.Engine.user, ctx.Ddf_exec.Engine.clock));
+    (format_version,
+     (ctx.Ddf_exec.Engine.user, (ctx.Ddf_exec.Engine.clock, (seq, from))));
   write_instances w
     (fun iid ->
       let i = Store.find store iid in
@@ -147,32 +154,39 @@ let save_file session path =
 (* Loading                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let read_format = L.read L.Int
 let read_header = L.read header
 let read_instances = L.read_each instance
 let read_records = L.read_each Entry.record_parts
 let read_conflicts = L.read_each conflict
 let read_flows = L.read_each flow
 
+let refuse version kind =
+  Ddf_core.Error.errorf `Invalid
+    "checkpoint format %d%s is not readable: this build reads checkpoint \
+     format %d only"
+    version kind format_version
+
 (* Formats 1 and 2 were s-expressions, pretty-printed from this head. *)
 let refuse_sexp text =
   if String.starts_with ~prefix:"(ddf_workspace" text then
-    Ddf_core.Error.errorf `Invalid
-      "checkpoint format %d (s-expression) is not readable: this build reads \
-       checkpoint format %d (binary) only"
+    refuse
       (if String.starts_with ~prefix:"(ddf_workspace\n (version 1)" text then 1
        else 2)
-      format_version
+      " (s-expression)"
 
-let load ?registry ?(cemented = fun _ -> None) schema text =
+let load_line ?registry ?(cemented = fun _ -> None) schema text =
   refuse_sexp text;
   let r =
     try L.reader ~head:magic text
     with L.Wire_error _ -> persist_errorf "not a ddf checkpoint"
   in
   try
-    let version, (user, clock) = read_header r in
-    if version <> format_version then
-      persist_errorf "unsupported checkpoint format %d" version;
+    let version = read_format r in
+    if version <> format_version then refuse version "";
+    let user, (clock, (seq, from)) = read_header r in
+    if seq < 0 || from < 1 || from > seq + 1 then
+      persist_errorf "checkpoint seq %d with its log from %d" seq from;
     let ctx = Ddf_exec.Engine.create_context ~user ?registry schema in
     let session = Ddf_session.Session.of_context ctx in
     let store = ctx.Ddf_exec.Engine.store in
@@ -219,8 +233,13 @@ let load ?registry ?(cemented = fun _ -> None) schema text =
             | Ddf_schema.Schema.Schema_error m ) ->
           persist_errorf "catalog flow %S: %s" name m);
     L.read_end r;
-    session
+    (seq, from, session)
   with L.Wire_error m -> persist_errorf "checkpoint: %s" m
 
+let load ?registry ?cemented schema text =
+  let _, _, session = load_line ?registry ?cemented schema text in
+  session
+
 let load_file ?registry ?cemented schema path =
-  load ?registry ?cemented schema (In_channel.with_open_bin path In_channel.input_all)
+  load_line ?registry ?cemented schema
+    (In_channel.with_open_bin path In_channel.input_all)

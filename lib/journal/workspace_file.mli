@@ -8,22 +8,26 @@
     fixpoint).  Compiled simulators persist their full instruction
     program.
 
-    This is checkpoint format 3, described once as a
-    {!Ddf_wire.Layout} stream beside the journal's entries: instance
-    rows, {!Entry.record_parts} rows, conflicts and catalog
-    flows, each decoded straight into the store and the history.  An
-    instance's payload slot is its value as flat text, or, in a journal
+    This is checkpoint format 4, described once as a
+    {!Ddf_wire.Layout} stream beside the journal's entries: a header
+    naming the journal seq it covers, instance rows,
+    {!Entry.record_parts} rows, conflicts and catalog flows, each
+    decoded straight into the store and the history.  An instance's
+    payload slot is its value as flat text, or, in a journal
     checkpoint, a reference to the cemented put frame that installed
-    it.  An s-expression workspace file (formats 1 and 2) is refused by
-    name: there is no reader for it. *)
+    it.  A file of an earlier format (1 to 3) is refused by name. *)
 
 exception Persist_error of string
 
 val save :
+  ?seq:int ->
+  ?from:int ->
   ?cemented:(Ddf_store.Store.iid -> int option) ->
   ?cold_text:(Ddf_store.Store.iid -> string option) ->
   Ddf_session.Session.t -> string
-(** The workspace as checkpoint bytes.  Without [cemented] the save is
+(** The workspace as checkpoint bytes, covering journal entries
+    1..[seq] (default 0), whose line's log starts at entry [from]
+    (default [seq + 1]).  Without [cemented] the save is
     self-contained: every payload inline.  With it, an instance for
     which [cemented iid] is [Some seq] gets a reference to cemented put
     [seq] instead of its payload, which is then never read.  A payload
@@ -46,14 +50,15 @@ val load :
     format, non-dense ids, content-hash mismatches (tampering or
     corruption) or a reference the cement store does not hold (the
     message names the iid).
-    @raise Ddf_core.Error.Ddf_error ([`Invalid]) on an s-expression
-    workspace file, naming its format, and on a record the schema's
-    rules refuse, naming the record. *)
+    @raise Ddf_core.Error.Ddf_error ([`Invalid]) on a workspace file of
+    an earlier format, naming it, and on a record the schema's rules
+    refuse, naming the record. *)
 
 val load_file :
   ?registry:Ddf_tools.Encapsulation.registry ->
   ?cemented:(Ddf_store.Store.iid -> int option) ->
-  Ddf_schema.Schema.t -> string -> Ddf_session.Session.t
+  Ddf_schema.Schema.t -> string -> int * int * Ddf_session.Session.t
+(** {!load} of the file at the path: [(seq, from, session)]. *)
 
 (** {1 Stored records}
 

@@ -134,7 +134,9 @@ let save_state dir st =
   in
   Ddf_disk.Disk.replace (state_path dir) (fun oc ->
       output_string oc (S.to_string ~pretty:true sexp);
-      output_char oc '\n')
+      output_char oc '\n');
+  (* pins the rename *)
+  Ddf_disk.Disk.fsync_path dir
 
 let cursor_of st origin =
   match List.assoc_opt origin st.st_cursors with Some c -> c | None -> 0

@@ -261,9 +261,8 @@ let journal =
         Alcotest.(check (option string)) "the last sealed frame reads cold"
           (Some last_payload) (Journal.cold_frame j last);
         Journal.close j);
-    Alcotest.test_case "a resync that crashes after its base write reopens to its snapshot"
+    Alcotest.test_case "a resync that crashes around its cement clear reopens to its snapshot"
       `Quick (fun () ->
-        with_dir @@ fun dir ->
         Fun.protect ~finally:Fault.reset @@ fun () ->
         let seq, seed, fp =
           with_dir @@ fun sdir ->
@@ -274,13 +273,93 @@ let journal =
           Journal.close s;
           (seq, seed, fp)
         in
-        (* a database whose cemented history runs past the seed's seqno:
-           left in cement, it would replay as a tail past the new base *)
+        (* right after the spool's rename, and right after the clear *)
+        List.iter
+          (fun after ->
+            with_dir @@ fun dir ->
+            (* a database whose cemented history runs past the seed's
+               seqno: left in cement, it would replay as a tail past
+               the new base *)
+            let j = Journal.open_ ~dir Standard_schemas.odyssey in
+            ignore (Test_journal.activity (Journal.context j) 3);
+            Journal.compact j;
+            Alcotest.(check bool) "cement past the seed" true
+              (Journal.base_seq j > seq);
+            Fault.arm ~after "journal.dir_fsync" Fault.Fail;
+            (match Test_journal.reset_to_snapshot j ~seq seed with
+            | () -> Alcotest.fail "expected the injected crash"
+            | exception Fault.Injected _ -> ());
+            Fault.reset ();
+            Journal.close j;
+            let j = Journal.open_ ~dir Standard_schemas.odyssey in
+            Alcotest.(check int) "seqno line" seq (Journal.seq j);
+            Alcotest.(check string) "fingerprint" fp
+              (Sync.fingerprint (Journal.context j));
+            Alcotest.(check bool) "no cement of the old line" true
+              (Journal.cement_stats j = None);
+            Journal.close j)
+          [ 0; 1 ]);
+    Alcotest.test_case
+      "a resync whose stream names another seq leaves the database untouched"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let seq, seed =
+          with_dir @@ fun sdir ->
+          let s = Journal.open_ ~dir:sdir Standard_schemas.odyssey in
+          ignore (Test_journal.activity ~seed:3 (Journal.context s) 1);
+          let snap = Journal.snapshot_state s in
+          Journal.close s;
+          snap
+        in
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
-        ignore (Test_journal.activity (Journal.context j) 3);
+        ignore (Test_journal.activity (Journal.context j) 2);
         Journal.compact j;
-        Alcotest.(check bool) "cement past the seed" true (Journal.base_seq j > seq);
-        Fault.arm "journal.dir_fsync" Fault.Fail;
+        ignore (Test_journal.activity ~seed:9 (Journal.context j) 1);
+        Journal.sync j;
+        let before = Test_journal.state (Journal.context j) in
+        let seq0 = Journal.seq j in
+        (match Test_journal.reset_to_snapshot j ~seq:(seq + 1) seed with
+        | () -> Alcotest.fail "expected the mismatch to be refused"
+        | exception Error.Ddf_error e ->
+          Alcotest.(check bool) "typed `Conflict" true (e.Error.code = `Conflict);
+          Alcotest.(check bool) "names both seqs" true
+            (Util.contains e.Error.message (string_of_int (seq + 1))
+            && Util.contains e.Error.message (Printf.sprintf "covers %d" seq)));
+        Alcotest.(check bool) "not fail-stopped" true (Journal.failed j = None);
+        Alcotest.(check int) "seqno line" seq0 (Journal.seq j);
+        Alcotest.(check string) "state" before
+          (Test_journal.state (Journal.context j));
+        Journal.close j;
+        Test_journal.reopened_equals dir before);
+    Alcotest.test_case
+      "a follower resync that crashes right after its cement clear reopens at \
+       the snapshot's seq"
+      `Quick (fun () ->
+        with_dir @@ fun dir ->
+        with_dir @@ fun pdir ->
+        Fun.protect ~finally:Fault.reset @@ fun () ->
+        (* a follower that applied and sealed the head of the primary's
+           line, then fell behind the primary's compaction *)
+        let p = Journal.open_ ~dir:pdir Standard_schemas.odyssey in
+        ignore (Test_journal.activity ~seed:3 (Journal.context p) 2);
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        (match Journal.entries_since p 0 with
+        | Journal.Frames frames ->
+          List.iter (fun (seq, payload) -> Journal.apply j ~seq payload) frames
+        | Journal.Snapshot_needed -> Alcotest.fail "the primary's wal serves 0");
+        Journal.compact j;
+        ignore (Test_journal.activity ~seed:5 (Journal.context p) 2);
+        Journal.compact p;
+        let seq, seed = Journal.snapshot_state p in
+        let fp = Sync.fingerprint (Journal.context p) in
+        Journal.close p;
+        Alcotest.(check bool) "the follower's cement ends below the snapshot"
+          true
+          (match Journal.cement_stats j with
+          | Some (_, _, _, last) -> last < seq
+          | None -> false);
+        (* the resync's second directory fsync follows the clear *)
+        Fault.arm ~after:1 "journal.dir_fsync" Fault.Fail;
         (match Test_journal.reset_to_snapshot j ~seq seed with
         | () -> Alcotest.fail "expected the injected crash"
         | exception Fault.Injected _ -> ());
@@ -288,12 +367,13 @@ let journal =
         Journal.close j;
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
         Alcotest.(check int) "seqno line" seq (Journal.seq j);
+        Alcotest.(check int) "base" seq (Journal.base_seq j);
         Alcotest.(check string) "fingerprint" fp
           (Sync.fingerprint (Journal.context j));
         Journal.close j);
     Alcotest.test_case
-      "a follower resync that crashes after its base write fail-stops and \
-       reopens to its snapshot"
+      "a follower resync that crashes right after its spool rename fail-stops \
+       and reopens to its snapshot"
       `Quick (fun () ->
         with_dir @@ fun dir ->
         with_dir @@ fun pdir ->
@@ -494,7 +574,8 @@ let bootstrap =
             cement store beside it, holds the primary's canonical
             state, and carries the payloads the on-disk checkpoint
             only references *)
-         let session = Persist.load_file Standard_schemas.odyssey out in
+         let named, _, session = Persist.load_file Standard_schemas.odyssey out in
+         Alcotest.(check int) "the export names its seq" seq named;
          let _, _, _, fingerprint, _, _ = Client.sync_digest c in
          Alcotest.(check string) "export fingerprint" fingerprint
            (Sync.fingerprint (Session.context session));
@@ -661,14 +742,17 @@ let integrity =
             Alcotest.(check bool) "cement stops short of the base" true
               (last < Journal.base_seq j)
           | None -> Alcotest.fail "cement lost entirely");
-          Store.annotate (Journal.context j).Engine.store 5 ~label:"more" ();
+          (* a put: replayed again over the checkpoint, it would come
+             back under the next iid *)
+          ignore (Test_journal.install_stim (Journal.context j) 1);
           Journal.sync j;
           j
         in
-        let check_reopen dir fp =
+        let check_reopen dir fp seq =
           let j = Journal.open_ ~dir Standard_schemas.odyssey in
           let ctx = Journal.context j in
           Alcotest.(check string) "fingerprint" fp (Sync.fingerprint ctx);
+          Alcotest.(check int) "seqno line" seq (Journal.seq j);
           Test_journal.payloads_verified ctx;
           Journal.close j
         in
@@ -677,7 +761,7 @@ let integrity =
           (fun crash ->
             with_dir @@ fun dir ->
             let j = stale_db dir in
-            let fp = Sync.fingerprint (Journal.context j) in
+            let fp = Sync.fingerprint (Journal.context j) and seq = Journal.seq j in
             (match crash with
             | Some (point, after) -> (
               Fault.arm ~after point Fault.Fail;
@@ -697,9 +781,9 @@ let integrity =
               Test_journal.payloads_verified (Journal.context j);
               Journal.compact j);
             Journal.close j;
-            check_reopen dir fp)
+            check_reopen dir fp seq)
           [ Some ("journal.dir_fsync", 0); Some ("journal.compact", 0);
-            Some ("journal.compact", 1); Some ("journal.dir_fsync", 1); None ]);
+            Some ("journal.dir_fsync", 1); None ]);
   ]
 
 let suite =

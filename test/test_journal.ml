@@ -362,7 +362,6 @@ let checkpoint =
         let crash_points =
           [ ("after the seal (the cement tail replays)", "journal.compact", 0);
             ("after the checkpoint rename", "journal.compact", 1);
-            ("after the base write", "journal.compact", 2);
             ("at the directory fsync", "journal.dir_fsync", 0) ]
         in
         List.iter
@@ -438,10 +437,18 @@ let checkpoint =
    [compact_every] entries but writes a checkpoint only once the sealed
    tail is as long as the prefix the checkpoint covers. *)
 
-(* The seqno the last checkpoint covers, as [base.ddf] holds it. *)
+(* The seqno the last checkpoint covers, as its header names it. *)
 let base_of dir =
-  In_channel.with_open_bin (Filename.concat dir "base.ddf") @@ fun ic ->
-  Scanf.sscanf (In_channel.input_all ic) "B1 %d" Fun.id
+  let module L = Ddf_wire.Layout in
+  let r =
+    L.reader ~head:"DDFC"
+      (In_channel.with_open_bin (Filename.concat dir "snapshot.ddf")
+         In_channel.input_all)
+  in
+  let _format, (_user, (_clock, (seq, _from))) =
+    L.read L.(Int ** Str ** Int ** Int ** Int) r
+  in
+  seq
 
 let m_checkpoints = Metrics.counter "journal.checkpoints"
 
@@ -470,7 +477,7 @@ let lagging_db ?(n = 12) dir =
   done;
   Alcotest.(check int) "the seals wrote no checkpoint" checkpoints
     (Metrics.count m_checkpoints);
-  Alcotest.(check int) "base.ddf stays at the checkpoint" checkpoint
+  Alcotest.(check int) "the checkpoint stays" checkpoint
     (base_of dir);
   (j, checkpoint, !sealed)
 
@@ -494,7 +501,7 @@ let lagging =
               (Journal.entries_since_snapshot j);
             if Metrics.count m_checkpoints > before then begin
               checkpoints := Journal.seq j :: !checkpoints;
-              Alcotest.(check int) "base.ddf names it" (Journal.seq j)
+              Alcotest.(check int) "the checkpoint names it" (Journal.seq j)
                 (base_of dir)
             end
           end
@@ -512,7 +519,7 @@ let lagging =
             Journal.compact j;
             Alcotest.(check int) (what ^ ": one checkpoint") (before + 1)
               (Metrics.count m_checkpoints);
-            Alcotest.(check int) (what ^ ": base.ddf") (Journal.seq j)
+            Alcotest.(check int) (what ^ ": its seq") (Journal.seq j)
               (base_of dir))
           [ "after a seal"; "empty wal" ];
         let final = state ctx in
@@ -900,18 +907,18 @@ let disk =
       (fun () ->
         with_dir @@ fun dir ->
         Unix.mkdir dir 0o755;
-        let path = Filename.concat dir "base.ddf" in
-        Disk.replace path (fun oc -> output_string oc "B1 7\n");
+        let path = Filename.concat dir "state.txt" in
+        Disk.replace path (fun oc -> output_string oc "v7\n");
         (match
            Disk.replace path (fun oc ->
-               output_string oc "B1 8";
+               output_string oc "v8";
                failwith "writer died")
          with
         | () -> Alcotest.fail "expected the writer's exception"
         | exception Failure _ -> ());
-        Alcotest.(check string) "old bytes" "B1 7\n"
+        Alcotest.(check string) "old bytes" "v7\n"
           (In_channel.with_open_bin path In_channel.input_all);
-        Alcotest.(check (list string)) "no temporary left" [ "base.ddf" ]
+        Alcotest.(check (list string)) "no temporary left" [ "state.txt" ]
           (Array.to_list (Sys.readdir dir)));
     Alcotest.test_case "a directory fsync on a missing directory raises" `Quick
       (fun () ->

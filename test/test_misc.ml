@@ -152,7 +152,8 @@ let file_tests =
             let w = Workspace.create () in
             ignore (Workspace.install_netlist w (Eda.Circuits.c17 ()));
             Persist.save_file (Workspace.session w) path;
-            let s2 = Persist.load_file Standard_schemas.odyssey path in
+            let seq, _, s2 = Persist.load_file Standard_schemas.odyssey path in
+            check Alcotest.int "a save outside a journal names seq 0" 0 seq;
             check Alcotest.int "instances"
               (Store.instance_count (Workspace.store w))
               (Store.instance_count (Session.context s2).Engine.store)));

@@ -363,17 +363,23 @@ let checkpoint_cases =
         | exception Persist.Persist_error m ->
           check Alcotest.bool "truncation reported" true (Util.contains m "truncated"));
     t "an s-expression checkpoint is refused by name" (fun () ->
+        (* format 3 is a format-4 save with its format varint, right
+           after the magic, set back: the header without the seq *)
+        let inline, _ = Lazy.force checkpoints in
+        let format3 = String.mapi (fun i c -> if i = 4 then '\003' else c) inline in
         List.iter
-          (fun (version, text) ->
+          (fun (named, text) ->
             match Persist.load Standard_schemas.odyssey text with
             | _ -> Alcotest.fail "loaded"
             | exception Error.Ddf_error e ->
               check Alcotest.bool "typed `Invalid" true (e.Error.code = `Invalid);
               check Alcotest.bool "names its format" true
-                (Util.contains e.Error.message
-                   (Printf.sprintf "checkpoint format %d (s-expression)" version)))
-          [ (2, "(ddf_workspace\n (version 2)\n (user u)\n (clock 0))\n");
-            (1, "(ddf_workspace\n (version 1)\n (user u)\n (clock 0))\n") ]) ]
+                (Util.contains e.Error.message named))
+          [ ( "checkpoint format 2 (s-expression)",
+              "(ddf_workspace\n (version 2)\n (user u)\n (clock 0))\n" );
+            ( "checkpoint format 1 (s-expression)",
+              "(ddf_workspace\n (version 1)\n (user u)\n (clock 0))\n" );
+            ("checkpoint format 3 ", format3) ]) ]
 
 let suite =
   [ ("persist.workspace", suite_cases); ("persist.checkpoint", checkpoint_cases);
