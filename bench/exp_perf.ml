@@ -55,6 +55,13 @@
       reaches ([Obj.reachable_words]) after 4,000 wire installs drawn
       as perfbench's library items are (netlists and stimuli, one coin
       flip each).  Each value rests as its text.
+  11. The memo lookup -- [History.Snapshot.find_derivation] as the
+      engine calls it for the circuit composition, after 100 and after
+      1,600 prior flows, each over its own netlist and all through one
+      device model: a miss (a netlist no flow has used) and a hit (the
+      newest flow's), us per pair and the words one pair allocates.
+      The lookup walks the netlist's users, not the model's, so both
+      stay flat as the model's uses grow.
 
    Exported gauges (for --json): perf.write.{always_rps,group_rps,
    speedup}, perf.rtt.{singleton_rps,batch32_rps,speedup},
@@ -67,7 +74,7 @@
    perf.entry.{encode,decode,replay,hash}.{ns,words},
    perf.checkpoint.{n1000,n4000,d400}.{bytes,save_us,save_words,load_us,
    load_words}, perf.install_path.{decode,value,install,server}.words,
-   perf.store.resident_words.n4000. *)
+   perf.store.resident_words.n4000, perf.memo.f<flows>.{us,alloc_words}. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -611,6 +618,47 @@ let resident_words n =
   done;
   Obj.reachable_words (Obj.repr (Store.snapshot ctx.Engine.store))
 
+(* ------------------------------------------------------------------ *)
+(* 11. The memo lookup                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let memo_flows = [ 100; 1_600 ]
+
+(* [flows] circuit compositions, each over its own netlist and all
+   through the workspace's device model, then the next flow's two
+   lookups: a miss (a fresh netlist) and a hit (the newest flow's
+   inputs).  Returns us per pair and the words one pair allocates. *)
+let memo_lookups flows =
+  let w = Workspace.create () in
+  let ctx = Workspace.ctx w in
+  let g, circuit = Task_graph.create (Workspace.schema w) E.circuit in
+  let g, _ = Task_graph.expand g circuit in
+  let node e = List.hd (Workspace.find_nodes g e) in
+  let model = Workspace.default_device_models w in
+  let nl = Eda.Circuits.c17 () in
+  for _ = 1 to flows do
+    ignore
+      (Engine.execute ctx g
+         ~bindings:
+           [ (node E.device_models, model);
+             (node E.netlist, Workspace.install_netlist w nl) ])
+  done;
+  let fresh = Workspace.install_netlist w nl in
+  let snap = History.snapshot ctx.Engine.history in
+  let newest = History.Snapshot.find snap (History.Snapshot.size snap) in
+  let hit = newest.History.inputs in
+  let miss =
+    List.map (fun (role, iid) -> (role, if iid = model then iid else fresh)) hit
+  in
+  let lookup inputs =
+    History.Snapshot.find_derivation snap ~tool:None ~inputs
+      ~out_entities:[ E.circuit ]
+  in
+  let pair () = (lookup miss, lookup hit) in
+  assert (pair () = (None, Some newest));
+  Gc.full_major ();
+  (per_query_us ~rounds:10_000 pair, alloc_words pair)
+
 let run () =
   Bench_util.section
     (Printf.sprintf "group commit: %d batches of %d installs per sync mode"
@@ -760,4 +808,22 @@ let run () =
   Bench_util.section "the resident store after 4,000 library installs";
   let words = resident_words 4_000 in
   Printf.printf "  %d words reachable from the store's live state\n" words;
-  Metrics.set (Metrics.gauge "perf.store.resident_words.n4000") (float_of_int words)
+  Metrics.set (Metrics.gauge "perf.store.resident_words.n4000") (float_of_int words);
+
+  Bench_util.section
+    "the memo lookup of the next circuit composition (a miss and a hit), \
+     after F flows through one device model";
+  Bench_util.print_table [ "prior flows"; "us"; "alloc words" ]
+    (List.map
+       (fun flows ->
+         let us, words = memo_lookups flows in
+         let gauge name v =
+           Metrics.set
+             (Metrics.gauge (Printf.sprintf "perf.memo.f%d.%s" flows name))
+             v
+         in
+         gauge "us" us;
+         gauge "alloc_words" words;
+         [ string_of_int flows; Printf.sprintf "%.2f" us;
+           Printf.sprintf "%.0f" words ])
+       memo_flows)

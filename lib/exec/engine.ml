@@ -133,29 +133,6 @@ type run = {
   costs : (int list * int) list;
 }
 
-(* Look in the history for a record of the same task with the same tool
-   and inputs: if design objects are uniquely identified by their
-   derivation, this IS the design-consistency lookup. *)
-let memo_lookup history ~tool ~inputs ~out_entities =
-  let probe =
-    match (inputs, tool) with
-    | (_, iid) :: _, _ -> Some iid
-    | [], Some t -> Some t
-    | [], None -> None
-  in
-  match probe with
-  | None -> None
-  | Some iid ->
-    let inputs_sorted = List.sort compare inputs in
-    let matches (r : History.record) =
-      r.History.tool = tool
-      && List.sort compare r.History.inputs = inputs_sorted
-      && List.for_all
-           (fun e -> List.mem_assoc e r.History.outputs)
-           out_entities
-    in
-    List.find_opt matches (History.Snapshot.uses_of history iid)
-
 let ordered_invocations g =
   let rank = Hashtbl.create 32 in
   List.iteri (fun i nid -> Hashtbl.add rank nid i) (Task_graph.topological_order g);
@@ -333,7 +310,8 @@ let rec help ctx g ~memo a =
         in
         if memo
            && Option.is_some
-                (memo_lookup view.v_history ~tool ~inputs ~out_entities)
+                (History.Snapshot.find_derivation view.v_history ~tool
+                   ~inputs ~out_entities)
         then None
         else Some (perform ctx view.v_store out_entities ~tool ~inputs)
       with
@@ -399,9 +377,12 @@ let run_invocation ~memo ?ahead ctx g assignment j (inv : Task_graph.invocation)
           exec_errorf "task produced no output for entity %s" entity)
       inv.Task_graph.outputs
   in
+  (* The design-consistency lookup: the oldest record of this task with
+     this tool and these inputs, found through the least-used of them. *)
   match
     if memo then
-      memo_lookup (History.snapshot ctx.history) ~tool ~inputs ~out_entities
+      History.Snapshot.find_derivation (History.snapshot ctx.history) ~tool
+        ~inputs ~out_entities
     else None
   with
   | Some r ->
@@ -637,8 +618,8 @@ let try_batch ?(memo = true) ctx g nid iids =
       let inputs = List.mapi (fun i iid -> (Printf.sprintf "part%d" i, iid)) iids in
       match
         if memo then
-          memo_lookup (History.snapshot ctx.history) ~tool:None ~inputs
-            ~out_entities:[ entity ]
+          History.Snapshot.find_derivation (History.snapshot ctx.history)
+            ~tool:None ~inputs ~out_entities:[ entity ]
         else None
       with
       | Some r -> List.assoc_opt entity r.History.outputs
@@ -674,19 +655,27 @@ let execute_fanout ?(memo = true) ?(max_combinations = 256) ctx g ~bindings =
           | None -> (nid, iids))
       bindings
   in
+  (* count before building: the product stops growing once past the
+     limit, so a huge selection is refused without being materialised *)
+  let count =
+    List.fold_left
+      (fun n (nid, iids) ->
+        if iids = [] then exec_errorf "empty selection for node %d" nid;
+        if n > max_combinations then n else n * List.length iids)
+      1 bindings
+  in
+  if count > max_combinations then
+    exec_errorf "selection produces at least %d combinations (limit %d)" count
+      max_combinations;
   let combos =
     List.fold_left
       (fun acc (nid, iids) ->
-        if iids = [] then exec_errorf "empty selection for node %d" nid;
         List.concat_map
           (fun combo -> List.map (fun iid -> (nid, iid) :: combo) iids)
           acc)
       [ [] ] bindings
     |> List.map List.rev
   in
-  if List.length combos > max_combinations then
-    exec_errorf "selection produces %d combinations (limit %d)"
-      (List.length combos) max_combinations;
   List.map (fun bindings -> execute ~memo ctx g ~bindings) combos
 
 let pp_stats ppf s =

@@ -465,7 +465,7 @@ let disjoint_branches g root =
   |> List.rev_map (fun (members, s) -> (List.sort compare members, s))
 
 (* ------------------------------------------------------------------ *)
-(* Validation (used by property tests)                                 *)
+(* Validation (every Engine.execute run, and the property tests)       *)
 (* ------------------------------------------------------------------ *)
 
 let validate g =

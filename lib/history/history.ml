@@ -420,6 +420,30 @@ let st_conflicts st =
 let st_derivation_of st iid = (links st iid).producer
 let st_uses_of st iid = List.rev (links st iid).users
 
+(* The oldest record running [tool] on [inputs] (role-bound, in any
+   order) and producing every entity of [out_entities]: the memo
+   lookup.  Such a record uses the tool and every input, so it is in
+   each of their users lists; walk the shortest, newest first, keeping
+   the last match.  Picking it costs the shortest list's length. *)
+let st_find_derivation st ~tool ~inputs ~out_entities =
+  let shorter best iid =
+    let users = (links st iid).users in
+    match best with
+    | Some b when List.compare_lengths b users <= 0 -> best
+    | _ -> Some users
+  in
+  let probed = Option.fold ~none:None ~some:(shorter None) tool in
+  match List.fold_left (fun best (_, iid) -> shorter best iid) probed inputs with
+  | None -> None
+  | Some users ->
+    let inputs = List.sort compare inputs in
+    let matches r =
+      r.tool = tool
+      && List.sort compare r.inputs = inputs
+      && List.for_all (fun e -> List.mem_assoc e r.outputs) out_entities
+    in
+    List.fold_left (fun found r -> if matches r then Some r else found) None users
+
 (* The walks' scratch: [marks.(id) = stamp] says id was met by the walk
    holding stamp [stamp], and the trace keeps an iid's node number in
    [nids].  A walk takes a fresh stamp instead of clearing the arrays,
@@ -861,6 +885,7 @@ module Snapshot = struct
   let conflicts = st_conflicts
   let derivation_of = st_derivation_of
   let uses_of = st_uses_of
+  let find_derivation = st_find_derivation
   let backward_closure = st_backward_closure
   let forward_closure = st_forward_closure
   let derived_instances = st_derived_instances

@@ -271,6 +271,16 @@ module Snapshot : sig
   val conflicts : t -> conflict list
   val derivation_of : t -> Store.iid -> record option
   val uses_of : t -> Store.iid -> record list
+
+  val find_derivation :
+    t -> tool:Store.iid option -> inputs:(string * Store.iid) list ->
+    out_entities:string list -> record option
+  (** The memo lookup: the oldest record with this tool, these
+      role-bound inputs (in any order) and an output of every entity in
+      [out_entities].  It walks the users list of whichever of the tool
+      and inputs has the fewest users, so its cost does not grow with a
+      widely shared input's uses; [None] when there is neither. *)
+
   val backward_closure : t -> Store.iid -> record list
   val forward_closure : t -> Store.iid -> record list
   val derived_instances : t -> Store.iid -> Store.iid list

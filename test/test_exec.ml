@@ -720,6 +720,72 @@ let parallel_memo_tests =
 
 let suite = suite @ [ ("exec.parallel_memo", parallel_memo_tests) ]
 
+(* The circuit composition over [n] netlists, every one sharing the
+   workspace's device model, then a memo-hit rerun of the newest: the
+   minor words that rerun allocates, and whether it executed nothing
+   and returned the circuit its first run made. *)
+let shared_model_rerun n =
+  let w = Workspace.create () in
+  let ctx = Workspace.ctx w in
+  let g, circuit = Task_graph.create (Workspace.schema w) E.circuit in
+  let g, _ = Task_graph.expand g circuit in
+  let node e = List.hd (Workspace.find_nodes g e) in
+  let model = Workspace.default_device_models w in
+  let flow netlist =
+    Engine.execute ctx g
+      ~bindings:[ (node E.device_models, model); (node E.netlist, netlist) ]
+  in
+  let nl = Eda.Circuits.c17 () in
+  let netlists = List.init n (fun _ -> Workspace.install_netlist w nl) in
+  let runs = List.map flow netlists in
+  let newest = List.nth netlists (n - 1) and made = List.nth runs (n - 1) in
+  ignore (flow newest);
+  let before = Gc.minor_words () in
+  let rerun = flow newest in
+  let words = Gc.minor_words () -. before in
+  ( words,
+    rerun.Engine.stats.Engine.memo_hits = 1
+    && rerun.Engine.stats.Engine.composed = 0
+    && Engine.result_of rerun circuit = Engine.result_of made circuit )
+
+let memo_cost_tests =
+  [
+    t "a memo hit costs no more when the shared model has 100x the uses"
+      (fun () ->
+        let w10, hit10 = shared_model_rerun 10 in
+        let w1000, hit1000 = shared_model_rerun 1000 in
+        check Alcotest.bool "10 netlists: a memo hit" true hit10;
+        check Alcotest.bool "1,000 netlists: a memo hit" true hit1000;
+        if w1000 > 1.5 *. w10 then
+          Alcotest.failf "a rerun allocates %.0f words at 1,000 uses, %.0f at 10"
+            w1000 w10);
+    expect_exec_error "a 10^12-combination selection is refused before it is built"
+      (fun () ->
+        let w, f, bindings = fig5_setup () in
+        let wide =
+          [ f.Standard_flows.f5_layout; f.Standard_flows.f5_reference;
+            f.Standard_flows.f5_device_models; f.Standard_flows.f5_extractor ]
+        in
+        let bindings =
+          List.map
+            (fun (nid, iid) ->
+              (nid, if List.mem nid wide then List.init 1000 (fun _ -> iid) else [ iid ]))
+            bindings
+        in
+        let before = Gc.minor_words () in
+        match
+          Engine.execute_fanout (Workspace.ctx w) f.Standard_flows.f5_graph ~bindings
+        with
+        | runs -> runs
+        | exception e ->
+          let words = Gc.minor_words () -. before in
+          if words > 100_000. then
+            Alcotest.failf "the refusal allocated %.0f words" words;
+          raise e);
+  ]
+
+let suite = suite @ [ ("exec.memo_cost", memo_cost_tests) ]
+
 let registry_tests =
   [
     t "tool subtypes inherit encapsulations" (fun () ->

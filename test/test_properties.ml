@@ -88,6 +88,116 @@ let history_laws =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Memo lookups over histories with a widely shared instance           *)
+(* ------------------------------------------------------------------ *)
+
+(* A random history over one device model that every circuit shares
+   and tools that many records share: circuit compositions (no tool),
+   tool-only edits, extractions co-producing two outputs, batch merges
+   recorded as [partN] parts (repeats allowed, as a selection allows),
+   and reruns of an earlier derivation with fresh outputs, as a
+   [~memo:false] run records them.  Returns the history and every
+   derivation key (tool, inputs, output entities) recorded. *)
+let memo_history seed n =
+  let module E = Standard_schemas.E in
+  let schema = Standard_schemas.odyssey in
+  let store = Store.create () and h = History.create () in
+  let rng = Eda.Rng.create seed in
+  let clock = ref 0 in
+  let put entity =
+    incr clock;
+    Store.put store ~entity
+      ~hash:(Printf.sprintf "h%d" !clock)
+      ~meta:(Store.meta ~created_at:!clock ())
+      ()
+  in
+  let model = put E.device_models in
+  let editor = put E.netlist_editor and extractor = put E.extractor in
+  let netlists = ref [ put E.netlist ] and layouts = ref [ put E.layout ] in
+  let stimuli = ref [ put E.stimuli ] in
+  let pick l = Eda.Rng.pick rng !l in
+  let keys = ref [] in
+  let add ~tool ~inputs out_entities =
+    let outputs = List.map (fun e -> (e, put e)) out_entities in
+    ignore
+      (History.add h store schema ~task_entity:(List.hd out_entities) ~tool
+         ~inputs ~outputs ~at:!clock);
+    keys := (tool, inputs, out_entities) :: !keys;
+    outputs
+  in
+  for _ = 1 to n do
+    match Eda.Rng.int rng 7 with
+    | 0 -> netlists := put E.netlist :: !netlists
+    | 1 -> layouts := put E.layout :: !layouts
+    | 2 ->
+      let inputs = [ ("device_models", model); ("netlist", pick netlists) ] in
+      let inputs = if Eda.Rng.int rng 2 = 0 then inputs else List.rev inputs in
+      ignore (add ~tool:None ~inputs [ E.circuit ])
+    | 3 ->
+      List.iter
+        (fun (_, iid) -> netlists := iid :: !netlists)
+        (add ~tool:(Some editor) ~inputs:[] [ E.edited_netlist ])
+    | 4 ->
+      ignore
+        (add ~tool:(Some extractor) ~inputs:[ ("layout", pick layouts) ]
+           [ E.extracted_netlist; E.extraction_statistics ])
+    | 5 ->
+      let parts =
+        List.init (2 + Eda.Rng.int rng 3) (fun i ->
+            (Printf.sprintf "part%d" i, pick stimuli))
+      in
+      List.iter
+        (fun (_, iid) -> stimuli := iid :: !stimuli)
+        (add ~tool:None ~inputs:parts [ E.stimuli ])
+    | _ -> (
+      match !keys with
+      | [] -> ()
+      | ks ->
+        let tool, inputs, out_entities = Eda.Rng.pick rng ks in
+        ignore (add ~tool ~inputs out_entities))
+  done;
+  (h, model, !keys)
+
+(* The lookup by definition: the oldest of every record. *)
+let reference_lookup h ~tool ~inputs ~out_entities =
+  let inputs = List.sort compare inputs in
+  List.find_opt
+    (fun (r : History.record) ->
+      r.History.tool = tool
+      && List.sort compare r.History.inputs = inputs
+      && List.for_all (fun e -> List.mem_assoc e r.History.outputs) out_entities)
+    (History.records h)
+
+let memo_props =
+  [
+    Util.qcheck ~count:40 "the memo lookup answers what a scan of every record does"
+      QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 120))
+      (fun (seed, n) ->
+        let h, model, keys = memo_history seed n in
+        let snap = History.snapshot h in
+        let rid = Option.map (fun (r : History.record) -> r.History.rid) in
+        let agree ~tool ~inputs ~out_entities =
+          rid (History.Snapshot.find_derivation snap ~tool ~inputs ~out_entities)
+          = rid (reference_lookup h ~tool ~inputs ~out_entities)
+        in
+        let circuit = Standard_schemas.E.circuit in
+        List.for_all
+          (fun (tool, inputs, out_entities) ->
+            (* the key itself, its inputs in another order, one of its
+               outputs alone, an entity it does not produce, and the
+               key with an input or the tool dropped *)
+            agree ~tool ~inputs ~out_entities
+            && agree ~tool ~inputs:(List.rev inputs) ~out_entities
+            && agree ~tool ~inputs ~out_entities:[ List.hd out_entities ]
+            && agree ~tool ~inputs ~out_entities:[ circuit ]
+            && agree ~tool ~inputs:(List.tl (inputs @ [ ("x", model) ]))
+                 ~out_entities
+            && agree ~tool:None ~inputs ~out_entities
+            && agree ~tool ~inputs:[] ~out_entities)
+          keys);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* LVS under mutation: no false positives                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -430,6 +540,7 @@ let schema_index_props =
 let suite =
   [
     ("properties.history", history_laws);
+    ("properties.memo", memo_props);
     ("properties.lvs", lvs_mutation);
     ("properties.freedom", freedom_checks);
     ("properties.blif", blif_props);
