@@ -60,48 +60,4 @@ let run () =
   in
   Bench_util.print_table
     [ "machines"; "heuristic"; "makespan us"; "speedup" ]
-    rows;
-
-  (* Each timed run gets a fresh workspace, built outside the timer: on
-     a reused one every run after the first is a memo hit.  A serial
-     run alternates with each domain run, so a slow phase of a shared
-     host falls on both, and 256 vectors make a branch outweigh a
-     domain spawn. *)
-  let vectors = 256 and runs = 5 in
-  Bench_util.section
-    (Printf.sprintf
-       "real multicore execution (Engine.execute ~domains, wall-clock ms; 4 \
-        simulation branches of %d vectors, median of %d fresh runs)"
-       vectors runs);
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "host provides %d core(s)%s\n" cores
-    (if cores <= 1 then
-       " -- wall-clock speedup is impossible here; the machine-pool \
-        simulation above carries the Fig. 6 result"
-     else "");
-  let timed domains =
-    let w, g, bindings = Workloads.bound_sim_flow ~vectors 4 in
-    let t0 = Unix.gettimeofday () in
-    let run = Engine.execute ~domains (Workspace.ctx w) g ~bindings in
-    ((Unix.gettimeofday () -. t0) *. 1e3, run)
-  in
-  let median l = List.nth (List.sort compare l) (List.length l / 2) in
-  let rows =
-    List.map
-      (fun domains ->
-        let pairs =
-          List.init runs (fun _ ->
-              let serial_ms, serial = timed 1 in
-              let ms, run = timed domains in
-              if run <> serial then
-                failwith
-                  (Printf.sprintf "E6: ~domains:%d differs from serial" domains);
-              (serial_ms, ms))
-        in
-        let serial_ms = median (List.map fst pairs)
-        and ms = median (List.map snd pairs) in
-        [ string_of_int domains; Printf.sprintf "%.1f" serial_ms;
-          Printf.sprintf "%.1f" ms; Printf.sprintf "%.2f" (serial_ms /. ms) ])
-      [ 1; 2; 4 ]
-  in
-  Bench_util.print_table [ "domains"; "serial ms"; "domains ms"; "speedup" ] rows
+    rows

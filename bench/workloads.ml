@@ -89,45 +89,6 @@ let edit_history depth =
   done;
   (w, v0, !current)
 
-(* A wide flow of [width] independent simulation branches -- heavy
-   enough (event-driven simulation) for real multicore speedups. *)
-let bound_sim_flow ?(vectors = 64) width =
-  let w = Workspace.create ~user:"bench" () in
-  let g = ref (Task_graph.empty (Workspace.schema w)) in
-  let bindings = ref [] in
-  let bind nid iid = bindings := (nid, iid) :: !bindings in
-  for i = 0 to width - 1 do
-    let nl = Eda.Circuits.ripple_adder 8 in
-    let nl_iid =
-      Workspace.install_netlist w ~label:(Printf.sprintf "branch %d" i) nl
-    in
-    let stim_iid =
-      Workspace.install_stimuli w
-        (Eda.Stimuli.for_netlist ~n:vectors nl (Eda.Rng.create (100 + i)))
-    in
-    let g1, perf = Task_graph.add_node !g E.performance in
-    let g1, fresh = Task_graph.expand ~include_optional:false g1 perf in
-    g := g1;
-    List.iter
-      (fun nid ->
-        let entity = Task_graph.entity_of !g nid in
-        if entity = E.simulator then bind nid (Workspace.tool w E.simulator)
-        else if entity = E.stimuli then bind nid stim_iid
-        else if entity = E.circuit then begin
-          let g2, fresh = Task_graph.expand !g nid in
-          g := g2;
-          List.iter
-            (fun inner ->
-              let e = Task_graph.entity_of !g inner in
-              if e = E.device_models then
-                bind inner (Workspace.default_device_models w)
-              else if e = E.netlist then bind inner nl_iid)
-            fresh
-        end)
-      fresh
-  done;
-  (w, !g, !bindings)
-
 (* Extraction branches over circuits of very different sizes: the
    skewed workload for the scheduling-heuristic ablation. *)
 let bound_skewed_flow () =

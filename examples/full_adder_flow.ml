@@ -5,8 +5,7 @@
    and the extraction statistics); the extracted netlist is reused by
    two sub-tasks (the circuit being simulated, and the verification
    against a reference netlist); the flow has several roots.  Disjoint
-   branches then execute in parallel on a simulated machine pool and on
-   real domains. *)
+   branches then execute in parallel on a simulated machine pool. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -94,11 +93,4 @@ let () =
     (fun machines ->
       let s = Parallel.schedule g6 ~costs:run6.Engine.costs ~machines in
       Format.printf "%a@." Parallel.pp_schedule s)
-    [ 1; 2; 4 ];
-
-  (* real multicore execution with domains *)
-  let t0 = Unix.gettimeofday () in
-  let run = Engine.execute ~domains:2 ctx g6 ~bindings in
-  let t1 = Unix.gettimeofday () in
-  Format.printf "domains run: %a in %.2f ms wall-clock@." Engine.pp_stats
-    run.Engine.stats ((t1 -. t0) *. 1000.0)
+    [ 1; 2; 4 ]

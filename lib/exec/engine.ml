@@ -160,9 +160,10 @@ let role_optional g (inv : Task_graph.invocation) role =
       (Task_graph.out_edges g out)
 
 (* The tool and the inputs by role that an invocation resolves under
-   [find], the assignment at its turn.  An unselected node that fills
-   only an optional role is simply omitted. *)
-let resolve_inputs g find (inv : Task_graph.invocation) =
+   [assignment].  An unselected node that fills only an optional role
+   is simply omitted. *)
+let resolve_inputs g assignment (inv : Task_graph.invocation) =
+  let find nid = Int_map.find_opt nid assignment in
   let unselected nid =
     exec_errorf "node %d (%s) has no instance selected" nid
       (Task_graph.entity_of g nid)
@@ -182,191 +183,18 @@ let resolve_inputs g find (inv : Task_graph.invocation) =
   in
   (tool, inputs)
 
-(* What an invocation's behaviour yields: its output values by entity
-   and its simulated cost. *)
-type outcome = {
-  values : (string * Ddf_data.value) list;
-  cost_us : int;
-  kind : [ `Composed | `Executed ];
-}
-
-(* Run an invocation's composer or tool over its resolved inputs,
-   reading payloads through [snap].  It reads only the context's
-   immutable schema and registry, so a helper domain may run it. *)
-let perform ctx snap out_entities ~tool ~inputs =
-  let args = List.map (fun (role, iid) -> (role, decode snap iid)) inputs in
-  match tool with
-  | None ->
-    (* composite entity: implicit composition function *)
-    let entity =
-      match out_entities with
-      | [ e ] -> e
-      | [] | _ :: _ -> exec_errorf "composite task must have one output"
-    in
-    let composer = Encapsulation.find_composer ctx.registry entity in
-    { values = [ (entity, composer args) ]; cost_us = 10; kind = `Composed }
-  | Some tool_iid ->
-    let tool_payload = decode snap tool_iid in
-    let tool_entity = Store.Snapshot.entity_of snap tool_iid in
-    let goal =
-      match out_entities with
-      | e :: _ -> e
-      | [] -> exec_errorf "invocation without outputs"
-    in
-    let enc = Encapsulation.resolve ctx.registry ctx.schema ~tool_entity ~goal in
-    let values =
-      enc.Encapsulation.behavior ~tool:tool_payload ~goals:out_entities args
-    in
-    { values; cost_us = enc.Encapsulation.cost_us args; kind = `Executed }
-
-(* Look-ahead for [execute ~domains]: helper domains run the behaviours
-   of later invocations whose inputs are already committed, while the
-   commit loop keeps serial order and takes a helper's outcome at the
-   invocation's turn.  A helper exits once nothing is ready, so no
-   idle domain takes part in the collections of a long behaviour.
-   The mutable fields are guarded by [lock]. *)
-type slot =
-  | Free
-  | Taken  (* a helper is running its behaviour *)
-  | Done of (outcome, exn * Printexc.raw_backtrace) result
-  | Passed  (* no helper runs it: the commit loop does, or skips it *)
-
-type ahead = {
-  lock : Mutex.t;
-  changed : Condition.t;
-  invs : Task_graph.invocation array;
-  ready_at : int array;
-      (* commits after which invocation j's tool and inputs are final:
-         one past the last invocation producing any of them *)
-  slots : slot array;
-  helpers : int;  (* the most helpers running at once *)
-  mutable live : int;  (* helpers running *)
-  mutable cursor : int;  (* the invocation the commit loop is at *)
-  mutable known : Store.iid Int_map.t;  (* the assignment before it *)
-  mutable view : view;  (* pinned before it *)
-  mutable stop : bool;
-}
-
-let look_ahead ctx invocations known ~helpers =
-  let invs = Array.of_list invocations in
-  {
-    lock = Mutex.create ();
-    changed = Condition.create ();
-    invs;
-    ready_at =
-      Array.of_list
-        (List.map
-           (List.fold_left (fun r p -> max r (p + 1)) 0)
-           (Task_graph.invocation_deps invocations));
-    (* an invocation whose outputs are all bound is skipped *)
-    slots =
-      Array.map
-        (fun (inv : Task_graph.invocation) ->
-          if List.for_all (fun o -> Int_map.mem o known) inv.Task_graph.outputs
-          then Passed
-          else Free)
-        invs;
-    helpers;
-    live = 0;
-    cursor = 0;
-    known;
-    view = pin ctx;
-    stop = false;
-  }
-
-(* Under [lock]: the invocations from [j] on that a helper may start. *)
-let rec ready a j =
-  if j >= Array.length a.invs then []
-  else
-    match a.slots.(j) with
-    | Free when a.ready_at.(j) <= a.cursor -> j :: ready a (j + 1)
-    | _ -> ready a (j + 1)
-
-(* A helper domain: claim the first invocation past the commit loop
-   whose inputs are final, and run it unless it is a memo hit; exit
-   when none is left. *)
-let rec help ctx g ~memo a =
-  let job =
-    Mutex.protect a.lock (fun () ->
-        match if a.stop then [] else ready a (a.cursor + 1) with
-        | j :: _ ->
-          a.slots.(j) <- Taken;
-          Some (j, a.known, a.view)
-        | [] ->
-          a.live <- a.live - 1;
-          None)
-  in
-  match job with
-  | None -> ()
-  | Some (j, known, view) ->
-    let inv = a.invs.(j) in
-    let slot =
-      match
-        let tool, inputs =
-          resolve_inputs g (fun nid -> Int_map.find_opt nid known) inv
-        in
-        let out_entities =
-          List.map (Task_graph.entity_of g) inv.Task_graph.outputs
-        in
-        if memo
-           && Option.is_some
-                (History.Snapshot.find_derivation view.v_history ~tool
-                   ~inputs ~out_entities)
-        then None
-        else Some (perform ctx view.v_store out_entities ~tool ~inputs)
-      with
-      | Some outcome -> Done (Ok outcome)
-      | None -> Passed
-      | exception e -> Done (Error (e, Printexc.get_raw_backtrace ()))
-    in
-    Mutex.protect a.lock (fun () ->
-        a.slots.(j) <- slot;
-        Condition.broadcast a.changed);
-    help ctx g ~memo a
-
-(* How many helpers to start for the invocations ready now. *)
-let wanted a =
-  Mutex.protect a.lock (fun () ->
-      let n =
-        min (a.helpers - a.live) (List.length (ready a (a.cursor + 1)))
-      in
-      a.live <- a.live + n;
-      n)
-
-(* The commit loop at invocation [j] after a memo miss: a helper's
-   outcome, waited for if a helper is running it, or [None] when the
-   loop must run it itself. *)
-let outcome_of a j =
-  Mutex.protect a.lock (fun () ->
-      let rec await () =
-        match a.slots.(j) with
-        | Taken ->
-          Condition.wait a.changed a.lock;
-          await ()
-        | Done r -> Some r
-        | Free | Passed -> None
-      in
-      await ())
-
-(* Publish the commit of the invocation at the cursor to the helpers. *)
-let advance a ctx known =
-  let view = pin ctx in
-  Mutex.protect a.lock (fun () ->
-      a.known <- known;
-      a.view <- view;
-      a.cursor <- a.cursor + 1)
-
-let stop a = Mutex.protect a.lock (fun () -> a.stop <- true)
-
-(* Execute the [j]th invocation under the current assignment: a memo
-   hit, or a behaviour run (by a helper domain when [ahead] holds its
-   outcome) whose outputs are stored and recorded. *)
-let run_invocation ~memo ?ahead ctx g assignment j (inv : Task_graph.invocation) =
+(* Execute an invocation under the current assignment: a memo hit, or
+   a run of its composer or tool whose outputs are stored and
+   recorded. *)
+let run_invocation ~memo ctx g assignment (inv : Task_graph.invocation) =
   let node_entity nid = Task_graph.entity_of g nid in
-  let tool, inputs =
-    resolve_inputs g (fun nid -> Int_map.find_opt nid !assignment) inv
-  in
+  let tool, inputs = resolve_inputs g !assignment inv in
   let out_entities = List.map node_entity inv.Task_graph.outputs in
+  let task_entity =
+    match out_entities with
+    | e :: _ -> e
+    | [] -> exec_errorf "invocation without outputs"
+  in
   let assign_outputs outputs_by_entity =
     List.iter
       (fun nid ->
@@ -387,20 +215,34 @@ let run_invocation ~memo ?ahead ctx g assignment j (inv : Task_graph.invocation)
   with
   | Some r ->
     Metrics.incr m_memo;
-    (if Obs.enabled () then
-       let name = match out_entities with e :: _ -> e | [] -> "task" in
-       Obs.instant ~cat:"engine" ~logical:ctx.clock
-         ~attrs:[ ("kind", Obs.Str "memo"); ("record", Obs.Int r.History.rid) ]
-         name);
+    if Obs.enabled () then
+      Obs.instant ~cat:"engine" ~logical:ctx.clock
+        ~attrs:[ ("kind", Obs.Str "memo"); ("record", Obs.Int r.History.rid) ]
+        task_entity;
     assign_outputs r.History.outputs;
     `Memo
   | None ->
     let t0 = if Obs.enabled () then Obs.now_us () else 0.0 in
-    let { values; cost_us; kind } =
-      match Option.bind ahead (fun a -> outcome_of a j) with
-      | Some (Ok outcome) -> outcome
-      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-      | None -> perform ctx (Store.snapshot ctx.store) out_entities ~tool ~inputs
+    let snap = Store.snapshot ctx.store in
+    let args = List.map (fun (role, iid) -> (role, decode snap iid)) inputs in
+    let values, cost_us, kind =
+      match tool with
+      | None ->
+        (* composite entity: implicit composition function *)
+        if List.length out_entities <> 1 then
+          exec_errorf "composite task must have one output";
+        let composer = Encapsulation.find_composer ctx.registry task_entity in
+        ([ (task_entity, composer args) ], 10, `Composed)
+      | Some tool_iid ->
+        let tool_payload = decode snap tool_iid in
+        let tool_entity = Store.Snapshot.entity_of snap tool_iid in
+        let enc =
+          Encapsulation.resolve ctx.registry ctx.schema ~tool_entity
+            ~goal:task_entity
+        in
+        ( enc.Encapsulation.behavior ~tool:tool_payload ~goals:out_entities args,
+          enc.Encapsulation.cost_us args,
+          `Executed )
     in
     (* store outputs and record the derivation *)
     let at = tick ctx in
@@ -415,9 +257,6 @@ let run_invocation ~memo ?ahead ctx g assignment j (inv : Task_graph.invocation)
           let meta = Store.meta ~user:ctx.user ~label ~created_at:at () in
           (entity, put ctx ~entity ~meta value))
         values
-    in
-    let task_entity =
-      match out_entities with e :: _ -> e | [] -> assert false
     in
     let produced =
       (* record only the outputs that correspond to graph nodes, but
@@ -448,12 +287,9 @@ let run_invocation ~memo ?ahead ctx g assignment j (inv : Task_graph.invocation)
 
 (* Execute a complete flow.  [bindings] selects instances for leaf
    nodes (and optionally pre-computed inner nodes).  Derived nodes are
-   computed in dependency order; sub-flows whose nodes are all bound
-   are left untouched.  With [domains] > 1, helper domains run later
-   invocations' behaviours ahead of the commit loop, which commits
-   exactly what a serial run commits. *)
-let execute ?(domains = 1) ?(memo = true) ctx g ~bindings =
-  if domains < 1 then exec_errorf "domains must be at least 1, not %d" domains;
+   computed one invocation at a time in dependency order; sub-flows
+   whose nodes are all bound are left untouched. *)
+let execute ?(memo = true) ctx g ~bindings =
   Task_graph.validate g;
   let assignment = ref Int_map.empty in
   List.iter
@@ -498,37 +334,6 @@ let execute ?(domains = 1) ?(memo = true) ctx g ~bindings =
   let stats = ref no_stats in
   let costs = ref [] in
   let invocations = ordered_invocations g in
-  let helpers = min (domains - 1) (List.length invocations - 1) in
-  let ahead =
-    if helpers > 0 then Some (look_ahead ctx invocations !assignment ~helpers)
-    else None
-  in
-  let spawned = ref [] in
-  let start a =
-    for _ = 1 to wanted a do
-      spawned := Domain.spawn (fun () -> help ctx g ~memo a) :: !spawned
-    done
-  in
-  let commit_all () =
-    Option.iter start ahead;
-    List.iteri
-      (fun j (inv : Task_graph.invocation) ->
-        (if not (List.for_all bound inv.Task_graph.outputs) then
-           match run_invocation ~memo ?ahead ctx g assignment j inv with
-           | `Memo -> stats := { !stats with memo_hits = !stats.memo_hits + 1 }
-           | `Compose c ->
-             stats := { !stats with composed = !stats.composed + 1 };
-             costs := (inv.Task_graph.outputs, c) :: !costs
-           | `Ran c ->
-             stats := { !stats with executed = !stats.executed + 1 };
-             costs := (inv.Task_graph.outputs, c) :: !costs);
-        Option.iter
-          (fun a ->
-            advance a ctx !assignment;
-            start a)
-          ahead)
-      invocations
-  in
   Obs.with_span ~cat:"engine" ~logical:ctx.clock
     ~attrs:
       [
@@ -537,15 +342,18 @@ let execute ?(domains = 1) ?(memo = true) ctx g ~bindings =
       ]
     "engine.execute"
     (fun () ->
-      match ahead with
-      | None -> commit_all ()
-      | Some a ->
-        (* a raise in the loop surfaces only once every helper is joined *)
-        Fun.protect
-          ~finally:(fun () ->
-            stop a;
-            List.iter Domain.join !spawned)
-          commit_all);
+      List.iter
+        (fun (inv : Task_graph.invocation) ->
+          if not (List.for_all bound inv.Task_graph.outputs) then
+            match run_invocation ~memo ctx g assignment inv with
+            | `Memo -> stats := { !stats with memo_hits = !stats.memo_hits + 1 }
+            | `Compose c ->
+              stats := { !stats with composed = !stats.composed + 1 };
+              costs := (inv.Task_graph.outputs, c) :: !costs
+            | `Ran c ->
+              stats := { !stats with executed = !stats.executed + 1 };
+              costs := (inv.Task_graph.outputs, c) :: !costs)
+        invocations);
   {
     assignment = Int_map.bindings !assignment;
     stats = !stats;

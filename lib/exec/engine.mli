@@ -42,8 +42,7 @@ type view = {
 (** A pinned read view over a context: the store and history captured
     together, lock-free.  Every read through one view is repeatable —
     concurrent writer commits are invisible.  This is what the server's
-    domain-pool read executor and {!execute}'s helper domains read
-    through. *)
+    domain-pool read executor reads through. *)
 
 val pin : context -> view
 (** Capture a view (two atomic loads; the history side is captured
@@ -91,25 +90,21 @@ type run = {
 }
 
 val execute :
-  ?domains:int -> ?memo:bool -> context -> Task_graph.t ->
-  bindings:(int * Store.iid) list -> run
+  ?memo:bool -> context -> Task_graph.t -> bindings:(int * Store.iid) list ->
+  run
 (** Execute a flow.  [bindings] selects instances for leaves (and
     optionally pre-computed inner nodes); leaves filling only optional
     roles may stay unbound.  With [memo] (default), identical tasks are
     resolved from the history.
 
-    With [domains] (default 1) above 1, [domains - 1] helper domains
-    run the behaviours of later invocations once every instance they
-    read is committed (Fig. 6: disjoint branches run in parallel),
-    through one pinned view each.  The commit loop still walks the
-    invocations in dependency order, repeats each memo lookup, and
-    stores and records outputs as a serial run does, taking a helper's
-    outcome in place of running the tool itself.  So for every domain
-    count the store, history, clock, labels and the returned [run] are
-    those of [domains = 1], which spawns nothing; a behaviour that
-    raises surfaces at its turn, after every helper is joined.
-    @raise Ddf_core.Error.Ddf_error on [domains < 1], unbound mandatory
-    leaves, incompatible bindings or missing outputs. *)
+    The invocations run one at a time on the calling thread, in
+    dependency order, each storing and recording its outputs before
+    the next starts.  Fig. 6's parallelism of disjoint branches is
+    {!Parallel.schedule}'s simulated machine pool over the returned
+    [costs].  A behaviour that raises leaves the invocations committed
+    before it in the store and history.
+    @raise Ddf_core.Error.Ddf_error on unbound mandatory leaves,
+    incompatible bindings or missing outputs. *)
 
 val execute_fanout :
   ?memo:bool -> ?max_combinations:int -> context -> Task_graph.t ->

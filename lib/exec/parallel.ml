@@ -1,8 +1,7 @@
 (* Parallel task execution (Fig. 6) on a simulated machine pool:
    deterministic list scheduling of a flow's invocations, using the
    costs observed during a real run -- the makespan/speedup numbers of
-   experiment E6.  Real multicore execution is [Engine.execute
-   ~domains]. *)
+   experiment E6.  The run itself is serial ([Engine.execute]). *)
 
 open Ddf_graph
 module Obs = Ddf_obs.Obs

@@ -1,8 +1,7 @@
 (** Parallel task execution (Fig. 6): disjoint branches of a flow can
     execute in parallel, possibly on different machines.  This module
-    simulates a machine pool from a real run's costs; real multicore
-    execution is {!Engine.execute} with [~domains], whose outcome is a
-    serial run's. *)
+    simulates a machine pool from the costs of a real run, which
+    {!Engine.execute} makes one invocation at a time. *)
 
 open Ddf_graph
 

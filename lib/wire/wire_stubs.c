@@ -1,4 +1,4 @@
-/* Gathered socket writes for the v8 binary wire protocol.
+/* Gathered socket writes for the binary wire protocol.
  *
  * The OCaml side hands over a frame list as an array of
  * (string, offset, length) slices -- header buffers interleaved with

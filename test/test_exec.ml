@@ -39,7 +39,7 @@ let fig5_setup () =
 
 (* A flow whose sim_options leaf fills only an optional role and stays
    unbound. *)
-let optional_leaf_flow domains =
+let optional_leaf_flow () =
   let w = Workspace.create () in
   let ctx = Workspace.ctx w in
   let nl = Eda.Circuits.c17 () in
@@ -60,7 +60,7 @@ let optional_leaf_flow domains =
         :: [ (List.hd (Workspace.find_nodes g E.device_models),
               Workspace.default_device_models w) ])
   in
-  let run = Engine.execute ~domains ctx g ~bindings in
+  let run = Engine.execute ctx g ~bindings in
   check Alcotest.bool "performance produced" true
     (Engine.result_of run perf > 0)
 
@@ -83,6 +83,7 @@ let engine_tests =
         let r1 = Engine.execute ctx f.Standard_flows.f5_graph ~bindings in
         let r2 = Engine.execute ctx f.Standard_flows.f5_graph ~bindings in
         check Alcotest.int "nothing re-executed" 0 r2.Engine.stats.Engine.executed;
+        check Alcotest.int "nothing re-composed" 0 r2.Engine.stats.Engine.composed;
         check Alcotest.bool "memo hits" true (r2.Engine.stats.Engine.memo_hits > 0);
         check Alcotest.int "same result"
           (Engine.result_of r1 f.Standard_flows.f5_performance)
@@ -99,21 +100,31 @@ let engine_tests =
           List.filter (fun (n, _) -> n <> f.Standard_flows.f5_layout) bindings
         in
         Engine.execute (Workspace.ctx w) f.Standard_flows.f5_graph ~bindings);
-    expect_exec_error "binding with an incompatible instance" (fun () ->
+    Util.expect_exn "binding with an incompatible instance"
+      (function
+        | Ddf.Error.Ddf_error { code = `Type_error; _ } -> true | _ -> false)
+      (fun () ->
         let w, f, bindings = fig5_setup () in
         let stim =
           Workspace.install_stimuli w (Eda.Stimuli.exhaustive [ "a" ])
         in
+        let before = Sync.fingerprint (Workspace.ctx w) in
         let bindings =
           List.map
             (fun (n, i) ->
               if n = f.Standard_flows.f5_layout then (n, stim) else (n, i))
             bindings
         in
-        Engine.execute (Workspace.ctx w) f.Standard_flows.f5_graph ~bindings);
-    t "optional leaves may stay unbound" (fun () -> optional_leaf_flow 1);
-    t "helper domains allow unbound optional leaves" (fun () ->
-        optional_leaf_flow 2);
+        match
+          Engine.execute (Workspace.ctx w) f.Standard_flows.f5_graph ~bindings
+        with
+        | run -> run
+        | exception e ->
+          (* refused before any tool runs *)
+          check Alcotest.string "nothing ran" before
+            (Sync.fingerprint (Workspace.ctx w));
+          raise e);
+    t "optional leaves may stay unbound" optional_leaf_flow;
     t "fan-out runs once per selected instance" (fun () ->
         let w = Workspace.create () in
         let ctx = Workspace.ctx w in
@@ -216,13 +227,6 @@ let parallel_tests =
         in
         check Alcotest.bool "ordered" true
           (simulation.Parallel.start_us >= extraction.Parallel.finish_us));
-    t "domain execution matches serial results" (fun () ->
-        let run domains =
-          let w, f, bindings = fig5_setup () in
-          Engine.execute ~domains (Workspace.ctx w) f.Standard_flows.f5_graph
-            ~bindings
-        in
-        check Alcotest.bool "the serial run" true (run 3 = run 1));
   ]
 
 let consistency_tests =
@@ -592,101 +596,57 @@ let suite = suite @ [ ("exec.batching", batching_tests) ]
 
 let parallel_memo_tests =
   [
-    t "parallel execution memoizes against the history" (fun () ->
-        let w, f, bindings = fig5_setup () in
-        let ctx = Workspace.ctx w in
-        let _ = Engine.execute ctx f.Standard_flows.f5_graph ~bindings in
-        let run =
-          Engine.execute ~domains:2 ctx f.Standard_flows.f5_graph ~bindings
-        in
-        check Alcotest.int "nothing re-executed" 0 run.Engine.stats.Engine.executed;
-        check Alcotest.int "nothing re-composed" 0 run.Engine.stats.Engine.composed);
-    Util.expect_exn "an ill-typed binding is refused before any tool runs"
-      (function
-        | Ddf.Error.Ddf_error { code = `Type_error; _ } -> true | _ -> false)
-      (fun () ->
-        let w, f, bindings = fig5_setup () in
-        let stim = Workspace.install_stimuli w (Eda.Stimuli.exhaustive [ "a" ]) in
-        let before = Sync.fingerprint (Workspace.ctx w) in
-        let bindings =
-          List.map
-            (fun (n, i) ->
-              if n = f.Standard_flows.f5_layout then (n, stim) else (n, i))
-            bindings
-        in
-        match
-          Engine.execute ~domains:2 (Workspace.ctx w) f.Standard_flows.f5_graph
-            ~bindings
-        with
-        | run -> run
-        | exception e ->
-          check Alcotest.string "nothing ran" before
-            (Sync.fingerprint (Workspace.ctx w));
-          raise e);
-    Util.expect_exn "fewer than one domain is refused"
-      (function Ddf.Error.Ddf_error { code = `Invalid; _ } -> true | _ -> false)
-      (fun () ->
-        let w, f, bindings = fig5_setup () in
-        Engine.execute ~domains:0 (Workspace.ctx w) f.Standard_flows.f5_graph
-          ~bindings);
-    t "a raising tool leaves what serial leaves" (fun () ->
+    t "a raising tool keeps the branches committed before it" (fun () ->
         (* three branches: an extraction, a tool with no encapsulation,
-           and another extraction that helpers may run ahead of it *)
-        let outcome domains =
-          let schema =
-            Schema.add_entity Standard_schemas.odyssey
-              (Schema.tool "mystery_tool" [])
-          in
-          let schema =
-            Schema.add_entity schema
-              (Schema.entity "mystery_output"
-                 [ Schema.functional "mystery_tool" ])
-          in
-          let ctx = Engine.create_context schema in
-          let extractor = Engine.install_tool ctx E.extractor in
-          let mystery =
-            Engine.install ctx ~entity:"mystery_tool"
-              (Value.Tool (Value.Builtin "?"))
-          in
-          let layout circuit =
-            Engine.install ctx ~entity:E.layout
-              (Value.Layout (Eda.Layout.place circuit))
-          in
-          let l1 = layout (Eda.Circuits.c17 ())
-          and l2 = layout (Eda.Circuits.full_adder ()) in
-          let branch (g, bindings) entity bind =
-            let g, out = Task_graph.add_node g entity in
-            let g, fresh = Task_graph.expand g out in
-            (g, List.map2 bind fresh (List.map (Task_graph.entity_of g) fresh)
-                @ bindings)
-          in
-          let extraction l nid entity =
-            (nid, if entity = E.extractor then extractor else l)
-          in
-          let g, bindings =
-            branch (Task_graph.empty schema, []) E.extracted_netlist
-              (extraction l1)
-          in
-          let g, bindings =
-            branch (g, bindings) "mystery_output" (fun nid _ -> (nid, mystery))
-          in
-          let g, bindings =
-            branch (g, bindings) E.extracted_netlist (extraction l2)
-          in
-          let raised =
-            match Engine.execute ~domains ctx g ~bindings with
-            | _ -> "nothing"
-            | exception e -> Printexc.to_string e
-          in
-          (raised, Sync.fingerprint ctx, ctx.Engine.clock,
-           History.size ctx.Engine.history)
+           and another extraction after it *)
+        let schema =
+          Schema.add_entity Standard_schemas.odyssey
+            (Schema.tool "mystery_tool" [])
         in
-        let serial = outcome 1 in
-        let raised, _, _, records = serial in
-        check Alcotest.bool "serial raises" true (raised <> "nothing");
-        check Alcotest.int "after committing the first branch" 1 records;
-        check Alcotest.bool "the same exception and state" true
-          (outcome 3 = serial));
+        let schema =
+          Schema.add_entity schema
+            (Schema.entity "mystery_output"
+               [ Schema.functional "mystery_tool" ])
+        in
+        let ctx = Engine.create_context schema in
+        let extractor = Engine.install_tool ctx E.extractor in
+        let mystery =
+          Engine.install ctx ~entity:"mystery_tool"
+            (Value.Tool (Value.Builtin "?"))
+        in
+        let layout circuit =
+          Engine.install ctx ~entity:E.layout
+            (Value.Layout (Eda.Layout.place circuit))
+        in
+        let l1 = layout (Eda.Circuits.c17 ())
+        and l2 = layout (Eda.Circuits.full_adder ()) in
+        let branch (g, bindings) entity bind =
+          let g, out = Task_graph.add_node g entity in
+          let g, fresh = Task_graph.expand g out in
+          (g, List.map2 bind fresh (List.map (Task_graph.entity_of g) fresh)
+              @ bindings)
+        in
+        let extraction l nid entity =
+          (nid, if entity = E.extractor then extractor else l)
+        in
+        let g, bindings =
+          branch (Task_graph.empty schema, []) E.extracted_netlist
+            (extraction l1)
+        in
+        let g, bindings =
+          branch (g, bindings) "mystery_output" (fun nid _ -> (nid, mystery))
+        in
+        let g, bindings =
+          branch (g, bindings) E.extracted_netlist (extraction l2)
+        in
+        let raised =
+          match Engine.execute ctx g ~bindings with
+          | _ -> false
+          | exception _ -> true
+        in
+        check Alcotest.bool "the mystery tool raises" true raised;
+        check Alcotest.int "after committing the first branch" 1
+          (History.size ctx.Engine.history));
     t "critical path report is consistent" (fun () ->
         let nl = Eda.Circuits.ripple_adder 4 in
         let report = Eda.Performance.critical_path_report nl in

@@ -4,7 +4,6 @@
 
    - execution succeeds and assigns every node;
    - an identical re-run is 100% memo hits with the same instances;
-   - execution with helper domains has the serial run's outcome;
    - the workspace survives a save/load round trip with hashes intact. *)
 
 open Ddf
@@ -131,23 +130,6 @@ let executes_and_memoizes (seed, steps) =
   && r2.Engine.stats.Engine.composed = 0
   && r1.Engine.assignment = r2.Engine.assignment
 
-(* A flow's whole outcome on a fresh workspace at [domains]: the run,
-   the fingerprint, the history's records and every instance's meta. *)
-let outcome g domains =
-  let w = Workspace.create () in
-  let ctx = Workspace.ctx w in
-  let run = Engine.execute ~domains ctx g ~bindings:(auto_bindings w g) in
-  let store = Workspace.store w in
-  ( run,
-    Sync.fingerprint ctx,
-    History.records ctx.Engine.history,
-    List.map (Store.meta_of store) (Store.all_instances store) )
-
-let parallel_matches_serial (seed, steps) =
-  let g = Flow_gen.random_flow seed steps in
-  let serial = outcome g 1 in
-  List.for_all (fun domains -> outcome g domains = serial) [ 2; 3 ]
-
 let survives_persistence (seed, steps) =
   let g = Flow_gen.random_flow seed steps in
   let w = Workspace.create () in
@@ -167,8 +149,6 @@ let suite =
       [
         Util.qcheck ~count:40 "random flows execute and memoize" gen
           executes_and_memoizes;
-        Util.qcheck ~count:15 "parallel execution matches serial" gen
-          parallel_matches_serial;
         Util.qcheck ~count:15 "workspaces survive persistence" gen
           survives_persistence;
         t "multi-function payload shares physical storage" (fun () ->
