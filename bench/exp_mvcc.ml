@@ -1,8 +1,8 @@
 (* Experiment M: MVCC read scaling across domains.
 
    An in-process daemon on a scratch database; a writer client keeps
-   the single-writer loop committing (and republishing the snapshot
-   view) while N reader threads hammer Browse over the socket.  The
+   group commits running (each one republishes the snapshot view)
+   while N reader threads hammer Browse over the socket.  The
    same workload runs with the domain-pool read executor at 0 (inline
    baseline), 1, 2 and 4 worker domains; sustained reads/sec per
    configuration and the 1->4 scaling factor are exported as gauges.
@@ -57,8 +57,8 @@ let populate socket =
   done;
   !first
 
-(* Sustained pure-read throughput with the writer loop active, at one
-   pool size.  Returns reads/sec. *)
+(* Sustained pure-read throughput while a writer client keeps
+   committing, at one pool size.  Returns reads/sec. *)
 let measure ~read_domains =
   let dir = fresh_dir () in
   let socket = Filename.concat dir "s.sock" in

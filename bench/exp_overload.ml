@@ -55,7 +55,7 @@ let duration_s = 1.5
 
 (* 2^10 stimulus vectors: enough codec + hash + journal work per
    install that per-job service time dominates the batch fsync and a
-   small fleet saturates the single writer. *)
+   small fleet saturates the one group commit that runs at a time. *)
 let payload =
   Codec.value_to_sexp
     (Value.Stimuli

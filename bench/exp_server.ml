@@ -1,8 +1,8 @@
 (* Experiment S: the design server under concurrent clients.
 
    An in-process daemon on a scratch database; N client threads issue
-   a mixed workload (installs and annotations through the single-writer
-   loop, browses and stats served concurrently) over the Unix-socket
+   a mixed workload (installs and annotations, group-committed one
+   group at a time, browses and stats served concurrently) over the Unix-socket
    wire protocol.  Reports sustained requests/sec and p50/p99
    per-request latency, exported as gauges for --json. *)
 

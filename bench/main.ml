@@ -34,7 +34,7 @@ let experiments =
      Exp_cement.run);
     ("W", "wire codec: encode/decode, framed throughput",
      Exp_wire.run);
-    ("M", "MVCC: domain-pool read scaling with the writer loop active",
+    ("M", "MVCC: domain-pool read scaling while writes commit",
      Exp_mvcc.run);
   ]
 

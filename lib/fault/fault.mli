@@ -27,9 +27,10 @@
     - ["wire.send"]          any framed socket send ([Torn n] → the
                              peer sees [n] bytes then a dead
                              connection)
-    - ["server.writer_stall"] the server's writer loop, once per
-                             batch ([Delay s] → the writer sleeps with
-                             requests queued behind it)
+    - ["server.writer_stall"] the server's group commit, once per
+                             group ([Delay s] → the leader sleeps with
+                             requests queued behind it; [Fail] → the
+                             commit raises before any job runs)
     - ["sync.pull"]          before each anti-entropy frame fetch
                              ([Fail] → the sync round dies mid-flight;
                              the persisted cursor makes the next sync

@@ -235,7 +235,7 @@ let fsync_now j =
   if j.j_pending > 0 then
     Ddf_obs.Metrics.observe h_batch (float_of_int j.j_pending);
   j.j_pending <- 0;
-  (* inherits the writer thread's current span, so the fsync shows up
+  (* inherits the committing thread's current span, so the fsync shows up
      inside the write job (or batch-sync span) that forced it *)
   if Ddf_obs.Obs.enabled () then
     Ddf_obs.Obs.complete ~cat:"journal"
@@ -648,7 +648,7 @@ type tail =
 
 (* Entries with seqno > [since], read back from the on-disk wal.  The
    i-th frame of the wal is entry base+i.  Callers must exclude writers
-   (the server reads the tail from its single-writer loop), so the file
+   (the server reads the tail inside a group commit), so the file
    ends exactly at the last complete frame. *)
 let entries_since j since =
   if j.j_closed then journal_errorf ~code:`Unavailable "journal is closed";

@@ -152,7 +152,7 @@ type tail =
 val entries_since : t -> int -> tail
 (** Entries with seqno greater than the argument, read back from the
     on-disk wal.  Call with writers excluded (the design server calls
-    it from its single-writer loop). *)
+    it inside a group commit, one at a time). *)
 
 val snapshot_state : t -> int * string
 (** The full current state as a replication seed or export: [(seq,

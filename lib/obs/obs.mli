@@ -6,8 +6,8 @@
     behaviour byte-identical.
 
     Emission is serialised by an internal mutex: sinks may be driven
-    from any thread (server connection threads, the writer thread, the
-    replication sender) without their own locking.
+    from any thread (server connection threads, the one leading a group
+    commit, the replication sender) without their own locking.
 
     Events may carry a {!span_ctx} — a trace id shared across
     processes plus span/parent ids forming a tree.  The current

@@ -11,7 +11,7 @@
 
    Threading: an [Outbox] owns the send side of a replication
    connection (one sender thread, bounded queue) so the primary's
-   writer loop never blocks on a slow follower — a follower that falls
+   group commit never blocks on a slow follower — a follower that falls
    more than [cap] frames behind is evicted and must reconnect, which
    lands it on the catch-up path.  A [Follower] owns one background
    thread that keeps a Feed alive with bounded exponential backoff and

@@ -1,24 +1,24 @@
 (* The Hercules design-server daemon.
 
-   Concurrency model (MVCC): one reader thread per connection, one
-   writer thread for the engine, an optional pool of reader DOMAINS.
-   Store/history mutations (install, annotate, run, refresh) are
-   enqueued as jobs and applied by the writer in arrival order — a
-   single serialization point, so the design history is trivially
-   serializable and the journal records one total order.  After each
-   group commit the writer atomically publishes a pinned
-   store+history snapshot ([published]); pure reads (catalogs,
-   browsing, task-window editing, history queries) evaluate against
-   that frozen view and never synchronize with the writer at all — no
-   read lock, no gate, nothing to contend on.  The only lock left on
-   the commit path is the (vestigial, single-threaded) writer commit
+   Concurrency model (MVCC): one thread per connection, an optional
+   pool of reader DOMAINS, no writer thread.  Store/history mutations
+   (install, annotate, run, refresh) are enqueued as jobs and
+   committed in arrival order by whichever submitter leads the group
+   commit, one at a time — a single serialization point, so the
+   design history is trivially serializable and the journal records
+   one total order.  After each group commit the leader atomically
+   publishes a pinned store+history snapshot ([published]); pure reads
+   (catalogs, browsing, task-window editing, history queries) evaluate
+   against that frozen view and never synchronize with a commit at
+   all — no read lock, no gate, nothing to contend on.  The only lock
+   left on the commit path is the (vestigial, uncontended) commit
    lock, instrumented with [server.lock_acquisitions] precisely so
    tests can assert the counter stays flat under read-only load.
 
    With [read_domains > 0] pure reads are dispatched to a pool of
    worker domains that pin the latest published view per request (or
-   per pure-read batch), so reads scale across cores while the writer
-   keeps committing.  [read_domains = 0] (the default) evaluates them
+   per pure-read batch), so reads scale across cores while writes
+   keep committing.  [read_domains = 0] (the default) evaluates them
    inline on the connection thread — still lock-free.  The write queue
    and the read pool are two instances of one bounded executor.
 
@@ -27,7 +27,7 @@
    store, history and clock — the paper's multi-designer Hercules
    database.  A connection serves one request at a time, so handing
    its session to a pool domain is race-free.  Client identity
-   arrives via Hello and is rebound onto ctx.user by the writer
+   arrives via Hello and is rebound onto ctx.user by the group commit
    before each mutation, so Store.meta.user reflects the requesting
    designer. *)
 
@@ -64,9 +64,9 @@ let h_read_wait = Metrics.histogram "server.read_queue_wait_us"
 (* The words a write request allocates (both heaps, see
    [Metrics.with_alloc_words] for the threads a count covers): its
    frame's decode, on its connection thread, plus its job on the
-   writer thread, journal appends included; the response's encode is
-   not counted.  By verb class; and the minor collections a writer
-   batch spans, from taking it to answering it. *)
+   thread leading its group commit, journal appends included; the
+   response's encode is not counted.  By verb class; and the minor
+   collections a commit group spans, from taking it to answering it. *)
 let h_alloc_words =
   let h verb = Metrics.histogram ("server.alloc_words." ^ verb) in
   let install = h "install" and batch = h "batch" and run = h "run" in
@@ -92,7 +92,7 @@ let metered_alloc ~decode_words req f =
 
 
 (* The zero-lock-read invariant, made checkable: every acquisition of
-   the writer commit lock bumps this counter, and nothing on the read
+   the commit lock bumps this counter, and nothing on the read
    path ever takes it — so under read-only load the counter must stay
    flat.  The CI smoke and test suite assert exactly that. *)
 let m_lock_acquisitions = Metrics.counter "server.lock_acquisitions"
@@ -105,13 +105,13 @@ let g_lag = Metrics.gauge "replica.lag_entries"
 let g_followers = Metrics.gauge "replica.followers"
 
 (* ------------------------------------------------------------------ *)
-(* The writer commit lock                                              *)
+(* The commit lock                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Vestigial by construction — only the (single) writer thread takes
-   it, around each job's store/history/journal mutation — but kept and
-   instrumented: the acquisition counter is the proof that the read
-   path is lock-free.  A read that (re)grew a lock dependency would
+(* Vestigial by construction — only the one thread leading a group
+   commit takes it, around each job's store/history/journal mutation —
+   but kept and instrumented: the acquisition counter is the proof that
+   the read path is lock-free.  A read that (re)grew a lock dependency would
    move the counter under read-only load and fail the assertion. *)
 module Commit_lock = struct
   type t = Mutex.t
@@ -129,8 +129,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* What pure reads see: the store and history pinned together, plus
-   the journal seqno and logical clock they correspond to.  The writer
-   swaps a fresh one in (a single [Atomic.set]) after each group
+   the journal seqno and logical clock they correspond to.  The group
+   commit swaps a fresh one in (a single [Atomic.set]) after each group
    commit's fsync, so a reader can never observe state whose
    durability is still in flight; between commits every read costs one
    [Atomic.get] and zero synchronization. *)
@@ -166,13 +166,14 @@ let wire_error ?context ?retryable ?retry_after code fmt =
 (* ------------------------------------------------------------------ *)
 
 (* One queue discipline for both kinds of queued server work: the
-   write queue, which the writer thread drains whole as one
-   group-commit batch, and the read pool, whose worker domains take
-   one job each.  A producer is admitted (or refused) by [submit] and
-   blocks there until its job is answered; a consumer [take]s jobs,
-   [serve]s each (the one expiry check, at dequeue) and [answer]s
-   them.  Stopping refuses new admissions, but every accepted job is
-   still taken and answered. *)
+   write queue, which its submitters commit themselves in groups, and
+   the read pool, whose worker domains take one job each.  A producer
+   is admitted (or refused) by [submit] and blocks there until its job
+   is answered.  A read domain [take]s jobs; a write producer that
+   finds no group commit running leads one ([lead]).  Either way each
+   job is [serve]d (the one expiry check, at dequeue) and [answer]ed.
+   Stopping refuses new admissions, but every accepted job is still
+   taken and answered. *)
 module Executor = struct
   type job = {
     run : unit -> Wire.response;
@@ -194,16 +195,17 @@ module Executor = struct
     wait_span : string;
     h_wait : Metrics.histogram;
     m : Mutex.t;
-    work : Condition.t;               (* consumers: on submit and stop *)
+    work : Condition.t;               (* read domains; [await_idle] *)
     q : job Queue.t;
     mutable stopping : bool;
+    mutable leading : bool;           (* a group commit is running *)
     mutable avg_us : float;           (* EWMA of job service time *)
   }
 
   let create ?bound ?(max_wait = infinity) ~what ~wait_span ~h_wait () =
     { what; bound; max_wait; wait_span; h_wait; m = Mutex.create ();
       work = Condition.create (); q = Queue.create (); stopping = false;
-      avg_us = 0.0 }
+      leading = false; avg_us = 0.0 }
 
   (* How long a shed client should back off: the queue's expected
      drain time under the recent service rate.  Call under [m]. *)
@@ -211,9 +213,42 @@ module Executor = struct
     let avg_us = if ex.avg_us > 0.0 then ex.avg_us else 2_000.0 in
     Float.max 0.01 (float_of_int (Queue.length ex.q + 1) *. avg_us /. 1e6)
 
+  (* Set each job's answer, under that job's own lock, unless it has
+     one already, and wake its producer. *)
+  let answer answers =
+    List.iter
+      (fun (job, resp) ->
+        Mutex.protect job.answer_m (fun () ->
+            if job.answer = None then begin
+              job.answer <- Some resp;
+              Condition.signal job.answer_c
+            end))
+      answers
+
+  (* The leader's loop: [commit] the whole queue as one group until
+     the queue is empty, then step down.  Whatever escapes [commit]
+     answers the members still waiting, so the leader always steps
+     down and no member hangs. *)
+  let rec lead ex commit =
+    match
+      Mutex.protect ex.m @@ fun () ->
+      let group = List.of_seq (Queue.to_seq ex.q) in
+      ex.leading <- not (Queue.is_empty ex.q);
+      Queue.clear ex.q;
+      if not ex.leading then Condition.broadcast ex.work;
+      group
+    with
+    | [] -> ()
+    | group ->
+      (try commit group
+       with e -> answer (List.map (fun job -> (job, error_response e)) group));
+      lead ex commit
+
   (* Producer side: admit [run], wait for its answer and return it.
-     The deadline is capped at [max_wait] past admission. *)
-  let submit ex ?(deadline = infinity) ~user run =
+     The deadline is capped at [max_wait] past admission.  With
+     [lead], a producer that finds no group commit running leads one
+     on its own thread, its own job in the first group. *)
+  let submit ex ?(deadline = infinity) ?lead:commit ~user run =
     let enqueued = Unix.gettimeofday () in
     let job =
       { run; user; enqueued;
@@ -224,46 +259,43 @@ module Executor = struct
         answer_m = Mutex.create (); answer_c = Condition.create ();
         answer = None }
     in
-    let refusal =
+    let admitted =
       Mutex.protect ex.m @@ fun () ->
-      if ex.stopping then Some (wire_error `Unavailable "server is shutting down")
+      if ex.stopping then Error (wire_error `Unavailable "server is shutting down")
       else
         match ex.bound with
         | Some bound when Queue.length ex.q >= bound ->
           (* shed at admission: the job never reaches a consumer, so it
              is never executed and never journaled — safe to resend *)
           Metrics.incr m_shed;
-          Some
+          Error
             (wire_error ~retry_after:(retry_after_hint ex) `Overloaded
                "%s queue is full (%d jobs)" ex.what bound)
         | Some _ | None ->
           Queue.push job ex.q;
-          Condition.signal ex.work;
-          None
+          let leads = Option.is_some commit && not ex.leading in
+          if Option.is_none commit then Condition.signal ex.work
+          else ex.leading <- true;
+          Ok leads
     in
-    match refusal with
-    | Some refused -> refused
-    | None ->
+    match admitted with
+    | Error refused -> refused
+    | Ok leads ->
+      if leads then lead ex (Option.get commit);
       Mutex.protect job.answer_m @@ fun () ->
       while job.answer = None do
         Condition.wait job.answer_c job.answer_m
       done;
       Option.get job.answer
 
-  (* Consumer side: every queued job when [all] (a group-commit batch),
-     else the oldest one; [None] once stopped and drained. *)
-  let take ex ~all =
+  (* Read-domain side: the oldest queued job; [None] once stopped and
+     drained. *)
+  let take ex =
     Mutex.protect ex.m @@ fun () ->
     while Queue.is_empty ex.q && not ex.stopping do
       Condition.wait ex.work ex.m
     done;
-    if Queue.is_empty ex.q then None
-    else if all then begin
-      let batch = List.of_seq (Queue.to_seq ex.q) in
-      Queue.clear ex.q;
-      Some batch
-    end
-    else Some [ Queue.pop ex.q ]
+    Queue.take_opt ex.q
 
   (* Run a taken job through [exec], unless its deadline passed while
      it waited: then it is answered [`Timeout] and never run — its
@@ -289,26 +321,23 @@ module Executor = struct
       resp
     end
 
-  let answer answers =
-    List.iter
-      (fun (job, resp) ->
-        Mutex.protect job.answer_m (fun () ->
-            job.answer <- Some resp;
-            Condition.signal job.answer_c))
-      answers
-
   let stop ex =
     Mutex.protect ex.m @@ fun () ->
     ex.stopping <- true;
     Condition.broadcast ex.work
+
+  (* Block until no group commit runs; once stopped, none starts. *)
+  let await_idle ex =
+    Mutex.protect ex.m @@ fun () ->
+    while ex.leading do Condition.wait ex.work ex.m done
 end
 
 type t = {
   journal : Journal.t;
   ctx : Engine.context;
-  commit_m : Commit_lock.t;           (* writer-only; see Commit_lock *)
+  commit_m : Commit_lock.t;           (* commit-only; see Commit_lock *)
   published : published Atomic.t;     (* what pure reads evaluate against *)
-  writes : Executor.t;                (* drained by the writer thread *)
+  writes : Executor.t;                (* committed by its submitters *)
   reads : Executor.t;                 (* drained by the read domains *)
   mutable read_workers : unit Domain.t list;
   socket_path : string;
@@ -333,7 +362,6 @@ type t = {
   mutable conns : (int * Unix.file_descr) list;
   mutable next_conn : int;
   mutable threads : Thread.t list;
-  mutable writer : Thread.t option;
   mutable accepter : Thread.t option;
   (* replication *)
   mutable follow : string option;     (* primary socket when a follower *)
@@ -382,18 +410,18 @@ let unregister_follower t outbox =
   update_replica_gauges t
 
 (* ------------------------------------------------------------------ *)
-(* The writer loop                                                     *)
+(* Group commit                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Swap the published view: two atomic snapshot loads (history first,
    so the store side covers every instance its records mention) and
-   one atomic store.  Runs on the writer thread only. *)
+   one atomic store.  Runs only inside a group commit. *)
 let publish t =
   Atomic.set t.published
     { pub_view = Engine.pin t.ctx; pub_seq = Journal.seq t.journal;
       pub_clock = t.ctx.Engine.clock }
 
-(* One write job: the job's span becomes the writer thread's current
+(* One write job: the job's span becomes the leading thread's current
    context, so journal appends (and the frame observer shipping to
    followers) inherit the request's trace. *)
 let write_job t (job : Executor.job) () =
@@ -406,76 +434,67 @@ let write_job t (job : Executor.job) () =
       ignore (Journal.maybe_compact t.journal);
       resp)
 
-(* Group commit: the writer drains its whole queue as one batch, runs
-   each job (mutating the store and appending journal frames), then
-   makes the batch durable with a single [Journal.sync] before
-   acknowledging anyone.  Under load the queue fills while the previous
-   batch runs, so the fsync cost amortizes over every waiting writer;
-   an idle server degenerates to one fsync per write.  Jobs still
-   execute one at a time under the write lock, so readers interleave
-   between jobs exactly as before. *)
-let writer_loop t =
-  let rec next () =
-    match Executor.take t.writes ~all:true with
-    | None -> ()
-    | Some batch ->
-      let collections = Metrics.minor_collections () in
-      (* test hook: an armed delay here models a stalled writer (slow
-         disk, GC pause) so tests can fill the admission queue *)
-      ignore (Fault.check "server.writer_stall" : Fault.action option);
-      let results =
-        List.map
-          (fun job -> (job, Executor.serve t.writes job (write_job t job)))
-          batch
-      in
-      (* one fsync covers every frame the batch appended; only after it
-         succeeds are the jobs acknowledged.  If the disk fails here,
-         nobody gets an Ok for an entry of unknown durability. *)
-      let synced, results =
-        match
-          (* the batch shares one fsync; parent the sync span to the
-             first traced job so the group commit shows in its trace *)
-          Obs.with_span ~cat:"journal"
-            ?parent:
-              (List.find_map (fun ((job : Executor.job), _) -> job.span) results)
-            ~attrs:[ ("batch", Obs.Int (List.length results)) ]
-            "journal.sync_batch"
-            (fun () -> Journal.sync t.journal)
-        with
-        | () -> (true, results)
-        | exception e ->
-          let err = error_response e in
-          (false, List.map (fun (job, _) -> (job, err)) results)
-      in
-      (* Publication ordering: AFTER the batch's fsync, BEFORE any job
-         is acknowledged.  A reader can never observe state whose
-         durability is still pending, and a client that got its Ok is
-         guaranteed to see its own write in the next view it pins.
-         When the sync failed, or the journal is fail-stopped from an
-         earlier batch, the live state holds mutations that can never
-         become durable (there is no rollback): readers keep the last
-         durable view instead. *)
-      if synced && Journal.failed t.journal = None then publish t;
-      Executor.answer results;
-      Metrics.observe h_minor_collections
-        (float_of_int (Metrics.minor_collections () - collections));
-      next ()
+(* Group commit, on the thread of the submitter that leads it: run
+   each job of the group (mutating the store and appending journal
+   frames), then make the group durable with a single [Journal.sync]
+   before acknowledging anyone.  Writes that arrive meanwhile form the
+   leader's next group, so under load the fsync cost amortizes over
+   every waiting writer, and a lone write commits on its own
+   connection thread.  Jobs run one at a time under the commit lock. *)
+let commit t group =
+  let collections = Metrics.minor_collections () in
+  (* test hook: an armed delay here models a stalled commit (slow
+     disk, GC pause) so tests can fill the admission queue; an armed
+     failure escapes the commit before any job runs *)
+  Fault.fire "server.writer_stall";
+  let results =
+    List.map
+      (fun job -> (job, Executor.serve t.writes job (write_job t job)))
+      group
   in
-  next ()
+  (* one fsync covers every frame the group appended; only after it
+     succeeds are the jobs acknowledged.  If the disk fails here,
+     nobody gets an Ok for an entry of unknown durability. *)
+  let synced, results =
+    match
+      (* the group shares one fsync; parent the sync span to the
+         first traced job so the group commit shows in its trace *)
+      Obs.with_span ~cat:"journal"
+        ?parent:
+          (List.find_map (fun ((job : Executor.job), _) -> job.span) results)
+        ~attrs:[ ("batch", Obs.Int (List.length results)) ]
+        "journal.sync_batch"
+        (fun () -> Journal.sync t.journal)
+    with
+    | () -> (true, results)
+    | exception e ->
+      let err = error_response e in
+      (false, List.map (fun (job, _) -> (job, err)) results)
+  in
+  (* Publication ordering: AFTER the group's fsync, BEFORE any job is
+     acknowledged.  A reader can never observe state whose durability
+     is still pending, and a client that got its Ok is guaranteed to
+     see its own write in the next view it pins.  When the sync
+     failed, or the journal is fail-stopped from an earlier group, the
+     live state holds mutations that can never become durable (there
+     is no rollback): readers keep the last durable view instead. *)
+  if synced && Journal.failed t.journal = None then publish t;
+  Executor.answer results;
+  Metrics.observe h_minor_collections
+    (float_of_int (Metrics.minor_collections () - collections))
+
+let submit_write t ?deadline ~user run =
+  Executor.submit t.writes ?deadline ~lead:(commit t) ~user run
 
 (* A read domain takes one job at a time; it exits once the executor
    is stopped and drained. *)
 let read_worker t =
   let rec next () =
-    match Executor.take t.reads ~all:false with
+    match Executor.take t.reads with
     | None -> ()
-    | Some jobs ->
-      Executor.answer
-        (List.map
-           (fun (job : Executor.job) ->
-             Metrics.incr m_pool_reads;
-             (job, Executor.serve t.reads job job.run))
-           jobs);
+    | Some job ->
+      Metrics.incr m_pool_reads;
+      Executor.answer [ (job, Executor.serve t.reads job job.run) ];
       next ()
   in
   next ()
@@ -499,7 +518,7 @@ let nodes_with_entities flow nids =
    the view shared-state reads go through: on the read path it is a
    constant — the published view the request (or the whole pure-read
    batch) was dispatched with, so evaluation is repeatable and
-   lock-free; on the writer path it pins the live context afresh, so
+   lock-free; on the write path it pins the live context afresh, so
    a member of a mutation batch observes the members before it. *)
 let rec eval t session ~pin req =
   let ctx = t.ctx in
@@ -508,7 +527,7 @@ let rec eval t session ~pin req =
     (* Positional answers; an inner failure becomes an [Error] at its
        position and execution continues — journaled effects of earlier
        members are already committed (there is no rollback).  When the
-       batch is a mutation it arrived here as one writer job, so all
+       batch is a mutation it arrived here as one write job, so all
        its writes share one group commit. *)
     Wire.Ok_batch
       (List.map
@@ -556,7 +575,7 @@ let rec eval t session ~pin req =
     Metrics.sample_gc ();
     Wire.Ok_metrics (Metrics.snapshot Metrics.global)
   | Wire.Sync_digest ->
-    (* runs as a writer job (wal reads need the writer excluded), but
+    (* runs as a write job (wal reads need the commits excluded), but
        mutates nothing — the anti-entropy handshake *)
     let d = Sync.digest_of t.journal in
     Wire.Ok_digest
@@ -648,7 +667,7 @@ let rec eval t session ~pin req =
 let follower_rejects t req =
   is_follower t && Wire.is_mutation req
   && (match (req : Wire.request) with
-     (* the sync pull verbs are writer-serialized wal reads, not
+     (* the sync pull verbs are commit-serialized wal reads, not
         mutations — a follower may be inspected and pulled from, it
         just may not apply a sync (its journal must stay a byte copy
         of the primary's) *)
@@ -687,7 +706,7 @@ let serve_request t session ~conn_id ~user ?deadline ?trace
         (Option.value t.follow ~default:"?")
     else if Wire.is_mutation req then begin
       Metrics.incr m_mutations;
-      Executor.submit t.writes ?deadline ~user:!user
+      submit_write t ?deadline ~user:!user
         (fun () ->
           metered_alloc ~decode_words req (fun () ->
               eval t session ~pin:(fun () -> Engine.pin t.ctx) req))
@@ -743,9 +762,9 @@ let remove_conn t conn_id =
 (* A self-contained save of the current state (every payload inline),
    spooled to an unlinked file in the database directory: the returned
    descriptor is the only reference to it, so the bytes are exactly
-   the state at the returned seqno whatever the writer does next.  The
+   the state at the returned seqno whatever later commits do.  The
    on-disk checkpoint is no use here — it references this database's
-   cement store.  Call from a writer job. *)
+   cement store.  Call from a write job. *)
 let spool_export t =
   let seq, data = Journal.snapshot_state t.journal in
   let path =
@@ -765,14 +784,14 @@ let spool_export t =
   (seq, fd)
 
 (* [Snapshot_export]: stream a self-contained save back as
-   begin/chunk/end frames.  The save is spooled by one writer job, so
+   begin/chunk/end frames.  The save is spooled by one write job, so
    it is exactly the state at the captured seqno; the streaming itself
-   runs on the connection thread, outside the writer — a slow reader
-   never blocks writes. *)
+   runs on the connection thread, outside any group commit — a slow
+   reader never blocks writes. *)
 let snapshot_export_stream t fd ~user =
   let pinned = ref None in
   let resp =
-    Executor.submit t.writes ~user (fun () ->
+    submit_write t ~user (fun () ->
         pinned := Some (spool_export t);
         Wire.Ok_unit)
   in
@@ -810,7 +829,7 @@ let rec stop t =
   Mutex.unlock t.m;
   if not already then begin
     (* stop admitting writes and pool reads; queued ones still get
-       answered, and the writer exits once its queue is empty *)
+       answered by the group commit that is running *)
     Executor.stop t.writes;
     Executor.stop t.reads;
     (* a follower stops chasing the primary first, so no replication
@@ -851,7 +870,7 @@ let rec stop t =
   end
 
 (* A [Subscribe] flips its connection into replication mode.  The
-   backlog read and the fan-out registration run as one writer job, so
+   backlog read and the fan-out registration run as one write job, so
    no frame can be appended between "read everything through seqno s"
    and "start receiving live frames after s" — the stream is gapless
    by construction.  After that this thread only reads acks; the
@@ -867,12 +886,12 @@ and replication_loop t fd ~user since =
       frames
   in
   let subscribed =
-    Executor.submit t.writes ~user (fun () ->
+    submit_write t ~user (fun () ->
         (match Journal.entries_since t.journal since with
         | Journal.Snapshot_needed ->
           (* the journal was compacted past [since]: reseed with a
              self-contained save of the state at [seq], spooled here
-             under the writer and streamed in chunks by the outbox's
+             under the commit and streamed in chunks by the outbox's
              sender; live frames follow it. *)
           let seq, fd = spool_export t in
           Replica.Outbox.push_snapshot_fd outbox ~seq fd
@@ -1111,13 +1130,14 @@ let start ?registry ?seed ?follow ?(max_clients = 64)
       drainers = Atomic.make 0;
       m = Mutex.create (); conns = []; next_conn = 1;
       threads = [];
-      writer = None; accepter = None;
+      accepter = None;
       follow; follower = None; followers = [] }
   in
   (* Fan every journaled entry out to the subscribed followers.  The
-     observer fires on the writer thread right after the entry hits
-     the local disk (durable first, then ship) — and it fires on
-     replicated applies too, so a follower can itself feed followers. *)
+     observer fires inside the group commit right after the local wal
+     has the entry (flushed to the OS; durable at the group's sync) —
+     and it fires on replicated applies too, so a follower can itself
+     feed followers. *)
   Journal.set_frame_observer journal (fun seq payload ->
       Metrics.set g_seq (float_of_int seq);
       match live_followers t with
@@ -1127,24 +1147,23 @@ let start ?registry ?seed ?follow ?(max_clients = 64)
           Wire.Ok_frame
             { seq; payload; digest = Digest.to_hex (Digest.string payload) }
         in
-        (* the observer fires on the writer thread inside the write-job
+        (* the observer fires on the leading thread inside the write-job
            span, so the frame ships with the producing request's trace *)
         let trace = if Obs.enabled () then Obs.current_span () else None in
         List.iter (fun ob -> Replica.Outbox.push ?trace ob frame) obs);
   Metrics.set g_seq (float_of_int (Journal.seq journal));
-  t.writer <- Some (Thread.create writer_loop t);
   t.read_workers <-
     List.init read_domains (fun _ -> Domain.spawn (fun () -> read_worker t));
   t.accepter <- Some (Thread.create accept_loop t);
   (* A follower chases its primary on a background driver: every frame
-     and snapshot is applied as a writer job, so replication shares
+     and snapshot is applied as a write job, so replication shares
      the one serialization point (and the RW lock, and auto-compaction)
      with local mutations. *)
   (match follow with
   | None -> ()
   | Some primary ->
     let apply_job what run =
-      match Executor.submit t.writes ~user:"replication" run with
+      match submit_write t ~user:"replication" run with
       | Wire.Ok_unit -> ()
       | Wire.Error err ->
         server_errorf "replication %s failed: %s" what (E.to_string err)
@@ -1195,7 +1214,6 @@ let promote t =
 
 let wait t =
   Option.iter Thread.join t.accepter;
-  Option.iter Thread.join t.writer;
   let rec drain () =
     Mutex.lock t.m;
     let ths = t.threads in
@@ -1208,6 +1226,9 @@ let wait t =
       drain ()
   in
   drain ();
+  (* a follower's replication thread may still lead a commit: the
+     accepter can exit before [stop] has joined it *)
+  Executor.await_idle t.writes;
   Executor.stop t.reads;
   List.iter Domain.join t.read_workers;
   t.read_workers <- [];

@@ -5,15 +5,16 @@
     over a Unix-domain socket.  Each connection gets a reader thread
     and its own {!Ddf_session.Session} (task window, flow catalog,
     selections) over the one shared engine context; store/history
-    mutations funnel through a single-writer loop, which publishes an
-    immutable store+history snapshot ({!Ddf_exec.Engine.view}) after
-    each group commit.  Pure reads — single requests and pure-read
+    mutations are group-committed by whichever submitter finds no
+    commit running (there is no writer thread), and each group commit
+    publishes an immutable store+history snapshot
+    ({!Ddf_exec.Engine.view}).  Pure reads — single requests and pure-read
     batches alike — evaluate against the latest published view and
     take {e no} lock: with [read_domains > 0] they are dispatched to
     a pool of OCaml 5 worker domains and scale across cores, with
     [read_domains = 0] (the default) they run inline on the
     connection thread, equally lock-free.  The only remaining lock on
-    the commit path is the writer's, instrumented as the
+    the commit path is the commit lock, instrumented as the
     [server.lock_acquisitions] counter — flat under read-only load,
     which the test suite asserts.  Every request is traced as a
     [server.dispatch] span (lane = connection id) carrying
@@ -25,7 +26,7 @@
     histogram quantiles) to remote clients.
 
     Robustness: the write queue and the read pool are one bounded
-    executor.  At most [max_queue] mutations wait for the writer;
+    executor.  At most [max_queue] mutations wait for a commit;
     excess writes are shed with a typed [`Overloaded] error carrying
     a retry-after hint, {e before} any work (or journaling) happens.
     Pool reads are never shed: at most [max_clients] connections are
@@ -35,7 +36,7 @@
     whose budget expires before dispatch or while it waits is shed
     with [`Timeout] — again never executed, so resending is safe.  Graceful shutdown stops admitting, lets
     in-flight requests finish (bounded by [drain_grace]), drains the
-    writer and the read pool, closes the connections and fsyncs the
+    write queue and the read pool, closes the connections and fsyncs the
     journal; {!stop} and {!wait} are idempotent. *)
 
 exception Server_error of string
@@ -67,7 +68,7 @@ val start :
 
     [max_queue] (default 256) bounds the write queue: a mutation
     arriving when it is full is refused with [`Overloaded] and a
-    retry-after hint derived from the writer's recent service rate.
+    retry-after hint derived from the commits' recent service rate.
     [read_domains] (default 0) sets the size of the read pool: with
     [N > 0], pure reads are evaluated on [N] OCaml 5 worker domains,
     each pinning the latest published store+history view, so read
@@ -87,10 +88,10 @@ val start :
     token, and counted in [server.slow_requests].
 
     [sync_mode] (default [Group]) sets the journal durability policy.
-    Under [Group] the writer loop drains its queue in batches and
-    fsyncs once per batch {e before} acknowledging any job in it —
-    group commit: every [Ok] a client sees is durable, but concurrent
-    writers share one fsync.  [Always] fsyncs inside every append;
+    Under [Group] the submitter that finds no commit running commits
+    every queued mutation as one group, on its own thread, and fsyncs
+    once per group {e before} acknowledging any job in it: every [Ok]
+    a client sees is durable, but concurrent writers share one fsync.  [Always] fsyncs inside every append;
     [Never] never fsyncs (replay-only / bench scaffolding).
 
     [follow] makes this daemon a replication follower of the primary

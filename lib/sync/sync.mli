@@ -80,7 +80,7 @@ val apply_frames :
     — then persist the origin cursor at [upto].  Frames at or below
     the current cursor are skipped (resumed batches overlap safely);
     an empty batch just advances the cursor.  The server runs this
-    from its single-writer loop ([Sync_ack] is a mutation).
+    inside a group commit ([Sync_ack] is a mutation).
     @raise Ddf_core.Error.Ddf_error on checksum mismatch, an
     unmappable instance reference, [origin] equal to the local
     workspace id (a clone that kept [wsid.ddf]), or ([`Invalid]) a

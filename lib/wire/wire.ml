@@ -179,18 +179,18 @@ type response =
 
 
 (* Mutations of the shared store/history/clock go through the
-   single-writer loop; everything else (including task-window editing,
+   group commit, one at a time; everything else (including task-window editing,
    which touches only the per-connection session) is a read.  Compact
    counts as a mutation (it rewrites the journal's snapshot); Subscribe
    and Repl_ack never reach the evaluator — the server's connection
    loop handles replication mode itself.  A batch is a mutation iff
-   any member is: the whole pipeline then runs as one writer job, so
+   any member is: the whole pipeline then runs as one write job, so
    its writes group-commit together. *)
 let rec is_mutation = function
   | Install _ | Annotate _ | Run _ | Recall _ | Refresh _ | Compact -> true
   (* the digest and frame pulls are reads of the wal FILE, which only
-     the writer loop may touch (like [Subscribe]'s backlog read) — so
-     they ride the writer too, not just the actual sync mutations *)
+     a group commit may touch (like [Subscribe]'s backlog read) — so
+     they ride the write queue too, not just the sync mutations *)
   | Sync_digest | Sync_frames _ | Sync_ack _ | Resolve _ -> true
   | Batch reqs -> List.exists is_mutation reqs
   (* Snapshot_export never reaches the evaluator either — the

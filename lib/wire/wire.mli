@@ -97,7 +97,7 @@ type request =
       (** pull at most [limit] wal frames with seqno > [after] *)
   | Sync_ack of { origin : string; upto : int; frames : (int * string * string) list }
       (** deliver a batch of [origin]'s frames [(seqno, md5,
-          payload)] for application through the writer loop and
+          payload)] for application through the group commit and
           advance the persisted origin cursor to [upto]; an empty
           batch just acknowledges.  This is the push half of a sync
           round — a mutation. *)
@@ -221,7 +221,7 @@ val request_name : request -> string
 (** Stable short name for tracing and metrics ("run", "browse", ...). *)
 
 val is_mutation : request -> bool
-(** Must the request go through the single-writer engine loop?
+(** Must the request go through the server's group commit?
     Session-window operations (expand/select/...) mutate only the
     per-connection session and count as reads of the shared store. *)
 

@@ -322,6 +322,149 @@ let shedding =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Group commit led by a submitter                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Send one install, wait until the submitter leading its commit is
+   inside the armed [server.writer_stall], then send [n] concurrent
+   installs, which queue behind it.  [while_queued] runs once they are
+   all admitted.  Returns every outcome, the first install's first; an
+   outcome stays [None] if its client raised anything but a typed
+   error. *)
+let behind_a_stalled_leader ?(while_queued = ignore) ~socket n =
+  let outcomes = Array.make (n + 1) None in
+  let install i =
+    Thread.create
+      (fun () ->
+        Client.with_client ~user:(Printf.sprintf "w%d" i) ~socket @@ fun c ->
+        outcomes.(i) <-
+          Some
+            (match
+               Client.install c ~entity:E.stimuli
+                 ~label:(Printf.sprintf "w%d" i) stim_sexp
+             with
+            | iid -> Ok iid
+            | exception Error.Ddf_error e -> Error e))
+      ()
+  in
+  let await what cond =
+    let give_up = Unix.gettimeofday () +. 5.0 in
+    while not (cond ()) do
+      if Unix.gettimeofday () > give_up then Alcotest.failf "no %s" what;
+      Thread.delay 0.002
+    done
+  in
+  let mutations = Metrics.counter "server.mutations" in
+  let mutations0 = Metrics.count mutations in
+  let stalls0 = Fault.fired "server.writer_stall" in
+  let leader = install 0 in
+  await "stall" (fun () -> Fault.fired "server.writer_stall" > stalls0);
+  let queued = List.init n (fun i -> install (i + 1)) in
+  (* a mutation is counted just before its admission *)
+  await "admissions" (fun () -> Metrics.count mutations - mutations0 > n);
+  Thread.delay 0.02;
+  while_queued ();
+  List.iter Thread.join (leader :: queued);
+  Array.to_list outcomes
+
+let group_commit =
+  [
+    Alcotest.test_case "writes queued behind a stalled leader share one fsync"
+      `Slow (fun () ->
+        with_faults @@ fun () ->
+        Test_server.with_server @@ fun _t ~dir:_ ~socket ->
+        let syncs = Metrics.counter "journal.syncs" in
+        let syncs0 = Metrics.count syncs in
+        Fault.arm ~times:1 "server.writer_stall" (Fault.Delay 0.3);
+        let outcomes = behind_a_stalled_leader ~socket 6 in
+        List.iter
+          (function
+            | Some (Ok _) -> ()
+            | Some (Error e) -> Alcotest.failf "refused: %s" (Error.to_string e)
+            | None -> Alcotest.fail "a client got no answer")
+          outcomes;
+        (* the leader's own group, then one group of the six *)
+        Alcotest.(check bool) "at most two fsyncs for seven writes" true
+          (Metrics.count syncs - syncs0 <= 2));
+    Alcotest.test_case "a failed group fsync errs every member, then steps down"
+      `Slow (fun () ->
+        with_faults @@ fun () ->
+        Test_server.with_server @@ fun _t ~dir:_ ~socket ->
+        Fault.arm ~times:1 "server.writer_stall" (Fault.Delay 0.3);
+        (* the leader's own group syncs; the next group's sync fails *)
+        Fault.arm ~after:1 ~times:max_int "journal.fsync" Fault.Fail;
+        (match behind_a_stalled_leader ~socket 4 with
+        | Some (Ok _) :: queued ->
+          List.iter
+            (function
+              | Some (Error _) -> ()
+              | Some (Ok _) -> Alcotest.fail "acked a write whose fsync failed"
+              | None -> Alcotest.fail "a client got no answer")
+            queued
+        | _ -> Alcotest.fail "the leader's own write was not acked");
+        (* nobody leads any more, so a later write leads its own commit
+           and is answered: the fail-stopped journal's refusal *)
+        Client.with_client ~user:"later" ~socket @@ fun c ->
+        match Client.install c ~entity:E.stimuli ~label:"later" stim_sexp with
+        | _ -> Alcotest.fail "expected a fail-stop refusal"
+        | exception Error.Ddf_error e -> check_code "unavailable" "unavailable" e);
+    Alcotest.test_case "a commit that raises answers its group, then steps down"
+      `Slow (fun () ->
+        with_faults @@ fun () ->
+        Test_server.with_server @@ fun _t ~dir:_ ~socket ->
+        Fault.arm ~times:1 "server.writer_stall" (Fault.Delay 0.3);
+        (* once the leader sleeps, the next group's commit raises *)
+        (match
+           behind_a_stalled_leader ~socket 4 ~while_queued:(fun () ->
+               Fault.arm ~times:1 "server.writer_stall" Fault.Fail)
+         with
+        | Some (Ok _) :: queued ->
+          List.iter
+            (function
+              | Some (Error _) -> ()
+              | Some (Ok _) -> Alcotest.fail "acked a write that never ran"
+              | None -> Alcotest.fail "a client got no answer")
+            queued
+        | _ -> Alcotest.fail "the leader's own write was not acked");
+        Client.with_client ~user:"later" ~socket @@ fun c ->
+        ignore (Client.install c ~entity:E.stimuli ~label:"later" stim_sexp);
+        Alcotest.(check int) "only the acked writes are visible" 2
+          (List.length (Client.browse c (only E.stimuli))));
+    Alcotest.test_case "stop with writes queued behind a stalled leader" `Slow
+      (fun () ->
+        with_faults @@ fun () ->
+        Test_journal.with_dir @@ fun dir ->
+        let socket = Filename.concat dir "s.sock" in
+        let t =
+          Server.start ~seed:Test_server.seed ~db:dir ~socket
+            Standard_schemas.odyssey
+        in
+        Fault.arm ~times:1 "server.writer_stall" (Fault.Delay 0.5);
+        let outcomes =
+          behind_a_stalled_leader ~socket 4 ~while_queued:(fun () ->
+              Server.stop t)
+        in
+        Server.wait t;
+        (* admitted before the stop, so every one is committed *)
+        let acked =
+          List.length
+            (List.filter
+               (function
+                 | Some (Ok _) -> true
+                 | Some (Error _) -> false
+                 | None -> Alcotest.fail "a client got no answer")
+               outcomes)
+        in
+        Alcotest.(check int) "every queued write acked" 5 acked;
+        let t2 = Server.start ~db:dir ~socket Standard_schemas.odyssey in
+        Client.with_client ~socket (fun c ->
+            Alcotest.(check int) "the acked writes replay" 5
+              (List.length (Client.browse c (only E.stimuli))));
+        Server.stop t2;
+        Server.wait t2);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Client classification                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -532,6 +675,7 @@ let suite =
     ("fault.grammar", grammar);
     ("fault.journal", journal_faults);
     ("fault.shedding", shedding);
+    ("fault.group_commit", group_commit);
     ("fault.classification", classification);
     ("fault.lifecycle", lifecycle);
   ]

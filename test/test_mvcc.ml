@@ -169,7 +169,7 @@ let with_read_server ~read_domains f =
       Server.wait t)
     (fun () -> f socket)
 
-(* Under read-only load the writer commit lock is never taken: the
+(* Under read-only load the commit lock is never taken: the
    lock-acquisition counter must not move by even one. *)
 let zero_lock_reads () =
   with_read_server ~read_domains:2 @@ fun socket ->

@@ -373,6 +373,32 @@ let batching =
             true
             (List.mem i1 iids && List.mem i2 iids)
         | _ -> Alcotest.fail "unexpected batch response shape");
+    Alcotest.test_case "a batch frame is one request to the metrics" `Quick
+      (fun () ->
+        with_server @@ fun _t ~dir:_ ~socket ->
+        Client.with_client ~user:"b" ~socket @@ fun c ->
+        (* [server.requests] and [server.request_us] count frames: a
+           batch is observed once, not once per member *)
+        let counts () =
+          List.fold_left
+            (fun (reqs, observed) -> function
+              | Metrics.Counter ("server.requests", n) -> (n, observed)
+              | Metrics.Histogram ("server.request_us", h) ->
+                (reqs, h.Metrics.hs_n)
+              | _ -> (reqs, observed))
+            (0, 0)
+            (Metrics.snapshot Metrics.global)
+        in
+        let reqs0, observed0 = counts () in
+        let resps =
+          Client.batch c
+            (List.init 32 (fun i -> stim_install (Printf.sprintf "b%d" i)))
+        in
+        Alcotest.(check int) "32 answers" 32 (List.length resps);
+        let reqs1, observed1 = counts () in
+        Alcotest.(check int) "server.requests" 1 (reqs1 - reqs0);
+        Alcotest.(check int) "server.request_us observations" 1
+          (observed1 - observed0));
     Alcotest.test_case "an error mid-batch does not stop the rest" `Quick
       (fun () ->
         with_server @@ fun _t ~dir:_ ~socket ->

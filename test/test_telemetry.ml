@@ -1,7 +1,7 @@
 (* Telemetry: trace-context tokens and frame headers, histogram
    quantile accuracy against a sorted-array oracle, the Metrics wire
    verb under version negotiation, and end-to-end distributed trace
-   assembly — a retried client write, the primary's dispatch/writer
+   assembly — a retried client write, the primary's dispatch/write
    spans and the follower's apply all sharing one trace id inside a
    single recording. *)
 
@@ -257,9 +257,9 @@ let metrics_verb () =
 
 (* One recording over an in-process client + primary + follower: the
    client's root span context travels the frame header into the
-   primary's dispatch, through the writer queue into the journal, and
+   primary's dispatch, through the write queue into the journal, and
    on the replication stream into the follower's apply — every Begin
-   along the way carries the same trace id.  A stalled writer and a
+   along the way carries the same trace id.  A stalled commit and a
    one-slot queue force a shed on the first attempt, so the retry
    path is part of the assembled trace too. *)
 let trace_assembly () =
@@ -285,7 +285,7 @@ let trace_assembly () =
     recording @@ fun () ->
     Obs.with_span ~cat:"test" "test.root" @@ fun () ->
     Client.with_client ~user:"traced" ~retries:8 ~socket:psock @@ fun c ->
-    (* stall the writer on an untraced job and fill the single queue
+    (* stall a commit on an untraced job and fill the single queue
        slot so the traced install is shed (retryably) at least once;
        each stage is confirmed by polling process-global state rather
        than by sleeping, so the sequence survives a loaded machine *)
@@ -299,9 +299,9 @@ let trace_assembly () =
       in
       go n
     in
-    (* the follower's writer shares the process-global fault registry:
+    (* the follower's commits share the process-global fault registry:
        let it finish applying the seed first, so the armed stall is
-       consumed by the primary's writer and not by a catch-up batch *)
+       consumed by the primary's commit and not by a catch-up batch *)
     Client.with_client ~user:"sync" ~socket:fsock (fun cf ->
         await "initial catch-up" 500 (fun () ->
             let sp = Client.stat c and sf = Client.stat cf in
@@ -316,8 +316,8 @@ let trace_assembly () =
             (Client.install c2 ~entity:E.stimuli ~label:"trigger" stim_sexp))
         ()
     in
-    (* the writer drained the trigger job and is inside the stall *)
-    await "writer stall" 500 (fun () ->
+    (* the trigger job's own commit is inside the stall *)
+    await "commit stall" 500 (fun () ->
         Fault.fired "server.writer_stall" > fired0);
     let muts0 = Metrics.count (Metrics.counter "server.mutations") in
     let filler =
