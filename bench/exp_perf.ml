@@ -62,6 +62,11 @@
       newest flow's), us per pair and the words one pair allocates.
       The lookup walks the netlist's users, not the model's, so both
       stay flat as the model's uses grow.
+  12. The simulator tool -- one [Eda.Performance.analyze] (event
+      simulation, static timing, power and the output signature): a
+      perfbench-like 16-gate, 5-input netlist under exhaustive stimuli
+      over three nets it never reads, and [ripple_adder 8] under 256
+      random vectors.  us per call and the words one call allocates.
 
    Exported gauges (for --json): perf.write.{always_rps,group_rps,
    speedup}, perf.rtt.{singleton_rps,batch32_rps,speedup},
@@ -74,7 +79,8 @@
    perf.entry.{encode,decode,replay,hash}.{ns,words},
    perf.checkpoint.{n1000,n4000,d400}.{bytes,save_us,save_words,load_us,
    load_words}, perf.install_path.{decode,value,install,server}.words,
-   perf.store.resident_words.n4000, perf.memo.f<flows>.{us,alloc_words}. *)
+   perf.store.resident_words.n4000, perf.memo.f<flows>.{us,alloc_words},
+   perf.analyze.{small,ripple8}.{us,alloc_words}. *)
 
 open Ddf
 module E = Standard_schemas.E
@@ -659,6 +665,31 @@ let memo_lookups flows =
   Gc.full_major ();
   (per_query_us ~rounds:10_000 pair, alloc_words pair)
 
+(* ------------------------------------------------------------------ *)
+(* 12. The simulator tool                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* (key, description, us per call, words per call) per case. *)
+let analyze_rows () =
+  let small =
+    Eda.Circuits.random ~name:"small" ~n_inputs:5 ~n_gates:16 (Eda.Rng.create 12)
+  in
+  let undriven = Eda.Stimuli.exhaustive [ "s_i0"; "s_i1"; "s_i2" ] in
+  let adder = Eda.Circuits.ripple_adder 8 in
+  let random256 =
+    Eda.Stimuli.random ~inputs:adder.Eda.Netlist.primary_inputs ~n:256
+      (Eda.Rng.create 5)
+  in
+  let row key name ~rounds nl stim =
+    let f () = Eda.Performance.analyze nl stim in
+    Gc.full_major ();
+    (key, name, per_query_us ~rounds f, alloc_words f)
+  in
+  [
+    row "small" "16 gates, 8 undriven vectors" ~rounds:2_000 small undriven;
+    row "ripple8" "ripple_adder 8, 256 random vectors" ~rounds:5 adder random256;
+  ]
+
 let run () =
   Bench_util.section
     (Printf.sprintf "group commit: %d batches of %d installs per sync mode"
@@ -827,3 +858,18 @@ let run () =
          [ string_of_int flows; Printf.sprintf "%.2f" us;
            Printf.sprintf "%.0f" words ])
        memo_flows)
+;
+
+  Bench_util.section "the simulator tool: one Performance.analyze";
+  Bench_util.print_table [ "case"; "us"; "alloc words" ]
+    (List.map
+       (fun (key, name, us, words) ->
+         let gauge unit v =
+           Metrics.set
+             (Metrics.gauge (Printf.sprintf "perf.analyze.%s.%s" key unit))
+             v
+         in
+         gauge "us" us;
+         gauge "alloc_words" words;
+         [ name; Printf.sprintf "%.1f" us; Printf.sprintf "%.0f" words ])
+       (analyze_rows ()))

@@ -62,6 +62,12 @@ let gate_delay_ps m (g : Netlist.gate) ~fanout =
   let d = d *. m.delay_scale in
   max 1 (int_of_float (Float.round d))
 
+(* Every gate's delay, by gate id, loaded by today's fanout. *)
+let gate_delays m (ix : Netlist.indexed) =
+  Array.mapi
+    (fun g gate -> gate_delay_ps m gate ~fanout:ix.fanout.(ix.gate_output.(g)))
+    ix.gate
+
 let gate_energy m (g : Netlist.gate) =
   Logic.energy_weight g.op *. float_of_int g.drive *. m.power_scale
 

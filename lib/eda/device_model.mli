@@ -35,9 +35,10 @@ type edit =
 val apply_edit : t -> edit -> t
 val apply_edits : t -> edit list -> t
 
-val gate_delay_ps : t -> Netlist.gate -> fanout:int -> int
-(** Effective delay: intrinsic scaled by process and drive, plus fanout
-    loading; at least 1 ps. *)
+val gate_delays : t -> Netlist.indexed -> int array
+(** Every gate's effective delay, by gate id: intrinsic scaled by
+    process and drive, plus its output's fanout loading; at least
+    1 ps. *)
 
 val gate_energy : t -> Netlist.gate -> float
 

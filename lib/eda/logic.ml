@@ -77,6 +77,37 @@ let eval op inputs =
   | Xor, x :: rest -> List.fold_left v_xor x rest
   | Xnor, x :: rest -> v_not (List.fold_left v_xor x rest)
 
+(* Values as small ints (V0 0, V1 1, VX 2), for the simulators that
+   keep net values in int arrays. *)
+let code = function V0 -> 0 | V1 -> 1 | VX -> 2
+let of_code = function 0 -> V0 | 1 -> V1 | _ -> VX
+
+let c_not a = if a = 2 then 2 else 1 - a
+let c_and a b = if a = 0 || b = 0 then 0 else if a = 1 && b = 1 then 1 else 2
+let c_or a b = if a = 1 || b = 1 then 1 else if a = 0 && b = 0 then 0 else 2
+let c_xor a b = if a = 2 || b = 2 then 2 else a lxor b
+
+let rec fold f values inputs i acc =
+  if i = Array.length inputs then acc
+  else fold f values inputs (i + 1) (f acc values.(inputs.(i)))
+
+let unary n = if n <> 1 then invalid_arg "Logic.eval: unary operator arity"
+let nary n = if n < 2 then invalid_arg "Logic.eval: n-ary operator arity"
+
+(* [eval] over codes, the operands read as [values.(inputs.(i))]; the
+   same arity errors. *)
+let eval_code op inputs values =
+  let n = Array.length inputs in
+  match op with
+  | Buf -> unary n; values.(inputs.(0))
+  | Not -> unary n; c_not values.(inputs.(0))
+  | And -> nary n; fold c_and values inputs 1 values.(inputs.(0))
+  | Or -> nary n; fold c_or values inputs 1 values.(inputs.(0))
+  | Nand -> nary n; c_not (fold c_and values inputs 1 values.(inputs.(0)))
+  | Nor -> nary n; c_not (fold c_or values inputs 1 values.(inputs.(0)))
+  | Xor -> nary n; fold c_xor values inputs 1 values.(inputs.(0))
+  | Xnor -> nary n; c_not (fold c_xor values inputs 1 values.(inputs.(0)))
+
 let of_bool = function true -> V1 | false -> V0
 
 let to_bool = function V0 -> Some false | V1 -> Some true | VX -> None

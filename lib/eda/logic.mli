@@ -37,6 +37,18 @@ val eval : gate_op -> value list -> value
 (** Evaluate an operator over its inputs.
     @raise Invalid_argument on an arity violation. *)
 
+(** {1 Values as ints} *)
+
+val code : value -> int
+(** [V0] is 0, [V1] 1 and [VX] 2. *)
+
+val of_code : int -> value
+
+val eval_code : gate_op -> int array -> int array -> int
+(** [eval_code op inputs values] is {!eval} over codes, operand [i]
+    being [values.(inputs.(i))]: the event simulator's evaluator.
+    @raise Invalid_argument as {!eval} on an arity violation. *)
+
 val of_bool : bool -> value
 val to_bool : value -> bool option
 

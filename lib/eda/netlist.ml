@@ -150,44 +150,113 @@ let transistor_count nl =
     (fun acc g -> acc + Logic.transistor_count g.op (List.length g.inputs))
     0 nl.gates
 
+(* ------------------------------------------------------------------ *)
+(* Integer net ids                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The netlist numbered once, for the passes that visit every net per
+   call (event simulation, static timing, power).  Net ids run in
+   first-seen order over primary inputs, gate inputs and outputs,
+   primary outputs and flop nets; a gate's id is its list position. *)
+type indexed = {
+  source : t;
+  ids : (string, int) Hashtbl.t;
+  names : string array;            (* by net id *)
+  gate : gate array;               (* by gate id *)
+  gate_inputs : int array array;   (* by gate *)
+  gate_output : int array;         (* by gate *)
+  fanout : int array;              (* by net: readers, outputs count one *)
+  outputs : int array;             (* primary outputs, in order *)
+}
+
+let index nl =
+  let ids = Hashtbl.create 64 in
+  let id net =
+    match Hashtbl.find ids net with
+    | i -> i
+    | exception Not_found ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids net i;
+      i
+  in
+  let ids_of nets = Array.of_list (List.map id nets) in
+  List.iter (fun net -> ignore (id net)) nl.primary_inputs;
+  let gate = Array.of_list nl.gates in
+  let gate_inputs = Array.map (fun g -> ids_of g.inputs) gate in
+  let gate_output = Array.map (fun g -> id g.output) gate in
+  let outputs = ids_of nl.primary_outputs in
+  List.iter (fun f -> ignore (id f.d); ignore (id f.q)) nl.flops;
+  let n = Hashtbl.length ids in
+  let names = Array.make n "" in
+  Hashtbl.iter (fun net i -> names.(i) <- net) ids;
+  let fanout = Array.make n 0 in
+  let bump i = fanout.(i) <- fanout.(i) + 1 in
+  Array.iter (Array.iter bump) gate_inputs;
+  Array.iter bump outputs;
+  { source = nl; ids; names; gate; gate_inputs; gate_output; fanout; outputs }
+
 let fanout_table nl =
-  let tbl = Hashtbl.create 64 in
-  let bump n = Hashtbl.replace tbl n (1 + try Hashtbl.find tbl n with Not_found -> 0) in
-  List.iter (fun g -> List.iter bump g.inputs) nl.gates;
-  List.iter bump nl.primary_outputs;
-  fun net -> try Hashtbl.find tbl net with Not_found -> 0
+  let ix = index nl in
+  fun net ->
+    match Hashtbl.find_opt ix.ids net with Some i -> ix.fanout.(i) | None -> 0
+
+(* Gate ids in topological order, by logic level and then list
+   position, with each gate's level.  Raises on several drivers of a
+   net, a combinational cycle or an undriven net, naming the first one
+   a depth-first walk from the gates in list order meets. *)
+let levelized ix =
+  let n = Array.length ix.names in
+  let driver = Array.make n (-1) in
+  Array.iteri
+    (fun g o ->
+      if driver.(o) >= 0 then
+        netlist_errorf "net %s has several drivers" ix.names.(o);
+      driver.(o) <- g)
+    ix.gate_output;
+  let level = Array.make n (-1) in
+  let source net = level.(Hashtbl.find ix.ids net) <- 0 in
+  List.iter source ix.source.primary_inputs;
+  List.iter (fun f -> source f.q) ix.source.flops;
+  let visiting = Bytes.make n '\000' in
+  let rec net_level i =
+    if level.(i) >= 0 then level.(i)
+    else begin
+      if Bytes.get visiting i <> '\000' then
+        netlist_errorf "combinational cycle through net %s" ix.names.(i);
+      let g = driver.(i) in
+      if g < 0 then netlist_errorf "undriven net %s" ix.names.(i);
+      Bytes.set visiting i '\001';
+      let ins = ix.gate_inputs.(g) in
+      let l = ref 0 in
+      for k = 0 to Array.length ins - 1 do
+        l := max !l (net_level ins.(k))
+      done;
+      Bytes.set visiting i '\000';
+      level.(i) <- 1 + !l;
+      1 + !l
+    end
+  in
+  let gate_level = Array.map net_level ix.gate_output in
+  (* a stable counting sort by level *)
+  let top = Array.fold_left max 0 gate_level in
+  let start = Array.make (top + 2) 0 in
+  Array.iter (fun l -> start.(l + 1) <- start.(l + 1) + 1) gate_level;
+  for l = 1 to top + 1 do
+    start.(l) <- start.(l) + start.(l - 1)
+  done;
+  let order = Array.make (Array.length gate_level) 0 in
+  Array.iteri
+    (fun g l ->
+      order.(start.(l)) <- g;
+      start.(l) <- start.(l) + 1)
+    gate_level;
+  (order, gate_level)
 
 (* Topological gate order; raises on a combinational cycle. *)
 let levelize nl =
-  let drivers = driver_table nl in
-  let pi = String_set.of_list (nl.primary_inputs @ flop_outputs nl) in
-  let level = Hashtbl.create 64 in
-  String_set.iter (fun n -> Hashtbl.replace level n 0) pi;
-  let rec net_level visiting n =
-    match Hashtbl.find_opt level n with
-    | Some l -> l
-    | None ->
-      if String_set.mem n visiting then
-        netlist_errorf "combinational cycle through net %s" n;
-      if String_set.mem n pi then 0
-      else begin
-        let g =
-          match String_map.find_opt n drivers with
-          | Some g -> g
-          | None -> netlist_errorf "undriven net %s" n
-        in
-        let visiting = String_set.add n visiting in
-        let l =
-          1 + List.fold_left (fun m i -> max m (net_level visiting i)) 0 g.inputs
-        in
-        Hashtbl.replace level n l;
-        l
-      end
-  in
-  let ranked =
-    List.map (fun g -> (net_level String_set.empty g.output, g)) nl.gates
-  in
-  List.stable_sort (fun (a, _) (b, _) -> compare a b) ranked
+  let ix = index nl in
+  let order, level = levelized ix in
+  Array.fold_right (fun g acc -> (level.(g), ix.gate.(g)) :: acc) order []
 
 let topological_gates nl = List.map snd (levelize nl)
 

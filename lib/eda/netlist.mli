@@ -49,7 +49,6 @@ val create :
     outputs. @raise Netlist_error on violation. *)
 
 val is_sequential : t -> bool
-val flop_outputs : t -> string list
 
 val validate : t -> unit
 
@@ -61,6 +60,31 @@ val net_count : t -> int
 val transistor_count : t -> int
 val fanout_table : t -> string -> int
 (** Readers per net (primary outputs count as one reader). *)
+
+(** {1 Integer net ids} *)
+
+(** The netlist numbered once, for the passes that visit every net per
+    call: the event simulator, static timing and power.  Net ids cover
+    primary inputs, gate inputs and outputs, primary outputs and flop
+    nets, in first-seen order; a gate's id is its list position. *)
+type indexed = {
+  source : t;
+  ids : (string, int) Hashtbl.t;
+  names : string array;            (** by net id *)
+  gate : gate array;               (** by gate id *)
+  gate_inputs : int array array;   (** by gate *)
+  gate_output : int array;         (** by gate *)
+  fanout : int array;              (** by net, as {!fanout_table} *)
+  outputs : int array;             (** primary outputs, in order *)
+}
+
+val index : t -> indexed
+
+val levelized : indexed -> int array * int array
+(** Gate ids in topological order (by level, then list position), and
+    each gate's level.
+    @raise Netlist_error on several drivers of a net, a combinational
+    cycle or an undriven net, as {!levelize}. *)
 
 val levelize : t -> (int * gate) list
 (** Gates with their logic level (flop outputs are level-0 sources),

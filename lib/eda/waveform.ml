@@ -1,5 +1,6 @@
 (* Waveforms: per-net value changes over time, as produced by the
-   event-driven simulator and consumed by the plotter. *)
+   event-driven simulator (built once, from its change log) and
+   consumed by the plotter and the VCD export. *)
 
 module String_map = Map.Make (String)
 
@@ -29,25 +30,24 @@ let value_at t net time =
 
 let final_value t net = value_at t net t.end_time_ps
 
-(* Record a change; out-of-order or redundant changes are rejected so a
-   waveform is canonical by construction. *)
-let record t net time v =
-  let tr = trace t net in
-  let rec last = function
-    | [] -> None
-    | [ x ] -> Some x
-    | _ :: rest -> last rest
+(* Build a waveform from each net's changes; out-of-order or
+   redundant changes are rejected so a waveform is canonical by
+   construction.  The end time covers every change. *)
+let of_traces ~end_time_ps traces =
+  let rec check last_ts last_v = function
+    | [] -> last_ts
+    | (ts, v) :: rest ->
+      if ts < last_ts then invalid_arg "Waveform.of_traces: time going backwards";
+      if last_v = Some v then invalid_arg "Waveform.of_traces: redundant change";
+      check ts (Some v) rest
   in
-  (match last tr with
-  | Some (ts, _) when ts > time -> invalid_arg "Waveform.record: time going backwards"
-  | Some (_, v') when v' = v -> invalid_arg "Waveform.record: redundant change"
-  | Some _ | None -> ());
-  { end_time_ps = max t.end_time_ps time;
-    traces = String_map.add net (tr @ [ (time, v) ]) t.traces }
-
-let set_end_time t time = { t with end_time_ps = max t.end_time_ps time }
-
-let transition_count t net = List.length (trace t net)
+  List.fold_left
+    (fun t (net, tr) ->
+      let last = check min_int None tr in
+      { end_time_ps = max t.end_time_ps last;
+        traces = String_map.add net tr t.traces })
+    { end_time_ps = max 0 end_time_ps; traces = String_map.empty }
+    traces
 
 let total_transitions t =
   String_map.fold (fun _ tr acc -> acc + List.length tr) t.traces 0

@@ -1,9 +1,11 @@
-(** Waveforms: per-net value changes over time, produced by the
-    event-driven simulator and consumed by the plotter and the power
-    model. *)
+(** Waveforms: per-net value changes over time, consumed by the
+    plotter and the VCD export.  The event-driven simulator builds one
+    once per run, from its change log, with {!of_traces}; the power
+    model and the output signature read that log, not a waveform. *)
 
 type trace = (int * Logic.value) list
-(** [(time_ps, new_value)] pairs in strictly increasing time order. *)
+(** [(time_ps, new_value)] pairs in time order; a net set twice at one
+    time keeps both changes, the later one winning. *)
 
 type t
 
@@ -17,13 +19,11 @@ val value_at : t -> string -> int -> Logic.value
 
 val final_value : t -> string -> Logic.value
 
-val record : t -> string -> int -> Logic.value -> t
-(** Append a change.  Waveforms are canonical by construction:
+val of_traces : end_time_ps:int -> (string * trace) list -> t
+(** One trace per net; the end time is at least the last change.
+    Waveforms are canonical by construction:
     @raise Invalid_argument on out-of-order or redundant changes. *)
 
-val set_end_time : t -> int -> t
-val transition_count : t -> string -> int
-val total_transitions : t -> int
 
 val sample : t -> string -> step_ps:int -> Logic.value list
 (** Values at a fixed step from time 0 to the end time. *)

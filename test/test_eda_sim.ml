@@ -41,28 +41,22 @@ let stimuli_tests =
   ]
 
 let waveform_tests =
+  let one tr = Waveform.of_traces ~end_time_ps:0 [ ("n", tr) ] in
   [
     t "record and read back" (fun () ->
-        let w = Waveform.empty in
-        let w = Waveform.record w "n" 10 Logic.V1 in
-        let w = Waveform.record w "n" 20 Logic.V0 in
+        let w = one [ (10, Logic.V1); (20, Logic.V0) ] in
         check Alcotest.bool "before" true (Waveform.value_at w "n" 5 = Logic.VX);
         check Alcotest.bool "at 10" true (Waveform.value_at w "n" 10 = Logic.V1);
         check Alcotest.bool "at 15" true (Waveform.value_at w "n" 15 = Logic.V1);
         check Alcotest.bool "at 25" true (Waveform.value_at w "n" 25 = Logic.V0));
     Util.expect_exn "backwards time rejected"
       (function Invalid_argument _ -> true | _ -> false)
-      (fun () ->
-        let w = Waveform.record Waveform.empty "n" 10 Logic.V1 in
-        Waveform.record w "n" 5 Logic.V0);
+      (fun () -> one [ (10, Logic.V1); (5, Logic.V0) ]);
     Util.expect_exn "redundant change rejected"
       (function Invalid_argument _ -> true | _ -> false)
-      (fun () ->
-        let w = Waveform.record Waveform.empty "n" 10 Logic.V1 in
-        Waveform.record w "n" 20 Logic.V1);
+      (fun () -> one [ (10, Logic.V1); (20, Logic.V1) ]);
     t "sampling" (fun () ->
-        let w = Waveform.record Waveform.empty "n" 10 Logic.V1 in
-        let w = Waveform.set_end_time w 30 in
+        let w = Waveform.of_traces ~end_time_ps:30 [ ("n", [ (10, Logic.V1) ]) ] in
         check Alcotest.int "samples" 4
           (List.length (Waveform.sample w "n" ~step_ps:10)));
   ]
@@ -132,6 +126,19 @@ let simulator_tests =
             (Stimuli.length stim - 1)
         in
         ev = Netlist.eval nl last && co = Netlist.eval nl last);
+    Util.qcheck ~count:500 "eval_code agrees with Logic.eval on every op, arity and value"
+      QCheck2.Gen.(
+        triple (oneofl Logic.all_ops)
+          (array_size (int_range 1 4) (oneofl Logic.[ V0; V1; VX ]))
+          (list_size (int_range 0 6) (int_bound 3)))
+      (fun (op, values, picks) ->
+        (* operands read through ids, some of them repeated *)
+        let ids = Array.of_list (List.map (fun k -> k mod Array.length values) picks) in
+        let outcome f = try Ok (f ()) with Invalid_argument m -> Error m in
+        outcome (fun () ->
+            Logic.eval op (Array.to_list (Array.map (fun i -> values.(i)) ids)))
+        = outcome (fun () ->
+              Logic.of_code (Logic.eval_code op ids (Array.map Logic.code values))));
     t "device models scale delay" (fun () ->
         let nl = Circuits.ripple_adder 4 in
         let slow = Performance.critical_path ~model:Device_model.low_power nl in
@@ -221,12 +228,40 @@ let optimizer_tests =
         check Alcotest.bool "bounded" true (r.Optimize.evaluations <= 31));
   ]
 
+(* The seeded corpus (sim_corpus.ml) against the text it gave before the
+   simulator moved onto integer net ids: byte for byte, float power and
+   error messages included. *)
+let corpus_tests =
+  let golden name text () =
+    let expected = Util.golden name in
+    if not (String.equal text expected) then begin
+      let lines s = String.split_on_char '\n' s in
+      let rec first_diff i = function
+        | a :: ra, b :: rb -> if a = b then first_diff (i + 1) (ra, rb) else (i, a, b)
+        | a :: _, [] -> (i, a, "<end>")
+        | [], b :: _ -> (i, "<end>", b)
+        | [], [] -> (i, "", "")
+      in
+      let i, got, want = first_diff 1 (lines text, lines expected) in
+      Alcotest.failf "%s line %d:\n got  %s\n want %s" name i got want
+    end
+  in
+  [
+    t "analyze records are byte-identical" (fun () ->
+        golden "analyze.txt" (Sim_corpus.analyze_text ()) ());
+    t "event waveforms and VCD are byte-identical" (fun () ->
+        golden "sim_event.txt" (Sim_corpus.sim_event_text ()) ());
+    t "timing reports are byte-identical" (fun () ->
+        golden "timing.txt" (Sim_corpus.timing_text ()) ());
+  ]
+
 let suite =
   [
     ("eda.stimuli", stimuli_tests);
     ("eda.waveform", waveform_tests);
     ("eda.simulation", simulator_tests);
     ("eda.optimize", optimizer_tests);
+    ("eda.corpus", corpus_tests);
   ]
 
 (* Sequential circuits: flops, cycle-based simulation. *)
