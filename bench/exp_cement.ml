@@ -156,8 +156,10 @@ let cold_tier () =
   let j = Journal.open_ ~dir Standard_schemas.odyssey in
   (* a reopened checkpoint starts with every payload cold: read them
      all back first, so eviction has resident payloads to release *)
-  let store = (Journal.context j).Engine.store in
-  List.iter (fun iid -> ignore (Store.payload store iid)) (Store.all_instances store);
+  let store = Store.snapshot (Journal.context j).Engine.store in
+  List.iter
+    (fun iid -> ignore (Store.Snapshot.payload store iid))
+    (Store.Snapshot.all_instances store);
   Gc.full_major ();
   let before = (Gc.stat ()).Gc.live_words in
   let evicted = Journal.evict_cold j in

@@ -32,7 +32,9 @@ let run () =
   Printf.printf "flow executed: %d tasks; compiled simulator is instance #%d\n"
     run1.Engine.stats.Engine.executed tool_iid;
   Printf.printf "the tool has a derivation record: %b\n"
-    (History.derivation_of (Workspace.history w) tool_iid <> None);
+    (History.Snapshot.derivation_of (History.snapshot (Workspace.history w))
+       tool_iid
+     <> None);
   (* run on new stimuli: the compile memo-hits *)
   let stim2 =
     Workspace.install_stimuli w

@@ -12,15 +12,15 @@
       answered from the version index in the history state, by a live
       reader and by a reader pinned to a snapshot taken halfway
       through the history.  Both stay flat as the history grows.
-   4. Trace text -- [History.trace_text] of the tip of an edit chain
-      100, 400 and 1600 deep (a fresh editor per edit, as `hercules
-      remote edit` makes them), its size in bytes and its latency, by a
-      live reader and by a reader pinned to a snapshot taken before a
-      second chain as deep was written, and the words one call
-      allocates.
-   5. Forward chaining -- [History.derived_instances] of the base of the
-      same live chain (the [uses] query): its latency and the words one
-      call allocates.  Then both reads of a 400-deep chain inside a
+   4. Trace text -- [History.Snapshot.trace_text] of the tip of an edit
+      chain 100, 400 and 1600 deep (a fresh editor per edit, as
+      `hercules remote edit` makes them), its size in bytes and its
+      latency, by a live reader (a fresh snapshot per call) and by a
+      reader pinned to a snapshot taken before a second chain as deep
+      was written, and the words one call allocates.
+   5. Forward chaining -- [History.Snapshot.derived_instances] of the
+      base of the same live chain (the [uses] query): its latency and
+      the words one call allocates.  Then both reads of a 400-deep chain inside a
       4,000-instance store, the size the daemon serves: eight other
       instances are installed between two edits, so the chain's iids
       spread over the whole store.
@@ -220,7 +220,8 @@ let version_queries records =
       let v = put () in
       let t0 = Unix.gettimeofday () in
       ignore
-        (History.add h store schema ~task_entity:E.edited_netlist ~tool:None
+        (History.add h (Store.snapshot store) schema
+           ~task_entity:E.edited_netlist ~tool:None
            ~inputs:[ ("netlist", !prev) ]
            ~outputs:[ (E.edited_netlist, v) ]
            ~at:!clock);
@@ -232,10 +233,12 @@ let version_queries records =
   Gc.full_major ();
   (* the live reader first, then the pinned one behind it *)
   let live_versions =
-    per_query_us (fun () -> History.versions h store schema !live_head)
+    per_query_us (fun () ->
+        History.Snapshot.versions (History.snapshot h) !live_head)
   in
   let live_latest =
-    per_query_us (fun () -> History.latest_version h store schema !live_head)
+    per_query_us (fun () ->
+        History.Snapshot.latest_version (History.snapshot h) !live_head)
   in
   let pinned_versions =
     per_query_us (fun () -> History.Snapshot.versions snap !pinned_head)
@@ -289,8 +292,9 @@ let chain_reads depth =
       else
         let editor = put E.netlist_editor and v = put E.edited_netlist in
         ignore
-          (History.add h store schema ~task_entity:E.edited_netlist
-             ~tool:(Some editor) ~inputs:[ ("netlist", prev) ]
+          (History.add h (Store.snapshot store) schema
+             ~task_entity:E.edited_netlist ~tool:(Some editor)
+             ~inputs:[ ("netlist", prev) ]
              ~outputs:[ (E.edited_netlist, v) ]
              ~at:!clock);
         grow v (i - 1)
@@ -301,14 +305,22 @@ let chain_reads depth =
   let _, pinned_tip = chain () in
   let snap = History.snapshot h and pinned_store = Store.snapshot store in
   let live_base, live_tip = chain () in
-  let text = History.trace_text h store schema live_tip in
+  (* a live read pins a fresh view per call *)
+  let live_trace () =
+    History.Snapshot.trace_text (History.snapshot h) (Store.snapshot store)
+      schema live_tip
+  in
+  let live_uses () =
+    History.Snapshot.derived_instances (History.snapshot h) live_base
+  in
+  let text = live_trace () in
   assert (
     text = History.Snapshot.trace_text snap pinned_store schema pinned_tip);
   Gc.full_major ();
   (* about 200k nodes per batch at every depth *)
   let rounds = 100_000 / depth in
   let live_us =
-    per_query_us ~rounds (fun () -> History.trace_text h store schema live_tip)
+    per_query_us ~rounds live_trace
   in
   let pinned_us =
     per_query_us ~rounds (fun () ->
@@ -318,13 +330,9 @@ let chain_reads depth =
     alloc_words (fun () ->
         History.Snapshot.trace_text snap pinned_store schema pinned_tip)
   in
-  assert (List.length (History.derived_instances h live_base) = depth);
-  let uses_us =
-    per_query_us ~rounds (fun () -> History.derived_instances h live_base)
-  in
-  let uses_words =
-    alloc_words (fun () -> History.derived_instances h live_base)
-  in
+  assert (List.length (live_uses ()) = depth);
+  let uses_us = per_query_us ~rounds live_uses in
+  let uses_words = alloc_words live_uses in
   { bytes = String.length text; live_us; pinned_us; trace_words; uses_us;
     uses_words }
 
@@ -352,20 +360,22 @@ let store_chain_reads ~depth ~between =
     done;
     let editor = put E.netlist_editor and v = put E.edited_netlist in
     ignore
-      (History.add h store schema ~task_entity:E.edited_netlist
-         ~tool:(Some editor) ~inputs:[ ("netlist", !tip) ]
+      (History.add h (Store.snapshot store) schema
+         ~task_entity:E.edited_netlist ~tool:(Some editor)
+         ~inputs:[ ("netlist", !tip) ]
          ~outputs:[ (E.edited_netlist, v) ]
          ~at:!clock);
     tip := v
   done;
   let tip = !tip in
-  assert (List.length (History.derived_instances h base) = depth);
+  let h = History.snapshot h and store = Store.snapshot store in
+  let trace () = History.Snapshot.trace_text h store schema tip in
+  let uses () = History.Snapshot.derived_instances h base in
+  assert (List.length (uses ()) = depth);
   Gc.full_major ();
   let rounds = 100_000 / depth in
-  let trace () = History.trace_text h store schema tip in
-  let uses () = History.derived_instances h base in
-  ( Store.instance_count store, per_query_us ~rounds trace, alloc_words trace,
-    per_query_us ~rounds uses )
+  ( Store.Snapshot.instance_count store, per_query_us ~rounds trace,
+    alloc_words trace, per_query_us ~rounds uses )
 
 (* ------------------------------------------------------------------ *)
 (* 6. Keyword browse over growing stores                               *)
@@ -460,8 +470,8 @@ let checkpoint_session ~n ~depth =
   for i = 1 to depth do
     let editor = put E.netlist_editor i and v = put E.edited_netlist i in
     ignore
-      (History.add ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-         ~task_entity:E.edited_netlist ~tool:(Some editor)
+      (History.add ctx.Engine.history (Store.snapshot ctx.Engine.store)
+         ctx.Engine.schema ~task_entity:E.edited_netlist ~tool:(Some editor)
          ~inputs:[ ("netlist", !prev) ]
          ~outputs:[ (E.edited_netlist, v) ]
          ~at:i);

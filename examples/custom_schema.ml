@@ -150,18 +150,23 @@ let () =
   select "formatter" formatter;
   select "reviewer" reviewer;
   let review_iid = List.hd (Session.run session review_node) in
-  let _, verdict = Value.as_blob (Engine.payload ctx review_iid) in
+  (* a read after a write pins a fresh view *)
+  let payload iid = Engine.decode (Store.snapshot ctx.Engine.store) iid in
+  let derivation_of iid =
+    History.Snapshot.derivation_of (History.snapshot ctx.Engine.history) iid
+  in
+  let _, verdict = Value.as_blob (payload review_iid) in
   Printf.printf "\nreview verdict: %s\n" verdict;
 
   (* versioning and consistency, inherited for free *)
   print_endline "\n# the edit loop gives versioning for free";
   let camera_iid =
-    match History.derivation_of ctx.Engine.history review_iid with
+    match derivation_of review_iid with
     | Some r -> List.assoc "camera_ready" r.History.inputs
     | None -> assert false
   in
   let draft_iid =
-    match History.derivation_of ctx.Engine.history camera_iid with
+    match derivation_of camera_iid with
     | Some r -> List.assoc "draft" r.History.inputs
     | None -> assert false
   in
@@ -178,17 +183,15 @@ let () =
     Engine.execute ctx g
       ~bindings:[ (editor_node, editor 2); (draft_node, draft_iid) ]
   in
+  let h = History.snapshot ctx.Engine.history in
   Printf.printf "draft versions: %d\n"
-    (List.length
-       (History.versions ctx.Engine.history ctx.Engine.store schema draft_iid));
+    (List.length (History.Snapshot.versions h draft_iid));
   (* the camera-ready copy is now out of date *)
-  let stale =
-    History.out_of_date ctx.Engine.history ctx.Engine.store schema camera_iid
-  in
+  let stale = History.Snapshot.out_of_date h camera_iid in
   Printf.printf "camera-ready stale inputs: %d\n" (List.length stale);
   let report = Consistency.refresh ctx review_iid in
   Format.printf "refresh the review: %a@." Consistency.pp_report report;
   let _, verdict2 =
-    Value.as_blob (Engine.payload ctx report.Consistency.fresh_instance)
+    Value.as_blob (payload report.Consistency.fresh_instance)
   in
   Printf.printf "new verdict: %s\n" verdict2

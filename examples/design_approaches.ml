@@ -107,13 +107,14 @@ let () =
   print_endline "\n# the instance browser with filters (Fig. 9)";
   let show title filter =
     Printf.printf "%s:\n" title;
+    let store = Store.snapshot (Workspace.store w) in
     List.iter
       (fun iid ->
-        let m = Store.meta_of (Workspace.store w) iid in
+        let m = Store.Snapshot.meta_of store iid in
         Printf.printf "  #%-3d %-24s %-10s @%d [%s]\n" iid m.Store.label
           m.Store.user m.Store.created_at
           (String.concat "," m.Store.keywords))
-      (Store.browse (Workspace.store w) filter)
+      (Store.Snapshot.browse store filter)
   in
   show "all netlists"
     { Store.any_filter with Store.f_entities = Some [ E.edited_netlist ] };

@@ -55,11 +55,12 @@ let () =
   show f.Standard_flows.f5_verification "verification      ";
 
   (* the two outputs of the extractor share one derivation record *)
+  let h = History.snapshot (Workspace.history w) in
   let r1 =
-    History.derivation_of (Workspace.history w)
+    History.Snapshot.derivation_of h
       (Engine.result_of run f.Standard_flows.f5_extracted)
   and r2 =
-    History.derivation_of (Workspace.history w)
+    History.Snapshot.derivation_of h
       (Engine.result_of run f.Standard_flows.f5_statistics)
   in
   Printf.printf "co-produced outputs share a record: %b\n\n"

@@ -55,7 +55,12 @@ let () =
       behavior =
         (fun ~tool:_ ~goals:_ args ->
           let nl = Value.as_netlist (Encapsulation.required args E.netlist) in
-          let fanout = Eda.Netlist.fanout_table nl in
+          let ix = Eda.Netlist.index nl in
+          let fanout net =
+            match Hashtbl.find_opt ix.Eda.Netlist.ids net with
+            | Some i -> ix.Eda.Netlist.fanout.(i)
+            | None -> 0
+          in
           let diags = ref [] in
           let warn fmt = Printf.ksprintf (fun s -> diags := s :: !diags) fmt in
           List.iter
@@ -127,7 +132,9 @@ let () =
     Engine.execute ctx g ~bindings:[ (lint_node, linter); (nl_node, nl_iid) ]
   in
   let _, text =
-    Value.as_blob (Engine.payload ctx (Engine.result_of run report))
+    Value.as_blob
+      (Engine.decode (Store.snapshot ctx.Engine.store)
+         (Engine.result_of run report))
   in
   Printf.printf "lint report for mux4:\n%s\n"
     (String.concat "\n"

@@ -73,7 +73,10 @@ let () =
 
   (* ---- the history shows both branches off the netlist ------------- *)
   print_endline "\n# forward chaining from the shared netlist";
-  let records = History.forward_closure (Workspace.history w) netlist_iid in
+  let v = Engine.pin ctx in
+  let records =
+    History.Snapshot.forward_closure v.Engine.v_history netlist_iid
+  in
   List.iter
     (fun (r : History.record) ->
       Printf.printf "  r%d: %s -> %s\n" r.History.rid r.History.task_entity
@@ -88,9 +91,9 @@ let () =
      this netlist" *)
   let g, root = Task_graph.create (Workspace.schema w) E.layout in
   let matches =
-    History.query_template (Workspace.history w) (Workspace.store w) g ~bound:[]
+    History.Snapshot.query_template v.Engine.v_history v.Engine.v_store g
+      ~bound:[]
   in
   ignore root;
   Printf.printf "layout instances known to the history: %d\n"
-    (List.length matches);
-  ignore ctx
+    (List.length matches)

@@ -126,7 +126,8 @@ module Workspace = struct
       List.map
         (fun entity ->
           match
-            Ddf_store.Store.instances_of_entity ctx.Engine.store entity
+            Store.Snapshot.instances_of_entity (Store.snapshot ctx.Engine.store)
+              entity
           with
           | iid :: _ -> (entity, iid)
           | [] -> (entity, Engine.install_tool ctx entity))
@@ -180,7 +181,8 @@ module Workspace = struct
 
   let default_device_models w =
     match
-      Ddf_store.Store.instances_of_entity (store w) E.device_models
+      Store.Snapshot.instances_of_entity (Store.snapshot (store w))
+        E.device_models
     with
     | iid :: _ -> iid
     | [] -> raise (Workspace_error "no device models installed")
@@ -208,7 +210,7 @@ module Workspace = struct
         if n.Task_graph.entity = entity then Some n.Task_graph.nid else None)
       (Task_graph.nodes flow)
 
-  let payload w iid = Engine.payload (ctx w) iid
+  let payload w iid = Engine.decode (Store.snapshot (store w)) iid
 
   let netlist_of w iid = Ddf_data.as_netlist (payload w iid)
   let layout_of w iid = Ddf_data.as_layout (payload w iid)

@@ -71,31 +71,33 @@ let segment_length s = abs (s.x2 - s.x1) + abs (s.y2 - s.y1)
 let place ?(name_suffix = "_layout") nl =
   if Netlist.is_sequential nl then
     layout_errorf "the placer handles combinational netlists only";
-  let ranked = Netlist.levelize nl in
-  let depth = List.fold_left (fun m (l, _) -> max m l) 1 ranked in
-  (* net -> driving row *)
-  let driver_row = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace driver_row n 0) nl.Netlist.primary_inputs;
+  let ix = Netlist.index nl in
+  let _, level = Netlist.levelized ix in
+  let depth = Array.fold_left max 1 level in
+  (* net id -> driving row, -1 when undriven *)
+  let driver_row = Array.make (Array.length ix.Netlist.names) (-1) in
   List.iter
-    (fun (level, (g : Netlist.gate)) -> Hashtbl.replace driver_row g.output level)
-    ranked;
-  (* group gates by row *)
+    (fun n -> driver_row.(Hashtbl.find ix.Netlist.ids n) <- 0)
+    nl.Netlist.primary_inputs;
+  Array.iteri (fun g l -> driver_row.(ix.Netlist.gate_output.(g)) <- l) level;
+  (* group gates by row, each row in list order *)
   let rows = Array.make (depth + 2) [] in
-  List.iter
-    (fun (level, g) -> rows.(level) <- g :: rows.(level))
-    (List.rev ranked);
-  (* nets needing a trunk, with their channel (= driving row) *)
-  let fanout = Netlist.fanout_table nl in
+  for g = Array.length level - 1 downto 0 do
+    rows.(level.(g)) <- ix.Netlist.gate.(g) :: rows.(level.(g))
+  done;
+  (* nets needing a trunk (a reader, a primary output counting as one),
+     with their channel (= driving row) *)
   let routed_nets =
-    List.filter (fun n -> fanout n > 0 || List.mem n nl.Netlist.primary_outputs)
+    List.filter
+      (fun n -> ix.Netlist.fanout.(Hashtbl.find ix.Netlist.ids n) > 0)
       (Netlist.nets nl)
   in
   let channel_nets = Array.make (depth + 2) [] in
   List.iter
     (fun n ->
-      match Hashtbl.find_opt driver_row n with
-      | Some r -> channel_nets.(r) <- n :: channel_nets.(r)
-      | None -> layout_errorf "undriven net %s" n)
+      match driver_row.(Hashtbl.find ix.Netlist.ids n) with
+      | -1 -> layout_errorf "undriven net %s" n
+      | r -> channel_nets.(r) <- n :: channel_nets.(r))
     routed_nets;
   Array.iteri (fun i l -> channel_nets.(i) <- List.rev l) channel_nets;
   (* vertical extents: row bases and channel track tables *)

@@ -117,7 +117,9 @@ let compare_netlists reference candidate =
   if nr <> nc then fail (Gate_count (nr, nc));
   let gate_map = ref [] and matched = ref 0 in
   if !mismatches = [] then begin
-    let rounds = 2 + Netlist.depth reference in
+    let ix = Netlist.index reference in
+    let order, level = Netlist.levelized ix in
+    let rounds = 2 + Array.fold_left max 0 level in
     let ref_sigs, _ = signatures reference ~rounds in
     let cand_sigs, _ = signatures candidate ~rounds in
     (* bucket candidate gates by signature *)
@@ -163,8 +165,9 @@ let compare_netlists reference candidate =
          instance correspondence is checked *)
       let gate_map_tbl = Hashtbl.create 64 in
       List.iter (fun (rg, cg) -> Hashtbl.replace gate_map_tbl rg cg) !gate_map;
-      List.iter
-        (fun (r : Netlist.gate) ->
+      Array.iter
+        (fun g ->
+          let r = ix.Netlist.gate.(g) in
           let rg = r.Netlist.gname in
           let cg = Hashtbl.find gate_map_tbl rg in
           let c = cand_gate cg in
@@ -196,7 +199,7 @@ let compare_netlists reference candidate =
             List.iter2 bind_net rs cs
           end
           else fail (Signature_conflict (Printf.sprintf "gate %s arity" rg)))
-        (Netlist.topological_gates reference);
+        order;
       (* ports must map to themselves *)
       List.iter
         (fun p ->

@@ -195,11 +195,6 @@ let index nl =
   Array.iter bump outputs;
   { source = nl; ids; names; gate; gate_inputs; gate_output; fanout; outputs }
 
-let fanout_table nl =
-  let ix = index nl in
-  fun net ->
-    match Hashtbl.find_opt ix.ids net with Some i -> ix.fanout.(i) | None -> 0
-
 (* Gate ids in topological order, by logic level and then list
    position, with each gate's level.  Raises on several drivers of a
    net, a combinational cycle or an undriven net, naming the first one
@@ -252,16 +247,9 @@ let levelized ix =
     gate_level;
   (order, gate_level)
 
-(* Topological gate order; raises on a combinational cycle. *)
-let levelize nl =
-  let ix = index nl in
-  let order, level = levelized ix in
-  Array.fold_right (fun g acc -> (level.(g), ix.gate.(g)) :: acc) order []
-
-let topological_gates nl = List.map snd (levelize nl)
-
 let depth nl =
-  List.fold_left (fun m (l, _) -> max m l) 0 (levelize nl)
+  let _, level = levelized (index nl) in
+  Array.fold_left max 0 level
 
 (* Flop state: current q values, by flop name. *)
 type state = (string * Logic.value) list
@@ -269,29 +257,27 @@ type state = (string * Logic.value) list
 let initial_state nl = List.map (fun f -> (f.fname, f.init)) nl.flops
 
 (* One combinational settle: all net values under the inputs and the
-   current state. *)
+   current state, by net id; a net no input, flop or gate sets reads X. *)
 let settle nl state env =
-  let values = Hashtbl.create 64 in
+  let ix = index nl in
+  let order, _ = levelized ix in
+  let values = Array.make (Array.length ix.names) Logic.VX in
+  let set net v = values.(Hashtbl.find ix.ids net) <- v in
   List.iter
-    (fun n ->
-      let v = try List.assoc n env with Not_found -> Logic.VX in
-      Hashtbl.replace values n v)
+    (fun n -> set n (try List.assoc n env with Not_found -> Logic.VX))
     nl.primary_inputs;
   List.iter
-    (fun f ->
-      let v = try List.assoc f.fname state with Not_found -> f.init in
-      Hashtbl.replace values f.q v)
+    (fun f -> set f.q (try List.assoc f.fname state with Not_found -> f.init))
     nl.flops;
-  List.iter
+  Array.iter
     (fun g ->
-      let ins =
-        List.map
-          (fun i -> try Hashtbl.find values i with Not_found -> Logic.VX)
-          g.inputs
-      in
-      Hashtbl.replace values g.output (Logic.eval g.op ins))
-    (topological_gates nl);
-  fun net -> try Hashtbl.find values net with Not_found -> Logic.VX
+      let ins = Array.to_list (Array.map (Array.get values) ix.gate_inputs.(g)) in
+      values.(ix.gate_output.(g)) <- Logic.eval ix.gate.(g).op ins)
+    order;
+  fun net ->
+    match Hashtbl.find_opt ix.ids net with
+    | Some i -> values.(i)
+    | None -> Logic.VX
 
 (* Zero-delay functional evaluation of the outputs; sequential
    netlists read their flops from [state] (initial values by default). *)

@@ -58,8 +58,6 @@ val nets : t -> string list
 val gate_count : t -> int
 val net_count : t -> int
 val transistor_count : t -> int
-val fanout_table : t -> string -> int
-(** Readers per net (primary outputs count as one reader). *)
 
 (** {1 Integer net ids} *)
 
@@ -74,7 +72,8 @@ type indexed = {
   gate : gate array;               (** by gate id *)
   gate_inputs : int array array;   (** by gate *)
   gate_output : int array;         (** by gate *)
-  fanout : int array;              (** by net, as {!fanout_table} *)
+  fanout : int array;
+      (** by net: its readers, a primary output counting as one *)
   outputs : int array;             (** primary outputs, in order *)
 }
 
@@ -82,17 +81,13 @@ val index : t -> indexed
 
 val levelized : indexed -> int array * int array
 (** Gate ids in topological order (by level, then list position), and
-    each gate's level.
+    each gate's level (primary inputs and flop outputs are level-0
+    sources).
     @raise Netlist_error on several drivers of a net, a combinational
-    cycle or an undriven net, as {!levelize}. *)
+    cycle or an undriven net. *)
 
-val levelize : t -> (int * gate) list
-(** Gates with their logic level (flop outputs are level-0 sources),
-    topologically sorted.
-    @raise Netlist_error on a combinational cycle. *)
-
-val topological_gates : t -> gate list
 val depth : t -> int
+(** The highest gate level; 0 with no gates. *)
 
 (** {1 Evaluation} *)
 

@@ -45,12 +45,17 @@ let compile netlist =
   List.iter
     (fun (f : Netlist.flop) -> ignore (slot f.Netlist.q))
     netlist.Netlist.flops;
+  (* the index's gate order; the slots keep their own first-seen
+     numbering, which a stored program's bytes record *)
+  let ix = Netlist.index netlist in
+  let order, _ = Netlist.levelized ix in
   let program =
-    Netlist.topological_gates netlist
-    |> List.map (fun (g : Netlist.gate) ->
-           let args = Array.of_list (List.map slot g.inputs) in
-           { op = g.op; args; dst = slot g.output })
-    |> Array.of_list
+    Array.map
+      (fun gid ->
+        let (g : Netlist.gate) = ix.Netlist.gate.(gid) in
+        let args = Array.of_list (List.map slot g.inputs) in
+        { op = g.op; args; dst = slot g.output })
+      order
   in
   let net_index = Hashtbl.fold (fun n i acc -> (n, i) :: acc) index [] in
   let lookup net =

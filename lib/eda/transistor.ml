@@ -133,9 +133,11 @@ let of_netlist nl =
     Printf.sprintf "ch%d" !node
   in
   let counter = ref 0 in
+  let ix = Netlist.index nl in
+  let order, _ = Netlist.levelized ix in
   let stages =
-    Netlist.topological_gates nl
-    |> List.concat_map (decompose_gate fresh)
+    Array.to_list order
+    |> List.concat_map (fun g -> decompose_gate fresh ix.Netlist.gate.(g))
     |> List.map (expand_prim fresh_node counter)
   in
   {

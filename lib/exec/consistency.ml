@@ -15,12 +15,6 @@ let m_refreshes = Metrics.counter "consistency.refreshes"
 let m_reran = Metrics.counter "consistency.reran"
 let m_reused = Metrics.counter "consistency.reused"
 
-(* The latest version of an instance: the newest leaf of its version
-   tree (by creation time, ties to the higher iid). *)
-let latest_version (ctx : Engine.context) iid =
-  History.latest_version ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-    iid
-
 type refresh_report = {
   fresh_instance : Store.iid;   (* up-to-date equivalent of the input *)
   reran : int;                  (* invocations recomputed *)
@@ -40,8 +34,13 @@ let refresh (ctx : Engine.context) iid =
     ~attrs:[ ("instance", Obs.Int iid) ]
     "consistency.refresh"
   @@ fun () ->
+  (* Nothing below writes before [Engine.execute], which pins its own
+     view per invocation. *)
+  let view = Engine.pin ctx in
+  let latest_version = History.Snapshot.latest_version view.Engine.v_history in
   let g, root, binding =
-    History.trace ctx.Engine.history ctx.Engine.store ctx.Engine.schema iid
+    History.Snapshot.trace view.Engine.v_history view.Engine.v_store
+      ctx.Engine.schema iid
   in
   (* prune: an interior node superseded by a newer version becomes a
      leaf to be re-bound, discarding the stale sub-derivation below it *)
@@ -50,7 +49,7 @@ let refresh (ctx : Engine.context) iid =
       (fun g (nid, inst) ->
         if nid = root || not (Ddf_graph.Task_graph.mem g nid) then g
         else if
-          latest_version ctx inst <> inst
+          latest_version inst <> inst
           && Ddf_graph.Task_graph.out_edges g nid <> []
         then Ddf_graph.Task_graph.unexpand g nid
         else g)
@@ -64,7 +63,7 @@ let refresh (ctx : Engine.context) iid =
           Ddf_graph.Task_graph.mem g nid
           && Ddf_graph.Task_graph.out_edges g nid = []
         then begin
-          let latest = latest_version ctx source_iid in
+          let latest = latest_version source_iid in
           if latest <> source_iid then
             rebound := (source_iid, latest) :: !rebound;
           Some (nid, latest)
@@ -93,8 +92,9 @@ type extraction_status =
   | Out_of_date of Store.iid * (string * Store.iid * Store.iid list) list
 
 let derived_status (ctx : Engine.context) ~source ~goal_entity =
+  let h = History.snapshot ctx.Engine.history in
   let derived =
-    History.forward_closure ctx.Engine.history source
+    History.Snapshot.forward_closure h source
     |> List.concat_map (fun r -> r.History.outputs)
     |> List.filter (fun (e, _) ->
            Ddf_schema.Schema.is_subtype ctx.Engine.schema ~sub:e
@@ -104,10 +104,7 @@ let derived_status (ctx : Engine.context) ~source ~goal_entity =
   match List.sort (fun a b -> compare b a) derived with
   | [] -> Never_extracted
   | newest :: _ -> (
-    match
-      History.out_of_date ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-        newest
-    with
+    match History.Snapshot.out_of_date h newest with
     | [] -> Up_to_date newest
     | stale -> Out_of_date (newest, stale))
 

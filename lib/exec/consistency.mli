@@ -3,10 +3,6 @@
 
 open Ddf_store
 
-val latest_version : Engine.context -> Store.iid -> Store.iid
-(** The newest version in the instance's version tree (by creation
-    time). *)
-
 type refresh_report = {
   fresh_instance : Store.iid;  (** up-to-date equivalent of the input *)
   reran : int;                 (** invocations recomputed *)

@@ -90,8 +90,6 @@ let decode snap iid =
     | exception Ddf_persist.Codec.Codec_error m ->
       exec_errorf ~code:`Internal "value of instance %d: %s" iid m)
 
-let payload ctx iid = decode (Store.snapshot ctx.store) iid
-
 (* Store [value] as its text, printed unless the caller holds it. *)
 let put ?text ctx ~entity ~meta value =
   let hash = Ddf_data.hash value in
@@ -205,12 +203,14 @@ let run_invocation ~memo ctx g assignment (inv : Task_graph.invocation) =
           exec_errorf "task produced no output for entity %s" entity)
       inv.Task_graph.outputs
   in
+  (* Pinned here, after the invocations before this one committed. *)
+  let view = pin ctx in
   (* The design-consistency lookup: the oldest record of this task with
      this tool and these inputs, found through the least-used of them. *)
   match
     if memo then
-      History.Snapshot.find_derivation (History.snapshot ctx.history) ~tool
-        ~inputs ~out_entities
+      History.Snapshot.find_derivation view.v_history ~tool ~inputs
+        ~out_entities
     else None
   with
   | Some r ->
@@ -223,7 +223,7 @@ let run_invocation ~memo ctx g assignment (inv : Task_graph.invocation) =
     `Memo
   | None ->
     let t0 = if Obs.enabled () then Obs.now_us () else 0.0 in
-    let snap = Store.snapshot ctx.store in
+    let snap = view.v_store in
     let args = List.map (fun (role, iid) -> (role, decode snap iid)) inputs in
     let values, cost_us, kind =
       match tool with
@@ -264,8 +264,8 @@ let run_invocation ~memo ctx g assignment (inv : Task_graph.invocation) =
       List.filter (fun (e, _) -> List.mem e out_entities) stored
     in
     ignore
-      (History.add ctx.history ctx.store ctx.schema ~task_entity ~tool ~inputs
-         ~outputs:produced ~at);
+      (History.add ctx.history (Store.snapshot ctx.store) ctx.schema
+         ~task_entity ~tool ~inputs ~outputs:produced ~at);
     assign_outputs stored;
     (match kind with
     | `Composed -> Metrics.incr m_composed
@@ -292,10 +292,11 @@ let run_invocation ~memo ctx g assignment (inv : Task_graph.invocation) =
 let execute ?(memo = true) ctx g ~bindings =
   Task_graph.validate g;
   let assignment = ref Int_map.empty in
+  let snap = Store.snapshot ctx.store in
   List.iter
     (fun (nid, iid) ->
       let entity = Task_graph.entity_of g nid in
-      let inst_entity = Store.entity_of ctx.store iid in
+      let inst_entity = Store.Snapshot.entity_of snap iid in
       if not (Schema.is_subtype ctx.schema ~sub:inst_entity ~super:entity) then
         exec_errorf ~code:`Type_error "instance #%d (%s) cannot fill node %d (%s)" iid
           inst_entity
@@ -364,11 +365,12 @@ let execute ?(memo = true) ctx g ~bindings =
    instance into component instances, recorded in the history like any
    other task (section 3.1). *)
 let decompose ctx iid =
-  let entity = Store.entity_of ctx.store iid in
+  let snap = Store.snapshot ctx.store in
+  let entity = Store.Snapshot.entity_of snap iid in
   if not (Schema.is_composite ctx.schema entity) then
     exec_errorf ~code:`Type_error "instance #%d (%s) is not composite" iid entity;
   let decomposer = Encapsulation.find_decomposer ctx.registry entity in
-  let parts = decomposer (payload ctx iid) in
+  let parts = decomposer (decode snap iid) in
   let at = tick ctx in
   let stored =
     List.map
@@ -383,8 +385,9 @@ let decompose ctx iid =
   | [] -> exec_errorf "decomposition of %s produced nothing" entity
   | (first, _) :: _ ->
     ignore
-      (History.add ctx.history ctx.store ctx.schema ~task_entity:first
-         ~tool:None ~inputs:[ ("composite", iid) ] ~outputs:stored ~at));
+      (History.add ctx.history (Store.snapshot ctx.store) ctx.schema
+         ~task_entity:first ~tool:None ~inputs:[ ("composite", iid) ]
+         ~outputs:stored ~at));
   stored
 
 let result_of run nid =
@@ -424,16 +427,17 @@ let try_batch ?(memo = true) ctx g nid iids =
     if consumers = [] || not (List.for_all batched consumers) then None
     else begin
       let inputs = List.mapi (fun i iid -> (Printf.sprintf "part%d" i, iid)) iids in
+      let view = pin ctx in
       match
         if memo then
-          History.Snapshot.find_derivation (History.snapshot ctx.history)
-            ~tool:None ~inputs ~out_entities:[ entity ]
+          History.Snapshot.find_derivation view.v_history ~tool:None ~inputs
+            ~out_entities:[ entity ]
         else None
       with
       | Some r -> List.assoc_opt entity r.History.outputs
       | None ->
         Metrics.incr m_batches;
-        let merged = merge (List.map (payload ctx) iids) in
+        let merged = merge (List.map (decode view.v_store) iids) in
         Typing.check ctx.schema entity merged;
         let at = tick ctx in
         let meta =
@@ -443,8 +447,8 @@ let try_batch ?(memo = true) ctx g nid iids =
         in
         let iid = put ctx ~entity ~meta merged in
         ignore
-          (History.add ctx.history ctx.store ctx.schema ~task_entity:entity
-             ~tool:None ~inputs
+          (History.add ctx.history (Store.snapshot ctx.store) ctx.schema
+             ~task_entity:entity ~tool:None ~inputs
              ~outputs:[ (entity, iid) ] ~at);
         Some iid
     end

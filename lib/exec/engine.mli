@@ -17,7 +17,7 @@ open Ddf_tools
 type context = {
   schema : Schema.t;
   mutable store : string Store.t;
-      (** each value as its flat text, read through {!payload}; swapped
+      (** each value as its flat text, read through {!decode}; swapped
           wholesale only by a replication snapshot reinstall
           ({!Ddf_journal}), everything else mutates it in place *)
   mutable history : History.t;
@@ -49,13 +49,11 @@ val pin : context -> view
     first so the store side covers every instance its records
     mention). *)
 
-val payload : context -> Store.iid -> Ddf_data.value
-(** The decoded value behind an instance, through a cache of 256 slots
-    keyed by content hash, shared by every domain and filled by {!put}.
-    @raise Ddf_core.Error.Ddf_error as {!Store.payload}. *)
-
 val decode : string Store.snapshot -> Store.iid -> Ddf_data.value
-(** {!payload} through a snapshot (a pinned view's [v_store]). *)
+(** The decoded value behind an instance of a snapshot (a pinned
+    view's [v_store]), through a cache of 256 slots keyed by content
+    hash, shared by every domain and filled by {!put}.
+    @raise Ddf_core.Error.Ddf_error as {!Store.Snapshot.payload}. *)
 
 val put :
   ?text:string -> context -> entity:string -> meta:Store.meta ->

@@ -121,9 +121,6 @@ let rec update h f =
 
 let snapshot h = Atomic.get h.state
 
-let size h = Dense.length (Atomic.get h.state).hs_records
-let tick h = size h + 1
-
 (* [iid]'s links in a links column: one read. *)
 let links_at column iid =
   if iid >= 1 && iid <= Dense.length column then Dense.get column (iid - 1)
@@ -309,7 +306,6 @@ let check_installed store r =
 
 let add h store schema ~task_entity ~tool ~inputs ~outputs ~at =
   if outputs = [] then history_errorf "a record needs at least one output";
-  let store = Store.snapshot store in
   let r = { rid = 0; task_entity; tool; inputs; outputs; at } in
   check_installed store r;
   check_rules store schema r;
@@ -383,567 +379,507 @@ let resolve_conflict h cid ~winner =
 (* Reads over one frozen state                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything below is pure over a [state] (plus, for store-joined
-   queries, a [Store.Snapshot.t] and a schema); the [Snapshot] module
-   and the live wrappers at the bottom both delegate here. *)
-
-let st_find st rid =
-  if rid >= 1 && rid <= Dense.length st.hs_records then
-    Dense.get st.hs_records (rid - 1)
-  else history_errorf ~code:`Not_found "no record %d" rid
-
-let st_records st =
-  List.rev (Dense.fold (fun acc r -> r :: acc) [] st.hs_records)
-
-let st_find_conflict st cid =
-  match Int_map.find_opt cid st.hs_conflicts with
-  | Some c -> c
-  | None -> history_errorf ~code:`Not_found "no conflict %d" cid
-
-(* Unordered-pair lookup: the two sides of a sync each record the same
-   divergence with [ours]/[theirs] swapped, so dedup ignores the
-   orientation. *)
-let st_find_conflict_pair st a b =
-  let key x = (min x.c_ours x.c_theirs, max x.c_ours x.c_theirs) in
-  let want = (min a b, max a b) in
-  Int_map.fold
-    (fun _ c acc -> if acc = None && key c = want then Some c else acc)
-    st.hs_conflicts None
-
-let st_all_conflicts st = List.map snd (Int_map.bindings st.hs_conflicts)
-
-let st_conflicts st =
-  List.filter (fun c -> c.c_winner = None) (st_all_conflicts st)
-
-(* The record that created an instance; None for instances installed
-   directly by the designer (sources). *)
-let st_derivation_of st iid = (links st iid).producer
-let st_uses_of st iid = List.rev (links st iid).users
-
-(* The oldest record running [tool] on [inputs] (role-bound, in any
-   order) and producing every entity of [out_entities]: the memo
-   lookup.  Such a record uses the tool and every input, so it is in
-   each of their users lists; walk the shortest, newest first, keeping
-   the last match.  Picking it costs the shortest list's length. *)
-let st_find_derivation st ~tool ~inputs ~out_entities =
-  let shorter best iid =
-    let users = (links st iid).users in
-    match best with
-    | Some b when List.compare_lengths b users <= 0 -> best
-    | _ -> Some users
-  in
-  let probed = Option.fold ~none:None ~some:(shorter None) tool in
-  match List.fold_left (fun best (_, iid) -> shorter best iid) probed inputs with
-  | None -> None
-  | Some users ->
-    let inputs = List.sort compare inputs in
-    let matches r =
-      r.tool = tool
-      && List.sort compare r.inputs = inputs
-      && List.for_all (fun e -> List.mem_assoc e r.outputs) out_entities
-    in
-    List.fold_left (fun found r -> if matches r then Some r else found) None users
-
-(* The walks' scratch: [marks.(id) = stamp] says id was met by the walk
-   holding stamp [stamp], and the trace keeps an iid's node number in
-   [nids].  A walk takes a fresh stamp instead of clearing the arrays,
-   so marking is one array write and no walk allocates a table.  One
-   spare is shared by every domain and thread, like the trace buffer
-   below: a walk takes it (or makes its own while another walk holds
-   it) and puts it back when done, so no two walks ever share one. *)
-type scratch = {
-  mutable stamp : int;
-  mutable marks : int array;
-  mutable nids : int array;
-}
-
-let spare_scratch = Atomic.make None
-
-(* A scratch whose arrays take ids below [n]. *)
-let take_scratch n =
-  let s =
-    match Atomic.exchange spare_scratch None with
-    | Some s -> s
-    | None -> { stamp = 0; marks = [||]; nids = [||] }
-  in
-  if Array.length s.marks < n then begin
-    let n = max n (Array.length s.marks * 3 / 2) in
-    s.marks <- Array.make n 0;
-    s.nids <- Array.make n 0
-  end;
-  s.stamp <- s.stamp + 1;
-  s
-
-let give_scratch s = Atomic.set spare_scratch (Some s)
-
-(* Backward chaining: every record in the derivation history of an
-   instance, nearest first. *)
-let st_backward_closure st iid =
-  let s = take_scratch (Dense.length st.hs_records + 1) in
-  let marks = s.marks and stamp = s.stamp in
-  let acc = ref [] and met = ref 0 in
-  let rec go iid =
-    match (links st iid).producer with
-    | None -> ()
-    | Some r ->
-      if marks.(r.rid) <> stamp then begin
-        marks.(r.rid) <- stamp;
-        incr met;
-        acc := r :: !acc;
-        List.iter (fun (_, i) -> go i) r.inputs;
-        Option.iter go r.tool
-      end
-  in
-  go iid;
-  give_scratch s;
-  Ddf_obs.Metrics.observe h_backward (float_of_int !met);
-  List.rev !acc
-
-(* Forward chaining as a fold: [f] sees every record that transitively
-   depends on an instance once, in preorder, oldest use first.  A users
-   list is newest first: [uses] reaches its oldest end before folding
-   any record, so the list is walked as it is, never reversed. *)
-let st_fold_forward st iid f init =
-  let s = take_scratch (Dense.length st.hs_records + 1) in
-  let marks = s.marks and stamp = s.stamp in
-  let met = ref 0 in
-  let rec go acc iid = uses acc (links st iid).users
-  and uses acc = function
-    | [] -> acc
-    | r :: older ->
-      let acc = uses acc older in
-      if marks.(r.rid) = stamp then acc
-      else begin
-        marks.(r.rid) <- stamp;
-        incr met;
-        outputs (f acc r) r.outputs
-      end
-  and outputs acc = function
-    | [] -> acc
-    | (_, out) :: rest -> outputs (go acc out) rest
-  in
-  let acc = go init iid in
-  give_scratch s;
-  Ddf_obs.Metrics.observe h_forward (float_of_int !met);
-  acc
-
-(* Every record that transitively depends on an instance -- e.g. all
-   the performances derived from a netlist. *)
-let st_forward_closure st iid =
-  List.rev (st_fold_forward st iid (fun acc r -> r :: acc) [])
-
-(* An instance has one producer and the fold meets each record once,
-   so the outputs it collects are distinct.  Along an edit chain they
-   arrive ascending, so the list is descending and a reversal sorts it. *)
-let st_derived_instances st iid =
-  let outs =
-    st_fold_forward st iid
-      (fun acc r -> List.fold_left (fun acc (_, out) -> out :: acc) acc r.outputs)
-      []
-  in
-  let rec descending = function
-    | a :: (b :: _ as l) -> a > b && descending l
-    | _ -> true
-  in
-  if descending outs then List.rev outs else List.sort Int.compare outs
-
-let st_ancestor_instances st iid =
-  st_backward_closure st iid
-  |> List.concat_map (fun r ->
-         (match r.tool with Some t -> [ t ] | None -> [])
-         @ List.map snd r.inputs)
-  |> List.sort_uniq compare
-
-(* ------------------------------------------------------------------ *)
-(* Flow traces (Fig. 11(b))                                            *)
-(* ------------------------------------------------------------------ *)
-
-module String_tbl = Hashtbl.Make (String)
-
-(* The one walk behind both trace routes: preorder over an instance's
-   derivation, numbering nodes in visit order (tool first, then inputs
-   in record order) and stopping where [walked_rule] says the trace
-   has a leaf.  [f] sees each line of the Fig. 11(b) tree: its depth,
-   the edge by which it hangs below node [user] (tag and role, unused
-   at depth 0), and node [nid] of [entity] bound to [iid], [shared]
-   when seen before.  It checks nothing: [add] admitted every record it
-   reads.  It asks the schema for an entity's rule once per walk, not
-   once per node, and binds nodes in a scratch indexed by iid (sized
-   to the store: the entity read checks each iid is installed before
-   it indexes).  Returns the node count. *)
-let walk_trace st store schema iid f =
-  let module G = Ddf_graph.Task_graph in
-  let rules = String_tbl.create 8 in
-  let rule_of entity =
-    match String_tbl.find rules entity with
-    | rule -> rule
-    | exception Not_found ->
-      let rule = trace_rule schema entity in
-      String_tbl.add rules entity rule;
-      rule
-  in
-  let s = take_scratch (Store.Snapshot.tick store) in
-  let marks = s.marks and nids = s.nids and stamp = s.stamp in
-  let count = ref 0 in
-  let rec visit depth tag role user iid =
-    let entity = Store.Snapshot.entity_of store iid in
-    if marks.(iid) = stamp then
-      f ~depth ~tag ~role ~user ~entity ~nid:nids.(iid) ~iid ~shared:true
-    else begin
-      let nid = !count in
-      incr count;
-      marks.(iid) <- stamp;
-      nids.(iid) <- nid;
-      f ~depth ~tag ~role ~user ~entity ~nid ~iid ~shared:false;
-      match (links st iid).producer with
-      | None -> ()
-      | Some r -> (
-        match walked_rule rule_of entity r with
-        | None -> ()
-        | Some (rule, functional) ->
-          let depth = depth + 1 in
-          (match (r.tool, functional) with
-          | Some tool, Some d ->
-            visit depth (G.dep_tag Schema.Functional) d.Schema.role nid tool
-          | (Some _ | None), _ -> ());
-          inputs depth nid entity rule r.inputs)
-    end
-  and inputs depth user entity rule = function
-    | [] -> ()
-    | (role, input) :: rest ->
-      let decl = G.declared_dep ~entity rule role in
-      visit depth (G.dep_tag decl.Schema.dep_kind) role user input;
-      inputs depth user entity rule rest
-  in
-  visit 0 "" "" 0 iid;
-  give_scratch s;
-  !count
-
-(* The derivation history of an instance as a task graph with an
-   instance binding: the same form queries and re-execution use.  The
-   parts come from records [add] checked, so they make a valid task
-   graph as they are. *)
-let st_trace st store schema iid =
-  let nodes = ref [] and edges = ref [] and binding = ref [] in
-  ignore
-    (walk_trace st store schema iid
-       (fun ~depth ~tag:_ ~role ~user ~entity ~nid ~iid ~shared ->
-         if not shared then begin
-           nodes := (nid, entity) :: !nodes;
-           binding := (nid, iid) :: !binding
-         end;
-         if depth > 0 then edges := (user, role, nid) :: !edges));
-  let g =
-    Ddf_graph.Task_graph.of_parts schema (List.rev !nodes) (List.rev !edges)
-  in
-  (g, 0, List.rev !binding)
-
-(* One spare render buffer, shared by every domain and thread: a trace
-   takes it (or makes a fresh one while another trace holds it) and
-   hands it back when done.  A long derivation's trace runs to tens of
-   KiB (every line past [Task_graph.max_indent] levels is about 70
-   bytes); growing a fresh buffer to that by doubling would allocate it
-   about twice over, and sizing each fresh buffer from the last text
-   would make a short trace after a deep one allocate the deep one's
-   size.  With the spare, a trace allocates its text once and a short
-   one allocates no large buffer. *)
-let spare_trace_buffer = Atomic.make None
-
-let take_trace_buffer () =
-  match Atomic.exchange spare_trace_buffer None with
-  | Some buf -> Buffer.clear buf; buf
-  | None -> Buffer.create 4096
-
-(* The text [Wire.Trace] answers: [Task_graph.to_ascii] of [st_trace]'s
-   graph and a line counting its instances, rendered line by line by
-   the same walk into one buffer, without assembling the graph. *)
-let st_trace_text st store schema iid =
-  let buf = take_trace_buffer () in
-  let count =
-    walk_trace st store schema iid
-      (fun ~depth ~tag ~role ~user:_ ~entity ~nid ~iid:_ ~shared ->
-        Ddf_graph.Task_graph.add_ascii_line buf ~depth ~tag ~role ~entity ~nid
-          ~shared)
-  in
-  Buffer.add_char buf '(';
-  Buffer.add_string buf (string_of_int count);
-  Buffer.add_string buf " instances in the derivation)\n";
-  let text = Buffer.contents buf in
-  Atomic.set spare_trace_buffer (Some buf);
-  text
-
-(* ------------------------------------------------------------------ *)
-(* Query by template (section 4.2)                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Find bindings of a task graph's nodes to instances consistent with
-   the history: bound nodes are fixed, the rest are solved for.  Used
-   for queries like "find the simulations performed on this netlist"
-   where the template is the flow itself. *)
-let st_query_template st store (g : Ddf_graph.Task_graph.t) ~bound =
-  Ddf_obs.Metrics.incr m_queries;
-  let schema = Ddf_graph.Task_graph.schema g in
-  let satisfies nid iid =
-    Schema.is_subtype schema
-      ~sub:(Store.Snapshot.entity_of store iid)
-      ~super:(Ddf_graph.Task_graph.entity_of g nid)
-  in
-  (* candidate instances for a node under a partial binding *)
-  let candidates partial nid =
-    (* if a user of this node is bound, the candidates come straight
-       from its derivation record *)
-    let from_users =
-      List.filter_map
-        (fun (user, role) ->
-          match List.assoc_opt user partial with
-          | None -> None
-          | Some user_iid -> (
-            match st_derivation_of st user_iid with
-            | None -> Some []
-            | Some r -> (
-              match
-                Schema.functional_dep schema
-                  (Store.Snapshot.entity_of store user_iid)
-              with
-              | Some d when d.Schema.role = role ->
-                Some (match r.tool with Some t -> [ t ] | None -> [])
-              | Some _ | None ->
-                Some
-                  (match List.assoc_opt role r.inputs with
-                  | Some i -> [ i ]
-                  | None -> []))))
-        (Ddf_graph.Task_graph.in_edges g nid)
-    in
-    match from_users with
-    | constraints when constraints <> [] ->
-      (* intersect the per-user constraints *)
-      let inter a b = List.filter (fun x -> List.mem x b) a in
-      (match constraints with
-      | first :: rest -> List.fold_left inter first rest
-      | [] -> [])
-    | _ ->
-      (* otherwise any instance of the entity's subtree *)
-      let entity = Ddf_graph.Task_graph.entity_of g nid in
-      List.concat_map
-        (Store.Snapshot.instances_of_entity store)
-        (entity :: Schema.descendants schema entity)
-  in
-  (* does the history record of [user_iid] really bind [role] to
-     [dep_iid]? *)
-  let edge_ok user_iid role dep_iid =
-    match st_derivation_of st user_iid with
-    | None -> false
-    | Some r -> (
-      match
-        Schema.functional_dep schema (Store.Snapshot.entity_of store user_iid)
-      with
-      | Some d when d.Schema.role = role -> r.tool = Some dep_iid
-      | Some _ | None -> List.assoc_opt role r.inputs = Some dep_iid)
-  in
-  (* every edge between the newly assigned node and an already assigned
-     neighbour must agree with the history *)
-  let consistent partial nid iid =
-    List.for_all
-      (fun (e : Ddf_graph.Task_graph.edge) ->
-        match List.assoc_opt e.Ddf_graph.Task_graph.dst partial with
-        | None -> true
-        | Some dep_iid -> edge_ok iid e.Ddf_graph.Task_graph.role dep_iid)
-      (Ddf_graph.Task_graph.out_edges g nid)
-    && List.for_all
-         (fun (user, role) ->
-           match List.assoc_opt user partial with
-           | None -> true
-           | Some user_iid -> edge_ok user_iid role iid)
-         (Ddf_graph.Task_graph.in_edges g nid)
-  in
-  (* order: bound nodes first, then reverse topological (users before
-     dependencies) so derivations drive the search downward *)
-  let order =
-    let topo = List.rev (Ddf_graph.Task_graph.topological_order g) in
-    let bound_nodes = List.map fst bound in
-    bound_nodes @ List.filter (fun n -> not (List.mem n bound_nodes)) topo
-  in
-  let max_results = 1000 in
-  let results = ref [] and count = ref 0 in
-  let rec search partial = function
-    | [] ->
-      if !count < max_results then begin
-        incr count;
-        results := List.rev partial :: !results
-      end
-    | nid :: rest ->
-      let cands =
-        match List.assoc_opt nid bound with
-        | Some iid -> [ iid ]
-        | None -> candidates partial nid
-      in
-      List.iter
-        (fun iid ->
-          if satisfies nid iid && consistent partial nid iid
-             && !count < max_results
-          then search ((nid, iid) :: partial) rest)
-        (List.sort_uniq compare cands)
-  in
-  search [] order;
-  List.rev !results
-
-(* ------------------------------------------------------------------ *)
-(* Versioning (Fig. 11)                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The version index in the state answers every query here: the
-   parent and children edges directly, and a version's whole tree as
-   the (creation time, iid)-ordered set filed under the tree's first
-   version.  A lone instance is its own one-version tree. *)
-
-let st_version_parent st iid = Int_map.find_opt iid st.hs_vparent
-
-(* Direct edit successors: the alternative versions branching off an
-   instance.  More than one child — siblings — is exactly the shape an
-   anti-entropy merge of divergent workspaces produces. *)
-let st_version_children st iid =
-  match Int_map.find_opt iid st.hs_vchildren with
-  | Some s -> Int_set.elements s
-  | None -> []
-
 type version_tree = {
   v_iid : Store.iid;
   v_children : version_tree list;
 }
 
-(* The version tree rooted at an instance, following edit successors. *)
-let st_version_tree st iid =
-  let rec build iid =
-    { v_iid = iid; v_children = List.map build (st_version_children st iid) }
-  in
-  build iid
-
 let rec version_tree_size t =
   1 + List.fold_left (fun acc c -> acc + version_tree_size c) 0 t.v_children
 
-let st_tree_of st iid =
-  Option.map
-    (fun o -> Int_map.find o st.hs_vtrees)
-    (Int_map.find_opt iid st.hs_vorigin)
-
-(* All versions (the instances in the version tree), ascending by iid. *)
-let st_versions st iid =
-  match st_tree_of st iid with
-  | None -> [ iid ]
-  | Some tree ->
-    Version_set.fold (fun (_, v) acc -> v :: acc) tree []
-    |> List.sort Int.compare
-
-(* The newest instance in the version tree by creation time (ties go
-   to the higher iid); the instance itself when it has no versions. *)
-let st_latest_version st iid =
-  match st_tree_of st iid with
-  | None -> iid
-  | Some tree -> snd (Version_set.max_elt tree)
-
-(* ------------------------------------------------------------------ *)
-(* Consistency (out-of-date analysis)                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* An instance is out of date when some input of its derivation has a
-   newer version: e.g. the layout was edited after this netlist was
-   extracted from it.  Returns the stale (input, newer-version) pairs. *)
-let st_out_of_date st iid =
-  match st_derivation_of st iid with
-  | None -> []
-  | Some r ->
-    List.filter_map
-      (fun (role, input) ->
-        match st_tree_of st input with
-        | None -> None
-        | Some tree -> (
-          let newer =
-            Version_set.to_seq_from (r.at + 1, min_int) tree
-            |> Seq.filter_map (fun (_, v) ->
-                   if v <> input then Some v else None)
-            |> List.of_seq |> List.sort Int.compare
-          in
-          match newer with [] -> None | _ -> Some (role, input, newer)))
-      r.inputs
-
-let st_is_up_to_date st iid = st_out_of_date st iid = []
-
-(* ------------------------------------------------------------------ *)
-(* The snapshot read API                                               *)
-(* ------------------------------------------------------------------ *)
-
+(* Every read is defined once, here: pure over a [state] (plus, for
+   store-joined queries, a [Store.Snapshot.t] and a schema). *)
 module Snapshot = struct
   type t = snapshot
 
   let size st = Dense.length st.hs_records
   let tick st = size st + 1
-  let find = st_find
-  let records = st_records
-  let find_conflict = st_find_conflict
-  let find_conflict_pair = st_find_conflict_pair
-  let all_conflicts = st_all_conflicts
-  let conflicts = st_conflicts
-  let derivation_of = st_derivation_of
-  let uses_of = st_uses_of
-  let find_derivation = st_find_derivation
-  let backward_closure = st_backward_closure
-  let forward_closure = st_forward_closure
-  let derived_instances = st_derived_instances
-  let ancestor_instances = st_ancestor_instances
-  let trace = st_trace
-  let trace_text = st_trace_text
-  let query_template = st_query_template
-  let version_parent = st_version_parent
-  let version_children = st_version_children
-  let version_tree = st_version_tree
-  let versions = st_versions
-  let latest_version = st_latest_version
-  let out_of_date = st_out_of_date
-  let is_up_to_date = st_is_up_to_date
+
+  let find st rid =
+    if rid >= 1 && rid <= Dense.length st.hs_records then
+      Dense.get st.hs_records (rid - 1)
+    else history_errorf ~code:`Not_found "no record %d" rid
+
+  let records st =
+    List.rev (Dense.fold (fun acc r -> r :: acc) [] st.hs_records)
+
+  let find_conflict st cid =
+    match Int_map.find_opt cid st.hs_conflicts with
+    | Some c -> c
+    | None -> history_errorf ~code:`Not_found "no conflict %d" cid
+
+  (* Unordered-pair lookup: the two sides of a sync each record the same
+     divergence with [ours]/[theirs] swapped, so dedup ignores the
+     orientation. *)
+  let find_conflict_pair st a b =
+    let key x = (min x.c_ours x.c_theirs, max x.c_ours x.c_theirs) in
+    let want = (min a b, max a b) in
+    Int_map.fold
+      (fun _ c acc -> if acc = None && key c = want then Some c else acc)
+      st.hs_conflicts None
+
+  let all_conflicts st = List.map snd (Int_map.bindings st.hs_conflicts)
+
+  let conflicts st =
+    List.filter (fun c -> c.c_winner = None) (all_conflicts st)
+
+  (* The record that created an instance; None for instances installed
+     directly by the designer (sources). *)
+  let derivation_of st iid = (links st iid).producer
+  let uses_of st iid = List.rev (links st iid).users
+
+  (* The oldest record running [tool] on [inputs] (role-bound, in any
+     order) and producing every entity of [out_entities]: the memo
+     lookup.  Such a record uses the tool and every input, so it is in
+     each of their users lists; walk the shortest, newest first, keeping
+     the last match.  Picking it costs the shortest list's length. *)
+  let find_derivation st ~tool ~inputs ~out_entities =
+    let shorter best iid =
+      let users = (links st iid).users in
+      match best with
+      | Some b when List.compare_lengths b users <= 0 -> best
+      | _ -> Some users
+    in
+    let probed = Option.fold ~none:None ~some:(shorter None) tool in
+    match
+      List.fold_left (fun best (_, iid) -> shorter best iid) probed inputs
+    with
+    | None -> None
+    | Some users ->
+      let inputs = List.sort compare inputs in
+      let matches r =
+        r.tool = tool
+        && List.sort compare r.inputs = inputs
+        && List.for_all (fun e -> List.mem_assoc e r.outputs) out_entities
+      in
+      List.fold_left
+        (fun found r -> if matches r then Some r else found)
+        None users
+
+  (* The walks' scratch: [marks.(id) = stamp] says id was met by the walk
+     holding stamp [stamp], and the trace keeps an iid's node number in
+     [nids].  A walk takes a fresh stamp instead of clearing the arrays,
+     so marking is one array write and no walk allocates a table.  One
+     spare is shared by every domain and thread, like the trace buffer
+     below: a walk takes it (or makes its own while another walk holds
+     it) and puts it back when done, so no two walks ever share one. *)
+  type scratch = {
+    mutable stamp : int;
+    mutable marks : int array;
+    mutable nids : int array;
+  }
+
+  let spare_scratch = Atomic.make None
+
+  (* A scratch whose arrays take ids below [n]. *)
+  let take_scratch n =
+    let s =
+      match Atomic.exchange spare_scratch None with
+      | Some s -> s
+      | None -> { stamp = 0; marks = [||]; nids = [||] }
+    in
+    if Array.length s.marks < n then begin
+      let n = max n (Array.length s.marks * 3 / 2) in
+      s.marks <- Array.make n 0;
+      s.nids <- Array.make n 0
+    end;
+    s.stamp <- s.stamp + 1;
+    s
+
+  let give_scratch s = Atomic.set spare_scratch (Some s)
+
+  (* Backward chaining: every record in the derivation history of an
+     instance, nearest first. *)
+  let backward_closure st iid =
+    let s = take_scratch (Dense.length st.hs_records + 1) in
+    let marks = s.marks and stamp = s.stamp in
+    let acc = ref [] and met = ref 0 in
+    let rec go iid =
+      match (links st iid).producer with
+      | None -> ()
+      | Some r ->
+        if marks.(r.rid) <> stamp then begin
+          marks.(r.rid) <- stamp;
+          incr met;
+          acc := r :: !acc;
+          List.iter (fun (_, i) -> go i) r.inputs;
+          Option.iter go r.tool
+        end
+    in
+    go iid;
+    give_scratch s;
+    Ddf_obs.Metrics.observe h_backward (float_of_int !met);
+    List.rev !acc
+
+  (* Forward chaining as a fold: [f] sees every record that transitively
+     depends on an instance once, in preorder, oldest use first.  A users
+     list is newest first: [uses] reaches its oldest end before folding
+     any record, so the list is walked as it is, never reversed. *)
+  let fold_forward st iid f init =
+    let s = take_scratch (Dense.length st.hs_records + 1) in
+    let marks = s.marks and stamp = s.stamp in
+    let met = ref 0 in
+    let rec go acc iid = uses acc (links st iid).users
+    and uses acc = function
+      | [] -> acc
+      | r :: older ->
+        let acc = uses acc older in
+        if marks.(r.rid) = stamp then acc
+        else begin
+          marks.(r.rid) <- stamp;
+          incr met;
+          outputs (f acc r) r.outputs
+        end
+    and outputs acc = function
+      | [] -> acc
+      | (_, out) :: rest -> outputs (go acc out) rest
+    in
+    let acc = go init iid in
+    give_scratch s;
+    Ddf_obs.Metrics.observe h_forward (float_of_int !met);
+    acc
+
+  (* Every record that transitively depends on an instance -- e.g. all
+     the performances derived from a netlist. *)
+  let forward_closure st iid =
+    List.rev (fold_forward st iid (fun acc r -> r :: acc) [])
+
+  (* An instance has one producer and the fold meets each record once,
+     so the outputs it collects are distinct.  Along an edit chain they
+     arrive ascending, so the list is descending and a reversal sorts it. *)
+  let derived_instances st iid =
+    let outs =
+      fold_forward st iid
+        (fun acc r ->
+          List.fold_left (fun acc (_, out) -> out :: acc) acc r.outputs)
+        []
+    in
+    let rec descending = function
+      | a :: (b :: _ as l) -> a > b && descending l
+      | _ -> true
+    in
+    if descending outs then List.rev outs else List.sort Int.compare outs
+
+  let ancestor_instances st iid =
+    backward_closure st iid
+    |> List.concat_map (fun r ->
+           (match r.tool with Some t -> [ t ] | None -> [])
+           @ List.map snd r.inputs)
+    |> List.sort_uniq compare
+
+  (* ------------------------------------------------------------------ *)
+  (* Flow traces (Fig. 11(b))                                            *)
+  (* ------------------------------------------------------------------ *)
+
+  module String_tbl = Hashtbl.Make (String)
+
+  (* The one walk behind both trace routes: preorder over an instance's
+     derivation, numbering nodes in visit order (tool first, then inputs
+     in record order) and stopping where [walked_rule] says the trace
+     has a leaf.  [f] sees each line of the Fig. 11(b) tree: its depth,
+     the edge by which it hangs below node [user] (tag and role, unused
+     at depth 0), and node [nid] of [entity] bound to [iid], [shared]
+     when seen before.  It checks nothing: [add] admitted every record it
+     reads.  It asks the schema for an entity's rule once per walk, not
+     once per node, and binds nodes in a scratch indexed by iid (sized
+     to the store: the entity read checks each iid is installed before
+     it indexes).  Returns the node count. *)
+  let walk_trace st store schema iid f =
+    let module G = Ddf_graph.Task_graph in
+    let rules = String_tbl.create 8 in
+    let rule_of entity =
+      match String_tbl.find rules entity with
+      | rule -> rule
+      | exception Not_found ->
+        let rule = trace_rule schema entity in
+        String_tbl.add rules entity rule;
+        rule
+    in
+    let s = take_scratch (Store.Snapshot.tick store) in
+    let marks = s.marks and nids = s.nids and stamp = s.stamp in
+    let count = ref 0 in
+    let rec visit depth tag role user iid =
+      let entity = Store.Snapshot.entity_of store iid in
+      if marks.(iid) = stamp then
+        f ~depth ~tag ~role ~user ~entity ~nid:nids.(iid) ~iid ~shared:true
+      else begin
+        let nid = !count in
+        incr count;
+        marks.(iid) <- stamp;
+        nids.(iid) <- nid;
+        f ~depth ~tag ~role ~user ~entity ~nid ~iid ~shared:false;
+        match (links st iid).producer with
+        | None -> ()
+        | Some r -> (
+          match walked_rule rule_of entity r with
+          | None -> ()
+          | Some (rule, functional) ->
+            let depth = depth + 1 in
+            (match (r.tool, functional) with
+            | Some tool, Some d ->
+              visit depth (G.dep_tag Schema.Functional) d.Schema.role nid tool
+            | (Some _ | None), _ -> ());
+            inputs depth nid entity rule r.inputs)
+      end
+    and inputs depth user entity rule = function
+      | [] -> ()
+      | (role, input) :: rest ->
+        let decl = G.declared_dep ~entity rule role in
+        visit depth (G.dep_tag decl.Schema.dep_kind) role user input;
+        inputs depth user entity rule rest
+    in
+    visit 0 "" "" 0 iid;
+    give_scratch s;
+    !count
+
+  (* The derivation history of an instance as a task graph with an
+     instance binding: the same form queries and re-execution use.  The
+     parts come from records [add] checked, so they make a valid task
+     graph as they are. *)
+  let trace st store schema iid =
+    let nodes = ref [] and edges = ref [] and binding = ref [] in
+    ignore
+      (walk_trace st store schema iid
+         (fun ~depth ~tag:_ ~role ~user ~entity ~nid ~iid ~shared ->
+           if not shared then begin
+             nodes := (nid, entity) :: !nodes;
+             binding := (nid, iid) :: !binding
+           end;
+           if depth > 0 then edges := (user, role, nid) :: !edges));
+    let g =
+      Ddf_graph.Task_graph.of_parts schema (List.rev !nodes) (List.rev !edges)
+    in
+    (g, 0, List.rev !binding)
+
+  (* One spare render buffer, shared by every domain and thread: a trace
+     takes it (or makes a fresh one while another trace holds it) and
+     hands it back when done.  A long derivation's trace runs to tens of
+     KiB (every line past [Task_graph.max_indent] levels is about 70
+     bytes); growing a fresh buffer to that by doubling would allocate it
+     about twice over, and sizing each fresh buffer from the last text
+     would make a short trace after a deep one allocate the deep one's
+     size.  With the spare, a trace allocates its text once and a short
+     one allocates no large buffer. *)
+  let spare_trace_buffer = Atomic.make None
+
+  let take_trace_buffer () =
+    match Atomic.exchange spare_trace_buffer None with
+    | Some buf -> Buffer.clear buf; buf
+    | None -> Buffer.create 4096
+
+  (* The text [Wire.Trace] answers: [Task_graph.to_ascii] of [trace]'s
+     graph and a line counting its instances, rendered line by line by
+     the same walk into one buffer, without assembling the graph. *)
+  let trace_text st store schema iid =
+    let buf = take_trace_buffer () in
+    let count =
+      walk_trace st store schema iid
+        (fun ~depth ~tag ~role ~user:_ ~entity ~nid ~iid:_ ~shared ->
+          Ddf_graph.Task_graph.add_ascii_line buf ~depth ~tag ~role ~entity ~nid
+            ~shared)
+    in
+    Buffer.add_char buf '(';
+    Buffer.add_string buf (string_of_int count);
+    Buffer.add_string buf " instances in the derivation)\n";
+    let text = Buffer.contents buf in
+    Atomic.set spare_trace_buffer (Some buf);
+    text
+
+  (* ------------------------------------------------------------------ *)
+  (* Query by template (section 4.2)                                     *)
+  (* ------------------------------------------------------------------ *)
+
+  (* Find bindings of a task graph's nodes to instances consistent with
+     the history: bound nodes are fixed, the rest are solved for.  Used
+     for queries like "find the simulations performed on this netlist"
+     where the template is the flow itself. *)
+  let query_template st store (g : Ddf_graph.Task_graph.t) ~bound =
+    Ddf_obs.Metrics.incr m_queries;
+    let schema = Ddf_graph.Task_graph.schema g in
+    let satisfies nid iid =
+      Schema.is_subtype schema
+        ~sub:(Store.Snapshot.entity_of store iid)
+        ~super:(Ddf_graph.Task_graph.entity_of g nid)
+    in
+    (* candidate instances for a node under a partial binding *)
+    let candidates partial nid =
+      (* if a user of this node is bound, the candidates come straight
+         from its derivation record *)
+      let from_users =
+        List.filter_map
+          (fun (user, role) ->
+            match List.assoc_opt user partial with
+            | None -> None
+            | Some user_iid -> (
+              match derivation_of st user_iid with
+              | None -> Some []
+              | Some r -> (
+                match
+                  Schema.functional_dep schema
+                    (Store.Snapshot.entity_of store user_iid)
+                with
+                | Some d when d.Schema.role = role ->
+                  Some (match r.tool with Some t -> [ t ] | None -> [])
+                | Some _ | None ->
+                  Some
+                    (match List.assoc_opt role r.inputs with
+                    | Some i -> [ i ]
+                    | None -> []))))
+          (Ddf_graph.Task_graph.in_edges g nid)
+      in
+      match from_users with
+      | constraints when constraints <> [] ->
+        (* intersect the per-user constraints *)
+        let inter a b = List.filter (fun x -> List.mem x b) a in
+        (match constraints with
+        | first :: rest -> List.fold_left inter first rest
+        | [] -> [])
+      | _ ->
+        (* otherwise any instance of the entity's subtree *)
+        let entity = Ddf_graph.Task_graph.entity_of g nid in
+        List.concat_map
+          (Store.Snapshot.instances_of_entity store)
+          (entity :: Schema.descendants schema entity)
+    in
+    (* does the history record of [user_iid] really bind [role] to
+       [dep_iid]? *)
+    let edge_ok user_iid role dep_iid =
+      match derivation_of st user_iid with
+      | None -> false
+      | Some r -> (
+        match
+          Schema.functional_dep schema (Store.Snapshot.entity_of store user_iid)
+        with
+        | Some d when d.Schema.role = role -> r.tool = Some dep_iid
+        | Some _ | None -> List.assoc_opt role r.inputs = Some dep_iid)
+    in
+    (* every edge between the newly assigned node and an already assigned
+       neighbour must agree with the history *)
+    let consistent partial nid iid =
+      List.for_all
+        (fun (e : Ddf_graph.Task_graph.edge) ->
+          match List.assoc_opt e.Ddf_graph.Task_graph.dst partial with
+          | None -> true
+          | Some dep_iid -> edge_ok iid e.Ddf_graph.Task_graph.role dep_iid)
+        (Ddf_graph.Task_graph.out_edges g nid)
+      && List.for_all
+           (fun (user, role) ->
+             match List.assoc_opt user partial with
+             | None -> true
+             | Some user_iid -> edge_ok user_iid role iid)
+           (Ddf_graph.Task_graph.in_edges g nid)
+    in
+    (* order: bound nodes first, then reverse topological (users before
+       dependencies) so derivations drive the search downward *)
+    let order =
+      let topo = List.rev (Ddf_graph.Task_graph.topological_order g) in
+      let bound_nodes = List.map fst bound in
+      bound_nodes @ List.filter (fun n -> not (List.mem n bound_nodes)) topo
+    in
+    let max_results = 1000 in
+    let results = ref [] and count = ref 0 in
+    let rec search partial = function
+      | [] ->
+        if !count < max_results then begin
+          incr count;
+          results := List.rev partial :: !results
+        end
+      | nid :: rest ->
+        let cands =
+          match List.assoc_opt nid bound with
+          | Some iid -> [ iid ]
+          | None -> candidates partial nid
+        in
+        List.iter
+          (fun iid ->
+            if satisfies nid iid && consistent partial nid iid
+               && !count < max_results
+            then search ((nid, iid) :: partial) rest)
+          (List.sort_uniq compare cands)
+    in
+    search [] order;
+    List.rev !results
+
+  (* ------------------------------------------------------------------ *)
+  (* Versioning (Fig. 11)                                                *)
+  (* ------------------------------------------------------------------ *)
+
+  (* The version index in the state answers every query here: the
+     parent and children edges directly, and a version's whole tree as
+     the (creation time, iid)-ordered set filed under the tree's first
+     version.  A lone instance is its own one-version tree. *)
+
+  let version_parent st iid = Int_map.find_opt iid st.hs_vparent
+
+  (* Direct edit successors: the alternative versions branching off an
+     instance.  More than one child — siblings — is exactly the shape an
+     anti-entropy merge of divergent workspaces produces. *)
+  let version_children st iid =
+    match Int_map.find_opt iid st.hs_vchildren with
+    | Some s -> Int_set.elements s
+    | None -> []
+
+  (* The version tree rooted at an instance, following edit successors. *)
+  let version_tree st iid =
+    let rec build iid =
+      { v_iid = iid; v_children = List.map build (version_children st iid) }
+    in
+    build iid
+
+  let tree_of st iid =
+    Option.map
+      (fun o -> Int_map.find o st.hs_vtrees)
+      (Int_map.find_opt iid st.hs_vorigin)
+
+  (* All versions (the instances in the version tree), ascending by iid. *)
+  let versions st iid =
+    match tree_of st iid with
+    | None -> [ iid ]
+    | Some tree ->
+      Version_set.fold (fun (_, v) acc -> v :: acc) tree []
+      |> List.sort Int.compare
+
+  (* The newest instance in the version tree by creation time (ties go
+     to the higher iid); the instance itself when it has no versions. *)
+  let latest_version st iid =
+    match tree_of st iid with
+    | None -> iid
+    | Some tree -> snd (Version_set.max_elt tree)
+
+  (* ------------------------------------------------------------------ *)
+  (* Consistency (out-of-date analysis)                                  *)
+  (* ------------------------------------------------------------------ *)
+
+  (* An instance is out of date when some input of its derivation has a
+     newer version: e.g. the layout was edited after this netlist was
+     extracted from it.  Returns the stale (input, newer-version) pairs. *)
+  let out_of_date st iid =
+    match derivation_of st iid with
+    | None -> []
+    | Some r ->
+      List.filter_map
+        (fun (role, input) ->
+          match tree_of st input with
+          | None -> None
+          | Some tree -> (
+            let newer =
+              Version_set.to_seq_from (r.at + 1, min_int) tree
+              |> Seq.filter_map (fun (_, v) ->
+                     if v <> input then Some v else None)
+              |> List.of_seq |> List.sort Int.compare
+            in
+            match newer with [] -> None | _ -> Some (role, input, newer)))
+        r.inputs
+
+  let is_up_to_date st iid = out_of_date st iid = []
 end
 
-(* ------------------------------------------------------------------ *)
-(* Live reads: thin wrappers over fresh snapshots.  The history state  *)
-(* is captured *before* the store snapshot: records only ever refer to *)
-(* instances already installed, so a later store view covers every     *)
-(* instance a record mentions.                                         *)
-(* ------------------------------------------------------------------ *)
-
-let find h rid = st_find (Atomic.get h.state) rid
-let records h = st_records (Atomic.get h.state)
-let find_conflict h cid = st_find_conflict (Atomic.get h.state) cid
-let find_conflict_pair h a b = st_find_conflict_pair (Atomic.get h.state) a b
-let all_conflicts h = st_all_conflicts (Atomic.get h.state)
-let conflicts h = st_conflicts (Atomic.get h.state)
-let derivation_of h iid = st_derivation_of (Atomic.get h.state) iid
-let uses_of h iid = st_uses_of (Atomic.get h.state) iid
-let backward_closure h iid = st_backward_closure (Atomic.get h.state) iid
-let forward_closure h iid = st_forward_closure (Atomic.get h.state) iid
-let derived_instances h iid = st_derived_instances (Atomic.get h.state) iid
-let ancestor_instances h iid = st_ancestor_instances (Atomic.get h.state) iid
-
-let trace h store schema iid =
-  let st = Atomic.get h.state in
-  st_trace st (Store.snapshot store) schema iid
-
-let trace_text h store schema iid =
-  let st = Atomic.get h.state in
-  st_trace_text st (Store.snapshot store) schema iid
-
-let query_template h store g ~bound =
-  let st = Atomic.get h.state in
-  st_query_template st (Store.snapshot store) g ~bound
-
-let version_parent h iid = st_version_parent (Atomic.get h.state) iid
-let version_children h iid = st_version_children (Atomic.get h.state) iid
-let version_tree h iid = st_version_tree (Atomic.get h.state) iid
-let versions h _store _schema iid = st_versions (Atomic.get h.state) iid
-
-let latest_version h _store _schema iid =
-  st_latest_version (Atomic.get h.state) iid
-
-let out_of_date h _store _schema iid = st_out_of_date (Atomic.get h.state) iid
-let is_up_to_date h iid = st_is_up_to_date (Atomic.get h.state) iid
+(* The live reads [perfbench/replay.ml] calls, kept for it until
+   ROADMAP item 8 deletes the replay. *)
+let versions h _ _ iid = Snapshot.versions (snapshot h) iid
+let latest_version h _ _ iid = Snapshot.latest_version (snapshot h) iid
+let out_of_date h _ _ iid = Snapshot.out_of_date (snapshot h) iid
+let ancestor_instances h iid = Snapshot.ancestor_instances (snapshot h) iid
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -959,6 +895,7 @@ let pp_record ppf r =
     r.outputs
 
 let pp ppf h =
-  Fmt.pf ppf "@[<v>history: %d records@,%a@]" (size h)
+  let st = snapshot h in
+  Fmt.pf ppf "@[<v>history: %d records@,%a@]" (Snapshot.size st)
     Fmt.(list ~sep:cut pp_record)
-    (records h)
+    (Snapshot.records st)

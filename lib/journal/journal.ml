@@ -27,8 +27,9 @@
    makes a torn tail (crash mid-append) detectable: recovery truncates
    the log at the last complete frame and replays the rest.  Entries
    carry the engine's logical clock so replay restores it exactly;
-   iids and rids are dense, so the next of each ([Store.tick],
-   [History.tick]) is the count replayed + 1 and needs no entry.
+   iids and rids are dense, so the next of each ([Store.Snapshot.tick],
+   [History.Snapshot.tick]) is the count replayed + 1 and needs no
+   entry.
 
    Sequence numbers.  Every entry ever journaled has a global sequence
    number: the checkpoint covers entries 1..c (its header names c,
@@ -199,7 +200,7 @@ let replay_entry ?(cold = false) ctx payload =
       journal_errorf "log out of order: instance %d replayed as %d" iid got;
     advance clock
   | Entry.Note { iid; meta } ->
-    if not (Store.mem store iid) then
+    if not (Store.Snapshot.mem (Store.snapshot store) iid) then
       journal_errorf "annotation of unknown instance %d" iid;
     Store.annotate store iid ~label:meta.Store.label
       ~comment:meta.Store.comment ~keywords:meta.Store.keywords ()
@@ -386,7 +387,7 @@ let cold_put_text c store iid =
   | Some payload -> (
     match Entry.decode payload with
     | Entry.Put { hash; text; _ } ->
-      if hash <> Store.hash_of store iid then
+      if hash <> Store.Snapshot.hash_of (Store.snapshot store) iid then
         journal_errorf "cemented instance %d: content hash mismatch" iid;
       Some text
     | Entry.Note _ | Entry.Record _ | Entry.Conflict _ | Entry.Resolve _ ->
@@ -395,7 +396,10 @@ let cold_put_text c store iid =
 let install_cold_loader c store =
   Store.set_cold_loader store (fun iid ->
       Option.map
-        (fun text -> ignore (Entry.value ~iid ~hash:(Store.hash_of store iid) text); text)
+        (fun text ->
+          let hash = Store.Snapshot.hash_of (Store.snapshot store) iid in
+          ignore (Entry.value ~iid ~hash text);
+          text)
         (cold_put_text c store iid))
 
 (* Evict resident payloads whose every owning instance can be cold-
@@ -405,22 +409,24 @@ let install_cold_loader c store =
    Returns the number of payloads evicted. *)
 let evict_cold j =
   let store = j.j_ctx.Ddf_exec.Engine.store in
+  let snap = Store.snapshot store in
   let cold = Hashtbl.create 256 in
   Cement.iter_puts j.j_cement (fun iid -> Hashtbl.replace cold iid ());
   let owners = Hashtbl.create 256 in
   (* hash -> (droppable so far, representative iid) *)
   List.iter
     (fun iid ->
-      let h = Store.hash_of store iid in
+      let h = Store.Snapshot.hash_of snap iid in
       let ok = Hashtbl.mem cold iid in
       match Hashtbl.find_opt owners h with
       | None -> Hashtbl.replace owners h (ok, iid)
       | Some (all_ok, rep) -> Hashtbl.replace owners h (all_ok && ok, rep))
-    (Store.all_instances store);
+    (Store.Snapshot.all_instances snap);
   let n = ref 0 in
   Hashtbl.iter
     (fun _h (all_ok, rep) ->
-      if all_ok && Store.payload_resident store rep && Store.evict store rep
+      if all_ok && Store.Snapshot.payload_resident snap rep
+         && Store.evict store rep
       then incr n)
     owners;
   !n

@@ -92,8 +92,9 @@ let add_record (ctx : Ddf_exec.Engine.context) (p : Entry.record_parts) =
       p.rp_rid m
   in
   try
-    History.add ctx.history ctx.store ctx.schema ~task_entity:p.rp_task_entity
-      ~tool:p.rp_tool ~inputs:p.rp_inputs ~outputs:p.rp_outputs ~at:p.rp_at
+    History.add ctx.history (Store.snapshot ctx.store) ctx.schema
+      ~task_entity:p.rp_task_entity ~tool:p.rp_tool ~inputs:p.rp_inputs
+      ~outputs:p.rp_outputs ~at:p.rp_at
   with
   | Ddf_graph.Task_graph.Graph_error m | Ddf_schema.Schema.Schema_error m -> refuse m
   | Ddf_graph.Task_graph.Needs_specialization (entity, _) ->
@@ -112,17 +113,19 @@ let write_flows = L.write_each flow
 let save ?(seq = 0) ?(from = seq + 1) ?(cemented = fun _ -> None)
     ?(cold_text = fun _ -> None) session =
   let ctx = Ddf_session.Session.context session in
-  let store = ctx.Ddf_exec.Engine.store in
-  let history = ctx.Ddf_exec.Engine.history in
+  let view = Ddf_exec.Engine.pin ctx in
+  let store = view.Ddf_exec.Engine.v_store in
+  let history = view.Ddf_exec.Engine.v_history in
   let slot iid =
     match cemented iid with
     | Some seq -> Cemented seq
     | None -> (
       match
-        if Store.payload_resident store iid then None else cold_text iid
+        if Store.Snapshot.payload_resident store iid then None
+        else cold_text iid
       with
       | Some text -> Value text
-      | None -> Value (Store.payload store iid))
+      | None -> Value (Store.Snapshot.payload store iid))
   in
   let w = L.writer ~head:magic in
   write_header w
@@ -130,14 +133,14 @@ let save ?(seq = 0) ?(from = seq + 1) ?(cemented = fun _ -> None)
      (ctx.Ddf_exec.Engine.user, (ctx.Ddf_exec.Engine.clock, (seq, from))));
   write_instances w
     (fun iid ->
-      let i = Store.find store iid in
+      let i = Store.Snapshot.find store iid in
       (iid, (i.Store.entity, (i.Store.meta, (i.Store.data_hash, slot iid)))))
-    (Store.all_instances store);
-  write_records w record_parts (History.records history);
+    (Store.Snapshot.all_instances store);
+  write_records w record_parts (History.Snapshot.records history);
   write_conflicts w
     (fun (c : History.conflict) ->
       (c.cid, (c.c_base, (c.c_ours, (c.c_theirs, (c.c_origin, (c.c_at, c.c_winner)))))))
-    (History.all_conflicts history);
+    (History.Snapshot.all_conflicts history);
   write_flows w
     (fun (name, g) -> (name, Ddf_graph.Sexp_form.to_string g))
     (List.filter_map

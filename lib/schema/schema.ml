@@ -31,29 +31,20 @@ type entity = {
   description : string;
 }
 
-(* Memoized subtype-closure tables.  A schema value is immutable —
-   [add_entity]/[remove_entity] build a new record — so each record
-   carries its own lazily-built cache: extension invalidates by
-   construction.  The cache itself is an *immutable* record behind an
-   [Atomic.t] so concurrent domain readers are safe: builders publish
-   a fully-constructed closure with one CAS, and per-root descendant
-   lists extend the record by CAS-swapping a new map in.  Losing a
-   race just means recomputing a pure value — no torn Hashtbl state. *)
-type closure = {
-  cl_children : string list String_map.t;
-      (* direct subtypes, ascending id order *)
-  cl_ancestors : String_set.t String_map.t;
-      (* proper ancestors (the parent chain) as a set *)
-  cl_roots : string String_map.t;
-      (* the last ancestor, or the entity itself when it has none *)
-  cl_descendants : string list String_map.t;
-      (* transitive subtypes in BFS order, filled per queried root *)
-}
-
+(* A schema carries its own subtype closure: [create], [add_entity] and
+   [remove_entity] build the tables once, after validation, so every
+   subtype query is a map lookup on an immutable value. *)
 type t = {
   name : string;
   entities : entity String_map.t;
-  closure : closure option Atomic.t;
+  children : string list String_map.t;
+      (* direct subtypes, ascending id order *)
+  ancestors : String_set.t String_map.t;
+      (* proper ancestors (the parent chain) as a set *)
+  roots : string String_map.t;
+      (* the last ancestor, or the entity itself when it has none *)
+  descendants : string list String_map.t;
+      (* every entity's transitive subtypes, in BFS order *)
 }
 
 exception Schema_error of string
@@ -111,113 +102,25 @@ let ancestors s id =
   in
   up [] id
 
-(* Build the children lists, ancestor sets and roots in one pass over
-   the entity map; descendant lists are filled on demand per queried
-   root.
-   Parent chains are acyclic (validated), so the memoized ancestor
-   recursion terminates. *)
-let build_closure s =
-  let children =
-    String_map.fold
-      (fun id e acc ->
-        match e.parent with
-        | None -> acc
-        | Some p ->
-          let prev = Option.value (String_map.find_opt p acc) ~default:[] in
-          String_map.add p (id :: prev) acc)
-      s.entities String_map.empty
-  in
-  (* the fold visits ids in ascending order; un-reverse each list *)
-  let children = String_map.map List.rev children in
-  let ancs = ref String_map.empty and roots = ref String_map.empty in
-  let rec anc_of id =
-    match String_map.find_opt id !ancs with
-    | Some set -> set
-    | None ->
-      let set, root =
-        match (String_map.find id s.entities).parent with
-        | None -> (String_set.empty, id)
-        | Some p ->
-          let set = String_set.add p (anc_of p) in
-          (set, String_map.find p !roots)
-      in
-      ancs := String_map.add id set !ancs;
-      roots := String_map.add id root !roots;
-      set
-  in
-  String_map.iter (fun id _ -> ignore (anc_of id)) s.entities;
-  { cl_children = children; cl_ancestors = !ancs; cl_roots = !roots;
-    cl_descendants = String_map.empty }
-
-let closure_of s =
-  match Atomic.get s.closure with
-  | Some cl -> cl
-  | None ->
-    let cl = build_closure s in
-    if Atomic.compare_and_set s.closure None (Some cl) then cl
-    else (
-      (* another domain published first; its tables are identical *)
-      match Atomic.get s.closure with Some cl -> cl | None -> cl)
-
 let root_of s id =
-  match String_map.find_opt id (closure_of s).cl_roots with
+  match String_map.find_opt id s.roots with
   | Some r -> r
   | None -> schema_errorf "unknown entity %S in schema %S" id s.name
 
 let subtypes s id =
-  match String_map.find_opt id (closure_of s).cl_children with
+  match String_map.find_opt id s.children with
   | Some subs -> subs
   | None -> []
 
 let descendants s id =
-  match String_map.find_opt id (closure_of s).cl_descendants with
+  match String_map.find_opt id s.descendants with
   | Some l -> l
-  | None ->
-    (* BFS with an explicit visited set and a reversed accumulator:
-       linear, and terminating even on (invalid) cyclic subtype edges *)
-    let visited = Hashtbl.create 16 in
-    let out = ref [] in
-    let q = Queue.create () in
-    Hashtbl.add visited id ();
-    Queue.add id q;
-    while not (Queue.is_empty q) do
-      let x = Queue.pop q in
-      List.iter
-        (fun sub ->
-          if not (Hashtbl.mem visited sub) then begin
-            Hashtbl.add visited sub ();
-            out := sub :: !out;
-            Queue.add sub q
-          end)
-        (subtypes s x)
-    done;
-    let l = List.rev !out in
-    (* memoize by swapping an extended closure in; a lost race means
-       someone else cached this (or another) root — retry the extend *)
-    let rec publish () =
-      (* the CAS expected value must be the physically-identical option
-         cell read from the atomic — a fresh [Some cl] never compares
-         equal and would spin forever *)
-      let cur = Atomic.get s.closure in
-      match cur with
-      | None -> ()    (* closure vanished is impossible; nothing to extend *)
-      | Some cl ->
-        if String_map.mem id cl.cl_descendants then ()
-        else
-          let cl' =
-            { cl with
-              cl_descendants = String_map.add id l cl.cl_descendants }
-          in
-          if Atomic.compare_and_set s.closure cur (Some cl') then ()
-          else publish ()
-    in
-    publish ();
-    l
+  | None -> []
 
 let is_subtype s ~sub ~super =
   sub = super
   ||
-  match String_map.find_opt sub (closure_of s).cl_ancestors with
+  match String_map.find_opt sub s.ancestors with
   | Some ancs -> String_set.mem super ancs
   | None -> schema_errorf "unknown entity %S in schema %S" sub s.name
 
@@ -415,37 +318,77 @@ let validate s =
   check_no_parent_cycle s;
   check_loops_broken s
 
+(* The subtype closure of [entities], whose parent chains
+   [check_no_parent_cycle] has found acyclic: children lists, ancestor
+   sets and roots in one pass over the entity map, then each entity's
+   descendants by a breadth-first walk over the children. *)
+let closure entities =
+  let children =
+    String_map.fold
+      (fun id e acc ->
+        match e.parent with
+        | None -> acc
+        | Some p ->
+          let prev = Option.value (String_map.find_opt p acc) ~default:[] in
+          String_map.add p (id :: prev) acc)
+      entities String_map.empty
+  in
+  (* the fold visits ids in ascending order; un-reverse each list *)
+  let children = String_map.map List.rev children in
+  let subtypes id = Option.value (String_map.find_opt id children) ~default:[] in
+  let ancs = ref String_map.empty and roots = ref String_map.empty in
+  let rec anc_of id =
+    match String_map.find_opt id !ancs with
+    | Some set -> set
+    | None ->
+      let set, root =
+        match (String_map.find id entities).parent with
+        | None -> (String_set.empty, id)
+        | Some p ->
+          let set = String_set.add p (anc_of p) in
+          (set, String_map.find p !roots)
+      in
+      ancs := String_map.add id set !ancs;
+      roots := String_map.add id root !roots;
+      set
+  in
+  String_map.iter (fun id _ -> ignore (anc_of id)) entities;
+  let bfs id =
+    let rec go acc = function
+      | [] -> List.rev acc
+      | level ->
+        let next = List.concat_map subtypes level in
+        go (List.rev_append next acc) next
+    in
+    go [] [ id ]
+  in
+  (children, !ancs, !roots, String_map.mapi (fun id _ -> bfs id) entities)
+
+let of_entities name entities =
+  let s =
+    { name; entities; children = String_map.empty;
+      ancestors = String_map.empty; roots = String_map.empty;
+      descendants = String_map.empty }
+  in
+  validate s;
+  let children, ancestors, roots, descendants = closure entities in
+  { s with children; ancestors; roots; descendants }
+
 let create name entity_list =
   let add acc e =
     if String_map.mem e.id acc then
       schema_errorf "duplicate entity %S in schema %S" e.id name
     else String_map.add e.id e acc
   in
-  let entities = List.fold_left add String_map.empty entity_list in
-  let s = { name; entities; closure = Atomic.make None } in
-  validate s;
-  s
+  of_entities name (List.fold_left add String_map.empty entity_list)
 
-(* Extension and removal build a fresh record with a fresh (empty)
-   closure cache — never [{ s with ... }], which would share the stale
-   cache ref with the original schema. *)
 let add_entity s e =
   if mem s e.id then schema_errorf "entity %S already present" e.id;
-  let s =
-    { name = s.name; entities = String_map.add e.id e s.entities;
-      closure = Atomic.make None }
-  in
-  validate s;
-  s
+  of_entities s.name (String_map.add e.id e s.entities)
 
 let remove_entity s id =
   let _ = find s id in
-  let s =
-    { name = s.name; entities = String_map.remove id s.entities;
-      closure = Atomic.make None }
-  in
-  validate s;
-  s
+  of_entities s.name (String_map.remove id s.entities)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

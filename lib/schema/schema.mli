@@ -98,13 +98,14 @@ val subtypes : t -> string -> string list
 (** Direct subtypes only. *)
 
 val descendants : t -> string -> string list
-(** Transitive subtypes, breadth-first, excluding [id] itself. *)
+(** Transitive subtypes, breadth-first, excluding [id] itself; [[]] for
+    an unknown id. *)
 
 val is_subtype : t -> sub:string -> super:string -> bool
-(** Reflexive and transitive.  Subtype queries are answered from
-    memoized closure tables built lazily per schema value; since a
-    schema is immutable, {!add_entity}/{!remove_entity} invalidate by
-    constructing a fresh cache. *)
+(** Reflexive and transitive.  Subtype queries are map lookups: a
+    schema carries its subtype closure (children, ancestors, roots and
+    every entity's descendants), which {!create}, {!add_entity} and
+    {!remove_entity} build once, after validation. *)
 
 (** {1 Construction rules} *)
 

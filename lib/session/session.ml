@@ -114,7 +114,9 @@ let goal_options s nid =
 
 (* Data-based: pick an existing instance from the data catalog. *)
 let start_data_based s iid =
-  let entity = Store.entity_of s.ctx.Ddf_exec.Engine.store iid in
+  let entity =
+    Store.Snapshot.entity_of (Store.snapshot s.ctx.Ddf_exec.Engine.store) iid
+  in
   clear s;
   let g, nid = Task_graph.create s.ctx.Ddf_exec.Engine.schema entity in
   s.current <- g;
@@ -178,9 +180,10 @@ let browse ?(filter = Store.any_filter) ?view s nid =
 let select s nid iids =
   Metrics.incr m_selects;
   if iids = [] then session_errorf "empty selection";
+  let snap = Store.snapshot s.ctx.Ddf_exec.Engine.store in
   List.iter
     (fun iid ->
-      let entity = Store.entity_of s.ctx.Ddf_exec.Engine.store iid in
+      let entity = Store.Snapshot.entity_of snap iid in
       let node_entity = Task_graph.entity_of s.current nid in
       if not (Schema.is_subtype s.ctx.Ddf_exec.Engine.schema ~sub:entity ~super:node_entity)
       then
@@ -222,15 +225,18 @@ let run ?memo s nid =
   let runs = Ddf_exec.Engine.execute_fanout ?memo s.ctx sub ~bindings in
   List.map (fun r -> Ddf_exec.Engine.result_of r nid) runs
 
+(* History pop-up: reveal the instances used to create one (Fig. 10). *)
+let history_of ?view s iid =
+  let v = resolve_view s view in
+  Ddf_history.History.Snapshot.trace v.Ddf_exec.Engine.v_history
+    v.Ddf_exec.Engine.v_store s.ctx.Ddf_exec.Engine.schema iid
+
 (* Recall a previously executed task (section 4.1): the instance's flow
    trace becomes the current flow, with the leaf selections restored,
    ready to be modified and re-executed. *)
 let recall s iid =
   Metrics.incr m_recalls;
-  let g, root, binding =
-    Ddf_history.History.trace s.ctx.Ddf_exec.Engine.history
-      s.ctx.Ddf_exec.Engine.store s.ctx.Ddf_exec.Engine.schema iid
-  in
+  let g, root, binding = history_of s iid in
   clear s;
   s.current <- g;
   List.iter
@@ -239,12 +245,6 @@ let recall s iid =
         Hashtbl.replace s.selections nid [ inst ])
     binding;
   root
-
-(* History pop-up: reveal the instances used to create one (Fig. 10). *)
-let history_of ?view s iid =
-  let v = resolve_view s view in
-  Ddf_history.History.Snapshot.trace v.Ddf_exec.Engine.v_history
-    v.Ddf_exec.Engine.v_store s.ctx.Ddf_exec.Engine.schema iid
 
 let trace_text ?view s iid =
   let v = resolve_view s view in

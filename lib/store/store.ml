@@ -122,8 +122,6 @@ let next_iid st = Dense.length st.st_instances + 1
 (* The instance [iid] names, if installed: one column read. *)
 let instance st iid = Dense.get_opt st.st_instances (iid - 1)
 
-let tick store = next_iid (Atomic.get store.state)
-
 let set_observer store f = store.observer <- Some f
 let clear_observer store = store.observer <- None
 
@@ -330,7 +328,6 @@ let compile filter =
 module Snapshot = struct
   type 'a t = 'a snapshot
 
-  let source snap = snap.snap_source
   let tick snap = next_iid snap.snap_state
   let find_opt snap iid = instance snap.snap_state iid
 
@@ -490,33 +487,10 @@ module Snapshot = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Live-store reads: thin wrappers over a fresh snapshot.  Each call   *)
-(* sees the latest committed state; multi-call consistency requires    *)
-(* taking an explicit [snapshot].                                      *)
-(* ------------------------------------------------------------------ *)
-
-let find_opt store iid = Snapshot.find_opt (snapshot store) iid
-let find store iid = Snapshot.find (snapshot store) iid
-let mem store iid = Snapshot.mem (snapshot store) iid
-let payload_resident store iid = Snapshot.payload_resident (snapshot store) iid
-let payload store iid = Snapshot.payload (snapshot store) iid
-let entity_of store iid = Snapshot.entity_of (snapshot store) iid
-let meta_of store iid = Snapshot.meta_of (snapshot store) iid
-let hash_of store iid = Snapshot.hash_of (snapshot store) iid
-let instance_count store = Snapshot.instance_count (snapshot store)
-let physical_count store = Snapshot.physical_count (snapshot store)
-
-let instances_of_entity store entity =
-  Snapshot.instances_of_entity (snapshot store) entity
-
-let all_instances store = Snapshot.all_instances (snapshot store)
-let matches store filter iid = Snapshot.matches (snapshot store) filter iid
-let browse store filter = Snapshot.browse (snapshot store) filter
-
-(* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let pp ppf store =
+  let snap = snapshot store in
   Fmt.pf ppf "store: %d instances over %d physical objects"
-    (instance_count store) (physical_count store)
+    (Snapshot.instance_count snap) (Snapshot.physical_count snap)

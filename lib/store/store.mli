@@ -11,12 +11,13 @@
 
     {b MVCC:} the store's hot state is one immutable record behind an
     [Atomic.t].  {!snapshot} is an O(1), lock-free capture of it that
-    stays valid forever; all reads are served from a snapshot
-    ({!Snapshot}), and the live-store read functions below are thin
-    wrappers that capture a fresh snapshot per call.  Mutations build a
-    new state record and publish it with a compare-and-set, so a
-    snapshot pinned on one domain is never torn by a writer on
-    another. *)
+    stays valid forever, and every read is served from one
+    ({!Snapshot}): the live handle keeps only its mutations, the cold
+    loader and the observers.  Mutations build a new state record and
+    publish it with a compare-and-set, so a snapshot pinned on one
+    domain is never torn by a writer on another.  A snapshot taken
+    before a write does not see it: write-path code takes a fresh one
+    after its own mutations. *)
 
 type iid = int
 (** Instance identifier, unique within one store. *)
@@ -62,35 +63,11 @@ val put : 'a t -> entity:string -> hash:string -> meta:meta -> 'a -> iid
     and handed on to the write observer untouched.  The design engine's
     payload is a value's flat text, the bytes its journal entry carries. *)
 
-val find : 'a t -> iid -> 'a instance
-(** @raise Ddf_core.Error.Ddf_error on a missing instance. *)
-
-val find_opt : 'a t -> iid -> 'a instance option
-val mem : 'a t -> iid -> bool
-
-val payload : 'a t -> iid -> 'a
-(** The physical datum behind an instance (the design engine decodes
-    its text through a bounded cache, {!Ddf_exec.Engine.payload}).
-    Resident payloads are one map lookup; an evicted payload falls
-    through to the cold loader (see {!set_cold_loader}), is re-installed
-    in the resident table (promote-on-read) and counted in
-    [store.cold_loads].
-    @raise Ddf_core.Error.Ddf_error ([`Not_found]) when the payload is
-    neither resident nor reloadable. *)
-
-val entity_of : 'a t -> iid -> string
-val meta_of : 'a t -> iid -> meta
-val hash_of : 'a t -> iid -> string
-
 val annotate :
   'a t -> iid -> ?label:string -> ?comment:string -> ?keywords:string list ->
   unit -> unit
 (** Update the designer-facing annotation of an instance (section 4.1:
     naming and documenting design steps). *)
-
-val tick : 'a t -> int
-(** The iid the next {!put} will assign.  Iids are dense from 1, so
-    this is always {!instance_count} + 1. *)
 
 (** {1 Tiered storage (the cement store's attachment point)}
 
@@ -100,29 +77,24 @@ val tick : 'a t -> int
     resident payloads whose every owning instance is reloadable. *)
 
 val set_cold_loader : 'a t -> (iid -> 'a option) -> unit
-(** Install the fall-through used by {!payload} on a non-resident
+(** Install the fall-through used by {!Snapshot.payload} on a non-resident
     datum.  The loader receives the iid (cold storage is keyed by the
     installing put, not by hash) and returns the payload or [None]. *)
-
-val payload_resident : 'a t -> iid -> bool
-(** Whether {!payload} would be served from the resident table (no
-    cold load).  @raise Ddf_core.Error.Ddf_error on a missing
-    instance. *)
 
 val evict : 'a t -> iid -> bool
 (** Drop the resident payload behind [iid] (shared-hash siblings lose
     residency too — callers must check every owner is cold-loadable
     first).  Returns [false] when already evicted or the instance is
     unknown.  Counts [store.evictions].  The hash stays known: it
-    still counts for dedup and {!physical_count}. *)
+    still counts for dedup and {!Snapshot.physical_count}. *)
 
 val put_cold : 'a t -> entity:string -> hash:string -> meta:meta -> iid
 (** Restore an instance whose payload lives only in cold storage — a
     checkpoint that references a cemented put instead of carrying the
     value.  Like {!put} (same iid allocation, dedup and
-    {!physical_count}), but nothing becomes resident and the write
-    observer is not called: the first {!payload} read goes through the
-    cold loader. *)
+    {!Snapshot.physical_count}), but nothing becomes resident and the
+    write observer is not called: the first {!Snapshot.payload} read
+    goes through the cold loader. *)
 
 (** {1 Write observation (the journal's attachment point)} *)
 
@@ -137,18 +109,6 @@ val set_observer : 'a t -> ('a event -> unit) -> unit
 
 val clear_observer : 'a t -> unit
 
-val instance_count : 'a t -> int
-(** O(1): the length of the store's instance column. *)
-
-val physical_count : 'a t -> int
-(** Distinct payloads, resident or cold: [instance_count -
-    physical_count] is the storage saved by sharing. *)
-
-val instances_of_entity : 'a t -> string -> iid list
-(** In installation order. *)
-
-val all_instances : 'a t -> iid list
-
 (** {1 Browser filters (the Fig. 9 instance browser)} *)
 
 type filter = {
@@ -161,60 +121,73 @@ type filter = {
 }
 
 val any_filter : filter
-val matches : 'a t -> filter -> iid -> bool
 
-val browse : 'a t -> filter -> iid list
-(** The instances that pass the filter, in ascending iid order.  The
-    cost depends on the instances tested against the whole filter:
-    - with a keyword and an entity filter: the instances carrying the
-      filter's first keyword (one iid lookup each) or those of the
-      listed entities, whichever are fewer, plus counting at most that
-      many of the entities' instances to choose;
-    - with a keyword alone: the instances carrying its first keyword;
-    - with an entity filter alone: the listed entities' instances;
-    - otherwise: every instance.
-    Only the last grows with the rest of the store.  User, date and
-    text tests never narrow the instances tested. *)
+(** {1 Reads}
 
-(** {1 Snapshot reads}
-
-    The same read API as the live wrappers above, against one frozen
-    view.  This is what the server's domain-pool read executor and
-    {!Parallel}'s flow branches use: pin once, read many times, never
-    take a lock. *)
+    Every read takes a snapshot: pin once, read many times, never take
+    a lock.  The server's domain-pool read executor reads through the
+    snapshot of its published view. *)
 
 module Snapshot : sig
-  type 'a store := 'a t
   type 'a t = 'a snapshot
 
-  val source : 'a t -> 'a store
-  (** The live handle this snapshot was captured from. *)
-
   val tick : 'a t -> int
-  (** The instance counter at capture time: iids [>= tick] are not in
-      this snapshot. *)
+  (** The iid the next {!put} after capture assigns: iids [>= tick]
+      are not in this snapshot.  Iids are dense from 1, so this is
+      always {!instance_count} + 1. *)
 
   val find : 'a t -> iid -> 'a instance
+  (** @raise Ddf_core.Error.Ddf_error on a missing instance. *)
+
   val find_opt : 'a t -> iid -> 'a instance option
   val mem : 'a t -> iid -> bool
 
   val payload : 'a t -> iid -> 'a
-  (** Cold loads promote into the {e live} store, never into the
-      snapshot: re-reading the same evicted payload through one
-      snapshot hits the loader again. *)
+  (** The physical datum behind an instance (the design engine decodes
+      its text through a bounded cache, {!Ddf_exec.Engine.decode}).
+      Resident payloads are one map lookup; an evicted payload falls
+      through to the cold loader (see {!set_cold_loader}), is
+      re-installed in the {e live} store's resident table
+      (promote-on-read, never into the snapshot: re-reading the same
+      evicted payload through one snapshot hits the loader again) and
+      counted in [store.cold_loads].
+      @raise Ddf_core.Error.Ddf_error ([`Not_found]) when the payload is
+      neither resident nor reloadable. *)
 
   val payload_resident : 'a t -> iid -> bool
+  (** Whether {!payload} would be served from the resident table (no
+      cold load).  @raise Ddf_core.Error.Ddf_error on a missing
+      instance. *)
+
   val entity_of : 'a t -> iid -> string
   val meta_of : 'a t -> iid -> meta
   val hash_of : 'a t -> iid -> string
+
   val instance_count : 'a t -> int
+  (** O(1): the length of the store's instance column. *)
+
   val physical_count : 'a t -> int
+  (** Distinct payloads, resident or cold: [instance_count -
+      physical_count] is the storage saved by sharing. *)
+
   val instances_of_entity : 'a t -> string -> iid list
+  (** In installation order. *)
+
   val all_instances : 'a t -> iid list
   val matches : 'a t -> filter -> iid -> bool
 
   val browse : 'a t -> filter -> iid list
-  (** As the live {!browse}, with the same cost per path. *)
+  (** The instances that pass the filter, in ascending iid order.  The
+      cost depends on the instances tested against the whole filter:
+      - with a keyword and an entity filter: the instances carrying the
+        filter's first keyword (one iid lookup each) or those of the
+        listed entities, whichever are fewer, plus counting at most
+        that many of the entities' instances to choose;
+      - with a keyword alone: the instances carrying its first keyword;
+      - with an entity filter alone: the listed entities' instances;
+      - otherwise: every instance.
+      Only the last grows with the rest of the store.  User, date and
+      text tests never narrow the instances tested. *)
 
   val check_keyword_index : 'a t -> unit
   (** Checks the keyword index {!browse} reads against the instances:

@@ -158,8 +158,8 @@ let birth_key_of ~entity ~hash ~user ~created_at =
   S.to_string
     (S.list [ S.atom entity; S.atom hash; S.atom user; S.int created_at ])
 
-let birth_key store iid =
-  let inst = Store.find store iid in
+let birth_key snap iid =
+  let inst = Store.Snapshot.find snap iid in
   let m = inst.Store.meta in
   birth_key_of ~entity:inst.Store.entity ~hash:inst.Store.data_hash
     ~user:m.Store.user ~created_at:m.Store.created_at
@@ -172,20 +172,19 @@ let birth_key store iid =
    Two fully synced workspaces produce equal fingerprints even though
    their iids were assigned in different orders. *)
 let fingerprint (ctx : Engine.context) =
-  let store = ctx.Engine.store in
-  let history = ctx.Engine.history in
+  let { Engine.v_store = store; v_history = history } = Engine.pin ctx in
   let key = birth_key store in
   let lines = ref [] in
   let line s = lines := S.to_string (S.list s) :: !lines in
   List.iter
     (fun iid ->
-      let inst = Store.find store iid in
+      let inst = Store.Snapshot.find store iid in
       let m = inst.Store.meta in
       line
         [ S.atom "i"; S.atom inst.Store.entity; S.atom inst.Store.data_hash;
           S.atom m.Store.user; S.int m.Store.created_at; S.atom m.Store.label;
           S.atom m.Store.comment; S.list (List.map S.atom m.Store.keywords) ])
-    (Store.all_instances store);
+    (Store.Snapshot.all_instances store);
   let binding l =
     List.sort compare (List.map (fun (role, iid) -> (role, key iid)) l)
     |> List.map (fun (role, k) -> S.list [ S.atom role; S.atom k ])
@@ -198,7 +197,7 @@ let fingerprint (ctx : Engine.context) =
           | None -> S.atom "-"
           | Some t -> S.atom (key t));
           S.list (binding r.History.inputs); S.list (binding r.History.outputs) ])
-    (History.records history);
+    (History.Snapshot.records history);
   List.iter
     (fun (c : History.conflict) ->
       let pair =
@@ -210,7 +209,7 @@ let fingerprint (ctx : Engine.context) =
           (match c.History.c_winner with
           | None -> S.atom "-"
           | Some w -> S.atom (key w)) ])
-    (History.all_conflicts history);
+    (History.Snapshot.all_conflicts history);
   Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare !lines)))
 
 (* ------------------------------------------------------------------ *)
@@ -294,14 +293,18 @@ let apply_frames j ~origin ~upto frames =
   @@ fun () ->
   let store () = ctx.Engine.store in
   let history () = ctx.Engine.history in
+  (* Every read re-pins: the entries applied before it wrote. *)
+  let stored () = Store.snapshot (store ()) in
+  let recorded () = History.snapshot (history ()) in
   (* identity and record indexes over the CURRENT local state, kept
      up to date as entries apply *)
   let id_index = Hashtbl.create 256 in
+  let snap = stored () in
   List.iter
     (fun iid ->
-      let bk = birth_key (store ()) iid in
+      let bk = birth_key snap iid in
       if not (Hashtbl.mem id_index bk) then Hashtbl.add id_index bk iid)
-    (Store.all_instances (store ()));
+    (Store.Snapshot.all_instances snap);
   let rec_index = Hashtbl.create 256 in
   List.iter
     (fun (r : History.record) ->
@@ -309,7 +312,7 @@ let apply_frames j ~origin ~upto frames =
         (record_key ~task_entity:r.History.task_entity ~tool:r.History.tool
            ~inputs:r.History.inputs ~outputs:r.History.outputs ~at:r.History.at)
         r.History.rid)
-    (History.records (history ()));
+    (History.Snapshot.records (recorded ()));
   let applied = ref 0 and skipped = ref 0 and conflicts = ref 0 in
   (* remote iid -> local iid: the persisted map first; an id not in the
      map must predate the divergence point, where clone iids coincide *)
@@ -317,7 +320,7 @@ let apply_frames j ~origin ~upto frames =
     match Hashtbl.find_opt st.st_imap (origin, riid) with
     | Some liid -> liid
     | None ->
-      if Store.mem (store ()) riid then riid
+      if Store.Snapshot.mem (stored ()) riid then riid
       else
         E.errorf `Conflict
           "sync from %s references instance %d with no local counterpart \
@@ -325,7 +328,7 @@ let apply_frames j ~origin ~upto frames =
           origin riid
   in
   let register_conflict ~base ~ours ~theirs =
-    match History.find_conflict_pair (history ()) ours theirs with
+    match History.Snapshot.find_conflict_pair (recorded ()) ours theirs with
     | Some _ -> ()
     | None ->
       ignore
@@ -373,7 +376,9 @@ let apply_frames j ~origin ~upto frames =
       (* max-register merge: the larger serialized annotation wins on
          both sides, so concurrent edits converge without a conflict;
          equality skips, so re-delivery reaches a fixpoint *)
-      if annotation_key meta > annotation_key (Store.meta_of (store ()) liid)
+      if
+        annotation_key meta
+        > annotation_key (Store.Snapshot.meta_of (stored ()) liid)
       then begin
         Store.annotate (store ()) liid ~label:meta.Store.label
           ~comment:meta.Store.comment ~keywords:meta.Store.keywords ();
@@ -395,7 +400,8 @@ let apply_frames j ~origin ~upto frames =
            an error *)
         let collisions =
           List.filter
-            (fun (_, o) -> History.derivation_of (history ()) o <> None)
+            (fun (_, o) ->
+              History.Snapshot.derivation_of (recorded ()) o <> None)
             outputs
         in
         if collisions <> [] then begin
@@ -405,7 +411,7 @@ let apply_frames j ~origin ~upto frames =
             (fun (_, o) ->
               let base =
                 Option.value ~default:o
-                  (History.version_parent (history ()) o)
+                  (History.Snapshot.version_parent (recorded ()) o)
               in
               register_conflict ~base ~ours:o ~theirs:o)
             collisions;
@@ -421,9 +427,10 @@ let apply_frames j ~origin ~upto frames =
           (* did this record branch the version tree?  A sibling that
              did not itself come from this origin means both
              workspaces derived a version of the same object *)
+          let h = recorded () in
           List.iter
             (fun (_, o) ->
-              match History.version_parent (history ()) o with
+              match History.Snapshot.version_parent h o with
               | None -> ()
               | Some parent ->
                 List.iter
@@ -432,7 +439,7 @@ let apply_frames j ~origin ~upto frames =
                       sib <> o
                       && Hashtbl.find_opt st.st_born sib <> Some origin
                     then register_conflict ~base:parent ~ours:sib ~theirs:o)
-                  (History.version_children (history ()) parent))
+                  (History.Snapshot.version_children h parent))
             outputs
         end
       end
@@ -444,7 +451,7 @@ let apply_frames j ~origin ~upto frames =
         let base = remap base in
         let ours = remap ours in
         let theirs = remap theirs in
-        match History.find_conflict_pair (history ()) ours theirs with
+        match History.Snapshot.find_conflict_pair (recorded ()) ours theirs with
         | Some c ->
           (* we already registered this divergence from our end *)
           Hashtbl.replace st.st_cmap (origin, rcid) c.History.cid;
@@ -467,7 +474,7 @@ let apply_frames j ~origin ~upto frames =
         incr skipped
       | Some lcid -> (
         let winner = remap winner in
-        let c = History.find_conflict (history ()) lcid in
+        let c = History.Snapshot.find_conflict (recorded ()) lcid in
         match c.History.c_winner with
         | Some w when w = winner -> incr skipped
         | Some _ ->

@@ -419,11 +419,14 @@ let journal =
         Journal.compact j;
         let evicted = Journal.evict_cold j in
         Alcotest.(check bool) "something evicted" true (evicted > 0);
-        let store = ctx.Engine.store in
+        (* fresh per call: a cold load promotes into the live store *)
+        let resident iid =
+          Store.Snapshot.payload_resident (Store.snapshot ctx.Engine.store) iid
+        in
         let cold =
           List.filter
-            (fun iid -> not (Store.payload_resident store iid))
-            (Store.all_instances store)
+            (fun iid -> not (resident iid))
+            (Store.Snapshot.all_instances (Store.snapshot ctx.Engine.store))
         in
         Alcotest.(check int) "eviction count matches residency" evicted
           (List.length cold);
@@ -435,8 +438,7 @@ let journal =
         Alcotest.(check bool) "reloads counted" true (loads () > l0);
         List.iter
           (fun iid ->
-            Alcotest.(check bool) "re-promoted" true
-              (Store.payload_resident store iid))
+            Alcotest.(check bool) "re-promoted" true (resident iid))
           cold;
         Journal.close j);
     Alcotest.test_case "a follower seed copies cold payloads unpromoted" `Quick
@@ -447,11 +449,13 @@ let journal =
         ignore (Test_journal.activity ctx 3);
         Journal.compact j;
         Alcotest.(check bool) "something evicted" true (Journal.evict_cold j > 0);
-        let store = ctx.Engine.store in
+        let resident iid =
+          Store.Snapshot.payload_resident (Store.snapshot ctx.Engine.store) iid
+        in
         let cold =
           List.filter
-            (fun iid -> not (Store.payload_resident store iid))
-            (Store.all_instances store)
+            (fun iid -> not (resident iid))
+            (Store.Snapshot.all_instances (Store.snapshot ctx.Engine.store))
         in
         let loads () = Metrics.count (Metrics.counter "store.cold_loads") in
         let l0 = loads () in
@@ -459,7 +463,7 @@ let journal =
         Alcotest.(check int) "no cold load" l0 (loads ());
         List.iter
           (fun iid ->
-            Alcotest.(check bool) "still cold" false (Store.payload_resident store iid))
+            Alcotest.(check bool) "still cold" false (resident iid))
           cold;
         let fingerprint = Sync.fingerprint ctx in
         Journal.close j;
@@ -700,16 +704,16 @@ let integrity =
         in
         flip_byte path (last_put (String.length text - 4) + 20);
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
-        let store = (Journal.context j).Engine.store in
+        let store = Store.snapshot (Journal.context j).Engine.store in
         let damaged = ref 0 in
         List.iter
           (fun iid ->
-            match Codec.value_of_text (Store.payload store iid) with
+            match Codec.value_of_text (Store.Snapshot.payload store iid) with
             | v ->
               Alcotest.(check string) "an undamaged payload is intact"
-                (Store.hash_of store iid) (Value.hash v)
+                (Store.Snapshot.hash_of store iid) (Value.hash v)
             | exception Error.Ddf_error _ -> incr damaged)
-          (Store.all_instances store);
+          (Store.Snapshot.all_instances store);
         Journal.close j;
         Alcotest.(check bool) "the damaged put refuses to load" true
           (!damaged >= 1));

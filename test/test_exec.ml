@@ -174,7 +174,8 @@ let engine_tests =
         let w, f, bindings = fig5_setup () in
         let ctx = Workspace.ctx w in
         let _ = Engine.execute ctx f.Standard_flows.f5_graph ~bindings in
-        check Alcotest.int "five records" 5 (History.size (Workspace.history w)));
+        check Alcotest.int "five records" 5
+          (History.Snapshot.size (History.snapshot (Workspace.history w))));
   ]
 
 let parallel_tests =
@@ -313,23 +314,23 @@ let decompose_tests =
           (List.exists
              (fun (e, _) -> e = E.netlist || e = E.extracted_netlist)
              parts);
-        let h = Workspace.history w and store = Workspace.store w in
+        let { Engine.v_store = store; v_history = h } = Engine.pin ctx in
         let schema = Workspace.schema w in
         List.iter
           (fun (entity, part) ->
             (* the decomposition is in the history: each part chains
                back to the composite *)
             check Alcotest.bool (entity ^ " chains to the composite") true
-              (List.mem circuit (History.ancestor_instances h part));
+              (List.mem circuit (History.Snapshot.ancestor_instances h part));
             (* but no task of the schema made it: a leaf of its trace,
                the same by both routes *)
-            let g, _, binding = History.trace h store schema part in
+            let g, _, binding = History.Snapshot.trace h store schema part in
             check Alcotest.int (entity ^ " traces as a leaf") 1
               (List.length binding);
             check Alcotest.string (entity ^ " traces alike")
               (Printf.sprintf "%s(1 instances in the derivation)\n"
                  (Task_graph.to_ascii g))
-              (History.trace_text h store schema part))
+              (History.Snapshot.trace_text h store schema part))
           parts);
     expect_exec_error "decomposing a non-composite fails" (fun () ->
         let w = Workspace.create () in
@@ -423,8 +424,10 @@ let tools_as_data_tests =
           (List.map (List.map snd) (responses nl)
            = List.map (List.map snd) (responses optimized));
         (* the history shows the simulator flowing INTO the optimizer *)
-        let r = History.derivation_of (Workspace.history w)
-                  (Engine.result_of run out) in
+        let r =
+          History.Snapshot.derivation_of (History.snapshot (Workspace.history w))
+            (Engine.result_of run out)
+        in
         match r with
         | Some r ->
           check Alcotest.bool "evaluator recorded" true
@@ -494,10 +497,11 @@ let batching_tests =
         check Alcotest.int "all vectors in one call" 10
           p.Eda.Performance.vectors_simulated;
         (* the merged stimuli instance is a recorded design object *)
-        match History.derivation_of (Workspace.history w) perf_iid with
+        let h = History.snapshot (Workspace.history w) in
+        match History.Snapshot.derivation_of h perf_iid with
         | Some r ->
           let merged = List.assoc "stimuli" r.History.inputs in
-          (match History.derivation_of (Workspace.history w) merged with
+          (match History.Snapshot.derivation_of h merged with
           | Some m ->
             check Alcotest.int "two parts" 2 (List.length m.History.inputs)
           | None -> Alcotest.fail "merge not recorded")
@@ -541,10 +545,12 @@ let batching_tests =
           ]
         in
         let r1 = Engine.execute_fanout ctx g ~bindings in
-        let before = Store.instance_count (Workspace.store w) in
+        let count () =
+          Store.Snapshot.instance_count (Store.snapshot (Workspace.store w))
+        in
+        let before = count () in
         let r2 = Engine.execute_fanout ctx g ~bindings in
-        check Alcotest.int "no new instances" before
-          (Store.instance_count (Workspace.store w));
+        check Alcotest.int "no new instances" before (count ());
         check Alcotest.int "same result"
           (Engine.result_of (List.hd r1) perf)
           (Engine.result_of (List.hd r2) perf));
@@ -573,12 +579,12 @@ let batching_tests =
               ]
         in
         let perf_iid = Engine.result_of (List.hd runs) perf in
-        let h = Workspace.history w and store = Workspace.store w in
+        let { Engine.v_store = store; v_history = h } = Engine.pin ctx in
         let schema = Workspace.schema w in
         (* the merged stimuli were recorded with roles part0 and part1,
            which a source does not declare: the trace ends at them *)
-        let tg, _, binding = History.trace h store schema perf_iid in
-        let text = History.trace_text h store schema perf_iid in
+        let tg, _, binding = History.Snapshot.trace h store schema perf_iid in
+        let text = History.Snapshot.trace_text h store schema perf_iid in
         check Alcotest.string "text and graph routes agree"
           (Printf.sprintf "%s(%d instances in the derivation)\n"
              (Task_graph.to_ascii tg) (List.length binding))
@@ -646,7 +652,7 @@ let parallel_memo_tests =
         in
         check Alcotest.bool "the mystery tool raises" true raised;
         check Alcotest.int "after committing the first branch" 1
-          (History.size ctx.Engine.history));
+          (History.Snapshot.size (History.snapshot ctx.Engine.history)));
     t "critical path report is consistent" (fun () ->
         let nl = Eda.Circuits.ripple_adder 4 in
         let report = Eda.Performance.critical_path_report nl in
@@ -817,7 +823,8 @@ let cache_setup n =
           Workspace.install_stimuli w
             (Eda.Stimuli.exhaustive [ Printf.sprintf "in%d" i; "x" ]))
   in
-  let fresh iid = Codec.value_of_text (Store.payload ctx.Engine.store iid) in
+  let store = Store.snapshot ctx.Engine.store in
+  let fresh iid = Codec.value_of_text (Store.Snapshot.payload store iid) in
   (ctx, Array.of_list iids, fresh)
 
 (* The slot a hash takes: the engine's indexing, over its 256 slots. *)
@@ -827,7 +834,8 @@ let decode_cache_tests =
   [
     t "a slot collision returns the right value" (fun () ->
         let ctx, iids, fresh = cache_setup 300 in
-        let hash iid = Store.hash_of ctx.Engine.store iid in
+        let store = Store.snapshot ctx.Engine.store in
+        let hash iid = Store.Snapshot.hash_of store iid in
         let by_slot = Hashtbl.create 256 in
         let pair =
           Array.fold_left
@@ -851,7 +859,7 @@ let decode_cache_tests =
               check Alcotest.bool
                 (Printf.sprintf "#%d reads as its text" iid)
                 true
-                (Engine.payload ctx iid = fresh iid))
+                (Engine.decode store iid = fresh iid))
             [ a; b; a; a; b; b; a ]);
     t "domains reading shared and colliding hashes agree with a parse"
       (fun () ->

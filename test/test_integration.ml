@@ -135,11 +135,12 @@ let survives_persistence (seed, steps) =
   let w = Workspace.create () in
   let _ = Engine.execute (Workspace.ctx w) g ~bindings:(auto_bindings w g) in
   let s2 = Persist.load Standard_schemas.odyssey (Persist.save (Workspace.session w)) in
-  let st1 = Workspace.store w and st2 = (Session.context s2).Engine.store in
-  Store.instance_count st1 = Store.instance_count st2
+  let st1 = Store.snapshot (Workspace.store w)
+  and st2 = Store.snapshot (Session.context s2).Engine.store in
+  Store.Snapshot.instance_count st1 = Store.Snapshot.instance_count st2
   && List.for_all
-       (fun iid -> Store.hash_of st1 iid = Store.hash_of st2 iid)
-       (Store.all_instances st1)
+       (fun iid -> Store.Snapshot.hash_of st1 iid = Store.Snapshot.hash_of st2 iid)
+       (Store.Snapshot.all_instances st1)
 
 let gen = QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 18))
 
@@ -160,8 +161,9 @@ let suite =
             let a = Engine.install ctx ~entity:E.layout_editor payload in
             let b = Engine.install ctx ~entity:E.extractor payload in
             check Alcotest.bool "distinct instances" true (a <> b);
+            let store = Store.snapshot (Workspace.store w) in
             check Alcotest.string "one physical payload"
-              (Store.hash_of (Workspace.store w) a)
-              (Store.hash_of (Workspace.store w) b));
+              (Store.Snapshot.hash_of store a)
+              (Store.Snapshot.hash_of store b));
       ] );
   ]

@@ -93,14 +93,18 @@ let basics =
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
         let ctx = Journal.context j in
         ignore (activity ctx 3);
-        let st = Store.tick ctx.Engine.store
-        and ht = History.tick ctx.Engine.history
-        and clock = ctx.Engine.clock in
+        let ticks ctx =
+          let v = Engine.pin ctx in
+          ( Store.Snapshot.tick v.Engine.v_store,
+            History.Snapshot.tick v.Engine.v_history )
+        in
+        let st, ht = ticks ctx and clock = ctx.Engine.clock in
         Journal.close j;
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
         let ctx = Journal.context j in
-        Alcotest.(check int) "store tick" st (Store.tick ctx.Engine.store);
-        Alcotest.(check int) "history tick" ht (History.tick ctx.Engine.history);
+        let st', ht' = ticks ctx in
+        Alcotest.(check int) "store tick" st st';
+        Alcotest.(check int) "history tick" ht ht';
         Alcotest.(check int) "clock" clock ctx.Engine.clock;
         (* and new ids continue densely after the replay *)
         let iid =
@@ -307,21 +311,21 @@ let compaction =
 (* Every payload reads back (cold ones through cement) and hashes to
    the instance's recorded content hash. *)
 let payloads_verified ctx =
-  let store = ctx.Engine.store in
+  let store = Store.snapshot ctx.Engine.store in
   List.iter
     (fun iid ->
       Alcotest.(check string)
         (Printf.sprintf "payload hash of #%d" iid)
-        (Store.hash_of store iid)
-        (Value.hash (Codec.value_of_text (Store.payload store iid))))
-    (Store.all_instances store)
+        (Store.Snapshot.hash_of store iid)
+        (Value.hash (Codec.value_of_text (Store.Snapshot.payload store iid))))
+    (Store.Snapshot.all_instances store)
 
 let cold_count ctx =
-  let store = ctx.Engine.store in
+  let store = Store.snapshot ctx.Engine.store in
   List.length
     (List.filter
-       (fun iid -> not (Store.payload_resident store iid))
-       (Store.all_instances store))
+       (fun iid -> not (Store.Snapshot.payload_resident store iid))
+       (Store.Snapshot.all_instances store))
 
 (* A database with one checkpoint (its payloads referenced in cement)
    and a wal of further work on top. *)
@@ -342,15 +346,16 @@ let checkpoint =
         Journal.compact j;
         let ctx = Journal.context j in
         let fp = Sync.fingerprint ctx and before = state ctx in
-        let n = Store.instance_count ctx.Engine.store in
-        let phys = Store.physical_count ctx.Engine.store in
+        let store = Store.snapshot ctx.Engine.store in
+        let n = Store.Snapshot.instance_count store in
+        let phys = Store.Snapshot.physical_count store in
         Journal.close j;
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
         let ctx = Journal.context j in
         (* nothing is resident until read; sharing is still counted *)
         Alcotest.(check int) "every payload cold" n (cold_count ctx);
         Alcotest.(check int) "physical count" phys
-          (Store.physical_count ctx.Engine.store);
+          (Store.Snapshot.physical_count (Store.snapshot ctx.Engine.store));
         Alcotest.(check string) "fingerprint" fp (Sync.fingerprint ctx);
         payloads_verified ctx;
         Alcotest.(check int) "promoted on read" 0 (cold_count ctx);
@@ -570,18 +575,20 @@ let lagging =
         let j, _, sealed = lagging_db dir in
         let ctx = Journal.context j in
         let fp = Sync.fingerprint ctx and before = state ctx in
-        let n = Store.instance_count ctx.Engine.store in
+        let n =
+          Store.Snapshot.instance_count (Store.snapshot ctx.Engine.store)
+        in
         Journal.close j;
         Alcotest.(check int) "two seals" 10 (List.length sealed);
         let j = Journal.open_ ~compact_every:5 ~dir Standard_schemas.odyssey in
         let ctx = Journal.context j in
-        let store = ctx.Engine.store in
+        let store = Store.snapshot ctx.Engine.store in
         (* the checkpoint's payloads and the sealed tail's are cold; the
            two installs still in the wal are resident *)
         List.iter
           (fun iid ->
             Alcotest.(check bool) (Printf.sprintf "#%d cold" iid) false
-              (Store.payload_resident store iid))
+              (Store.Snapshot.payload_resident store iid))
           sealed;
         Alcotest.(check int) "cold: all but the wal's two" (n - 2) (cold_count ctx);
         Alcotest.(check string) "fingerprint" fp (Sync.fingerprint ctx);
@@ -631,14 +638,15 @@ let lagging =
             Out_channel.with_open_bin path (fun oc ->
                 output_string oc (rewrite 0));
             let j = Journal.open_ ~dir Standard_schemas.odyssey in
-            let store = (Journal.context j).Engine.store in
+            let store = Store.snapshot (Journal.context j).Engine.store in
             Fun.protect ~finally:(fun () -> Journal.close j) @@ fun () ->
             List.iter
               (fun iid ->
                 if iid <> victim then
-                  ignore (Codec.value_of_text (Store.payload store iid)))
+                  ignore
+                    (Codec.value_of_text (Store.Snapshot.payload store iid)))
               sealed;
-            match Store.payload store victim with
+            match Store.Snapshot.payload store victim with
             | _ -> Alcotest.fail "expected the damaged put to refuse to load"
             | exception Error.Ddf_error e ->
               Alcotest.(check bool) expect true
@@ -672,7 +680,7 @@ let apply_op ctx = function
   | Flow -> ignore (activity ~seed:3 ctx 1)
   | Annotate (i, k) ->
     let store = ctx.Engine.store in
-    let n = Store.instance_count store in
+    let n = Store.Snapshot.instance_count (Store.snapshot store) in
     if n > 0 then
       Store.annotate store ((i mod n) + 1) ~label:(Printf.sprintf "a%d" k) ()
   | Compact | Evict | Reopen -> ()
@@ -726,7 +734,8 @@ let keyword_index =
                ~keywords:(if i mod 5 = 0 then [] else [ k 0; k (i mod 3); k 0 ])
                (Value.Stimuli (Eda.Stimuli.exhaustive [ Printf.sprintf "n%d" i ])));
           (* an earlier instance, the one just installed included *)
-          let earlier n = ((i * n) mod (Store.tick store - 1)) + 1 in
+          let tick = Store.Snapshot.tick (Store.snapshot store) in
+          let earlier n = ((i * n) mod (tick - 1)) + 1 in
           if i mod 3 = 0 then
             Store.annotate store (earlier 7)
               ~keywords:(if i mod 2 = 0 then [] else [ k 1 ]) ();
@@ -743,8 +752,8 @@ let keyword_index =
         (Journal.entries_since_snapshot j > 0);
       Journal.close j;
       let j = Journal.open_ ~dir Standard_schemas.odyssey in
-      let store = (Journal.context j).Engine.store in
-      Store.Snapshot.check_keyword_index (Store.snapshot store);
+      let store = Store.snapshot (Journal.context j).Engine.store in
+      Store.Snapshot.check_keyword_index store;
       let filters =
         List.concat_map
           (fun ks ->
@@ -758,10 +767,10 @@ let keyword_index =
       List.iter
         (fun f ->
           Alcotest.(check (list int)) "browse" (Test_store_history.linear_browse store f)
-            (Store.browse store f))
+            (Store.Snapshot.browse store f))
         filters;
       Alcotest.(check bool) "some keyword browse answers" true
-        (List.exists (fun f -> Store.browse store f <> []) filters);
+        (List.exists (fun f -> Store.Snapshot.browse store f <> []) filters);
       Journal.close j)
 
 (* A schema, with or without the role "base": a record filling it is
@@ -783,9 +792,9 @@ let base_record (ctx : Engine.context) =
   in
   let ed = put "ed" "ed" and v0 = put "doc" "v0" and v1 = put "doc" "v1" in
   let r =
-    History.add ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-      ~task_entity:"doc" ~tool:(Some ed) ~inputs:[ ("base", v0) ]
-      ~outputs:[ ("doc", v1) ] ~at:ctx.Engine.clock
+    History.add ctx.Engine.history (Store.snapshot ctx.Engine.store)
+      ctx.Engine.schema ~task_entity:"doc" ~tool:(Some ed)
+      ~inputs:[ ("base", v0) ] ~outputs:[ ("doc", v1) ] ~at:ctx.Engine.clock
   in
   r.History.rid
 
@@ -845,12 +854,13 @@ let resting_text =
         Alcotest.(check bool) "the text is not the flat print" true
           (text <> Codec.value_to_text value);
         let iid = Engine.install ctx ~entity:E.stimuli ~text value in
+        let store = Store.snapshot ctx.Engine.store in
         Alcotest.(check string) "the store keeps the bytes" text
-          (Store.payload ctx.Engine.store iid);
+          (Store.Snapshot.payload store iid);
         Alcotest.(check (option string)) "the wal put carries them" (Some text)
           (List.assoc_opt iid (put_texts j));
         Alcotest.(check bool) "they decode to the value" true
-          (Engine.payload ctx iid = value);
+          (Engine.decode store iid = value);
         Journal.close j);
     Alcotest.test_case "a derived value rests as its flat print" `Quick
       (fun () ->
@@ -860,13 +870,14 @@ let resting_text =
         let versions = activity ctx 3 in
         let derived = List.filteri (fun i _ -> i < 3) versions in
         let puts = put_texts j in
+        let store = Store.snapshot ctx.Engine.store in
         List.iter
           (fun iid ->
-            let text = Store.payload ctx.Engine.store iid in
+            let text = Store.Snapshot.payload store iid in
             Alcotest.(check string) "the flat print"
-              (Codec.value_to_text (Engine.payload ctx iid)) text;
+              (Codec.value_to_text (Engine.decode store iid)) text;
             Alcotest.(check string) "it decodes under the same hash"
-              (Store.hash_of ctx.Engine.store iid)
+              (Store.Snapshot.hash_of store iid)
               (Value.hash (Codec.value_of_text text));
             Alcotest.(check (option string)) "the wal put carries it"
               (Some text) (List.assoc_opt iid puts))
@@ -879,10 +890,11 @@ let resting_text =
         let ctx = Journal.context j in
         ignore (activity ctx 3 : Store.iid list);
         let decoded ctx =
+          let store = Store.snapshot ctx.Engine.store in
           List.map
             (fun iid ->
-              (iid, Codec.value_of_text (Store.payload ctx.Engine.store iid)))
-            (Store.all_instances ctx.Engine.store)
+              (iid, Codec.value_of_text (Store.Snapshot.payload store iid)))
+            (Store.Snapshot.all_instances store)
         in
         let before = decoded ctx in
         Journal.compact j;
@@ -896,7 +908,8 @@ let resting_text =
           (fun (iid, v) (iid', v') ->
             Alcotest.(check int) "the same instance" iid iid';
             Alcotest.(check bool) (Printf.sprintf "the value of #%d" iid) true
-              (v = v' && Engine.payload ctx iid = v))
+              (v = v'
+               && Engine.decode (Store.snapshot ctx.Engine.store) iid = v))
           before after;
         Journal.close j) ]
 

@@ -119,7 +119,11 @@ let engine_accounting_tests =
         let w = Workspace.create () in
         let ctx = Workspace.ctx w in
         let v0 = Workspace.install_netlist w (Eda.Circuits.c17 ()) in
-        check Alcotest.int "own latest" v0 (Consistency.latest_version ctx v0);
+        let latest_version iid =
+          History.Snapshot.latest_version
+            (History.snapshot ctx.Engine.history) iid
+        in
+        check Alcotest.int "own latest" v0 (latest_version v0);
         let session =
           Workspace.install_editor_session w
             (Eda.Edit_script.create [ Eda.Edit_script.Rename "v2" ])
@@ -129,7 +133,7 @@ let engine_accounting_tests =
         let editor, src = match fresh with [ a; b ] -> (a, b) | _ -> assert false in
         let run = Engine.execute ctx g ~bindings:[ (editor, session); (src, v0) ] in
         let v1 = Engine.result_of run out in
-        check Alcotest.int "newest" v1 (Consistency.latest_version ctx v0));
+        check Alcotest.int "newest" v1 (latest_version v0));
   ]
 
 let file_tests =
@@ -154,9 +158,12 @@ let file_tests =
             Persist.save_file (Workspace.session w) path;
             let seq, _, s2 = Persist.load_file Standard_schemas.odyssey path in
             check Alcotest.int "a save outside a journal names seq 0" 0 seq;
+            let count store =
+              Store.Snapshot.instance_count (Store.snapshot store)
+            in
             check Alcotest.int "instances"
-              (Store.instance_count (Workspace.store w))
-              (Store.instance_count (Session.context s2).Engine.store)));
+              (count (Workspace.store w))
+              (count (Session.context s2).Engine.store)));
   ]
 
 let suite =

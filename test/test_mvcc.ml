@@ -71,7 +71,7 @@ let isolation_prop (n, burst) =
   let after = observe v probe in
   (* the live store, meanwhile, must have moved on *)
   let moved =
-    Store.instance_count ctx.Engine.store
+    Store.Snapshot.instance_count (Store.snapshot ctx.Engine.store)
     = (let b, _, _, _ = before in
        List.length b)
       + burst

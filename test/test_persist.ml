@@ -72,35 +72,38 @@ let suite_cases =
         let w, _, _ = rich_session () in
         let s2 = reload (Workspace.session w) in
         let ctx1 = Workspace.ctx w and ctx2 = Session.context s2 in
+        let v1 = Engine.pin ctx1 and v2 = Engine.pin ctx2 in
+        let st1 = v1.Engine.v_store and st2 = v2.Engine.v_store in
         check Alcotest.int "instances"
-          (Store.instance_count ctx1.Engine.store)
-          (Store.instance_count ctx2.Engine.store);
+          (Store.Snapshot.instance_count st1)
+          (Store.Snapshot.instance_count st2);
         check Alcotest.int "payloads"
-          (Store.physical_count ctx1.Engine.store)
-          (Store.physical_count ctx2.Engine.store);
+          (Store.Snapshot.physical_count st1)
+          (Store.Snapshot.physical_count st2);
         check Alcotest.int "records"
-          (History.size ctx1.Engine.history)
-          (History.size ctx2.Engine.history);
+          (History.Snapshot.size v1.Engine.v_history)
+          (History.Snapshot.size v2.Engine.v_history);
         check Alcotest.int "clock" ctx1.Engine.clock ctx2.Engine.clock;
         List.iter
           (fun iid ->
             check Alcotest.string
               (Printf.sprintf "hash of #%d" iid)
-              (Store.hash_of ctx1.Engine.store iid)
-              (Store.hash_of ctx2.Engine.store iid);
+              (Store.Snapshot.hash_of st1 iid)
+              (Store.Snapshot.hash_of st2 iid);
             check Alcotest.string
               (Printf.sprintf "entity of #%d" iid)
-              (Store.entity_of ctx1.Engine.store iid)
-              (Store.entity_of ctx2.Engine.store iid))
-          (Store.all_instances ctx1.Engine.store));
+              (Store.Snapshot.entity_of st1 iid)
+              (Store.Snapshot.entity_of st2 iid))
+          (Store.Snapshot.all_instances st1));
     t "history chains survive" (fun () ->
         let w, run, f = rich_session () in
         let perf = Engine.result_of run f.Standard_flows.f5_performance in
         let s2 = reload (Workspace.session w) in
         let ctx2 = Session.context s2 in
+        let v2 = Engine.pin ctx2 in
         let g, root, _ =
-          History.trace ctx2.Engine.history ctx2.Engine.store ctx2.Engine.schema
-            perf
+          History.Snapshot.trace v2.Engine.v_history v2.Engine.v_store
+            ctx2.Engine.schema perf
         in
         check Alcotest.string "root entity" E.performance
           (Task_graph.entity_of g root);
@@ -110,21 +113,15 @@ let suite_cases =
         let s2 = reload (Workspace.session w) in
         let ctx2 = Session.context s2 in
         (* re-bind the same flow against the reloaded instances *)
-        let layout_iid =
-          List.hd (Store.instances_of_entity ctx2.Engine.store E.edited_layout)
+        let store2 = Store.snapshot ctx2.Engine.store in
+        let first entity =
+          List.hd (Store.Snapshot.instances_of_entity store2 entity)
         in
-        let reference_iid =
-          List.hd (Store.instances_of_entity ctx2.Engine.store E.edited_netlist)
-        in
-        let stim_iid =
-          List.hd (Store.instances_of_entity ctx2.Engine.store E.stimuli)
-        in
-        let models =
-          List.hd (Store.instances_of_entity ctx2.Engine.store E.device_models)
-        in
-        let tool entity =
-          List.hd (Store.instances_of_entity ctx2.Engine.store entity)
-        in
+        let layout_iid = first E.edited_layout in
+        let reference_iid = first E.edited_netlist in
+        let stim_iid = first E.stimuli in
+        let models = first E.device_models in
+        let tool = first in
         let g = f.Standard_flows.f5_graph in
         let bindings =
           [ (f.Standard_flows.f5_layout, layout_iid);
@@ -147,11 +144,14 @@ let suite_cases =
         let w, _, _ = rich_session () in
         let ctx1 = Workspace.ctx w in
         let sim1 =
-          List.hd (Store.instances_of_entity ctx1.Engine.store E.compiled_simulator)
+          List.hd
+            (Store.Snapshot.instances_of_entity
+               (Store.snapshot ctx1.Engine.store)
+               E.compiled_simulator)
         in
         let s2 = reload (Workspace.session w) in
         let ctx2 = Session.context s2 in
-        match Engine.payload ctx2 sim1 with
+        match Engine.decode (Store.snapshot ctx2.Engine.store) sim1 with
         | Value.Tool (Value.Compiled_simulator c) ->
           check Alcotest.bool "has instructions" true
             (Eda.Sim_compiled.instruction_count c > 0)
@@ -179,9 +179,11 @@ let suite_cases =
           (Persist.save ~cemented (Workspace.session w));
         let s2 = Persist.load ~cemented Standard_schemas.odyssey text in
         check Alcotest.string "fixpoint" text (Persist.save ~cemented s2);
-        let store = (Session.context s2).Engine.store in
+        let store = Store.snapshot (Session.context s2).Engine.store in
         check Alcotest.bool "every payload left cold" false
-          (List.exists (Store.payload_resident store) (Store.all_instances store)));
+          (List.exists
+             (Store.Snapshot.payload_resident store)
+             (Store.Snapshot.all_instances store)));
     t "a second save/load cycle is a fixpoint" (fun () ->
         let w, _, _ = rich_session () in
         let text1 = Persist.save (Workspace.session w) in
@@ -352,7 +354,8 @@ let checkpoint_cases =
             ~meta:(Store.meta ~keywords:[ "k" ] ~created_at:n ()) value
         in
         let s2 = Persist.load Standard_schemas.odyssey (Persist.save (Workspace.session w)) in
-        (Store.meta_of (Session.context s2).Engine.store iid).Store.created_at = n);
+        let store = Store.snapshot (Session.context s2).Engine.store in
+        (Store.Snapshot.meta_of store iid).Store.created_at = n);
     t "a length beyond the bytes left is refused before it is allocated"
       (fun () ->
         let inline, _ = Lazy.force checkpoints in

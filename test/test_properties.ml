@@ -45,43 +45,46 @@ let history_laws =
     Util.qcheck ~count:30 "backward/forward duality" history_gen
       (fun (seed, depth) ->
         let w, _, v0, versions = edit_tree seed depth in
-        let h = Workspace.history w in
+        let h = History.snapshot (Workspace.history w) in
         (* every instance derived from v0 must have v0 among its
            ancestors, and vice versa *)
         List.for_all
           (fun v ->
             v = v0
-            || (List.mem v (History.derived_instances h v0)
-               && List.mem v0 (History.ancestor_instances h v)))
+            || (List.mem v (History.Snapshot.derived_instances h v0)
+               && List.mem v0 (History.Snapshot.ancestor_instances h v)))
           versions);
     Util.qcheck ~count:30 "version tree spans every version" history_gen
       (fun (seed, depth) ->
         let w, _, v0, versions = edit_tree seed depth in
-        let h = Workspace.history w and st = Workspace.store w in
-        let schema = Workspace.schema w in
-        let tree_members = History.versions h st schema v0 in
+        let h = History.snapshot (Workspace.history w) in
+        let tree_members = History.Snapshot.versions h v0 in
         List.for_all (fun v -> List.mem v tree_members) versions
         && List.length tree_members = List.length versions);
     Util.qcheck ~count:30 "version parents are older" history_gen
       (fun (seed, depth) ->
         let w, _, _, versions = edit_tree seed depth in
-        let h = Workspace.history w and st = Workspace.store w in
+        let { Engine.v_store = st; v_history = h } =
+          Engine.pin (Workspace.ctx w)
+        in
         List.for_all
           (fun v ->
-            match History.version_parent h v with
+            match History.Snapshot.version_parent h v with
             | None -> true
             | Some p ->
-              (Store.meta_of st p).Store.created_at
-              <= (Store.meta_of st v).Store.created_at)
+              (Store.Snapshot.meta_of st p).Store.created_at
+              <= (Store.Snapshot.meta_of st v).Store.created_at)
           versions);
     Util.qcheck ~count:20 "traces of every version validate" history_gen
       (fun (seed, depth) ->
         let w, _, _, versions = edit_tree seed depth in
-        let h = Workspace.history w and st = Workspace.store w in
+        let { Engine.v_store = st; v_history = h } =
+          Engine.pin (Workspace.ctx w)
+        in
         let schema = Workspace.schema w in
         List.for_all
           (fun v ->
-            let g, root, binding = History.trace h st schema v in
+            let g, root, binding = History.Snapshot.trace h st schema v in
             Task_graph.validate g;
             List.assoc root binding = v)
           versions);
@@ -120,8 +123,8 @@ let memo_history seed n =
   let add ~tool ~inputs out_entities =
     let outputs = List.map (fun e -> (e, put e)) out_entities in
     ignore
-      (History.add h store schema ~task_entity:(List.hd out_entities) ~tool
-         ~inputs ~outputs ~at:!clock);
+      (History.add h (Store.snapshot store) schema
+         ~task_entity:(List.hd out_entities) ~tool ~inputs ~outputs ~at:!clock);
     keys := (tool, inputs, out_entities) :: !keys;
     outputs
   in
@@ -159,14 +162,14 @@ let memo_history seed n =
   (h, model, !keys)
 
 (* The lookup by definition: the oldest of every record. *)
-let reference_lookup h ~tool ~inputs ~out_entities =
+let reference_lookup snap ~tool ~inputs ~out_entities =
   let inputs = List.sort compare inputs in
   List.find_opt
     (fun (r : History.record) ->
       r.History.tool = tool
       && List.sort compare r.History.inputs = inputs
       && List.for_all (fun e -> List.mem_assoc e r.History.outputs) out_entities)
-    (History.records h)
+    (History.Snapshot.records snap)
 
 let memo_props =
   [
@@ -178,7 +181,7 @@ let memo_props =
         let rid = Option.map (fun (r : History.record) -> r.History.rid) in
         let agree ~tool ~inputs ~out_entities =
           rid (History.Snapshot.find_derivation snap ~tool ~inputs ~out_entities)
-          = rid (reference_lookup h ~tool ~inputs ~out_entities)
+          = rid (reference_lookup snap ~tool ~inputs ~out_entities)
         in
         let circuit = Standard_schemas.E.circuit in
         List.for_all
@@ -416,8 +419,10 @@ let journal_props =
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
         let ctx = Journal.context j in
         ignore (Test_journal.activity ~seed ctx depth);
-        Store.annotate ctx.Engine.store
-          (1 + (seed mod Store.instance_count ctx.Engine.store))
+        let n =
+          Store.Snapshot.instance_count (Store.snapshot ctx.Engine.store)
+        in
+        Store.annotate ctx.Engine.store (1 + (seed mod n))
           ~label:(Printf.sprintf "a%d" seed)
           ~keywords:[ "generated" ] ();
         let before = Test_journal.state ctx in
@@ -447,14 +452,15 @@ let journal_props =
         ignore (Test_journal.activity ~seed ctx (1 + (steps mod 4)));
         Journal.sync j;
         let acked_state = Test_journal.state ctx in
-        let acked_tick = Store.tick ctx.Engine.store in
+        let store = Store.snapshot ctx.Engine.store in
+        let acked_tick = Store.Snapshot.tick store in
         let acked =
           List.map
             (fun iid ->
               ( iid,
-                Store.entity_of ctx.Engine.store iid,
-                Store.hash_of ctx.Engine.store iid ))
-            (Store.all_instances ctx.Engine.store)
+                Store.Snapshot.entity_of store iid,
+                Store.Snapshot.hash_of store iid ))
+            (Store.Snapshot.all_instances store)
         in
         let synced = (Unix.stat wal).Unix.st_size in
         (* unacked tail, then "crash": lose a random suffix of the wal
@@ -465,13 +471,14 @@ let journal_props =
         Unix.truncate wal (synced + Eda.Rng.int rng (full - synced + 1));
         let j2 = Journal.open_ ~dir Standard_schemas.odyssey in
         let ctx2 = Journal.context j2 in
+        let store2 = Store.snapshot ctx2.Engine.store in
         let prefix_ok =
-          Store.tick ctx2.Engine.store >= acked_tick
+          Store.Snapshot.tick store2 >= acked_tick
           && List.for_all
                (fun (iid, e, h) ->
-                 Store.mem ctx2.Engine.store iid
-                 && Store.entity_of ctx2.Engine.store iid = e
-                 && Store.hash_of ctx2.Engine.store iid = h)
+                 Store.Snapshot.mem store2 iid
+                 && Store.Snapshot.entity_of store2 iid = e
+                 && Store.Snapshot.hash_of store2 iid = h)
                acked
         in
         Journal.close j2;
@@ -483,7 +490,7 @@ let journal_props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The memoized subtype closure agrees with the bare parent walk       *)
+(* The schema's subtype closure agrees with the bare parent walk      *)
 (* ------------------------------------------------------------------ *)
 
 let schema_index_props =
@@ -509,13 +516,35 @@ let schema_index_props =
     | None -> false
     | Some p -> plain s ~sub:p ~super
   in
+  let rec plain_root s id =
+    match Schema.parent_of s id with
+    | None -> id
+    | Some p -> plain_root s p
+  in
+  (* breadth-first over the entities naming each one as parent, each
+     level's children in ascending id order *)
+  let plain_descendants s ids id =
+    let children x =
+      List.filter (fun c -> Schema.parent_of s c = Some x) ids
+      |> List.sort String.compare
+    in
+    let rec level acc = function
+      | [] -> List.rev acc
+      | xs ->
+        let next = List.concat_map children xs in
+        level (List.rev_append next acc) next
+    in
+    level [] [ id ]
+  in
   let agree s ids =
     List.for_all
       (fun sub ->
-        List.for_all
-          (fun super ->
-            Schema.is_subtype s ~sub ~super = plain s ~sub ~super)
-          ids)
+        Schema.root_of s sub = plain_root s sub
+        && Schema.descendants s sub = plain_descendants s ids sub
+        && List.for_all
+             (fun super ->
+               Schema.is_subtype s ~sub ~super = plain s ~sub ~super)
+             ids)
       ids
   in
   [
@@ -526,13 +555,13 @@ let schema_index_props =
     Util.qcheck ~count:40 "closure survives schema extension" forest_gen
       (fun (seed, n) ->
         let s, ids = build seed n in
-        (* query first so the closure tables exist, then extend: the
-           extended schema must answer from fresh tables, not the old
-           cache *)
-        let _ = agree s ids in
+        (* the extended schema answers from its own closure, and the
+           schema it extends keeps answering as before *)
+        let before = agree s ids in
         let parent = Printf.sprintf "e%d" (seed mod n) in
         let s' = Schema.add_entity s (Schema.entity ~parent "fresh" []) in
-        agree s' ("fresh" :: ids)
+        before
+        && agree s' ("fresh" :: ids)
         && Schema.is_subtype s' ~sub:"fresh" ~super:parent
         && agree s ids);
   ]

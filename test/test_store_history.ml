@@ -76,8 +76,9 @@ let store_tests =
         let a = Store.put store ~entity:"x" ~hash:"h1" ~meta "payload" in
         let b = Store.put store ~entity:"x" ~hash:"h1" ~meta "payload" in
         let c = Store.put store ~entity:"x" ~hash:"h2" ~meta "other" in
-        check Alcotest.int "instances" 3 (Store.instance_count store);
-        check Alcotest.int "payloads" 2 (Store.physical_count store);
+        let snap = Store.snapshot store in
+        check Alcotest.int "instances" 3 (Store.Snapshot.instance_count snap);
+        check Alcotest.int "payloads" 2 (Store.Snapshot.physical_count snap);
         check Alcotest.bool "distinct iids" true (a <> b && b <> c));
     t "annotate updates metadata" (fun () ->
         let store = Store.create () in
@@ -85,12 +86,12 @@ let store_tests =
         let iid = Store.put store ~entity:"x" ~hash:"h" ~meta "p" in
         Store.annotate store iid ~label:"low pass filter"
           ~comment:"for the dac paper" ();
-        let m = Store.meta_of store iid in
+        let m = Store.Snapshot.meta_of (Store.snapshot store) iid in
         check Alcotest.string "label" "low pass filter" m.Store.label;
         check Alcotest.string "comment" "for the dac paper" m.Store.comment);
     Util.expect_exn "missing instance"
       (function Ddf.Error.Ddf_error _ -> true | _ -> false)
-      (fun () -> Store.find (Store.create ()) 42);
+      (fun () -> Store.Snapshot.find (Store.snapshot (Store.create ())) 42);
     t "browse by user, date window, keyword and text" (fun () ->
         let store = Store.create () in
         let put user at label keywords =
@@ -101,7 +102,7 @@ let store_tests =
         let a = put "jbb" 2 "Low pass filter" [ "analog" ] in
         let b = put "director" 5 "CMOS Full adder" [ "cmos" ] in
         let c = put "sutton" 9 "Operational Amplifier" [ "analog" ] in
-        let ids f = Store.browse store f in
+        let ids f = Store.Snapshot.browse (Store.snapshot store) f in
         check (Alcotest.list Alcotest.int) "user" [ a ]
           (ids { Store.any_filter with Store.f_user = Some "jbb" });
         check (Alcotest.list Alcotest.int) "window" [ b ]
@@ -116,19 +117,27 @@ let store_tests =
         let a = Store.put store ~entity:"x" ~hash:"1" ~meta "p" in
         let b = Store.put store ~entity:"x" ~hash:"2" ~meta "q" in
         check (Alcotest.list Alcotest.int) "order" [ a; b ]
-          (Store.instances_of_entity store "x"));
+          (Store.Snapshot.instances_of_entity (Store.snapshot store) "x"));
   ]
 
 let history_tests =
   [
     t "backward chaining finds the whole derivation" (fun () ->
         let s = scenario () in
-        let records = History.backward_closure (Workspace.history s.w) s.s_extracted in
+        let records =
+          History.Snapshot.backward_closure
+            (History.snapshot (Workspace.history s.w))
+            s.s_extracted
+        in
         (* extraction <- placement <- edit e1 *)
         check Alcotest.int "three records" 3 (List.length records));
     t "forward chaining finds all derived data" (fun () ->
         let s = scenario () in
-        let derived = History.derived_instances (Workspace.history s.w) s.s_netlist in
+        let derived =
+          History.Snapshot.derived_instances
+            (History.snapshot (Workspace.history s.w))
+            s.s_netlist
+        in
         (* v2, v3, v3b, layout, extracted (+statistics) *)
         check Alcotest.bool "v3 derived" true (List.mem s.s_v3 derived);
         check Alcotest.bool "extracted derived" true
@@ -136,8 +145,9 @@ let history_tests =
         check Alcotest.bool "at least 5" true (List.length derived >= 5));
     t "trace reconstructs a valid task graph" (fun () ->
         let s = scenario () in
+        let v = Engine.pin (Workspace.ctx s.w) in
         let g, root, binding =
-          History.trace (Workspace.history s.w) (Workspace.store s.w)
+          History.Snapshot.trace v.Engine.v_history v.Engine.v_store
             (Workspace.schema s.w) s.s_extracted
         in
         Task_graph.validate g;
@@ -147,14 +157,18 @@ let history_tests =
           (Task_graph.entity_of g root));
     t "version parents follow edit inputs" (fun () ->
         let s = scenario () in
-        let h = Workspace.history s.w in
+        let h = History.snapshot (Workspace.history s.w) in
         check (Alcotest.option Alcotest.int) "v2 <- v1" (Some s.s_netlist)
-          (History.version_parent h s.s_v2);
+          (History.Snapshot.version_parent h s.s_v2);
         check (Alcotest.option Alcotest.int) "v1 is an origin" None
-          (History.version_parent h s.s_netlist));
+          (History.Snapshot.version_parent h s.s_netlist));
     t "version tree has the Fig. 11 shape" (fun () ->
         let s = scenario () in
-        let tree = History.version_tree (Workspace.history s.w) s.s_netlist in
+        let tree =
+          History.Snapshot.version_tree
+            (History.snapshot (Workspace.history s.w))
+            s.s_netlist
+        in
         check Alcotest.int "four versions" 4 (History.version_tree_size tree);
         (* v2 has two children: the branch *)
         let rec find t = if t.History.v_iid = s.s_v2 then Some t
@@ -165,17 +179,18 @@ let history_tests =
         | None -> Alcotest.fail "v2 not in tree");
     t "versions from any member reach the whole tree" (fun () ->
         let s = scenario () in
-        let h = Workspace.history s.w and st = Workspace.store s.w in
-        let schema = Workspace.schema s.w in
+        let h = History.snapshot (Workspace.history s.w) in
         check
           Alcotest.(slist int compare)
           "same set"
-          (History.versions h st schema s.s_netlist)
-          (History.versions h st schema s.s_v3b));
+          (History.Snapshot.versions h s.s_netlist)
+          (History.Snapshot.versions h s.s_v3b));
     t "out_of_date is empty for fresh data" (fun () ->
         let s = scenario () in
         check Alcotest.bool "fresh" true
-          (History.is_up_to_date (Workspace.history s.w) s.s_extracted));
+          (History.Snapshot.is_up_to_date
+             (History.snapshot (Workspace.history s.w))
+             s.s_extracted));
     t "an edit makes downstream data stale" (fun () ->
         let s = scenario () in
         let ctx = Workspace.ctx s.w in
@@ -194,8 +209,9 @@ let history_tests =
             ~bindings:[ (editor, session); (lay, s.s_layout) ]
         in
         let stale =
-          History.out_of_date (Workspace.history s.w) (Workspace.store s.w)
-            (Workspace.schema s.w) s.s_extracted
+          History.Snapshot.out_of_date
+            (History.snapshot (Workspace.history s.w))
+            s.s_extracted
         in
         check Alcotest.int "one stale input" 1 (List.length stale));
     t "query by template: simulations of this netlist" (fun () ->
@@ -213,8 +229,9 @@ let history_tests =
           | Some n -> n.Task_graph.nid
           | None -> Alcotest.fail "no layout node"
         in
+        let v = Engine.pin (Workspace.ctx s.w) in
         let results =
-          History.query_template (Workspace.history s.w) (Workspace.store s.w) g
+          History.Snapshot.query_template v.Engine.v_history v.Engine.v_store g
             ~bound:[ (lay, s.s_layout) ]
         in
         check Alcotest.int "one extraction" 1 (List.length results);
@@ -236,8 +253,9 @@ let history_tests =
           | None -> Alcotest.fail "no layout node"
         in
         (* bind the layout role to a netlist-unrelated instance *)
+        let v = Engine.pin (Workspace.ctx s.w) in
         let results =
-          History.query_template (Workspace.history s.w) (Workspace.store s.w) g
+          History.Snapshot.query_template v.Engine.v_history v.Engine.v_store g
             ~bound:[ (lay, s.s_extracted) ]
         in
         check Alcotest.int "none" 0 (List.length results));
@@ -251,6 +269,7 @@ let history_tests =
           Store.put store ~entity:E.stimuli ~hash:"x"
             ~meta:(Store.meta ~created_at:1 ()) ()
         in
+        let store = Store.snapshot store in
         let _ = History.add h store schema ~task_entity:E.stimuli ~tool:None
                   ~inputs:[] ~outputs:[ (E.stimuli, x) ] ~at:1 in
         History.add h store schema ~task_entity:E.stimuli ~tool:None ~inputs:[]
@@ -259,7 +278,7 @@ let history_tests =
 
 (* The browse before it read entity buckets: a scan of every instance
    through a predicate that lowercases label and comment and compares
-   a substring at each offset.  The oracle for [Store.browse]. *)
+   a substring at each offset.  The oracle for [Store.Snapshot.browse]. *)
 let linear_browse store (f : Store.filter) =
   let needle = Option.map String.lowercase_ascii f.Store.f_text in
   let contains_lower hay ln =
@@ -270,10 +289,10 @@ let linear_browse store (f : Store.filter) =
   in
   List.filter
     (fun iid ->
-      let m = Store.meta_of store iid in
+      let m = Store.Snapshot.meta_of store iid in
       (match f.Store.f_entities with
       | None -> true
-      | Some es -> List.mem (Store.entity_of store iid) es)
+      | Some es -> List.mem (Store.Snapshot.entity_of store iid) es)
       && (match f.Store.f_user with None -> true | Some u -> m.Store.user = u)
       && (match f.Store.f_from with
          | None -> true
@@ -285,7 +304,7 @@ let linear_browse store (f : Store.filter) =
       | None -> true
       | Some ln ->
         contains_lower m.Store.label ln || contains_lower m.Store.comment ln)
-    (Store.all_instances store)
+    (Store.Snapshot.all_instances store)
 
 (* Random stores (with annotations) and filters over every field:
    entity lists with duplicates, unknown entities and the empty list;
@@ -349,19 +368,20 @@ let browse_tests =
         in
         (* a reader pinned before the annotations keeps its answers *)
         let pinned = Store.snapshot store in
-        let before = List.map (linear_browse store) filters in
+        let before = List.map (linear_browse pinned) filters in
         List.iter
           (fun (iid, label, keywords) ->
-            if Store.mem store iid then
+            if Store.Snapshot.mem pinned iid then
               Store.annotate store iid ?label ?keywords ())
           annotations;
-        (* the keyword index, live and pinned, files exactly each
-           keyword's instances *)
+        (* the keyword index, pinned before the annotations and after
+           them, files exactly each keyword's instances *)
+        let after = Store.snapshot store in
         Store.Snapshot.check_keyword_index pinned;
-        Store.Snapshot.check_keyword_index (Store.snapshot store);
+        Store.Snapshot.check_keyword_index after;
         List.for_all2
           (fun f want ->
-            Store.browse store f = linear_browse store f
+            Store.Snapshot.browse after f = linear_browse after f
             && Store.Snapshot.browse pinned f = want)
           filters before);
   ]

@@ -233,14 +233,14 @@ let convergence =
 (* Netlist versions carry their (renamed) netlist name; labels are
    engine-generated summaries, so we match on the payload. *)
 let find_version ctx name =
-  let store = ctx.Engine.store in
+  let store = Store.snapshot ctx.Engine.store in
   match
     List.find_opt
       (fun iid ->
-        match Engine.payload ctx iid with
+        match Engine.decode store iid with
         | Value.Netlist nl -> nl.Eda.Netlist.name = name
         | _ -> false)
-      (Store.instances_of_entity store E.edited_netlist)
+      (Store.Snapshot.instances_of_entity store E.edited_netlist)
   with
   | Some iid -> iid
   | None -> Alcotest.failf "no netlist version named %s" name
@@ -265,19 +265,23 @@ let conflicts =
             ignore (find_version ctx "ours");
             ignore (find_version ctx "theirs"))
           [ ca; cb ];
-        let kids = History.version_children ca.Engine.history base_a in
+        let ha = History.snapshot ca.Engine.history in
+        let kids = History.Snapshot.version_children ha base_a in
         Alcotest.(check int) "sibling versions under the base" 2
           (List.length kids);
         (* ... and the divergence is registered once per side *)
-        let open_a = History.conflicts ca.Engine.history in
+        let open_a = History.Snapshot.conflicts ha in
         Alcotest.(check int) "one open conflict on a" 1 (List.length open_a);
         Alcotest.(check int) "one open conflict on b" 1
-          (List.length (History.conflicts cb.Engine.history));
+          (List.length
+             (History.Snapshot.conflicts (History.snapshot cb.Engine.history)));
         (* a second session must not re-register it *)
         ignore
           (Sync.run ~a:(Sync.of_journal ja) ~b:(Sync.of_journal jb) ());
         Alcotest.(check int) "still one conflict" 1
-          (List.length (History.all_conflicts ca.Engine.history));
+          (List.length
+             (History.Snapshot.all_conflicts
+                (History.snapshot ca.Engine.history)));
         check_converged ~msg:"conflicting states still converge" ja jb);
     Alcotest.test_case "a resolution travels to the peer" `Quick (fun () ->
         with_clone_pair ~prep:(fun ctx -> ignore (activity ctx 1))
@@ -287,7 +291,9 @@ let conflicts =
         ignore (edit cb ~name:"theirs" (find_version cb "v1"));
         ignore
           (Sync.run ~a:(Sync.of_journal ja) ~b:(Sync.of_journal jb) ());
-        (match History.conflicts ca.Engine.history with
+        (match
+           History.Snapshot.conflicts (History.snapshot ca.Engine.history)
+         with
         | [ c ] ->
           ignore
             (History.resolve_conflict ca.Engine.history c.History.cid
@@ -297,7 +303,8 @@ let conflicts =
         ignore
           (Sync.run ~a:(Sync.of_journal ja) ~b:(Sync.of_journal jb) ());
         Alcotest.(check int) "no open conflicts left on b" 0
-          (List.length (History.conflicts cb.Engine.history));
+          (List.length
+             (History.Snapshot.conflicts (History.snapshot cb.Engine.history)));
         check_converged ~msg:"resolved states converge" ja jb);
     Alcotest.test_case "concurrent annotations merge as a max-register"
       `Quick (fun () ->
@@ -309,12 +316,16 @@ let conflicts =
         Store.annotate cb.Engine.store ib ~label:"zulu" ();
         ignore
           (Sync.run ~a:(Sync.of_journal ja) ~b:(Sync.of_journal jb) ());
-        Alcotest.(check string) "larger annotation wins on a" "zulu"
-          (Store.meta_of ca.Engine.store ia).Store.label;
-        Alcotest.(check string) "larger annotation wins on b" "zulu"
-          (Store.meta_of cb.Engine.store ib).Store.label;
+        let label ctx iid =
+          (Store.Snapshot.meta_of (Store.snapshot ctx.Engine.store) iid)
+            .Store.label
+        in
+        Alcotest.(check string) "larger annotation wins on a" "zulu" (label ca ia);
+        Alcotest.(check string) "larger annotation wins on b" "zulu" (label cb ib);
         Alcotest.(check int) "annotations never conflict" 0
-          (List.length (History.all_conflicts ca.Engine.history));
+          (List.length
+             (History.Snapshot.all_conflicts
+                (History.snapshot ca.Engine.history)));
         check_converged ja jb);
   ]
 
@@ -579,9 +590,10 @@ let rules =
         ignore (Sync.apply_frames jb ~origin ~upto:(upto - 1) puts);
         let ctx = Journal.context jb in
         let state () =
-          ( History.size ctx.Engine.history,
-            History.tick ctx.Engine.history,
-            Store.instance_count ctx.Engine.store,
+          let v = Engine.pin ctx in
+          ( History.Snapshot.size v.Engine.v_history,
+            History.Snapshot.tick v.Engine.v_history,
+            Store.Snapshot.instance_count v.Engine.v_store,
             Journal.seq jb )
         in
         let before = state () in

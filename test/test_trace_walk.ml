@@ -1,6 +1,6 @@
 (* The one-walk trace text (History.Snapshot.trace_text) against the
-   graph route it replaces: Task_graph.to_ascii of History.trace plus
-   the instance-count line, byte for byte.  Every record the graph
+   graph route it replaces: Task_graph.to_ascii of History.Snapshot.trace
+   plus the instance-count line, byte for byte.  Every record the graph
    build rejected, [History.add] now refuses with the graph build's
    exception, so neither route meets one.  Also the forward fold
    behind [derived_instances] against the record-list route. *)
@@ -72,8 +72,8 @@ let record w ?tool ?(also = []) entity inputs =
   let outputs = (entity, out) :: List.map (fun e -> (e, put w e)) also in
   w.clock <- w.clock + 1;
   ignore
-    (History.add w.hist w.store schema ~task_entity:entity ~tool ~inputs
-       ~outputs ~at:w.clock);
+    (History.add w.hist (Store.snapshot w.store) schema ~task_entity:entity
+       ~tool ~inputs ~outputs ~at:w.clock);
   out
 
 (* A random instance of one of [entities], newest first with odds 1/2
@@ -141,8 +141,8 @@ type fault = { attempt : unit -> unit; expect : exn }
 let derive w ?tool entity out inputs () =
   w.clock <- w.clock + 1;
   ignore
-    (History.add w.hist w.store schema ~task_entity:entity ~tool ~inputs
-       ~outputs:[ (entity, out) ] ~at:w.clock)
+    (History.add w.hist (Store.snapshot w.store) schema ~task_entity:entity
+       ~tool ~inputs ~outputs:[ (entity, out) ] ~at:w.clock)
 
 (* One fault of each kind, by the name of its test. *)
 let fault_kinds =
@@ -213,13 +213,17 @@ let fault_kinds =
 (* Attempt a fault: [add] raises its exception and leaves the history's
    size and tick as they were. *)
 let refused w f =
-  let before = (History.size w.hist, History.tick w.hist) in
+  let size_and_tick () =
+    let h = History.snapshot w.hist in
+    (History.Snapshot.size h, History.Snapshot.tick h)
+  in
+  let before = size_and_tick () in
   match f.attempt () with
   | () -> Error "add accepted the record"
   | exception e ->
     let got = Printexc.to_string e and want = Printexc.to_string f.expect in
     if got <> want then Error (Printf.sprintf "add raised %s, not %s" got want)
-    else if (History.size w.hist, History.tick w.hist) <> before then
+    else if size_and_tick () <> before then
       Error "the refused record changed the history's size or tick"
     else Ok ()
 
@@ -281,7 +285,7 @@ let same_trace w iid =
       (match walk with Ok s -> s | Error e -> "raised " ^ e);
   true
 
-let all_iids w = Store.all_instances w.store
+let all_iids w = Store.Snapshot.all_instances (Store.snapshot w.store)
 
 let gen_history = QCheck2.Gen.(pair int (int_range 1 60))
 
@@ -314,7 +318,8 @@ let walk_tests =
     t "a 1500-deep chain: one line per node, the sources shared" (fun () ->
         let w, top = edit_chain 1500 in
         let text =
-          History.trace_text w.hist w.store schema top
+          History.Snapshot.trace_text (History.snapshot w.hist)
+            (Store.snapshot w.store) schema top
         in
         let lines = String.split_on_char '\n' text in
         let count sub =
@@ -328,7 +333,10 @@ let walk_tests =
         check Alcotest.int "shared" (3 * 1499) (count "(shared)"));
     t "a short trace after a deep one allocates no large buffer" (fun () ->
         let deep, deep_top = edit_chain 400 and short, short_top = edit_chain 2 in
-        let trace w top = History.trace_text w.hist w.store schema top in
+        let trace w top =
+          History.Snapshot.trace_text (History.snapshot w.hist)
+            (Store.snapshot w.store) schema top
+        in
         let major_words f =
           Gc.minor ();
           let before = (Gc.quick_stat ()).Gc.major_words in
@@ -498,19 +506,12 @@ let uses_tests =
         (match refused w (long_cycle rng w (1 + Random.State.int rng 5)) with
         | Ok () -> ()
         | Error m -> QCheck2.Test.fail_reportf "a long cycle: %s" m);
-        let live =
+        let reads snap =
           (module struct
-            let uses_of = History.uses_of w.hist
-            let forward_closure = History.forward_closure w.hist
-            let backward_closure = History.backward_closure w.hist
-            let derived_instances = History.derived_instances w.hist
-          end : CHAINING)
-        and frozen =
-          (module struct
-            let uses_of = History.Snapshot.uses_of pinned
-            let forward_closure = History.Snapshot.forward_closure pinned
-            let backward_closure = History.Snapshot.backward_closure pinned
-            let derived_instances = History.Snapshot.derived_instances pinned
+            let uses_of = History.Snapshot.uses_of snap
+            let forward_closure = History.Snapshot.forward_closure snap
+            let backward_closure = History.Snapshot.backward_closure snap
+            let derived_instances = History.Snapshot.derived_instances snap
           end : CHAINING)
         in
         let latest = History.snapshot w.hist in
@@ -520,11 +521,12 @@ let uses_tests =
         in
         if
           History.Snapshot.records pinned
-          <> List.filter before_pin (History.records w.hist)
+          <> List.filter before_pin (History.Snapshot.records latest)
         then QCheck2.Test.fail_reportf "the pinned snapshot sees a later record";
         List.for_all
           (fun iid ->
-            chains_alike latest live iid && chains_alike pinned frozen iid)
+            chains_alike latest (reads latest) iid
+            && chains_alike pinned (reads pinned) iid)
           (all_iids w));
   ]
 

@@ -181,7 +181,9 @@ let put (ctx : Engine.context) entity created =
   let value =
     Value.Blob
       { blob_kind = "text";
-        text = Printf.sprintf "%s %d" entity (Store.tick ctx.Engine.store) }
+        text =
+          Printf.sprintf "%s %d" entity
+            (Store.Snapshot.tick (Store.snapshot ctx.Engine.store)) }
   in
   Engine.put ctx ~entity
     ~meta:(Store.meta ~user:ctx.Engine.user ~created_at:created ())
@@ -203,10 +205,11 @@ let conforming_inputs (ctx : Engine.context) entity picked =
   | Schema.Source -> List.mapi (fun i p -> (Printf.sprintf "r%d" i, p)) picked
   | Schema.Abstract _ -> []
   | Schema.Constructed deps ->
+    let store = Store.snapshot ctx.Engine.store in
     let fits p (d : Schema.dep) =
       d.Schema.dep_kind <> Schema.Functional
       && Schema.is_subtype schema
-           ~sub:(Store.entity_of ctx.Engine.store p) ~super:d.Schema.target
+           ~sub:(Store.Snapshot.entity_of store p) ~super:d.Schema.target
     in
     List.rev
       (List.fold_left
@@ -226,7 +229,10 @@ let conforming_inputs (ctx : Engine.context) entity picked =
    else any.  Every record conforms to the schema's construction rules:
    its outputs share one entity, whose rule admits its inputs. *)
 let apply (ctx : Engine.context) ops =
-  let pool () = Array.of_list (Store.all_instances ctx.Engine.store) in
+  let instances () =
+    Store.Snapshot.all_instances (Store.snapshot ctx.Engine.store)
+  in
+  let pool () = Array.of_list (instances ()) in
   let pick p =
     let a = pool () in
     if p mod 2 = 0 then a.(Array.length a - 1) else a.(p / 2 mod Array.length a)
@@ -239,30 +245,32 @@ let apply (ctx : Engine.context) ops =
         ignore (put ctx entities.(entity) created);
         pins
       | Derive { entity; picks; extra; late; created; at } ->
-        if Store.all_instances ctx.Engine.store = [] then
+        if instances () = [] then
           ignore (put ctx entities.(entity) created)
         else begin
           let picked = List.map pick picks in
           let newest_input = List.fold_left max 0 picked in
           (* newer than every input, so no edit cycle can form *)
+          let h = History.snapshot ctx.Engine.history in
           let unproduced iid =
-            iid > newest_input
-            && History.derivation_of ctx.Engine.history iid = None
+            iid > newest_input && History.Snapshot.derivation_of h iid = None
           in
           let first =
-            match List.find_opt unproduced (Store.all_instances ctx.Engine.store) with
+            match List.find_opt unproduced (instances ()) with
             | Some iid when late -> iid
             | Some _ | None ->
               put ctx derived.(entity mod Array.length derived) created
           in
-          let out_entity = Store.entity_of ctx.Engine.store first in
+          let out_entity =
+            Store.Snapshot.entity_of (Store.snapshot ctx.Engine.store) first
+          in
           let outputs =
             (out_entity, first)
             :: List.init extra (fun _ -> (out_entity, put ctx out_entity created))
           in
           ignore
-            (History.add ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-               ~task_entity:out_entity ~tool:None
+            (History.add ctx.Engine.history (Store.snapshot ctx.Engine.store)
+               ctx.Engine.schema ~task_entity:out_entity ~tool:None
                ~inputs:(conforming_inputs ctx out_entity picked) ~outputs ~at)
         end;
         pins)
@@ -322,27 +330,29 @@ let roots_and_ties () =
   let derive ~created ~at parent =
     let v = put ctx E.edited_netlist created in
     ignore
-      (History.add ctx.Engine.history ctx.Engine.store ctx.Engine.schema
-         ~task_entity:E.edited_netlist ~tool:None ~inputs:[ ("netlist", parent) ]
+      (History.add ctx.Engine.history (Store.snapshot ctx.Engine.store)
+         ctx.Engine.schema ~task_entity:E.edited_netlist ~tool:None
+         ~inputs:[ ("netlist", parent) ]
          ~outputs:[ (E.edited_netlist, v) ] ~at);
     v
   in
-  let h = ctx.Engine.history and st = ctx.Engine.store in
+  (* each read pins afresh: the derivations between them write *)
+  let h () = History.snapshot ctx.Engine.history in
   Alcotest.(check int) "a lone install is its own latest" v0
-    (History.latest_version h st schema v0);
+    (History.Snapshot.latest_version (h ()) v0);
   let v1 = derive ~created:5 ~at:5 v0 in
   let v2 = derive ~created:5 ~at:5 v0 in
   Alcotest.(check (option int)) "the install is the root" None
-    (History.version_parent h v0);
+    (History.Snapshot.version_parent (h ()) v0);
   Alcotest.(check (list int)) "siblings, ascending" [ v1; v2 ]
-    (History.version_children h v0);
+    (History.Snapshot.version_children (h ()) v0);
   Alcotest.(check int) "a tie goes to the higher iid" v2
-    (History.latest_version h st schema v1);
+    (History.Snapshot.latest_version (h ()) v1);
   let old = derive ~created:1 ~at:6 v2 in
   Alcotest.(check int) "an older edit is not the latest" v2
-    (History.latest_version h st schema old);
+    (History.Snapshot.latest_version (h ()) old);
   Alcotest.(check (list int)) "versions, ascending" [ v0; v1; v2; old ]
-    (History.versions h st schema old);
+    (History.Snapshot.versions (h ()) old);
   Alcotest.(check bool) "oracle" true (agrees (Engine.pin ctx))
 
 let suite =
