@@ -144,6 +144,15 @@ let best_ns_each ?(passes = 15) ?(iters = 1_000) fs =
 
 let thunk f () = ignore (Sys.opaque_identity (f ()))
 
+(* The [p]-quantile of [xs] by linear interpolation between ranks. *)
+let quantile xs p =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let r = p *. float_of_int (Array.length a - 1) in
+  let lo = int_of_float r in
+  let hi = min (lo + 1) (Array.length a - 1) in
+  a.(lo) +. ((r -. float_of_int lo) *. (a.(hi) -. a.(lo)))
+
 let best_ns ?passes ?iters f =
   List.hd (best_ns_each ?passes ?iters [ thunk f ])
 

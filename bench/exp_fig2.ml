@@ -50,32 +50,62 @@ let run () =
     "rerun on new stimuli: %d executed, %d memo hits (the compile is reused)\n"
     run2.Engine.stats.Engine.executed run2.Engine.stats.Engine.memo_hits;
 
-  (* crossover sweep: event-driven vs compile+run *)
-  Bench_util.section "crossover sweep (adder8, median wall-clock, us)";
+  (* crossover sweep: event-driven vs compile+run.  Each repetition
+     times the compile and every row once, so a slow phase of the host
+     touches every row alike; a row names a winner only when its two
+     interquartile ranges are disjoint. *)
+  let reps = 21 in
+  Bench_util.section
+    (Printf.sprintf
+       "crossover sweep (adder8, wall-clock us: median and IQR of %d \
+        interleaved repetitions)"
+       reps);
   let nl = Eda.Circuits.ripple_adder 8 in
   let compiled = Eda.Sim_compiled.compile nl in
-  let compile_us = Bench_util.time_us (fun () -> Eda.Sim_compiled.compile nl) in
+  let sizes = [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ] in
+  let stims =
+    List.map (fun k -> Eda.Stimuli.for_netlist ~n:k nl (Eda.Rng.create 7)) sizes
+  in
+  let time f = Bench_util.time_us ~runs:1 f in
+  let samples =
+    List.init reps (fun _ ->
+        let compile = time (fun () -> Eda.Sim_compiled.compile nl) in
+        ( compile,
+          List.map
+            (fun stim ->
+              let event = time (fun () -> Eda.Sim_event.run nl stim) in
+              let crun = time (fun () -> Eda.Sim_compiled.run compiled stim) in
+              (event, crun, compile +. crun))
+            stims ))
+  in
+  let spread xs =
+    (Bench_util.quantile xs 0.25, Bench_util.quantile xs 0.5,
+     Bench_util.quantile xs 0.75)
+  in
+  let _, compile_us, _ = spread (List.map fst samples) in
   let rows =
-    List.map
-      (fun k ->
-        let stim = Eda.Stimuli.for_netlist ~n:k nl (Eda.Rng.create 7) in
-        let event = Bench_util.time_us (fun () -> Eda.Sim_event.run nl stim) in
-        let crun =
-          Bench_util.time_us (fun () -> Eda.Sim_compiled.run compiled stim)
-        in
-        let total = compile_us +. crun in
+    List.mapi
+      (fun i k ->
+        let pick f = List.map (fun (_, row) -> f (List.nth row i)) samples in
+        let e_lo, event, e_hi = spread (pick (fun (e, _, _) -> e)) in
+        let _, crun, _ = spread (pick (fun (_, c, _) -> c)) in
+        let t_lo, total, t_hi = spread (pick (fun (_, _, t) -> t)) in
         [
           string_of_int k;
           Printf.sprintf "%.0f" event;
+          Printf.sprintf "%.0f" (e_hi -. e_lo);
           Printf.sprintf "%.0f" compile_us;
           Printf.sprintf "%.0f" crun;
           Printf.sprintf "%.0f" total;
-          (if total < event then "compiled" else "event");
+          Printf.sprintf "%.0f" (t_hi -. t_lo);
+          (if t_hi < e_lo then "compiled" else if e_hi < t_lo then "event"
+           else "tie");
         ])
-      [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]
+      sizes
   in
   Bench_util.print_table
-    [ "vectors"; "event"; "compile"; "comp-run"; "comp-total"; "winner" ]
+    [ "vectors"; "event"; "IQR"; "compile"; "comp-run"; "comp-total"; "IQR";
+      "winner" ]
     rows;
 
   Bench_util.section "per-operation latency";

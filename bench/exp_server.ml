@@ -93,15 +93,6 @@ let window () =
 
 let windows = 10
 
-(* The [p]-quantile of [xs] by linear interpolation between ranks. *)
-let quantile xs p =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let r = p *. float_of_int (Array.length a - 1) in
-  let lo = int_of_float r in
-  let hi = min (lo + 1) (Array.length a - 1) in
-  a.(lo) +. ((r -. float_of_int lo) *. (a.(hi) -. a.(lo)))
-
 let run () =
   Bench_util.section
     (Printf.sprintf
@@ -118,9 +109,9 @@ let run () =
      interquartile range, so two builds compare window against window. *)
   let summary name fmt pick =
     let xs = List.map pick ws in
-    let median = quantile xs 0.5 in
+    let median = Bench_util.quantile xs 0.5 in
     Printf.printf "  %s median %s, IQR %s\n" name (fmt median)
-      (fmt (quantile xs 0.75 -. quantile xs 0.25));
+      (fmt (Bench_util.quantile xs 0.75 -. Bench_util.quantile xs 0.25));
     median
   in
   let rps = summary "req/s" (Printf.sprintf "%.0f") (fun (r, _, _) -> r) in

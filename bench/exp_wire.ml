@@ -5,7 +5,11 @@
    (2) framed transport throughput for large payload bodies over a
    socketpair (the zero-copy slice path); (3) an end-to-end mini rerun
    of experiment S's shape: one server and one client driving an
-   install/browse workload, singly and as pipelined batches.  Exported
+   install/browse workload, singly and as pipelined batches.  Between
+   (2) and (3), round trips of small frames: read(2)s per frame
+   received over a socketpair ping-pong, plain and with deadline and
+   trace header fields ([wire.bench.reads_per_frame], the worse of the
+   two), and the round trip's median there and against a daemon.  Exported
    as gauges for --json; the codec medians also scaled by a host
    reference chunk timed among the frames
    ([wire.bench.{encode,decode}_ns_median_scaled]). *)
@@ -142,9 +146,10 @@ let stream_throughput ~frames ~bytes_per =
       ()
   in
   let received = ref 0 in
+  let rx = Wire.receiver b in
   (try
      while
-       match Wire.recv_response b with
+       match Wire.recv_response rx with
        | Some _ ->
          incr received;
          !received < frames
@@ -158,6 +163,103 @@ let stream_throughput ~frames ~bytes_per =
   let wall = Unix.gettimeofday () -. t0 in
   let mb = float_of_int (frames * bytes_per) /. 1e6 in
   (mb /. wall, !received)
+
+(* ------------------------------------------------------------------ *)
+(* Reads per frame and the round trip                                  *)
+(* ------------------------------------------------------------------ *)
+
+let m_recv_reads = Metrics.counter "wire.recv_reads"
+
+let pong_rounds = 200
+
+(* A socketpair ping-pong of small frames, with or without the
+   deadline and trace header fields: each side sends only once it holds
+   the other's frame, so every frame is waiting whole when it is read.
+   The read(2)s per frame received, both sides counted, and the round
+   trip's median us. *)
+let ping_pong ~headers =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let deadline_ms, trace =
+    if headers then (Some 5_000, Some (Obs.new_root ())) else (None, None)
+  in
+  let echo =
+    Thread.create
+      (fun () ->
+        let rx = Wire.receiver b in
+        for _ = 1 to pong_rounds do
+          match Wire.recv_request rx with
+          | Some _ -> Wire.send_response ?deadline_ms ?trace b Wire.Ok_unit
+          | None -> ()
+        done)
+      ()
+  in
+  let rx = Wire.receiver a in
+  let reads0 = Metrics.count m_recv_reads in
+  let rtts =
+    List.init pong_rounds (fun i ->
+        let t0 = Unix.gettimeofday () in
+        Wire.send_request ?deadline_ms ?trace a (Wire.Run i);
+        ignore (Wire.recv_response rx);
+        (Unix.gettimeofday () -. t0) *. 1e6)
+  in
+  Thread.join echo;
+  let reads = Metrics.count m_recv_reads - reads0 in
+  Unix.close a;
+  Unix.close b;
+  ( float_of_int reads /. float_of_int (2 * pong_rounds),
+    Bench_util.quantile rtts 0.5 )
+
+(* [Client.ping] against a daemon: read(2)s per frame received (the
+   daemon's connection thread and the client, both in this process)
+   and the round trip's median us. *)
+let daemon_pings c =
+  let reads0 = Metrics.count m_recv_reads in
+  let rtts =
+    List.init pong_rounds (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        Client.ping c;
+        (Unix.gettimeofday () -. t0) *. 1e6)
+  in
+  ( float_of_int (Metrics.count m_recv_reads - reads0)
+    /. float_of_int (2 * pong_rounds),
+    Bench_util.quantile rtts 0.5 )
+
+let pong_windows = 10
+
+(* The three shapes window by window, interleaved, so a slow phase of
+   the host touches each alike; each row is the median and IQR of its
+   windows' medians. *)
+let round_trips socket =
+  Client.with_client ~user:"ping" ~socket @@ fun c ->
+  let windows =
+    List.init pong_windows (fun _ ->
+        let plain = ping_pong ~headers:false in
+        let headers = ping_pong ~headers:true in
+        [ plain; headers; daemon_pings c ])
+  in
+  let row i name =
+    let col f = List.map (fun w -> f (List.nth w i)) windows in
+    let rtt = col snd in
+    let reads = List.fold_left Float.max 0.0 (col fst) in
+    ( reads,
+      Bench_util.quantile rtt 0.5,
+      [ name; Printf.sprintf "%.2f" reads;
+        Printf.sprintf "%.1f" (Bench_util.quantile rtt 0.5);
+        Printf.sprintf "%.1f"
+          (Bench_util.quantile rtt 0.75 -. Bench_util.quantile rtt 0.25) ] )
+  in
+  let plain = row 0 "socketpair, plain frames"
+  and headers = row 1 "socketpair, deadline + trace"
+  and daemon = row 2 "daemon ping (not gated)" in
+  Bench_util.print_table
+    [ "round trip"; "reads/frame"; "median us"; "IQR us" ]
+    (List.map (fun (_, _, r) -> r) [ plain; headers; daemon ]);
+  let reads (r, _, _) = r and rtt (_, m, _) = m in
+  Metrics.set
+    (Metrics.gauge "wire.bench.reads_per_frame")
+    (Float.max (reads plain) (reads headers));
+  Metrics.set (Metrics.gauge "wire.bench.pair_rtt_us_median") (rtt plain);
+  Metrics.set (Metrics.gauge "wire.bench.ping_rtt_us_median") (rtt daemon)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: one server, one client                                  *)
@@ -230,10 +332,7 @@ let run () =
   Printf.printf "  %8.0f MB/s  (%d frames)\n" mbps got;
   Metrics.set (Metrics.gauge "wire.bench.stream_mbps_binary") mbps;
 
-  (* --- end to end --- *)
-  Bench_util.section
-    (Printf.sprintf "end to end: %d install/annotate/browse/stat rounds"
-       e2e_rounds);
+  (* --- round trips and end to end, against one daemon --- *)
   let dir = fresh_dir () in
   rm_rf dir;
   let socket = Filename.concat dir "s.sock" in
@@ -244,6 +343,15 @@ let run () =
       Server.wait t;
       rm_rf dir)
     (fun () ->
+      Bench_util.section
+        (Printf.sprintf
+           "round trips of small frames: %d interleaved windows of %d, \
+            the most reads per frame received"
+           pong_windows pong_rounds);
+      round_trips socket;
+      Bench_util.section
+        (Printf.sprintf "end to end: %d install/annotate/browse/stat rounds"
+           e2e_rounds);
       let rps = e2e_workload socket in
       let bat = batch_workload socket in
       Printf.printf "  singles: %8.0f req/s\n" rps;

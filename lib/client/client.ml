@@ -43,7 +43,8 @@ type t = {
   c_timeout : float option;
   c_retries : int;
   c_deadline : float option;          (* per-call budget, seconds *)
-  mutable fd : Unix.file_descr option;
+  (* the socket and its receiver, the one reader of that socket *)
+  mutable conn : (Unix.file_descr * Wire.receiver) option;
   mutable closed : bool;
 }
 
@@ -53,10 +54,10 @@ let backoff_initial = 0.05
 let backoff_max = 1.0
 
 let drop t =
-  match t.fd with
+  match t.conn with
   | None -> ()
-  | Some fd ->
-    t.fd <- None;
+  | Some (fd, _) ->
+    t.conn <- None;
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
 (* One dial attempt: socket, connect, hello.  The server answers the
@@ -80,9 +81,10 @@ let dial t =
     try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
     with Unix.Unix_error _ | Invalid_argument _ -> ())
   | None -> ());
+  let rx = Wire.receiver fd in
   (match
      Wire.send_request fd (Wire.hello t.c_user);
-     Wire.recv_response fd
+     Wire.recv_response rx
    with
   | Some (Wire.Ok_unit, _) -> ()
   | Some (Wire.Error err, _) ->
@@ -92,7 +94,7 @@ let dial t =
   | None -> fail "server closed the connection during hello"
   | exception Wire.Wire_error m -> fail "%s" m
   | exception Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e));
-  t.fd <- Some fd
+  t.conn <- Some (fd, rx)
 
 (* A refused hello (version mismatch) comes back [retryable = false]
    and is final; an unreachable socket or a capacity refusal is
@@ -113,11 +115,11 @@ let rec dial_retrying t attempts backoff =
 
 let ensure_connected t =
   if t.closed then client_errorf ~code:`Invalid "connection is closed";
-  match t.fd with
-  | Some fd -> fd
+  match t.conn with
+  | Some conn -> conn
   | None ->
     dial_retrying t t.c_retries backoff_initial;
-    Option.get t.fd
+    Option.get t.conn
 
 (* Tracing: the whole call is one [client.request] span; each wire
    attempt is a [client.attempt] child whose context rides the frame
@@ -145,7 +147,7 @@ let call t req =
       E.errorf `Timeout "deadline (%gs) spent before the request went out"
         (Option.value t.c_deadline ~default:0.0)
     | Some _ | None -> ());
-    let fd = ensure_connected t in
+    let fd, rx = ensure_connected t in
     (* what is left of the budget rides in the frame header, so the
        server can shed the request once we are no longer listening *)
     let deadline_ms =
@@ -180,7 +182,7 @@ let call t req =
           match
             Wire.send_request ?deadline_ms ?trace:(Obs.current_span ()) fd req;
             sent := true;
-            Wire.recv_response fd
+            Wire.recv_response rx
           with
           | v -> Ok v
           | exception e -> Error e)
@@ -294,7 +296,7 @@ let connect ?(user = "anonymous") ?timeout ?(retries = 0) ?deadline ~socket
     () =
   let t =
     { socket; c_user = user; c_timeout = timeout; c_retries = retries;
-      c_deadline = deadline; fd = None; closed = false }
+      c_deadline = deadline; conn = None; closed = false }
   in
   dial_retrying t retries backoff_initial;
   t
@@ -421,7 +423,7 @@ let resolve t ~conflict ~winner =
    against the stream digest and renamed into place, so it never
    exists as one in-memory string. *)
 let snapshot_export t ~out =
-  let fd = ensure_connected t in
+  let fd, rx = ensure_connected t in
   let tmp = out ^ ".tmp" in
   let fail fmt =
     Printf.ksprintf
@@ -431,7 +433,7 @@ let snapshot_export t ~out =
       fmt
   in
   let recv () =
-    match Wire.recv_response fd with
+    match Wire.recv_response rx with
     | Some (resp, _) -> resp
     | None -> fail "server closed the connection mid-export"
     | exception Wire.Wire_error m -> fail "%s" m

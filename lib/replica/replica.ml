@@ -70,6 +70,7 @@ module Feed = struct
 
   type t = {
     fd : Unix.file_descr;
+    rx : Wire.receiver;
     spool : string;
     mutable closed : bool;
   }
@@ -87,9 +88,10 @@ module Feed = struct
     | () -> ()
     | exception Unix.Unix_error (e, _, _) ->
       fail "cannot connect to primary %s: %s" socket (Unix.error_message e));
+    let rx = Wire.receiver fd in
     (match
        Wire.send_request fd (Wire.hello user);
-       Wire.recv_response fd
+       Wire.recv_response rx
      with
     | Some (Wire.Ok_unit, _) -> ()
     | Some (Wire.Error err, _) ->
@@ -100,7 +102,7 @@ module Feed = struct
     (match Wire.send_request fd (Wire.Subscribe since) with
     | () -> ()
     | exception Wire.Wire_error m -> fail "%s" m);
-    { fd; spool; closed = false }
+    { fd; rx; spool; closed = false }
 
   let spool_snapshot t ~seq ~bytes =
     let path =
@@ -108,7 +110,7 @@ module Feed = struct
       with Sys_error m -> replica_errorf "cannot spool snapshot: %s" m
     in
     let recv () =
-      match Wire.recv_response t.fd with
+      match Wire.recv_response t.rx with
       | Some (resp, _) -> resp
       | None -> replica_errorf "primary closed the stream mid-snapshot"
       | exception Wire.Wire_error m -> replica_errorf "%s" m
@@ -128,7 +130,7 @@ module Feed = struct
 
   let next t =
     if t.closed then replica_errorf "feed is closed";
-    match Wire.recv_response t.fd with
+    match Wire.recv_response t.rx with
     | None -> replica_errorf "primary closed the replication stream"
     | exception Wire.Wire_error m -> replica_errorf "%s" m
     | exception Unix.Unix_error (e, _, _) ->

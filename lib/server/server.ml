@@ -806,17 +806,17 @@ let snapshot_export_stream t fd ~user =
    drop what the peer has sent already (until it goes quiet for 0.1 s,
    for at most 1 s in all), so that the close sends end-of-stream:
    closing with unread input sends a reset instead, which the peer may
-   read in place of the error frame.  The write side stays open until
-   the close, so the peer sees the end only once the connection's slot
-   is free again. *)
-let end_refused fd =
-  let buf = Bytes.create 65536 in
+   read in place of the error frame.  The input goes through the
+   connection's receiver, into its buffer.  The write side stays open
+   until the close, so the peer sees the end only once the
+   connection's slot is free again. *)
+let end_refused fd rx =
   let until = Unix.gettimeofday () +. 1.0 in
   let rec drain () =
     let left = until -. Unix.gettimeofday () in
     if left > 0.0 then begin
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.min left 0.1);
-      if Unix.read fd buf 0 (Bytes.length buf) > 0 then drain ()
+      if Wire.discard rx then drain ()
     end
   in
   try drain () with Unix.Unix_error _ -> ()
@@ -875,7 +875,7 @@ let rec stop t =
    and "start receiving live frames after s" — the stream is gapless
    by construction.  After that this thread only reads acks; the
    outbox's sender thread owns the socket's write side. *)
-and replication_loop t fd ~user since =
+and replication_loop t fd rx ~user since =
   let outbox = Replica.Outbox.create ~name:user fd in
   let push_frames frames =
     List.iter
@@ -902,7 +902,7 @@ and replication_loop t fd ~user since =
   (match subscribed with
   | Wire.Ok_unit ->
     let rec acks () =
-      match Wire.recv_request fd with
+      match Wire.recv_request rx with
       | None -> ()
       | Some (Wire.Repl_ack seq, _) ->
         Replica.Outbox.note_ack outbox seq;
@@ -922,8 +922,9 @@ and connection_loop t fd conn_id =
   let session = Session.of_context t.ctx in
   let user = ref "anonymous" in
   let stopping () = Atomic.get t.stopping in
+  let rx = Wire.receiver fd in
   let rec loop () =
-    match Wire.recv_request fd with
+    match Wire.recv_request rx with
     | None -> ()
     | exception Wire.Wire_error m ->
       (* malformed frame or undecodable request (a pre-v9 peer's
@@ -931,7 +932,7 @@ and connection_loop t fd conn_id =
          drop the connection *)
       (try Wire.send_response fd (wire_error `Invalid "%s" m)
        with Wire.Wire_error _ -> ());
-      end_refused fd
+      end_refused fd rx
     | Some (req, meta) -> (
       (* the budget starts ticking the moment the frame is read; a
          header-less request falls back to the server default *)
@@ -944,7 +945,7 @@ and connection_loop t fd conn_id =
       let trace = meta.Wire.fm_trace in
       let decode_words = meta.Wire.fm_decode_words in
       match req with
-      | Wire.Subscribe since -> replication_loop t fd ~user:!user since
+      | Wire.Subscribe since -> replication_loop t fd rx ~user:!user since
       | Wire.Snapshot_export ->
         snapshot_export_stream t fd ~user:!user;
         if not (stopping ()) then loop ()
@@ -986,7 +987,7 @@ and connection_loop t fd conn_id =
           (* a Shutdown request stops the whole server after the reply *)
           match req with Wire.Shutdown -> true | _ -> false
         then stop t
-        else end_refused fd)
+        else end_refused fd rx)
   in
   (* the slot and the descriptor are released on every exit, whatever
      escapes the loop *)
@@ -1019,7 +1020,7 @@ let close_refused t fd =
         ~finally:(fun () ->
           close ();
           Atomic.decr t.drainers)
-        (fun () -> end_refused fd)
+        (fun () -> end_refused fd (Wire.receiver fd))
     in
     let th = Thread.create drain () in
     Mutex.lock t.m;

@@ -128,19 +128,30 @@ let string_of_slices = function
     io_base
   | slices -> Iovec.concat slices
 
+(* A decoder reads [db] from [pos] up to its end limit [lim], never
+   past it: a frame body can be decoded where it lies in a receive
+   buffer holding other bytes too.  Offsets in messages count from
+   [base], where the decoded bytes start. *)
 module Dec = struct
   type t = {
     db : string;
+    base : int;
+    lim : int;
     mutable pos : int;
     mutable depth : int;
   }
 
-  let of_string ?(pos = 0) s = { db = s; pos; depth = 0 }
+  let sub s pos len = { db = s; base = pos; lim = pos + len; pos; depth = 0 }
+
+  let of_string ?(pos = 0) s =
+    { db = s; base = 0; lim = String.length s; pos; depth = 0 }
+
+  let at d = d.pos - d.base
 
   (* written so that no [n], however large, overflows the test *)
   let need d n =
-    if n > String.length d.db - d.pos then
-      wire_errorf "truncated binary frame body (at byte %d)" d.pos
+    if n > d.lim - d.pos then
+      wire_errorf "truncated binary frame body (at byte %d)" (at d)
 
   let u8 d =
     need d 1;
@@ -158,7 +169,7 @@ module Dec = struct
   let varint d =
     let v = ref 0 and shift = ref 0 and more = ref true in
     while !more do
-      if !shift > 56 then wire_errorf "varint longer than 9 bytes (at byte %d)" d.pos;
+      if !shift > 56 then wire_errorf "varint longer than 9 bytes (at byte %d)" (at d);
       let b = u8 d in
       v := !v lor ((b land 0x7f) lsl !shift);
       shift := !shift + 7;
@@ -174,7 +185,7 @@ module Dec = struct
 
   let vlen d =
     let n = varint d in
-    if n < 0 then wire_errorf "negative length (at byte %d)" d.pos;
+    if n < 0 then wire_errorf "negative length (at byte %d)" (at d);
     n
 
   let float d =
@@ -216,9 +227,9 @@ module Dec = struct
   let vlist d f = List.init (vcount d) (fun _ -> f d)
 
   let finish d =
-    if d.pos <> String.length d.db then
-      wire_errorf "trailing bytes in binary frame (%d of %d consumed)" d.pos
-        (String.length d.db)
+    if d.pos <> d.lim then
+      wire_errorf "trailing bytes in binary frame (%d of %d consumed)" (at d)
+        (d.lim - d.base)
 
   (* A batch may hold a batch (the server answers it positionally with
      "batch requests do not nest"), but nothing deeper: the decoder
@@ -438,11 +449,13 @@ let to_slices f v =
 
 let to_string f v = string_of_slices (to_slices f v)
 
-let of_string f s =
-  let d = Dec.of_string s in
+let of_substring f s pos len =
+  let d = Dec.sub s pos len in
   let v = decoder false f d in
   Dec.finish d;
   v
+
+let of_string f s = of_substring f s 0 (String.length s)
 
 (* --- streams: varint layouts after a raw head --- *)
 

@@ -83,6 +83,12 @@ val to_string : 'a fld -> 'a -> string
 val of_string : 'a fld -> string -> 'a
 (** @raise Wire_error on malformed input, including trailing bytes. *)
 
+val of_substring : 'a fld -> string -> int -> int -> 'a
+(** [of_substring f s pos len] is [of_string f (String.sub s pos len)]
+    without the copy: the decoder reads no byte outside the [len] at
+    [pos], and every string in the value is a copy of its own, so [s]
+    may be a buffer that is reused once this returns. *)
+
 (** {1 Streams}
 
     A document too large to build as one value (a checkpoint): a raw

@@ -646,20 +646,85 @@ let send_response_batch fd items =
          (fun (resp, trace) -> encode_frame ?trace Response.fld resp)
          items)
 
-(* Read exactly [n] bytes; [None] when the stream ends cleanly at a
-   message boundary (off = 0). *)
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off = n then Some buf
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> if off = 0 then None else wire_errorf "truncated frame"
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-        if off = 0 then None else wire_errorf "connection reset mid-frame"
+(* ------------------------------------------------------------------ *)
+(* Receiving: one read(2) per frame                                    *)
+(* ------------------------------------------------------------------ *)
+
+let m_recv_reads = M.counter "wire.recv_reads"
+
+(* A request or answer of a design session is a few dozen bytes, and
+   every header fits too (at most 266 bytes), so a frame that has
+   fully arrived is taken with one read(2) into this buffer and decoded
+   where it lies. *)
+let recv_buffer_bytes = 4096
+
+(* A body larger than the buffer is read into bytes of its own.  Its
+   header alone allocates at most this much; a larger body grows as
+   its bytes arrive, so a peer must send what it claims before the
+   receiver holds it. *)
+let body_prealloc_bytes = 1024 * 1024
+
+type receiver = {
+  rx_fd : Unix.file_descr;
+  rx_buf : Bytes.t;
+  mutable rx_pos : int;  (* the first byte not yet taken *)
+  mutable rx_end : int;  (* the end of the bytes read *)
+}
+
+let receiver fd =
+  { rx_fd = fd; rx_buf = Bytes.create recv_buffer_bytes; rx_pos = 0; rx_end = 0 }
+
+(* One read(2) into [b] at [off]: the byte count, 0 at end of stream.
+   A reset ends the stream too at a frame boundary; inside a frame it
+   is an error. *)
+let read_counted rx ~boundary b off len =
+  M.incr m_recv_reads;
+  match Unix.read rx.rx_fd b off len with
+  | k -> k
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+    if boundary then 0 else wire_errorf "connection reset mid-frame"
+
+(* One read into the buffer's free tail, after moving the bytes not yet
+   taken to its start so that the read can take as much as fits. *)
+let read_more rx ~boundary =
+  let have = rx.rx_end - rx.rx_pos in
+  if rx.rx_pos > 0 then begin
+    Bytes.blit rx.rx_buf rx.rx_pos rx.rx_buf 0 have;
+    rx.rx_pos <- 0;
+    rx.rx_end <- have
+  end;
+  let k =
+    read_counted rx ~boundary rx.rx_buf rx.rx_end (recv_buffer_bytes - rx.rx_end)
   in
-  go 0
+  rx.rx_end <- rx.rx_end + k;
+  k
+
+(* Have [n] bytes (at most the buffer's size) from [rx_pos] buffered;
+   [truncated] names the part of the frame the stream ended in. *)
+let rec fill rx n ~truncated =
+  if rx.rx_end - rx.rx_pos < n then
+    if read_more rx ~boundary:false = 0 then wire_errorf "%s" truncated
+    else fill rx n ~truncated
+
+(* A body too large for the buffer: what of it arrived with the header,
+   then the rest read straight into its own bytes. *)
+let recv_large_body rx blen =
+  let body = ref (Bytes.create (min blen body_prealloc_bytes)) in
+  let got = rx.rx_end - rx.rx_pos in
+  Bytes.blit rx.rx_buf rx.rx_pos !body 0 got;
+  rx.rx_pos <- 0;
+  rx.rx_end <- 0;
+  let rec go got =
+    if got < blen then begin
+      if got = Bytes.length !body then
+        body := Bytes.extend !body 0 (min (blen - got) got);
+      match read_counted rx ~boundary:false !body got (Bytes.length !body - got) with
+      | 0 -> wire_errorf "truncated frame"
+      | k -> go (got + k)
+    end
+  in
+  go got;
+  Bytes.unsafe_to_string !body
 
 type frame_meta = {
   fm_deadline_ms : int option;
@@ -667,76 +732,86 @@ type frame_meta = {
   fm_decode_words : float;
 }
 
-(* The fixed header after the magic byte, then the flagged fields and
-   the body.  Returns the undecoded body, its meta and the frame's
-   total size. *)
-let recv_frame_rest fd =
-  let need n =
-    match read_exact fd n with
-    | None -> wire_errorf "truncated frame header"
-    | Some b -> b
-  in
-  let hdr = need 5 in
-  let flags = Char.code (Bytes.get hdr 0) in
+(* Decode the frame at [rx_pos], whose header is in the buffer: the
+   body in place when the whole frame fits, else from its own bytes. *)
+let decode_frame rx f =
+  let b = rx.rx_buf and p = rx.rx_pos in
+  let flags = Char.code (Bytes.get b (p + 1)) in
   if flags land lnot 3 <> 0 then wire_errorf "bad frame flags 0x%x" flags;
-  let blen = Int32.to_int (Bytes.get_int32_le hdr 1) land 0xFFFFFFFF in
+  let blen = Int32.to_int (Bytes.get_int32_le b (p + 2)) land 0xFFFFFFFF in
   if blen > max_frame then wire_errorf "oversized frame (%d bytes)" blen;
-  let hbytes = ref 6 in
+  let header = "truncated frame header" in
+  let hlen = if flags land 1 = 0 then 6 else 10 in
+  fill rx hlen ~truncated:header;
+  let hlen =
+    if flags land 2 = 0 then hlen
+    else begin
+      fill rx (hlen + 1) ~truncated:header;
+      hlen + 1 + Char.code (Bytes.get rx.rx_buf (rx.rx_pos + hlen))
+    end
+  in
+  fill rx hlen ~truncated:header;
+  (* [fill] may have moved the frame to the buffer's start *)
+  let b = rx.rx_buf and p = rx.rx_pos in
   let fm_deadline_ms =
     if flags land 1 = 0 then None
-    else begin
-      hbytes := !hbytes + 4;
-      Some (Int32.to_int (Bytes.get_int32_le (need 4) 0) land 0xFFFFFFFF)
-    end
+    else Some (Int32.to_int (Bytes.get_int32_le b (p + 6)) land 0xFFFFFFFF)
   in
   let fm_trace =
     if flags land 2 = 0 then None
-    else begin
-      let n = Char.code (Bytes.get (need 1) 0) in
-      let tok = Bytes.to_string (need n) in
-      hbytes := !hbytes + 1 + n;
+    else
+      let at = if flags land 1 = 0 then 6 else 10 in
+      let tok = Bytes.sub_string b (at + p + 1) (hlen - at - 1) in
       match Ddf_obs.Obs.span_ctx_of_token tok with
       | Some ctx -> Some ctx
       | None -> wire_errorf "bad trace token %S" tok
+  in
+  let decode s pos =
+    let t0 = Unix.gettimeofday () in
+    let v = M.with_alloc_words (fun () -> of_substring f s pos blen) in
+    M.observe h_decode (Unix.gettimeofday () -. t0);
+    v
+  in
+  let v, fm_decode_words =
+    if hlen + blen <= recv_buffer_bytes then begin
+      fill rx (hlen + blen) ~truncated:"truncated frame";
+      let p = rx.rx_pos in
+      rx.rx_pos <- p + hlen + blen;
+      (* every string the decoder returns is a copy: nothing aliases
+         the buffer once it returns *)
+      decode (Bytes.unsafe_to_string rx.rx_buf) (p + hlen)
+    end
+    else begin
+      rx.rx_pos <- rx.rx_pos + hlen;
+      decode (recv_large_body rx blen) 0
     end
   in
-  let body =
-    match read_exact fd blen with
-    | None -> wire_errorf "truncated frame"
-    | Some b -> Bytes.unsafe_to_string b
-  in
-  (body, { fm_deadline_ms; fm_trace; fm_decode_words = 0.0 }, !hbytes + blen)
+  M.incr ~by:(hlen + blen) m_bytes_in;
+  (v, { fm_deadline_ms; fm_trace; fm_decode_words })
 
 (* [None] on clean EOF at a frame boundary.  Anything but the magic
    byte is refused; a pre-v9 peer's "ddf1" s-expression frame lands
    here too, and the error says which protocol this side speaks. *)
-let recv_frame fd =
-  let first = Bytes.create 1 in
-  match Unix.read fd first 0 1 with
-  | 0 -> None
-  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None
-  | _ ->
-    let c = Bytes.get first 0 in
+let recv_decoded rx f =
+  if rx.rx_pos = rx.rx_end && read_more rx ~boundary:true = 0 then None
+  else begin
+    let c = Bytes.get rx.rx_buf rx.rx_pos in
     if c <> binary_magic then
       wire_errorf
         "not a protocol v%d frame (first byte 0x%02x; v%d peers send binary \
          frames only, the s-expression framing of v8 and older is retired)"
         protocol_version (Char.code c) protocol_version;
-    Some (recv_frame_rest fd)
+    fill rx 6 ~truncated:"truncated frame header";
+    Some (decode_frame rx f)
+  end
 
-(* Decode one frame's body, timed and metered. *)
-let recv_decoded fd f =
-  match recv_frame fd with
-  | None -> None
-  | Some (body, meta, nbytes) ->
-    let t0 = Unix.gettimeofday () in
-    let v, fm_decode_words = M.with_alloc_words (fun () -> of_string f body) in
-    M.observe h_decode (Unix.gettimeofday () -. t0);
-    M.incr ~by:nbytes m_bytes_in;
-    Some (v, { meta with fm_decode_words })
+let recv_request rx = recv_decoded rx Request.fld
+let recv_response rx = recv_decoded rx Response.fld
 
-let recv_request fd = recv_decoded fd Request.fld
-let recv_response fd = recv_decoded fd Response.fld
+let discard rx =
+  rx.rx_pos <- 0;
+  rx.rx_end <- 0;
+  read_more rx ~boundary:true > 0
 
 (* The receiving end of a streamed snapshot, after its
    [Ok_snapshot_begin]: chunks go to [path] until [Ok_snapshot_end],

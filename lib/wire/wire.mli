@@ -273,11 +273,40 @@ val send_response_batch :
     outbox's group-commit fan-out.  Large payload bodies are carried
     as borrowed slices, never concatenated on the OCaml side. *)
 
-val recv_request : Unix.file_descr -> (request * frame_meta) option
-(** Read and decode one request; [None] on clean end-of-stream.
-    @raise Wire_error on framing or decode violations. *)
+(** {2 Receiving}
 
-val recv_response : Unix.file_descr -> (response * frame_meta) option
+    A connection is read through its {!receiver}, which owns a fixed
+    4 KiB buffer: a frame that has fully arrived is taken with one
+    read(2) and decoded in place, bytes of a following frame stay
+    buffered for the next receive, and a body too large for the buffer
+    is read straight into its own bytes (at most 1 MiB of them before
+    its bytes arrive, growing as they do).  Each read(2) a receiver
+    makes counts in [wire.recv_reads].  Once a connection has a
+    receiver, nothing else may read its descriptor: bytes the receiver
+    has buffered would be lost to the other reader. *)
+
+type receiver
+
+val receiver : Unix.file_descr -> receiver
+(** The receiver of a connection, made once when the connection is;
+    its buffer goes with it. *)
+
+val recv_request : receiver -> (request * frame_meta) option
+(** Read and decode one request; [None] on clean end-of-stream at a
+    frame boundary (a reset there counts as one).
+    @raise Wire_error on framing or decode violations: a stream that
+    ends inside a frame says ["truncated frame header"] or
+    ["truncated frame"], a reset there ["connection reset mid-frame"].
+    @raise Unix.Unix_error from read(2), such as the expiry of a
+    [SO_RCVTIMEO]. *)
+
+val recv_response : receiver -> (response * frame_meta) option
+
+val discard : receiver -> bool
+(** Drop whatever the receiver holds and read once more into its
+    buffer, dropping that too: [false] at end of stream.  For a
+    connection being refused: drain its input before the close.
+    @raise Unix.Unix_error from read(2). *)
 
 val receive_snapshot :
   recv:(unit -> response) ->

@@ -194,9 +194,10 @@ let as_received =
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
       Unix.connect fd (Unix.ADDR_UNIX socket);
+      let rx = Wire.receiver fd in
       let call req =
         Wire.send_request fd req;
-        match Wire.recv_response fd with
+        match Wire.recv_response rx with
         | Some (resp, _) -> resp
         | None -> Alcotest.fail "the server hung up"
       in
@@ -204,7 +205,7 @@ let as_received =
       let frame = install_frame ~entity:Standard_schemas.E.stimuli value text in
       ignore (Unix.write_substring fd frame 0 (String.length frame));
       let iid =
-        match Wire.recv_response fd with
+        match Wire.recv_response rx with
         | Some (Wire.Ok_int iid, _) -> iid
         | _ -> Alcotest.fail "the install was refused"
       in

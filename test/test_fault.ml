@@ -295,9 +295,10 @@ let shedding =
                 Unix.connect fd (Unix.ADDR_UNIX socket);
                 (* a hand-rolled peer, so the deadline header can be
                    set to exactly zero *)
+                let rx = Wire.receiver fd in
                 let rpc ?deadline_ms req =
                   Wire.send_request ?deadline_ms fd req;
-                  match Wire.recv_response fd with
+                  match Wire.recv_response rx with
                   | Some (resp, _) -> resp
                   | None -> Alcotest.fail "connection dropped"
                 in
@@ -486,10 +487,11 @@ let classification =
           Thread.create
             (fun () ->
               let fd, _ = Unix.accept srv in
-              (match Wire.recv_request fd with
+              let rx = Wire.receiver fd in
+              (match Wire.recv_request rx with
               | Some _ -> Wire.send_response fd Wire.Ok_unit
               | None -> ());
-              ignore (Wire.recv_request fd);
+              ignore (Wire.recv_request rx);
               Unix.close fd)
             ()
         in
@@ -552,8 +554,9 @@ let classification =
           Thread.create
             (fun () ->
               let fd, _ = Unix.accept srv in
+              let rx = Wire.receiver fd in
               let rec serve () =
-                match Wire.recv_request fd with
+                match Wire.recv_request rx with
                 | None -> ()
                 | Some (req, _) -> (
                   match req with

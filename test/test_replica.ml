@@ -300,7 +300,8 @@ let versioning =
             (Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
              Unix.connect fd (Unix.ADDR_UNIX socket);
              Wire.send_request fd (Wire.Hello { user = "old"; version = 8 });
-             (match Wire.recv_response fd with
+             let rx = Wire.receiver fd in
+             (match Wire.recv_response rx with
              | Some (Wire.Error e, _) ->
                Alcotest.(check bool) "typed mismatch error" true
                  (Util.contains (Error.message e) "protocol version mismatch"
@@ -308,7 +309,7 @@ let versioning =
              | _ -> Alcotest.fail "expected a version refusal");
              (* and the refusal ends the connection *)
              Alcotest.(check bool) "connection closed" true
-               (Wire.recv_response fd = None));
+               (Wire.recv_response rx = None));
             (* current version still welcome on the same daemon *)
             Client.with_client ~socket Client.ping));
   ]

@@ -438,7 +438,7 @@ let hello_matrix =
           Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
           Unix.connect fd (Unix.ADDR_UNIX socket);
           Wire.send_request fd (Wire.Hello { user = "h"; version });
-          Option.map fst (Wire.recv_response fd)
+          Option.map fst (Wire.recv_response (Wire.receiver fd))
         in
         Alcotest.(check bool) "current version accepted" true
           (hello Wire.protocol_version = Some Wire.Ok_unit);

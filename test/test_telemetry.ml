@@ -62,7 +62,7 @@ let header_roundtrip =
           Unix.close b)
         (fun () ->
           Wire.send_request ?deadline_ms ~trace:ctx a Wire.Ping;
-          match Wire.recv_request b with
+          match Wire.recv_request (Wire.receiver b) with
           | None -> false
           | Some (req, meta) ->
             req = Wire.Ping
@@ -97,16 +97,17 @@ let bare_frames_still_parse () =
       Unix.close a;
       Unix.close b)
     (fun () ->
+      let rx = Wire.receiver b in
       (* no deadline, no trace: the bare header *)
       Wire.send_request a Wire.Ping;
-      (match Wire.recv_request b with
+      (match Wire.recv_request rx with
       | Some (_, meta) ->
         check Alcotest.bool "no deadline" true (meta.Wire.fm_deadline_ms = None);
         check Alcotest.bool "no trace" true (meta.Wire.fm_trace = None)
       | None -> Alcotest.fail "eof on a bare frame");
       (* deadline without trace *)
       Wire.send_request ~deadline_ms:42 a Wire.Ping;
-      match Wire.recv_request b with
+      match Wire.recv_request rx with
       | Some (_, meta) ->
         check Alcotest.bool "deadline alone" true (meta.Wire.fm_deadline_ms = Some 42);
         check Alcotest.bool "still no trace" true (meta.Wire.fm_trace = None)

@@ -335,7 +335,7 @@ let header_roundtrip () =
   with_sockpair @@ fun a b ->
   let span = Obs.new_root () in
   Wire.send_request ~deadline_ms:1234 ~trace:span a (Wire.Run 7);
-  match Wire.recv_request b with
+  match Wire.recv_request (Wire.receiver b) with
   | None -> Alcotest.fail "expected a frame"
   | Some (req, meta) ->
     Alcotest.(check bool) "request" true (req = Wire.Run 7);
@@ -361,7 +361,7 @@ let framing =
             Wire.send_response a
               (Wire.Ok_frame { seq = 42; payload = data; digest = "d" }))
           (fun () ->
-            match Wire.recv_response b with
+            match Wire.recv_response (Wire.receiver b) with
             | Some (Wire.Ok_frame { seq; payload; digest }, _) ->
               Alcotest.(check int) "seq" 42 seq;
               Alcotest.(check string) "digest" "d" digest;
@@ -376,12 +376,13 @@ let framing =
                   { seq = i; payload = String.make (200 * i) 'x'; digest = "" },
                 if i mod 2 = 0 then Some (Obs.new_root ()) else None ))
         in
+        let rx = Wire.receiver b in
         send_threaded
           (fun () -> Wire.send_response_batch a items)
           (fun () ->
             List.iteri
               (fun i (want, trace) ->
-                match Wire.recv_response b with
+                match Wire.recv_response rx with
                 | Some (got, meta) ->
                   Alcotest.(check bool)
                     (Printf.sprintf "frame %d" i)
@@ -466,7 +467,7 @@ let survives ~send ~recv ~to_string ~of_string (v, muts) =
   with_sockpair @@ fun a b ->
   ignore (Unix.write_substring a bytes 0 (String.length bytes));
   Unix.shutdown a Unix.SHUTDOWN_SEND;
-  match recv b with
+  match recv (Wire.receiver b) with
   | exception Wire.Wire_error _ -> true
   | None -> bytes = ""
   | Some (msg, _) -> compare (of_string (to_string msg)) msg = 0
@@ -496,6 +497,280 @@ let fuzz_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The receiver: split delivery, end of stream, bounded allocation     *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [read] on a receiver while a thread writes [bytes] to its socket
+   in pieces of the [chunks] sizes (cycled), then half-closes.  What
+   [read] leaves unread is drained, so the writer always finishes. *)
+let through_socket ?(chunks = [ 65536 ]) bytes read =
+  with_sockpair @@ fun a b ->
+  let chunks = Array.of_list chunks in
+  let write () =
+    let n = String.length bytes in
+    let rec go off i =
+      if off < n then begin
+        let stop = min n (off + chunks.(i mod Array.length chunks)) in
+        let rec piece off =
+          if off < stop then piece (off + Unix.write_substring a bytes off (stop - off))
+        in
+        piece off;
+        go stop (i + 1)
+      end
+    in
+    (try go 0 0 with Unix.Unix_error _ -> ());
+    Unix.shutdown a Unix.SHUTDOWN_SEND
+  in
+  let writer = Thread.create write () in
+  Fun.protect
+    ~finally:(fun () ->
+      let buf = Bytes.create 65536 in
+      (try while Unix.read b buf 0 65536 > 0 do () done
+       with Unix.Unix_error _ -> ());
+      Thread.join writer)
+    (fun () -> read (Wire.receiver b))
+
+(* Every frame [recv] reads from [bytes] until the end of the stream,
+   and the [Wire_error] that stopped it, if one did. *)
+let received ~recv bytes =
+  through_socket bytes @@ fun rx ->
+  let rec go acc =
+    match recv rx with
+    | Some x -> go (x :: acc)
+    | None -> (List.rev acc, None)
+    | exception Wire.Wire_error m -> (List.rev acc, Some m)
+  in
+  go []
+
+(* One frame of a mixed stream: a request or a response, with or
+   without each optional header field. *)
+type frame = {
+  fr_msg : (Wire.request, Wire.response) Either.t;
+  fr_deadline : int option;
+  fr_trace : Obs.span_ctx option;
+}
+
+let send_frame fd { fr_msg; fr_deadline = deadline_ms; fr_trace = trace } =
+  match fr_msg with
+  | Either.Left r -> Wire.send_request ?deadline_ms ?trace fd r
+  | Either.Right r -> Wire.send_response ?deadline_ms ?trace fd r
+
+(* Receive a frame of [like]'s kind, as a frame. *)
+let recv_like like rx =
+  let frame fr_msg meta =
+    { fr_msg; fr_deadline = meta.Wire.fm_deadline_ms;
+      fr_trace = meta.Wire.fm_trace }
+  in
+  match like.fr_msg with
+  | Either.Left _ ->
+    Option.map (fun (r, m) -> frame (Either.Left r) m) (Wire.recv_request rx)
+  | Either.Right _ ->
+    Option.map (fun (r, m) -> frame (Either.Right r) m) (Wire.recv_response rx)
+
+let frame_as_received f =
+  match f.fr_msg with
+  | Either.Left r -> { f with fr_msg = Either.Left (as_received r) }
+  | Either.Right _ -> f
+
+(* Bodies well above the receiver's 4 KiB buffer, which it reads into
+   bytes of their own. *)
+let gen_big = QCheck2.Gen.(map (fun n -> String.init n (fun i -> Char.chr (i land 0xff))) (int_range 3_000 12_000))
+
+let gen_frame =
+  QCheck2.Gen.(
+    map3
+      (fun fr_msg fr_deadline fr_trace -> { fr_msg; fr_deadline; fr_trace })
+      (frequency
+         [ (3, map Either.left gen_request);
+           (3, map Either.right gen_response);
+           (1, map (fun s -> Either.Left (Wire.Save_flow s)) gen_big);
+           (1, map (fun data -> Either.Right (Wire.Ok_snapshot_chunk { data })) gen_big) ])
+      (option gen_nat)
+      (option
+         (map2
+            (fun id sid ->
+              { Obs.trace_id = Printf.sprintf "%016x" id; span_id = sid + 1;
+                parent_id = 0 })
+            (int_bound (1 lsl 60)) (int_bound (1 lsl 59)))))
+
+(* Write sizes from a byte at a time to several frames at once. *)
+let gen_chunks =
+  QCheck2.Gen.(
+    list_size (int_range 1 8)
+      (frequency
+         [ (3, int_range 1 16); (2, int_range 17 600); (1, int_range 600 30_000) ]))
+
+let wire_bytes frames =
+  String.concat "" (List.map (fun f -> framed send_frame f) frames)
+
+(* The bytes of a frame's header: the fixed six, then the flagged
+   fields. *)
+let header_length s off =
+  let flags = Char.code s.[off + 1] in
+  let h = if flags land 1 = 0 then 6 else 10 in
+  if flags land 2 = 0 then h else h + 1 + Char.code s.[off + h]
+
+let print_frames fs =
+  String.concat "; "
+    (List.map
+       (fun f ->
+         match f.fr_msg with
+         | Either.Left r -> Wire.request_name r
+         | Either.Right r -> Sexp.to_string (Wire.response_to_sexp r))
+       fs)
+
+let recv_reads = Metrics.counter "wire.recv_reads"
+
+let receiver_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200
+         ~name:"frames written in any pieces decode in order"
+         ~print:(fun (fs, cs) ->
+           Printf.sprintf "%s in pieces of %s" (print_frames fs)
+             (String.concat "," (List.map string_of_int cs)))
+         QCheck2.Gen.(pair (list_size (int_range 1 12) gen_frame) gen_chunks)
+         (fun (frames, chunks) ->
+           let got =
+             through_socket ~chunks (wire_bytes frames) @@ fun rx ->
+             let fs = List.map (fun f -> recv_like f rx) frames in
+             (fs, Wire.recv_response rx)
+           in
+           compare got
+             (List.map (fun f -> Some (frame_as_received f)) frames, None)
+           = 0));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:40
+         ~name:"an end of stream inside a frame is typed, at a boundary clean"
+         ~print:(fun (a, b) -> print_frames [ a; b ])
+         QCheck2.Gen.(pair gen_frame gen_frame)
+         (fun (f1, f2) ->
+           let s = wire_bytes [ f1; f2 ] in
+           let b1 = String.length (framed send_frame f1) in
+           let h1 = header_length s 0 and h2 = header_length s b1 in
+           let len = String.length s in
+           let f1' = frame_as_received f1 and f2' = frame_as_received f2 in
+           (* the frames read from the first [k] bytes, in turn, until
+              the end of the stream or an error *)
+           let outcome k =
+             with_sockpair @@ fun a b ->
+             ignore (Unix.write_substring a s 0 k);
+             Unix.shutdown a Unix.SHUTDOWN_SEND;
+             let rx = Wire.receiver b in
+             let rec go acc = function
+               | [] -> go acc [ f2 ] (* a third frame: there is none *)
+               | f :: rest -> (
+                 match recv_like f rx with
+                 | Some x -> go (x :: acc) rest
+                 | None -> (List.rev acc, None)
+                 | exception Wire.Wire_error m -> (List.rev acc, Some m))
+             in
+             go [] [ f1; f2 ]
+           in
+           let expect k =
+             if k = 0 then ([], None)
+             else if k < h1 then ([], Some "truncated frame header")
+             else if k < b1 then ([], Some "truncated frame")
+             else if k = b1 then ([ f1' ], None)
+             else if k < b1 + h2 then ([ f1' ], Some "truncated frame header")
+             else if k < len then ([ f1' ], Some "truncated frame")
+             else ([ f1'; f2' ], None)
+           in
+           List.for_all
+             (fun k ->
+               let frames, err = outcome k in
+               let ok = compare (frames, err) (expect k) = 0 in
+               if not ok then
+                 QCheck2.Test.fail_reportf "EOF at byte %d of %d: %s" k len
+                   (Option.value err ~default:"no error");
+               ok)
+             (List.init (len + 1) Fun.id)));
+  ]
+
+let receiver =
+  [
+    Alcotest.test_case "a reset inside a frame is typed, at a boundary clean"
+      `Quick (fun () ->
+        let frame = framed (fun fd () -> Wire.send_request fd Wire.Ping) () in
+        List.iter
+          (fun (cut, want) ->
+            with_sockpair @@ fun a b ->
+            ignore (Unix.write_substring a frame 0 cut);
+            (* closing a socket with input unread resets its peer *)
+            ignore (Unix.write_substring b "x" 0 1);
+            Unix.close a;
+            let rx = Wire.receiver b in
+            let got =
+              match Wire.recv_request rx with
+              | Some _ -> (
+                match Wire.recv_request rx with
+                | None -> "frame, then end of stream"
+                | Some _ -> "two frames"
+                | exception Wire.Wire_error m -> "frame, then " ^ m)
+              | None -> "end of stream"
+              | exception Wire.Wire_error m -> m
+            in
+            Alcotest.(check string) (Printf.sprintf "cut at %d" cut) want got)
+          [ (0, "end of stream");
+            (3, "connection reset mid-frame");
+            (String.length frame, "frame, then end of stream") ]);
+    Alcotest.test_case "a header alone allocates at most 1 MiB of body"
+      `Quick (fun () ->
+        (* a header claiming the largest body there may be, then the
+           end of the stream *)
+        let header = Bytes.create 6 in
+        Bytes.set header 0 '\xd8';
+        Bytes.set header 1 '\000';
+        Bytes.set_int32_le header 2 (Int32.of_int max_frame);
+        let outcome = ref "" in
+        let words =
+          Metrics.alloc_words (fun () ->
+              with_sockpair @@ fun a b ->
+              ignore (Unix.write a header 0 6);
+              Unix.shutdown a Unix.SHUTDOWN_SEND;
+              match Wire.recv_request (Wire.receiver b) with
+              | _ -> outcome := "decoded"
+              | exception Wire.Wire_error m -> outcome := m)
+        in
+        Alcotest.(check string) "typed" "truncated frame" !outcome;
+        let bytes = words *. float_of_int (Sys.word_size / 8) in
+        if bytes >= float_of_int (2 lsl 20) then
+          Alcotest.failf "a bare header allocated %.0f bytes" bytes);
+    Alcotest.test_case "a frame that arrived whole takes one read" `Quick
+      (fun () ->
+        (* a ping-pong: each side sends only once it has the other's
+           frame, so every frame is waiting whole when it is read *)
+        let rounds = 200 in
+        with_sockpair @@ fun a b ->
+        let span = Obs.new_root () in
+        let echo =
+          Thread.create
+            (fun () ->
+              let rx = Wire.receiver b in
+              for _ = 1 to rounds do
+                match Wire.recv_request rx with
+                | Some (_, meta) ->
+                  Wire.send_response ?deadline_ms:meta.Wire.fm_deadline_ms
+                    ?trace:meta.Wire.fm_trace b Wire.Ok_unit
+                | None -> ()
+              done)
+            ()
+        in
+        let before = Metrics.count recv_reads in
+        let rx = Wire.receiver a in
+        for i = 1 to rounds do
+          let deadline_ms, trace =
+            if i mod 2 = 0 then (Some i, Some span) else (None, None)
+          in
+          Wire.send_request ?deadline_ms ?trace a (Wire.Run i);
+          ignore (Wire.recv_response rx)
+        done;
+        Thread.join echo;
+        Alcotest.(check int) "reads" (2 * rounds)
+          (Metrics.count recv_reads - before));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Hostile peers against a live server                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -518,8 +793,9 @@ let raw_exchange ~socket bytes =
   in
   go 0;
   Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let rx = Wire.receiver fd in
   let rec answers acc =
-    match Wire.recv_response fd with
+    match Wire.recv_response rx with
     | Some (r, _) -> answers (r :: acc)
     | None -> List.rev acc
   in
@@ -543,26 +819,34 @@ let expect_invalid what ~mentions = function
       (Util.contains (Error.message e) mentions)
   | _ -> Alcotest.failf "%s: expected exactly one error, then a close" what
 
-(* Write [bytes] on a fresh connection without half-closing, read the
-   one answer frame, then read on: the server must end the stream
-   (0 bytes), not reset it, though it never read all of [bytes]. *)
+(* Write [bytes] on a fresh connection without half-closing, then read
+   everything the server sends: the server must end the stream
+   (0 bytes), not reset it, though it never read all of [bytes], and
+   what it sent must be exactly one answer frame.  The stream is read
+   raw, since a receiver takes a reset at a frame boundary for an end
+   of stream. *)
 let refusal_then_eof ~socket bytes =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   Unix.connect fd (Unix.ADDR_UNIX socket);
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
   ignore (Unix.write_substring fd bytes 0 (String.length bytes));
-  let answer =
-    match Wire.recv_response fd with
-    | Some (r, _) -> [ r ]
-    | None -> Alcotest.fail "no answer frame"
+  let sent = Buffer.create 64 and chunk = Bytes.create 4096 in
+  let rec read_on () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes sent chunk 0 n;
+      read_on ()
+    | exception Unix.Unix_error (e, _, _) ->
+      Alcotest.failf "read after the refusal: %s" (Unix.error_message e)
   in
-  (match Unix.read fd (Bytes.create 64) 0 64 with
-  | 0 -> ()
-  | n -> Alcotest.failf "%d more bytes after the refusal" n
-  | exception Unix.Unix_error (e, _, _) ->
-    Alcotest.failf "read after the refusal: %s" (Unix.error_message e));
-  answer
+  read_on ();
+  match received ~recv:Wire.recv_response (Buffer.contents sent) with
+  | [ (r, _) ], None -> [ r ]
+  | [], None -> Alcotest.fail "no answer frame"
+  | rs, None -> Alcotest.failf "%d frames after the refusal" (List.length rs - 1)
+  | _, Some m -> Alcotest.failf "bytes after the refusal: %s" m
 
 (* An install whose value is [depth] nested lists, framed by hand: the
    value body is opaque bytes on the wire. *)
@@ -950,6 +1234,7 @@ let suite =
   [
     ("wire codec", codec_props);
     ("wire framing", framing);
+    ("wire.receiver", receiver_props @ receiver);
     ("wire.fuzz", fuzz_props);
     ("wire.hostile", hostile);
     ("wire.batch-text", text_language);
