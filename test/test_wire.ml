@@ -736,7 +736,7 @@ let receiver =
         let bytes = words *. float_of_int (Sys.word_size / 8) in
         if bytes >= float_of_int (2 lsl 20) then
           Alcotest.failf "a bare header allocated %.0f bytes" bytes);
-    Alcotest.test_case "a frame that arrived whole takes one read" `Quick
+    Alcotest.test_case "frames that arrived whole take one read" `Quick
       (fun () ->
         (* a ping-pong: each side sends only once it has the other's
            frame, so every frame is waiting whole when it is read *)
@@ -767,6 +767,22 @@ let receiver =
         done;
         Thread.join echo;
         Alcotest.(check int) "reads" (2 * rounds)
+          (Metrics.count recv_reads - before);
+        (* frames that arrived together: one read for all three, one
+           more for the end of the stream *)
+        let three =
+          String.concat ""
+            (List.init 3 (fun i ->
+                 framed (fun fd () -> Wire.send_request fd (Wire.Run i)) ()))
+        in
+        ignore (Unix.write_substring a three 0 (String.length three));
+        Unix.shutdown a Unix.SHUTDOWN_SEND;
+        let rx = Wire.receiver b in
+        let before = Metrics.count recv_reads in
+        let got = List.init 4 (fun _ -> Option.map fst (Wire.recv_request rx)) in
+        Alcotest.(check bool) "three frames, then the end" true
+          (got = [ Some (Wire.Run 0); Some (Wire.Run 1); Some (Wire.Run 2); None ]);
+        Alcotest.(check int) "reads for three frames and the end" 2
           (Metrics.count recv_reads - before));
   ]
 
