@@ -50,7 +50,9 @@
       decode allocates, reading its values, the writer's work for them
       (read, install, journal append), and the mean
       [server.alloc_words.batch] an in-process daemon reports for
-      eight such frames.  Words do not depend on host speed.
+      eight such frames, and the write(2) calls that daemon's wal
+      takes per frame ([journal.wal_writes]).  Words and writes do not
+      depend on host speed.
   10. The resident store -- the words the engine store's live state
       reaches ([Obj.reachable_words]) after 4,000 wire installs drawn
       as perfbench's library items are (netlists and stimuli, one coin
@@ -79,6 +81,7 @@
    perf.entry.{encode,decode,replay,hash}.{ns,words},
    perf.checkpoint.{n1000,n4000,d400}.{bytes,save_us,save_words,load_us,
    load_words}, perf.install_path.{decode,value,install,server}.words,
+   perf.install_path.wal_writes_per_frame,
    perf.store.resident_words.n4000, perf.memo.f<flows>.{us,alloc_words},
    perf.analyze.{small,ripple8}.{us,alloc_words}. *)
 
@@ -575,33 +578,35 @@ let install_path_rows () =
     rm_rf dir;
     words
   in
-  let server_words =
+  let server_words, wal_writes =
     with_scratch_server @@ fun socket ->
     Client.with_client ~user:"perf" ~socket @@ fun c ->
     ignore (Client.batch c (ingest_installs (-1)));
     let n_sum () =
-      List.find_map
-        (function
+      List.fold_left
+        (fun (n, sum, writes) -> function
           | Metrics.Histogram ("server.alloc_words.batch", h) ->
-            Some (float_of_int h.Metrics.hs_n, h.Metrics.hs_sum)
-          | _ -> None)
+            (float_of_int h.Metrics.hs_n, h.Metrics.hs_sum, writes)
+          | Metrics.Counter ("journal.wal_writes", w) -> (n, sum, float_of_int w)
+          | _ -> (n, sum, writes))
+        (0.0, 0.0, 0.0)
         (Metrics.snapshot Metrics.global)
-      |> Option.value ~default:(0.0, 0.0)
     in
-    let n0, sum0 = n_sum () in
+    let n0, sum0, writes0 = n_sum () in
     for k = 1 to server_batches do
       List.iter
         (function
           | Wire.Ok_int _ -> () | _ -> failwith "install failed")
         (Client.batch c (ingest_installs k))
     done;
-    let n1, sum1 = n_sum () in
-    (sum1 -. sum0) /. (n1 -. n0)
+    let n1, sum1, writes1 = n_sum () in
+    ((sum1 -. sum0) /. (n1 -. n0), (writes1 -. writes0) /. float_of_int server_batches)
   in
-  [ ("decode", "frame body decode", alloc_words (fun () -> Wire.request_of_binary_string body));
-    ("value", "the 32 values read", alloc_words read_values);
-    ("install", "values read, installed and journaled", install_journal);
-    ("server", "server.alloc_words.batch (mean of 8 frames)", server_words) ]
+  ( [ ("decode", "frame body decode", alloc_words (fun () -> Wire.request_of_binary_string body));
+      ("value", "the 32 values read", alloc_words read_values);
+      ("install", "values read, installed and journaled", install_journal);
+      ("server", "server.alloc_words.batch (mean of 8 frames)", server_words) ],
+    wal_writes )
 
 (* ------------------------------------------------------------------ *)
 (* 10. The resident store                                              *)
@@ -839,12 +844,16 @@ let run () =
 
   Bench_util.section
     (Printf.sprintf "install path words, one %d-install batch frame" batch_size);
+  let rows, wal_writes = install_path_rows () in
   Bench_util.print_table [ "step"; "words" ]
     (List.map
        (fun (key, name, words) ->
          Metrics.set (Metrics.gauge (Printf.sprintf "perf.install_path.%s.words" key)) words;
          [ name; Printf.sprintf "%.0f" words ])
-       (install_path_rows ()));
+       rows);
+  Printf.printf "  %.2f wal writes per batch frame (journal.wal_writes, mean of %d)\n"
+    wal_writes server_batches;
+  Metrics.set (Metrics.gauge "perf.install_path.wal_writes_per_frame") wal_writes;
 
   Bench_util.section "the resident store after 4,000 library installs";
   let words = resident_words 4_000 in

@@ -4,7 +4,6 @@
    Gates carry a drive strength so the statistical optimizers have a
    real design space, and the timing model a real knob. *)
 
-module String_map = Map.Make (String)
 module String_set = Set.Make (String)
 
 type gate = {
@@ -51,16 +50,6 @@ let flop ?(init = Logic.V0) fname ~d ~q = { fname; d; q; init }
 
 let is_sequential nl = nl.flops <> []
 
-let driver_table nl =
-  List.fold_left
-    (fun acc g ->
-      if String_map.mem g.output acc then
-        netlist_errorf "net %s has several drivers" g.output
-      else String_map.add g.output g acc)
-    String_map.empty nl.gates
-
-let flop_outputs nl = List.map (fun f -> f.q) nl.flops
-
 let nets nl =
   let add acc n = String_set.add n acc in
   let acc = List.fold_left add String_set.empty nl.primary_inputs in
@@ -74,63 +63,95 @@ let nets nl =
   in
   String_set.elements acc
 
+(* [validate]'s tables, keyed by net or gate name. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Bits of a net's sources in [validate]'s table. *)
+let from_gate = 1
+let from_input = 2
+let from_flop = 4
+
+(* One table of net sources (gate outputs, primary inputs, flop
+   outputs) and one of gate and flop names.  The checks report in a
+   fixed order, so the first violation named does not depend on how
+   the table was filled; where a check ranges over a set of nets, it
+   names the alphabetically first offender. *)
 let validate nl =
   if nl.name = "" then netlist_errorf "netlist name must be non-empty";
-  let drivers = driver_table nl in
-  let pi = String_set.of_list nl.primary_inputs in
-  (* flop outputs are sources for the combinational network but must
-     not collide with gate drivers or primary inputs *)
-  let flop_q = String_set.of_list (flop_outputs nl) in
-  if String_set.cardinal flop_q <> List.length nl.flops then
-    netlist_errorf "two flops drive the same net";
-  String_set.iter
-    (fun q ->
-      if String_map.mem q drivers then
-        netlist_errorf "flop output %s is also driven by a gate" q;
-      if String_set.mem q pi then
-        netlist_errorf "flop output %s is a primary input" q)
-    flop_q;
-  let driven n =
-    String_set.mem n pi || String_map.mem n drivers || String_set.mem n flop_q
+  let sources =
+    Names.create
+      (List.length nl.gates + List.length nl.primary_inputs + List.length nl.flops)
   in
-  List.iter
-    (fun f ->
-      if not (driven f.d) then
-        netlist_errorf "flop %s data input %s is undriven" f.fname f.d)
-    nl.flops;
-  if String_set.cardinal pi <> List.length nl.primary_inputs then
-    netlist_errorf "duplicate primary input";
-  String_set.iter
-    (fun n ->
-      if String_map.mem n drivers then
-        netlist_errorf "primary input %s is driven by a gate" n)
-    pi;
-  let gate_names = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.add gate_names f.fname ()) nl.flops;
-  if Hashtbl.length gate_names <> List.length nl.flops then
-    netlist_errorf "duplicate flop name";
-  let flop_q = String_set.of_list (flop_outputs nl) in
+  let source n = match Names.find sources n with s -> s | exception Not_found -> 0 in
   List.iter
     (fun g ->
-      if Hashtbl.mem gate_names g.gname then
+      if Names.mem sources g.output then
+        netlist_errorf "net %s has several drivers" g.output;
+      Names.replace sources g.output from_gate)
+    nl.gates;
+  (* the least net offending each set-wide check *)
+  let least worst n =
+    match worst with Some w when String.compare w n <= 0 -> worst | _ -> Some n
+  in
+  let dup_input = ref false and driven_input = ref None in
+  List.iter
+    (fun n ->
+      let s = source n in
+      if s land from_input <> 0 then dup_input := true;
+      if s land from_gate <> 0 then driven_input := least !driven_input n;
+      Names.replace sources n (s lor from_input))
+    nl.primary_inputs;
+  (* flop outputs are sources for the combinational network but must
+     not collide with gate drivers or primary inputs *)
+  let dup_q = ref false and clashing_q = ref None in
+  List.iter
+    (fun f ->
+      let s = source f.q in
+      if s land from_flop <> 0 then dup_q := true;
+      if s land (from_gate lor from_input) <> 0 then
+        clashing_q := least !clashing_q f.q;
+      Names.replace sources f.q (s lor from_flop))
+    nl.flops;
+  if !dup_q then netlist_errorf "two flops drive the same net";
+  Option.iter
+    (fun q ->
+      if source q land from_gate <> 0 then
+        netlist_errorf "flop output %s is also driven by a gate" q
+      else netlist_errorf "flop output %s is a primary input" q)
+    !clashing_q;
+  List.iter
+    (fun f ->
+      if not (Names.mem sources f.d) then
+        netlist_errorf "flop %s data input %s is undriven" f.fname f.d)
+    nl.flops;
+  if !dup_input then netlist_errorf "duplicate primary input";
+  Option.iter
+    (netlist_errorf "primary input %s is driven by a gate")
+    !driven_input;
+  (* a gate's name differs from every flop's and every earlier gate's;
+     flops are not checked against each other, so two flops may share
+     a name *)
+  let names = Names.create (List.length nl.gates + List.length nl.flops) in
+  List.iter (fun f -> Names.replace names f.fname ()) nl.flops;
+  List.iter
+    (fun g ->
+      if Names.mem names g.gname then
         netlist_errorf "duplicate gate name %s" g.gname;
-      Hashtbl.add gate_names g.gname ();
+      Names.replace names g.gname ();
       List.iter
         (fun i ->
-          if
-            (not (String_set.mem i pi))
-            && (not (String_map.mem i drivers))
-            && not (String_set.mem i flop_q)
-          then netlist_errorf "gate %s input %s is undriven" g.gname i)
+          if not (Names.mem sources i) then
+            netlist_errorf "gate %s input %s is undriven" g.gname i)
         g.inputs)
     nl.gates;
   List.iter
     (fun o ->
-      if
-        (not (String_map.mem o drivers))
-        && (not (String_set.mem o pi))
-        && not (String_set.mem o flop_q)
-      then netlist_errorf "primary output %s is undriven" o)
+      if not (Names.mem sources o) then
+        netlist_errorf "primary output %s is undriven" o)
     nl.primary_outputs
 
 let create ?(flops = []) ~name ~primary_inputs ~primary_outputs gates =

@@ -22,6 +22,8 @@ let m_memo = Metrics.counter "engine.memo_hits"
 let m_composed = Metrics.counter "engine.composed"
 let m_installs = Metrics.counter "engine.installs"
 let m_batches = Metrics.counter "engine.batched_merges"
+let m_decode_hits = Metrics.counter "engine.decode_cache_hits"
+let m_decode_misses = Metrics.counter "engine.decode_cache_misses"
 
 type context = {
   schema : Schema.t;
@@ -81,8 +83,11 @@ let remember hash value = Atomic.set (slot hash) (hash, value)
 let decode snap iid =
   let hash = Store.Snapshot.hash_of snap iid in
   match Atomic.get (slot hash) with
-  | h, value when String.equal h hash -> value
+  | h, value when String.equal h hash ->
+    Metrics.incr m_decode_hits;
+    value
   | _ -> (
+    Metrics.incr m_decode_misses;
     match Ddf_persist.Codec.value_of_text (Store.Snapshot.payload snap iid) with
     | value ->
       remember hash value;

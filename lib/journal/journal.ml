@@ -57,6 +57,7 @@ let m_compactions = Ddf_obs.Metrics.counter "journal.compactions"
 let m_checkpoints = Ddf_obs.Metrics.counter "journal.checkpoints"
 let m_torn = Ddf_obs.Metrics.counter "journal.torn_tails"
 let m_syncs = Ddf_obs.Metrics.counter "journal.syncs"
+let m_wal_writes = Ddf_obs.Metrics.counter "journal.wal_writes"
 let h_batch = Ddf_obs.Metrics.histogram "journal.group_commit_batch"
 let h_compact = Ddf_obs.Metrics.histogram "journal.compact_seconds"
 let h_checkpoint = Ddf_obs.Metrics.histogram "journal.checkpoint_seconds"
@@ -65,11 +66,13 @@ let g_lag = Ddf_obs.Metrics.gauge "journal.checkpoint_lag"
 (* When is an entry durable?
      [Always] - fsync inside every append: an entry is on disk before
        the caller proceeds.  Safest, one disk flush per write.
-     [Group]  - appends only flush to the OS; durability happens at the
-       next [sync], which fsyncs once for every entry buffered since
-       the previous one (classic WAL group commit).  The design server
-       drains its write queue in batches and syncs once per batch, so
-       a write is acknowledged only after its batch is durable.
+     [Group]  - appends are buffered and reach the OS at the next
+       [flush] (the design server's, at the end of each write job);
+       durability happens at the next [sync], which fsyncs once for
+       every entry buffered since the previous one (classic WAL group
+       commit).  The design server drains its write queue in batches
+       and syncs once per batch, so a write is acknowledged only after
+       its batch is durable.
      [Never]  - no fsync at all, for replay-only followers and
        benchmark scaffolding: a machine crash may lose the tail, a
        clean process exit loses nothing. *)
@@ -89,6 +92,8 @@ type t = {
   mutable j_closed : bool;
   mutable j_failed : string option;  (* fail-stop reason, sticky until reopen *)
   mutable j_frame_obs : (int -> string -> unit) option;
+  mutable j_unshipped : string list; (* payloads appended since the
+                                        last flush, newest first *)
   compact_every : int;
   j_sync_mode : sync_mode;
   mutable j_pending : int;           (* entries since the last durability point *)
@@ -139,8 +144,9 @@ let snapshot_file j = snapshot_path j.j_dir
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Append one frame to the wal and record its offset, kind and id for
-   the seal that will make the wal a cement segment. *)
+(* Append one frame to the wal's buffer and record its offset, kind
+   and id for the seal that will make the wal a cement segment.  The
+   frame reaches the OS at the next [flush]. *)
 let write_frame j payload =
   let oc = j.j_oc in
   let off = pos_out oc in
@@ -153,8 +159,33 @@ let write_frame j payload =
     raise (Fault.Injected "journal.torn_write")
   | Some Fault.Fail -> raise (Fault.Injected "journal.torn_write")
   | Some (Fault.Delay _) | None -> Cement.output_frame oc payload);
-  flush oc;
-  Cement.index_add j.j_index ~off payload
+  Cement.index_add j.j_index ~off payload;
+  j.j_unshipped <- payload :: j.j_unshipped
+
+(* Hand the OS the frames buffered since the last flush: one write(2)
+   while they fit the channel's buffer.  Returns their payloads,
+   newest first, for [ship]. *)
+let write_out j =
+  match j.j_unshipped with
+  | [] -> []
+  | frames ->
+    flush j.j_oc;
+    j.j_unshipped <- [];
+    Ddf_obs.Metrics.incr m_wal_writes;
+    frames
+
+(* Written first, then shipped: the frame observer (the replication
+   fan-out) sees a frame only after the local wal has it.  Nothing is
+   appended between a [write_out] and its [ship], so the newest of the
+   frames is entry [j_seq]. *)
+let ship j frames =
+  match j.j_frame_obs with
+  | None -> ()
+  | Some f ->
+    let first = j.j_seq - List.length frames + 1 in
+    List.iteri (fun k payload -> f (first + k) payload) (List.rev frames)
+
+let flush_frames j = ship j (write_out j)
 
 (* Pass [f] the seqno, offset and payload of each frame of the wal at
    [path] from byte [off], counting seqnos up from [base], until [f]
@@ -225,11 +256,12 @@ let replay_entry ?(cold = false) ctx payload =
 (* ------------------------------------------------------------------ *)
 
 (* One durability point: fsync the wal and record how many entries the
-   flush covered (the group-commit batch size). *)
+   flush covered (the group-commit batch size).  Frames still buffered
+   are shipped once they are on disk. *)
 let fsync_now j =
   let t0 = Unix.gettimeofday () in
   let batch = j.j_pending in
-  flush j.j_oc;
+  let written = write_out j in
   Fault.fire "journal.fsync";
   Disk.fsync j.j_oc;
   Ddf_obs.Metrics.incr m_syncs;
@@ -242,7 +274,14 @@ let fsync_now j =
     Ddf_obs.Obs.complete ~cat:"journal"
       ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6)
       ~attrs:[ ("batch", Ddf_obs.Obs.Int batch) ]
-      "journal.fsync"
+      "journal.fsync";
+  ship j written
+
+let flush j =
+  if not j.j_closed then
+    match flush_frames j with
+    | () -> ()
+    | exception e -> fail_stop j e
 
 let append j payload =
   if not j.j_closed then begin
@@ -256,14 +295,7 @@ let append j payload =
        if j.j_sync_mode = Always then fsync_now j
      with
     | () -> ()
-    | exception e -> fail_stop j e);
-    (* written first, then shipped: the frame observer (the replication
-       fan-out) sees an entry only after the local wal has it — on disk
-       in [Always] mode, flushed to the OS in [Group]/[Never] (the
-       entry becomes durable at the batch's [sync]) *)
-    match j.j_frame_obs with
-    | Some f -> f j.j_seq payload
-    | None -> ()
+    | exception e -> fail_stop j e)
   end
 
 (* A put journals the text the store keeps: a wire install's bytes as
@@ -323,12 +355,11 @@ let sync j =
     check_writable j;
     set_lag j;
     match
-      flush j.j_oc;
-      if j.j_pending > 0 then
-        match j.j_sync_mode with
-        | Never ->
-          j.j_pending <- 0 (* no durability point, just bound the count *)
-        | Always | Group -> fsync_now j
+      match j.j_sync_mode with
+      | (Always | Group) when j.j_pending > 0 -> fsync_now j
+      | Always | Group | Never ->
+        flush_frames j;
+        j.j_pending <- 0 (* no durability point, just bound the count *)
     with
     | () -> ()
     | exception e -> fail_stop j e
@@ -493,7 +524,8 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
     { j_dir = dir; j_ctx = ctx; j_registry = registry; j_oc = oc;
       j_index = index; j_entries = entries; j_base = base;
       j_checkpoint = checkpoint; j_seq = base + entries; j_truncated = torn;
-      j_closed = false; j_failed = None; j_frame_obs = None; compact_every;
+      j_closed = false; j_failed = None; j_frame_obs = None; j_unshipped = [];
+      compact_every;
       j_sync_mode = sync_mode; j_pending = 0; j_cement = cement }
   in
   attach j;
@@ -506,7 +538,7 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
    exactly at the last complete frame: a torn frame here is
    corruption, not a crash tail. *)
 let iter_wal j ~after f =
-  flush j.j_oc;
+  flush_frames j;
   let k = max 0 (after - j.j_base) in
   if k < j.j_entries then
     match
@@ -548,6 +580,7 @@ let compact_now ~checkpoint j =
   let sealed = j.j_entries > 0 in
   (* the wal is whole on disk before a checkpoint covers it: a cement
      restart writes its checkpoint before the seal *)
+  flush_frames j;
   if sealed then Disk.fsync j.j_oc;
   let seal () =
     if sealed then begin
@@ -631,8 +664,9 @@ let close j =
        paths that must stay idempotent *)
     (match
        match j.j_sync_mode with
-       | Never -> flush j.j_oc
-       | Always | Group -> if j.j_failed = None then fsync_now j else flush j.j_oc
+       | Never -> flush_frames j
+       | Always | Group ->
+         if j.j_failed = None then fsync_now j else flush_frames j
      with
     | () -> ()
     | exception _ -> j.j_failed <- Some "fsync failed during close");
@@ -795,10 +829,7 @@ let apply j ~seq payload =
    with
   | () -> ()
   | exception e -> fail_stop j e);
-  Ddf_obs.Metrics.incr m_applied;
-  match j.j_frame_obs with
-  | Some f -> f j.j_seq payload
-  | None -> ()
+  Ddf_obs.Metrics.incr m_applied
 
 let m_stream_resyncs = Ddf_obs.Metrics.counter "journal.snapshot_stream_resyncs"
 
@@ -833,7 +864,7 @@ let reset_to_snapshot_file j ~seq path =
   Disk.fsync_path path;
   detach j;
   (match
-     flush j.j_oc;
+     flush_frames j;
      Disk.cut (wal_path j.j_dir) 0;
      seek_out j.j_oc 0;
      Sys.rename path (snapshot_path j.j_dir);

@@ -4,9 +4,10 @@
     many designers work against one store and history, and the
     derivation meta-data must survive across sessions.  [Journal]
     makes an {!Ddf_exec.Engine.context} durable: every [Store.put],
-    annotation and [History.add] is appended to an on-disk log
-    ([wal.ddf]) as one checksummed, length-prefixed frame holding a
-    binary {!Ddf_entry.Entry} before the caller proceeds, and replaying
+    annotation and [History.add] is appended to the log ([wal.ddf]) as
+    one checksummed, length-prefixed frame holding a binary
+    {!Ddf_entry.Entry} before the caller proceeds — buffered in the
+    process until the next {!flush} hands it to the OS — and replaying
     snapshot + log reconstructs the context — same iids, rids,
     meta-data, payload hashes and logical clock.  A put entry carries
     the text the store keeps (a wire install's bytes, or the engine's
@@ -30,8 +31,9 @@ type t
 type sync_mode =
   | Always  (** [fsync] inside every append: each entry is on disk
                 before the caller proceeds. *)
-  | Group   (** appends only flush to the OS; {!sync} makes everything
-                buffered durable with one [fsync] — classic WAL group
+  | Group   (** an append only buffers its frame; {!flush} hands the
+                buffered frames to the OS and {!sync} makes everything
+                appended durable with one [fsync] — classic WAL group
                 commit.  The default: callers choose the durability
                 points. *)
   | Never   (** no [fsync] at all — for replay-only followers and
@@ -84,8 +86,20 @@ val failed : t -> string option
     torn frame, and anything after it would be lost even though it was
     acknowledged.  Cleared only by reopening. *)
 
+val flush : t -> unit
+(** Hand the OS every frame appended since the last flush — one
+    [write(2)] while they fit the channel's 64 KiB buffer, counted in
+    [journal.wal_writes] — and only then pass them, oldest first, to
+    the frame observer.  Not a durability point: once flushed they
+    survive the process's crash, but a machine crash may lose them
+    until {!sync}.  The
+    design server calls it when each write job ends; {!sync},
+    {!compact}, {!close} and the wal readers ({!entries_since},
+    {!frames}, {!digest}) flush first.  A write failure fail-stops the
+    journal (see {!failed}). *)
+
 val sync : t -> unit
-(** A durability point: flush and [fsync] the log, so everything
+(** A durability point: {!flush} and [fsync] the log, so everything
     journaled so far survives a machine crash.  In {!Group} mode this
     is the group commit — one [fsync] covers every entry appended
     since the previous durability point, and the batch size is
@@ -140,8 +154,10 @@ val base_seq : t -> int
 
 val set_frame_observer : t -> (int -> string -> unit) -> unit
 (** Install the single frame observer, called with [(seqno, payload)]
-    after each entry reaches the local disk — the replication fan-out
-    point.  Called from whichever thread performs the write. *)
+    for each entry once the {!flush} (or {!sync}) that wrote it has
+    handed it to the OS — in [Always] mode once it is on disk — so a
+    follower never holds a frame the local wal lacks: the replication
+    fan-out point.  Called from whichever thread flushes. *)
 
 type tail =
   | Frames of (int * string) list  (** [(seqno, payload)], ascending *)

@@ -158,12 +158,6 @@ let atom_at c =
     String.sub c.text start (c.pos - start)
   end
 
-(* Past the atom at the cursor, allocating nothing. *)
-let skip_atom c =
-  c.pos <-
-    (if String.unsafe_get c.text c.pos = '"' then quoted_end c.text c.len (c.pos + 1)
-     else bare_end c.text c.len c.pos)
-
 (* The decimal digits in [i, stop) as a number, or -1 if another
    character is among them. *)
 let rec digits text stop i acc =
@@ -220,23 +214,33 @@ let word_index c words =
     if i >= 0 then c.pos <- stop;
     i
 
-(* Past one whole s-expression, checking it as [of_string] would
-   without building it: a loop over the nesting, so no stack either. *)
-let skip c =
-  match peek c with
-  | End -> sexp_errorf "unexpected end of input"
-  | Close -> sexp_errorf "unexpected ')' at %d" c.pos
-  | Word -> skip_atom c
-  | Open ->
-    let outer = c.depth in
-    enter c;
-    while c.depth > outer do
-      match peek c with
-      | Open -> enter c
-      | Close -> leave c
-      | Word -> skip_atom c
-      | End -> sexp_errorf "unterminated list"
-    done
+(* Past one whole s-expression from [i], checking it as [of_string]
+   would without building it: one tail-recursive scan that counts the
+   lists it opens, so no stack either.  [depth] counts the lists open
+   inside the scan, on top of the [outer] the cursor had entered. *)
+let rec scan text len outer i depth =
+  let i = skip_ws text len i in
+  if i >= len then
+    if depth = 0 then sexp_errorf "unexpected end of input"
+    else sexp_errorf "unterminated list"
+  else
+    match String.unsafe_get text i with
+    | '(' ->
+      if outer + depth >= max_depth then
+        sexp_errorf "lists nested deeper than %d at %d" max_depth i;
+      scan text len outer (i + 1) (depth + 1)
+    | ')' ->
+      if depth = 0 then sexp_errorf "unexpected ')' at %d" i
+      else if depth = 1 then i + 1
+      else scan text len outer (i + 1) (depth - 1)
+    | '"' ->
+      let i = quoted_end text len (i + 1) in
+      if depth = 0 then i else scan text len outer i depth
+    | _ ->
+      let i = bare_end text len i in
+      if depth = 0 then i else scan text len outer i depth
+
+let skip c = c.pos <- scan c.text c.len c.depth c.pos 0
 
 let finish c =
   if peek c <> End then sexp_errorf "trailing input at %d" c.pos

@@ -423,14 +423,24 @@ let publish t =
 
 (* One write job: the job's span becomes the leading thread's current
    context, so journal appends (and the frame observer shipping to
-   followers) inherit the request's trace. *)
+   followers) inherit the request's trace.  The frames the job
+   appended reach the OS in one flush when it ends, however it ends,
+   and only then ship to the followers. *)
 let write_job t (job : Executor.job) () =
   Obs.with_span ~cat:"server" ?parent:job.span
     ~attrs:[ ("user", Obs.Str job.user) ] "server.write_job"
   @@ fun () ->
   Commit_lock.with_lock t.commit_m (fun () ->
       t.ctx.Engine.user <- job.user;
-      let resp = job.run () in
+      let resp =
+        match job.run () with
+        | resp ->
+          Journal.flush t.journal;
+          resp
+        | exception e ->
+          Journal.flush t.journal;
+          raise e
+      in
       ignore (Journal.maybe_compact t.journal);
       resp)
 
@@ -1138,8 +1148,9 @@ let start ?registry ?seed ?follow ?(max_clients = 64)
       follow; follower = None; followers = [] }
   in
   (* Fan every journaled entry out to the subscribed followers.  The
-     observer fires inside the group commit right after the local wal
-     has the entry (flushed to the OS; durable at the group's sync) —
+     observer fires inside the group commit once the local wal has the
+     entry (written to the OS when its write job ends; durable at the
+     group's sync) —
      and it fires on replicated applies too, so a follower can itself
      feed followers. *)
   Journal.set_frame_observer journal (fun seq payload ->

@@ -116,12 +116,20 @@ let basics =
     Alcotest.test_case "abandoned journal (crash) still replays" `Quick
       (fun () ->
         with_dir @@ fun dir ->
-        (* no [close], no fsync: mimic a killed process.  Appends are
-           flushed per entry, so everything written must replay. *)
+        (* no [close], no fsync: mimic a killed process.  Everything
+           flushed to the OS must replay; frames appended since the
+           last flush (a job cut short) were never handed to it. *)
         let j = Journal.open_ ~dir Standard_schemas.odyssey in
         let ctx = Journal.context j in
         ignore (activity ctx 4);
+        Journal.flush j;
         let before = state ctx in
+        reopened_equals dir before;
+        ignore
+          (Engine.install ctx ~entity:E.stimuli ~label:"unflushed"
+             (Value.Stimuli (Eda.Stimuli.exhaustive [ "a" ])));
+        Store.annotate ctx.Engine.store 1 ~label:"renamed" ();
+        Alcotest.(check bool) "the job changed the state" true (state ctx <> before);
         reopened_equals dir before);
   ]
 
@@ -179,6 +187,7 @@ let torn_tail =
              (Value.Stimuli (Eda.Stimuli.exhaustive [ "a" ])));
         let before = state ctx in
         let wal = Filename.concat dir "wal.ddf" in
+        Journal.flush j;
         let size = (Unix.stat wal).Unix.st_size in
         ignore
           (Engine.install ctx ~entity:E.stimuli ~label:"two"
@@ -939,10 +948,119 @@ let disk =
         | () -> Alcotest.fail "expected the fsync to fail"
         | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()) ]
 
+(* The frame observer is the replication fan-out, so a follower must
+   never hold a frame the local wal lacks: each frame the observer is
+   handed is already in wal.ddf on disk, the file reaching past the
+   frame's end (its offset plus its length).  Frames ship when the
+   write job that appended them flushes. *)
+let ship_order =
+  let watch j =
+    let wal = Filename.concat (Journal.dir j) "wal.ddf" in
+    let frame_end = ref (Unix.stat wal).Unix.st_size in
+    let next = ref (Journal.seq j + 1) in
+    Journal.set_frame_observer j (fun seq payload ->
+        Alcotest.(check int) "seqnos ascend one by one" !next seq;
+        incr next;
+        frame_end :=
+          !frame_end + String.length (Cement.frame_header payload)
+          + String.length payload + 2;
+        let size = (Unix.stat wal).Unix.st_size in
+        if size < !frame_end then
+          Alcotest.failf "frame %d shipped while wal.ddf holds %d bytes, before its end at %d"
+            seq size !frame_end);
+    fun () -> !next - 1
+  in
+  (* a write job as the server runs one: its appends, then one flush *)
+  let job j f =
+    Journal.flush j;
+    let shipped = watch j in
+    let before = Journal.seq j in
+    f ();
+    let appended = Journal.seq j - before in
+    Alcotest.(check int) "nothing ships before the flush" before (shipped ());
+    Journal.flush j;
+    Alcotest.(check int) "every frame ships at the flush" (Journal.seq j) (shipped ());
+    appended
+  in
+  [ Alcotest.test_case "a 32-install batch job" `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let ctx = Journal.context j in
+        let rng = Eda.Rng.create 44 in
+        let appended =
+          job j (fun () ->
+              for k = 1 to 32 do
+                let label = Printf.sprintf "b%d" k in
+                ignore
+                  (if k mod 2 = 0 then
+                     Engine.install ctx ~entity:E.edited_netlist ~label
+                       (Value.Netlist
+                          (Eda.Circuits.random ~name:label ~n_inputs:3 ~n_gates:8 rng))
+                   else
+                     Engine.install ctx ~entity:E.stimuli ~label
+                       (Value.Stimuli (Eda.Stimuli.exhaustive [ label ^ "_a" ])))
+              done)
+        in
+        Alcotest.(check int) "frames" 32 appended;
+        Journal.close j);
+    Alcotest.test_case "a flow's run, several frames in one job" `Quick (fun () ->
+        with_dir @@ fun dir ->
+        let j = Journal.open_ ~dir Standard_schemas.odyssey in
+        let w = Workspace.of_session (Session.of_context (Journal.context j)) in
+        let reference = Eda.Circuits.full_adder () in
+        let f = Standard_flows.fig5 () in
+        let bindings = ref [] in
+        ignore
+          (job j (fun () ->
+               ignore
+                 (Engine.install (Workspace.ctx w) ~entity:E.device_models
+                    (Value.Device_models Eda.Device_model.default));
+               let layout = Workspace.install_layout w (Eda.Layout.place reference) in
+               let netlist = Workspace.install_netlist w reference in
+               let stimuli =
+                 Workspace.install_stimuli w
+                   (Eda.Stimuli.exhaustive reference.Eda.Netlist.primary_inputs)
+               in
+               bindings :=
+                 Workspace.bind_catalog_tools w f.Standard_flows.f5_graph
+                   ~already:
+                     [ (f.Standard_flows.f5_layout, layout);
+                       (f.Standard_flows.f5_stimuli, stimuli);
+                       (f.Standard_flows.f5_reference, netlist);
+                       ( f.Standard_flows.f5_device_models,
+                         Workspace.default_device_models w ) ]));
+        let appended =
+          job j (fun () ->
+              ignore
+                (Engine.execute (Workspace.ctx w) f.Standard_flows.f5_graph
+                   ~bindings:!bindings))
+        in
+        Alcotest.(check bool) "the run appends several frames" true (appended > 1);
+        Journal.close j);
+    Alcotest.test_case "a follower's applies" `Quick (fun () ->
+        with_dir @@ fun dir ->
+        Unix.mkdir dir 0o755;
+        let primary = Journal.open_ ~dir:(Filename.concat dir "p") Standard_schemas.odyssey in
+        ignore (activity (Journal.context primary) 3);
+        let frames = Journal.frames primary ~after:0 ~limit:max_int in
+        Journal.close primary;
+        let follower =
+          Journal.open_ ~dir:(Filename.concat dir "f") Standard_schemas.odyssey
+        in
+        let appended =
+          job follower (fun () ->
+              List.iter
+                (fun (seq, _, payload) -> Journal.apply follower ~seq payload)
+                frames)
+        in
+        Alcotest.(check int) "frames" (List.length frames) appended;
+        Journal.close follower) ]
+
 let suite =
   [ ("journal",
      basics @ torn_tail @ compaction @ checkpoint @ lagging
      @ [ oracle_prop; keyword_index ]);
+    ("journal.ship_order", ship_order);
     ("journal.disk", disk);
     ("journal.resting_text", resting_text);
     ("journal.rules", rules) ]

@@ -10,4 +10,4 @@ let () =
     @ Test_telemetry.suite @ Test_sync.suite @ Test_wire.suite
     @ Test_mvcc.suite @ Test_trace_walk.suite @ Test_version_index.suite
     @ Test_entry.suite @ Test_codec.suite @ Test_dense.suite
-    @ Test_exports.suite)
+    @ Test_oracle.suite @ Test_exports.suite)
