@@ -15,7 +15,8 @@
        (frames, checkpoint, index) and its wall time;
      - checkpoint I/O: the checkpoint bytes sixteen seals write through
        the checkpoint policy, against the final checkpoint's size, and
-       a restart at the longest lag the policy allows.
+       a restart at the longest lag the policy allows, its time and
+       the words it allocates.
 
    Everything is exported as gauges for --json. *)
 
@@ -379,7 +380,9 @@ let compaction_io () =
    written at the doubling points under 2.  Then the restart time at
    the longest lag the policy allows (after fifteen seals: the
    checkpoint covers 4,096 entries, the sealed tail 3,584 more), next
-   to a restart of the same database from a checkpoint at that seq. *)
+   to a restart of the same database from a checkpoint at that seq,
+   and the words one lagging restart allocates (a count that does not
+   depend on the host's speed). *)
 let checkpoint_io () =
   let every = 512 and intervals = 16 in
   Bench_util.section
@@ -400,6 +403,9 @@ let checkpoint_io () =
           failwith "checkpoint_io: a seal before its interval ended"
       done;
       let first = Journal.base_seq j + 1 and last = Journal.seq j in
+      (* the write job that ends here flushes its frames before the
+         server's [maybe_compact], so the seal writes none of them *)
+      Journal.flush j;
       let w0 = written_bytes () in
       if not (Journal.maybe_compact j) then failwith "checkpoint_io: no seal";
       let w1 = written_bytes () in
@@ -437,6 +443,10 @@ let checkpoint_io () =
   let median l = List.nth (List.sort compare l) (List.length l / 2) in
   let lag_ms = median (List.map fst times)
   and fresh_ms = median (List.map snd times) in
+  let lag_words =
+    Metrics.alloc_words (fun () ->
+        Journal.close (Journal.open_ ~dir:lagging Standard_schemas.odyssey))
+  in
   rm_rf fresh;
   let last = run lagging ~from:intervals ~upto:intervals in
   let written = if before_lag < 0 || last < 0 then -1 else before_lag + last in
@@ -445,15 +455,18 @@ let checkpoint_io () =
   let ratio = float_of_int written /. float_of_int final in
   Bench_util.print_table
     [ "checkpoint B written"; "final checkpoint B"; "ratio";
-      "restart ms, lagging"; "restart ms, fresh checkpoint" ]
+      "restart ms, lagging"; "restart ms, fresh checkpoint";
+      "lagging restart words" ]
     [ [ string_of_int written; string_of_int final; Printf.sprintf "%.2f" ratio;
-        Printf.sprintf "%.2f" lag_ms; Printf.sprintf "%.2f" fresh_ms ] ];
+        Printf.sprintf "%.2f" lag_ms; Printf.sprintf "%.2f" fresh_ms;
+        Printf.sprintf "%.0f" lag_words ] ];
   List.iter
     (fun (name, v) ->
       Metrics.set (Metrics.gauge ("cement.bench.checkpoint_" ^ name)) v)
     [ ("written_bytes", float_of_int written);
       ("final_bytes", float_of_int final); ("io_ratio", ratio);
-      ("restart_lag_ms", lag_ms); ("restart_fresh_ms", fresh_ms) ]
+      ("restart_lag_ms", lag_ms); ("restart_fresh_ms", fresh_ms);
+      ("restart_lag_words", lag_words) ]
 
 (* Bootstrap first: the top-of-heap checkpoints it takes are monotone,
    so it must run before the other phases warm the heap up. *)

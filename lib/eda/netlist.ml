@@ -132,11 +132,15 @@ let validate nl =
   Option.iter
     (netlist_errorf "primary input %s is driven by a gate")
     !driven_input;
-  (* a gate's name differs from every flop's and every earlier gate's;
-     flops are not checked against each other, so two flops may share
-     a name *)
+  (* flop values are kept by flop name, so flop names are distinct; a
+     gate's name differs from every flop's and every earlier gate's *)
   let names = Names.create (List.length nl.gates + List.length nl.flops) in
-  List.iter (fun f -> Names.replace names f.fname ()) nl.flops;
+  List.iter
+    (fun f ->
+      if Names.mem names f.fname then
+        netlist_errorf "duplicate flop name %s" f.fname;
+      Names.replace names f.fname ())
+    nl.flops;
   List.iter
     (fun g ->
       if Names.mem names g.gname then

@@ -44,8 +44,8 @@ val create :
   ?flops:flop list ->
   name:string -> primary_inputs:string list -> primary_outputs:string list ->
   gate list -> t
-(** Validates: gate names unique and distinct from flop names (two
-    flops may share a name), single driver per net, no
+(** Validates: flop names unique (flop values are kept by name), gate
+    names unique and distinct from flop names, single driver per net, no
     driven primary inputs, no undriven gate or flop inputs or primary
     outputs. @raise Netlist_error on violation. *)
 

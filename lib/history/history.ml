@@ -11,7 +11,10 @@
 
    MVCC: like the store, the whole hot state is one immutable record
    behind an [Atomic.t]; a snapshot is [Atomic.get], mutations CAS a
-   new state in.  Store-joined reads (traces, templates) pair a
+   new state in.  Records are added in batches ([add] is a batch of
+   one): each record is checked and filed into a batch built over the
+   state, seeing the records before it, and the batch is published as
+   one new state.  Store-joined reads (traces, templates) pair a
    history snapshot with a {!Store.Snapshot.t} so the two views are
    frozen together. *)
 
@@ -65,20 +68,21 @@ type links = { producer : record option; users : record list }
 let no_links = { producer = None; users = [] }
 
 (* The immutable hot state.  Rids and iids are dense from 1, so the
-   records and the per-instance links are [Dense] columns indexed by
-   id - 1 (an instance no record names reads [no_links], stored or
-   past the column's end).  The last four fields are the version index
-   (see "Versioning" below), kept in step with the records by [add],
-   so every snapshot carries the index of its own prefix. *)
+   records and every per-instance column are [Dense] columns indexed by
+   id - 1 (an instance a column does not reach reads the column's
+   empty value: [no_links], 0 for no instance, an empty set).  The last
+   four columns are the version index (see "Versioning" below), kept
+   in step with the records by [add_row], so every snapshot carries the
+   index of its own prefix. *)
 type state = {
   hs_records : record Dense.t;
   hs_links : links Dense.t;
   hs_next_cid : int;
   hs_conflicts : conflict Int_map.t;
-  hs_vparent : Store.iid Int_map.t;       (* version -> edit predecessor *)
-  hs_vchildren : Int_set.t Int_map.t;     (* version -> edit successors *)
-  hs_vorigin : Store.iid Int_map.t;       (* version -> first of its tree *)
-  hs_vtrees : Version_set.t Int_map.t;    (* first version -> its tree *)
+  hs_vparent : Store.iid Dense.t;       (* version -> edit predecessor *)
+  hs_vchildren : Int_set.t Dense.t;     (* version -> edit successors *)
+  hs_vorigin : Store.iid Dense.t;       (* version -> first of its tree *)
+  hs_vtrees : Version_set.t Dense.t;    (* first version -> its tree *)
 }
 
 type t = {
@@ -102,10 +106,10 @@ let empty_state =
     hs_links = Dense.empty;
     hs_next_cid = 1;
     hs_conflicts = Int_map.empty;
-    hs_vparent = Int_map.empty;
-    hs_vchildren = Int_map.empty;
-    hs_vorigin = Int_map.empty;
-    hs_vtrees = Int_map.empty;
+    hs_vparent = Dense.empty;
+    hs_vchildren = Dense.empty;
+    hs_vorigin = Dense.empty;
+    hs_vtrees = Dense.empty;
   }
 
 let create () =
@@ -121,12 +125,13 @@ let rec update h f =
 
 let snapshot h = Atomic.get h.state
 
-(* [iid]'s links in a links column: one read. *)
-let links_at column iid =
+(* [iid]'s cell of a per-instance column, [none] past its end: one
+   read. *)
+let cell column ~none iid =
   if iid >= 1 && iid <= Dense.length column then Dense.get column (iid - 1)
-  else no_links
+  else none
 
-let links st iid = links_at st.hs_links iid
+let links st iid = cell st.hs_links ~none:no_links iid
 
 let set_observer h f = h.observer <- Some f
 let clear_observer h = h.observer <- None
@@ -178,41 +183,74 @@ let version_edges store schema ~inputs ~outputs =
             inputs)
       outputs
 
-(* Fold one edge [parent -> out] into the version index.  [out] has
-   just passed the one-producer check, so it has no parent yet; it
+(* A batch of records over [b_start]: each column it grows as a
+   transient, read and written in place by [add_row] and published by
+   [finish] as one state. *)
+type batch = {
+  b_start : state;
+  b_records : record Dense.transient;
+  b_links : links Dense.transient;
+  b_vparent : Store.iid Dense.transient;
+  b_vchildren : Int_set.t Dense.transient;
+  b_vorigin : Store.iid Dense.transient;
+  b_vtrees : Version_set.t Dense.transient;
+}
+
+let batch st =
+  { b_start = st; b_records = Dense.transient st.hs_records;
+    b_links = Dense.transient st.hs_links;
+    b_vparent = Dense.transient st.hs_vparent;
+    b_vchildren = Dense.transient st.hs_vchildren;
+    b_vorigin = Dense.transient st.hs_vorigin;
+    b_vtrees = Dense.transient st.hs_vtrees }
+
+let finish b =
+  { b.b_start with
+    hs_records = Dense.freeze b.b_records;
+    hs_links = Dense.freeze b.b_links;
+    hs_vparent = Dense.freeze b.b_vparent;
+    hs_vchildren = Dense.freeze b.b_vchildren;
+    hs_vorigin = Dense.freeze b.b_vorigin;
+    hs_vtrees = Dense.freeze b.b_vtrees }
+
+(* [cell] and its write, on a batch's column. *)
+let t_cell column ~none iid =
+  if iid >= 1 && iid <= Dense.t_length column then Dense.t_get column (iid - 1)
+  else none
+
+let t_file column ~none iid x = Dense.t_set ~fill:none column (iid - 1) x
+
+(* Fold one edge [parent -> out] into the batch's version index.  [out]
+   has just passed the one-producer check, so it has no parent yet; it
    joins the parent's tree, bringing along the successors earlier
    records may already have given it (then [out] heads a tree of its
    own, whose members move over to the parent's origin). *)
-let add_version_edge st ((out, out_at), (p, p_at)) =
-  let origin, trees =
-    match Int_map.find_opt p st.hs_vorigin with
-    | Some o -> (o, st.hs_vtrees)
-    | None -> (p, Int_map.add p (Version_set.singleton (p_at, p)) st.hs_vtrees)
+let add_version_edge b ((out, out_at), (p, p_at)) =
+  let no_tree = Version_set.empty in
+  let origin =
+    match t_cell b.b_vorigin ~none:0 p with
+    | 0 ->
+      t_file b.b_vorigin ~none:0 p p;
+      t_file b.b_vtrees ~none:no_tree p (Version_set.singleton (p_at, p));
+      p
+    | o -> o
   in
-  let tree = Int_map.find origin trees in
-  let vorigin = Int_map.add p origin st.hs_vorigin in
-  let vorigin, tree, trees =
-    match Int_map.find_opt out vorigin with
-    | None ->
-      ( Int_map.add out origin vorigin,
-        Version_set.add (out_at, out) tree,
-        trees )
-    | Some o ->
-      let sub = Int_map.find o trees in
-      ( Version_set.fold
-          (fun (_, v) acc -> Int_map.add v origin acc)
-          sub vorigin,
-        Version_set.union tree sub,
-        Int_map.remove o trees )
+  let tree = t_cell b.b_vtrees ~none:no_tree origin in
+  let tree =
+    match t_cell b.b_vorigin ~none:0 out with
+    | 0 ->
+      t_file b.b_vorigin ~none:0 out origin;
+      Version_set.add (out_at, out) tree
+    | o ->
+      let sub = t_cell b.b_vtrees ~none:no_tree o in
+      Version_set.iter (fun (_, v) -> t_file b.b_vorigin ~none:0 v origin) sub;
+      t_file b.b_vtrees ~none:no_tree o no_tree;
+      Version_set.union tree sub
   in
-  let siblings =
-    Option.value (Int_map.find_opt p st.hs_vchildren) ~default:Int_set.empty
-  in
-  { st with
-    hs_vparent = Int_map.add out p st.hs_vparent;
-    hs_vchildren = Int_map.add p (Int_set.add out siblings) st.hs_vchildren;
-    hs_vorigin = vorigin;
-    hs_vtrees = Int_map.add origin tree trees }
+  t_file b.b_vtrees ~none:no_tree origin tree;
+  t_file b.b_vparent ~none:0 out p;
+  t_file b.b_vchildren ~none:Int_set.empty p
+    (Int_set.add out (t_cell b.b_vchildren ~none:Int_set.empty p))
 
 (* ------------------------------------------------------------------ *)
 (* The construction rules, checked once per record                     *)
@@ -276,9 +314,9 @@ let check_rules store schema r =
 
 (* Would [r] close a cycle?  It would when its tool or an input is one
    of its outputs, or is reachable forward from one through the records
-   using it.  An output is usually fresh, used by no record yet, so this
-   is one lookup per output. *)
-let closes_cycle st r =
+   using it, as [links_of] gives them.  An output is usually fresh,
+   used by no record yet, so this is one lookup per output. *)
+let closes_cycle links_of r =
   let deps = Option.to_list r.tool @ List.map snd r.inputs in
   let seen = ref Int_set.empty in
   let rec reaches iid =
@@ -288,7 +326,7 @@ let closes_cycle st r =
          seen := Int_set.add iid !seen;
          List.exists
            (fun u -> List.exists (fun (_, out) -> reaches out) u.outputs)
-           (links st iid).users
+           (links_of iid).users
        end
   in
   List.exists (fun (_, out) -> reaches out) r.outputs
@@ -304,49 +342,58 @@ let check_installed store r =
   List.iter (fun (_, iid) -> installed iid) r.inputs;
   List.iter (fun (_, iid) -> installed iid) r.outputs
 
-let add h store schema ~task_entity ~tool ~inputs ~outputs ~at =
+(* The one add step: check a record against the store, the schema and
+   the records before it in [b] (the batch's, then its start state's),
+   and file it into [b]. *)
+let add_row b store schema ~task_entity ~tool ~inputs ~outputs ~at =
   if outputs = [] then history_errorf "a record needs at least one output";
-  let r = { rid = 0; task_entity; tool; inputs; outputs; at } in
+  let r =
+    { rid = Dense.t_length b.b_records + 1; task_entity; tool; inputs; outputs; at }
+  in
   check_installed store r;
   check_rules store schema r;
   let edges = version_edges store schema ~inputs ~outputs in
-  let r =
-    update h (fun st ->
-        let rid = Dense.length st.hs_records + 1 in
-        let r = { r with rid } in
-        let file column iid change =
-          Dense.set ~fill:no_links column (iid - 1) (change (links_at column iid))
-        in
-        let column =
-          List.fold_left
-            (fun column (_, iid) ->
-              file column iid (fun l ->
-                  if l.producer <> None then
-                    history_errorf ~code:`Conflict
-                      "instance %d already has a producing record" iid;
-                  { l with producer = Some r }))
-            st.hs_links outputs
-        in
-        if closes_cycle st r then raise Ddf_graph.Task_graph.cycle;
-        let note_use column iid =
-          file column iid (fun l -> { l with users = r :: l.users })
-        in
-        let column =
-          List.fold_left (fun column (_, iid) -> note_use column iid) column inputs
-        in
-        let column =
-          match tool with Some t -> note_use column t | None -> column
-        in
-        let st =
-          { st with
-            hs_records = Dense.push st.hs_records r;
-            hs_links = column }
-        in
-        (List.fold_left add_version_edge st edges, r))
-  in
-  Ddf_obs.Metrics.incr m_appends;
-  (match h.observer with None -> () | Some f -> f r);
+  let links_of = t_cell b.b_links ~none:no_links in
+  let file iid change = t_file b.b_links ~none:no_links iid (change (links_of iid)) in
+  List.iter
+    (fun (_, iid) ->
+      file iid (fun l ->
+          if l.producer <> None then
+            history_errorf ~code:`Conflict
+              "instance %d already has a producing record" iid;
+          { l with producer = Some r }))
+    outputs;
+  if closes_cycle links_of r then raise Ddf_graph.Task_graph.cycle;
+  let note_use iid = file iid (fun l -> { l with users = r :: l.users }) in
+  List.iter (fun (_, iid) -> note_use iid) inputs;
+  Option.iter note_use tool;
+  Dense.t_push b.b_records r;
+  List.iter (add_version_edge b) edges;
   r
+
+(* The history has one writer, so the state a batch started from is
+   still the live one when it is published. *)
+let add_many h store schema f =
+  let st = Atomic.get h.state in
+  let b = batch st in
+  let added = ref [] in
+  let result =
+    f (fun ~task_entity ~tool ~inputs ~outputs ~at ->
+        let r = add_row b store schema ~task_entity ~tool ~inputs ~outputs ~at in
+        added := r :: !added;
+        r)
+  in
+  if not (Atomic.compare_and_set h.state st (finish b)) then
+    history_errorf ~code:`Internal "a batch of records raced another writer";
+  List.iter
+    (fun r ->
+      Ddf_obs.Metrics.incr m_appends;
+      match h.observer with None -> () | Some f -> f r)
+    (List.rev !added);
+  result
+
+let add h store schema ~task_entity ~tool ~inputs ~outputs ~at =
+  add_many h store schema (fun add -> add ~task_entity ~tool ~inputs ~outputs ~at)
 
 let resolve_conflict h cid ~winner =
   let c, resolved =
@@ -809,15 +856,14 @@ module Snapshot = struct
      the (creation time, iid)-ordered set filed under the tree's first
      version.  A lone instance is its own one-version tree. *)
 
-  let version_parent st iid = Int_map.find_opt iid st.hs_vparent
+  let version_parent st iid =
+    match cell st.hs_vparent ~none:0 iid with 0 -> None | p -> Some p
 
   (* Direct edit successors: the alternative versions branching off an
      instance.  More than one child — siblings — is exactly the shape an
      anti-entropy merge of divergent workspaces produces. *)
   let version_children st iid =
-    match Int_map.find_opt iid st.hs_vchildren with
-    | Some s -> Int_set.elements s
-    | None -> []
+    Int_set.elements (cell st.hs_vchildren ~none:Int_set.empty iid)
 
   (* The version tree rooted at an instance, following edit successors. *)
   let version_tree st iid =
@@ -827,9 +873,9 @@ module Snapshot = struct
     build iid
 
   let tree_of st iid =
-    Option.map
-      (fun o -> Int_map.find o st.hs_vtrees)
-      (Int_map.find_opt iid st.hs_vorigin)
+    match cell st.hs_vorigin ~none:0 iid with
+    | 0 -> None
+    | o -> Some (cell st.hs_vtrees ~none:Version_set.empty o)
 
   (* All versions (the instances in the version tree), ascending by iid. *)
   let versions st iid =

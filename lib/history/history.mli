@@ -65,6 +65,21 @@ val add :
     design objects), [`Not_found] when the store has no instance the
     record names, [`Invalid] when outputs are empty. *)
 
+val add_many :
+  t -> 'a Store.Snapshot.t -> Schema.t ->
+  ((task_entity:string -> tool:Store.iid option ->
+    inputs:(string * Store.iid) list -> outputs:(string * Store.iid) list ->
+    at:int -> record) -> 'b) -> 'b
+(** [add_many h store schema f] runs [f add], where each [add] appends
+    a record exactly as {!add} would — the same checks, in the same
+    order, with the same exceptions — each seeing the records added
+    before it; then publishes them all as one state and shows the
+    observer each in turn.  Every column and index the records grow is
+    built once for the lot.  {!add} is [add_many] of one record.  When
+    [f] raises, nothing is published.  The history has a single
+    writer: a batch whose starting state changed before it was
+    published raises [`Internal]. *)
+
 val set_observer : t -> (record -> unit) -> unit
 (** Install the single append observer, called synchronously after a
     record commits.  The write-ahead journal subscribes here. *)
@@ -237,10 +252,11 @@ module Snapshot : sig
       A record is an editing task when one of its inputs shares an
       output's root entity type; that input is the output's version
       parent.  {!add} files every such edge in a version index that is
-      part of the history state: parent and children per instance, and
-      per version tree its members ordered by (creation time, iid).  So
-      every query below is O(log n + answer) on any snapshot, and needs
-      no store or schema. *)
+      part of the history state, in columns indexed by iid: parent and
+      children per instance, its tree's first version, and per version
+      tree its members ordered by (creation time, iid).  So every query
+      below reads a column or two and then its answer, on any snapshot,
+      and needs no store or schema. *)
 
   val version_parent : t -> Store.iid -> Store.iid option
   (** The edit predecessor: the input of the producing record whose

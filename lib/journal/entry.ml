@@ -107,6 +107,35 @@ let decode payload =
   try L.of_string fld payload
   with L.Wire_error m -> Ddf_core.Error.errorf `Internal "journal entry: %s" m
 
+type put_head = {
+  ph_iid : int;
+  ph_clock : int;
+  ph_entity : string;
+  ph_hash : string;
+  ph_meta : Ddf_store.Store.meta;
+}
+
+let head = L.Int ** L.Int ** L.Str ** L.Str ** meta
+
+(* A put's fields but its text, read by the description's own decoders;
+   the text, last, is a [Str] (a u32 length and its bytes), checked to
+   run exactly to the end of the entry and never copied. *)
+let put_head payload =
+  if String.length payload = 0 || payload.[0] <> 'p' then None
+  else
+    match L.of_prefix head payload 1 with
+    | (ph_iid, (ph_clock, (ph_entity, (ph_hash, ph_meta)))), off ->
+      let left = String.length payload - off in
+      if left < 4
+         || Int32.to_int (String.get_int32_le payload off) land 0xFFFF_FFFF
+            <> left - 4
+      then
+        Ddf_core.Error.errorf `Internal
+          "journal entry: a put's text does not end the entry (at byte %d)" off;
+      Some { ph_iid; ph_clock; ph_entity; ph_hash; ph_meta }
+    | exception L.Wire_error m ->
+      Ddf_core.Error.errorf `Internal "journal entry: %s" m
+
 let value ~iid ~hash text =
   let value =
     try Ddf_persist.Codec.value_of_text text

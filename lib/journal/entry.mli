@@ -57,6 +57,23 @@ val decode : string -> t
     entry: [`Invalid] naming format 1 for an s-expression entry,
     [`Internal] for truncated, unknown or trailing bytes. *)
 
+(** A put entry but its value's text. *)
+type put_head = {
+  ph_iid : int;
+  ph_clock : int;
+  ph_entity : string;
+  ph_hash : string;
+  ph_meta : Ddf_store.Store.meta;
+}
+
+val put_head : string -> put_head option
+(** The head of an encoded put entry, decoded as {!decode} would but
+    for the text, which is checked to end the entry and not copied
+    (cold replay installs a put without its value); [None] for an
+    entry of another kind.
+    @raise Ddf_core.Error.Ddf_error ([`Internal]) on a put that is
+    truncated or has bytes after its text. *)
+
 val value : iid:int -> hash:string -> string -> Ddf_data.value
 (** A put's value, parsed back from its text and checked against the
     content hash the put recorded.

@@ -62,6 +62,7 @@ let h_batch = Ddf_obs.Metrics.histogram "journal.group_commit_batch"
 let h_compact = Ddf_obs.Metrics.histogram "journal.compact_seconds"
 let h_checkpoint = Ddf_obs.Metrics.histogram "journal.checkpoint_seconds"
 let g_lag = Ddf_obs.Metrics.gauge "journal.checkpoint_lag"
+let g_open_us = Ddf_obs.Metrics.gauge "journal.open_us"
 
 (* When is an entry durable?
      [Always] - fsync inside every append: an entry is on disk before
@@ -211,22 +212,18 @@ let read_wal ?(off = 0) path ~base f =
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Apply one entry; ids must come back dense, in order.  [cold] loads a
-   put as a checkpoint's [cemented SEQ] slot does, its value checked at
-   its first read. *)
-let replay_entry ?(cold = false) ctx payload =
+let advance ctx clock =
+  ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock
+
+(* Apply one entry; ids must come back dense, in order. *)
+let replay_entry ctx payload =
   let store = ctx.Ddf_exec.Engine.store in
   let history = ctx.Ddf_exec.Engine.history in
-  let advance clock =
-    ctx.Ddf_exec.Engine.clock <- max ctx.Ddf_exec.Engine.clock clock
-  in
+  let advance = advance ctx in
   match Entry.decode payload with
   | Entry.Put { iid; clock; entity; hash; meta; text } ->
-    if not cold then ignore (Entry.value ~iid ~hash text);
-    let got =
-      if cold then Store.put_cold store ~entity ~hash ~meta
-      else Store.put store ~entity ~hash ~meta text
-    in
+    ignore (Entry.value ~iid ~hash text);
+    let got = Store.put store ~entity ~hash ~meta text in
     if got <> iid then
       journal_errorf "log out of order: instance %d replayed as %d" iid got;
     advance clock
@@ -424,6 +421,41 @@ let cold_put_text c store iid =
     | Entry.Note _ | Entry.Record _ | Entry.Conflict _ | Entry.Resolve _ ->
       None)
 
+(* Replay the sealed frames [from .. upto] past the checkpoint.  Their
+   puts load cold, as a checkpoint's [cemented SEQ] slots do: only the
+   head of each is decoded, the frame checksum, parse and content hash
+   left to the cold loader, and each run of them is installed as one
+   batch before the entry that ends it. *)
+let replay_sealed ctx cement ~from ~upto =
+  let store = ctx.Ddf_exec.Engine.store in
+  let next = ref (Store.Snapshot.tick (Store.snapshot store)) in
+  let run = ref [] in
+  let install_run () =
+    if !run <> [] then begin
+      Store.put_rows store (List.rev !run);
+      run := []
+    end
+  in
+  Cement.iter_range cement ~from ~upto
+    ~skip:(fun payload -> fst (Entry.classify payload) = 'p')
+    (fun _ payload ->
+      (match Entry.put_head payload with
+      | Some h ->
+        if h.Entry.ph_iid <> !next then
+          journal_errorf "log out of order: instance %d replayed as %d"
+            h.Entry.ph_iid !next;
+        incr next;
+        advance ctx h.Entry.ph_clock;
+        run :=
+          { Store.row_entity = h.Entry.ph_entity; row_hash = h.Entry.ph_hash;
+            row_meta = h.Entry.ph_meta; row_payload = None }
+          :: !run
+      | None ->
+        install_run ();
+        replay_entry ctx payload);
+      Ddf_obs.Metrics.incr m_replayed);
+  install_run ()
+
 let install_cold_loader c store =
   Store.set_cold_loader store (fun iid ->
       Option.map
@@ -462,7 +494,10 @@ let evict_cold j =
     owners;
   !n
 
+(* [journal.open_us] is the time the last open took, measured inside
+   the process: cement, checkpoint, sealed tail and wal. *)
 let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
+  let t0 = Unix.gettimeofday () in
   if compact_every < 1 then journal_errorf "compact_every must be positive";
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   if not (Sys.is_directory dir) then journal_errorf "%s is not a directory" dir;
@@ -496,15 +531,9 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
      && Cement.first_seq cement <> from
   then Cement.clear cement;
   install_cold_loader cement ctx.Ddf_exec.Engine.store;
-  (* the frames sealed since the checkpoint: their puts load cold, the
-     frame checksum, parse and content hash left to the cold loader *)
   let sealed = Cement.last_seq cement in
   if sealed > checkpoint then
-    Cement.iter_range cement ~from:(checkpoint + 1) ~upto:sealed
-      ~skip:(fun payload -> fst (Entry.classify payload) = 'p')
-      (fun _ payload ->
-        replay_entry ~cold:true ctx payload;
-        Ddf_obs.Metrics.incr m_replayed);
+    replay_sealed ctx cement ~from:(checkpoint + 1) ~upto:sealed;
   (* the wal follows the line's last sealed entry or, with no cement,
      the entry before the line's first *)
   let base = if sealed = 0 then from - 1 else max checkpoint sealed in
@@ -530,6 +559,7 @@ let open_ ?registry ?(compact_every = 10_000) ?(sync_mode = Group) ~dir schema =
   in
   attach j;
   set_lag j;
+  Ddf_obs.Metrics.set g_open_us ((Unix.gettimeofday () -. t0) *. 1e6);
   j
 
 (* The live journal's wal frames with seqno > [after] (at least the

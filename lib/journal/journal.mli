@@ -56,7 +56,11 @@ val open_ :
     does (a cement restart or a resync stopped before its clear) is
     cleared.  [compact_every] (default 10_000) is the log-entry
     threshold {!maybe_compact} acts on.  [sync_mode] (default {!Group})
-    sets when entries become durable.
+    sets when entries become durable.  The checkpoint's instance rows
+    and record rows each build the store's and the history's state in
+    one batch, and so does each run of the sealed tail's puts, whose
+    values are not read.  The time the open took is the
+    [journal.open_us] gauge.
     @raise Ddf_core.Error.Ddf_error on corruption before the tail (iid/rid or
     content-hash mismatches), when the checkpoint references a put
     the cement store does not hold (the message names the iid), or

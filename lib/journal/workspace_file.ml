@@ -20,13 +20,17 @@
    that installed the instance (a journal checkpoint), or [value TEXT],
    the value as flat s-expression text, as a put entry carries it.
 
-   Load applies each row as it is decoded, with no tree and no sort.
-   Identifiers are dense and allocated in order by the store and the
-   history, so each row must come back under its own id; every inline
-   value's content hash is recomputed and checked against the stored
-   one.  A referenced instance loads without a resident payload; the
-   journal checks every reference against its cement store and wires
-   the cold loader that fills the payload on first read.
+   Load checks each row as it is decoded, with no tree and no sort, and
+   builds the store's state and the history's state once each: the
+   instance rows are installed as one batch ([Store.put_rows]), the
+   record rows are added as one ([History.add_many]), each record
+   checked against the rows before it.  Identifiers are dense and
+   allocated in order by the store and the history, so each row must
+   come back under its own id; every inline value's content hash is
+   recomputed and checked against the stored one.  A referenced
+   instance loads without a resident payload; the journal checks every
+   reference against its cement store and wires the cold loader that
+   fills the payload on first read.
 
    The checkpoint covers journal entries 1..seq (0 for a save made
    outside a journal), and its line's log, cement then wal, starts at
@@ -82,23 +86,26 @@ let record_parts (r : History.record) =
     rp_tool = r.History.tool; rp_inputs = r.History.inputs;
     rp_outputs = r.History.outputs; rp_at = r.History.at }
 
-(* Every stored record enters the history here: checkpoint load, wal
+(* Every stored record enters the history here, through [add] (a
+   [History.add_many] batch's, or [History.add]): checkpoint load, wal
    replay and sync apply.  A record the schema's construction rules
    refuse (a schema edit dropped a role it fills, say) is a typed
    [`Invalid] naming it. *)
-let add_record (ctx : Ddf_exec.Engine.context) (p : Entry.record_parts) =
+let add_stored add (p : Entry.record_parts) =
   let refuse m =
     Ddf_core.Error.errorf `Invalid "record %d breaks the schema's rules: %s"
       p.rp_rid m
   in
   try
-    History.add ctx.history (Store.snapshot ctx.store) ctx.schema
-      ~task_entity:p.rp_task_entity ~tool:p.rp_tool ~inputs:p.rp_inputs
+    add ~task_entity:p.rp_task_entity ~tool:p.rp_tool ~inputs:p.rp_inputs
       ~outputs:p.rp_outputs ~at:p.rp_at
   with
   | Ddf_graph.Task_graph.Graph_error m | Ddf_schema.Schema.Schema_error m -> refuse m
   | Ddf_graph.Task_graph.Needs_specialization (entity, _) ->
     refuse (entity ^ " is abstract")
+
+let add_record (ctx : Ddf_exec.Engine.context) p =
+  add_stored (History.add ctx.history (Store.snapshot ctx.store) ctx.schema) p
 
 (* ------------------------------------------------------------------ *)
 (* Saving                                                              *)
@@ -194,29 +201,39 @@ let load_line ?registry ?(cemented = fun _ -> None) schema text =
     let session = Ddf_session.Session.of_context ctx in
     let store = ctx.Ddf_exec.Engine.store in
     let history = ctx.Ddf_exec.Engine.history in
+    (* the iid each row is installed under: the store's next, onwards *)
+    let next = ref (Store.Snapshot.tick (Store.snapshot store)) in
+    let rows = ref [] in
     read_instances r (fun (iid, (entity, (meta, (hash, slot)))) ->
-        let got =
+        let payload =
           match slot with
           | Value text ->
             (try ignore (Entry.value ~iid ~hash text)
              with Ddf_core.Error.Ddf_error e ->
                persist_errorf "%s" (Ddf_core.Error.message e));
-            Store.put store ~entity ~hash ~meta text
+            Some text
           | Cemented seq ->
             if cemented iid <> Some seq then
               persist_errorf
                 "instance %d: its payload is cemented put %d, which the cement \
                  store does not hold"
                 iid seq;
-            Store.put_cold store ~entity ~hash ~meta
+            None
         in
-        if got <> iid then
-          persist_errorf "instance ids are not dense (%d loaded as %d)" iid got);
-    read_records r (fun p ->
-        let got = (add_record ctx p).History.rid in
-        if got <> p.rp_rid then
-          persist_errorf "record ids are not dense (%d loaded as %d)" p.rp_rid
-            got);
+        if !next <> iid then
+          persist_errorf "instance ids are not dense (%d loaded as %d)" iid !next;
+        incr next;
+        rows :=
+          { Store.row_entity = entity; row_hash = hash; row_meta = meta;
+            row_payload = payload }
+          :: !rows);
+    Store.put_rows store (List.rev !rows);
+    History.add_many history (Store.snapshot store) schema (fun add ->
+        read_records r (fun p ->
+            let got = (add_stored add p).History.rid in
+            if got <> p.rp_rid then
+              persist_errorf "record ids are not dense (%d loaded as %d)"
+                p.rp_rid got));
     read_conflicts r (fun (cid, (base, (ours, (theirs, (origin, (at, winner)))))) ->
         let c = History.add_conflict history ~base ~ours ~theirs ~origin ~at in
         if c.History.cid <> cid then

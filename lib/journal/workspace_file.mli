@@ -11,8 +11,10 @@
     This is checkpoint format 4, described once as a
     {!Ddf_wire.Layout} stream beside the journal's entries: a header
     naming the journal seq it covers, instance rows,
-    {!Entry.record_parts} rows, conflicts and catalog flows, each
-    decoded straight into the store and the history.  An instance's
+    {!Entry.record_parts} rows, conflicts and catalog flows.  Each row
+    is checked as it is decoded; the instance rows are installed as one
+    batch ({!Ddf_store.Store.put_rows}) and the record rows added as one
+    ({!Ddf_history.History.add_many}), so each state is built once.  An instance's
     payload slot is its value as flat text, or, in a journal
     checkpoint, a reference to the cemented put frame that installed
     it.  A file of an earlier format (1 to 3) is refused by name. *)
@@ -43,7 +45,7 @@ val load :
   ?registry:Ddf_tools.Encapsulation.registry ->
   ?cemented:(Ddf_store.Store.iid -> int option) ->
   Ddf_schema.Schema.t -> string -> Ddf_session.Session.t
-(** Referenced instances are restored cold ({!Ddf_store.Store.put_cold}):
+(** Referenced instances are restored cold (rows with no payload):
     each reference must name the put seqno [cemented iid] reports;
     without [cemented], any reference is an error.
     @raise Persist_error on malformed or truncated bytes, an unknown

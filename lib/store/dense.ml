@@ -63,16 +63,18 @@ let rec push_leaf node level leaf first =
     end
     else Node (append children (path (level - bits) leaf))
 
+(* The root and shift with [v]'s full tail filed as a leaf. *)
+let file_tail v =
+  let first = tail_offset v in
+  if first lsr bits = 1 lsl v.shift then
+    (Node [| v.root; path v.shift v.tail |], v.shift + bits)
+  else (push_leaf v.root v.shift v.tail first, v.shift)
+
 let push v x =
   if Array.length v.tail < width then
     { v with length = v.length + 1; tail = append v.tail x }
   else
-    let first = tail_offset v in
-    let root, shift =
-      if first lsr bits = 1 lsl v.shift then
-        (Node [| v.root; path v.shift v.tail |], v.shift + bits)
-      else (push_leaf v.root v.shift v.tail first, v.shift)
-    in
+    let root, shift = file_tail v in
     { length = v.length + 1; shift; root; tail = [| x |] }
 
 let rec assoc node level i x =
@@ -121,3 +123,95 @@ let rec fold_node f acc = function
   | Node children -> Array.fold_left (fold_node f) acc children
 
 let fold f init v = Array.fold_left f (fold_node f init v.root) v.tail
+
+(* The vector of [a.(0 .. n-1)], built bottom-up in one pass: each leaf
+   is one [Array.sub], each node one [Array.init], nothing is copied
+   twice.  The shape is the one [n] pushes leave: the last 1 to [width]
+   elements in the tail, the rest packed left under the lowest root
+   that holds them. *)
+let of_sub a n =
+  if n = 0 then empty
+  else
+    let tail_len = ((n - 1) land mask) + 1 in
+    let trie = n - tail_len in
+    let rec lowest shift = if trie > 1 lsl (shift + bits) then lowest (shift + bits) else shift in
+    let shift = lowest bits in
+    (* the node at [level] whose first index is [lo] *)
+    let rec node level lo =
+      if level = 0 then Leaf (Array.sub a lo width)
+      else
+        let span = 1 lsl level in
+        let last = min trie (lo + (span lsl bits)) in
+        Node (Array.init ((last - lo + span - 1) / span) (fun k ->
+            node (level - bits) (lo + (k * span))))
+    in
+    { length = n; shift; root = node shift 0; tail = Array.sub a trie tail_len }
+
+(* A vector being built: [base] with the elements of [added.(0 ..
+   n_added-1)] after it.  Writes below [base]'s length copy a path of
+   [base], as [set] does; appends go to the array in place, and
+   [freeze] files them once. *)
+type 'a transient = {
+  mutable base : 'a t;
+  mutable added : 'a array;
+  mutable n_added : int;
+}
+
+let transient v = { base = v; added = [||]; n_added = 0 }
+let t_length t = t.base.length + t.n_added
+
+let t_get t i =
+  let n = t.base.length in
+  if i < n then get t.base i
+  else if i - n < t.n_added then t.added.(i - n)
+  else invalid_arg "Dense.t_get"
+
+let t_push t x =
+  if t.n_added = Array.length t.added then begin
+    let grown = Array.make (max 1 (2 * t.n_added)) x in
+    Array.blit t.added 0 grown 0 t.n_added;
+    t.added <- grown
+  end;
+  t.added.(t.n_added) <- x;
+  t.n_added <- t.n_added + 1
+
+let rec t_set ?fill t i x =
+  let n = t.base.length in
+  if i < 0 then invalid_arg "Dense.t_set"
+  else if i < n then t.base <- set t.base i x
+  else if i - n < t.n_added then t.added.(i - n) <- x
+  else if i = t_length t then t_push t x
+  else
+    match fill with
+    | None -> invalid_arg "Dense.t_set"
+    | Some y ->
+      t_push t y;
+      t_set ?fill t i x
+
+(* [v] with [a.(0 .. n-1)] pushed: built by [of_sub] from empty, else
+   the tail is topped up in one copy and every further [width]
+   elements file it as a leaf, one path copy each, where [push] copies
+   the tail at every element. *)
+let append v a n =
+  if v.length = 0 then of_sub a n
+  else
+    let k = min n (width - Array.length v.tail) in
+    let v =
+      if k = 0 then v
+      else
+        let len = Array.length v.tail in
+        let tail = Array.make (len + k) a.(0) in
+        Array.blit v.tail 0 tail 0 len;
+        Array.blit a 0 tail len k;
+        { v with length = v.length + k; tail }
+    in
+    let rec leaves v i =
+      if i >= n then v
+      else
+        let len = min width (n - i) in
+        let root, shift = file_tail v in
+        leaves { length = v.length + len; shift; root; tail = Array.sub a i len } (i + len)
+    in
+    leaves v k
+
+let freeze t = if t.n_added = 0 then t.base else append t.base t.added t.n_added

@@ -12,9 +12,11 @@
    [Atomic.t].  A snapshot is just [Atomic.get] — O(1), no locks — and
    stays valid forever; mutations build a new record and CAS it in.
    The only concurrent writers are the (single) mutator and readers
-   promoting cold payloads, so CAS retries are rare. *)
+   promoting cold payloads, so CAS retries are rare.  Installs come in
+   batches of rows (a lone [put] is a batch of one): each row is filed
+   into a batch built over the state, and the batch is published as one
+   new state, so a checkpoint's rows build each column and index once. *)
 
-module Int_map = Map.Make (Int)
 module String_map = Map.Make (String)
 module Int_set = Set.Make (Int)
 
@@ -44,10 +46,18 @@ type 'a event =
   | Put of 'a instance * 'a
   | Annotated of 'a instance
 
-(* A physical datum is resident, or cold: known by its hash but held
-   only in cold storage (evicted, or restored from a checkpoint that
-   references it).  Either way it counts for dedup and [physical_count]. *)
-type 'a slot = Resident of 'a | Cold
+type 'a row = {
+  row_entity : string;
+  row_hash : string;
+  row_meta : meta;
+  row_payload : 'a option;
+}
+
+(* Where an instance's physical datum is kept: the first instance that
+   carried its content hash holds it, [Resident] or [Cold] (held only in
+   cold storage: evicted, or restored from a checkpoint that references
+   it), and every later instance of that hash [Shares] it. *)
+type 'a datum = Resident of 'a | Cold | Shares of iid
 
 (* The immutable hot state: everything a read needs, in persistent
    structures.  Iids are dense and ascending from 1 (nothing is ever
@@ -56,18 +66,30 @@ type 'a slot = Resident of 'a | Cold
    and its ascending order is installation order. *)
 type 'a state = {
   st_instances : 'a instance Dense.t;
-  st_payloads : 'a slot String_map.t;   (* content-addressed physical data *)
-  st_by_entity : 'a instance Int_map.t String_map.t;
-  (* each entity's instances: [st_instances] split by entity, kept in
-     step by [install] and [annotate] *)
+  st_data : 'a datum Dense.t;       (* per instance, by iid - 1 *)
+  st_by_entity : 'a instance Dense.t String_map.t;
+  (* each entity's instances, ascending by iid: [st_instances] split by
+     entity, kept in step by installs and [annotate].  An instance never
+     changes entity, so a bucket only grows *)
   st_by_keyword : keyword_iids String_map.t;
-  (* the iids of each keyword's instances, likewise kept in step; a
-     keyword no instance carries has no entry *)
-  st_phys : int;                   (* cardinal of st_payloads, O(1) *)
+  (* the iids of each keyword's instances, kept in step by installs
+     and [annotate]; a keyword no instance carries has no entry *)
+  st_phys : int;                    (* the instances that hold a datum *)
 }
+
+(* The installs' index of content hashes: an open-addressing table of
+   the iids that hold a datum (0 is a free slot), each standing for its
+   instance's hash and probed linearly from that hash's home slot, at
+   most half full.  Dedup looks a hash up here; only installs read and
+   write it, on the writer's side, so no read needs an index by hash.
+   An entry counts only while its iid is installed, holds a datum and
+   carries the hash, so the entries of a batch that raised before it
+   was published count for nothing. *)
+type known = { mutable slots : int array; mutable used : int }
 
 type 'a t = {
   state : 'a state Atomic.t;
+  known : known;
   mutable observer : ('a event -> unit) option;
   mutable cold_loader : (iid -> 'a option) option;
   (* tiered storage: reloads an evicted payload from cold storage *)
@@ -92,7 +114,7 @@ let m_evictions = Ddf_obs.Metrics.counter "store.evictions"
 let empty_state =
   {
     st_instances = Dense.empty;
-    st_payloads = String_map.empty;
+    st_data = Dense.empty;
     st_by_entity = String_map.empty;
     st_by_keyword = String_map.empty;
     st_phys = 0;
@@ -101,6 +123,7 @@ let empty_state =
 let create () =
   {
     state = Atomic.make empty_state;
+    known = { slots = Array.make 64 0; used = 0 };
     observer = None;
     cold_loader = None;
   }
@@ -121,6 +144,15 @@ let next_iid st = Dense.length st.st_instances + 1
 
 (* The instance [iid] names, if installed: one column read. *)
 let instance st iid = Dense.get_opt st.st_instances (iid - 1)
+
+(* The instance holding [iid]'s datum, and the datum. *)
+let holder st iid =
+  match Dense.get st.st_data (iid - 1) with Shares h -> h | Resident _ | Cold -> iid
+
+let resident st iid =
+  match Dense.get st.st_data (holder st iid - 1) with
+  | Resident payload -> Some payload
+  | Cold | Shares _ -> None
 
 let set_observer store f = store.observer <- Some f
 let clear_observer store = store.observer <- None
@@ -164,48 +196,190 @@ let unindex_keywords iid keywords index =
         index)
     index keywords
 
-(* Install an instance over [slot], counting the put and any dedup
-   hit (its hash already known, resident or cold). *)
-let install store ~entity ~hash ~meta slot =
-  let inst, dedup =
-    update store (fun st ->
-        let iid = next_iid st in
-        let inst = { iid; entity; data_hash = hash; meta } in
-        let known = String_map.find_opt hash st.st_payloads in
-        let dedup = known <> None in
-        let st_payloads =
-          (* content-hash sharing: a second instance over the same
-             datum keeps the first payload (a resident one replaces a
-             cold one: it is in hand) *)
-          match (known, slot) with
-          | Some (Resident _), _ | Some Cold, Cold -> st.st_payloads
-          | (Some Cold | None), _ -> String_map.add hash slot st.st_payloads
-        in
-        let bucket =
-          match String_map.find_opt entity st.st_by_entity with
-          | Some m -> Int_map.add iid inst m
-          | None -> Int_map.singleton iid inst
-        in
-        ( {
-            st_instances = Dense.push st.st_instances inst;
-            st_payloads;
-            st_by_entity = String_map.add entity bucket st.st_by_entity;
-            st_by_keyword = index_keywords iid meta.keywords st.st_by_keyword;
-            st_phys = (if dedup then st.st_phys else st.st_phys + 1);
-          },
-          (inst, dedup) ))
+(* A batch of installs over [b_start]: the instance and datum columns
+   and each grown entity bucket as transients, the keyword filings
+   collected per keyword, newest first.  [finish] publishes them as one
+   state. *)
+type 'a batch = {
+  b_start : 'a state;
+  b_instances : 'a instance Dense.transient;
+  b_data : 'a datum Dense.transient;
+  mutable b_buckets : (string * 'a instance Dense.transient) list;
+  mutable b_keywords : iid list ref String_map.t;
+  mutable b_phys : int;
+}
+
+let batch st =
+  { b_start = st; b_instances = Dense.transient st.st_instances;
+    b_data = Dense.transient st.st_data; b_buckets = []; b_keywords = String_map.empty;
+    b_phys = st.st_phys }
+
+(* The instance of [b] below [iid] that holds [hash]'s datum, if any,
+   and the free slot where [hash]'s probe ends. *)
+let holder_of known b hash iid =
+  let mask = Array.length known.slots - 1 in
+  let rec probe i =
+    match known.slots.(i) with
+    | 0 -> Error i
+    | h ->
+      if h < iid
+         && String.equal (Dense.t_get b.b_instances (h - 1)).data_hash hash
+         && (match Dense.t_get b.b_data (h - 1) with
+            | Resident _ | Cold -> true
+            | Shares _ -> false)
+      then Ok h
+      else probe ((i + 1) land mask)
   in
-  Ddf_obs.Metrics.incr m_puts;
-  if dedup then Ddf_obs.Metrics.incr m_dedup;
-  inst
+  probe (Hashtbl.hash hash land mask)
+
+(* Enter [iid], an instance of [b] holding its datum, at [slot],
+   doubling the table (every entry rehashed by its instance's hash) once
+   it is half full. *)
+let note_holder known b iid slot =
+  known.slots.(slot) <- iid;
+  known.used <- known.used + 1;
+  if 2 * known.used > Array.length known.slots then begin
+    let slots = Array.make (2 * Array.length known.slots) 0 in
+    let mask = Array.length slots - 1 in
+    let rec free i = if slots.(i) = 0 then i else free ((i + 1) land mask) in
+    (* an entry past the instances is a raised batch's: dropped *)
+    Array.iter
+      (fun h ->
+        if h > 0 && h <= Dense.t_length b.b_instances then
+          let hash = (Dense.t_get b.b_instances (h - 1)).data_hash in
+          slots.(free (Hashtbl.hash hash land mask)) <- h)
+      known.slots;
+    known.slots <- slots
+  end
+
+(* The one install step: file [row] as the next instance of [b].  Its
+   datum is a dedup hit when [known] names an instance that holds its
+   hash: the row shares that datum (and a resident payload replaces a
+   cold one, being in hand).  Otherwise the row holds a datum of its
+   own. *)
+let install_row known b row =
+  let iid = Dense.t_length b.b_instances + 1 in
+  let hash = row.row_hash in
+  let inst = { iid; entity = row.row_entity; data_hash = hash; meta = row.row_meta } in
+  Dense.t_push b.b_instances inst;
+  (match holder_of known b hash iid with
+  | Ok h ->
+    Dense.t_push b.b_data (Shares h);
+    (match (row.row_payload, Dense.t_get b.b_data (h - 1)) with
+    | Some p, Cold -> Dense.t_set b.b_data (h - 1) (Resident p)
+    | (Some _ | None), (Resident _ | Cold | Shares _) -> ())
+  | Error slot ->
+    b.b_phys <- b.b_phys + 1;
+    Dense.t_push b.b_data
+      (match row.row_payload with Some p -> Resident p | None -> Cold);
+    note_holder known b iid slot);
+  (match List.assoc_opt row.row_entity b.b_buckets with
+  | Some bucket -> Dense.t_push bucket inst
+  | None ->
+    let bucket =
+      Dense.transient
+        (Option.value ~default:Dense.empty
+           (String_map.find_opt row.row_entity b.b_start.st_by_entity))
+    in
+    Dense.t_push bucket inst;
+    b.b_buckets <- (row.row_entity, bucket) :: b.b_buckets);
+  (* a keyword repeated in one meta files the instance once *)
+  List.iter
+    (fun k ->
+      match String_map.find_opt k b.b_keywords with
+      | Some { contents = last :: _ } when last = iid -> ()
+      | Some iids -> iids := iid :: !iids
+      | None -> b.b_keywords <- String_map.add k (ref [ iid ]) b.b_keywords)
+    row.row_meta.keywords
+
+(* [Int_set.map] of an increasing function keeps the shape of the set
+   it maps and allocates one node per element.  So the naturals below
+   [n] are those below half of it and a copy of them mapped above it
+   (the union of two sets that do not interleave copies O(log^2 n)
+   nodes), and any [n] ascending iids are the naturals below [n] mapped
+   onto them: about 15 words an element at 4,000, where
+   [Int_set.of_list] sorts first (45) and adding them one by one copies
+   a path each (70). *)
+let rec naturals n =
+  if n <= 1 then if n = 1 then Int_set.singleton 0 else Int_set.empty
+  else
+    let half = (n + 1) / 2 in
+    let low = naturals half in
+    let rest, _, _ = Int_set.split (n - half) low in
+    Int_set.union low (Int_set.map (fun i -> i + half) rest)
+
+(* The set of the [n] distinct iids of [newest_first]. *)
+let of_ascending n newest_first =
+  let iids = Array.make n 0 in
+  List.iteri (fun k iid -> iids.(n - 1 - k) <- iid) newest_first;
+  Int_set.map (fun i -> iids.(i)) (naturals n)
+
+(* File a batch's new iids under one keyword: they are above every iid
+   already filed. *)
+let file_keyword k filed index =
+  let newest_first = !filed in
+  let n = List.length newest_first in
+  let ki =
+    match String_map.find_opt k index with
+    | None -> { count = n; iids = of_ascending n newest_first }
+    | Some ki when n = 1 ->
+      { count = ki.count + 1; iids = Int_set.add (List.hd newest_first) ki.iids }
+    | Some ki ->
+      { count = ki.count + n; iids = Int_set.union ki.iids (of_ascending n newest_first) }
+  in
+  String_map.add k ki index
+
+let finish b =
+  let st = b.b_start in
+  { st_instances = Dense.freeze b.b_instances;
+    st_data = Dense.freeze b.b_data;
+    st_by_entity =
+      List.fold_left
+        (fun m (entity, bucket) -> String_map.add entity (Dense.freeze bucket) m)
+        st.st_by_entity b.b_buckets;
+    st_by_keyword = String_map.fold file_keyword b.b_keywords st.st_by_keyword;
+    st_phys = b.b_phys }
+
+(* Install [rows] as one batch, counting the puts and dedup hits, and
+   show the observer each resident row.  Returns the first row's iid. *)
+let install store rows =
+  let before, after =
+    update store (fun st ->
+        let b = batch st in
+        List.iter (install_row store.known b) rows;
+        let next = finish b in
+        (next, (st, next)))
+  in
+  let n = List.length rows in
+  let dedups = n - (after.st_phys - before.st_phys) in
+  Ddf_obs.Metrics.incr ~by:n m_puts;
+  if dedups > 0 then Ddf_obs.Metrics.incr ~by:dedups m_dedup;
+  let first = next_iid before in
+  let rec show iid = function
+    | [] -> ()
+    | { row_payload = Some p; _ } :: rest ->
+      notify store (Put (Dense.get after.st_instances (iid - 1), p));
+      show (iid + 1) rest
+    | { row_payload = None; _ } :: rest -> show (iid + 1) rest
+  in
+  if Option.is_some store.observer then show first rows;
+  first
+
+let put_rows store rows = ignore (install store rows)
 
 let put store ~entity ~hash ~meta payload =
-  let inst = install store ~entity ~hash ~meta (Resident payload) in
-  notify store (Put (inst, payload));
-  inst.iid
+  install store
+    [ { row_entity = entity; row_hash = hash; row_meta = meta; row_payload = Some payload } ]
 
-let put_cold store ~entity ~hash ~meta =
-  (install store ~entity ~hash ~meta Cold).iid
+(* Where [iid] sits in its entity's bucket: a binary search, the
+   bucket being ascending by iid. *)
+let bucket_index bucket iid =
+  let rec search lo hi =
+    let mid = (lo + hi) / 2 in
+    let at = (Dense.get bucket mid).iid in
+    if at = iid then mid else if at < iid then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Dense.length bucket)
 
 let annotate store iid ?label ?comment ?keywords () =
   let inst =
@@ -234,7 +408,8 @@ let annotate store iid ?label ?comment ?keywords () =
               st_instances = Dense.set st.st_instances (iid - 1) inst;
               st_by_entity =
                 String_map.update inst.entity
-                  (Option.map (Int_map.add iid inst))
+                  (Option.map (fun bucket ->
+                       Dense.set bucket (bucket_index bucket iid) inst))
                   st.st_by_entity;
               st_by_keyword = by_keyword },
             inst ))
@@ -248,28 +423,25 @@ let evict store iid =
     update store (fun st ->
         match instance st iid with
         | None -> (st, false)
-        | Some inst -> (
-          match String_map.find_opt inst.data_hash st.st_payloads with
-          | Some (Resident _) ->
-            ( { st with
-                st_payloads = String_map.add inst.data_hash Cold st.st_payloads },
-              true )
-          | Some Cold | None -> (st, false)))
+        | Some _ -> (
+          let h = holder st iid in
+          match Dense.get st.st_data (h - 1) with
+          | Resident _ -> ({ st with st_data = Dense.set st.st_data (h - 1) Cold }, true)
+          | Cold | Shares _ -> (st, false)))
   in
   if dropped then Ddf_obs.Metrics.incr m_evictions;
   dropped
 
-(* Promote a cold-loaded payload into the *live* resident table so
-   later readers stay hot.  Runs on the read path, possibly from a
-   reader domain: a plain CAS loop against the owning handle. *)
-let promote store hash payload =
+(* Promote a cold-loaded payload into the *live* state so later readers
+   stay hot.  Runs on the read path, possibly from a reader domain: a
+   plain CAS loop against the owning handle. *)
+let promote store iid payload =
   update store (fun st ->
-      match String_map.find_opt hash st.st_payloads with
-      | Some (Resident _) -> (st, ())
-      | Some Cold | None ->
-        ( { st with
-            st_payloads = String_map.add hash (Resident payload) st.st_payloads },
-          () ))
+      let h = holder st iid in
+      match Dense.get st.st_data (h - 1) with
+      | Resident _ -> (st, ())
+      | Cold | Shares _ ->
+        ({ st with st_data = Dense.set st.st_data (h - 1) (Resident payload) }, ()))
 
 (* ------------------------------------------------------------------ *)
 (* Browser filters (the Fig. 9 instance browser)                       *)
@@ -340,20 +512,18 @@ module Snapshot = struct
   let mem snap iid = iid >= 1 && iid <= Dense.length snap.snap_state.st_instances
 
   let payload_resident snap iid =
-    match String_map.find_opt (find snap iid).data_hash snap.snap_state.st_payloads with
-    | Some (Resident _) -> true
-    | Some Cold | None -> false
+    ignore (find snap iid);
+    Option.is_some (resident snap.snap_state iid)
 
-  (* Hot path first: a resident payload is one map lookup.  On a miss,
+  (* Hot path first: a resident payload is a column read or two.  On a miss,
      fall through to cold storage (if wired) and promote the reloaded
-     payload back into the live resident table so later snapshots stay
-     hot.  The snapshot itself is never mutated — a re-read through the
+     payload back into the live state so later snapshots stay hot.  The snapshot itself is never mutated — a re-read through the
      same snapshot hits the loader again, which is correct and rare. *)
   let payload snap iid =
-    let inst = find snap iid in
-    match String_map.find_opt inst.data_hash snap.snap_state.st_payloads with
-    | Some (Resident v) -> v
-    | Some Cold | None -> (
+    ignore (find snap iid);
+    match resident snap.snap_state iid with
+    | Some v -> v
+    | None -> (
       match snap.snap_source.cold_loader with
       | None ->
         store_errorf ~code:`Not_found
@@ -362,7 +532,7 @@ module Snapshot = struct
         match load iid with
         | Some v ->
           Ddf_obs.Metrics.incr m_cold_loads;
-          promote snap.snap_source inst.data_hash v;
+          promote snap.snap_source iid v;
           v
         | None ->
           store_errorf ~code:`Not_found
@@ -380,7 +550,7 @@ module Snapshot = struct
 
   let instances_of_entity snap entity =
     match String_map.find_opt entity snap.snap_state.st_by_entity with
-    | Some m -> List.rev (Int_map.fold (fun iid _ acc -> iid :: acc) m [])
+    | Some bucket -> List.rev (Dense.fold (fun acc inst -> inst.iid :: acc) [] bucket)
     | None -> []
 
   (* Iids are dense, so the installed ones are 1 .. count, in
@@ -389,25 +559,19 @@ module Snapshot = struct
 
   let matches snap filter iid = compile filter (find snap iid)
 
-  (* Whether the filter's entities hold fewer than [n] instances; counts
-     at most [n] of them. *)
+  (* Whether the filter's entities hold fewer than [n] instances: one
+     bucket length each. *)
   let entities_below st filter n =
     match filter.f_entities with
     | None -> false
-    | Some es -> (
-      let seen = ref 0 in
-      let count _ _ =
-        incr seen;
-        if !seen >= n then raise_notrace Exit
-      in
-      match
-        List.iter
-          (fun e ->
-            Option.iter (Int_map.iter count) (String_map.find_opt e st.st_by_entity))
-          (List.sort_uniq String.compare es)
-      with
-      | () -> true
-      | exception Exit -> false)
+    | Some es ->
+      List.fold_left
+        (fun acc e ->
+          match String_map.find_opt e st.st_by_entity with
+          | Some bucket -> acc + Dense.length bucket
+          | None -> acc)
+        0 (List.sort_uniq String.compare es)
+      < n
 
   let check_keyword_index snap =
     let st = snap.snap_state in
@@ -440,20 +604,21 @@ module Snapshot = struct
   (* Both the instances carrying the filter's first keyword and those
      of its entities hold every answer; the fewer of them are tested,
      through the whole filter.  The keyword's are tested one iid lookup
-     each.  The entities' are folded from their instance maps; entities
+     each.  The entities' are folded from their buckets; entities
      partition the instances, so the per-entity results are disjoint
      and merging them keeps ascending iid order.  With neither a
-     keyword nor an entity filter, the whole instance map is folded. *)
+     keyword nor an entity filter, the whole instance column is
+     folded. *)
   let browse snap filter =
     Ddf_obs.Metrics.incr m_browses;
     let st = snap.snap_state in
     let scan () =
       let meta_ok = compile_meta filter in
-      let matching instances =
+      let matching bucket =
         List.rev
-          (Int_map.fold
-             (fun iid inst acc -> if meta_ok inst.meta then iid :: acc else acc)
-             instances [])
+          (Dense.fold
+             (fun acc inst -> if meta_ok inst.meta then inst.iid :: acc else acc)
+             [] bucket)
       in
       match filter.f_entities with
       | None ->

@@ -17,7 +17,8 @@
     publish it with a compare-and-set, so a snapshot pinned on one
     domain is never torn by a writer on another.  A snapshot taken
     before a write does not see it: write-path code takes a fresh one
-    after its own mutations. *)
+    after its own mutations.  Installs are batches of rows ({!put} is a
+    batch of one, {!put_rows} many), each published as one state. *)
 
 type iid = int
 (** Instance identifier, unique within one store. *)
@@ -88,13 +89,24 @@ val evict : 'a t -> iid -> bool
     unknown.  Counts [store.evictions].  The hash stays known: it
     still counts for dedup and {!Snapshot.physical_count}. *)
 
-val put_cold : 'a t -> entity:string -> hash:string -> meta:meta -> iid
-(** Restore an instance whose payload lives only in cold storage — a
-    checkpoint that references a cemented put instead of carrying the
-    value.  Like {!put} (same iid allocation, dedup and
-    {!Snapshot.physical_count}), but nothing becomes resident and the
-    write observer is not called: the first {!Snapshot.payload} read
-    goes through the cold loader. *)
+type 'a row = {
+  row_entity : string;
+  row_hash : string;
+  row_meta : meta;
+  row_payload : 'a option;
+      (** [None]: the payload lives only in cold storage — a checkpoint
+          that references a cemented put instead of carrying the value,
+          or a cemented put replayed without it *)
+}
+
+val put_rows : 'a t -> 'a row list -> unit
+(** Install the rows in order, at iids {!Snapshot.tick} onwards, each as
+    {!put} would (dedup and {!Snapshot.physical_count} alike), and
+    publish them as one state: each column and index is built once for
+    the lot, and a reader sees all of the rows or none.  The write
+    observer sees each row that carries its payload; a row without one
+    makes nothing resident, and its first {!Snapshot.payload} read goes
+    through the cold loader. *)
 
 (** {1 Write observation (the journal's attachment point)} *)
 
@@ -145,9 +157,10 @@ module Snapshot : sig
   val payload : 'a t -> iid -> 'a
   (** The physical datum behind an instance (the design engine decodes
       its text through a bounded cache, {!Ddf_exec.Engine.decode}).
-      Resident payloads are one map lookup; an evicted payload falls
+      A resident payload is one or two column reads (the instance's
+      datum, or the datum it shares); an evicted payload falls
       through to the cold loader (see {!set_cold_loader}), is
-      re-installed in the {e live} store's resident table
+      made resident again in the {e live} store
       (promote-on-read, never into the snapshot: re-reading the same
       evicted payload through one snapshot hits the loader again) and
       counted in [store.cold_loads].
@@ -155,8 +168,8 @@ module Snapshot : sig
       neither resident nor reloadable. *)
 
   val payload_resident : 'a t -> iid -> bool
-  (** Whether {!payload} would be served from the resident table (no
-      cold load).  @raise Ddf_core.Error.Ddf_error on a missing
+  (** Whether {!payload} would be served from the store (no cold
+      load).  @raise Ddf_core.Error.Ddf_error on a missing
       instance. *)
 
   val entity_of : 'a t -> iid -> string
@@ -181,8 +194,8 @@ module Snapshot : sig
       cost depends on the instances tested against the whole filter:
       - with a keyword and an entity filter: the instances carrying the
         filter's first keyword (one iid lookup each) or those of the
-        listed entities, whichever are fewer, plus counting at most
-        that many of the entities' instances to choose;
+        listed entities, whichever are fewer (each entity's count is
+        its bucket's length);
       - with a keyword alone: the instances carrying its first keyword;
       - with an entity filter alone: the listed entities' instances;
       - otherwise: every instance.

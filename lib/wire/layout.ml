@@ -457,6 +457,11 @@ let of_substring f s pos len =
 
 let of_string f s = of_substring f s 0 (String.length s)
 
+let of_prefix f s pos =
+  let d = Dec.sub s pos (String.length s - pos) in
+  let v = decoder false f d in
+  (v, d.pos)
+
 (* --- streams: varint layouts after a raw head --- *)
 
 type writer = Enc.t

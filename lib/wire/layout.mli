@@ -83,6 +83,11 @@ val to_string : 'a fld -> 'a -> string
 val of_string : 'a fld -> string -> 'a
 (** @raise Wire_error on malformed input, including trailing bytes. *)
 
+val of_prefix : 'a fld -> string -> int -> 'a * int
+(** [of_prefix f s pos] decodes [f] from the bytes at [pos] and returns
+    it with the offset just past it: the bytes after it are left
+    unread, unchecked and uncopied. *)
+
 val of_substring : 'a fld -> string -> int -> int -> 'a
 (** [of_substring f s pos len] is [of_string f (String.sub s pos len)]
     without the copy: the decoder reads no byte outside the [len] at

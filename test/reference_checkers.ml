@@ -51,10 +51,12 @@ module Validate = struct
           netlist_errorf "primary input %s is driven by a gate" n)
       pi;
     let gate_names = Hashtbl.create 16 in
-    List.iter (fun f -> Hashtbl.add gate_names f.fname ()) nl.flops;
-    (* never true: [Hashtbl.length] counts every binding [add] made *)
-    if Hashtbl.length gate_names <> List.length nl.flops then
-      netlist_errorf "duplicate flop name";
+    List.iter
+      (fun f ->
+        if Hashtbl.mem gate_names f.fname then
+          netlist_errorf "duplicate flop name %s" f.fname;
+        Hashtbl.add gate_names f.fname ())
+      nl.flops;
     let flop_q = String_set.of_list (flop_outputs nl) in
     List.iter
       (fun g ->

@@ -74,8 +74,47 @@ let run seed target =
   keep ();
   !kept
 
+(* A transient over a version [run] kept (or the empty vector): random
+   appends, writes below the start's length, in the appended part and
+   past the end with a filler, each followed by a [t_get]; then frozen.
+   The frozen vector reads as the model, and the start as it did. *)
+let transient_run seed (start, start_model) extra =
+  let rng = Random.State.make [| seed |] in
+  let t = Dense.transient start and model = ref (Array.copy start_model) in
+  let ok = ref true in
+  for _ = 1 to extra do
+    let n = Array.length !model and x = Random.State.bits rng in
+    (match Random.State.int rng 10 with
+    | 0 when n > 0 ->
+      let i = Random.State.int rng n in
+      Dense.t_set t i x;
+      model := set_model !model i x ~fill:0
+    | 1 ->
+      let i = n + Random.State.int rng 4 in
+      Dense.t_set ~fill:(-1) t i x;
+      model := set_model !model i x ~fill:(-1)
+    | _ ->
+      Dense.t_push t x;
+      model := Array.append !model [| x |]);
+    let n = Array.length !model in
+    if Dense.t_length t <> n then ok := false;
+    if n > 0 then begin
+      let i = Random.State.int rng n in
+      if Dense.t_get t i <> !model.(i) then ok := false
+    end
+  done;
+  let frozen = Dense.freeze t in
+  !ok && reads_as frozen !model && reads_as start start_model
+
 let tests =
   [
+    Util.qcheck ~count:40 "a frozen transient reads as its array model"
+      QCheck2.Gen.(triple int (oneofl boundaries) (oneofl (0 :: boundaries)))
+      (fun (seed, target, extra) ->
+        let kept = run seed target in
+        List.for_all
+          (fun start -> transient_run seed start extra)
+          [ (Dense.empty, [||]); List.hd kept; List.nth kept (List.length kept / 2) ]);
     Util.qcheck ~count:60 "every version reads as its array model"
       QCheck2.Gen.(pair int (oneofl boundaries))
       (fun (seed, target) ->

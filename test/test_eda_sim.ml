@@ -324,6 +324,30 @@ let sequential_tests =
         with
         | _ -> Alcotest.fail "expected Netlist_error"
         | exception Netlist.Netlist_error _ -> ());
+    (* Flop state is kept by flop name: two flops named alike shared one
+       value in run_cycles (a=0,b=0 | a=1,b=1 | a=0,b=0 under the vectors
+       below) but not in the compiled simulator (a=1,b=0 | a=0,b=1). *)
+    t "two flops sharing a name are refused" (fun () ->
+        let two g =
+          Netlist.create
+            ~flops:[ Netlist.flop "f" ~d:"i0" ~q:"a"; Netlist.flop g ~d:"i1" ~q:"b" ]
+            ~name:"two" ~primary_inputs:[ "i0"; "i1" ] ~primary_outputs:[ "a"; "b" ] []
+        in
+        (match two "f" with
+        | _ -> Alcotest.fail "expected Netlist_error"
+        | exception Netlist.Netlist_error m ->
+          check Alcotest.string "message" "duplicate flop name f" m);
+        let nl = two "g" in
+        let v a b = [ ("i0", Logic.of_bool a); ("i1", Logic.of_bool b) ] in
+        let vectors = [ v true false; v false true; v true true ] in
+        let read outs =
+          List.map (fun o -> (List.assoc "a" o, List.assoc "b" o)) outs
+        in
+        let want = Logic.[ (V0, V0); (V1, V0); (V0, V1) ] in
+        check Alcotest.bool "run_cycles" true (read (Netlist.run_cycles nl vectors) = want);
+        check Alcotest.bool "compiled" true
+          (read (Sim_compiled.run (Sim_compiled.compile nl) (Stimuli.create vectors))
+           = want));
     t "event simulator refuses sequential designs" (fun () ->
         match
           Sim_event.run (Circuits.counter 2) (Stimuli.create [ [] ])

@@ -169,7 +169,7 @@ let expected = function
   | Flop_d_undriven -> "data input"
   | Dup_input -> "duplicate primary input"
   | Input_driven -> "is driven by a gate"
-  | Dup_flop_name -> "ok"
+  | Dup_flop_name -> "duplicate flop name"
   | Dup_gate_name -> "duplicate gate name"
   | Gate_input_undriven -> "is undriven"
   | Output_undriven -> "primary output"
